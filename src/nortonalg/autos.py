@@ -11,11 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import gcd
+from math import factorial, gcd
+
+import numpy as np
 
 from .cyclotomic import Cyclotomic, root_power
 from .errors import BudgetExceededError
-from .families import BilinearFamily, FamilySpec, HalvedCubeFamily, HammingFamily, HypercubeFamily
+from .families import (BilinearFamily, FamilySpec, HalvedCubeFamily, HammingFamily,
+                       HypercubeFamily, carries_table, fq_reduce)
 from .groups import Word
 
 DEFAULT_PAIR_BUDGET = 10**6
@@ -121,7 +124,7 @@ def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
         raise ValueError(f"kernel description covers e>=3,i>=1 or e=2,1<=i<n; "
                          f"got e={e}, i={i}, n={n}")
     total = e**n * sum(1 for v in range(1, e) if gcd(v, e) == 1) ** n
-    if total * _factorial(n) > 10**5:
+    if total * factorial(n) > 10**5:
         raise BudgetExceededError("kernel enumeration too large")
     one = Cyclotomic.one(e)
     kernel = []
@@ -138,13 +141,6 @@ def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
         "expected": sorted(expected),
         "ok": sorted(kernel) == sorted(expected),
     }
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +257,12 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_inv(a: Matrix, q: int) -> Matrix | None:
-    """Inverse over F_q by Gauss-Jordan, or None if singular."""
+    """Inverse over F_q by Gauss-Jordan on [a | I], or None if singular."""
     n = len(a)
-    aug = [list(row) + list(ident) for row, ident in zip(a, mat_identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % q), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, q)
-        aug[col] = [(inv * v) % q for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(x - c * y) % q for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    reduced, pivots = fq_reduce([row + ident for row, ident in zip(a, mat_identity(n))], q)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def random_gl(rng: random.Random, n: int, q: int) -> Matrix:
@@ -362,7 +349,9 @@ def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int,
     """Exhaustively check that a monomial basis map preserves all basis products.
 
     The candidate maps every basis label to (coefficient, basis label); the
-    index map must be a bijection.  Exact arithmetic throughout.
+    index map must be a bijection that carries the product table to itself,
+    and c_u c_v = c_w must hold for every nonzero product chi_u chi_v = chi_w.
+    Exact arithmetic throughout.
     """
     labels = family.basis(i)
     if set(candidate) != set(labels):
@@ -373,17 +362,15 @@ def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int,
     if len(labels) ** 2 > budget:
         raise BudgetExceededError(
             f"automorphism check needs {len(labels)**2} pairs, over budget {budget}")
-    for u in labels:
-        cu, mu = candidate[u]
-        for v in labels:
-            cv, mv = candidate[v]
-            w = family.closed_product(i, u, v)
-            image_w = family.closed_product(i, mu, mv)
-            if w is None:
-                if image_w is not None and not (cu * cv).is_zero():
-                    return False
-                continue
-            cw, mw = candidate[w]
-            if image_w is None or image_w != mw or cu * cv != cw:
-                return False
-    return True
+    table = family.product_table(i)
+    pos = family.basis_position(i)
+    if not carries_table(np.array([pos[m] for m in images]), table, table):
+        return False
+    # the coefficients take few distinct values: multiply those exactly once,
+    # then compare the codes of c_u c_v and c_w on every nonzero entry
+    values = list(dict.fromkeys(candidate[u][0] for u in labels))
+    code = {c: k for k, c in enumerate(values)}
+    codes = np.array([code[candidate[u][0]] for u in labels])
+    products = np.array([[code.get(x * y, -1) for y in values] for x in values])
+    u, v = np.nonzero(table >= 0)
+    return bool((products[codes[u], codes[v]] == codes[table[u, v]]).all())

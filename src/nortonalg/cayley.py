@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .cyclotomic import Cyclotomic, from_exponent_counts, root_power, root_reduction_matrix
-from .groups import Group, Word
+from .groups import Word, WordGroup
 
 
 @dataclass
@@ -22,7 +22,7 @@ class CayleyGraph:
     folded cubes) must pass their own character indexing.
     """
 
-    group: Group
+    group: WordGroup
     vertices: list[Word]
     connection: list[Word]
     characters: list[Word] = field(default=None)  # type: ignore[assignment]
@@ -111,12 +111,23 @@ def _neighbor_index(graph: CayleyGraph) -> np.ndarray:
         dtype=np.int32)
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One exact byte string per row, so rows compare, sort and search as wholes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def character_exponents(u_arr: np.ndarray, x_arr: np.ndarray, e: int) -> np.ndarray:
+    """Exponents u.x mod e for index rows u and vertex rows x, in the smallest
+    unsigned dtype that holds e - 1."""
+    return ((u_arr @ x_arr.T) % e).astype(np.min_scalar_type(e - 1))
+
+
 def exponent_matrix(graph: CayleyGraph, indices: Sequence[Word] | None = None) -> np.ndarray:
     """Character exponents (rows = characters, columns = vertices), entries mod e."""
     us = graph.characters if indices is None else list(indices)
     u_arr = np.array(us, dtype=np.int64).reshape(len(us), -1)
-    x_arr = np.array(graph.vertices, dtype=np.int64)
-    return np.asarray((u_arr @ x_arr.T) % graph.modulus, dtype=np.uint8)
+    return character_exponents(u_arr, np.array(graph.vertices, dtype=np.int64), graph.modulus)
 
 
 def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
@@ -125,12 +136,15 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     nbr = _neighbor_index(graph)
     exps = exponent_matrix(graph)
     red = np.array(root_reduction_matrix(e), dtype=np.int64)
+    n_x = len(graph.vertices)
+    slots = np.arange(n_x)[:, None] * e
     for k, u in enumerate(graph.characters):
         theta = integer_eigenvalue(graph, u)
-        ngh = exps[k][nbr]  # (|X|, |S|) exponents of chi_u at the neighbors
-        counts = np.stack([(ngh == r).sum(axis=1) for r in range(e)]).astype(np.int64)
-        lhs = red @ counts  # canonical coefficients of the neighbor sums, per vertex
-        rhs = theta * red[:, exps[k]]
-        if not (lhs == rhs).all():
+        # per vertex, exponent counts of chi_u over its neighbors minus theta
+        # times chi_u there; each distinct row must reduce to zero in Q(w)
+        diff = np.bincount((slots + exps[k][nbr]).ravel(), minlength=n_x * e).reshape(n_x, e)
+        diff[np.arange(n_x), exps[k]] -= theta
+        distinct = np.unique(row_keys(diff)).view(np.int64).reshape(-1, e)
+        if (red @ distinct.T).any():
             return False
     return True

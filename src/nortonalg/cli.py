@@ -126,15 +126,8 @@ def cmd_table(args) -> int:
         raise _usage_error("table requires --i")
     if not 0 <= args.i <= fam.diameter:
         raise _usage_error(f"--i must be in 0..{fam.diameter}")
+    table = fam.product_table(args.i).tolist()  # checks its size before the basis is built
     labels = fam.basis(args.i)
-    pos = fam.basis_position(args.i)
-    table = []
-    for a in labels:
-        row = []
-        for b in labels:
-            c = fam.closed_product(args.i, a, b)
-            row.append(-1 if c is None else pos[c])
-        table.append(row)
     oracle_ok = None
     if args.verify_oracle:
         oracle_ok = norton.verify_oracle_space(fam, args.i, threads=_resolve_threads(args))

@@ -81,6 +81,12 @@ def _power_rows(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
+@lru_cache(maxsize=None)
+def _power_terms(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (position, coefficient) terms of each row of _power_rows."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in _power_rows(e))
+
+
 def root_reduction_matrix(e: int) -> tuple[tuple[int, ...], ...]:
     """Integer matrix R with R[r][k] = coefficient of w^r in the canonical form
     of w^k, for k = 0 .. e-1.  Shape phi(e) x e."""
@@ -311,15 +317,12 @@ def from_exponent_counts(e: int, counts) -> Cyclotomic:
     """
     if len(counts) != e:
         raise ValueError(f"expected {e} counts, got {len(counts)}")
-    rows = _power_rows(e)
-    deg = field_degree(e)
-    out = [0] * deg
+    terms = _power_terms(e)
+    out = [0] * field_degree(e)
     for r, c in enumerate(counts):
         if c:
-            row = rows[r]
-            for j in range(deg):
-                if row[j]:
-                    out[j] += c * row[j]
+            for j, v in terms[r]:
+                out[j] += c * v
     return Cyclotomic(e, out)
 
 

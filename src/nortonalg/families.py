@@ -14,13 +14,16 @@ from math import comb
 
 import numpy as np
 
-from .cayley import CayleyGraph
+from .cayley import CayleyGraph, row_keys
 from .errors import BudgetExceededError
-from .groups import MatrixGroup, Word, WordGroup, is_prime, word_text
+from .groups import Word, WordGroup, is_prime, word_text
+from .linalg import row_reduce
 
 Subset = tuple[int, ...]
 
 DEFAULT_VERTEX_BUDGET = 2**20
+TABLE_CHUNK_ROWS = 64  # basis rows per numpy step of the product-table build
+MAX_TABLE_ENTRIES = 2**26  # 256 MB of int32
 
 
 def qbinom(d: int, i: int, q: int) -> int:
@@ -37,34 +40,16 @@ def qbinom(d: int, i: int, q: int) -> int:
     return num // den
 
 
-def rank_fq(matrix, q: int) -> int:
-    """Rank of a matrix over F_q (prime q) by row reduction."""
+def fq_reduce(matrix, q: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_q (prime q) and its pivot columns."""
     if not is_prime(q):
-        raise ValueError(f"rank over F_q requires a prime q, got {q}")
-    rows = [[entry % q for entry in row] for row in matrix]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    for _ in range(len(rows)):
-        while pivot_col < cols:
-            pivot_row = next(
-                (r for r in range(rank, len(rows)) if rows[r][pivot_col]), None)
-            if pivot_row is None:
-                pivot_col += 1
-                continue
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            inv = pow(rows[rank][pivot_col], -1, q)
-            rows[rank] = [(inv * v) % q for v in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][pivot_col]:
-                    c = rows[r][pivot_col]
-                    rows[r] = [(a - c * b) % q for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-            pivot_col += 1
-            break
-        else:
-            break
-    return rank
+        raise ValueError(f"row reduction over F_q requires a prime q, got {q}")
+    return row_reduce(matrix, lambda v: pow(v, -1, q), lambda row: [v % q for v in row])
+
+
+def rank_fq(matrix, q: int) -> int:
+    """Rank of a matrix over F_q (prime q)."""
+    return len(fq_reduce(matrix, q)[1])
 
 
 def symmetric_difference_feasible(n: int, i: int, j: int) -> bool:
@@ -87,6 +72,22 @@ def _canon_complement(subset: frozenset, n: int) -> Subset:
     return tuple(sorted(keep))
 
 
+def _complement_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """_canon_complement on 0/1 index rows: complement each row of weight
+    over n/2, or of weight n/2 without position 1."""
+    weight = 2 * rows.sum(axis=1, dtype=np.int64)
+    flip = (weight > n) | ((weight == n) & (rows[:, 0] == 0))
+    rows[flip] = 1 - rows[flip]
+    return rows
+
+
+def carries_table(perm: np.ndarray, dom: np.ndarray, cod: np.ndarray) -> bool:
+    """Whether the basis bijection a -> perm[a] carries the product table dom
+    onto cod: cod[perm[a], perm[b]] is perm[dom[a, b]], and zero where dom is."""
+    image = np.where(dom >= 0, perm[dom], -1)
+    return bool((cod[np.ix_(perm, perm)] == image).all())
+
+
 class FamilySpec:
     """One graph family instance; subclasses fill in the family-specific rules."""
 
@@ -96,8 +97,8 @@ class FamilySpec:
         self._vertices: list[Word] | None = None
         self._connection: list[Word] | None = None
         self._bases: dict[int, list] = {}
-        self._basis_sets: dict[int, frozenset] = {}
         self._basis_pos: dict[int, dict] = {}
+        self._tables: dict[int, np.ndarray] = {}
 
     # family-specific interface -------------------------------------------------
 
@@ -134,6 +135,15 @@ class FamilySpec:
 
     def predicted_dimension(self, i: int) -> int:
         raise NotImplementedError
+
+    def in_basis(self, i: int, label) -> bool:
+        """Whether label is a V_i basis label, by the family's own predicate,
+        without enumerating the basis; i must be in range."""
+        raise NotImplementedError
+
+    def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Canonical index rows of the characters the given rows index."""
+        return rows
 
     def closed_product(self, i: int, a, b):
         """Closed-form Norton product of two basis characters of V_i: a basis
@@ -182,21 +192,50 @@ class FamilySpec:
                     f"basis size {len(basis)} != predicted dimension "
                     f"{self.predicted_dimension(i)} for {self.describe()} i={i}")
             self._bases[i] = basis
-            self._basis_sets[i] = frozenset(basis)
             self._basis_pos[i] = {lbl: k for k, lbl in enumerate(basis)}
         return self._bases[i]
-
-    def basis_set(self, i: int) -> frozenset:
-        self.basis(i)
-        return self._basis_sets[i]
 
     def basis_position(self, i: int) -> dict:
         self.basis(i)
         return self._basis_pos[i]
 
     def _require_basis(self, i: int, label) -> None:
-        if label not in self.basis_set(i):
-            raise ValueError(f"{self.label_text(label)} is not in the V_{i} basis")
+        """Raise unless label is a V_i basis label; a basis already enumerated
+        answers by lookup, any other by the family's predicate."""
+        self._check_space(i)
+        known = self._basis_pos.get(i)
+        if not (label in known if known is not None else self.in_basis(i, label)):
+            raise ValueError(f"label {self.label_text(label)} is not in the V_{i} basis")
+
+    def product_table(self, i: int) -> np.ndarray:
+        """The V_i basis products as a read-only dim x dim int32 array, cached:
+        entry (a, b) is the basis position of chi_a * chi_b, or -1 when it is
+        zero.  Over MAX_TABLE_ENTRIES entries it raises BudgetExceededError
+        before building the basis.
+
+        In chunks of basis rows, the index sums (B[a] + B[b]) mod q are put in
+        canonical form and looked up among the basis rows by exact byte key;
+        a sum that is not a basis row is a zero product."""
+        if i not in self._tables:
+            dim, q = self.predicted_dimension(i), self.modulus
+            if dim * dim > MAX_TABLE_ENTRIES:
+                raise BudgetExceededError(
+                    f"product table of {self.describe()} V_{i} has {dim * dim} entries"
+                    f", over {MAX_TABLE_ENTRIES}")
+            basis = self.basis_array(i).astype(np.min_scalar_type(2 * q - 2))
+            keys = row_keys(basis)
+            order = np.argsort(keys)
+            keys = keys[order]
+            table = np.empty((dim, dim), dtype=np.int32)
+            for start in range(0, dim, TABLE_CHUNK_ROWS):
+                stop = min(start + TABLE_CHUNK_ROWS, dim)
+                sums = (basis[start:stop, None, :] + basis[None, :, :]) % q
+                found = row_keys(self._canonical_rows(sums.reshape(-1, self.length)))
+                at = np.minimum(np.searchsorted(keys, found), dim - 1)
+                table[start:stop] = np.where(keys[at] == found, order[at], -1).reshape(-1, dim)
+            table.flags.writeable = False  # one array is shared by every caller
+            self._tables[i] = table
+        return self._tables[i]
 
     def eigenspaces(self) -> range:
         return range(self.diameter + 1)
@@ -205,10 +244,11 @@ class FamilySpec:
         return [(i, lbl) for i in self.eigenspaces() for lbl in self.basis(i)]
 
     def cayley_graph(self, budget: int | None = None) -> CayleyGraph:
+        vertices = self.vertices(budget)  # the budget check precedes any enumeration
         chars = [self.index_vector(lbl) for _, lbl in self.all_labels()]
         return CayleyGraph(
             group=self.group,
-            vertices=self.vertices(budget),
+            vertices=vertices,
             connection=self.connection(budget),
             characters=chars,
         )
@@ -290,6 +330,10 @@ class HammingFamily(FamilySpec):
         self._check_space(i)
         return comb(self.n, i) * (self.e - 1) ** i
 
+    def in_basis(self, i: int, label) -> bool:
+        return (isinstance(label, tuple) and len(label) == self.n
+                and all(0 <= a < self.e for a in label) and self.group.weight(label) == i)
+
     def closed_product(self, i: int, a: Word, b: Word):
         self._require_basis(i, a)
         self._require_basis(i, b)
@@ -342,6 +386,13 @@ class _CubeFamily(FamilySpec):
     def label_json(self, label: Subset):
         return list(label)
 
+    def _is_subset(self, label, size: int, with_one: bool = False) -> bool:
+        """Whether label is a sorted tuple of `size` distinct positions in
+        1..n, containing position 1 when with_one is set."""
+        return (isinstance(label, tuple) and len(label) == size
+                and all(a < b for a, b in zip((0,) + label, label + (self.n + 1,)))
+                and (not with_one or label[:1] == (1,)))
+
 
 class HypercubeFamily(_CubeFamily):
     """Hypercube Q_n = H(n,2), with subset-indexed characters."""
@@ -380,6 +431,9 @@ class HypercubeFamily(_CubeFamily):
     def predicted_dimension(self, i: int) -> int:
         self._check_space(i)
         return comb(self.n, i)
+
+    def in_basis(self, i: int, label) -> bool:
+        return self._is_subset(label, i)
 
     def closed_product(self, i: int, a: Subset, b: Subset):
         self._require_basis(i, a)
@@ -432,9 +486,15 @@ class HalvedCubeFamily(_CubeFamily):
         full = comb(self.n, i)
         return full if 2 * i < self.n else full // 2
 
+    def in_basis(self, i: int, label) -> bool:
+        return self._is_subset(label, i, with_one=2 * i >= self.n)
+
     def canonical_label(self, subset) -> Subset:
         """Canonical representative of the character class {S, S complement}."""
         return _canon_complement(frozenset(subset), self.n)
+
+    def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
+        return _complement_rows(rows, self.n)
 
     def closed_product(self, i: int, a: Subset, b: Subset):
         self._require_basis(i, a)
@@ -486,6 +546,9 @@ class FoldedCubeFamily(_CubeFamily):
     def predicted_dimension(self, i: int) -> int:
         self._check_space(i)
         return comb(self.n, 2 * i)
+
+    def in_basis(self, i: int, label) -> bool:
+        return self._is_subset(label, 2 * i)
 
     def canonical_label(self, subset) -> Subset:
         """Even-cardinality representative, toggling position n."""
@@ -547,11 +610,18 @@ class FoldedHalfCubeFamily(_CubeFamily):
         full = comb(self.n, 2 * i)
         return full if 4 * i < self.n else full // 2
 
+    def in_basis(self, i: int, label) -> bool:
+        return self._is_subset(label, 2 * i, with_one=4 * i >= self.n)
+
     def canonical_label(self, subset) -> Subset:
         s = frozenset(subset)
         if len(s) % 2:
             s = s ^ {self.n}
         return _canon_complement(s, self.n)
+
+    def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
+        # sums of even-size basis sets are even, so only the complement folds
+        return _complement_rows(rows, self.n)
 
     def closed_product(self, i: int, a: Subset, b: Subset):
         self._require_basis(i, a)
@@ -579,7 +649,7 @@ class BilinearFamily(FamilySpec):
         self.q = q
         self.d = d
         self.cols = e
-        self.group = MatrixGroup(d, e, q)
+        self.group = WordGroup(d * e, q, shape=(d, e))
 
     @property
     def modulus(self) -> int:
@@ -630,6 +700,10 @@ class BilinearFamily(FamilySpec):
         for k in range(i):
             out *= q**e - q**k
         return out
+
+    def in_basis(self, i: int, label) -> bool:
+        return (isinstance(label, tuple) and len(label) == self.length
+                and all(0 <= a < self.q for a in label) and self.rank(label) == i)
 
     def closed_product(self, i: int, a: Word, b: Word):
         self._require_basis(i, a)

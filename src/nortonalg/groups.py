@@ -30,15 +30,24 @@ def is_prime(m: int) -> bool:
 
 
 class WordGroup:
-    """Z_e^n: words of length n over residues mod e, added entrywise."""
+    """Z_e^n: words of length n over residues mod e, added entrywise.
 
-    def __init__(self, n: int, e: int) -> None:
+    With a shape (rows, cols), rows * cols = n, the words are row-major
+    flattened rows x cols matrices over F_e, which requires a prime e."""
+
+    def __init__(self, n: int, e: int, shape: tuple[int, int] | None = None) -> None:
         if n < 1:
             raise ValueError(f"word length must be >= 1, got {n}")
         if e < 2:
             raise ValueError(f"alphabet modulus must be >= 2, got {e}")
+        if shape is not None:
+            if min(shape) < 1 or shape[0] * shape[1] != n:
+                raise ValueError(f"matrix shape {shape} does not match word length {n}")
+            if not is_prime(e):
+                raise ValueError(f"matrix group requires a prime modulus, got {e}")
         self.n = n
         self.e = e
+        self.shape = shape
 
     @property
     def length(self) -> int:
@@ -71,7 +80,8 @@ class WordGroup:
         return tuple((-a) % e for a in x)
 
     def dot(self, u: Word, x: Word) -> int:
-        """Exponent of the character indexed by u at x, an integer mod e."""
+        """Exponent of the character indexed by u at x, an integer mod e; for
+        matrices this is tr(u^t x)."""
         self._check(u)
         self._check(x)
         return sum(a * b for a, b in zip(u, x)) % self.e
@@ -83,7 +93,16 @@ class WordGroup:
     def weight(self, x: Word) -> int:
         return sum(1 for a in x if a)
 
+    def as_matrix(self, x: Word) -> tuple[tuple[int, ...], ...]:
+        self._check(x)
+        rows, cols = self.shape
+        return tuple(x[r * cols:(r + 1) * cols] for r in range(rows))
+
+    def flatten(self, m: Sequence[Sequence[int]]) -> Word:
+        return tuple(entry % self.e for row in m for entry in row)
+
     def elements(self, budget: int | None = None) -> list[Word]:
+        """All group elements in lexicographic order on entry vectors."""
         limit = DEFAULT_ENUM_BUDGET if budget is None else budget
         if self.order > limit:
             raise BudgetExceededError(
@@ -94,13 +113,15 @@ class WordGroup:
         return root_power(self.e, self.dot(u, x))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WordGroup) and (self.n, self.e) == (other.n, other.e)
+        return isinstance(other, WordGroup) and (
+            (self.n, self.e, self.shape) == (other.n, other.e, other.shape))
 
     def __hash__(self) -> int:
-        return hash(("WordGroup", self.n, self.e))
+        return hash(("WordGroup", self.n, self.e, self.shape))
 
     def __repr__(self) -> str:
-        return f"WordGroup(n={self.n}, e={self.e})"
+        shape = "" if self.shape is None else f", shape={self.shape}"
+        return f"WordGroup(n={self.n}, e={self.e}{shape})"
 
 
 @lru_cache(maxsize=None)
@@ -111,99 +132,7 @@ def _word_elements(n: int, e: int) -> list[Word]:
     return out
 
 
-class MatrixGroup:
-    """Additive group of rows x cols matrices over F_q (prime q), flattened row-major."""
-
-    def __init__(self, rows: int, cols: int, q: int) -> None:
-        if rows < 1 or cols < 1:
-            raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
-        if not is_prime(q):
-            raise ValueError(f"matrix group requires a prime modulus, got {q}")
-        self.rows = rows
-        self.cols = cols
-        self.q = q
-
-    @property
-    def length(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def modulus(self) -> int:
-        return self.q
-
-    @property
-    def order(self) -> int:
-        return self.q ** (self.rows * self.cols)
-
-    def zero(self) -> Word:
-        return (0,) * self.length
-
-    def _check(self, x: Word) -> None:
-        if len(x) != self.length:
-            raise ValueError(
-                f"element length {len(x)} does not match matrix size {self.length}")
-
-    def add(self, x: Word, y: Word) -> Word:
-        self._check(x)
-        self._check(y)
-        q = self.q
-        return tuple((a + b) % q for a, b in zip(x, y))
-
-    def neg(self, x: Word) -> Word:
-        self._check(x)
-        q = self.q
-        return tuple((-a) % q for a in x)
-
-    def dot(self, u: Word, x: Word) -> int:
-        """tr(u^t x) mod q, which is the entrywise dot of the flattened matrices."""
-        self._check(u)
-        self._check(x)
-        return sum(a * b for a, b in zip(u, x)) % self.q
-
-    def support(self, x: Word) -> tuple[int, ...]:
-        return tuple(j + 1 for j, a in enumerate(x) if a)
-
-    def weight(self, x: Word) -> int:
-        return sum(1 for a in x if a)
-
-    def as_matrix(self, x: Word) -> tuple[tuple[int, ...], ...]:
-        self._check(x)
-        c = self.cols
-        return tuple(x[r * c:(r + 1) * c] for r in range(self.rows))
-
-    def flatten(self, m: Sequence[Sequence[int]]) -> Word:
-        return tuple(entry % self.q for row in m for entry in row)
-
-    def elements(self, budget: int | None = None) -> list[Word]:
-        limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-        if self.order > limit:
-            raise BudgetExceededError(
-                f"group order {self.order} exceeds enumeration budget {limit}")
-        return _word_elements(self.length, self.q)
-
-    def character_value(self, u: Word, x: Word) -> Cyclotomic:
-        return root_power(self.q, self.dot(u, x))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MatrixGroup) and (
-            (self.rows, self.cols, self.q) == (other.rows, other.cols, other.q))
-
-    def __hash__(self) -> int:
-        return hash(("MatrixGroup", self.rows, self.cols, self.q))
-
-    def __repr__(self) -> str:
-        return f"MatrixGroup({self.rows}x{self.cols}, q={self.q})"
-
-
-Group = WordGroup | MatrixGroup
-
-
-def enumerate_elements(group: Group, budget: int | None = None) -> list[Word]:
-    """All group elements in lexicographic order on entry vectors."""
-    return group.elements(budget)
-
-
-def character_table(group: Group, u: Word, domain: Sequence[Word] | None = None) -> list[Cyclotomic]:
+def character_table(group: WordGroup, u: Word, domain: Sequence[Word] | None = None) -> list[Cyclotomic]:
     """Values of the character indexed by u over the given domain (default: all of G)."""
     xs = group.elements() if domain is None else domain
     return [group.character_value(u, x) for x in xs]

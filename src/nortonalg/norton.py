@@ -16,11 +16,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .cayley import exponent_matrix
+from .cayley import character_exponents
 from .cyclotomic import Cyclotomic, root_power, root_reduction_matrix
 from .errors import BudgetExceededError
-from .families import FamilySpec, make_family
+from .families import FamilySpec, carries_table, make_family
 from .groups import inner_product
+from .linalg import row_reduce
 
 DEFAULT_ORACLE_VERTEX_BUDGET = 4096
 DEFAULT_IDENTITY_DIM_BUDGET = 256
@@ -32,12 +33,10 @@ class AlgebraVector:
     __slots__ = ("family", "i", "coeffs")
 
     def __init__(self, family: FamilySpec, i: int, coeffs: dict) -> None:
-        basis = family.basis_set(i)
+        family._check_space(i)
         clean = {}
         for label, c in coeffs.items():
-            if label not in basis:
-                raise ValueError(
-                    f"label {family.label_text(label)} is not in the V_{i} basis")
+            family._require_basis(i, label)
             if not isinstance(c, Cyclotomic):
                 c = Cyclotomic.from_rational(family.modulus, c)
             if not c.is_zero():
@@ -124,17 +123,19 @@ class AlgebraVector:
 
 
 def closed_form_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
-    """Bilinear extension of the family's closed product rule; no vertex enumeration."""
+    """Bilinear extension of the family's product table; no vertex enumeration."""
     v._check_space(w)
     fam, i = v.family, v.i
     e = fam.modulus
+    labels, pos, table = fam.basis(i), fam.basis_position(i), fam.product_table(i)
     out: dict = {}
     for a, ca in v.coeffs.items():
+        row = table[pos[a]]
         for b, cb in w.coeffs.items():
-            label = fam.closed_product(i, a, b)
-            if label is not None:
-                c = ca * cb
-                out[label] = out.get(label, Cyclotomic.zero(e)) + c
+            c = row[pos[b]]
+            if c >= 0:
+                label = labels[c]
+                out[label] = out.get(label, Cyclotomic.zero(e)) + ca * cb
     return AlgebraVector(fam, i, out)
 
 
@@ -160,40 +161,26 @@ def oracle_product(v: AlgebraVector, w: AlgebraVector,
     return AlgebraVector(fam, i, out)
 
 
-def _expected_product_positions(family: FamilySpec, i: int) -> np.ndarray:
-    labels = family.basis(i)
-    pos = family.basis_position(i)
-    dim = len(labels)
-    out = np.full((dim, dim), -1, dtype=np.int64)
-    for a_idx, a in enumerate(labels):
-        for b_idx, b in enumerate(labels):
-            c = family.closed_product(i, a, b)
-            if c is not None:
-                out[a_idx, b_idx] = pos[c]
-    return out
-
-
 def verify_oracle_space(family: FamilySpec, i: int,
                         vertex_budget: int = DEFAULT_ORACLE_VERTEX_BUDGET,
                         threads: int = 1) -> bool:
-    """Projection-oracle check of the closed product on every V_i basis pair.
+    """Projection-oracle check of the product table on every V_i basis pair.
 
     For each pair (u, v) and every basis character w, the inner product
     <chi_u . chi_v, chi_w> is accumulated as an exact residue histogram of
     character exponents (batched as integer-valued float64 matmuls) and
-    reduced mod Phi_e; the result must match the closed-form rule entry.
+    reduced mod Phi_e; the result must match the product-table entry.
     """
     xs = family.vertices(vertex_budget)
     n_x = len(xs)
     e = family.modulus
-    graph_exps = np.asarray(
-        (family.basis_array(i) @ family.vertex_array().T) % e, dtype=np.uint8)
+    graph_exps = character_exponents(family.basis_array(i), family.vertex_array(), e)
     dim = graph_exps.shape[0]
     bits = n_x.bit_length()
     if bits * e > 52:
         raise BudgetExceededError(
             f"oracle packing infeasible for |X|={n_x}, e={e}")
-    expected = _expected_product_positions(family, i)
+    expected = family.product_table(i)
     packed = np.left_shift(np.int64(1), bits * graph_exps.astype(np.int64))
     packed_t = packed.T.astype(np.float64)  # (|X|, dim), exact powers of two
     red = np.array(root_reduction_matrix(e), dtype=np.int64)
@@ -389,36 +376,6 @@ def _scaled_sum_idempotent_exists(e, a_sup, b_sup, la, lb) -> bool:
 # Identity elements
 # ---------------------------------------------------------------------------
 
-def _solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """One exact solution of rows . x = rhs over Q (free variables zero), or None."""
-    m = [row + [b] for row, b in zip(rows, rhs)]
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        pivot = next((k for k in range(r, len(m)) if m[k][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][col]:
-                c = m[k][col]
-                m[k] = [a - c * b for a, b in zip(m[k], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    for k in range(r, len(m)):
-        if m[k][n_cols]:
-            return None
-    x = [Fraction(0)] * n_cols
-    for row_idx, col in enumerate(pivots):
-        x[col] = m[row_idx][n_cols]
-    return x
-
-
 def find_identity(family: FamilySpec, i: int,
                   dim_budget: int = DEFAULT_IDENTITY_DIM_BUDGET):
     """Solve sum_u c_u (chi_u * chi_v) = chi_v for all basis v exactly; returns
@@ -427,28 +384,28 @@ def find_identity(family: FamilySpec, i: int,
     dim = len(labels)
     if dim > dim_budget:
         raise BudgetExceededError(f"identity solve over dimension {dim} > {dim_budget}")
-    pos = family.basis_position(i)
+    # one equation per (v, w): the coefficients c_u with chi_u * chi_v = chi_w
+    # sum to 1 when w = v and to 0 otherwise; the last column is that constant
+    columns = family.product_table(i).T.tolist()
+    zero, one = Fraction(0), Fraction(1)
     rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for v_idx, v in enumerate(labels):
-        by_target: dict[int, list[int]] = {}
-        for u_idx, u in enumerate(labels):
-            w = family.closed_product(i, u, v)
-            if w is not None:
-                by_target.setdefault(pos[w], []).append(u_idx)
-        for w_idx in range(dim):
-            us = by_target.get(w_idx, [])
-            b = Fraction(1 if w_idx == v_idx else 0)
-            if not us and not b:
-                continue
-            row = [Fraction(0)] * dim
+    for v_idx, column in enumerate(columns):
+        by_target: dict[int, list[int]] = {v_idx: []}
+        for u_idx, w_idx in enumerate(column):
+            if w_idx >= 0:
+                by_target.setdefault(w_idx, []).append(u_idx)
+        for w_idx, us in sorted(by_target.items()):
+            row = [zero] * (dim + 1)
             for u_idx in us:
-                row[u_idx] += 1
+                row[u_idx] = one
+            row[dim] = one if w_idx == v_idx else zero
             rows.append(row)
-            rhs.append(b)
-    sol = _solve_rational(rows, rhs)
-    if sol is None:
+    reduced, pivots = row_reduce(rows, lambda x: 1 / x)
+    if dim in pivots:
         return None
+    sol = [zero] * dim
+    for row, col in zip(reduced, pivots):
+        sol[col] = row[dim]
     candidate = AlgebraVector(family, i,
                               {labels[k]: sol[k] for k in range(dim) if sol[k]})
     for v in labels:
@@ -463,34 +420,30 @@ def find_identity(family: FamilySpec, i: int,
 # ---------------------------------------------------------------------------
 
 class BasisAlgebra:
-    """A finite basis with a multiplicity-free product: each basis product is
-    either zero or a single basis element with unit coefficient."""
+    """A finite basis with a multiplicity-free product, given by its product
+    table: entry (a, b) is the position of the basis product a*b (with unit
+    coefficient), or -1 when it is zero."""
 
-    def __init__(self, labels: list, product, name: str) -> None:
+    def __init__(self, labels: list, table: np.ndarray, name: str) -> None:
         self.labels = list(labels)
-        self._product = product
+        self.table = table
         self.name = name
 
     @classmethod
     def from_eigenspace(cls, family: FamilySpec, i: int) -> "BasisAlgebra":
-        return cls(family.basis(i), lambda a, b: family.closed_product(i, a, b),
-                   f"{family.describe()}[V_{i}]")
+        return cls(family.basis(i), family.product_table(i), f"{family.describe()}[V_{i}]")
 
     @classmethod
     def direct_product(cls, parts: list["BasisAlgebra"]) -> "BasisAlgebra":
+        """Labels (k, label) of the parts in order, with a block-diagonal table."""
         labels = [(k, lbl) for k, part in enumerate(parts) for lbl in part.labels]
-
-        def product(a, b):
-            (ka, la), (kb, lb) = a, b
-            if ka != kb:
-                return None
-            c = parts[ka].product(la, lb)
-            return None if c is None else (ka, c)
-
-        return cls(labels, product, " x ".join(p.name for p in parts))
-
-    def product(self, a, b):
-        return self._product(a, b)
+        table = np.full((len(labels), len(labels)), -1, dtype=np.int32)
+        start = 0
+        for part in parts:
+            stop = start + len(part.labels)
+            table[start:stop, start:stop] = np.where(part.table >= 0, part.table + start, -1)
+            start = stop
+        return cls(labels, table, " x ".join(p.name for p in parts))
 
 
 def verify_isomorphism(mapping: dict, dom: BasisAlgebra, cod: BasisAlgebra) -> bool:
@@ -501,14 +454,9 @@ def verify_isomorphism(mapping: dict, dom: BasisAlgebra, cod: BasisAlgebra) -> b
     values = set(mapping.values())
     if len(values) != len(mapping) or values != set(cod.labels):
         raise ValueError("mapping is not a bijection onto the codomain basis")
-    for a in dom.labels:
-        for b in dom.labels:
-            c = dom.product(a, b)
-            lhs = None if c is None else mapping[c]
-            rhs = cod.product(mapping[a], mapping[b])
-            if lhs != rhs:
-                return False
-    return True
+    where = {label: k for k, label in enumerate(cod.labels)}
+    perm = np.array([where[mapping[a]] for a in dom.labels])
+    return carries_table(perm, dom.table, cod.table)
 
 
 def shipped_isomorphism_checks() -> list[tuple[str, dict, BasisAlgebra, BasisAlgebra]]:
@@ -553,7 +501,7 @@ def vector_map_preserves_products(images: dict, family: FamilySpec, i: int) -> b
         raise ValueError("images must be given on the full basis")
     matrix = [[images[b].coeffs.get(a, Cyclotomic.zero(family.modulus))
                for b in labels] for a in labels]
-    if _rank_cyclotomic(matrix) != len(labels):
+    if len(row_reduce(matrix, Cyclotomic.inv)[1]) != len(labels):
         return False
 
     def apply(vec: AlgebraVector) -> AlgebraVector:
@@ -572,24 +520,3 @@ def vector_map_preserves_products(images: dict, family: FamilySpec, i: int) -> b
                 return False
     return True
 
-
-def _rank_cyclotomic(matrix: list[list[Cyclotomic]]) -> int:
-    """Exact rank by Gaussian elimination with first-nonzero pivoting."""
-    m = [row[:] for row in matrix]
-    rank = 0
-    n_cols = len(m[0]) if m else 0
-    for col in range(n_cols):
-        pivot = next((k for k in range(rank, len(m)) if not m[k][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col].inv()
-        m[rank] = [v * inv for v in m[rank]]
-        for k in range(len(m)):
-            if k != rank and not m[k][col].is_zero():
-                c = m[k][col]
-                m[k] = [a - c * b for a, b in zip(m[k], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank

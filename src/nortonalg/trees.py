@@ -88,10 +88,6 @@ def enumerate_trees(m: int, max_m: int = DEFAULT_MAX_M) -> tuple[BinaryTree, ...
     return tuple(out)
 
 
-def depth_sequence(t: BinaryTree) -> tuple[int, ...]:
-    return t.depths
-
-
 def evaluate(t: BinaryTree, product, inputs: list):
     """Evaluate the parenthesization encoded by t over the given leaf inputs."""
     if len(inputs) != t.leaf_count:
@@ -145,20 +141,6 @@ class SpectrumReport:
             raise AssertionError("class count outside 1..Catalan(m)")
 
 
-def _product_table(family: FamilySpec, i: int) -> list[list[int]]:
-    """Basis product table as positions, -1 for the zero product."""
-    labels = family.basis(i)
-    pos = family.basis_position(i)
-    table = []
-    for a in labels:
-        row = []
-        for b in labels:
-            c = family.closed_product(i, a, b)
-            row.append(-1 if c is None else pos[c])
-        table.append(row)
-    return table
-
-
 def _exact_result_arrays(family: FamilySpec, i: int, m: int, budget: int,
                          max_m: int) -> list[np.ndarray]:
     """Per-tree result vectors over all basis input tuples, encoded as positions
@@ -172,9 +154,8 @@ def _exact_result_arrays(family: FamilySpec, i: int, m: int, budget: int,
     dtype = np.uint8 if dim < 255 else np.uint16
     zero = dim
     table = np.full((dim + 1, dim + 1), zero, dtype=dtype)
-    for a, row in enumerate(_product_table(family, i)):
-        for b, c in enumerate(row):
-            table[a, b] = zero if c < 0 else c
+    products = family.product_table(i)
+    table[:dim, :dim] = np.where(products < 0, zero, products)
     base = np.arange(dim, dtype=dtype)
     memo: dict[int, np.ndarray] = {}
 
@@ -260,7 +241,7 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
         gens = list(range(len(labels)))
     else:
         gens = [pos[g] for g in generators]
-    table = _product_table(family, i)
+    table = family.product_table(i).tolist()  # list indexing beats numpy scalars here
     progs = [_postfix(t) for t in trees]
     rng = random.Random(seed)
     classes: list[list[int]] = [list(range(len(trees)))]

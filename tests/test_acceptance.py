@@ -11,6 +11,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from nortonalg.cayley import integer_eigenvalue, spectrum, verify_all_eigenvectors
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.families import make_family, symmetric_difference_feasible
@@ -112,6 +114,18 @@ def test_criterion_02_example_tables():
         a, b, c = (1, 2), (1, 3), (1, 4)
         assert got[(a, b)] == c and got[(a, c)] == b and got[(b, c)] == a
         assert got[(a, a)] is None and got[(b, b)] is None and got[(c, c)] is None
+
+
+def test_product_table_matches_closed_product():
+    # the numpy table builder against the paper's single-pair rule, every entry
+    for fam in _criterion1_instances():
+        for i in fam.eigenspaces():
+            pos = fam.basis_position(i)
+            want = [[-1 if c is None else pos[c] for c in row]
+                    for row in ([fam.closed_product(i, a, b) for b in fam.basis(i)]
+                                for a in fam.basis(i))]
+            table = fam.product_table(i)
+            assert table.dtype == np.int32 and table.tolist() == want, (fam.describe(), i)
 
 
 def test_criterion_03_oracle_equivalence():

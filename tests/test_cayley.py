@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from nortonalg.cayley import (
     CayleyGraph,
     eigenvalue_of_character,
+    exponent_matrix,
     integer_eigenvalue,
     spectrum,
     verify_all_eigenvectors,
@@ -64,6 +66,13 @@ def test_verify_detects_wrong_vector():
     # spectrum is the same multiset, but adjacency application pins each row
     assert verify_eigenvector(forged, (1,))  # still a genuine character
     assert spectrum(forged) == spectrum(g)
+
+
+def test_exponent_matrix_dtype_holds_modulus():
+    g = make_family("hamming", n=1, e=257).cayley_graph()
+    exps = exponent_matrix(g)
+    assert exps.dtype == np.uint16 and int(exps.max()) == 256
+    assert exponent_matrix(make_family("hamming", n=2, e=3).cayley_graph()).dtype == np.uint8
 
 
 def test_connection_invariants():

@@ -179,6 +179,11 @@ def test_budget_exit_3(capsys):
                  "--i", "2", "--max-m", "6", "--mode", "exact", "--budget", "1000"])
     assert code == 3
     capsys.readouterr()
+    # 3^40 vertices: the vertex budget is checked before any label is built
+    assert main(["spectrum", "--family", "hamming", "--n", "40", "--e", "3"]) == 3
+    # 12870^2 entries are over the product-table cap
+    assert main(["table", "--family", "hypercube", "--n", "16", "--i", "8"]) == 3
+    assert capsys.readouterr().err.count("budget exceeded") == 2
 
 
 def test_budget_env_fallback(capsys, monkeypatch):
@@ -193,6 +198,14 @@ def test_budget_env_fallback(capsys, monkeypatch):
                  "--budget", str(10**7)])
     assert code == 0
     capsys.readouterr()
+
+
+def test_spectrum_verify_e257(capsys):
+    # exponents mod 257 need more than 8 bits; a uint8 cast wrapped them
+    code, payload = run_json(capsys, "spectrum", "--family", "hamming", "--n", "1",
+                             "--e", "257", "--verify")
+    assert code == 0
+    assert payload["status"] == "ok" and payload["eigenvectors_verified"] is True
 
 
 def test_output_file(tmp_path, capsys):

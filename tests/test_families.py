@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from nortonalg.errors import BudgetExceededError
@@ -142,6 +143,48 @@ def test_hypercube_zero_product_regimes():
                 assert not all_zero
             else:
                 assert all_zero == expected_zero
+
+
+def test_in_basis_matches_enumerated_basis():
+    # the label predicates agree with basis membership on every label of the
+    # family and, for the cube variants, on every subset of positions
+    fams = [make_family("hamming", n=3, e=3), make_family("hypercube", n=5),
+            make_family("halved_cube", n=6), make_family("halved_cube", n=7),
+            make_family("folded_cube", n=6), make_family("folded_half_cube", n=8),
+            make_family("bilinear", q=3, d=2, e=2)]
+    for fam in fams:
+        candidates = {lbl for _, lbl in fam.all_labels()}
+        if fam.kind not in ("hamming", "bilinear"):
+            candidates |= {lbl for _, lbl in make_family("hypercube", n=fam.n).all_labels()}
+        for i in fam.eigenspaces():
+            basis = set(fam.basis(i))
+            for lbl in candidates:
+                assert fam.in_basis(i, lbl) == (lbl in basis), (fam.describe(), i, lbl)
+    cube = make_family("hypercube", n=4)
+    assert not cube.in_basis(2, (2, 1)) and not cube.in_basis(2, (1, 1))
+    assert not cube.in_basis(2, (0, 1)) and not cube.in_basis(2, (1, 5))
+    assert not make_family("hamming", n=2, e=3).in_basis(1, (0, 3))
+
+
+def test_closed_product_checks_labels_without_enumerating():
+    fam = make_family("hamming", n=30, e=2)
+    u = tuple([1] * 15 + [0] * 15)
+    assert fam.closed_product(15, u, u) is None
+    assert 15 not in fam._bases  # C(30, 15) labels were never built
+    with pytest.raises(ValueError):
+        fam.closed_product(15, u, tuple([1] * 14 + [0] * 16))
+
+
+def test_product_table_layout():
+    fam = make_family("hamming", n=2, e=3)
+    table = fam.product_table(1)
+    assert table.dtype == np.int32
+    assert table.tolist() == [[1, -1, -1, -1], [-1, 0, -1, -1],
+                              [-1, -1, 3, -1], [-1, -1, -1, 2]]
+    assert fam.product_table(1) is table  # cached per family and space
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        fam.product_table(3)
 
 
 def test_symmetric_difference_feasible_examples():

@@ -10,10 +10,8 @@ import pytest
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.errors import BudgetExceededError
 from nortonalg.groups import (
-    MatrixGroup,
     WordGroup,
     character_table,
-    enumerate_elements,
     inner_product,
     is_prime,
     word_text,
@@ -51,10 +49,10 @@ def test_example_character_matrix_h23():
 
 
 def test_enumerate_elements():
-    assert enumerate_elements(WordGroup(1, 2)) == [(0,), (1,)]
-    assert enumerate_elements(WordGroup(2, 3)) == [
+    assert WordGroup(1, 2).elements() == [(0,), (1,)]
+    assert WordGroup(2, 3).elements() == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
-    assert enumerate_elements(MatrixGroup(1, 1, 2)) == [(0,), (1,)]
+    assert WordGroup(1, 2, shape=(1, 1)).elements() == [(0,), (1,)]
 
 
 def test_enumeration_budget():
@@ -66,24 +64,26 @@ def test_enumeration_budget():
 
 def test_element_counts():
     assert len(WordGroup(3, 4).elements()) == 4**3
-    assert len(MatrixGroup(2, 2, 3).elements()) == 3**4
-    assert MatrixGroup(2, 3, 2).order == 2**6
+    assert len(WordGroup(4, 3, shape=(2, 2)).elements()) == 3**4
+    assert WordGroup(6, 2, shape=(2, 3)).order == 2**6
 
 
 def test_matrix_group_requires_prime():
     with pytest.raises(ValueError):
-        MatrixGroup(2, 2, 4)
+        WordGroup(4, 4, shape=(2, 2))
+    with pytest.raises(ValueError):
+        WordGroup(4, 3, shape=(2, 3))
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(9)
 
 
 def test_matrix_reshape_roundtrip():
-    g = MatrixGroup(2, 3, 5)
+    g = WordGroup(6, 5, shape=(2, 3))
     m = ((1, 2, 3), (4, 0, 2))
     assert g.as_matrix(g.flatten(m)) == m
 
 
 def test_inner_product_orthonormal_small():
-    for group in (WordGroup(2, 3), WordGroup(3, 2), MatrixGroup(2, 2, 2)):
+    for group in (WordGroup(2, 3), WordGroup(3, 2), WordGroup(4, 2, shape=(2, 2))):
         xs = group.elements()
         for u in xs:
             for v in xs:
@@ -107,7 +107,7 @@ def _dot_matrix(group) -> np.ndarray:
 def test_character_multiplicativity_exhaustive():
     # chi_u(x + y) = chi_u(x) chi_u(y), all triples (u, x, y), |X| up to 512
     for group in (WordGroup(2, 3), WordGroup(4, 2), WordGroup(9, 2),
-                  WordGroup(3, 8), MatrixGroup(2, 2, 2)):
+                  WordGroup(3, 8), WordGroup(4, 2, shape=(2, 2))):
         xs = group.elements()
         arr = np.array(xs, dtype=np.int64)
         n = len(xs)
@@ -124,7 +124,7 @@ def test_character_multiplicativity_exhaustive():
 
 def test_product_of_characters_is_character():
     # chi_u(x) chi_v(x) = chi_{u+v}(x) for all u, v, x in small groups
-    for group in (WordGroup(2, 3), WordGroup(3, 2), MatrixGroup(1, 2, 3)):
+    for group in (WordGroup(2, 3), WordGroup(3, 2), WordGroup(2, 3, shape=(1, 2))):
         xs = group.elements()
         dots = _dot_matrix(group)
         index = {x: k for k, x in enumerate(xs)}

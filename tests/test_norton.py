@@ -229,6 +229,15 @@ def test_verify_isomorphism_pairing_decomposition():
     assert verify_isomorphism(mapping, dom, cod)
 
 
+def test_direct_product_table_is_block_diagonal():
+    line = BasisAlgebra.from_eigenspace(make_family("hamming", n=1, e=3), 1)
+    assert line.table.tolist() == [[1, -1], [-1, 0]]
+    both = BasisAlgebra.direct_product([line, line])
+    assert both.labels == [(0, (1,)), (0, (2,)), (1, (1,)), (1, (2,))]
+    assert both.table.tolist() == [[1, -1, -1, -1], [-1, 0, -1, -1],
+                                   [-1, -1, 3, -1], [-1, -1, -1, 2]]
+
+
 def test_verify_isomorphism_rejects_non_bijection():
     fam = make_family("hamming", n=2, e=3)
     alg = BasisAlgebra.from_eigenspace(fam, 1)

@@ -13,7 +13,6 @@ from nortonalg.trees import (
     catalan,
     count_classes_exact,
     count_classes_witness,
-    depth_sequence,
     double_minus_form,
     enumerate_trees,
     evaluate,
@@ -36,13 +35,13 @@ def test_enumeration_budget():
 
 
 def test_depth_sequences_m3():
-    got = {depth_sequence(t) for t in enumerate_trees(3)}
+    got = {t.depths for t in enumerate_trees(3)}
     assert got == {(3, 3, 2, 1), (2, 3, 3, 1), (2, 2, 2, 2), (1, 3, 3, 2), (1, 2, 3, 3)}
 
 
 def test_depth_sequences_distinct_and_reconstructible():
     for m in range(9):
-        seqs = [depth_sequence(t) for t in enumerate_trees(m)]
+        seqs = [t.depths for t in enumerate_trees(m)]
         assert len(set(seqs)) == len(seqs)
 
 
@@ -60,8 +59,8 @@ def test_evaluate_comb_examples():
     chi1 = AlgebraVector.basis_vector(fam, 1, (1,))
     chi2 = AlgebraVector.basis_vector(fam, 1, (2,))
     left_comb, right_comb = enumerate_trees(2)[1], enumerate_trees(2)[0]
-    assert depth_sequence(left_comb) == (2, 2, 1)
-    assert depth_sequence(right_comb) == (1, 2, 2)
+    assert left_comb.depths == (2, 2, 1)
+    assert right_comb.depths == (1, 2, 2)
     got = evaluate(left_comb, closed_form_product, [chi1, chi1, chi2])
     assert got == chi1
     assert evaluate(right_comb, closed_form_product, [chi1, chi1, chi2]).is_zero()
@@ -82,7 +81,7 @@ def test_evaluate_length_mismatch():
 
 
 def test_ominus_class_examples():
-    by_depth = {depth_sequence(t): t for t in enumerate_trees(3)}
+    by_depth = {t.depths: t for t in enumerate_trees(3)}
     assert ominus_class(by_depth[(3, 3, 2, 1)]) == (1, 1, 0, 1)
     assert ominus_class(by_depth[(2, 2, 2, 2)]) == (0, 0, 0, 0)
     assert ominus_class(enumerate_trees(1)[0]) == (1, 1)
