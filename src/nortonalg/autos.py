@@ -9,7 +9,7 @@ to (coefficient, label).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import factorial, gcd
 
@@ -275,20 +275,32 @@ def random_gl(rng: random.Random, n: int, q: int) -> Matrix:
 @dataclass(frozen=True)
 class BilinearAuto:
     """One generator action on V_i(H_q(d,e)): a translation chi_u -> chi_x(u) chi_u,
-    a left multiplication chi_u -> chi_{au}, or a right one chi_u -> chi_{u b^-1}."""
+    a left multiplication chi_u -> chi_{au}, or a right one chi_u -> chi_{u b^-1}.
+    A left or right matrix must be invertible over F_q; its inverse is
+    computed once, here."""
 
     kind: str  # "translate" | "left" | "right"
     matrix: Matrix
+    q: int
+    inverse: Matrix | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("translate", "left", "right"):
             raise ValueError(f"unknown bilinear action kind {self.kind!r}")
+        inverse = None
+        if self.kind != "translate":
+            inverse = mat_inv(self.matrix, self.q)
+            if inverse is None:
+                raise ValueError(f"{self.kind} action requires an invertible matrix")
+        object.__setattr__(self, "inverse", inverse)
 
 
 def apply_bilinear_auto(auto: BilinearAuto, family: BilinearFamily, i: int,
                         u: Word) -> Monomial:
     family._require_basis(i, u)
     q = family.q
+    if auto.q != q:
+        raise ValueError("automorphism parameters do not match the family")
     grp = family.group
     one = Cyclotomic.one(q)
     if auto.kind == "translate":
@@ -296,13 +308,12 @@ def apply_bilinear_auto(auto: BilinearAuto, family: BilinearFamily, i: int,
         return root_power(q, grp.dot(x_flat, u)), u
     u_mat = grp.as_matrix(u)
     if auto.kind == "left":
-        if len(auto.matrix) != family.d or mat_inv(auto.matrix, q) is None:
-            raise ValueError("left action requires an invertible d x d matrix")
+        if len(auto.matrix) != family.d:
+            raise ValueError("left action requires a d x d matrix")
         return one, grp.flatten(mat_mul(auto.matrix, u_mat, q))
-    b_inv = mat_inv(auto.matrix, q)
-    if len(auto.matrix) != family.cols or b_inv is None:
-        raise ValueError("right action requires an invertible e x e matrix")
-    return one, grp.flatten(mat_mul(u_mat, b_inv, q))
+    if len(auto.matrix) != family.cols:
+        raise ValueError("right action requires an e x e matrix")
+    return one, grp.flatten(mat_mul(u_mat, auto.inverse, q))
 
 
 def bilinear_candidate(auto: BilinearAuto, family: BilinearFamily, i: int) -> Candidate:
@@ -324,15 +335,12 @@ def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,
     """rho_b^-1 lambda_a^-1 phi_x lambda_a rho_b acts as the translation by
     a^t x (b^-1)^t, checked on every basis character of every V_i, i >= 1."""
     q = family.q
-    a_inv = mat_inv(a, q)
-    b_inv = mat_inv(b, q)
-    if a_inv is None or b_inv is None:
-        raise ValueError("conjugation check requires invertible a and b")
-    chain = [BilinearAuto("right", b), BilinearAuto("left", a),
-             BilinearAuto("translate", x), BilinearAuto("left", a_inv),
-             BilinearAuto("right", b_inv)]
-    target = mat_mul(mat_mul(mat_transpose(a), x, q), mat_transpose(b_inv), q)
-    rhs_auto = BilinearAuto("translate", target)
+    left = BilinearAuto("left", a, q)
+    right = BilinearAuto("right", b, q)
+    chain = [right, left, BilinearAuto("translate", x, q),
+             BilinearAuto("left", left.inverse, q), BilinearAuto("right", right.inverse, q)]
+    target = mat_mul(mat_mul(mat_transpose(a), x, q), mat_transpose(right.inverse), q)
+    rhs_auto = BilinearAuto("translate", target, q)
     for i in range(1, family.diameter + 1):
         for u in family.basis(i):
             if _apply_chain(chain, family, i, u) != apply_bilinear_auto(rhs_auto, family, i, u):

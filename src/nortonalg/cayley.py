@@ -11,6 +11,8 @@ import numpy as np
 from .cyclotomic import Cyclotomic, from_exponent_counts, root_power, root_reduction_matrix
 from .groups import Word, WordGroup
 
+SUM_CHUNK_BYTES = 2**20  # bytes of row sums per numpy step of sum_positions
+
 
 @dataclass
 class CayleyGraph:
@@ -117,6 +119,26 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
+def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
+    """Row-sum lookup as a dim x dim int32 array: entry (a, b) is the position
+    among rows of canonical((rows[a] + rows[b]) mod modulus), or -1 when no
+    row matches, found by exact byte key.  Rows must be distinct."""
+    dim, width = rows.shape
+    rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
+    keys = row_keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
+    out = np.empty((dim, dim), dtype=np.int32)
+    step = max(1, SUM_CHUNK_BYTES // max(1, rows.nbytes))  # one row's sums take rows.nbytes
+    for start in range(0, dim, step):
+        stop = min(start + step, dim)
+        sums = ((rows[start:stop, None, :] + rows[None, :, :]) % modulus).reshape(-1, width)
+        found = row_keys(sums if canonical is None else canonical(sums))
+        at = np.minimum(np.searchsorted(keys, found), dim - 1)
+        out[start:stop] = np.where(keys[at] == found, order[at], -1).reshape(-1, dim)
+    return out
+
+
 def character_exponents(u_arr: np.ndarray, x_arr: np.ndarray, e: int) -> np.ndarray:
     """Exponents u.x mod e for index rows u and vertex rows x, in the smallest
     unsigned dtype that holds e - 1."""
@@ -131,18 +153,23 @@ def exponent_matrix(graph: CayleyGraph, indices: Sequence[Word] | None = None) -
 
 
 def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
-    """Adjacency verification of every character at once (exact integer arithmetic)."""
+    """Adjacency verification of every character at once (exact integer arithmetic).
+
+    The eigenvalue chi_u(S) is read off the neighbor counts of chi_u at the
+    identity vertex, so no character is evaluated twice; the check there
+    then certifies that chi_u(S) is that rational integer."""
     e = graph.modulus
     nbr = _neighbor_index(graph)
     exps = exponent_matrix(graph)
     red = np.array(root_reduction_matrix(e), dtype=np.int64)
     n_x = len(graph.vertices)
     slots = np.arange(n_x)[:, None] * e
-    for k, u in enumerate(graph.characters):
-        theta = integer_eigenvalue(graph, u)
+    origin = graph.vertices.index(graph.group.zero())
+    for k in range(len(graph.characters)):
         # per vertex, exponent counts of chi_u over its neighbors minus theta
         # times chi_u there; each distinct row must reduce to zero in Q(w)
         diff = np.bincount((slots + exps[k][nbr]).ravel(), minlength=n_x * e).reshape(n_x, e)
+        theta = red[0] @ diff[origin]  # the rational part of chi_u(S)
         diff[np.arange(n_x), exps[k]] -= theta
         distinct = np.unique(row_keys(diff)).view(np.int64).reshape(-1, e)
         if (red @ distinct.T).any():

@@ -52,12 +52,6 @@ def _resolve_budget(args) -> int:
     return trees.DEFAULT_EVAL_BUDGET if env is None else env
 
 
-def _resolve_threads(args) -> int:
-    if args.threads:
-        return args.threads
-    return os.cpu_count() or 1
-
-
 def _family_from_args(args) -> FamilySpec:
     try:
         return make_family(args.family, n=args.n, e=args.e, q=args.q, d=args.d)
@@ -130,7 +124,7 @@ def cmd_table(args) -> int:
     labels = fam.basis(args.i)
     oracle_ok = None
     if args.verify_oracle:
-        oracle_ok = norton.verify_oracle_space(fam, args.i, threads=_resolve_threads(args))
+        oracle_ok = norton.verify_oracle_space(fam, args.i)
     texts = [fam.label_text(lbl) for lbl in labels]
     status = "ok" if oracle_ok in (None, True) else "mismatch"
     if args.format == "csv":
@@ -169,7 +163,7 @@ def cmd_nonassoc(args) -> int:
         raise _usage_error(f"--i must be in 0..{fam.diameter}")
     seed = _resolve_seed(args)
     budget = _resolve_budget(args)
-    dim = len(fam.basis(i))
+    dim = fam.predicted_dimension(i)
     reports = []
     for m in range(1, args.max_m + 1):
         cm = trees.catalan(m)
@@ -289,7 +283,7 @@ def _autocheck_results(fam: FamilySpec, i: int, samples: int, seed: int) -> list
             else:
                 size = fam.d if kind == "left" else fam.cols
                 mat = autos.random_gl(rng, size, fam.q)
-            auto = autos.BilinearAuto(kind, mat)
+            auto = autos.BilinearAuto(kind, mat, fam.q)
             ok = autos.is_algebra_automorphism(autos.bilinear_candidate(auto, fam, i), fam, i)
             results.append({"sample": k, "auto": f"({kind}, {mat})", "ok": ok})
     else:
@@ -342,15 +336,14 @@ def cmd_autocheck(args) -> int:
 
 def cmd_oracle_verify(args) -> int:
     fam = _family_from_args(args)
-    threads = _resolve_threads(args)
     spaces = fam.eigenspaces() if args.i is None else [args.i]
     rows = []
     all_ok = True
     for i in spaces:
         if not 0 <= i <= fam.diameter:
             raise _usage_error(f"--i must be in 0..{fam.diameter}")
-        dim = len(fam.basis(i))
-        ok = norton.verify_oracle_space(fam, i, threads=threads)
+        dim = fam.predicted_dimension(i)
+        ok = norton.verify_oracle_space(fam, i)
         all_ok &= ok
         rows.append({"i": i, "dim": dim, "pairs": dim * dim, "ok": ok})
     payload = {
@@ -393,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=None,
                         help="evaluation budget (default: NORTON_BUDGET or 10^7)")
     common.add_argument("--threads", type=int, default=0,
-                        help="worker threads (default: available parallelism)")
+                        help="ignored; every computation runs on one thread")
 
     fam_args = argparse.ArgumentParser(add_help=False)
     fam_args.add_argument("--family", choices=FAMILY_CHOICES, required=True)

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .cayley import CayleyGraph, row_keys
+from .cayley import CayleyGraph, sum_positions
 from .errors import BudgetExceededError
 from .groups import Word, WordGroup, is_prime, word_text
 from .linalg import row_reduce
@@ -22,7 +22,6 @@ from .linalg import row_reduce
 Subset = tuple[int, ...]
 
 DEFAULT_VERTEX_BUDGET = 2**20
-TABLE_CHUNK_ROWS = 64  # basis rows per numpy step of the product-table build
 MAX_TABLE_ENTRIES = 2**26  # 256 MB of int32
 
 
@@ -213,26 +212,16 @@ class FamilySpec:
         zero.  Over MAX_TABLE_ENTRIES entries it raises BudgetExceededError
         before building the basis.
 
-        In chunks of basis rows, the index sums (B[a] + B[b]) mod q are put in
-        canonical form and looked up among the basis rows by exact byte key;
-        a sum that is not a basis row is a zero product."""
+        The index sums (B[a] + B[b]) mod q are put in canonical form and
+        looked up among the basis rows (cayley.sum_positions); a sum that is
+        not a basis row is a zero product."""
         if i not in self._tables:
-            dim, q = self.predicted_dimension(i), self.modulus
+            dim = self.predicted_dimension(i)
             if dim * dim > MAX_TABLE_ENTRIES:
                 raise BudgetExceededError(
                     f"product table of {self.describe()} V_{i} has {dim * dim} entries"
                     f", over {MAX_TABLE_ENTRIES}")
-            basis = self.basis_array(i).astype(np.min_scalar_type(2 * q - 2))
-            keys = row_keys(basis)
-            order = np.argsort(keys)
-            keys = keys[order]
-            table = np.empty((dim, dim), dtype=np.int32)
-            for start in range(0, dim, TABLE_CHUNK_ROWS):
-                stop = min(start + TABLE_CHUNK_ROWS, dim)
-                sums = (basis[start:stop, None, :] + basis[None, :, :]) % q
-                found = row_keys(self._canonical_rows(sums.reshape(-1, self.length)))
-                at = np.minimum(np.searchsorted(keys, found), dim - 1)
-                table[start:stop] = np.where(keys[at] == found, order[at], -1).reshape(-1, dim)
+            table = sum_positions(self.basis_array(i), self.modulus, self._canonical_rows)
             table.flags.writeable = False  # one array is shared by every caller
             self._tables[i] = table
         return self._tables[i]

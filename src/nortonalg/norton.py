@@ -2,22 +2,22 @@
 oracle, the closed-form product, idempotent and nilpotent machinery, identity
 detection, and isomorphism verification.
 
-The projection oracle multiplies materialized value tables entrywise and
-projects back via character inner products; it never looks at the index-level
-product rule, so agreement with the closed form is a genuine cross-check.
+The projection oracle multiplies characters as value rows over the vertex set
+and projects back by character orthogonality; it never looks at the
+index-level product rule, so agreement with the closed form is a genuine
+cross-check.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .cayley import character_exponents
-from .cyclotomic import Cyclotomic, root_power, root_reduction_matrix
+from .cayley import character_exponents, row_keys, sum_positions
+from .cyclotomic import Cyclotomic, root_power
 from .errors import BudgetExceededError
 from .families import FamilySpec, carries_table, make_family
 from .groups import inner_product
@@ -162,58 +162,28 @@ def oracle_product(v: AlgebraVector, w: AlgebraVector,
 
 
 def verify_oracle_space(family: FamilySpec, i: int,
-                        vertex_budget: int = DEFAULT_ORACLE_VERTEX_BUDGET,
-                        threads: int = 1) -> bool:
+                        vertex_budget: int = DEFAULT_ORACLE_VERTEX_BUDGET) -> bool:
     """Projection-oracle check of the product table on every V_i basis pair.
 
-    For each pair (u, v) and every basis character w, the inner product
-    <chi_u . chi_v, chi_w> is accumulated as an exact residue histogram of
-    character exponents (batched as integer-valued float64 matmuls) and
-    reduced mod Phi_e; the result must match the product-table entry.
+    On the vertex group X, chi_u . chi_v is the character of X whose exponent
+    row is the sum of theirs mod e.  Distinct characters of X are orthogonal,
+    so once the V_i basis characters are distinct on X, projecting the product
+    onto V_i gives the basis character with that value row, with coefficient
+    1, and a row that matches no basis character certifies a zero product.
+    The lookup runs on value rows over X, never on index labels or their
+    canonical forms (a set and its complement give the same row on X).
     """
-    xs = family.vertices(vertex_budget)
-    n_x = len(xs)
+    family.vertices(vertex_budget)  # the vertex budget is checked before any enumeration
     e = family.modulus
-    graph_exps = character_exponents(family.basis_array(i), family.vertex_array(), e)
-    dim = graph_exps.shape[0]
-    bits = n_x.bit_length()
-    if bits * e > 52:
-        raise BudgetExceededError(
-            f"oracle packing infeasible for |X|={n_x}, e={e}")
-    expected = family.product_table(i)
-    packed = np.left_shift(np.int64(1), bits * graph_exps.astype(np.int64))
-    packed_t = packed.T.astype(np.float64)  # (|X|, dim), exact powers of two
-    red = np.array(root_reduction_matrix(e), dtype=np.int64)
-    mask = (1 << bits) - 1
-    rows = np.arange(dim)
-
-    def check_row(u: int) -> bool:
-        s = (graph_exps[u].astype(np.int16) + graph_exps) % e
-        counts_jb = np.empty((e, e, dim, dim), dtype=np.int64)
-        for j in range(e):
-            c_j = np.rint((s == j).astype(np.float64) @ packed_t).astype(np.int64)
-            for b in range(e):
-                counts_jb[j, b] = (c_j >> (bits * b)) & mask
-        cnt = np.zeros((e, dim, dim), dtype=np.int64)
-        for r in range(e):
-            for j in range(e):
-                cnt[r] += counts_jb[j, (j - r) % e]
-        exp_row = expected[u]
-        hit = exp_row >= 0
-        cnt[0][rows[hit], exp_row[hit]] -= n_x
-        return not np.tensordot(red, cnt, axes=([1], [0])).any()
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return all(pool.map(check_row, range(dim)))
-    return all(check_row(u) for u in range(dim))
+    exps = character_exponents(family.basis_array(i), family.vertex_array(), e)
+    if len(np.unique(row_keys(exps))) < len(exps):
+        return False
+    return bool((sum_positions(exps, e) == family.product_table(i)).all())
 
 
 def verify_oracle_family(family: FamilySpec,
-                         vertex_budget: int = DEFAULT_ORACLE_VERTEX_BUDGET,
-                         threads: int = 1) -> dict[int, bool]:
-    return {i: verify_oracle_space(family, i, vertex_budget, threads)
-            for i in family.eigenspaces()}
+                         vertex_budget: int = DEFAULT_ORACLE_VERTEX_BUDGET) -> dict[int, bool]:
+    return {i: verify_oracle_space(family, i, vertex_budget) for i in family.eigenspaces()}
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def _exact_result_arrays(family: FamilySpec, i: int, m: int, budget: int,
                          max_m: int) -> list[np.ndarray]:
     """Per-tree result vectors over all basis input tuples, encoded as positions
     with dim standing for zero; vectors over the same tuple order are comparable."""
-    dim = len(family.basis(i))
+    dim = family.predicted_dimension(i)
     trees = enumerate_trees(m, max_m)
     cost = (dim ** (m + 1)) * len(trees)
     if cost > budget:
@@ -189,7 +189,7 @@ def count_classes_exact(family: FamilySpec, i: int, m: int,
                         max_m: int = DEFAULT_MAX_M) -> SpectrumReport:
     """Exact associative-spectrum count by fingerprinting every tree on all
     basis tuples (complete by multilinearity)."""
-    dim = len(family.basis(i))
+    dim = family.predicted_dimension(i)
     parts = exact_partition(family, i, m, budget, max_m)
     return SpectrumReport(m=m, class_count=len(parts), mode="exact",
                           budget_used=(dim ** (m + 1)) * catalan(m))
@@ -235,13 +235,14 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
     separated the count equals Catalan(m) and the mode is exact; otherwise the
     refined partition size is reported as a lower bound."""
     trees = enumerate_trees(m, max_m)
-    labels = family.basis(i)
-    pos = family.basis_position(i)
+    # the table checks its size before the basis is built; list indexing
+    # beats numpy scalars here
+    table = family.product_table(i).tolist()
     if generators is None:
-        gens = list(range(len(labels)))
+        gens = list(range(len(table)))
     else:
+        pos = family.basis_position(i)
         gens = [pos[g] for g in generators]
-    table = family.product_table(i).tolist()  # list indexing beats numpy scalars here
     progs = [_postfix(t) for t in trees]
     rng = random.Random(seed)
     classes: list[list[int]] = [list(range(len(trees)))]

@@ -192,12 +192,12 @@ def test_matrix_helpers():
 
 def test_bilinear_action_examples():
     fam = make_family("bilinear", q=2, d=2, e=2)
-    zero_translate = BilinearAuto("translate", ((0, 0), (0, 0)))
-    left_id = BilinearAuto("left", mat_identity(2))
+    zero_translate = BilinearAuto("translate", ((0, 0), (0, 0)), 2)
+    left_id = BilinearAuto("left", mat_identity(2), 2)
     for u in fam.basis(1):
         assert apply_bilinear_auto(zero_translate, fam, 1, u) == (Cyclotomic.one(2), u)
         assert apply_bilinear_auto(left_id, fam, 1, u) == (Cyclotomic.one(2), u)
-    tr = BilinearAuto("translate", ((1, 0), (0, 0)))
+    tr = BilinearAuto("translate", ((1, 0), (0, 0)), 2)
     for u in fam.basis(1):
         coeff, label = apply_bilinear_auto(tr, fam, 1, u)
         assert label == u
@@ -211,9 +211,9 @@ def test_bilinear_actions_are_automorphisms():
         for _ in range(8):
             autos = [
                 BilinearAuto("translate", tuple(tuple(rng.randrange(q) for _ in range(2))
-                                                for _ in range(2))),
-                BilinearAuto("left", random_gl(rng, 2, q)),
-                BilinearAuto("right", random_gl(rng, 2, q)),
+                                                for _ in range(2)), q),
+                BilinearAuto("left", random_gl(rng, 2, q), q),
+                BilinearAuto("right", random_gl(rng, 2, q), q),
             ]
             for auto in autos:
                 for i in (1, 2):
@@ -226,8 +226,8 @@ def test_left_right_actions_commute():
     for _ in range(10):
         a = random_gl(rng, 2, 3)
         b = random_gl(rng, 2, 3)
-        left = BilinearAuto("left", a)
-        right = BilinearAuto("right", b)
+        left = BilinearAuto("left", a, 3)
+        right = BilinearAuto("right", b, 3)
         for u in fam.basis(1):
             c1, v1 = apply_bilinear_auto(left, fam, 1, u)
             c2, w1 = apply_bilinear_auto(right, fam, 1, v1)
@@ -252,7 +252,11 @@ def test_singular_matrices_rejected():
     fam = make_family("bilinear", q=2, d=2, e=2)
     singular = ((1, 1), (1, 1))
     with pytest.raises(ValueError):
-        apply_bilinear_auto(BilinearAuto("left", singular), fam, 1, (1, 0, 0, 0))
+        BilinearAuto("left", singular, 2)
+    with pytest.raises(ValueError):
+        BilinearAuto("right", singular, 2)
+    with pytest.raises(ValueError):  # built over F_3, applied over F_2
+        apply_bilinear_auto(BilinearAuto("left", mat_identity(2), 3), fam, 1, (1, 0, 0, 0))
     with pytest.raises(ValueError):
         conjugation_identity_check(fam, mat_identity(2), singular, mat_identity(2))
 

@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nortonalg import cayley
 from nortonalg.cayley import (
     CayleyGraph,
     eigenvalue_of_character,
     exponent_matrix,
     integer_eigenvalue,
     spectrum,
+    sum_positions,
     verify_all_eigenvectors,
     verify_eigenvector,
 )
@@ -93,6 +95,31 @@ def test_integer_eigenvalue_downcast_rejects_nonintegral():
     # chi_1(S) = w + w^4 is a real algebraic number but not rational at e = 5
     with pytest.raises(ValueError):
         integer_eigenvalue(g, (1,))
+    # the batched check reads chi_1(S) at the identity and finds it is no integer
+    assert not verify_all_eigenvectors(g)
+
+
+def test_spectrum_verify_evaluates_each_character_once(monkeypatch):
+    calls = []
+    real = cayley.eigenvalue_of_character
+    monkeypatch.setattr(cayley, "eigenvalue_of_character",
+                        lambda graph, u: calls.append(u) or real(graph, u))
+    g = make_family("hamming", n=2, e=5).cayley_graph()
+    spectrum(g)
+    assert verify_all_eigenvectors(g)
+    assert sorted(calls) == sorted(g.characters)
+
+
+def test_sum_positions_independent_of_chunk_size(monkeypatch):
+    for kind, opts, i in (("halved_cube", {"n": 6}, 3), ("hamming", {"n": 3, "e": 3}, 2)):
+        fam = make_family(kind, **opts)
+        rows = fam.basis_array(i)
+        whole = sum_positions(rows, fam.modulus, fam._canonical_rows)
+        assert (whole == fam.product_table(i)).all()
+        # three basis rows of sums per step
+        monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 3 * rows.size)
+        assert (sum_positions(rows, fam.modulus, fam._canonical_rows) == whole).all()
+        monkeypatch.undo()
 
 
 def test_spectrum_descending_and_total():

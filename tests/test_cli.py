@@ -7,6 +7,7 @@ import json
 import pytest
 
 from nortonalg.cli import main
+from nortonalg.families import HypercubeFamily
 
 
 def run(capsys, *argv):
@@ -138,6 +139,25 @@ def test_oracle_verify_folded_half_cube(capsys):
     assert code == 0
     assert payload["all_ok"] is True
     assert [row["i"] for row in payload["spaces"]] == [0, 1]
+
+
+def test_oracle_verify_beyond_float_packing(capsys):
+    # bits(|X|) * e > 52 here, which the packed-float64 oracle refused
+    for argv in (["--n", "3", "--e", "7"], ["--n", "1", "--e", "257"]):
+        code, payload = run_json(capsys, "oracle-verify", "--family", "hamming", *argv)
+        assert code == 0
+        assert payload["all_ok"] is True
+
+
+def test_budgets_checked_before_the_basis(capsys, monkeypatch):
+    def no_basis(self, i):
+        raise AssertionError("basis enumerated before the budget check")
+
+    monkeypatch.setattr(HypercubeFamily, "_make_basis", no_basis)
+    fam = ["--family", "hypercube", "--n", "30", "--i", "15"]
+    assert main(["oracle-verify", *fam]) == 3
+    assert main(["nonassoc", *fam, "--max-m", "2"]) == 3
+    assert capsys.readouterr().err.count("budget exceeded") == 2
 
 
 def test_isocheck(capsys):

@@ -1,10 +1,12 @@
 """Byte-identity gate: sha256 digests of CLI outputs that refactors must keep.
 
 Covers `table` in json, csv and text for every (family, i) of the criterion-1
-instances, `isocheck`, and a fixed set of `autocheck` and exact-mode
-`nonassoc` runs.  The digests in golden_digests.json were recorded from the
-code before the product-table refactor; an intended output change must say
-so where it rewrites them.  To rewrite them from the code on the path:
+instances, `isocheck`, a fixed set of `autocheck` and exact-mode `nonassoc`
+runs, and `oracle-verify` on every criterion-1 family.  The digests in
+golden_digests.json were recorded from the code before the product-table
+refactor, and the oracle digests from the packed-float64 oracle before the
+integer row-sum oracle replaced it; an intended output change must say so
+where it rewrites them.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -48,6 +50,11 @@ OTHER_CASES = [
     "nonassoc --family bilinear --q 2 --d 2 --e 2 --i 2 --max-m 3 --mode exact",
 ]
 
+ORACLE_CASES = [f"oracle-verify {fam_args}" for fam_args in FAMILY_ARGS] + [
+    "table --family halved-cube --n 8 --i 4 --verify-oracle --format text",
+    "table --family folded-half-cube --n 8 --i 2 --verify-oracle --format text",
+]
+
 
 def _family(args: str):
     opts = args.split()[1:]
@@ -62,7 +69,7 @@ def cases() -> list[str]:
         for i in _family(fam_args).eigenspaces():
             for fmt in ("json", "csv", "text"):
                 out.append(f"table {fam_args} --i {i} --format {fmt}")
-    return out + OTHER_CASES
+    return out + OTHER_CASES + ORACLE_CASES
 
 
 def digest(case: str) -> str:

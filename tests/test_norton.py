@@ -6,11 +6,12 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.errors import BudgetExceededError
-from nortonalg.families import make_family
+from nortonalg.families import HammingFamily, make_family
 from nortonalg.norton import (
     AlgebraVector,
     BasisAlgebra,
@@ -103,6 +104,29 @@ def test_verify_oracle_budget():
     fam = make_family("hypercube", n=13)
     with pytest.raises(BudgetExceededError):
         verify_oracle_space(fam, 1)
+
+
+def test_verify_oracle_rejects_one_changed_entry():
+    fam = HammingFamily(2, 3)  # a private instance: its cached table is replaced
+    good = fam.product_table(2)
+    (a, b), (c, d) = np.argwhere(good >= 0)[0], np.argwhere(good < 0)[0]
+    changes = [((a, b), (good[a, b] + 1) % len(good)),  # position -> other position
+               ((a, b), -1),                            # position -> zero
+               ((c, d), 0)]                             # zero -> position
+    for (r, s), value in changes:
+        table = good.copy()
+        table[r, s] = value
+        fam._tables[2] = table
+        assert not verify_oracle_space(fam, 2), ((r, s), value)
+    fam._tables[2] = good
+    assert verify_oracle_space(fam, 2)
+
+
+def test_verify_oracle_rejects_coinciding_basis_rows(monkeypatch):
+    # on the one-vertex set {0} every character takes the value 1
+    fam = HammingFamily(2, 3)
+    monkeypatch.setattr(fam, "vertex_array", lambda budget=None: np.zeros((1, 2), np.int64))
+    assert not verify_oracle_space(fam, 1)
 
 
 def test_eta_examples():
