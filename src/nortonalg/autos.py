@@ -2,8 +2,11 @@
 exhaustive checker that a basis-level candidate map preserves products.
 
 All constructed actions are monomial: a basis character maps to a root of
-unity times a basis character.  Candidates are dictionaries from basis label
-to (coefficient, label).
+unity times a basis character.  A candidate on V_i is an int array of shape
+dim x 2 over family.basis(i): row k holds the basis position of the image of
+the k-th basis character (-1 if the image is not a basis character) and the
+exponent of its coefficient w^exp, where w has order family.modulus; on the
+cubes a sign -1 is the exponent 1 mod 2.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, root_power
+from .cayley import row_finder
 from .errors import BudgetExceededError
 from .families import (BilinearFamily, FamilySpec, HalvedCubeFamily, HammingFamily,
                        HypercubeFamily, carries_table, fq_reduce)
@@ -23,8 +26,22 @@ from .groups import Word
 
 DEFAULT_PAIR_BUDGET = 10**6
 
-Monomial = tuple[Cyclotomic, object]
-Candidate = dict
+Candidate = np.ndarray
+
+
+def _candidate(rows: np.ndarray, images: np.ndarray, exps: np.ndarray,
+               modulus: int) -> Candidate:
+    """The candidate sending basis index rows to image index rows (in
+    canonical form) with the given coefficient exponents."""
+    return np.column_stack((row_finder(rows)(images), exps % modulus))
+
+
+def compose_candidates(outer: Candidate, inner: Candidate, modulus: int) -> Candidate:
+    """The candidate applying outer after inner: (p_o[p_i], e_i + e_o[p_i])."""
+    pos = inner[:, 0]
+    if (pos < 0).any():
+        raise ValueError("the inner candidate leaves the basis")
+    return np.column_stack((outer[pos, 0], (inner[:, 1] + outer[pos, 1]) % modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -60,24 +77,6 @@ def _permuted(sigma: tuple[int, ...], word: Word) -> Word:
     return tuple(word[j] for j in sigma)
 
 
-def _auto_image_index(phi: HammingAuto, u: Word) -> Word:
-    e = phi.e
-    return tuple((bv * uv) % e for bv, uv in zip(phi.b, _permuted(phi.sigma, u)))
-
-
-def apply_hamming_auto(phi: HammingAuto, family: HammingFamily, i: int,
-                       u: Word) -> Monomial:
-    """Image of the basis character chi_u as (coefficient, basis label); the
-    coefficient is the root of unity chi_a(b.sigma(u)) and the support of the
-    index is preserved."""
-    if not isinstance(family, HammingFamily) or family.e != phi.e:
-        raise ValueError("automorphism parameters do not match the family")
-    family._require_basis(i, u)
-    image = _auto_image_index(phi, u)
-    exp = sum(av * iv for av, iv in zip(phi.a, image)) % phi.e
-    return root_power(phi.e, exp), image
-
-
 def compose_hamming(phi: HammingAuto, psi: HammingAuto) -> HammingAuto:
     """Wreath-product composition (a + b^-1.sigma(a'), b.sigma(b'), sigma sigma'),
     so that applying the composite equals applying phi after psi."""
@@ -103,35 +102,37 @@ def random_hamming_auto(rng: random.Random, n: int, e: int) -> HammingAuto:
 
 
 def hamming_candidate(phi: HammingAuto, family: HammingFamily, i: int) -> Candidate:
-    return {u: apply_hamming_auto(phi, family, i, u) for u in family.basis(i)}
-
-
-def all_hamming_autos(n: int, e: int):
-    units = [v for v in range(1, e) if gcd(v, e) == 1]
-    for a in product(range(e), repeat=n):
-        for b in product(units, repeat=n):
-            for sigma in permutations(range(n)):
-                yield HammingAuto(a, b, sigma, e)
+    """chi_u goes to chi_a(u') chi_u' with u' = b.sigma(u), which has the
+    support of u moved by sigma."""
+    if not isinstance(family, HammingFamily) or (family.n, family.e) != (len(phi.a), phi.e):
+        raise ValueError("automorphism parameters do not match the family")
+    rows = family.basis_array(i)
+    images = rows[:, list(phi.sigma)] * np.array(phi.b) % phi.e
+    return _candidate(rows, images, images @ np.array(phi.a), phi.e)
 
 
 def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
-    """Enumerate all (a, b, sigma) acting as the identity on the V_i basis and
+    """Find all (a, b, sigma) acting as the identity on the V_i basis and
     compare with the predicted kernel: trivial for e >= 3, i >= 1, and
-    {identity, (all-ones, 1, id)} for e = 2 with 1 <= i < n even."""
+    {identity, (all-ones, 1, id)} for e = 2 with 1 <= i < n even.
+
+    (a, b, sigma) fixes every chi_u exactly when (b, sigma) fixes every index
+    row u and a.u = 0 mod e on them, so the kernel is the product of those
+    pairs and those words."""
     n, e = family.n, family.e
     covered = (e >= 3 and i >= 1) or (e == 2 and 1 <= i < n)
     if not covered:
         raise ValueError(f"kernel description covers e>=3,i>=1 or e=2,1<=i<n; "
                          f"got e={e}, i={i}, n={n}")
-    total = e**n * sum(1 for v in range(1, e) if gcd(v, e) == 1) ** n
-    if total * factorial(n) > 10**5:
+    units = [v for v in range(1, e) if gcd(v, e) == 1]
+    if e**n * len(units) ** n * factorial(n) > 10**5:
         raise BudgetExceededError("kernel enumeration too large")
-    one = Cyclotomic.one(e)
-    kernel = []
-    for phi in all_hamming_autos(n, e):
-        if all(apply_hamming_auto(phi, family, i, u) == (one, u)
-               for u in family.basis(i)):
-            kernel.append((phi.a, phi.b, phi.sigma))
+    rows = family.basis_array(i)
+    words = np.array(list(product(range(e), repeat=n)))
+    trivial = words[(rows @ words.T % e == 0).all(axis=0)].tolist()
+    fixing = [(b, sigma) for b in product(units, repeat=n) for sigma in permutations(range(n))
+              if np.array_equal(rows[:, list(sigma)] * np.array(b) % e, rows)]
+    kernel = [(tuple(a), b, sigma) for a in trivial for b, sigma in fixing]
     ident = identity_auto(n, e)
     expected = [(ident.a, ident.b, ident.sigma)]
     if e == 2 and i % 2 == 0:
@@ -166,15 +167,6 @@ class SignedPermutation:
             sign *= s
         return sign == 1
 
-    def image_set(self, subset) -> frozenset[int]:
-        return frozenset(self.sigma[j - 1] + 1 for j in subset)
-
-    def sign_of(self, subset) -> int:
-        sign = 1
-        for j in subset:
-            sign *= self.eps[j - 1]
-        return sign
-
 
 def compose_signed(f: SignedPermutation, g: SignedPermutation) -> SignedPermutation:
     """Composite acting as f after g."""
@@ -186,30 +178,24 @@ def compose_signed(f: SignedPermutation, g: SignedPermutation) -> SignedPermutat
     return SignedPermutation(sigma, eps)
 
 
-def apply_signed_perm(f: SignedPermutation, family: FamilySpec, i: int, subset,
-                      check_type_d: bool = True) -> Monomial:
-    """Image of chi_S as (sign, basis label): sign eps(sigma(S)) and index
-    sigma(S), canonicalized on the halved cube.  Halved-cube targets require a
-    type-D signed permutation, for which the sign is class-invariant."""
-    if isinstance(family, HypercubeFamily):
-        canon = lambda s: tuple(sorted(s))
-    elif isinstance(family, HalvedCubeFamily):
-        if check_type_d and not f.is_type_d():
-            raise ValueError("halved-cube action requires a type-D signed permutation")
-        canon = family.canonical_label
-    else:
-        raise ValueError(f"signed permutations act on hypercube or halved_cube, "
-                         f"not {family.kind}")
-    family._require_basis(i, subset)
-    image = f.image_set(subset)
-    sign = f.sign_of(image)
-    return Cyclotomic.from_rational(2, sign), canon(image)
-
-
 def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
                           check_type_d: bool = True) -> Candidate:
-    return {s: apply_signed_perm(f, family, i, s, check_type_d)
-            for s in family.basis(i)}
+    """chi_S goes to eps(sigma(S)) chi_sigma(S), with sigma(S) canonicalized
+    on the halved cube.  Halved-cube targets require a type-D signed
+    permutation, for which the sign is class-invariant."""
+    if isinstance(family, HalvedCubeFamily):
+        if check_type_d and not f.is_type_d():
+            raise ValueError("halved-cube action requires a type-D signed permutation")
+    elif not isinstance(family, HypercubeFamily):
+        raise ValueError(f"signed permutations act on hypercube or halved_cube, "
+                         f"not {family.kind}")
+    if len(f.sigma) != family.n:
+        raise ValueError("automorphism parameters do not match the family")
+    rows = family.basis_array(i)
+    images = np.empty_like(rows)
+    images[:, list(f.sigma)] = rows
+    signs = images @ (np.array(f.eps) < 0)  # before the complement on the halved cube
+    return _candidate(rows, family._canonical_rows(images), signs, 2)
 
 
 def all_signed_perms(n: int, type_d: bool = False):
@@ -295,39 +281,27 @@ class BilinearAuto:
         object.__setattr__(self, "inverse", inverse)
 
 
-def apply_bilinear_auto(auto: BilinearAuto, family: BilinearFamily, i: int,
-                        u: Word) -> Monomial:
-    family._require_basis(i, u)
-    q = family.q
-    if auto.q != q:
+def bilinear_candidate(auto: BilinearAuto, family: BilinearFamily, i: int) -> Candidate:
+    if not isinstance(family, BilinearFamily) or auto.q != family.q:
         raise ValueError("automorphism parameters do not match the family")
-    grp = family.group
-    one = Cyclotomic.one(q)
+    q = family.q
+    rows = family.basis_array(i)
+    dim = len(rows)
     if auto.kind == "translate":
-        x_flat = grp.flatten(auto.matrix)
-        return root_power(q, grp.dot(x_flat, u)), u
-    u_mat = grp.as_matrix(u)
+        x = np.array(family.group.flatten(auto.matrix))
+        if len(x) != family.length:
+            raise ValueError("translation requires a d x e matrix")
+        return np.column_stack((np.arange(dim), rows @ x % q))
+    mats = rows.reshape(dim, family.d, family.cols)
     if auto.kind == "left":
         if len(auto.matrix) != family.d:
             raise ValueError("left action requires a d x d matrix")
-        return one, grp.flatten(mat_mul(auto.matrix, u_mat, q))
-    if len(auto.matrix) != family.cols:
-        raise ValueError("right action requires an e x e matrix")
-    return one, grp.flatten(mat_mul(u_mat, auto.inverse, q))
-
-
-def bilinear_candidate(auto: BilinearAuto, family: BilinearFamily, i: int) -> Candidate:
-    return {u: apply_bilinear_auto(auto, family, i, u) for u in family.basis(i)}
-
-
-def _apply_chain(autos: list[BilinearAuto], family: BilinearFamily, i: int,
-                 u: Word) -> Monomial:
-    coeff = Cyclotomic.one(family.q)
-    label = u
-    for auto in autos:
-        c, label = apply_bilinear_auto(auto, family, i, label)
-        coeff = coeff * c
-    return coeff, label
+        images = np.array(auto.matrix) @ mats % q
+    else:
+        if len(auto.matrix) != family.cols:
+            raise ValueError("right action requires an e x e matrix")
+        images = mats @ np.array(auto.inverse) % q
+    return _candidate(rows, images.reshape(dim, -1), np.zeros(dim, dtype=np.int64), q)
 
 
 def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,
@@ -342,9 +316,11 @@ def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,
     target = mat_mul(mat_mul(mat_transpose(a), x, q), mat_transpose(right.inverse), q)
     rhs_auto = BilinearAuto("translate", target, q)
     for i in range(1, family.diameter + 1):
-        for u in family.basis(i):
-            if _apply_chain(chain, family, i, u) != apply_bilinear_auto(rhs_auto, family, i, u):
-                return False
+        composite = bilinear_candidate(chain[0], family, i)
+        for auto in chain[1:]:
+            composite = compose_candidates(bilinear_candidate(auto, family, i), composite, q)
+        if not np.array_equal(composite, bilinear_candidate(rhs_auto, family, i)):
+            return False
     return True
 
 
@@ -356,29 +332,22 @@ def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int,
                             budget: int = DEFAULT_PAIR_BUDGET) -> bool:
     """Exhaustively check that a monomial basis map preserves all basis products.
 
-    The candidate maps every basis label to (coefficient, basis label); the
-    index map must be a bijection that carries the product table to itself,
-    and c_u c_v = c_w must hold for every nonzero product chi_u chi_v = chi_w.
-    Exact arithmetic throughout.
+    The positions of the candidate must be a bijection of the basis that
+    carries the product table to itself, and the exponents must satisfy
+    exp[u] + exp[v] = exp[w] mod the modulus for every nonzero product
+    chi_u chi_v = chi_w.  Exact integer arithmetic throughout.
     """
-    labels = family.basis(i)
-    if set(candidate) != set(labels):
+    dim = family.predicted_dimension(i)
+    if np.shape(candidate) != (dim, 2):
         raise ValueError("candidate must be defined on the full basis")
-    images = [candidate[u][1] for u in labels]
-    if len(set(images)) != len(images) or set(images) != set(labels):
+    pos, exp = candidate[:, 0], candidate[:, 1]
+    if not np.array_equal(np.sort(pos), np.arange(dim)):
         return False
-    if len(labels) ** 2 > budget:
+    if dim**2 > budget:
         raise BudgetExceededError(
-            f"automorphism check needs {len(labels)**2} pairs, over budget {budget}")
+            f"automorphism check needs {dim**2} pairs, over budget {budget}")
     table = family.product_table(i)
-    pos = family.basis_position(i)
-    if not carries_table(np.array([pos[m] for m in images]), table, table):
+    if not carries_table(pos, table, table):
         return False
-    # the coefficients take few distinct values: multiply those exactly once,
-    # then compare the codes of c_u c_v and c_w on every nonzero entry
-    values = list(dict.fromkeys(candidate[u][0] for u in labels))
-    code = {c: k for k, c in enumerate(values)}
-    codes = np.array([code[candidate[u][0]] for u in labels])
-    products = np.array([[code.get(x * y, -1) for y in values] for x in values])
     u, v = np.nonzero(table >= 0)
-    return bool((products[codes[u], codes[v]] == codes[table[u, v]]).all())
+    return bool(((exp[u] + exp[v] - exp[table[u, v]]) % family.modulus == 0).all())

@@ -119,23 +119,35 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
-    """Row-sum lookup as a dim x dim int32 array: entry (a, b) is the position
-    among rows of canonical((rows[a] + rows[b]) mod modulus), or -1 when no
-    row matches, found by exact byte key.  Rows must be distinct."""
-    dim, width = rows.shape
-    rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
+def row_finder(rows: np.ndarray):
+    """The lookup among distinct rows: a function taking query rows of the
+    same width to their positions among rows, or -1 where no row matches,
+    compared by exact byte key in the dtype of rows."""
     keys = row_keys(rows)
     order = np.argsort(keys)
     keys = keys[order]
+
+    def find(queries: np.ndarray) -> np.ndarray:
+        found = row_keys(queries.astype(rows.dtype, copy=False))
+        at = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+        return np.where(keys[at] == found, order[at], -1)
+
+    return find
+
+
+def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
+    """Row-sum lookup as a dim x dim int32 array: entry (a, b) is the position
+    among rows of canonical((rows[a] + rows[b]) mod modulus), or -1 when no
+    row matches (row_finder).  Rows must be distinct."""
+    dim, width = rows.shape
+    rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
+    find = row_finder(rows)
     out = np.empty((dim, dim), dtype=np.int32)
     step = max(1, SUM_CHUNK_BYTES // max(1, rows.nbytes))  # one row's sums take rows.nbytes
     for start in range(0, dim, step):
         stop = min(start + step, dim)
         sums = ((rows[start:stop, None, :] + rows[None, :, :]) % modulus).reshape(-1, width)
-        found = row_keys(sums if canonical is None else canonical(sums))
-        at = np.minimum(np.searchsorted(keys, found), dim - 1)
-        out[start:stop] = np.where(keys[at] == found, order[at], -1).reshape(-1, dim)
+        out[start:stop] = find(sums if canonical is None else canonical(sums)).reshape(-1, dim)
     return out
 
 

@@ -35,7 +35,15 @@ def _env_int(name: str) -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        raise _usage_error(f"{name} must be an integer, got {raw!r}")
+
+
+def nonnegative_int(text: str) -> int:
+    """Argument type of --budget, --samples and --attempts."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _resolve_seed(args) -> int:
@@ -49,6 +57,8 @@ def _resolve_budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = _env_int("NORTON_BUDGET")
+    if env is not None and env < 0:
+        raise _usage_error(f"NORTON_BUDGET must be >= 0, got {env}")
     return trees.DEFAULT_EVAL_BUDGET if env is None else env
 
 
@@ -64,16 +74,27 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _usage_error(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, _json_text(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +261,7 @@ def cmd_idempotents(args) -> int:
         "status": "ok" if relations and primitivity in (None, True) else "failed",
     }
     if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.export, _json_text(payload))
     if args.format == "text":
         lines = [f"# {len(idems)} nonzero idempotents of V_1(H(1,{args.e}))"]
         for idem in idems:
@@ -254,41 +273,35 @@ def cmd_idempotents(args) -> int:
     return EXIT_OK if payload["status"] == "ok" else EXIT_CHECK_FAILED
 
 
-def _autocheck_results(fam: FamilySpec, i: int, samples: int, seed: int) -> list[dict]:
-    rng = random.Random(seed)
-    results = []
+def _random_auto(fam: FamilySpec, i: int, rng: random.Random, k: int):
+    """The k-th sampled automorphism of fam as (description, candidate on V_i)."""
     if fam.kind == "hamming":
-        for k in range(samples):
-            phi = autos.random_hamming_auto(rng, fam.n, fam.e)
-            ok = autos.is_algebra_automorphism(autos.hamming_candidate(phi, fam, i), fam, i)
-            results.append({"sample": k, "auto": f"(a={phi.a}, b={phi.b}, sigma={phi.sigma})",
-                            "ok": ok})
-    elif fam.kind == "hypercube":
-        for k in range(samples):
-            f = autos.random_signed_perm(rng, fam.n)
-            ok = autos.is_algebra_automorphism(autos.signed_perm_candidate(f, fam, i), fam, i)
-            results.append({"sample": k, "auto": f"(sigma={f.sigma}, eps={f.eps})", "ok": ok})
-    elif fam.kind == "halved_cube":
-        for k in range(samples):
-            f = autos.random_signed_perm(rng, fam.n, type_d=True)
-            ok = autos.is_algebra_automorphism(autos.signed_perm_candidate(f, fam, i), fam, i)
-            results.append({"sample": k, "auto": f"(sigma={f.sigma}, eps={f.eps})", "ok": ok})
-    elif fam.kind == "bilinear":
-        kinds = ("translate", "left", "right")
-        for k in range(samples):
-            kind = kinds[k % 3]
-            if kind == "translate":
-                mat = tuple(tuple(rng.randrange(fam.q) for _ in range(fam.cols))
-                            for _ in range(fam.d))
-            else:
-                size = fam.d if kind == "left" else fam.cols
-                mat = autos.random_gl(rng, size, fam.q)
-            auto = autos.BilinearAuto(kind, mat, fam.q)
-            ok = autos.is_algebra_automorphism(autos.bilinear_candidate(auto, fam, i), fam, i)
-            results.append({"sample": k, "auto": f"({kind}, {mat})", "ok": ok})
+        phi = autos.random_hamming_auto(rng, fam.n, fam.e)
+        return (f"(a={phi.a}, b={phi.b}, sigma={phi.sigma})",
+                autos.hamming_candidate(phi, fam, i))
+    if fam.kind in ("hypercube", "halved_cube"):
+        f = autos.random_signed_perm(rng, fam.n, type_d=fam.kind == "halved_cube")
+        return f"(sigma={f.sigma}, eps={f.eps})", autos.signed_perm_candidate(f, fam, i)
+    kind = ("translate", "left", "right")[k % 3]
+    if kind == "translate":
+        mat = tuple(tuple(rng.randrange(fam.q) for _ in range(fam.cols))
+                    for _ in range(fam.d))
     else:
+        mat = autos.random_gl(rng, fam.d if kind == "left" else fam.cols, fam.q)
+    auto = autos.BilinearAuto(kind, mat, fam.q)
+    return f"({kind}, {mat})", autos.bilinear_candidate(auto, fam, i)
+
+
+def _autocheck_results(fam: FamilySpec, i: int, samples: int, seed: int) -> list[dict]:
+    if fam.kind not in ("hamming", "hypercube", "halved_cube", "bilinear"):
         raise _usage_error(f"autocheck supports hamming, hypercube, halved-cube and "
                            f"bilinear families, not {fam.kind}")
+    rng = random.Random(seed)
+    results = []
+    for k in range(samples):
+        text, candidate = _random_auto(fam, i, rng, k)
+        results.append({"sample": k, "auto": text,
+                        "ok": autos.is_algebra_automorphism(candidate, fam, i)})
     return results
 
 
@@ -383,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", "-o", default=None, help="write output to a file")
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: NORTON_SEED or 0)")
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=nonnegative_int, default=None,
                         help="evaluation budget (default: NORTON_BUDGET or 10^7)")
     common.add_argument("--threads", type=int, default=0,
                         help="ignored; every computation runs on one thread")
@@ -413,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
     p.add_argument("--max-m", type=int, default=6)
     p.add_argument("--mode", choices=["auto", "exact", "witness"], default="auto")
-    p.add_argument("--attempts", type=int, default=trees.DEFAULT_WITNESS_ATTEMPTS)
+    p.add_argument("--attempts", type=nonnegative_int, default=trees.DEFAULT_WITNESS_ATTEMPTS)
     p.set_defaults(func=cmd_nonassoc)
 
     p = sub.add_parser("idempotents", parents=[common],
@@ -425,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("autocheck", parents=[common, fam_args],
                        help="sampled automorphism actions pass product preservation")
     p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=nonnegative_int, default=100)
     p.set_defaults(func=cmd_autocheck)
 
     p = sub.add_parser("oracle-verify", parents=[common, fam_args],

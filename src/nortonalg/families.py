@@ -166,20 +166,23 @@ class FamilySpec:
             raise ValueError(f"eigenspace index {i} out of range 0..{self.diameter}")
 
     def vertices(self, budget: int | None = None) -> list[Word]:
+        """The vertex list, cached; every call checks the budget, so a list
+        enumerated under a larger budget is not handed to a smaller one."""
+        limit = DEFAULT_VERTEX_BUDGET if budget is None else budget
+        if self.vertex_count() > limit:
+            raise BudgetExceededError(
+                f"{self.describe()} has {self.vertex_count()} vertices"
+                f", over the budget {limit}")
         if self._vertices is None:
-            limit = DEFAULT_VERTEX_BUDGET if budget is None else budget
-            if self.vertex_count() > limit:
-                raise BudgetExceededError(
-                    f"{self.describe()} has {self.vertex_count()} vertices"
-                    f", over the budget {limit}")
             self._vertices = list(self._vertex_iter())
             if len(self._vertices) != self.vertex_count():
                 raise AssertionError("vertex enumeration disagrees with the count formula")
         return self._vertices
 
     def connection(self, budget: int | None = None) -> list[Word]:
+        vertices = self.vertices(budget)
         if self._connection is None:
-            self._connection = [x for x in self.vertices(budget) if self._connection_pred(x)]
+            self._connection = [x for x in vertices if self._connection_pred(x)]
         return self._connection
 
     def basis(self, i: int) -> list:

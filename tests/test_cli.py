@@ -234,3 +234,47 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["spectrum"][0] == {"eigenvalue": 3, "multiplicity": 1}
+
+
+def test_table_oracle_checks_vertex_budget_after_basis_enumeration(capsys):
+    # the V_1 basis enumerates all 2^15 vertices under the default budget; the
+    # oracle's 4096-vertex budget must still refuse them
+    code = main(["table", "--family", "bilinear", "--q", "2", "--d", "3", "--e", "5",
+                 "--i", "1", "--verify-oracle"])
+    assert code == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x.json")
+    assert main(["isocheck", "--output", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+    assert main(["idempotents", "--e", "3", "--export", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+
+
+@pytest.mark.parametrize("name", ["NORTON_BUDGET", "NORTON_SEED"])
+def test_bad_environment_integer_exits_2(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    assert main(["nonassoc", "--family", "hamming", "--n", "1", "--e", "3",
+                 "--max-m", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be an integer, got 'abc'\n"
+
+
+def test_negative_budget_from_environment_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("NORTON_BUDGET", "-5")
+    assert main(["nonassoc", "--family", "hamming", "--n", "1", "--e", "3",
+                 "--max-m", "2"]) == 2
+    assert "NORTON_BUDGET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonassoc", "--family", "hamming", "--n", "1", "--e", "3", "--budget", "-1"],
+    ["autocheck", "--family", "hamming", "--n", "2", "--e", "3", "--samples", "-3"],
+    ["nonassoc", "--family", "hamming", "--n", "1", "--e", "3", "--attempts", "-2"],
+], ids=["budget", "samples", "attempts"])
+def test_negative_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err

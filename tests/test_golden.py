@@ -5,8 +5,12 @@ instances, `isocheck`, a fixed set of `autocheck` and exact-mode `nonassoc`
 runs, and `oracle-verify` on every criterion-1 family.  The digests in
 golden_digests.json were recorded from the code before the product-table
 refactor, and the oracle digests from the packed-float64 oracle before the
-integer row-sum oracle replaced it; an intended output change must say so
-where it rewrites them.  To rewrite them from the code on the path:
+integer row-sum oracle replaced it.  The five `autocheck` cases after the
+first six (translations by roots of order 3, right actions by 3 x 3
+matrices, both kernel-check branches, the halved-cube class i = n/2) were
+recorded from the per-label monomial maps before the array candidates
+replaced them.  An intended output change must say so where it rewrites
+the digests.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -42,6 +46,11 @@ OTHER_CASES = [
     "autocheck --family hypercube --n 5 --i 2 --samples 5 --seed 2",
     "autocheck --family halved-cube --n 6 --i 2 --samples 5 --seed 4",
     "autocheck --family bilinear --q 2 --d 2 --e 2 --i 1 --samples 6 --seed 1",
+    "autocheck --family bilinear --q 3 --d 2 --e 2 --i 2 --samples 6 --seed 2",
+    "autocheck --family bilinear --q 2 --d 2 --e 3 --i 2 --samples 6 --seed 5",
+    "autocheck --family hamming --n 3 --e 4 --i 1 --samples 3 --seed 6",
+    "autocheck --family hamming --n 4 --e 3 --i 2 --samples 3 --seed 7",
+    "autocheck --family halved-cube --n 8 --i 4 --samples 4 --seed 8",
     "nonassoc --family hamming --n 1 --e 3 --max-m 6 --mode exact",
     "nonassoc --family hamming --n 2 --e 3 --i 2 --max-m 5 --mode exact --format csv",
     "nonassoc --family hypercube --n 4 --i 2 --max-m 5 --mode exact --format text",
