@@ -141,6 +141,8 @@ def cmd_table(args) -> int:
         raise _usage_error("table requires --i")
     if not 0 <= args.i <= fam.diameter:
         raise _usage_error(f"--i must be in 0..{fam.diameter}")
+    if args.verify_oracle:  # the oracle's vertex budget, before the table and the basis
+        fam.vertices(norton.DEFAULT_ORACLE_VERTEX_BUDGET)
     table = fam.product_table(args.i).tolist()  # checks its size before the basis is built
     labels = fam.basis(args.i)
     oracle_ok = None
@@ -184,6 +186,9 @@ def cmd_nonassoc(args) -> int:
         raise _usage_error(f"--i must be in 0..{fam.diameter}")
     seed = _resolve_seed(args)
     budget = _resolve_budget(args)
+    if args.max_m > trees.DEFAULT_MAX_M:
+        raise BudgetExceededError(
+            f"tree enumeration capped at m={trees.DEFAULT_MAX_M}, got --max-m {args.max_m}")
     dim = fam.predicted_dimension(i)
     reports = []
     for m in range(1, args.max_m + 1):
@@ -240,6 +245,14 @@ def cmd_nonassoc(args) -> int:
 def cmd_idempotents(args) -> int:
     if args.e is None or args.e < 3:
         raise _usage_error("idempotents requires --e >= 3")
+    # each nonempty subset of 1..e-1, the nilpotent ones too, sums up to e-1
+    # eta vectors of e-1 coefficients
+    subsets = 2 ** (args.e - 1) - 1
+    cost = subsets * (args.e - 1) ** 2
+    budget = _resolve_budget(args)
+    if cost > budget:
+        raise BudgetExceededError(f"idempotents --e {args.e} enumerates {subsets} subsets, "
+                                  f"{cost} coefficient steps (budget {budget})")
     idems = norton.classified_idempotents(args.e)
     relations = norton.eta_relations_check(args.e)
     primitivity = None

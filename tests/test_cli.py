@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from nortonalg import trees
 from nortonalg.cli import main
-from nortonalg.families import HypercubeFamily
+from nortonalg.families import BilinearFamily, HypercubeFamily
 
 
 def run(capsys, *argv):
@@ -158,6 +159,46 @@ def test_budgets_checked_before_the_basis(capsys, monkeypatch):
     assert main(["oracle-verify", *fam]) == 3
     assert main(["nonassoc", *fam, "--max-m", "2"]) == 3
     assert capsys.readouterr().err.count("budget exceeded") == 2
+
+
+def test_table_oracle_budget_checked_before_the_basis(capsys, monkeypatch):
+    def no_basis(self, i):
+        raise AssertionError("basis enumerated before the oracle's budget check")
+
+    monkeypatch.setattr(BilinearFamily, "_make_basis", no_basis)
+    code = main(["table", "--family", "bilinear", "--q", "2", "--d", "3", "--e", "5",
+                 "--i", "1", "--verify-oracle"])
+    assert code == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_nonassoc_max_m_over_the_cap_exits_before_counting(capsys, monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("a count ran before the --max-m check")
+
+    monkeypatch.setattr(trees, "count_classes_exact", no_count)
+    monkeypatch.setattr(trees, "count_classes_witness", no_count)
+    fam = ["--family", "hamming", "--n", "1", "--e", "3"]
+    for argv in (["--mode", "witness", "--attempts", "10"], ["--mode", "exact"], []):
+        code, out = run(capsys, "nonassoc", *fam, "--max-m", str(trees.DEFAULT_MAX_M + 1), *argv)
+        assert code == 3 and out == ""
+    assert main(["nonassoc", *fam, "--max-m", "20"]) == 3
+    assert capsys.readouterr().err.count("budget exceeded") == 1
+
+
+def test_idempotents_budget_checked_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(e):
+        raise AssertionError("subsets enumerated before the budget check")
+
+    monkeypatch.setattr("nortonalg.norton.classified_idempotents", no_enumeration)
+    assert main(["idempotents", "--e", "40"]) == 3
+    # 2^7 - 1 subsets (the 35 nilpotent ones too) of 7^2 steps each
+    assert main(["idempotents", "--e", "8", "--budget", str(127 * 49 - 1)]) == 3
+    monkeypatch.undo()
+    assert main(["idempotents", "--e", "4", "--budget", str(7 * 9)]) == 0
+    monkeypatch.setenv("NORTON_BUDGET", "100")
+    assert main(["idempotents", "--e", "5"]) == 3
+    assert capsys.readouterr().err.count("budget exceeded") == 3
 
 
 def test_isocheck(capsys):

@@ -9,7 +9,10 @@ integer row-sum oracle replaced it.  The five `autocheck` cases after the
 first six (translations by roots of order 3, right actions by 3 x 3
 matrices, both kernel-check branches, the halved-cube class i = n/2) were
 recorded from the per-label monomial maps before the array candidates
-replaced them.  An intended output change must say so where it rewrites
+replaced them.  The five `nonassoc` cases after the first six (witness mode
+in json and csv, witness on a zero product, `auto` switching to witness,
+exact mode up to m = 9) were recorded from the tuple-at-a-time tree
+evaluators before the live-interval counters replaced them.  An intended output change must say so where it rewrites
 the digests.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -57,6 +60,12 @@ OTHER_CASES = [
     "nonassoc --family hamming --n 1 --e 4 --max-m 5 --mode exact",
     "nonassoc --family halved-cube --n 6 --i 2 --max-m 3 --mode exact",
     "nonassoc --family bilinear --q 2 --d 2 --e 2 --i 2 --max-m 3 --mode exact",
+    "nonassoc --family hamming --n 3 --e 3 --i 2 --max-m 6 --mode witness --seed 1",
+    "nonassoc --family hamming --n 2 --e 3 --i 1 --max-m 4 --mode witness --attempts 2000"
+    " --seed 2 --format csv",
+    "nonassoc --family hypercube --n 4 --i 3 --max-m 4 --mode witness --attempts 50",
+    "nonassoc --family hypercube --n 4 --i 2 --max-m 5 --budget 100000",
+    "nonassoc --family hamming --n 1 --e 3 --max-m 9 --mode exact --format text",
 ]
 
 ORACLE_CASES = [f"oracle-verify {fam_args}" for fam_args in FAMILY_ARGS] + [

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
+import numpy as np
 import pytest
 
+from nortonalg import trees
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import make_family
 from nortonalg.norton import AlgebraVector, closed_form_product
@@ -20,7 +25,88 @@ from nortonalg.trees import (
     ominus_class,
     ominus_equivalence_check,
     ominus_partition,
+    tree_masks,
 )
+
+
+def _criterion1_spaces():
+    fams = ([make_family("hamming", n=n, e=e) for n in range(1, 5) for e in range(2, 6)]
+            + [make_family("hypercube", n=n) for n in range(1, 9)]
+            + [make_family("halved_cube", n=n) for n in range(2, 9)]
+            + [make_family("folded_cube", n=n) for n in range(3, 9)]
+            + [make_family("folded_half_cube", n=n) for n in (6, 8)]
+            + [make_family("bilinear", q=q, d=2, e=2) for q in (2, 3)])
+    return [(fam, i) for fam in fams for i in fam.eigenspaces()]
+
+
+# Reference evaluator: each tree as a postfix program run on one tuple of
+# basis positions at a time, straight from the product table.
+
+def _postfix(t: BinaryTree) -> list[int]:
+    # leaf slot index, or -1 for an internal combine
+    prog: list[int] = []
+    slot = 0
+
+    def walk(node: BinaryTree) -> None:
+        nonlocal slot
+        if node.is_leaf:
+            prog.append(slot)
+            slot += 1
+            return
+        walk(node.left)
+        walk(node.right)
+        prog.append(-1)
+
+    walk(t)
+    return prog
+
+
+def _run_postfix(prog: list[int], tup: tuple[int, ...], table: list[list[int]]) -> int:
+    stack: list[int] = []
+    push = stack.append
+    for op in prog:
+        if op >= 0:
+            push(tup[op])
+        else:
+            b = stack.pop()
+            a = stack.pop()
+            push(-1 if a < 0 or b < 0 else table[a][b])
+    return stack[0]
+
+
+def reference_partition(fam, i, m):
+    """Trees grouped by their values on every basis tuple."""
+    table = fam.product_table(i).tolist()
+    tuples = list(product(range(len(table)), repeat=m + 1))
+    groups = {}
+    for idx, t in enumerate(enumerate_trees(m)):
+        prog = _postfix(t)
+        groups.setdefault(tuple(_run_postfix(prog, tup, table) for tup in tuples), []).append(idx)
+    return sorted(groups.values())
+
+
+def reference_witness(fam, i, m, seed, attempts):
+    """(class_count, mode, budget_used) of the tuple-at-a-time witness loop."""
+    table = fam.product_table(i).tolist()
+    progs = [_postfix(t) for t in enumerate_trees(m)]
+    rng = random.Random(seed)
+    classes = [list(range(len(progs)))]
+    used = 0
+    while used < attempts and any(len(c) > 1 for c in classes):
+        tup = tuple(rng.randrange(len(table)) for _ in range(m + 1))
+        used += 1
+        refined = []
+        for cls in classes:
+            if len(cls) == 1:
+                refined.append(cls)
+                continue
+            buckets = {}
+            for t_idx in cls:
+                buckets.setdefault(_run_postfix(progs[t_idx], tup, table), []).append(t_idx)
+            refined.extend(buckets.values())
+        classes = refined
+    separated = all(len(c) == 1 for c in classes)
+    return len(classes), "exact" if separated else "witness-lower-bound", used
 
 
 def test_enumeration_counts():
@@ -175,6 +261,12 @@ def test_ominus_equivalence():
     assert not ominus_equivalence_check(fam4, 1, 4)
 
 
+def test_two_word_interval_sets():
+    # m = 11 has 66 intervals, over one uint64 word; V_1(H(1,3)) is double minus
+    fam3 = make_family("hamming", n=1, e=3)
+    assert exact_partition(fam3, 1, 11, budget=10**9) == ominus_partition(11)
+
+
 def test_partitions_are_tree_partitions():
     fam = make_family("hamming", n=1, e=3)
     for m in (2, 4):
@@ -188,3 +280,72 @@ def test_partitions_are_tree_partitions():
 def test_parenthesization_rendering():
     t = enumerate_trees(2)[0]
     assert t.parenthesization() == "(z0*(z1*z2))"
+
+
+def test_tree_masks_are_the_interval_sets_in_enumeration_order():
+    def intervals(t, a):
+        if t.is_leaf:
+            return set()
+        b = a + t.leaf_count
+        return {(a, b)} | intervals(t.left, a) | intervals(t.right, a + t.left.leaf_count)
+
+    for m in (0, 1, 4, 7, 11):
+        masks = tree_masks(m)
+        assert masks.shape == (catalan(m), 1 if m <= 10 else 2)
+        step = 1 if m <= 7 else 97
+        for t, row in zip(enumerate_trees(m)[::step], masks[::step]):
+            bits = {k for k in range(64 * len(row)) if int(row[k // 64]) >> (k % 64) & 1}
+            assert bits == {(b - 1) * (b - 2) // 2 + a for a, b in intervals(t, 0)}
+    with pytest.raises(BudgetExceededError):
+        tree_masks(13)
+
+
+def test_exact_partition_matches_the_postfix_reference():
+    # every criterion-1 space for m <= 4 where the reference's
+    # dim^(m+1) * Catalan(m) tuple evaluations stay small
+    checked = 0
+    for fam, i in _criterion1_spaces():
+        dim = fam.predicted_dimension(i)
+        for m in range(1, 5):
+            if dim ** (m + 1) * catalan(m) > 30_000:
+                break
+            assert exact_partition(fam, i, m) == reference_partition(fam, i, m), (
+                fam.describe(), i, m)
+            checked += 1
+    assert checked > 300
+
+
+def test_witness_matches_the_postfix_reference():
+    for fam, i in _criterion1_spaces():
+        for m in range(1, 5):
+            for seed in (0, 1, 5):
+                report = count_classes_witness(fam, i, m, seed=seed, attempts=200)
+                assert ((report.class_count, report.mode, report.budget_used)
+                        == reference_witness(fam, i, m, seed, 200)), (fam.describe(), i, m, seed)
+
+
+def test_small_chunks_give_the_same_classes(monkeypatch):
+    # slices of the tuple grid, tree blocks and witness chunks of a few rows
+    cases = [(make_family("hamming", n=2, e=3), 2, 4), (make_family("hypercube", n=4), 2, 3),
+             (make_family("hamming", n=1, e=4), 1, 5)]
+    before = [(exact_partition(fam, i, m), count_classes_witness(fam, i, m + 1, seed=2))
+              for fam, i, m in cases]
+    monkeypatch.setattr(trees, "CHUNK_BYTES", 64)
+    after = [(exact_partition(fam, i, m), count_classes_witness(fam, i, m + 1, seed=2))
+             for fam, i, m in cases]
+    assert after == before
+
+
+def test_counters_reject_a_table_not_determined_by_sums(monkeypatch):
+    # V_1(H(1,3)): chi_1 * chi_2 = 0; calling it chi_1 makes
+    # (chi_1 chi_1) chi_2 = chi_2 * chi_2 = chi_1 but chi_1 (chi_1 chi_2) = chi_2
+    fam = make_family("hamming", n=1, e=3)
+    doctored = fam.product_table(1).copy()
+    assert doctored.tolist() == [[1, -1], [-1, 0]]
+    doctored[0, 1] = 0
+    monkeypatch.setattr(fam, "product_table", lambda i: doctored)
+    assert len(reference_partition(fam, 1, 2)) == 2  # the tuple loop sees no fault
+    with pytest.raises(AssertionError, match="not determined by the sum"):
+        exact_partition(fam, 1, 2)
+    with pytest.raises(AssertionError, match="not determined by the sum"):
+        count_classes_witness(fam, 1, 2, seed=0)
