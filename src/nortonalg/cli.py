@@ -286,6 +286,11 @@ def cmd_idempotents(args) -> int:
     return EXIT_OK if payload["status"] == "ok" else EXIT_CHECK_FAILED
 
 
+def _random_matrix(rng: random.Random, fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
+    """A uniform d x e matrix over F_q, a vertex of a bilinear family."""
+    return tuple(tuple(rng.randrange(fam.q) for _ in range(fam.cols)) for _ in range(fam.d))
+
+
 def _random_auto(fam: FamilySpec, i: int, rng: random.Random, k: int):
     """The k-th sampled automorphism of fam as (description, candidate on V_i)."""
     if fam.kind == "hamming":
@@ -297,8 +302,7 @@ def _random_auto(fam: FamilySpec, i: int, rng: random.Random, k: int):
         return f"(sigma={f.sigma}, eps={f.eps})", autos.signed_perm_candidate(f, fam, i)
     kind = ("translate", "left", "right")[k % 3]
     if kind == "translate":
-        mat = tuple(tuple(rng.randrange(fam.q) for _ in range(fam.cols))
-                    for _ in range(fam.d))
+        mat = _random_matrix(rng, fam)
     else:
         mat = autos.random_gl(rng, fam.d if kind == "left" else fam.cols, fam.q)
     auto = autos.BilinearAuto(kind, mat, fam.q)
@@ -335,13 +339,13 @@ def cmd_autocheck(args) -> int:
         except (ValueError, BudgetExceededError):
             kernel = None
     conjugation = None
-    if fam.kind == "bilinear":
+    if fam.kind == "bilinear" and args.samples:
         rng = random.Random(seed + 1)
         conjugation = all(
             autos.conjugation_identity_check(
-                fam, fam.group.as_matrix(x), autos.random_gl(rng, fam.d, fam.q),
+                fam, _random_matrix(rng, fam), autos.random_gl(rng, fam.d, fam.q),
                 autos.random_gl(rng, fam.cols, fam.q))
-            for x in fam.vertices())
+            for _ in range(args.samples))
     all_ok = (all(r["ok"] for r in results)
               and (kernel is None or kernel["ok"])
               and conjugation in (None, True))

@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+from .linalg import row_reduce
+
 Scalar = Union[int, Fraction, "Cyclotomic"]
 
 
@@ -198,35 +200,21 @@ class Cyclotomic:
     def conj(self) -> "Cyclotomic":
         """Complex conjugation, the automorphism w -> w^(e-1)."""
         e = self.order
-        rows = _power_rows(e)
-        deg = field_degree(e)
-        out = [_ZERO] * deg
+        counts = [_ZERO] * e
         for k, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(e - k) % e]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(e, out)
+            counts[-k % e] = c
+        return from_exponent_counts(e, counts)
 
     def inv(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm against Phi_e."""
+        """Multiplicative inverse: the solution y of x*y = 1, by exact elimination
+        on the matrix of multiplication by x, whose column k is x*w^k."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = modulus, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while _poly_deg(r1) > 0:
-            q = _poly_divmod(r0, r1)[0]
-            r0, r1 = r1, _poly_sub(r0, _poly_mul(q, r1))
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        g = r1[0] if r1 else _ZERO
-        if g == 0:
-            raise ZeroDivisionError("inverse of zero cyclotomic")
-        inv_coeffs = [c / g for c in s1]
-        deg = field_degree(self.order)
-        inv_coeffs = inv_coeffs[:deg] + [_ZERO] * max(0, deg - len(inv_coeffs))
-        return Cyclotomic(self.order, inv_coeffs)
+        e, deg = self.order, field_degree(self.order)
+        columns = [(self * root_power(e, k)).coeffs for k in range(deg)]
+        rows = [[col[r] for col in columns] + [_ONE if r == 0 else _ZERO] for r in range(deg)]
+        reduced, _ = row_reduce(rows, lambda a: 1 / a)
+        return Cyclotomic(e, [row[deg] for row in reduced])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -312,8 +300,8 @@ def root_power(e: int, k: int = 0) -> Cyclotomic:
 def from_exponent_counts(e: int, counts) -> Cyclotomic:
     """Sum of counts[r] * w^r over r = 0..e-1, reduced to canonical form.
 
-    counts may be any integer sequence of length e; this is the exact value of
-    a sum of roots of unity given as a residue histogram.
+    counts may be any rational sequence of length e; with integer counts this
+    is the exact value of a sum of roots of unity given as a residue histogram.
     """
     if len(counts) != e:
         raise ValueError(f"expected {e} counts, got {len(counts)}")
@@ -325,50 +313,3 @@ def from_exponent_counts(e: int, counts) -> Cyclotomic:
                 out[j] += c * v
     return Cyclotomic(e, out)
 
-
-def _poly_deg(p: list[Fraction]) -> int:
-    for k in range(len(p) - 1, -1, -1):
-        if p[k] != 0:
-            return k
-    return -1
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for k, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[k + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for k, x in enumerate(a):
-        out[k] += x
-    for k, y in enumerate(b):
-        out[k] -= y
-    return out
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    db = _poly_deg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    da = _poly_deg(rem)
-    if da < db:
-        return [_ZERO], rem
-    quot = [_ZERO] * (da - db + 1)
-    lead = b[db]
-    for k in range(da - db, -1, -1):
-        c = rem[k + db] / lead
-        quot[k] = c
-        if c:
-            for j in range(db + 1):
-                rem[k + j] -= c * b[j]
-    return quot, rem

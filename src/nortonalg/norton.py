@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -221,12 +222,41 @@ def eta(e: int, j: int) -> Idempotent:
     return Idempotent(vec, support)
 
 
+def _certified_etas(e: int) -> dict[int, AlgebraVector]:
+    """eta_1..eta_(e-1), a basis of V_1(H(1,e)), once eta_relations_check has
+    certified in Q(w) the rational structure constants that _eta_product uses."""
+    if not eta_relations_check(e):
+        raise AssertionError(f"eta relations fail for e={e}; the eta frame is not certified")
+    return {j: eta(e, j).vector for j in range(1, e)}
+
+
+def _eta_coords(e: int, support, scale=1) -> tuple[Fraction, ...]:
+    """Coordinates over eta_1..eta_(e-1) of scale * (sum of eta_j over support)."""
+    return tuple(Fraction(scale) if j in support else Fraction(0) for j in range(1, e))
+
+
+def _eta_product(e: int, x, y) -> tuple[Fraction, ...]:
+    """The Norton product in eta coordinates: by the certified relations,
+    (x*y)_j = (e x_j y_j - x_j sum(y) - y_j sum(x)) / (e-2)."""
+    sx, sy = sum(x), sum(y)
+    return tuple((e * a * b - a * sy - b * sx) / (e - 2) for a, b in zip(x, y))
+
+
+def _square_ratio(e: int, x) -> Fraction | None:
+    """The c with x*x = c*x for nonzero eta coordinates x, or None if there is none."""
+    sq = _eta_product(e, x, x)
+    k = next(k for k, a in enumerate(x) if a)
+    c = sq[k] / x[k]
+    return c if all(b == c * a for a, b in zip(x, sq)) else None
+
+
 def classified_idempotents(e: int) -> list[Idempotent]:
     """All nonzero idempotents of V_1(H(1,e)): one per nonempty subset of
-    {1,...,e-1} of size l != e/2, scaled by (e-2)/(e-2l); each verified."""
+    {1,...,e-1} of size l != e/2, scaled by (e-2)/(e-2l); each verified in
+    eta coordinates."""
     if e < 3:
         raise ValueError(f"idempotent classification requires e >= 3, got {e}")
-    etas = {j: eta(e, j).vector for j in range(1, e)}
+    etas = _certified_etas(e)
     out: list[Idempotent] = []
     seen = set()
     for size in range(1, e):
@@ -234,11 +264,12 @@ def classified_idempotents(e: int) -> list[Idempotent]:
             continue
         scale = Fraction(e - 2, e - 2 * size)
         for subset in combinations(range(1, e), size):
+            x = _eta_coords(e, subset, scale)
             vec = etas[subset[0]]
             for j in subset[1:]:
                 vec = vec + etas[j]
             vec = scale * vec
-            if vec.is_zero() or closed_form_product(vec, vec) != vec:
+            if vec.is_zero() or _eta_product(e, x, x) != x:
                 raise AssertionError(
                     f"classified idempotent with support {subset} failed verification")
             key = tuple(sorted((label, c.coeffs) for label, c in vec.coeffs.items()))
@@ -250,25 +281,28 @@ def classified_idempotents(e: int) -> list[Idempotent]:
 
 
 def nilpotents_order2_classified(e: int) -> list[AlgebraVector]:
-    """One square-zero representative per (e/2)-subset of {1,...,e-1} (even e)."""
+    """One square-zero representative per (e/2)-subset of {1,...,e-1} (even e),
+    each verified in eta coordinates."""
     if e < 3:
         raise ValueError(f"nilpotent classification requires e >= 3, got {e}")
     if e % 2:
         return []
-    etas = {j: eta(e, j).vector for j in range(1, e)}
+    etas = _certified_etas(e)
     fam = _v1_family(e)
     out = []
     for subset in combinations(range(1, e), e // 2):
         vec = AlgebraVector.zero(fam, 1)
         for j in subset:
             vec = vec + etas[j]
-        if vec.is_zero() or not closed_form_product(vec, vec).is_zero():
+        x = _eta_coords(e, subset)
+        if vec.is_zero() or any(_eta_product(e, x, x)):
             raise AssertionError(
                 f"nilpotent representative with support {subset} failed verification")
         out.append(vec)
     return out
 
 
+@lru_cache(maxsize=None)
 def eta_relations_check(e: int) -> bool:
     """eta_j * eta_j = eta_j, eta_j * eta_k = -(eta_j + eta_k)/(e-2) for j != k,
     and the eta_j sum to zero; all exact."""
@@ -286,60 +320,36 @@ def eta_relations_check(e: int) -> bool:
 
 
 def primitivity_facts_check(e: int, bound: int = 7) -> bool:
-    """Pairwise nonorthogonality of the classified idempotents, plus the scaled-sum
-    laws: disjoint equal-size supports give the idempotent (e-2l)/(e-4l)(x+y),
-    nested supports with sizes (l, e-l) give (e-2l)/(3e-4l)(x+y), and exactly the
-    degenerate denominators produce square-zero sums instead."""
+    """Pairwise nonorthogonality of the classified idempotents x, y, plus the
+    scaled-sum laws, all in eta coordinates.  (x+y)^2 = c(x+y) with
+    c = (e-4l)/(e-2l) for disjoint supports of equal size l, and with
+    c = (3e-4l)/(e-2l) for nested supports of sizes (e-l, l), l the larger one:
+    (x+y)/c is then an idempotent, and exactly the degenerate denominators of
+    1/c give c = 0, a square-zero sum.  For every other pair no c != 0 exists,
+    so no multiple of x+y is a nonzero idempotent."""
     if e < 3:
         raise ValueError(f"primitivity check requires e >= 3, got {e}")
     if e > bound:
         raise BudgetExceededError(f"primitivity check bound is {bound}, got e={e}")
-    idems = classified_idempotents(e)
-    for p in range(len(idems)):
-        for q in range(p + 1, len(idems)):
-            x, y = idems[p], idems[q]
-            if closed_form_product(x.vector, y.vector).is_zero():
+    idems = [(idem.support, _eta_coords(e, idem.support,
+                                        Fraction(e - 2, e - 2 * idem.support_size)))
+             for idem in classified_idempotents(e)]
+    for p, (a_sup, x) in enumerate(idems):
+        for b_sup, y in idems[p + 1:]:
+            if not any(_eta_product(e, x, y)):
                 return False
-            a_sup, b_sup = x.support, y.support
             la, lb = len(a_sup), len(b_sup)
-            total = x.vector + y.vector
-            scale = None
-            degenerate = False
+            big = max(la, lb)
             if not (a_sup & b_sup) and la == lb:
-                if e == 4 * la:
-                    degenerate = True
-                else:
-                    scale = Fraction(e - 2 * la, e - 4 * la)
-            elif (a_sup >= b_sup and lb == e - la) or (b_sup >= a_sup and la == e - lb):
-                big = la if a_sup >= b_sup else lb
-                if 3 * e == 4 * big:
-                    degenerate = True
-                else:
-                    scale = Fraction(e - 2 * big, 3 * e - 4 * big)
-            if scale is not None:
-                cand = scale * total
-                if cand.is_zero() or closed_form_product(cand, cand) != cand:
-                    return False
-            elif degenerate:
-                if not closed_form_product(total, total).is_zero():
-                    return False
+                expected = Fraction(e - 4 * la, e - 2 * la)
+            elif (a_sup <= b_sup or b_sup <= a_sup) and la + lb == e:
+                expected = Fraction(3 * e - 4 * big, e - 2 * big)
             else:
-                # no scalar multiple of the sum may be a nonzero idempotent
-                if _scaled_sum_idempotent_exists(e, a_sup, b_sup, la, lb):
-                    return False
+                expected = None
+            c = _square_ratio(e, tuple(a + b for a, b in zip(x, y)))
+            if (c != expected) if expected is not None else c:
+                return False
     return True
-
-
-def _scaled_sum_idempotent_exists(e, a_sup, b_sup, la, lb) -> bool:
-    ca = Fraction(e - 2, e - 2 * la)
-    cb = Fraction(e - 2, e - 2 * lb)
-    coords = {j: ca for j in a_sup}
-    for j in b_sup:
-        coords[j] = coords.get(j, Fraction(0)) + cb
-    nonzero = {j: c for j, c in coords.items() if c}
-    if not nonzero or len(set(nonzero.values())) != 1:
-        return False
-    return 2 * len(nonzero) != e
 
 
 # ---------------------------------------------------------------------------

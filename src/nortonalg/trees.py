@@ -23,6 +23,7 @@ from math import comb
 
 import numpy as np
 
+from .cayley import row_keys
 from .errors import BudgetExceededError
 from .families import FamilySpec
 
@@ -243,17 +244,10 @@ def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
     return _distinct_rows(np.concatenate(found))
 
 
-def _as_rows(array: np.ndarray) -> np.ndarray:
-    """One bytewise-compared scalar per row; np.unique(axis=0) compares column
-    by column and is far slower on wide rows."""
-    array = np.ascontiguousarray(array)
-    return array.view(np.dtype((np.void, array.shape[1] * array.itemsize))).reshape(-1)
-
-
 def _distinct_rows(sets: np.ndarray) -> np.ndarray:
     if sets.shape[1] == 1:  # plain integers: faster still
         return np.unique(sets[:, 0])[:, None]
-    return np.unique(_as_rows(sets)).view(sets.dtype).reshape(-1, sets.shape[1])
+    return np.unique(row_keys(sets)).view(sets.dtype).reshape(-1, sets.shape[1])
 
 
 def _tuple_patterns(table: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -324,7 +318,7 @@ def _refine(labels: np.ndarray, prints: np.ndarray, tuples: int) -> tuple[np.nda
     if tuples % 8:
         cut[:, -1] &= (0xFF << (8 - tuples % 8)) & 0xFF
     keys = np.concatenate([labels.view(np.uint8).reshape(len(labels), -1), cut], axis=1)
-    _, refined = np.unique(_as_rows(keys), return_inverse=True)
+    _, refined = np.unique(row_keys(keys), return_inverse=True)
     return refined, int(refined.max()) + 1
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from nortonalg import trees
+from nortonalg import autos, trees
 from nortonalg.cli import main
 from nortonalg.families import BilinearFamily, HypercubeFamily
 
@@ -132,6 +132,28 @@ def test_autocheck_bilinear(capsys):
                              "--samples", "6", "--seed", "1")
     assert code == 0
     assert payload["conjugation_identity"] is True
+
+
+@pytest.mark.parametrize("e, samples, expected", [(4, 0, None), (3, 2, True)])
+def test_autocheck_bilinear_conjugation_follows_samples(monkeypatch, capsys, e, samples,
+                                                        expected):
+    # the identity runs on --samples seeded triples; it used to run once per
+    # vertex, 2^12 times at e = 4, whatever --samples said
+    calls = []
+    check = autos.conjugation_identity_check
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= samples, "more conjugation checks than --samples"
+        return check(*args)
+
+    monkeypatch.setattr(autos, "conjugation_identity_check", counted)
+    code, payload = run_json(capsys, "autocheck", "--family", "bilinear", "--q", "2",
+                             "--d", "3", "--e", str(e), "--i", "1", "--samples", str(samples))
+    assert code == 0
+    assert len(calls) == samples
+    assert payload["conjugation_identity"] is expected
+    assert payload["all_ok"] is True
 
 
 def test_oracle_verify_folded_half_cube(capsys):

@@ -116,7 +116,7 @@ def test_inverse_random():
     rng = random.Random(2)
     done = 0
     while done < 200:
-        e = rng.randint(2, 8)
+        e = rng.randint(2, 16)
         x = _random_element(rng, e)
         if x.is_zero():
             continue

@@ -1,8 +1,8 @@
 """Byte-identity gate: sha256 digests of CLI outputs that refactors must keep.
 
 Covers `table` in json, csv and text for every (family, i) of the criterion-1
-instances, `isocheck`, a fixed set of `autocheck` and exact-mode `nonassoc`
-runs, and `oracle-verify` on every criterion-1 family.  The digests in
+instances, `isocheck`, a fixed set of `autocheck`, `nonassoc` and
+`idempotents` runs, and `oracle-verify` on every criterion-1 family.  The digests in
 golden_digests.json were recorded from the code before the product-table
 refactor, and the oracle digests from the packed-float64 oracle before the
 integer row-sum oracle replaced it.  The five `autocheck` cases after the
@@ -12,8 +12,10 @@ recorded from the per-label monomial maps before the array candidates
 replaced them.  The five `nonassoc` cases after the first six (witness mode
 in json and csv, witness on a zero product, `auto` switching to witness,
 exact mode up to m = 9) were recorded from the tuple-at-a-time tree
-evaluators before the live-interval counters replaced them.  An intended output change must say so where it rewrites
-the digests.  To rewrite them from the code on the path:
+evaluators before the live-interval counters replaced them.  The seven
+`idempotents` cases were recorded from the suite that checked every vector
+and pair with `Q(w)` products, before eta coordinates replaced them.  An
+intended output change must say so where it rewrites the digests.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -66,6 +68,8 @@ OTHER_CASES = [
     "nonassoc --family hypercube --n 4 --i 3 --max-m 4 --mode witness --attempts 50",
     "nonassoc --family hypercube --n 4 --i 2 --max-m 5 --budget 100000",
     "nonassoc --family hamming --n 1 --e 3 --max-m 9 --mode exact --format text",
+] + [f"idempotents --e {e}" for e in range(3, 9)] + [
+    "idempotents --e 6 --format text",
 ]
 
 ORACLE_CASES = [f"oracle-verify {fam_args}" for fam_args in FAMILY_ARGS] + [

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from nortonalg import norton
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import HammingFamily, make_family
@@ -202,6 +203,33 @@ def test_nilpotents():
 def test_eta_relations():
     for e in (3, 4, 5, 6, 7):
         assert eta_relations_check(e)
+
+
+def test_eta_coordinate_product_matches_closed_form():
+    # the rational product on eta_1..eta_(e-1) coordinates, mapped to chi
+    # coordinates through eta(e, j), is the closed-form product
+    rng = random.Random(11)
+    for e in range(3, 8):
+        etas = [eta(e, j).vector for j in range(1, e)]
+
+        def chi(coords):
+            out = AlgebraVector.zero(etas[0].family, 1)
+            for c, vec in zip(coords, etas):
+                out = out + c * vec
+            return out
+
+        for _ in range(4):
+            x, y = ([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(e - 1)]
+                    for _ in range(2))
+            assert chi(norton._eta_product(e, x, y)) == closed_form_product(chi(x), chi(y))
+
+
+@pytest.mark.parametrize("suite", [classified_idempotents, nilpotents_order2_classified,
+                                   primitivity_facts_check])
+def test_suite_refuses_an_uncertified_eta_frame(monkeypatch, suite):
+    monkeypatch.setattr(norton, "eta_relations_check", lambda e: False)
+    with pytest.raises(AssertionError, match="eta relations"):
+        suite(4)
 
 
 def test_primitivity_facts():
