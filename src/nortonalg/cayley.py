@@ -1,5 +1,5 @@
 """Cayley graphs of finite abelian groups: character eigenvalues, spectra,
-and brute-force adjacency verification of the character eigenbasis."""
+and exact adjacency verification of the character eigenbasis."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic, from_exponent_counts, root_power, root_reduction_matrix
 from .groups import Word, WordGroup
 
-SUM_CHUNK_BYTES = 2**20  # bytes of row sums per numpy step of sum_positions
+SUM_CHUNK_BYTES = 2**20  # bytes of rows per numpy step of sum_positions, spectrum and the check
 
 
 @dataclass
@@ -74,13 +74,25 @@ def integer_eigenvalue(graph: CayleyGraph, u: Word) -> int:
 def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     """(eigenvalue, multiplicity) pairs over all characters, descending eigenvalue.
 
-    The eigenvalues of every shipped family are rational integers; this is
+    chi_u(S) is read from the histogram of the exponents u.s over the
+    connection set; each distinct histogram is converted to Q(w) once.  The
+    eigenvalues of every shipped family are rational integers; this is
     asserted by the exact downcast.
     """
+    e = graph.modulus
+    chars = _word_rows(graph, graph.characters)
+    conn = _word_rows(graph, graph.connection)
+    tally: dict[bytes, int] = {}
+    for start, stop in _chunks(len(chars), (len(conn) + e) * 8):
+        hist = _exponent_histograms(character_exponents(chars[start:stop], conn, e), e)
+        keys, mult = np.unique(row_keys(hist), return_counts=True)
+        for key, m in zip(keys.tolist(), mult.tolist()):
+            tally[key] = tally.get(key, 0) + m
     counts: dict[int, int] = {}
-    for u in graph.characters:
-        ev = integer_eigenvalue(graph, u)
-        counts[ev] = counts.get(ev, 0) + 1
+    for key, m in tally.items():
+        row = np.frombuffer(key, dtype=np.int64).tolist()  # bincount counts are int64
+        ev = from_exponent_counts(e, row).as_int()
+        counts[ev] = counts.get(ev, 0) + m
     if sum(counts.values()) != len(graph.vertices):
         raise AssertionError("spectrum multiplicities do not sum to the vertex count")
     return sorted(counts.items(), key=lambda p: -p[0])
@@ -105,12 +117,30 @@ def verify_eigenvector(graph: CayleyGraph, u: Word) -> bool:
     return True
 
 
-def _neighbor_index(graph: CayleyGraph) -> np.ndarray:
-    index = {x: k for k, x in enumerate(graph.vertices)}
-    add = graph.group.add
-    return np.array(
-        [[index[add(x, s)] for s in graph.connection] for x in graph.vertices],
-        dtype=np.int32)
+def _word_rows(graph: CayleyGraph, words: Sequence[Word]) -> np.ndarray:
+    """Words as rows of the smallest unsigned dtype that holds e - 1."""
+    return np.array(words, dtype=np.min_scalar_type(graph.modulus - 1)).reshape(
+        len(words), graph.group.length)
+
+
+def _chunks(count: int, row_bytes: int):
+    """(start, stop) steps over count rows, SUM_CHUNK_BYTES of row_bytes rows each."""
+    step = max(1, SUM_CHUNK_BYTES // max(1, row_bytes))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
+def _neighbor_index(graph: CayleyGraph, verts: np.ndarray) -> np.ndarray:
+    """|X| x |S| int32 positions of x + s among the vertex rows verts."""
+    e = graph.modulus
+    find = row_finder(verts)
+    wide = verts.astype(np.min_scalar_type(2 * e - 2))
+    nbr = np.empty((len(verts), graph.degree), dtype=np.int32)
+    for j, s in enumerate(graph.connection):
+        nbr[:, j] = find((wide + np.array(s, dtype=wide.dtype)) % e)
+    if (nbr < 0).any():
+        raise ValueError("the vertex set is not closed under adding a connection element")
+    return nbr
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -143,47 +173,56 @@ def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
     rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
     find = row_finder(rows)
     out = np.empty((dim, dim), dtype=np.int32)
-    step = max(1, SUM_CHUNK_BYTES // max(1, rows.nbytes))  # one row's sums take rows.nbytes
-    for start in range(0, dim, step):
-        stop = min(start + step, dim)
+    for start, stop in _chunks(dim, rows.nbytes):  # one row's sums take rows.nbytes
         sums = ((rows[start:stop, None, :] + rows[None, :, :]) % modulus).reshape(-1, width)
         out[start:stop] = find(sums if canonical is None else canonical(sums)).reshape(-1, dim)
     return out
 
 
 def character_exponents(u_arr: np.ndarray, x_arr: np.ndarray, e: int) -> np.ndarray:
-    """Exponents u.x mod e for index rows u and vertex rows x, in the smallest
-    unsigned dtype that holds e - 1."""
-    return ((u_arr @ x_arr.T) % e).astype(np.min_scalar_type(e - 1))
+    """Exponents u.x mod e for index rows u and vertex rows x (entries in
+    0..e-1), in the smallest unsigned dtype that holds e - 1.  The dot products
+    are summed in a dtype that holds every one of them."""
+    acc = np.result_type(u_arr, x_arr, np.min_scalar_type(u_arr.shape[1] * (e - 1) ** 2))
+    dots = u_arr.astype(acc, copy=False) @ x_arr.T.astype(acc, copy=False)
+    return (dots % e).astype(np.min_scalar_type(e - 1))
 
 
-def exponent_matrix(graph: CayleyGraph, indices: Sequence[Word] | None = None) -> np.ndarray:
-    """Character exponents (rows = characters, columns = vertices), entries mod e."""
-    us = graph.characters if indices is None else list(indices)
-    u_arr = np.array(us, dtype=np.int64).reshape(len(us), -1)
-    return character_exponents(u_arr, np.array(graph.vertices, dtype=np.int64), graph.modulus)
+def _exponent_histograms(exps: np.ndarray, e: int) -> np.ndarray:
+    """Per row of exponents, the int64 count of each residue 0..e-1 (rows x e)."""
+    slots = np.arange(len(exps))[:, None] * e
+    return np.bincount((slots + exps).ravel(), minlength=len(exps) * e).reshape(-1, e)
 
 
 def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
-    """Adjacency verification of every character at once (exact integer arithmetic).
+    """Adjacency verification of every character (exact integer arithmetic).
 
-    The eigenvalue chi_u(S) is read off the neighbor counts of chi_u at the
-    identity vertex, so no character is evaluated twice; the check there
-    then certifies that chi_u(S) is that rational integer."""
+    Each character's exponent row E[u] over X is checked against the edge
+    identity E[u, x+s] = E[u, x] + E[u, s] (mod e) at every vertex x and
+    connection element s.  Where it holds, (A chi_u)(x) = chi_u(x) * theta_u
+    with theta_u = sum over s of w^E[u, s], the neighbor counts at the
+    identity vertex, which must reduce to a rational integer.  A row that
+    breaks the identity somewhere is not the character u and fails the check.
+    Exponent rows are computed per chunk of characters, so no |X| x |X| array
+    is built."""
     e = graph.modulus
-    nbr = _neighbor_index(graph)
-    exps = exponent_matrix(graph)
-    red = np.array(root_reduction_matrix(e), dtype=np.int64)
-    n_x = len(graph.vertices)
-    slots = np.arange(n_x)[:, None] * e
+    verts = _word_rows(graph, graph.vertices)
+    chars = _word_rows(graph, graph.characters)
+    nbr = _neighbor_index(graph, verts)
     origin = graph.vertices.index(graph.group.zero())
-    for k in range(len(graph.characters)):
-        # per vertex, exponent counts of chi_u over its neighbors minus theta
-        # times chi_u there; each distinct row must reduce to zero in Q(w)
-        diff = np.bincount((slots + exps[k][nbr]).ravel(), minlength=n_x * e).reshape(n_x, e)
-        theta = red[0] @ diff[origin]  # the rational part of chi_u(S)
-        diff[np.arange(n_x), exps[k]] -= theta
-        distinct = np.unique(row_keys(diff)).view(np.int64).reshape(-1, e)
-        if (red @ distinct.T).any():
+    red = np.array(root_reduction_matrix(e), dtype=np.int64)
+    wide = np.min_scalar_type(2 * e - 1)  # holds E[u, x] + E[u, s] and E[u, x+s] + e
+    for start, stop in _chunks(len(chars), len(verts) * wide.itemsize):
+        # vertices x characters, so that x -> x + s gathers whole rows
+        exps = np.ascontiguousarray(character_exponents(chars[start:stop], verts, e).T, dtype=wide)
+        held = np.ones(exps.shape[1], dtype=bool)
+        for col, s in zip(nbr.T, nbr[origin]):
+            total, image = exps + exps[s], exps[col]
+            held &= ((total == image) | (total == image + e)).all(axis=0)
+        if not held.all():
+            return False
+        theta = _exponent_histograms(exps[nbr[origin]].T, e)
+        if (red[1:] @ theta.T).any():  # some theta_u is not a rational integer
             return False
     return True
+

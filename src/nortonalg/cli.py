@@ -86,6 +86,16 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+TABLE_SLOT = "<table>"  # stands for the table in the payload until it is rendered
+
+
+def _json_table(table: list[list[int]]) -> str:
+    """The text json.dumps gives a nonempty integer table at a top-level key of
+    an indent=2 payload, one row at a time."""
+    rows = [",\n      ".join(map(str, row)) for row in table]
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+
+
 def _emit(args, text: str) -> None:
     if args.output:
         _write(args.output, text)
@@ -143,7 +153,7 @@ def cmd_table(args) -> int:
         raise _usage_error(f"--i must be in 0..{fam.diameter}")
     if args.verify_oracle:  # the oracle's vertex budget, before the table and the basis
         fam.vertices(norton.DEFAULT_ORACLE_VERTEX_BUDGET)
-    table = fam.product_table(args.i).tolist()  # checks its size before the basis is built
+    table = fam.product_table(args.i)  # checks its size before the basis is built
     labels = fam.basis(args.i)
     oracle_ok = None
     if args.verify_oracle:
@@ -152,14 +162,14 @@ def cmd_table(args) -> int:
     status = "ok" if oracle_ok in (None, True) else "mismatch"
     if args.format == "csv":
         lines = ["*," + ",".join(texts)]
-        for text, row in zip(texts, table):
+        for text, row in zip(texts, table.tolist()):
             lines.append(text + "," + ",".join(str(v) for v in row))
         _emit(args, "\n".join(lines) + "\n")
     elif args.format == "text":
         width = max(len(t) for t in texts) + 1
         head = " " * width + " ".join(t.rjust(width) for t in texts)
         lines = [f"# {fam.describe()} V_{args.i} products", head]
-        for text, row in zip(texts, table):
+        for text, row in zip(texts, table.tolist()):
             cells = [(texts[v] if v >= 0 else "0").rjust(width) for v in row]
             lines.append(text.ljust(width) + " ".join(cells))
         if oracle_ok is not None:
@@ -171,11 +181,12 @@ def cmd_table(args) -> int:
             "family": fam.describe(),
             "i": args.i,
             "basis": [fam.label_json(lbl) for lbl in labels],
-            "table": table,
+            "table": TABLE_SLOT,
             "oracle_verified": oracle_ok,
             "status": status,
         }
-        _emit_json(args, payload)
+        text = _json_text(payload)
+        _emit(args, text.replace(json.dumps(TABLE_SLOT), _json_table(table.tolist()), 1))
     return EXIT_OK if status == "ok" else EXIT_CHECK_FAILED
 
 

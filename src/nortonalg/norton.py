@@ -222,11 +222,16 @@ def eta(e: int, j: int) -> Idempotent:
     return Idempotent(vec, support)
 
 
-def _certified_etas(e: int) -> dict[int, AlgebraVector]:
-    """eta_1..eta_(e-1), a basis of V_1(H(1,e)), once eta_relations_check has
-    certified in Q(w) the rational structure constants that _eta_product uses."""
+def _require_eta_frame(e: int) -> None:
+    """Raise unless eta_relations_check has certified in Q(w) the rational
+    structure constants that _eta_product uses."""
     if not eta_relations_check(e):
         raise AssertionError(f"eta relations fail for e={e}; the eta frame is not certified")
+
+
+def _certified_etas(e: int) -> dict[int, AlgebraVector]:
+    """eta_1..eta_(e-1), a basis of V_1(H(1,e)), in a certified eta frame."""
+    _require_eta_frame(e)
     return {j: eta(e, j).vector for j in range(1, e)}
 
 
@@ -250,33 +255,44 @@ def _square_ratio(e: int, x) -> Fraction | None:
     return c if all(b == c * a for a, b in zip(x, sq)) else None
 
 
-def classified_idempotents(e: int) -> list[Idempotent]:
-    """All nonzero idempotents of V_1(H(1,e)): one per nonempty subset of
-    {1,...,e-1} of size l != e/2, scaled by (e-2)/(e-2l); each verified in
+def _classified_supports(e: int):
+    """(support, scale, eta coordinates) of each classified idempotent of
+    V_1(H(1,e)), in output order: one per nonempty subset of {1,...,e-1} of
+    size l != e/2, scaled by (e-2)/(e-2l), each checked to be idempotent in
     eta coordinates."""
-    if e < 3:
-        raise ValueError(f"idempotent classification requires e >= 3, got {e}")
-    etas = _certified_etas(e)
-    out: list[Idempotent] = []
-    seen = set()
     for size in range(1, e):
         if 2 * size == e:
             continue
         scale = Fraction(e - 2, e - 2 * size)
         for subset in combinations(range(1, e), size):
             x = _eta_coords(e, subset, scale)
-            vec = etas[subset[0]]
-            for j in subset[1:]:
-                vec = vec + etas[j]
-            vec = scale * vec
-            if vec.is_zero() or _eta_product(e, x, x) != x:
+            if _eta_product(e, x, x) != x:
                 raise AssertionError(
                     f"classified idempotent with support {subset} failed verification")
-            key = tuple(sorted((label, c.coeffs) for label, c in vec.coeffs.items()))
-            if key in seen:
-                raise AssertionError("classified idempotents are not distinct")
-            seen.add(key)
-            out.append(Idempotent(vec, frozenset(subset)))
+            yield subset, scale, x
+
+
+def classified_idempotents(e: int) -> list[Idempotent]:
+    """All nonzero idempotents of V_1(H(1,e)) (_classified_supports), built
+    in Q(w) from the certified eta vectors."""
+    if e < 3:
+        raise ValueError(f"idempotent classification requires e >= 3, got {e}")
+    etas = _certified_etas(e)
+    out: list[Idempotent] = []
+    seen = set()
+    for subset, scale, _ in _classified_supports(e):
+        vec = etas[subset[0]]
+        for j in subset[1:]:
+            vec = vec + etas[j]
+        vec = scale * vec
+        if vec.is_zero():
+            raise AssertionError(
+                f"classified idempotent with support {subset} failed verification")
+        key = tuple(sorted((label, c.coeffs) for label, c in vec.coeffs.items()))
+        if key in seen:
+            raise AssertionError("classified idempotents are not distinct")
+        seen.add(key)
+        out.append(Idempotent(vec, frozenset(subset)))
     return out
 
 
@@ -331,9 +347,8 @@ def primitivity_facts_check(e: int, bound: int = 7) -> bool:
         raise ValueError(f"primitivity check requires e >= 3, got {e}")
     if e > bound:
         raise BudgetExceededError(f"primitivity check bound is {bound}, got e={e}")
-    idems = [(idem.support, _eta_coords(e, idem.support,
-                                        Fraction(e - 2, e - 2 * idem.support_size)))
-             for idem in classified_idempotents(e)]
+    _require_eta_frame(e)
+    idems = [(frozenset(subset), x) for subset, _, x in _classified_supports(e)]
     for p, (a_sup, x) in enumerate(idems):
         for b_sup, y in idems[p + 1:]:
             if not any(_eta_product(e, x, y)):
@@ -365,21 +380,23 @@ def find_identity(family: FamilySpec, i: int,
     if dim > dim_budget:
         raise BudgetExceededError(f"identity solve over dimension {dim} > {dim_budget}")
     # one equation per (v, w): the coefficients c_u with chi_u * chi_v = chi_w
-    # sum to 1 when w = v and to 0 otherwise; the last column is that constant
-    columns = family.product_table(i).T.tolist()
-    zero, one = Fraction(0), Fraction(1)
-    rows: list[list[Fraction]] = []
-    for v_idx, column in enumerate(columns):
+    # sum to 1 when w = v and to 0 otherwise; many (v, w) give the same
+    # equation, and each distinct one is solved once
+    equations: set[tuple[tuple[int, ...], int]] = set()
+    for v_idx, column in enumerate(family.product_table(i).T.tolist()):
         by_target: dict[int, list[int]] = {v_idx: []}
         for u_idx, w_idx in enumerate(column):
             if w_idx >= 0:
                 by_target.setdefault(w_idx, []).append(u_idx)
-        for w_idx, us in sorted(by_target.items()):
-            row = [zero] * (dim + 1)
-            for u_idx in us:
-                row[u_idx] = one
-            row[dim] = one if w_idx == v_idx else zero
-            rows.append(row)
+        equations.update((tuple(us), int(w_idx == v_idx)) for w_idx, us in by_target.items())
+    zero, one = Fraction(0), Fraction(1)
+    rows: list[list[Fraction]] = []
+    for us, constant in sorted(equations):
+        row = [zero] * (dim + 1)  # the last column is the constant
+        for u_idx in us:
+            row[u_idx] = one
+        row[dim] = Fraction(constant)
+        rows.append(row)
     reduced, pivots = row_reduce(rows, lambda x: 1 / x)
     if dim in pivots:
         return None

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nortonalg import cayley
 from nortonalg.cayley import (
     CayleyGraph,
+    character_exponents,
     eigenvalue_of_character,
-    exponent_matrix,
     integer_eigenvalue,
     spectrum,
     sum_positions,
@@ -70,11 +72,15 @@ def test_verify_detects_wrong_vector():
     assert spectrum(forged) == spectrum(g)
 
 
-def test_exponent_matrix_dtype_holds_modulus():
-    g = make_family("hamming", n=1, e=257).cayley_graph()
-    exps = exponent_matrix(g)
+def test_character_exponents_dtype_holds_modulus():
+    # uint16 residues below 257 have products up to 256^2, over the uint16 range
+    rows = np.arange(257, dtype=np.uint16).reshape(-1, 1)
+    exps = character_exponents(rows, rows, 257)
     assert exps.dtype == np.uint16 and int(exps.max()) == 256
-    assert exponent_matrix(make_family("hamming", n=2, e=3).cayley_graph()).dtype == np.uint8
+    assert (exps == np.outer(np.arange(257), np.arange(257)) % 257).all()
+    g = make_family("hamming", n=2, e=3).cayley_graph()
+    verts = np.array(g.vertices, dtype=np.uint8)
+    assert character_exponents(verts, verts, 3).dtype == np.uint8
 
 
 def test_connection_invariants():
@@ -100,14 +106,91 @@ def test_integer_eigenvalue_downcast_rejects_nonintegral():
 
 
 def test_spectrum_verify_evaluates_each_character_once(monkeypatch):
+    # spectrum converts each distinct neighbour-count histogram to Q(w) once,
+    # so never more often than there are characters; the verification reads
+    # theta_u from integer counts and converts nothing
     calls = []
-    real = cayley.eigenvalue_of_character
-    monkeypatch.setattr(cayley, "eigenvalue_of_character",
-                        lambda graph, u: calls.append(u) or real(graph, u))
+    real = cayley.from_exponent_counts
+    monkeypatch.setattr(cayley, "from_exponent_counts",
+                        lambda e, counts: calls.append(tuple(counts)) or real(e, counts))
     g = make_family("hamming", n=2, e=5).cayley_graph()
     spectrum(g)
+    assert len(calls) == len(set(calls)) <= len(g.characters)
+    calls.clear()
     assert verify_all_eigenvectors(g)
-    assert sorted(calls) == sorted(g.characters)
+    assert calls == []
+
+
+def _forge_character_row(monkeypatch, u, forged):
+    """Patch cayley.character_exponents so that the row of u reads forged[x_0]
+    at vertex x, whatever vertex rows it is evaluated on."""
+    real = cayley.character_exponents
+
+    def patched(u_arr, x_arr, e):
+        out = real(u_arr, x_arr, e)
+        rows = (u_arr == u).all(axis=1)
+        out[rows] = np.array(forged, dtype=out.dtype)[x_arr[:, 0]]
+        return out
+
+    monkeypatch.setattr(cayley, "character_exponents", patched)
+
+
+def test_edge_identity_failure_is_rejected(monkeypatch):
+    g = make_family("hamming", n=1, e=4).cayley_graph()
+    # (1, 1, -1, -1) is an eigenvector of K_4 (theta = 0) but no character:
+    # the edge identity fails at x = s = 1, so it does not certify chi_(1,)
+    _forge_character_row(monkeypatch, (1,), (0, 0, 2, 2))
+    assert not verify_all_eigenvectors(g)
+    # (1, 1, 1, -1) is no eigenvector
+    _forge_character_row(monkeypatch, (1,), (0, 0, 0, 2))
+    assert not verify_all_eigenvectors(g)
+
+
+def test_edge_identity_checked_at_every_connection_element(monkeypatch):
+    # (1, i, -i, 1) in x_0, constant in x_1, holds the identity along the first
+    # connection element (0, 1) and has a rational theta (4), but it is no
+    # eigenvector of H(2,4)
+    g = make_family("hamming", n=2, e=4).cayley_graph()
+    assert g.connection[0] == (0, 1)
+    _forge_character_row(monkeypatch, (1, 0), (0, 1, 3, 0))
+    assert not verify_all_eigenvectors(g)
+
+
+def test_spectrum_and_verdict_independent_of_chunk_size(monkeypatch):
+    graphs = [make_family(kind, **opts).cayley_graph() for kind, opts in (
+        ("hamming", {"n": 2, "e": 5}), ("folded_cube", {"n": 5}),
+        ("bilinear", {"q": 2, "d": 2, "e": 2}))]
+    whole = [(spectrum(g), verify_all_eigenvectors(g)) for g in graphs]
+    monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 7)
+    assert [(spectrum(g), verify_all_eigenvectors(g)) for g in graphs] == whole
+    assert all(verdict for _, verdict in whole)
+
+
+def test_batched_spectrum_equals_per_character_eigenvalues():
+    # the 41 families of the golden cases
+    families = (
+        [("hamming", {"n": n, "e": e}) for n in range(1, 5) for e in range(2, 6)]
+        + [("hypercube", {"n": n}) for n in range(1, 9)]
+        + [("halved_cube", {"n": n}) for n in range(2, 9)]
+        + [("folded_cube", {"n": n}) for n in range(3, 9)]
+        + [("folded_half_cube", {"n": n}) for n in (6, 8)]
+        + [("bilinear", {"q": q, "d": 2, "e": 2}) for q in (2, 3)]
+    )
+    assert len(families) == 41
+    for kind, opts in families:
+        g = make_family(kind, **opts).cayley_graph()
+        per_character = Counter(integer_eigenvalue(g, u) for u in g.characters)
+        assert spectrum(g) == sorted(per_character.items(), key=lambda p: -p[0]), (kind, opts)
+
+
+def test_neighbor_index_rejects_a_vertex_set_not_closed():
+    grp = WordGroup(1, 4)
+    g = CayleyGraph(grp, [(0,), (2,)], [(2,)])
+    verts = np.array(g.vertices, dtype=np.uint8)
+    assert cayley._neighbor_index(g, verts).tolist() == [[1], [0]]
+    g.connection = [(1,), (3,)]
+    with pytest.raises(ValueError):
+        cayley._neighbor_index(g, verts)
 
 
 def test_sum_positions_independent_of_chunk_size(monkeypatch):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from nortonalg import autos, trees
+from nortonalg import autos, norton, trees
 from nortonalg.cli import main
 from nortonalg.families import BilinearFamily, HypercubeFamily
 
@@ -206,6 +206,16 @@ def test_nonassoc_max_m_over_the_cap_exits_before_counting(capsys, monkeypatch):
         assert code == 3 and out == ""
     assert main(["nonassoc", *fam, "--max-m", "20"]) == 3
     assert capsys.readouterr().err.count("budget exceeded") == 1
+
+
+def test_idempotents_builds_the_vectors_once(capsys, monkeypatch):
+    # the primitivity check reads the supports, not the Q(w) vectors
+    calls = []
+    real = norton.classified_idempotents
+    monkeypatch.setattr(norton, "classified_idempotents", lambda e: calls.append(e) or real(e))
+    code, out = run_json(capsys, "idempotents", "--e", "6")
+    assert code == 0 and out["primitivity_facts"] is True
+    assert calls == [6]
 
 
 def test_idempotents_budget_checked_before_enumerating(capsys, monkeypatch):

@@ -2,7 +2,8 @@
 
 Covers `table` in json, csv and text for every (family, i) of the criterion-1
 instances, `isocheck`, a fixed set of `autocheck`, `nonassoc` and
-`idempotents` runs, and `oracle-verify` on every criterion-1 family.  The digests in
+`idempotents` runs, and `oracle-verify` and `spectrum --verify` on every
+criterion-1 family.  The digests in
 golden_digests.json were recorded from the code before the product-table
 refactor, and the oracle digests from the packed-float64 oracle before the
 integer row-sum oracle replaced it.  The five `autocheck` cases after the
@@ -14,7 +15,10 @@ in json and csv, witness on a zero product, `auto` switching to witness,
 exact mode up to m = 9) were recorded from the tuple-at-a-time tree
 evaluators before the live-interval counters replaced them.  The seven
 `idempotents` cases were recorded from the suite that checked every vector
-and pair with `Q(w)` products, before eta coordinates replaced them.  An
+and pair with `Q(w)` products, before eta coordinates replaced them.  The
+`spectrum --verify` cases were recorded from the per-character eigenvalues
+and the full exponent-matrix adjacency check, before the neighbour-count
+histogram and the edge identity replaced them.  An
 intended output change must say so where it rewrites the digests.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -72,6 +76,15 @@ OTHER_CASES = [
     "idempotents --e 6 --format text",
 ]
 
+SPECTRUM_CASES = [f"spectrum {fam_args} --verify" for fam_args in FAMILY_ARGS] + [
+    f"spectrum {fam_args} --verify --format {fmt}"
+    for fam_args in ("--family hamming --n 2 --e 3", "--family hypercube --n 4")
+    for fmt in ("csv", "text")
+] + [
+    "spectrum --family bilinear --q 3 --d 2 --e 3 --verify",
+    "spectrum --family hamming --n 1 --e 257 --verify",
+]
+
 ORACLE_CASES = [f"oracle-verify {fam_args}" for fam_args in FAMILY_ARGS] + [
     "table --family halved-cube --n 8 --i 4 --verify-oracle --format text",
     "table --family folded-half-cube --n 8 --i 2 --verify-oracle --format text",
@@ -91,7 +104,7 @@ def cases() -> list[str]:
         for i in _family(fam_args).eigenspaces():
             for fmt in ("json", "csv", "text"):
                 out.append(f"table {fam_args} --i {i} --format {fmt}")
-    return out + OTHER_CASES + ORACLE_CASES
+    return out + OTHER_CASES + ORACLE_CASES + SPECTRUM_CASES
 
 
 def digest(case: str) -> str:
