@@ -20,8 +20,8 @@ import numpy as np
 
 from .cayley import row_finder
 from .errors import BudgetExceededError
-from .families import (BilinearFamily, FamilySpec, HalvedCubeFamily, HammingFamily,
-                       HypercubeFamily, carries_table, fq_reduce)
+from .families import (BilinearFamily, CubeFamily, FamilySpec, HammingFamily,
+                       carries_table, fq_reduce)
 from .groups import Word
 
 DEFAULT_PAIR_BUDGET = 10**6
@@ -183,12 +183,11 @@ def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
     """chi_S goes to eps(sigma(S)) chi_sigma(S), with sigma(S) canonicalized
     on the halved cube.  Halved-cube targets require a type-D signed
     permutation, for which the sign is class-invariant."""
-    if isinstance(family, HalvedCubeFamily):
-        if check_type_d and not f.is_type_d():
-            raise ValueError("halved-cube action requires a type-D signed permutation")
-    elif not isinstance(family, HypercubeFamily):
+    if not isinstance(family, CubeFamily) or family.folded:
         raise ValueError(f"signed permutations act on hypercube or halved_cube, "
                          f"not {family.kind}")
+    if family.halved and check_type_d and not f.is_type_d():
+        raise ValueError("halved-cube action requires a type-D signed permutation")
     if len(f.sigma) != family.n:
         raise ValueError("automorphism parameters do not match the family")
     rows = family.basis_array(i)

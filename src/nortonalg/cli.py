@@ -3,7 +3,7 @@ automorphism checks, oracle verification, nonassociativity reports, and
 isomorphism checks, with deterministic machine-readable output.
 
 Exit codes: 0 verified/success, 1 a claim check failed, 2 usage error,
-3 budget exceeded.
+3 budget exceeded, 4 internal error (one line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 FAMILY_CHOICES = ["hamming", "hypercube", "halved-cube", "folded-cube",
                   "folded-half-cube", "bilinear"]
@@ -490,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except Exception as exc:  # a defect of the program, not a failed claim
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ flattened matrices for the bilinear forms family.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb
 
@@ -56,28 +56,6 @@ def symmetric_difference_feasible(n: int, i: int, j: int) -> bool:
     if not 0 <= i <= n:
         raise ValueError(f"subset size {i} out of range 0..{n}")
     return j % 2 == 0 and 0 <= j <= min(2 * i, 2 * (n - i))
-
-
-def _canon_complement(subset: frozenset, n: int) -> Subset:
-    """Canonical representative of the character class {S, complement of S}:
-    the smaller set, or on ties the one containing 1."""
-    comp = frozenset(range(1, n + 1)) - subset
-    if len(subset) < len(comp):
-        keep = subset
-    elif len(subset) > len(comp):
-        keep = comp
-    else:
-        keep = subset if 1 in subset else comp
-    return tuple(sorted(keep))
-
-
-def _complement_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """_canon_complement on 0/1 index rows: complement each row of weight
-    over n/2, or of weight n/2 without position 1."""
-    weight = 2 * rows.sum(axis=1, dtype=np.int64)
-    flip = (weight > n) | ((weight == n) & (rows[:, 0] == 0))
-    rows[flip] = 1 - rows[flip]
-    return rows
 
 
 def carries_table(perm: np.ndarray, dom: np.ndarray, cod: np.ndarray) -> bool:
@@ -342,16 +320,38 @@ class HammingFamily(FamilySpec):
         return f"hamming({self.n},{self.e})"
 
 
-class _CubeFamily(FamilySpec):
-    """Shared machinery for the hypercube and its halved/folded variants.
+# kind: (halved, folded, least n).  Folding needs the connection weights w
+# and n - w apart, and on the halved cube an all-ones word of even weight.
+_CUBE_KINDS = {
+    "hypercube": (False, False, 1),
+    "halved_cube": (True, False, 2),
+    "folded_cube": (False, True, 3),
+    "folded_half_cube": (True, True, 6),
+}
+
+
+class CubeFamily(FamilySpec):
+    """The hypercube Q_n = H(n,2) and its quotients: halved keeps the
+    even-weight vertices, connected at distance 2; folded takes the vertices
+    modulo the all-ones word, stored with last coordinate 0, and adds the
+    connections of weight n - w.
 
     Labels are sorted tuples of 1-based positions; the character indexed by a
-    subset S sends a vertex x to (-1) raised to the sum of x over S.
+    subset S sends a vertex x to (-1) raised to the sum of x over S.  Halved,
+    S and its complement index one character; folded, only even S index one.
+    V_i is indexed by the sets of size s = i, or 2i when folded.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, kind: str, n: int) -> None:
         super().__init__()
+        halved, folded, least = _CUBE_KINDS[kind]
+        even = halved and folded
+        if n < least or (even and n % 2):
+            raise ValueError(f"{kind} requires {'even ' if even else ''}n >= {least}, got {n}")
+        self.kind = kind
         self.n = n
+        self.halved = halved
+        self.folded = folded
         self.group = WordGroup(n, 2)
 
     @property
@@ -362,11 +362,93 @@ class _CubeFamily(FamilySpec):
     def length(self) -> int:
         return self.n
 
+    @property
+    def diameter(self) -> int:
+        return self.n >> (self.halved + self.folded)
+
+    @property
+    def key(self) -> tuple:
+        return (self.kind, self.n)
+
+    def vertex_count(self) -> int:
+        return 2 ** (self.n - self.halved - self.folded)
+
+    def _vertex_iter(self):
+        pad = (0,) * self.folded
+        return (x + pad for x in product(range(2), repeat=self.n - self.folded)
+                if not self.halved or sum(x) % 2 == 0)
+
+    def _connection_pred(self, x: Word) -> bool:
+        weight, w = sum(x), 1 + self.halved
+        return weight == w or (self.folded and weight == self.n - w)
+
+    def _size(self, i: int) -> int:
+        return 2 * i if self.folded else i
+
+    def _with_one(self, s: int) -> bool:
+        """Whether the V_i labels of size s are the sets containing 1: halved,
+        at s = n/2 a set and its complement of the same size index one
+        character."""
+        return self.halved and 2 * s >= self.n
+
+    def _make_basis(self, i: int) -> list[Subset]:
+        s = self._size(i)
+        if self._with_one(s):
+            return [(1,) + rest for rest in combinations(range(2, self.n + 1), s - 1)]
+        return list(combinations(range(1, self.n + 1), s))
+
     def index_vector(self, label: Subset) -> Word:
         vec = [0] * self.n
         for j in label:
             vec[j - 1] = 1
         return tuple(vec)
+
+    def predicted_eigenvalue(self, i: int) -> int:
+        self._check_space(i)
+        theta = self.n - 2 * self._size(i)
+        return (theta**2 - self.n) // 2 if self.halved else theta
+
+    def predicted_dimension(self, i: int) -> int:
+        self._check_space(i)
+        s = self._size(i)
+        full = comb(self.n, s)
+        return full // 2 if self._with_one(s) else full
+
+    def in_basis(self, i: int, label) -> bool:
+        s = self._size(i)
+        return (isinstance(label, tuple) and len(label) == s
+                and all(a < b for a, b in zip((0,) + label, label + (self.n + 1,)))
+                and (not self._with_one(s) or label[:1] == (1,)))
+
+    def canonical_label(self, subset) -> Subset:
+        """Representative of the character class of the set: folded, an even
+        set (toggling position n); halved, the smaller of it and its
+        complement, or on ties the one containing 1."""
+        keep = frozenset(subset)
+        if self.folded and len(keep) % 2:
+            keep ^= {self.n}
+        size = 2 * len(keep)
+        if self.halved and (size > self.n or size == self.n and 1 not in keep):
+            keep = frozenset(range(1, self.n + 1)) - keep
+        return tuple(sorted(keep))
+
+    def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
+        # canonical_label on 0/1 index rows; folded, the rows are sums of even
+        # basis sets and so even already, so only the halved complement acts
+        if self.halved:
+            weight = 2 * rows.sum(axis=1, dtype=np.int64)
+            flip = (weight > self.n) | ((weight == self.n) & (rows[:, 0] == 0))
+            rows[flip] = 1 - rows[flip]
+        return rows
+
+    def closed_product(self, i: int, a: Subset, b: Subset):
+        self._require_basis(i, a)
+        self._require_basis(i, b)
+        d = frozenset(a) ^ frozenset(b)
+        s = self._size(i)
+        if len(d) != s and not (self.halved and len(d) == self.n - s):
+            return None
+        return self.canonical_label(d)
 
     def label_text(self, label: Subset) -> str:
         if not label:
@@ -378,253 +460,8 @@ class _CubeFamily(FamilySpec):
     def label_json(self, label: Subset):
         return list(label)
 
-    def _is_subset(self, label, size: int, with_one: bool = False) -> bool:
-        """Whether label is a sorted tuple of `size` distinct positions in
-        1..n, containing position 1 when with_one is set."""
-        return (isinstance(label, tuple) and len(label) == size
-                and all(a < b for a, b in zip((0,) + label, label + (self.n + 1,)))
-                and (not with_one or label[:1] == (1,)))
-
-
-class HypercubeFamily(_CubeFamily):
-    """Hypercube Q_n = H(n,2), with subset-indexed characters."""
-
-    kind = "hypercube"
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"hypercube requires n >= 1, got {n}")
-        super().__init__(n)
-
-    @property
-    def diameter(self) -> int:
-        return self.n
-
-    @property
-    def key(self) -> tuple:
-        return ("hypercube", self.n)
-
-    def vertex_count(self) -> int:
-        return 2**self.n
-
-    def _vertex_iter(self):
-        return product(range(2), repeat=self.n)
-
-    def _connection_pred(self, x: Word) -> bool:
-        return sum(x) == 1
-
-    def _make_basis(self, i: int) -> list[Subset]:
-        return list(combinations(range(1, self.n + 1), i))
-
-    def predicted_eigenvalue(self, i: int) -> int:
-        self._check_space(i)
-        return self.n - 2 * i
-
-    def predicted_dimension(self, i: int) -> int:
-        self._check_space(i)
-        return comb(self.n, i)
-
-    def in_basis(self, i: int, label) -> bool:
-        return self._is_subset(label, i)
-
-    def closed_product(self, i: int, a: Subset, b: Subset):
-        self._require_basis(i, a)
-        self._require_basis(i, b)
-        d = frozenset(a) ^ frozenset(b)
-        return tuple(sorted(d)) if len(d) == i else None
-
     def describe(self) -> str:
-        return f"hypercube({self.n})"
-
-
-class HalvedCubeFamily(_CubeFamily):
-    """Halved cube: even-weight vertices of Q_n, connected at Hamming distance 2."""
-
-    kind = "halved_cube"
-
-    def __init__(self, n: int) -> None:
-        if n < 2:
-            raise ValueError(f"halved_cube requires n >= 2, got {n}")
-        super().__init__(n)
-
-    @property
-    def diameter(self) -> int:
-        return self.n // 2
-
-    @property
-    def key(self) -> tuple:
-        return ("halved_cube", self.n)
-
-    def vertex_count(self) -> int:
-        return 2 ** (self.n - 1)
-
-    def _vertex_iter(self):
-        return (x for x in product(range(2), repeat=self.n) if sum(x) % 2 == 0)
-
-    def _connection_pred(self, x: Word) -> bool:
-        return sum(x) == 2
-
-    def _make_basis(self, i: int) -> list[Subset]:
-        if 2 * i < self.n:
-            return list(combinations(range(1, self.n + 1), i))
-        return [(1,) + rest for rest in combinations(range(2, self.n + 1), i - 1)]
-
-    def predicted_eigenvalue(self, i: int) -> int:
-        self._check_space(i)
-        return ((self.n - 2 * i) ** 2 - self.n) // 2
-
-    def predicted_dimension(self, i: int) -> int:
-        self._check_space(i)
-        full = comb(self.n, i)
-        return full if 2 * i < self.n else full // 2
-
-    def in_basis(self, i: int, label) -> bool:
-        return self._is_subset(label, i, with_one=2 * i >= self.n)
-
-    def canonical_label(self, subset) -> Subset:
-        """Canonical representative of the character class {S, S complement}."""
-        return _canon_complement(frozenset(subset), self.n)
-
-    def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
-        return _complement_rows(rows, self.n)
-
-    def closed_product(self, i: int, a: Subset, b: Subset):
-        self._require_basis(i, a)
-        self._require_basis(i, b)
-        d = frozenset(a) ^ frozenset(b)
-        if len(d) not in (i, self.n - i):
-            return None
-        return self.canonical_label(d)
-
-    def describe(self) -> str:
-        return f"halved_cube({self.n})"
-
-
-class FoldedCubeFamily(_CubeFamily):
-    """Folded cube: Z_2^(n-1) x {0} with weight-1 and weight-(n-1) connections."""
-
-    kind = "folded_cube"
-
-    def __init__(self, n: int) -> None:
-        # n = 2 degenerates: the two connection classes coincide there
-        if n < 3:
-            raise ValueError(f"folded_cube requires n >= 3, got {n}")
-        super().__init__(n)
-
-    @property
-    def diameter(self) -> int:
-        return self.n // 2
-
-    @property
-    def key(self) -> tuple:
-        return ("folded_cube", self.n)
-
-    def vertex_count(self) -> int:
-        return 2 ** (self.n - 1)
-
-    def _vertex_iter(self):
-        return (x + (0,) for x in product(range(2), repeat=self.n - 1))
-
-    def _connection_pred(self, x: Word) -> bool:
-        return sum(x) in (1, self.n - 1)
-
-    def _make_basis(self, i: int) -> list[Subset]:
-        return list(combinations(range(1, self.n + 1), 2 * i))
-
-    def predicted_eigenvalue(self, i: int) -> int:
-        self._check_space(i)
-        return self.n - 4 * i
-
-    def predicted_dimension(self, i: int) -> int:
-        self._check_space(i)
-        return comb(self.n, 2 * i)
-
-    def in_basis(self, i: int, label) -> bool:
-        return self._is_subset(label, 2 * i)
-
-    def canonical_label(self, subset) -> Subset:
-        """Even-cardinality representative, toggling position n."""
-        s = frozenset(subset)
-        if len(s) % 2:
-            s = s ^ {self.n}
-        return tuple(sorted(s))
-
-    def closed_product(self, i: int, a: Subset, b: Subset):
-        self._require_basis(i, a)
-        self._require_basis(i, b)
-        d = frozenset(a) ^ frozenset(b)
-        return tuple(sorted(d)) if len(d) == 2 * i else None
-
-    def describe(self) -> str:
-        return f"folded_cube({self.n})"
-
-
-class FoldedHalfCubeFamily(_CubeFamily):
-    """Folded half-cube: even-weight vertices of Z_2^(n-1) x {0}, connected at
-    Hamming distance 2 or n - 2; defined for even n >= 6."""
-
-    kind = "folded_half_cube"
-
-    def __init__(self, n: int) -> None:
-        if n < 6 or n % 2:
-            raise ValueError(f"folded_half_cube requires even n >= 6, got {n}")
-        super().__init__(n)
-
-    @property
-    def diameter(self) -> int:
-        return self.n // 4
-
-    @property
-    def key(self) -> tuple:
-        return ("folded_half_cube", self.n)
-
-    def vertex_count(self) -> int:
-        return 2 ** (self.n - 2)
-
-    def _vertex_iter(self):
-        return (x + (0,) for x in product(range(2), repeat=self.n - 1)
-                if sum(x) % 2 == 0)
-
-    def _connection_pred(self, x: Word) -> bool:
-        return sum(x) in (2, self.n - 2)
-
-    def _make_basis(self, i: int) -> list[Subset]:
-        if 4 * i < self.n:
-            return list(combinations(range(1, self.n + 1), 2 * i))
-        return [(1,) + rest for rest in combinations(range(2, self.n + 1), 2 * i - 1)]
-
-    def predicted_eigenvalue(self, i: int) -> int:
-        self._check_space(i)
-        return ((self.n - 4 * i) ** 2 - self.n) // 2
-
-    def predicted_dimension(self, i: int) -> int:
-        self._check_space(i)
-        full = comb(self.n, 2 * i)
-        return full if 4 * i < self.n else full // 2
-
-    def in_basis(self, i: int, label) -> bool:
-        return self._is_subset(label, 2 * i, with_one=4 * i >= self.n)
-
-    def canonical_label(self, subset) -> Subset:
-        s = frozenset(subset)
-        if len(s) % 2:
-            s = s ^ {self.n}
-        return _canon_complement(s, self.n)
-
-    def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
-        # sums of even-size basis sets are even, so only the complement folds
-        return _complement_rows(rows, self.n)
-
-    def closed_product(self, i: int, a: Subset, b: Subset):
-        self._require_basis(i, a)
-        self._require_basis(i, b)
-        d = frozenset(a) ^ frozenset(b)
-        if len(d) not in (2 * i, self.n - 2 * i):
-            return None
-        return self.canonical_label(d)
-
-    def describe(self) -> str:
-        return f"folded_half_cube({self.n})"
+        return f"{self.kind}({self.n})"
 
 
 class BilinearFamily(FamilySpec):
@@ -716,10 +553,7 @@ class BilinearFamily(FamilySpec):
 
 _KINDS = {
     "hamming": HammingFamily,
-    "hypercube": HypercubeFamily,
-    "halved_cube": HalvedCubeFamily,
-    "folded_cube": FoldedCubeFamily,
-    "folded_half_cube": FoldedHalfCubeFamily,
+    **{kind: partial(CubeFamily, kind) for kind in _CUBE_KINDS},
     "bilinear": BilinearFamily,
 }
 

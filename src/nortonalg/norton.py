@@ -198,10 +198,6 @@ class Idempotent:
     vector: AlgebraVector
     support: frozenset[int]
 
-    @property
-    def support_size(self) -> int:
-        return len(self.support)
-
 
 def _v1_family(e: int) -> FamilySpec:
     return make_family("hamming", n=1, e=e)

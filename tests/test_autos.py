@@ -206,10 +206,10 @@ def test_non_type_d_rejected_and_fails():
 
 
 def test_signed_perm_rejects_other_families():
-    fam = make_family("folded_cube", n=4)
-    f = SignedPermutation((0, 1, 2, 3), (1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        signed_perm_candidate(f, fam, 1)
+    for fam in (make_family("folded_cube", n=4), make_family("folded_half_cube", n=8)):
+        f = SignedPermutation(tuple(range(fam.n)), (1,) * fam.n)
+        with pytest.raises(ValueError):
+            signed_perm_candidate(f, fam, 1)
     with pytest.raises(ValueError):  # a signed permutation of 3 positions on Q_4
         signed_perm_candidate(SignedPermutation((0, 1, 2), (1, 1, 1)),
                               make_family("hypercube", n=4), 1)
@@ -327,11 +327,9 @@ def hamming_image(phi):
 
 
 def signed_image(f, fam):
-    canon = getattr(fam, "canonical_label", lambda s: tuple(sorted(s)))
-
     def image_of(subset):
         img = frozenset(f.sigma[j - 1] + 1 for j in subset)
-        return sum(f.eps[k - 1] == -1 for k in img) % 2, canon(img)
+        return sum(f.eps[k - 1] == -1 for k in img) % 2, fam.canonical_label(img)
     return image_of
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from nortonalg import autos, norton, trees
 from nortonalg.cli import main
-from nortonalg.families import BilinearFamily, HypercubeFamily
+from nortonalg.families import BilinearFamily, CubeFamily
 
 
 def run(capsys, *argv):
@@ -126,6 +126,13 @@ def test_autocheck_hamming(capsys):
     assert payload["kernel"]["ok"] is True
 
 
+def test_autocheck_rejects_folded_families(capsys):
+    assert main(["autocheck", "--family", "folded-half-cube", "--n", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "error: autocheck supports hamming, hypercube, halved-cube and bilinear"
+        " families, not folded_half_cube\n")
+
+
 def test_autocheck_bilinear(capsys):
     code, payload = run_json(capsys, "autocheck", "--family", "bilinear",
                              "--q", "2", "--d", "2", "--e", "2", "--i", "1",
@@ -176,7 +183,7 @@ def test_budgets_checked_before_the_basis(capsys, monkeypatch):
     def no_basis(self, i):
         raise AssertionError("basis enumerated before the budget check")
 
-    monkeypatch.setattr(HypercubeFamily, "_make_basis", no_basis)
+    monkeypatch.setattr(CubeFamily, "_make_basis", no_basis)
     fam = ["--family", "hypercube", "--n", "30", "--i", "15"]
     assert main(["oracle-verify", *fam]) == 3
     assert main(["nonassoc", *fam, "--max-m", "2"]) == 3
@@ -351,3 +358,14 @@ def test_negative_counts_exit_2(capsys, argv):
         main(argv)
     assert info.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("oracle exploded")
+
+    monkeypatch.setattr(norton, "verify_oracle_space", broken)
+    assert main(["oracle-verify", "--family", "hamming", "--n", "2", "--e", "3"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: oracle exploded\n"
+    assert "Traceback" not in err

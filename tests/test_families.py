@@ -89,6 +89,15 @@ def test_closed_product_folded_and_folded_half():
     assert fhc.closed_product(1, (1, 2), (1, 3)) == (2, 3)
 
 
+def test_canonical_label_folds_odd_sets_then_complements():
+    assert make_family("hypercube", n=5).canonical_label({3, 1}) == (1, 3)
+    assert make_family("folded_cube", n=5).canonical_label({1}) == (1, 5)
+    fhc = make_family("folded_half_cube", n=8)
+    assert fhc.canonical_label({1, 2, 3}) == (1, 2, 3, 8)  # size n/2 with 1
+    assert fhc.canonical_label({2, 3, 4}) == (1, 5, 6, 7)  # {2,3,4,8} complemented
+    assert fhc.canonical_label({1, 2, 3, 4, 5}) == (6, 7)  # {1,...,5,8} complemented
+
+
 def test_closed_product_bilinear():
     fam = make_family("bilinear", q=2, d=2, e=2)
     e11 = (1, 0, 0, 0)
@@ -257,12 +266,15 @@ def test_invalid_parameters():
         make_family("bilinear", q=4, d=2, e=2)
     with pytest.raises(ValueError):
         make_family("bilinear", q=2, d=3, e=2)
-    with pytest.raises(ValueError):
-        make_family("folded_half_cube", n=7)
-    with pytest.raises(ValueError):
-        make_family("folded_half_cube", n=4)
-    with pytest.raises(ValueError):
-        make_family("folded_cube", n=2)
+    for kind, n, message in [
+            ("hypercube", 0, "hypercube requires n >= 1, got 0"),
+            ("halved_cube", 1, "halved_cube requires n >= 2, got 1"),
+            ("folded_cube", 2, "folded_cube requires n >= 3, got 2"),
+            ("folded_half_cube", 4, "folded_half_cube requires even n >= 6, got 4"),
+            ("folded_half_cube", 7, "folded_half_cube requires even n >= 6, got 7")]:
+        with pytest.raises(ValueError) as info:
+            make_family(kind, n=n)
+        assert str(info.value) == message
     with pytest.raises(ValueError):
         make_family("no_such_family", n=2)
 

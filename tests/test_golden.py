@@ -18,7 +18,10 @@ evaluators before the live-interval counters replaced them.  The seven
 and pair with `Q(w)` products, before eta coordinates replaced them.  The
 `spectrum --verify` cases were recorded from the per-character eigenvalues
 and the full exponent-matrix adjacency check, before the neighbour-count
-histogram and the edge identity replaced them.  An
+histogram and the edge identity replaced them.  The six cube cases
+(`{1,10}` labels at n >= 10, a second folded-half-cube split class) were
+recorded from the four separate cube classes before one `CubeFamily`
+replaced them.  An
 intended output change must say so where it rewrites the digests.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -85,6 +88,15 @@ SPECTRUM_CASES = [f"spectrum {fam_args} --verify" for fam_args in FAMILY_ARGS] +
     "spectrum --family hamming --n 1 --e 257 --verify",
 ]
 
+CUBE_CASES = [
+    "table --family hypercube --n 10 --i 2 --format text",
+    "table --family halved-cube --n 10 --i 5 --format csv",
+    "table --family folded-cube --n 10 --i 1 --format text",
+    "table --family folded-half-cube --n 12 --i 3 --format csv",
+    "spectrum --family folded-half-cube --n 10 --verify",
+    "oracle-verify --family folded-half-cube --n 10",
+]
+
 ORACLE_CASES = [f"oracle-verify {fam_args}" for fam_args in FAMILY_ARGS] + [
     "table --family halved-cube --n 8 --i 4 --verify-oracle --format text",
     "table --family folded-half-cube --n 8 --i 2 --verify-oracle --format text",
@@ -104,7 +116,7 @@ def cases() -> list[str]:
         for i in _family(fam_args).eigenspaces():
             for fmt in ("json", "csv", "text"):
                 out.append(f"table {fam_args} --i {i} --format {fmt}")
-    return out + OTHER_CASES + ORACLE_CASES + SPECTRUM_CASES
+    return out + OTHER_CASES + ORACLE_CASES + SPECTRUM_CASES + CUBE_CASES
 
 
 def digest(case: str) -> str:
