@@ -33,7 +33,7 @@ def _candidate(rows: np.ndarray, images: np.ndarray, exps: np.ndarray,
                modulus: int) -> Candidate:
     """The candidate sending basis index rows to image index rows (in
     canonical form) with the given coefficient exponents."""
-    return np.column_stack((row_finder(rows)(images), exps % modulus))
+    return np.column_stack((row_finder(rows, modulus)(images), exps % modulus))
 
 
 def compose_candidates(outer: Candidate, inner: Candidate, modulus: int) -> Candidate:

@@ -12,6 +12,7 @@ from .cyclotomic import Cyclotomic, from_exponent_counts, root_power, root_reduc
 from .groups import Word, WordGroup
 
 SUM_CHUNK_BYTES = 2**20  # bytes of rows per numpy step of sum_positions, spectrum and the check
+DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of int32
 
 
 @dataclass
@@ -133,11 +134,11 @@ def _chunks(count: int, row_bytes: int):
 def _neighbor_index(graph: CayleyGraph, verts: np.ndarray) -> np.ndarray:
     """|X| x |S| int32 positions of x + s among the vertex rows verts."""
     e = graph.modulus
-    find = row_finder(verts)
+    find = row_finder(verts, e)
     wide = verts.astype(np.min_scalar_type(2 * e - 2))
     nbr = np.empty((len(verts), graph.degree), dtype=np.int32)
     for j, s in enumerate(graph.connection):
-        nbr[:, j] = find((wide + np.array(s, dtype=wide.dtype)) % e)
+        nbr[:, j] = find(_reduced_sum(wide, np.array(s, dtype=wide.dtype), e))
     if (nbr < 0).any():
         raise ValueError("the vertex set is not closed under adding a connection element")
     return nbr
@@ -149,13 +150,53 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def row_finder(rows: np.ndarray):
-    """The lookup among distinct rows: a function taking query rows of the
-    same width to their positions among rows, or -1 where no row matches,
-    compared by exact byte key in the dtype of rows."""
+def _reduced_sum(a: np.ndarray, b: np.ndarray, modulus: int, out=None) -> np.ndarray:
+    """(a + b) mod modulus for entries in 0..modulus-1, in an unsigned dtype
+    that holds 2 * modulus - 2, written to out when given: where
+    a + b < modulus, a + b - modulus wraps above a + b, so the smaller of the
+    two is the residue."""
+    total = np.add(a, b, out=out)
+    return np.minimum(total, total - modulus, out=total)
+
+
+def row_finder(rows: np.ndarray, modulus: int):
+    """The lookup among distinct rows with entries in 0..modulus-1: a function
+    taking query rows of the same width, entries in the same range, to their
+    positions among rows, or -1 where no row matches.  Duplicate rows raise.
+
+    A row is read as a bit-field code of bits(modulus - 1) bits per entry.
+    When the codes fit in DENSE_CODE_BITS bits, a dense int32 array maps each
+    code to its position; wider rows, such as exponent rows over a vertex
+    set, are compared by exact byte key in the dtype of rows."""
+    count, width = rows.shape
+    bits = (modulus - 1).bit_length()
+    if width * bits > DENSE_CODE_BITS:
+        return _byte_key_finder(rows)
+
+    def codes(block: np.ndarray) -> np.ndarray:
+        if block.size and (block.min() < 0 or block.max() >= modulus):
+            raise ValueError(f"row entries must be in 0..{modulus - 1}")
+        out = np.zeros(len(block), dtype=np.int32)
+        for col in block.T:  # column by column, so no wide copy of block is made
+            out <<= bits
+            out |= col
+        return out
+
+    keys = codes(rows)
+    index = np.full(1 << (width * bits), -1, dtype=np.int32)
+    index[keys] = np.arange(count, dtype=np.int32)
+    if (index[keys] != np.arange(count)).any():
+        raise ValueError("row_finder needs distinct rows")
+    return lambda queries: index[codes(queries)]
+
+
+def _byte_key_finder(rows: np.ndarray):
+    """row_finder by binary search among the sorted byte keys of rows."""
     keys = row_keys(rows)
     order = np.argsort(keys)
     keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("row_finder needs distinct rows")
 
     def find(queries: np.ndarray) -> np.ndarray:
         found = row_keys(queries.astype(rows.dtype, copy=False))
@@ -168,13 +209,14 @@ def row_finder(rows: np.ndarray):
 def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
     """Row-sum lookup as a dim x dim int32 array: entry (a, b) is the position
     among rows of canonical((rows[a] + rows[b]) mod modulus), or -1 when no
-    row matches (row_finder).  Rows must be distinct."""
+    row matches (row_finder).  Rows must be distinct, with entries in
+    0..modulus-1."""
     dim, width = rows.shape
     rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
-    find = row_finder(rows)
+    find = row_finder(rows, modulus)
     out = np.empty((dim, dim), dtype=np.int32)
     for start, stop in _chunks(dim, rows.nbytes):  # one row's sums take rows.nbytes
-        sums = ((rows[start:stop, None, :] + rows[None, :, :]) % modulus).reshape(-1, width)
+        sums = _reduced_sum(rows[start:stop, None, :], rows[None, :, :], modulus).reshape(-1, width)
         out[start:stop] = find(sums if canonical is None else canonical(sums)).reshape(-1, dim)
     return out
 
@@ -211,14 +253,17 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     nbr = _neighbor_index(graph, verts)
     origin = graph.vertices.index(graph.group.zero())
     red = np.array(root_reduction_matrix(e), dtype=np.int64)
-    wide = np.min_scalar_type(2 * e - 1)  # holds E[u, x] + E[u, s] and E[u, x+s] + e
+    wide = np.min_scalar_type(2 * e - 2)  # holds E[u, x] + E[u, s]
     for start, stop in _chunks(len(chars), len(verts) * wide.itemsize):
         # vertices x characters, so that x -> x + s gathers whole rows
         exps = np.ascontiguousarray(character_exponents(chars[start:stop], verts, e).T, dtype=wide)
         held = np.ones(exps.shape[1], dtype=bool)
+        # written in place at every s: a fresh array of this size per step
+        # costs more in page faults than the arithmetic
+        total, image = np.empty_like(exps), np.empty_like(exps)
         for col, s in zip(nbr.T, nbr[origin]):
-            total, image = exps + exps[s], exps[col]
-            held &= ((total == image) | (total == image + e)).all(axis=0)
+            _reduced_sum(exps, exps[s], e, out=total)
+            held &= (total == np.take(exps, col, axis=0, out=image)).all(axis=0)
         if not held.all():
             return False
         theta = _exponent_histograms(exps[nbr[origin]].T, e)

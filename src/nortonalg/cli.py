@@ -4,6 +4,9 @@ isomorphism checks, with deterministic machine-readable output.
 
 Exit codes: 0 verified/success, 1 a claim check failed, 2 usage error,
 3 budget exceeded, 4 internal error (one line on stderr, no traceback).
+
+`autos`, `norton` and `trees` are imported by the subcommands that run them,
+so `table` and `spectrum` never load them.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import os
 import random
 import sys
 
-from . import autos, norton, trees
+import numpy as np
+
 from .cayley import spectrum, verify_all_eigenvectors
-from .errors import BudgetExceededError
+from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
 from .families import FamilySpec, make_family
 
 EXIT_OK = 0
@@ -39,12 +43,21 @@ def _env_int(name: str) -> int | None:
         raise _usage_error(f"{name} must be an integer, got {raw!r}")
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def nonnegative_int(text: str) -> int:
     """Argument type of --budget, --samples and --attempts."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _int_at_least(text, 0)
+
+
+def positive_int(text: str) -> int:
+    """Argument type of --max-m."""
+    return _int_at_least(text, 1)
 
 
 def _resolve_seed(args) -> int:
@@ -60,7 +73,7 @@ def _resolve_budget(args) -> int:
     env = _env_int("NORTON_BUDGET")
     if env is not None and env < 0:
         raise _usage_error(f"NORTON_BUDGET must be >= 0, got {env}")
-    return trees.DEFAULT_EVAL_BUDGET if env is None else env
+    return DEFAULT_EVAL_BUDGET if env is None else env
 
 
 def _family_from_args(args) -> FamilySpec:
@@ -90,10 +103,17 @@ def _json_text(payload: dict) -> str:
 TABLE_SLOT = "<table>"  # stands for the table in the payload until it is rendered
 
 
-def _json_table(table: list[list[int]]) -> str:
+def _joined_rows(table: np.ndarray, cells: list[str], sep: str) -> list[str]:
+    """Each table row as its cells joined by sep, where entry v reads cells[v],
+    so a zero product (-1) reads the last cell."""
+    lookup = np.array(cells, dtype=object)
+    return [sep.join(lookup[row].tolist()) for row in table]
+
+
+def _json_table(table: np.ndarray, numbers: list[str]) -> str:
     """The text json.dumps gives a nonempty integer table at a top-level key of
-    an indent=2 payload, one row at a time."""
-    rows = [",\n      ".join(map(str, row)) for row in table]
+    an indent=2 payload, one row at a time; numbers[v] is the text of v."""
+    rows = _joined_rows(table, numbers, ",\n      ")
     return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
 
 
@@ -153,6 +173,7 @@ def cmd_table(args) -> int:
     if not 0 <= args.i <= fam.diameter:
         raise _usage_error(f"--i must be in 0..{fam.diameter}")
     if args.verify_oracle:  # the oracle's vertex budget, before the table and the basis
+        from . import norton
         fam.vertices(norton.DEFAULT_ORACLE_VERTEX_BUDGET)
     table = fam.product_table(args.i)  # checks its size before the basis is built
     labels = fam.basis(args.i)
@@ -160,19 +181,18 @@ def cmd_table(args) -> int:
     if args.verify_oracle:
         oracle_ok = norton.verify_oracle_space(fam, args.i)
     texts = [fam.label_text(lbl) for lbl in labels]
+    numbers = [str(v) for v in range(len(texts))] + ["-1"]  # -1, a zero product, reads last
     status = "ok" if oracle_ok in (None, True) else "mismatch"
     if args.format == "csv":
         lines = ["*," + ",".join(texts)]
-        for text, row in zip(texts, table.tolist()):
-            lines.append(text + "," + ",".join(str(v) for v in row))
+        lines += [text + "," + row for text, row in zip(texts, _joined_rows(table, numbers, ","))]
         _emit(args, "\n".join(lines) + "\n")
     elif args.format == "text":
         width = max(len(t) for t in texts) + 1
-        head = " " * width + " ".join(t.rjust(width) for t in texts)
-        lines = [f"# {fam.describe()} V_{args.i} products", head]
-        for text, row in zip(texts, table.tolist()):
-            cells = [(texts[v] if v >= 0 else "0").rjust(width) for v in row]
-            lines.append(text.ljust(width) + " ".join(cells))
+        cells = [t.rjust(width) for t in texts] + ["0".rjust(width)]
+        lines = [f"# {fam.describe()} V_{args.i} products", " " * width + " ".join(cells[:-1])]
+        lines += [text.ljust(width) + row
+                  for text, row in zip(texts, _joined_rows(table, cells, " "))]
         if oracle_ok is not None:
             lines.append(f"# oracle verified: {oracle_ok}")
         _emit(args, "\n".join(lines) + "\n")
@@ -187,11 +207,12 @@ def cmd_table(args) -> int:
             "status": status,
         }
         text = _json_text(payload)
-        _emit(args, text.replace(json.dumps(TABLE_SLOT), _json_table(table.tolist()), 1))
+        _emit(args, text.replace(json.dumps(TABLE_SLOT), _json_table(table, numbers), 1))
     return EXIT_OK if status == "ok" else EXIT_CHECK_FAILED
 
 
 def cmd_nonassoc(args) -> int:
+    from . import trees
     fam = _family_from_args(args)
     i = 1 if args.i is None else args.i
     if not 0 <= i <= fam.diameter:
@@ -201,6 +222,7 @@ def cmd_nonassoc(args) -> int:
     if args.max_m > trees.DEFAULT_MAX_M:
         raise BudgetExceededError(
             f"tree enumeration capped at m={trees.DEFAULT_MAX_M}, got --max-m {args.max_m}")
+    attempts = trees.DEFAULT_WITNESS_ATTEMPTS if args.attempts is None else args.attempts
     dim = fam.predicted_dimension(i)
     reports = []
     for m in range(1, args.max_m + 1):
@@ -212,8 +234,7 @@ def cmd_nonassoc(args) -> int:
         if mode == "exact":
             rep = trees.count_classes_exact(fam, i, m, budget=budget)
         else:
-            rep = trees.count_classes_witness(fam, i, m, seed=seed,
-                                              attempts=args.attempts)
+            rep = trees.count_classes_witness(fam, i, m, seed=seed, attempts=attempts)
         a975 = trees.a000975(m)
         if rep.class_count == 1:
             matches = "one"
@@ -255,6 +276,7 @@ def cmd_nonassoc(args) -> int:
 
 
 def cmd_idempotents(args) -> int:
+    from . import norton
     if args.e is None or args.e < 3:
         raise _usage_error("idempotents requires --e >= 3")
     # each nonempty subset of 1..e-1, the nilpotent ones too, sums up to e-1
@@ -305,6 +327,7 @@ def _random_matrix(rng: random.Random, fam: FamilySpec) -> tuple[tuple[int, ...]
 
 def _random_auto(fam: FamilySpec, i: int, rng: random.Random, k: int):
     """The k-th sampled automorphism of fam as (description, candidate on V_i)."""
+    from . import autos
     if fam.kind == "hamming":
         phi = autos.random_hamming_auto(rng, fam.n, fam.e)
         return (f"(a={phi.a}, b={phi.b}, sigma={phi.sigma})",
@@ -322,6 +345,7 @@ def _random_auto(fam: FamilySpec, i: int, rng: random.Random, k: int):
 
 
 def _autocheck_results(fam: FamilySpec, i: int, samples: int, seed: int) -> list[dict]:
+    from . import autos
     if fam.kind not in ("hamming", "hypercube", "halved_cube", "bilinear"):
         raise _usage_error(f"autocheck supports hamming, hypercube, halved-cube and "
                            f"bilinear families, not {fam.kind}")
@@ -335,6 +359,7 @@ def _autocheck_results(fam: FamilySpec, i: int, samples: int, seed: int) -> list
 
 
 def cmd_autocheck(args) -> int:
+    from . import autos
     fam = _family_from_args(args)
     i = 1 if args.i is None else args.i
     if not 0 <= i <= fam.diameter:
@@ -377,6 +402,7 @@ def cmd_autocheck(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
+    from . import norton
     fam = _family_from_args(args)
     spaces = fam.eigenspaces() if args.i is None else [args.i]
     rows = []
@@ -399,6 +425,7 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_isocheck(args) -> int:
+    from . import norton
     rows = []
     all_ok = True
     for name, mapping, dom, cod in norton.shipped_isomorphism_checks():
@@ -421,7 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", "-f", choices=["json", "csv", "text"], default="json")
     common.add_argument("--output", "-o", default=None, help="write output to a file")
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: NORTON_SEED or 0)")
@@ -437,46 +463,51 @@ def _build_parser() -> argparse.ArgumentParser:
     fam_args.add_argument("--q", type=int, default=None)
     fam_args.add_argument("--d", type=int, default=None)
 
-    p = sub.add_parser("spectrum", parents=[common, fam_args],
-                       help="eigenvalues and multiplicities vs the closed formulas")
+    def add(name: str, parents: list, formats: tuple, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand that writes the given output formats."""
+        p = sub.add_parser(name, parents=parents, **kwargs)
+        p.add_argument("--format", "-f", choices=formats, default="json")
+        return p
+
+    every_format = ("json", "csv", "text")
+    p = add("spectrum", [common, fam_args], every_format,
+            help="eigenvalues and multiplicities vs the closed formulas")
     p.add_argument("--verify", action="store_true",
                    help="also verify every character by adjacency application")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("table", parents=[common, fam_args],
-                       help="V_i basis multiplication table")
+    p = add("table", [common, fam_args], every_format, help="V_i basis multiplication table")
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--verify-oracle", action="store_true",
                    help="re-derive every entry via the projection oracle")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("nonassoc", parents=[common, fam_args],
-                       help="associative spectrum counts C_*(m)")
+    p = add("nonassoc", [common, fam_args], every_format,
+            help="associative spectrum counts C_*(m)")
     p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
-    p.add_argument("--max-m", type=int, default=6)
+    p.add_argument("--max-m", type=positive_int, default=6)
     p.add_argument("--mode", choices=["auto", "exact", "witness"], default="auto")
-    p.add_argument("--attempts", type=nonnegative_int, default=trees.DEFAULT_WITNESS_ATTEMPTS)
+    p.add_argument("--attempts", type=nonnegative_int, default=None)
     p.set_defaults(func=cmd_nonassoc)
 
-    p = sub.add_parser("idempotents", parents=[common],
-                       help="classified idempotents of V_1(H(1,e))")
+    p = add("idempotents", [common], ("json", "text"),
+            help="classified idempotents of V_1(H(1,e))")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--export", default=None, help="also write the JSON payload here")
     p.set_defaults(func=cmd_idempotents)
 
-    p = sub.add_parser("autocheck", parents=[common, fam_args],
-                       help="sampled automorphism actions pass product preservation")
+    p = add("autocheck", [common, fam_args], ("json",),
+            help="sampled automorphism actions pass product preservation")
     p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
     p.add_argument("--samples", type=nonnegative_int, default=100)
     p.set_defaults(func=cmd_autocheck)
 
-    p = sub.add_parser("oracle-verify", parents=[common, fam_args],
-                       help="closed-form products equal the projection oracle")
+    p = add("oracle-verify", [common, fam_args], ("json",),
+            help="closed-form products equal the projection oracle")
     p.add_argument("--i", type=int, default=None, help="one eigenspace (default: all)")
     p.set_defaults(func=cmd_oracle_verify)
 
-    p = sub.add_parser("isocheck", parents=[common],
-                       help="verify the shipped algebra isomorphisms")
+    p = add("isocheck", [common], ("json",), help="verify the shipped algebra isomorphisms")
     p.set_defaults(func=cmd_isocheck)
     return parser
 

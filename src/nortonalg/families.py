@@ -51,6 +51,32 @@ def rank_fq(matrix, q: int) -> int:
     return len(fq_reduce(matrix, q)[1])
 
 
+def ranks_fq(mats: np.ndarray, q: int) -> np.ndarray:
+    """Ranks over F_q (prime q) of a stack of matrices with entries in 0..q-1
+    (count x rows x cols), by one Gaussian elimination run on all at once.
+
+    Column by column, each matrix takes as pivot its first row that is
+    nonzero there, and every row r becomes lead * r - r[col] * pivot (mod q),
+    where lead, the pivot's entry, is a unit.  So the pivot row becomes zero
+    and the others lose column col: their rank drops by exactly one.  A
+    matrix without a pivot in the column keeps its rows (lead 1, pivot zero).
+    The rank is the number of pivots."""
+    if not is_prime(q):
+        raise ValueError(f"row reduction over F_q requires a prime q, got {q}")
+    m = mats.astype(np.min_scalar_type(2 * q * q))  # holds (q-1)^2 + q(q-1) before % q
+    count, _, cols = m.shape
+    every = np.arange(count)
+    ranks = np.zeros(count, dtype=np.int64)
+    for col in range(cols):
+        live = m[:, :, col] != 0
+        has = live.any(axis=1)
+        top = m[every, live.argmax(axis=1)] * has[:, None]
+        lead = np.where(has, top[:, col], 1)
+        m = (lead[:, None, None] * m + (q - m[:, :, col])[:, :, None] * top[:, None, :]) % q
+        ranks += has
+    return ranks
+
+
 def symmetric_difference_feasible(n: int, i: int, j: int) -> bool:
     """Whether i-subsets S, T of [n] with |S symdiff T| = j exist."""
     if not 0 <= i <= n:
@@ -97,7 +123,8 @@ class FamilySpec:
     def _vertex_iter(self):
         raise NotImplementedError
 
-    def _connection_pred(self, x: Word) -> bool:
+    def _make_connection(self, vertices: list[Word]) -> list[Word]:
+        """The connection set, in vertex order."""
         raise NotImplementedError
 
     def _make_basis(self, i: int) -> list:
@@ -160,7 +187,7 @@ class FamilySpec:
     def connection(self, budget: int | None = None) -> list[Word]:
         vertices = self.vertices(budget)
         if self._connection is None:
-            self._connection = [x for x in vertices if self._connection_pred(x)]
+            self._connection = self._make_connection(vertices)
         return self._connection
 
     def basis(self, i: int) -> list:
@@ -275,8 +302,8 @@ class HammingFamily(FamilySpec):
     def _vertex_iter(self):
         return product(range(self.e), repeat=self.n)
 
-    def _connection_pred(self, x: Word) -> bool:
-        return self.group.weight(x) == 1
+    def _make_connection(self, vertices: list[Word]) -> list[Word]:
+        return [x for x in vertices if self.group.weight(x) == 1]
 
     def _make_basis(self, i: int) -> list[Word]:
         out = []
@@ -378,9 +405,10 @@ class CubeFamily(FamilySpec):
         return (x + pad for x in product(range(2), repeat=self.n - self.folded)
                 if not self.halved or sum(x) % 2 == 0)
 
-    def _connection_pred(self, x: Word) -> bool:
-        weight, w = sum(x), 1 + self.halved
-        return weight == w or (self.folded and weight == self.n - w)
+    def _make_connection(self, vertices: list[Word]) -> list[Word]:
+        w = 1 + self.halved
+        weights = {w, self.n - w} if self.folded else {w}
+        return [x for x in vertices if sum(x) in weights]
 
     def _size(self, i: int) -> int:
         return 2 * i if self.folded else i
@@ -438,7 +466,7 @@ class CubeFamily(FamilySpec):
         if self.halved:
             weight = 2 * rows.sum(axis=1, dtype=np.int64)
             flip = (weight > self.n) | ((weight == self.n) & (rows[:, 0] == 0))
-            rows[flip] = 1 - rows[flip]
+            rows ^= flip[:, None]
         return rows
 
     def closed_product(self, i: int, a: Subset, b: Subset):
@@ -479,6 +507,7 @@ class BilinearFamily(FamilySpec):
         self.d = d
         self.cols = e
         self.group = WordGroup(d * e, q, shape=(d, e))
+        self._ranks: np.ndarray | None = None
 
     @property
     def modulus(self) -> int:
@@ -505,11 +534,19 @@ class BilinearFamily(FamilySpec):
     def rank(self, flat: Word) -> int:
         return rank_fq(self.group.as_matrix(flat), self.q)
 
-    def _connection_pred(self, x: Word) -> bool:
-        return self.rank(x) == 1
+    def _rank_class(self, vertices: list[Word], rank: int) -> list[Word]:
+        """The vertices of the given rank, in vertex order.  Every vertex is
+        ranked once, by one batched elimination (ranks_fq), and cached."""
+        if self._ranks is None:
+            mats = np.array(vertices, dtype=np.min_scalar_type(self.q - 1))
+            self._ranks = ranks_fq(mats.reshape(-1, self.d, self.cols), self.q)
+        return [vertices[k] for k in np.flatnonzero(self._ranks == rank).tolist()]
+
+    def _make_connection(self, vertices: list[Word]) -> list[Word]:
+        return self._rank_class(vertices, 1)
 
     def _make_basis(self, i: int) -> list[Word]:
-        return [x for x in self.vertices() if self.rank(x) == i]
+        return self._rank_class(self.vertices(), i)
 
     def index_vector(self, label: Word) -> Word:
         return label

@@ -24,10 +24,9 @@ from math import comb
 import numpy as np
 
 from .cayley import row_keys
-from .errors import BudgetExceededError
+from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
 from .families import FamilySpec
 
-DEFAULT_EVAL_BUDGET = 10**7
 DEFAULT_MAX_M = 12
 DEFAULT_WITNESS_ATTEMPTS = 10_000
 CHUNK_BYTES = 1 << 20  # working-array size of the vectorized tree classification

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from nortonalg import cayley
 from nortonalg.cayley import integer_eigenvalue, spectrum, verify_all_eigenvectors
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.families import make_family, symmetric_difference_feasible
@@ -116,8 +117,10 @@ def test_criterion_02_example_tables():
         assert got[(a, a)] is None and got[(b, b)] is None and got[(c, c)] is None
 
 
-def test_product_table_matches_closed_product():
-    # the numpy table builder against the paper's single-pair rule, every entry
+def test_product_table_matches_closed_product(monkeypatch):
+    # the numpy table builder against the paper's single-pair rule, every entry,
+    # and its dense code index against the byte-key lookup it replaces
+    spaces = 0
     for fam in _criterion1_instances():
         for i in fam.eigenspaces():
             pos = fam.basis_position(i)
@@ -126,6 +129,13 @@ def test_product_table_matches_closed_product():
                                 for a in fam.basis(i))]
             table = fam.product_table(i)
             assert table.dtype == np.int32 and table.tolist() == want, (fam.describe(), i)
+            with monkeypatch.context() as patch:
+                patch.setattr(cayley, "DENSE_CODE_BITS", 0)
+                by_bytes = cayley.sum_positions(fam.basis_array(i), fam.modulus,
+                                                fam._canonical_rows)
+            assert (by_bytes == table).all(), (fam.describe(), i)
+            spaces += 1
+    assert spaces == 155
 
 
 def test_criterion_03_oracle_equivalence():

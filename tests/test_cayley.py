@@ -199,10 +199,54 @@ def test_sum_positions_independent_of_chunk_size(monkeypatch):
         rows = fam.basis_array(i)
         whole = sum_positions(rows, fam.modulus, fam._canonical_rows)
         assert (whole == fam.product_table(i)).all()
-        # three basis rows of sums per step
-        monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 3 * rows.size)
-        assert (sum_positions(rows, fam.modulus, fam._canonical_rows) == whole).all()
+        # three basis rows of sums per step, then the same by byte keys only
+        for name, value in (("SUM_CHUNK_BYTES", 3 * rows.size), ("DENSE_CODE_BITS", 0)):
+            monkeypatch.setattr(cayley, name, value)
+            assert (sum_positions(rows, fam.modulus, fam._canonical_rows) == whole).all()
         monkeypatch.undo()
+
+
+def test_reduced_sum_equals_remainder():
+    rng = np.random.default_rng(7)
+    for m in range(2, 258):  # from m = 129 on, 2m - 2 needs uint16
+        dtype = np.min_scalar_type(2 * m - 2)
+        a = np.concatenate(([0, m - 1, m - 1, 0], rng.integers(0, m, 60))).astype(dtype)
+        b = np.concatenate(([0, m - 1, 1, m - 1], rng.integers(0, m, 60))).astype(dtype)
+        got = cayley._reduced_sum(a, b, m)
+        assert got.dtype == dtype, m
+        assert (got == (a.astype(np.int64) + b) % m).all(), m
+
+
+def _distinct_rows(rng, count, width, modulus):
+    rows = np.unique(rng.integers(0, modulus, (count, width)), axis=0)
+    return rows[rng.permutation(len(rows))].astype(np.min_scalar_type(modulus - 1))
+
+
+@pytest.mark.parametrize("modulus, width, dense", [(2, 22, True), (4, 11, True),
+                                                    (2, 23, False), (257, 3, False)])
+def test_row_finder_dense_and_byte_key_paths_agree(monkeypatch, modulus, width, dense):
+    # 22 code bits are indexed densely, 23 are compared by byte key
+    rng = np.random.default_rng(modulus * width)
+    rows = _distinct_rows(rng, 300, width, modulus)
+    queries = np.concatenate((rows[::-1], rng.integers(0, modulus, (300, width)))).astype(rows.dtype)
+    where = {row.tobytes(): k for k, row in enumerate(rows)}
+    want = [where.get(row.tobytes(), -1) for row in queries]
+    assert -1 in want
+    real, calls = cayley._byte_key_finder, []
+    monkeypatch.setattr(cayley, "_byte_key_finder", lambda r: calls.append(1) or real(r))
+    assert cayley.row_finder(rows, modulus)(queries).tolist() == want
+    assert calls == ([] if dense else [1])
+    assert real(rows)(queries).tolist() == want
+    for path in (cayley.row_finder, lambda r, m: real(r)):
+        with pytest.raises(ValueError, match="distinct rows"):
+            path(np.concatenate((rows, rows[:1])), modulus)
+
+
+def test_row_finder_dense_path_rejects_entries_out_of_range():
+    find = cayley.row_finder(np.array([[0, 1], [2, 0]], dtype=np.uint8), 3)
+    assert find(np.array([[2, 0], [1, 1]], dtype=np.uint8)).tolist() == [1, -1]
+    with pytest.raises(ValueError, match="0..2"):
+        find(np.array([[3, 0]], dtype=np.uint8))
 
 
 def test_spectrum_descending_and_total():

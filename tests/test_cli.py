@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import nortonalg
 
 from nortonalg import autos, norton, trees
 from nortonalg.cli import main
@@ -369,3 +374,54 @@ def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: oracle exploded\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_m_below_1_exits_2(capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["nonassoc", "--family", "hamming", "--n", "1", "--e", "3", "--max-m", value])
+    assert info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, supported", [
+    (["autocheck", "--family", "hamming", "--n", "2", "--e", "3", "--samples", "1"], ["json"]),
+    (["oracle-verify", "--family", "hamming", "--n", "2", "--e", "3"], ["json"]),
+    (["isocheck"], ["json"]),
+    (["idempotents", "--e", "3"], ["json", "text"]),
+], ids=["autocheck", "oracle-verify", "isocheck", "idempotents"])
+def test_format_a_subcommand_cannot_write_exits_2(capsys, argv, supported):
+    for fmt in ("json", "csv", "text"):
+        if fmt in supported:
+            assert main(argv + ["--format", fmt]) == 0
+            capsys.readouterr()
+            continue
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--format", fmt])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{fmt}'" in err
+        named = err.split("choose from", 1)[1]
+        assert [f for f in ("json", "csv", "text") if f in named] == supported
+
+
+def test_cli_import_leaves_the_other_layers_unloaded():
+    src = os.path.dirname(os.path.dirname(nortonalg.__file__))
+    code = ("import sys, nortonalg.cli; "
+            "print(sorted(m for m in ('autos', 'norton', 'trees') "
+            "if 'nortonalg.' + m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
+
+
+def test_package_names_resolve_on_first_access():
+    for name in nortonalg.__all__:
+        assert getattr(nortonalg, name).__name__ == name
+    namespace: dict = {}
+    exec("from nortonalg import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == sorted(nortonalg.__all__)
+    assert set(nortonalg.__all__) <= set(dir(nortonalg))
+    with pytest.raises(AttributeError):
+        nortonalg.no_such_name

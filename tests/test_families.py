@@ -13,6 +13,7 @@ from nortonalg.families import (
     make_family,
     qbinom,
     rank_fq,
+    ranks_fq,
     symmetric_difference_feasible,
 )
 
@@ -247,6 +248,22 @@ def test_rank_fq():
     assert rank_fq([[1, 2], [2, 3]], 5) == 2
     with pytest.raises(ValueError):
         rank_fq([[1]], 4)
+
+
+@pytest.mark.parametrize("q, d, e", [(2, 2, 2), (3, 2, 2), (2, 1, 3), (5, 1, 1),
+                                     (2, 2, 3), (2, 3, 3), (5, 2, 2), (3, 2, 3)])
+def test_batched_ranks_equal_rank_fq(q, d, e):
+    # the first two are the bilinear families of criterion 1
+    fam = make_family("bilinear", q=q, d=d, e=e)
+    vertices = fam.vertices()
+    mats = np.array(vertices, dtype=np.uint8).reshape(-1, d, e)
+    ranks = [rank_fq(fam.group.as_matrix(x), q) for x in vertices]
+    assert ranks_fq(mats, q).tolist() == ranks
+    for i in fam.eigenspaces():
+        assert fam.basis(i) == [x for x, r in zip(vertices, ranks) if r == i]
+    assert fam.connection() == [x for x, r in zip(vertices, ranks) if r == 1]
+    with pytest.raises(ValueError):
+        ranks_fq(mats, 4)
 
 
 def test_bilinear_rank_counts_match_dimensions():
