@@ -193,7 +193,8 @@ def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
     rows = family.basis_array(i)
     images = np.empty_like(rows)
     images[:, list(f.sigma)] = rows
-    signs = images @ (np.array(f.eps) < 0)  # before the complement on the halved cube
+    # before the complement on the halved cube, summed in int64, not the row dtype
+    signs = images @ (np.array(f.eps) < 0).astype(np.int64)
     return _candidate(rows, family._canonical_rows(images), signs, 2)
 
 
@@ -327,8 +328,14 @@ def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,
 # Product-preservation checking
 # ---------------------------------------------------------------------------
 
-def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int,
-                            budget: int = DEFAULT_PAIR_BUDGET) -> bool:
+def require_pair_budget(dim: int) -> None:
+    """Raise unless checking a candidate on a basis of dim elements fits the pair budget."""
+    if dim**2 > DEFAULT_PAIR_BUDGET:
+        raise BudgetExceededError(
+            f"automorphism check needs {dim**2} pairs, over budget {DEFAULT_PAIR_BUDGET}")
+
+
+def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int) -> bool:
     """Exhaustively check that a monomial basis map preserves all basis products.
 
     The positions of the candidate must be a bijection of the basis that
@@ -342,9 +349,7 @@ def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int,
     pos, exp = candidate[:, 0], candidate[:, 1]
     if not np.array_equal(np.sort(pos), np.arange(dim)):
         return False
-    if dim**2 > budget:
-        raise BudgetExceededError(
-            f"automorphism check needs {dim**2} pairs, over budget {budget}")
+    require_pair_budget(dim)
     table = family.product_table(i)
     if not carries_table(pos, table, table):
         return False

@@ -3,13 +3,11 @@ and exact adjacency verification of the character eigenbasis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import Cyclotomic, from_exponent_counts, root_power, root_reduction_matrix
-from .groups import Word, WordGroup
 
 SUM_CHUNK_BYTES = 2**20  # bytes of rows per numpy step of sum_positions, spectrum and the check
 DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of int32
@@ -17,35 +15,33 @@ DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of in
 
 @dataclass
 class CayleyGraph:
-    """Cayley graph of an abelian group on a vertex set closed under the group law.
+    """Cayley graph of a subgroup X of Z_e^n, with the vertex, connection and
+    character sets as integer row arrays, entries in 0..e-1.
 
-    `characters` lists the exponent-index vectors of the linear characters of the
-    vertex set; it defaults to the vertices themselves, which is the full dual
-    group when the vertex set is all of Z_e^n.  Proper subgroups (halved and
-    folded cubes) must pass their own character indexing.
+    `characters` holds the exponent-index rows of the linear characters of X;
+    it defaults to the vertices themselves, which is the full dual group when
+    X is all of Z_e^n.  Proper subgroups (halved and folded cubes) must pass
+    their own character indexing.
     """
 
-    group: WordGroup
-    vertices: list[Word]
-    connection: list[Word]
-    characters: list[Word] = field(default=None)  # type: ignore[assignment]
+    modulus: int
+    vertices: np.ndarray
+    connection: np.ndarray
+    characters: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.characters is None:
-            self.characters = list(self.vertices)
-        zero = self.group.zero()
-        seen = set()
-        vset = set(self.vertices)
-        for s in self.connection:
-            if s == zero:
-                raise ValueError("connection set contains the identity")
-            if s in seen:
-                raise ValueError(f"duplicate connection element {s}")
-            seen.add(s)
-            if self.group.neg(s) not in seen and self.group.neg(s) not in self.connection:
-                raise ValueError(f"connection set not symmetric at {s}")
-            if s not in vset:
-                raise ValueError(f"connection element {s} outside the vertex set")
+            self.characters = self.vertices
+        e, conn = self.modulus, self.connection
+        if len({rows.shape[1] for rows in (self.vertices, conn, self.characters)}) != 1:
+            raise ValueError("vertex, connection and character rows differ in width")
+        if not conn.any(axis=1).all():
+            raise ValueError("connection set contains the identity")
+        find = row_finder(conn, e)  # raises on a repeated connection element
+        if (find((-conn.astype(np.int64)) % e) < 0).any():
+            raise ValueError("connection set not symmetric")
+        if (row_finder(self.vertices, e)(conn) < 0).any():
+            raise ValueError("connection element outside the vertex set")
         if len(self.characters) != len(self.vertices):
             raise ValueError("character count must equal vertex count")
 
@@ -53,21 +49,22 @@ class CayleyGraph:
     def degree(self) -> int:
         return len(self.connection)
 
-    @property
-    def modulus(self) -> int:
-        return self.group.modulus
+
+def _dot(u: list[int], x: list[int], e: int) -> int:
+    return sum(a * b for a, b in zip(u, x)) % e
 
 
-def eigenvalue_of_character(graph: CayleyGraph, u: Word) -> Cyclotomic:
+def eigenvalue_of_character(graph: CayleyGraph, u) -> Cyclotomic:
     """chi_u(S) = sum over s in S of chi_u(s), computed exactly."""
     e = graph.modulus
+    u = np.asarray(u).tolist()
     counts = [0] * e
-    for s in graph.connection:
-        counts[graph.group.dot(u, s)] += 1
+    for s in graph.connection.tolist():
+        counts[_dot(u, s, e)] += 1
     return from_exponent_counts(e, counts)
 
 
-def integer_eigenvalue(graph: CayleyGraph, u: Word) -> int:
+def integer_eigenvalue(graph: CayleyGraph, u) -> int:
     """Eigenvalue downcast to an integer; raises if it is not a rational integer."""
     return eigenvalue_of_character(graph, u).as_int()
 
@@ -81,8 +78,7 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     asserted by the exact downcast.
     """
     e = graph.modulus
-    chars = _word_rows(graph, graph.characters)
-    conn = _word_rows(graph, graph.connection)
+    chars, conn = graph.characters, graph.connection
     tally: dict[bytes, int] = {}
     for start, stop in _chunks(len(chars), (len(conn) + e) * 8):
         hist = _exponent_histograms(character_exponents(chars[start:stop], conn, e), e)
@@ -99,29 +95,24 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     return sorted(counts.items(), key=lambda p: -p[0])
 
 
-def verify_eigenvector(graph: CayleyGraph, u: Word) -> bool:
+def verify_eigenvector(graph: CayleyGraph, u) -> bool:
     """Materialize chi_u, apply the adjacency operator by neighbor summation,
     and compare with eigenvalue * chi_u at every vertex, exactly."""
-    group = graph.group
     e = graph.modulus
+    u = np.asarray(u).tolist()
     theta = eigenvalue_of_character(graph, u)
-    index = {x: k for k, x in enumerate(graph.vertices)}
-    exps = [group.dot(u, x) for x in graph.vertices]
-    for k, x in enumerate(graph.vertices):
+    xs = [tuple(x) for x in graph.vertices.tolist()]
+    index = {x: k for k, x in enumerate(xs)}
+    exps = [_dot(u, x, e) for x in xs]
+    for k, x in enumerate(xs):
         counts = [0] * e
-        for s in graph.connection:
-            counts[exps[index[group.add(x, s)]]] += 1
+        for s in graph.connection.tolist():
+            counts[exps[index[tuple((a + b) % e for a, b in zip(x, s))]]] += 1
         lhs = from_exponent_counts(e, counts)
         rhs = theta * root_power(e, exps[k])
         if lhs != rhs:
             return False
     return True
-
-
-def _word_rows(graph: CayleyGraph, words: Sequence[Word]) -> np.ndarray:
-    """Words as rows of the smallest unsigned dtype that holds e - 1."""
-    return np.array(words, dtype=np.min_scalar_type(graph.modulus - 1)).reshape(
-        len(words), graph.group.length)
 
 
 def _chunks(count: int, row_bytes: int):
@@ -137,8 +128,8 @@ def _neighbor_index(graph: CayleyGraph, verts: np.ndarray) -> np.ndarray:
     find = row_finder(verts, e)
     wide = verts.astype(np.min_scalar_type(2 * e - 2))
     nbr = np.empty((len(verts), graph.degree), dtype=np.int32)
-    for j, s in enumerate(graph.connection):
-        nbr[:, j] = find(_reduced_sum(wide, np.array(s, dtype=wide.dtype), e))
+    for j, s in enumerate(graph.connection.astype(wide.dtype)):
+        nbr[:, j] = find(_reduced_sum(wide, s, e))
     if (nbr < 0).any():
         raise ValueError("the vertex set is not closed under adding a connection element")
     return nbr
@@ -150,13 +141,14 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def _reduced_sum(a: np.ndarray, b: np.ndarray, modulus: int, out=None) -> np.ndarray:
+def _reduced_sum(a: np.ndarray, b: np.ndarray, modulus: int, out=None,
+                 wrap=None) -> np.ndarray:
     """(a + b) mod modulus for entries in 0..modulus-1, in an unsigned dtype
-    that holds 2 * modulus - 2, written to out when given: where
-    a + b < modulus, a + b - modulus wraps above a + b, so the smaller of the
-    two is the residue."""
+    that holds 2 * modulus - 2, written to out when given, with a + b - modulus
+    held in wrap when given: where a + b < modulus, a + b - modulus wraps
+    above a + b, so the smaller of the two is the residue."""
     total = np.add(a, b, out=out)
-    return np.minimum(total, total - modulus, out=total)
+    return np.minimum(total, np.subtract(total, modulus, out=wrap), out=total)
 
 
 def row_finder(rows: np.ndarray, modulus: int):
@@ -215,9 +207,13 @@ def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
     rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
     find = row_finder(rows, modulus)
     out = np.empty((dim, dim), dtype=np.int32)
-    for start, stop in _chunks(dim, rows.nbytes):  # one row's sums take rows.nbytes
-        sums = _reduced_sum(rows[start:stop, None, :], rows[None, :, :], modulus).reshape(-1, width)
-        out[start:stop] = find(sums if canonical is None else canonical(sums)).reshape(-1, dim)
+    chunks = list(_chunks(dim, rows.nbytes))  # one row's sums take rows.nbytes
+    # the sums and their wrapped differences, allocated once and reused by every chunk
+    sums, wrap = (np.empty((chunks[0][1], dim, width), rows.dtype) for _ in range(2))
+    for start, stop in chunks:
+        part = _reduced_sum(rows[start:stop, None, :], rows[None, :, :], modulus,
+                            out=sums[:stop - start], wrap=wrap[:stop - start]).reshape(-1, width)
+        out[start:stop] = find(part if canonical is None else canonical(part)).reshape(-1, dim)
     return out
 
 
@@ -248,10 +244,9 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     Exponent rows are computed per chunk of characters, so no |X| x |X| array
     is built."""
     e = graph.modulus
-    verts = _word_rows(graph, graph.vertices)
-    chars = _word_rows(graph, graph.characters)
+    verts, chars = graph.vertices, graph.characters
     nbr = _neighbor_index(graph, verts)
-    origin = graph.vertices.index(graph.group.zero())
+    origin = np.flatnonzero(~verts.any(axis=1))[0]  # the identity vertex
     red = np.array(root_reduction_matrix(e), dtype=np.int64)
     wide = np.min_scalar_type(2 * e - 2)  # holds E[u, x] + E[u, s]
     for start, stop in _chunks(len(chars), len(verts) * wide.itemsize):
@@ -262,7 +257,7 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
         # costs more in page faults than the arithmetic
         total, image = np.empty_like(exps), np.empty_like(exps)
         for col, s in zip(nbr.T, nbr[origin]):
-            _reduced_sum(exps, exps[s], e, out=total)
+            _reduced_sum(exps, exps[s], e, out=total, wrap=image)
             held &= (total == np.take(exps, col, axis=0, out=image)).all(axis=0)
         if not held.all():
             return False

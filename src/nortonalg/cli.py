@@ -290,7 +290,7 @@ def cmd_idempotents(args) -> int:
     idems = norton.classified_idempotents(args.e)
     relations = norton.eta_relations_check(args.e)
     primitivity = None
-    if args.e <= 7:
+    if args.e <= norton.PRIMITIVITY_MAX_E:
         primitivity = norton.primitivity_facts_check(args.e)
     nilpotents = norton.nilpotents_order2_classified(args.e)
     payload = {
@@ -349,6 +349,8 @@ def _autocheck_results(fam: FamilySpec, i: int, samples: int, seed: int) -> list
     if fam.kind not in ("hamming", "hypercube", "halved_cube", "bilinear"):
         raise _usage_error(f"autocheck supports hamming, hypercube, halved-cube and "
                            f"bilinear families, not {fam.kind}")
+    if samples:  # before any candidate builds the basis
+        autos.require_pair_budget(fam.predicted_dimension(i))
     rng = random.Random(seed)
     results = []
     for k in range(samples):

@@ -84,6 +84,18 @@ def symmetric_difference_feasible(n: int, i: int, j: int) -> bool:
     return j % 2 == 0 and 0 <= j <= min(2 * i, 2 * (n - i))
 
 
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    rows.flags.writeable = False  # one array is shared by every caller
+    return rows
+
+
+def _words(modulus: int, length: int) -> np.ndarray:
+    """Every word of Z_modulus^length as a row, in lexicographic order, in the
+    smallest unsigned dtype that holds modulus - 1."""
+    grid = np.indices((modulus,) * length, dtype=np.min_scalar_type(modulus - 1))
+    return np.ascontiguousarray(grid.reshape(length, -1).T)
+
+
 def carries_table(perm: np.ndarray, dom: np.ndarray, cod: np.ndarray) -> bool:
     """Whether the basis bijection a -> perm[a] carries the product table dom
     onto cod: cod[perm[a], perm[b]] is perm[dom[a, b]], and zero where dom is."""
@@ -97,10 +109,11 @@ class FamilySpec:
     kind: str = ""
 
     def __init__(self) -> None:
-        self._vertices: list[Word] | None = None
-        self._connection: list[Word] | None = None
+        self._vertices: np.ndarray | None = None
+        self._connection: np.ndarray | None = None
         self._bases: dict[int, list] = {}
         self._basis_pos: dict[int, dict] = {}
+        self._basis_rows: dict[int, np.ndarray] = {}
         self._tables: dict[int, np.ndarray] = {}
 
     # family-specific interface -------------------------------------------------
@@ -120,19 +133,25 @@ class FamilySpec:
     def vertex_count(self) -> int:
         raise NotImplementedError
 
-    def _vertex_iter(self):
-        raise NotImplementedError
+    def _make_vertices(self) -> np.ndarray:
+        """The vertex rows in lexicographic order; by default all of Z_q^length."""
+        return _words(self.modulus, self.length)
 
-    def _make_connection(self, vertices: list[Word]) -> list[Word]:
-        """The connection set, in vertex order."""
+    def _connection_mask(self, vertices: np.ndarray) -> np.ndarray:
+        """Which vertex rows are connection elements."""
         raise NotImplementedError
 
     def _make_basis(self, i: int) -> list:
         raise NotImplementedError
 
+    def _index_rows(self, labels: list) -> np.ndarray:
+        """Index rows of the given labels, in the row dtype (index_vector of each)."""
+        return np.array(labels, dtype=self.row_dtype)
+
     def index_vector(self, label) -> Word:
-        """Exponent-index vector of the character with the given basis label."""
-        raise NotImplementedError
+        """Exponent-index vector of the character with the given basis label:
+        the label itself, unless the family indexes characters otherwise."""
+        return label
 
     def predicted_eigenvalue(self, i: int) -> int:
         raise NotImplementedError
@@ -170,24 +189,33 @@ class FamilySpec:
         if not 0 <= i <= self.diameter:
             raise ValueError(f"eigenspace index {i} out of range 0..{self.diameter}")
 
-    def vertices(self, budget: int | None = None) -> list[Word]:
-        """The vertex list, cached; every call checks the budget, so a list
-        enumerated under a larger budget is not handed to a smaller one."""
+    @property
+    def row_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds modulus - 1: the dtype of
+        every vertex, connection and character row."""
+        return np.min_scalar_type(self.modulus - 1)
+
+    def vertices(self, budget: int | None = None) -> np.ndarray:
+        """The vertex rows, a cached read-only array; every call checks the
+        budget, so rows enumerated under a larger budget are not handed to a
+        smaller one."""
         limit = DEFAULT_VERTEX_BUDGET if budget is None else budget
         if self.vertex_count() > limit:
             raise BudgetExceededError(
                 f"{self.describe()} has {self.vertex_count()} vertices"
                 f", over the budget {limit}")
         if self._vertices is None:
-            self._vertices = list(self._vertex_iter())
-            if len(self._vertices) != self.vertex_count():
+            rows = self._make_vertices()
+            if len(rows) != self.vertex_count():
                 raise AssertionError("vertex enumeration disagrees with the count formula")
+            self._vertices = _read_only(rows)
         return self._vertices
 
-    def connection(self, budget: int | None = None) -> list[Word]:
-        vertices = self.vertices(budget)
+    def connection(self) -> np.ndarray:
+        """The connection rows in vertex order, a cached read-only array."""
+        vertices = self.vertices()
         if self._connection is None:
-            self._connection = self._make_connection(vertices)
+            self._connection = _read_only(vertices[self._connection_mask(vertices)])
         return self._connection
 
     def basis(self, i: int) -> list:
@@ -199,19 +227,19 @@ class FamilySpec:
                     f"basis size {len(basis)} != predicted dimension "
                     f"{self.predicted_dimension(i)} for {self.describe()} i={i}")
             self._bases[i] = basis
-            self._basis_pos[i] = {lbl: k for k, lbl in enumerate(basis)}
         return self._bases[i]
 
     def basis_position(self, i: int) -> dict:
-        self.basis(i)
+        if i not in self._basis_pos:
+            self._basis_pos[i] = {lbl: k for k, lbl in enumerate(self.basis(i))}
         return self._basis_pos[i]
 
     def _require_basis(self, i: int, label) -> None:
         """Raise unless label is a V_i basis label; a basis already enumerated
         answers by lookup, any other by the family's predicate."""
         self._check_space(i)
-        known = self._basis_pos.get(i)
-        if not (label in known if known is not None else self.in_basis(i, label)):
+        known = label in self.basis_position(i) if i in self._bases else self.in_basis(i, label)
+        if not known:
             raise ValueError(f"label {self.label_text(label)} is not in the V_{i} basis")
 
     def product_table(self, i: int) -> np.ndarray:
@@ -229,34 +257,24 @@ class FamilySpec:
                 raise BudgetExceededError(
                     f"product table of {self.describe()} V_{i} has {dim * dim} entries"
                     f", over {MAX_TABLE_ENTRIES}")
-            table = sum_positions(self.basis_array(i), self.modulus, self._canonical_rows)
-            table.flags.writeable = False  # one array is shared by every caller
-            self._tables[i] = table
+            self._tables[i] = _read_only(
+                sum_positions(self.basis_array(i), self.modulus, self._canonical_rows))
         return self._tables[i]
 
     def eigenspaces(self) -> range:
         return range(self.diameter + 1)
 
-    def all_labels(self) -> list[tuple[int, object]]:
-        return [(i, lbl) for i in self.eigenspaces() for lbl in self.basis(i)]
-
-    def cayley_graph(self, budget: int | None = None) -> CayleyGraph:
-        vertices = self.vertices(budget)  # the budget check precedes any enumeration
-        chars = [self.index_vector(lbl) for _, lbl in self.all_labels()]
-        return CayleyGraph(
-            group=self.group,
-            vertices=vertices,
-            connection=self.connection(budget),
-            characters=chars,
-        )
+    def cayley_graph(self) -> CayleyGraph:
+        """The graph with the basis characters of V_0, ..., V_d in order."""
+        vertices = self.vertices()  # the budget check precedes any enumeration
+        chars = np.concatenate([self.basis_array(i) for i in self.eigenspaces()])
+        return CayleyGraph(self.modulus, vertices, self.connection(), chars)
 
     def basis_array(self, i: int) -> np.ndarray:
-        """Index vectors of the V_i basis as an integer array (dim x length)."""
-        return np.array([self.index_vector(lbl) for lbl in self.basis(i)],
-                        dtype=np.int64).reshape(len(self.basis(i)), self.length)
-
-    def vertex_array(self, budget: int | None = None) -> np.ndarray:
-        return np.array(self.vertices(budget), dtype=np.int64)
+        """Index rows of the V_i basis (dim x length), a cached read-only array."""
+        if i not in self._basis_rows:
+            self._basis_rows[i] = _read_only(self._index_rows(self.basis(i)))
+        return self._basis_rows[i]
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -299,11 +317,8 @@ class HammingFamily(FamilySpec):
     def vertex_count(self) -> int:
         return self.e**self.n
 
-    def _vertex_iter(self):
-        return product(range(self.e), repeat=self.n)
-
-    def _make_connection(self, vertices: list[Word]) -> list[Word]:
-        return [x for x in vertices if self.group.weight(x) == 1]
+    def _connection_mask(self, vertices: np.ndarray) -> np.ndarray:
+        return np.count_nonzero(vertices, axis=1) == 1
 
     def _make_basis(self, i: int) -> list[Word]:
         out = []
@@ -315,9 +330,6 @@ class HammingFamily(FamilySpec):
                 out.append(tuple(word))
         out.sort()
         return out
-
-    def index_vector(self, label: Word) -> Word:
-        return label
 
     def predicted_eigenvalue(self, i: int) -> int:
         self._check_space(i)
@@ -400,15 +412,15 @@ class CubeFamily(FamilySpec):
     def vertex_count(self) -> int:
         return 2 ** (self.n - self.halved - self.folded)
 
-    def _vertex_iter(self):
-        pad = (0,) * self.folded
-        return (x + pad for x in product(range(2), repeat=self.n - self.folded)
-                if not self.halved or sum(x) % 2 == 0)
+    def _make_vertices(self) -> np.ndarray:
+        rows = _words(2, self.n - self.folded)
+        if self.halved:
+            rows = rows[rows.sum(axis=1) % 2 == 0]
+        return np.pad(rows, ((0, 0), (0, 1))) if self.folded else rows
 
-    def _make_connection(self, vertices: list[Word]) -> list[Word]:
+    def _connection_mask(self, vertices: np.ndarray) -> np.ndarray:
         w = 1 + self.halved
-        weights = {w, self.n - w} if self.folded else {w}
-        return [x for x in vertices if sum(x) in weights]
+        return np.isin(vertices.sum(axis=1), [w, self.n - w] if self.folded else [w])
 
     def _size(self, i: int) -> int:
         return 2 * i if self.folded else i
@@ -424,6 +436,11 @@ class CubeFamily(FamilySpec):
         if self._with_one(s):
             return [(1,) + rest for rest in combinations(range(2, self.n + 1), s - 1)]
         return list(combinations(range(1, self.n + 1), s))
+
+    def _index_rows(self, labels: list[Subset]) -> np.ndarray:
+        rows = np.zeros((len(labels), self.n), dtype=self.row_dtype)
+        rows[np.arange(len(labels))[:, None], np.array(labels, dtype=np.intp) - 1] = 1
+        return rows
 
     def index_vector(self, label: Subset) -> Word:
         vec = [0] * self.n
@@ -528,28 +545,21 @@ class BilinearFamily(FamilySpec):
     def vertex_count(self) -> int:
         return self.q ** (self.d * self.cols)
 
-    def _vertex_iter(self):
-        return product(range(self.q), repeat=self.length)
-
     def rank(self, flat: Word) -> int:
         return rank_fq(self.group.as_matrix(flat), self.q)
 
-    def _rank_class(self, vertices: list[Word], rank: int) -> list[Word]:
-        """The vertices of the given rank, in vertex order.  Every vertex is
-        ranked once, by one batched elimination (ranks_fq), and cached."""
+    def _vertex_ranks(self) -> np.ndarray:
+        """The rank of every vertex, by one batched elimination (ranks_fq), cached."""
         if self._ranks is None:
-            mats = np.array(vertices, dtype=np.min_scalar_type(self.q - 1))
-            self._ranks = ranks_fq(mats.reshape(-1, self.d, self.cols), self.q)
-        return [vertices[k] for k in np.flatnonzero(self._ranks == rank).tolist()]
+            self._ranks = ranks_fq(self.vertices().reshape(-1, self.d, self.cols), self.q)
+        return self._ranks
 
-    def _make_connection(self, vertices: list[Word]) -> list[Word]:
-        return self._rank_class(vertices, 1)
+    def _connection_mask(self, vertices: np.ndarray) -> np.ndarray:
+        return self._vertex_ranks() == 1
 
     def _make_basis(self, i: int) -> list[Word]:
-        return self._rank_class(self.vertices(), i)
-
-    def index_vector(self, label: Word) -> Word:
-        return label
+        """The vertices of rank i, in vertex order."""
+        return list(map(tuple, self.vertices()[self._vertex_ranks() == i].tolist()))
 
     def predicted_eigenvalue(self, i: int) -> int:
         self._check_space(i)

@@ -61,9 +61,6 @@ class WordGroup:
     def order(self) -> int:
         return self.e**self.n
 
-    def zero(self) -> Word:
-        return (0,) * self.n
-
     def _check(self, x: Word) -> None:
         if len(x) != self.n:
             raise ValueError(f"element length {len(x)} does not match group length {self.n}")
@@ -73,11 +70,6 @@ class WordGroup:
         self._check(y)
         e = self.e
         return tuple((a + b) % e for a, b in zip(x, y))
-
-    def neg(self, x: Word) -> Word:
-        self._check(x)
-        e = self.e
-        return tuple((-a) % e for a in x)
 
     def dot(self, u: Word, x: Word) -> int:
         """Exponent of the character indexed by u at x, an integer mod e; for

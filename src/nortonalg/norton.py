@@ -26,6 +26,7 @@ from .linalg import row_reduce
 
 DEFAULT_ORACLE_VERTEX_BUDGET = 4096
 DEFAULT_IDENTITY_DIM_BUDGET = 256
+PRIMITIVITY_MAX_E = 7  # the largest e whose idempotent pairs primitivity_facts_check covers
 
 
 class AlgebraVector:
@@ -97,7 +98,7 @@ class AlgebraVector:
         """Values over the vertex set, materialized exactly."""
         fam = self.family
         e = fam.modulus
-        xs = fam.vertices(budget)
+        xs = fam.vertices(budget).tolist()
         dot = fam.group.dot
         out = [Cyclotomic.zero(e) for _ in xs]
         for label, c in self.coeffs.items():
@@ -140,17 +141,16 @@ def closed_form_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
     return AlgebraVector(fam, i, out)
 
 
-def oracle_product(v: AlgebraVector, w: AlgebraVector,
-                   vertex_budget: int = DEFAULT_ORACLE_VERTEX_BUDGET) -> AlgebraVector:
+def oracle_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
     """Entrywise product of value tables projected back onto V_i via character
     inner products, exactly.  Independent of the closed-form rule."""
     v._check_space(w)
     fam, i = v.family, v.i
     e = fam.modulus
-    xs = fam.vertices(vertex_budget)
+    xs = fam.vertices(DEFAULT_ORACLE_VERTEX_BUDGET).tolist()
     dot = fam.group.dot
-    tv = v.value_table(vertex_budget)
-    tw = w.value_table(vertex_budget)
+    tv = v.value_table(DEFAULT_ORACLE_VERTEX_BUDGET)
+    tw = w.value_table(DEFAULT_ORACLE_VERTEX_BUDGET)
     prod = [a * b for a, b in zip(tv, tw)]
     out: dict = {}
     for label in fam.basis(i):
@@ -162,8 +162,7 @@ def oracle_product(v: AlgebraVector, w: AlgebraVector,
     return AlgebraVector(fam, i, out)
 
 
-def verify_oracle_space(family: FamilySpec, i: int,
-                        vertex_budget: int = DEFAULT_ORACLE_VERTEX_BUDGET) -> bool:
+def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     """Projection-oracle check of the product table on every V_i basis pair.
 
     On the vertex group X, chi_u . chi_v is the character of X whose exponent
@@ -174,17 +173,18 @@ def verify_oracle_space(family: FamilySpec, i: int,
     The lookup runs on value rows over X, never on index labels or their
     canonical forms (a set and its complement give the same row on X).
     """
-    family.vertices(vertex_budget)  # the vertex budget is checked before any enumeration
+    # the vertex budget is checked before basis_array, because the bilinear
+    # basis enumerates the vertices under the larger default budget
+    verts = family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
     e = family.modulus
-    exps = character_exponents(family.basis_array(i), family.vertex_array(), e)
+    exps = character_exponents(family.basis_array(i), verts, e)
     if len(np.unique(row_keys(exps))) < len(exps):
         return False
     return bool((sum_positions(exps, e) == family.product_table(i)).all())
 
 
-def verify_oracle_family(family: FamilySpec,
-                         vertex_budget: int = DEFAULT_ORACLE_VERTEX_BUDGET) -> dict[int, bool]:
-    return {i: verify_oracle_space(family, i, vertex_budget) for i in family.eigenspaces()}
+def verify_oracle_family(family: FamilySpec) -> dict[int, bool]:
+    return {i: verify_oracle_space(family, i) for i in family.eigenspaces()}
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def eta_relations_check(e: int) -> bool:
     return total.is_zero()
 
 
-def primitivity_facts_check(e: int, bound: int = 7) -> bool:
+def primitivity_facts_check(e: int) -> bool:
     """Pairwise nonorthogonality of the classified idempotents x, y, plus the
     scaled-sum laws, all in eta coordinates.  (x+y)^2 = c(x+y) with
     c = (e-4l)/(e-2l) for disjoint supports of equal size l, and with
@@ -341,8 +341,8 @@ def primitivity_facts_check(e: int, bound: int = 7) -> bool:
     so no multiple of x+y is a nonzero idempotent."""
     if e < 3:
         raise ValueError(f"primitivity check requires e >= 3, got {e}")
-    if e > bound:
-        raise BudgetExceededError(f"primitivity check bound is {bound}, got e={e}")
+    if e > PRIMITIVITY_MAX_E:
+        raise BudgetExceededError(f"primitivity check bound is {PRIMITIVITY_MAX_E}, got e={e}")
     _require_eta_frame(e)
     idems = [(frozenset(subset), x) for subset, _, x in _classified_supports(e)]
     for p, (a_sup, x) in enumerate(idems):
@@ -367,14 +367,15 @@ def primitivity_facts_check(e: int, bound: int = 7) -> bool:
 # Identity elements
 # ---------------------------------------------------------------------------
 
-def find_identity(family: FamilySpec, i: int,
-                  dim_budget: int = DEFAULT_IDENTITY_DIM_BUDGET):
+def find_identity(family: FamilySpec, i: int):
     """Solve sum_u c_u (chi_u * chi_v) = chi_v for all basis v exactly; returns
-    the identity element of V_i or None."""
+    the identity element of V_i or None.  The dimension is checked before the
+    basis is built."""
+    dim = family.predicted_dimension(i)
+    if dim > DEFAULT_IDENTITY_DIM_BUDGET:
+        raise BudgetExceededError(
+            f"identity solve over dimension {dim} > {DEFAULT_IDENTITY_DIM_BUDGET}")
     labels = family.basis(i)
-    dim = len(labels)
-    if dim > dim_budget:
-        raise BudgetExceededError(f"identity solve over dimension {dim} > {dim_budget}")
     # one equation per (v, w): the coefficients c_u with chi_u * chi_v = chi_w
     # sum to 1 when w = v and to 0 otherwise; many (v, w) give the same
     # equation, and each distinct one is solved once

@@ -74,24 +74,24 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-def _check_tree_size(m: int, max_m: int) -> None:
+def _check_tree_size(m: int) -> None:
     if m < 0:
         raise ValueError(f"tree size must be >= 0, got {m}")
-    if m > max_m:
-        raise BudgetExceededError(f"tree enumeration capped at m={max_m}, got {m}")
+    if m > DEFAULT_MAX_M:
+        raise BudgetExceededError(f"tree enumeration capped at m={DEFAULT_MAX_M}, got {m}")
 
 
 @lru_cache(maxsize=None)
-def enumerate_trees(m: int, max_m: int = DEFAULT_MAX_M) -> tuple[BinaryTree, ...]:
+def enumerate_trees(m: int) -> tuple[BinaryTree, ...]:
     """All full binary trees with m+1 leaves, in a deterministic order; subtrees
     are shared between trees, so structural memoization can key on identity."""
-    _check_tree_size(m, max_m)
+    _check_tree_size(m)
     if m == 0:
         return (_LEAF,)
     out = []
     for k in range(m):
-        for left in enumerate_trees(k, max_m):
-            for right in enumerate_trees(m - 1 - k, max_m):
+        for left in enumerate_trees(k):
+            for right in enumerate_trees(m - 1 - k):
                 out.append(BinaryTree(left, right))
     if len(out) != catalan(m):
         raise AssertionError("tree enumeration does not match the Catalan count")
@@ -168,11 +168,11 @@ def _set_bit(sets: np.ndarray, a: int, b: int, where) -> None:
     sets[:, k // 64] |= np.asarray(where, dtype=np.uint64) << np.uint64(k % 64)
 
 
-def tree_masks(m: int, max_m: int = DEFAULT_MAX_M) -> np.ndarray:
+def tree_masks(m: int) -> np.ndarray:
     """Interval sets of the trees with m+1 leaves, in enumerate_trees order: a
     (Catalan(m), words) uint64 array whose row holds the bit of [a, b) when an
     internal node of the tree spans the leaves a..b-1."""
-    _check_tree_size(m, max_m)
+    _check_tree_size(m)
     words = _words(m)
 
     @lru_cache(maxsize=None)
@@ -277,15 +277,14 @@ def _fingerprints(masks: np.ndarray, patterns: np.ndarray) -> np.ndarray:
 
 
 def exact_partition(family: FamilySpec, i: int, m: int,
-                    budget: int = DEFAULT_EVAL_BUDGET,
-                    max_m: int = DEFAULT_MAX_M) -> list[list[int]]:
+                    budget: int = DEFAULT_EVAL_BUDGET) -> list[list[int]]:
     """Partition of the trees of size m into classes with equal multilinear maps.
 
     On a basis tuple the nonzero trees share one value, so two trees agree
     there exactly when both or neither of their interval sets lie inside the
     tuple's live pattern; the distinct patterns of all dim^(m+1) tuples decide
     equality by multilinearity."""
-    _check_tree_size(m, max_m)
+    _check_tree_size(m)
     dim = family.predicted_dimension(i)
     cost = (dim ** (m + 1)) * catalan(m)
     if cost > budget:
@@ -293,19 +292,18 @@ def exact_partition(family: FamilySpec, i: int, m: int,
             f"exact mode needs {cost} evaluations (budget {budget}); use witness mode")
     patterns = _grid_patterns(_live_table(family.product_table(i)), m)
     groups: dict[bytes, list[int]] = {}
-    for idx, key in enumerate(_fingerprints(tree_masks(m, max_m), patterns)):
+    for idx, key in enumerate(_fingerprints(tree_masks(m), patterns)):
         groups.setdefault(key.tobytes(), []).append(idx)
     return sorted(groups.values())
 
 
 def count_classes_exact(family: FamilySpec, i: int, m: int,
-                        budget: int = DEFAULT_EVAL_BUDGET,
-                        max_m: int = DEFAULT_MAX_M) -> SpectrumReport:
+                        budget: int = DEFAULT_EVAL_BUDGET) -> SpectrumReport:
     """Exact associative-spectrum count from the live patterns of all basis
     tuples (complete by multilinearity); budget_used counts dim^(m+1) tuples
     for each of the Catalan(m) trees."""
     dim = family.predicted_dimension(i)
-    parts = exact_partition(family, i, m, budget, max_m)
+    parts = exact_partition(family, i, m, budget)
     return SpectrumReport(m=m, class_count=len(parts), mode="exact",
                           budget_used=(dim ** (m + 1)) * catalan(m))
 
@@ -322,9 +320,7 @@ def _refine(labels: np.ndarray, prints: np.ndarray, tuples: int) -> tuple[np.nda
 
 
 def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
-                          attempts: int = DEFAULT_WITNESS_ATTEMPTS,
-                          generators: list | None = None,
-                          max_m: int = DEFAULT_MAX_M) -> SpectrumReport:
+                          attempts: int = DEFAULT_WITNESS_ATTEMPTS) -> SpectrumReport:
     """Distinguish tree pairs by seeded random basis tuples.  If every pair is
     separated the count equals Catalan(m) and the mode is exact; otherwise the
     refined partition size is reported as a lower bound.
@@ -332,13 +328,9 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
     Tuples are drawn in chunks that double from 64 (while the tree-by-tuple
     bits stay near CHUNK_BYTES), and budget_used counts the tuples up to the
     first that separates all trees, as if they were drawn one at a time."""
-    masks = tree_masks(m, max_m)
+    masks = tree_masks(m)
     table = _live_table(family.product_table(i))  # the table checks its size before the basis is built
-    if generators is None:
-        gens = np.arange(len(table) - 1)
-    else:
-        pos = family.basis_position(i)
-        gens = np.array([pos[g] for g in generators], dtype=np.int64)
+    dim = len(table) - 1
     rng = random.Random(seed)
     labels = np.zeros(len(masks), dtype=np.int64)
     classes = 1
@@ -347,8 +339,8 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
     cap = max(64, 8 * CHUNK_BYTES // len(masks))
     while used < attempts and classes < len(masks):
         count = min(chunk, cap, attempts - used)
-        draws = [rng.randrange(len(gens)) for _ in range(count * (m + 1))]
-        prints = _fingerprints(masks, _tuple_patterns(table, gens[draws].reshape(count, m + 1)))
+        draws = np.array([rng.randrange(dim) for _ in range(count * (m + 1))], dtype=np.int64)
+        prints = _fingerprints(masks, _tuple_patterns(table, draws.reshape(count, m + 1)))
         refined, classes = _refine(labels, prints, count)
         if classes == len(masks):  # find the first tuple that separates all trees
             low = 1
@@ -367,17 +359,16 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
                           budget_used=used, seed=seed)
 
 
-def ominus_partition(m: int, max_m: int = DEFAULT_MAX_M) -> list[list[int]]:
+def ominus_partition(m: int) -> list[list[int]]:
     """Trees of size m grouped by leaf-depth parity vector."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, t in enumerate(enumerate_trees(m, max_m)):
+    for idx, t in enumerate(enumerate_trees(m)):
         groups.setdefault(ominus_class(t), []).append(idx)
     return sorted(groups.values())
 
 
 def ominus_equivalence_check(family: FamilySpec, i: int, m: int,
-                             budget: int = DEFAULT_EVAL_BUDGET,
-                             max_m: int = DEFAULT_MAX_M) -> bool:
+                             budget: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Whether the exact product partition coincides with the depth-parity
     partition (the product is then equally nonassociative as double minus at m)."""
-    return exact_partition(family, i, m, budget, max_m) == ominus_partition(m, max_m)
+    return exact_partition(family, i, m, budget) == ominus_partition(m)

@@ -259,7 +259,7 @@ def test_criterion_08_automorphism_suite():
         rng = random.Random(0)
         pairs = [(autos.random_gl(rng, 2, 2), autos.random_gl(rng, 2, 2))
                  for _ in range(20)]
-        for x_flat in bil.vertices():
+        for x_flat in bil.vertices().tolist():
             x = bil.group.as_matrix(x_flat)
             for a, b in pairs:
                 assert autos.conjugation_identity_check(bil, x, a, b)

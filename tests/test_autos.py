@@ -265,7 +265,7 @@ def test_left_right_actions_commute():
 def test_conjugation_identity():
     fam = make_family("bilinear", q=2, d=2, e=2)
     rng = random.Random(7)
-    xs = fam.vertices()
+    xs = fam.vertices().tolist()
     for x_flat in xs[:6]:
         x = fam.group.as_matrix(x_flat)
         for _ in range(4):

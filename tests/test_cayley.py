@@ -20,7 +20,11 @@ from nortonalg.cayley import (
 )
 from nortonalg.cyclotomic import Cyclotomic
 from nortonalg.families import make_family
-from nortonalg.groups import WordGroup
+
+
+def _rows(*words):
+    """Words as the uint8 rows a CayleyGraph holds."""
+    return np.array(words, dtype=np.uint8).reshape(len(words), -1)
 
 
 def test_eigenvalue_examples_hamming23():
@@ -65,8 +69,8 @@ def test_verify_detects_wrong_vector():
     fam = make_family("hamming", n=1, e=4)
     g = fam.cayley_graph()
     # chi_1 against the eigenvalue of chi_2: forged by swapping character rows
-    forged = CayleyGraph(g.group, g.vertices, g.connection,
-                         characters=[(0,), (2,), (1,), (3,)])
+    forged = CayleyGraph(g.modulus, g.vertices, g.connection,
+                         characters=_rows((0,), (2,), (1,), (3,)))
     # spectrum is the same multiset, but adjacency application pins each row
     assert verify_eigenvector(forged, (1,))  # still a genuine character
     assert spectrum(forged) == spectrum(g)
@@ -84,20 +88,21 @@ def test_character_exponents_dtype_holds_modulus():
 
 
 def test_connection_invariants():
-    grp = WordGroup(2, 3)
-    xs = grp.elements()
+    xs = make_family("hamming", n=2, e=3).vertices()
     with pytest.raises(ValueError):
-        CayleyGraph(grp, xs, [(0, 0)])
+        CayleyGraph(3, xs, _rows((0, 0)))
     with pytest.raises(ValueError):
-        CayleyGraph(grp, xs, [(1, 0)])  # missing inverse (2,0)
+        CayleyGraph(3, xs, _rows((1, 0)))  # missing inverse (2,0)
     with pytest.raises(ValueError):
-        CayleyGraph(grp, xs, [(1, 0), (2, 0), (1, 0)])
+        CayleyGraph(3, xs, _rows((1, 0), (2, 0), (1, 0)))
+    with pytest.raises(ValueError, match="width"):
+        CayleyGraph(3, xs, _rows((1,), (2,)))  # rows of another width
+    with pytest.raises(ValueError, match="outside the vertex set"):
+        CayleyGraph(4, _rows((0,), (2,)), _rows((1,), (3,)))
 
 
 def test_integer_eigenvalue_downcast_rejects_nonintegral():
-    grp = WordGroup(1, 5)
-    xs = grp.elements()
-    g = CayleyGraph(grp, xs, [(1,), (4,)])
+    g = CayleyGraph(5, _rows((0,), (1,), (2,), (3,), (4,)), _rows((1,), (4,)))
     # chi_1(S) = w + w^4 is a real algebraic number but not rational at e = 5
     with pytest.raises(ValueError):
         integer_eigenvalue(g, (1,))
@@ -151,7 +156,7 @@ def test_edge_identity_checked_at_every_connection_element(monkeypatch):
     # connection element (0, 1) and has a rational theta (4), but it is no
     # eigenvector of H(2,4)
     g = make_family("hamming", n=2, e=4).cayley_graph()
-    assert g.connection[0] == (0, 1)
+    assert g.connection[0].tolist() == [0, 1]
     _forge_character_row(monkeypatch, (1, 0), (0, 1, 3, 0))
     assert not verify_all_eigenvectors(g)
 
@@ -184,11 +189,10 @@ def test_batched_spectrum_equals_per_character_eigenvalues():
 
 
 def test_neighbor_index_rejects_a_vertex_set_not_closed():
-    grp = WordGroup(1, 4)
-    g = CayleyGraph(grp, [(0,), (2,)], [(2,)])
+    g = CayleyGraph(4, _rows((0,), (2,)), _rows((2,)))
     verts = np.array(g.vertices, dtype=np.uint8)
     assert cayley._neighbor_index(g, verts).tolist() == [[1], [0]]
-    g.connection = [(1,), (3,)]
+    g.connection = _rows((1,), (3,))
     with pytest.raises(ValueError):
         cayley._neighbor_index(g, verts)
 

@@ -195,6 +195,19 @@ def test_budgets_checked_before_the_basis(capsys, monkeypatch):
     assert capsys.readouterr().err.count("budget exceeded") == 2
 
 
+def test_autocheck_pair_budget_checked_before_the_basis(capsys, monkeypatch):
+    def no_basis(self, i):
+        raise AssertionError("basis enumerated before the pair budget check")
+
+    monkeypatch.setattr(CubeFamily, "_make_basis", no_basis)
+    fam = ["--family", "hypercube", "--n", "22", "--i", "11"]
+    assert main(["autocheck", *fam, "--samples", "1"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    # with no samples nothing is checked, so nothing is refused
+    code, payload = run_json(capsys, "autocheck", *fam, "--samples", "0")
+    assert code == 0 and payload["results"] == [] and payload["all_ok"] is True
+
+
 def test_table_oracle_budget_checked_before_the_basis(capsys, monkeypatch):
     def no_basis(self, i):
         raise AssertionError("basis enumerated before the oracle's budget check")

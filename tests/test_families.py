@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -163,9 +163,10 @@ def test_in_basis_matches_enumerated_basis():
             make_family("folded_cube", n=6), make_family("folded_half_cube", n=8),
             make_family("bilinear", q=3, d=2, e=2)]
     for fam in fams:
-        candidates = {lbl for _, lbl in fam.all_labels()}
+        candidates = {lbl for i in fam.eigenspaces() for lbl in fam.basis(i)}
         if fam.kind not in ("hamming", "bilinear"):
-            candidates |= {lbl for _, lbl in make_family("hypercube", n=fam.n).all_labels()}
+            cube = make_family("hypercube", n=fam.n)
+            candidates |= {lbl for i in cube.eigenspaces() for lbl in cube.basis(i)}
         for i in fam.eigenspaces():
             basis = set(fam.basis(i))
             for lbl in candidates:
@@ -255,13 +256,13 @@ def test_rank_fq():
 def test_batched_ranks_equal_rank_fq(q, d, e):
     # the first two are the bilinear families of criterion 1
     fam = make_family("bilinear", q=q, d=d, e=e)
-    vertices = fam.vertices()
+    vertices = [tuple(x) for x in fam.vertices().tolist()]
     mats = np.array(vertices, dtype=np.uint8).reshape(-1, d, e)
     ranks = [rank_fq(fam.group.as_matrix(x), q) for x in vertices]
     assert ranks_fq(mats, q).tolist() == ranks
     for i in fam.eigenspaces():
         assert fam.basis(i) == [x for x, r in zip(vertices, ranks) if r == i]
-    assert fam.connection() == [x for x, r in zip(vertices, ranks) if r == 1]
+    assert fam.connection().tolist() == [list(x) for x, r in zip(vertices, ranks) if r == 1]
     with pytest.raises(ValueError):
         ranks_fq(mats, 4)
 
@@ -270,7 +271,7 @@ def test_bilinear_rank_counts_match_dimensions():
     for q in (2, 3):
         fam = make_family("bilinear", q=q, d=2, e=2)
         for i in fam.eigenspaces():
-            count = sum(1 for x in fam.vertices() if fam.rank(x) == i)
+            count = sum(1 for x in fam.vertices().tolist() if fam.rank(x) == i)
             assert count == fam.predicted_dimension(i)
 
 
@@ -312,6 +313,52 @@ def test_connection_sets():
     assert len(make_family("folded_half_cube", n=6).connection()) == 15
     assert len(make_family("halved_cube", n=5).connection()) == 10
     assert len(make_family("bilinear", q=2, d=2, e=2).connection()) == 9
+
+
+def _reference_sets(fam):
+    """The vertex and connection sets as lists of tuples, by the enumeration
+    the arrays replace: itertools.product and the per-family filters."""
+    if fam.kind == "hamming":
+        xs = list(product(range(fam.e), repeat=fam.n))
+        return xs, [x for x in xs if sum(1 for a in x if a) == 1]
+    if fam.kind == "bilinear":
+        xs = list(product(range(fam.q), repeat=fam.length))
+        return xs, [x for x in xs if fam.rank(x) == 1]
+    pad = (0,) * fam.folded
+    xs = [x + pad for x in product(range(2), repeat=fam.n - fam.folded)
+          if not fam.halved or sum(x) % 2 == 0]
+    w = 1 + fam.halved
+    weights = {w, fam.n - w} if fam.folded else {w}
+    return xs, [x for x in xs if sum(x) in weights]
+
+
+# the families of criterion 1, then one of each larger shape
+_ARRAY_CASES = (
+    [("hamming", {"n": n, "e": e}) for n in range(1, 5) for e in range(2, 6)]
+    + [("hypercube", {"n": n}) for n in range(1, 9)]
+    + [("halved_cube", {"n": n}) for n in range(2, 9)]
+    + [("folded_cube", {"n": n}) for n in range(3, 9)]
+    + [("folded_half_cube", {"n": n}) for n in (6, 8)]
+    + [("bilinear", {"q": q, "d": 2, "e": 2}) for q in (2, 3)]
+    + [("bilinear", {"q": 2, "d": 2, "e": 3}), ("halved_cube", {"n": 10}),
+       ("folded_half_cube", {"n": 10})])
+
+
+@pytest.mark.parametrize("kind, opts", _ARRAY_CASES)
+def test_sets_are_arrays_equal_to_the_reference_enumeration(kind, opts):
+    fam = make_family(kind, **opts)
+    xs, conn = _reference_sets(fam)
+    dtype = np.min_scalar_type(fam.modulus - 1)
+    for rows, want in ((fam.vertices(), xs), (fam.connection(), conn)):
+        assert rows.dtype == dtype and not rows.flags.writeable
+        assert rows.tolist() == [list(x) for x in want]
+    chars = fam.cayley_graph().characters
+    assert chars.dtype == dtype
+    assert chars.tolist() == [list(fam.index_vector(lbl))
+                              for i in fam.eigenspaces() for lbl in fam.basis(i)]
+    for i in fam.eigenspaces():
+        rows = fam.basis_array(i)
+        assert rows is fam.basis_array(i) and rows.dtype == dtype and not rows.flags.writeable
 
 
 def test_label_text():

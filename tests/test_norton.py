@@ -126,7 +126,7 @@ def test_verify_oracle_rejects_one_changed_entry():
 def test_verify_oracle_rejects_coinciding_basis_rows(monkeypatch):
     # on the one-vertex set {0} every character takes the value 1
     fam = HammingFamily(2, 3)
-    monkeypatch.setattr(fam, "vertex_array", lambda budget=None: np.zeros((1, 2), np.int64))
+    monkeypatch.setattr(fam, "vertices", lambda budget=None: np.zeros((1, 2), np.uint8))
     assert not verify_oracle_space(fam, 1)
 
 
@@ -245,6 +245,17 @@ def test_find_identity_examples():
     assert ident == _basis_vec(fam, 0, (0, 0))
     assert find_identity(fam, 1) is None
     assert find_identity(make_family("hypercube", n=3), 2) is None
+
+
+def test_find_identity_checks_the_dimension_before_the_basis(monkeypatch):
+    fam = HammingFamily(5, 4)  # V_3 has dimension 270, over the 256 of the solve
+
+    def no_basis(i):
+        raise AssertionError("basis enumerated before the dimension check")
+
+    monkeypatch.setattr(fam, "_make_basis", no_basis)
+    with pytest.raises(BudgetExceededError):
+        find_identity(fam, 3)
 
 
 def test_find_identity_only_at_i0():
