@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclotomic import Cyclotomic, from_exponent_counts, root_power, root_reduction_matrix
+from .groups import word_add, word_dot
 
 SUM_CHUNK_BYTES = 2**20  # bytes of rows per numpy step of sum_positions, spectrum and the check
 DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of int32
@@ -50,17 +51,13 @@ class CayleyGraph:
         return len(self.connection)
 
 
-def _dot(u: list[int], x: list[int], e: int) -> int:
-    return sum(a * b for a, b in zip(u, x)) % e
-
-
 def eigenvalue_of_character(graph: CayleyGraph, u) -> Cyclotomic:
     """chi_u(S) = sum over s in S of chi_u(s), computed exactly."""
     e = graph.modulus
     u = np.asarray(u).tolist()
     counts = [0] * e
     for s in graph.connection.tolist():
-        counts[_dot(u, s, e)] += 1
+        counts[word_dot(u, s, e)] += 1
     return from_exponent_counts(e, counts)
 
 
@@ -103,11 +100,11 @@ def verify_eigenvector(graph: CayleyGraph, u) -> bool:
     theta = eigenvalue_of_character(graph, u)
     xs = [tuple(x) for x in graph.vertices.tolist()]
     index = {x: k for k, x in enumerate(xs)}
-    exps = [_dot(u, x, e) for x in xs]
+    exps = [word_dot(u, x, e) for x in xs]
     for k, x in enumerate(xs):
         counts = [0] * e
         for s in graph.connection.tolist():
-            counts[exps[index[tuple((a + b) % e for a, b in zip(x, s))]]] += 1
+            counts[exps[index[word_add(x, s, e)]]] += 1
         lhs = from_exponent_counts(e, counts)
         rhs = theta * root_power(e, exps[k])
         if lhs != rhs:

@@ -145,13 +145,14 @@ class FamilySpec:
         raise NotImplementedError
 
     def _index_rows(self, labels: list) -> np.ndarray:
-        """Index rows of the given labels, in the row dtype (index_vector of each)."""
-        return np.array(labels, dtype=self.row_dtype)
+        """Exponent-index rows of the characters with the given basis labels,
+        in the row dtype: the labels themselves, unless the family indexes
+        characters otherwise.  The one label-to-row rule of a family."""
+        return np.array(labels, dtype=self.row_dtype).reshape(len(labels), self.length)
 
     def index_vector(self, label) -> Word:
-        """Exponent-index vector of the character with the given basis label:
-        the label itself, unless the family indexes characters otherwise."""
-        return label
+        """Exponent-index vector of the character with the given basis label."""
+        return tuple(self._index_rows([label])[0].tolist())
 
     def predicted_eigenvalue(self, i: int) -> int:
         raise NotImplementedError
@@ -438,15 +439,10 @@ class CubeFamily(FamilySpec):
         return list(combinations(range(1, self.n + 1), s))
 
     def _index_rows(self, labels: list[Subset]) -> np.ndarray:
+        """The indicator rows of the subsets, set by one scatter."""
         rows = np.zeros((len(labels), self.n), dtype=self.row_dtype)
         rows[np.arange(len(labels))[:, None], np.array(labels, dtype=np.intp) - 1] = 1
         return rows
-
-    def index_vector(self, label: Subset) -> Word:
-        vec = [0] * self.n
-        for j in label:
-            vec[j - 1] = 1
-        return tuple(vec)
 
     def predicted_eigenvalue(self, i: int) -> int:
         self._check_space(i)

@@ -29,6 +29,17 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def word_add(x: Sequence[int], y: Sequence[int], e: int) -> Word:
+    """The group law of Z_e^n: entrywise sum mod e."""
+    return tuple((a + b) % e for a, b in zip(x, y))
+
+
+def word_dot(u: Sequence[int], x: Sequence[int], e: int) -> int:
+    """Exponent of the character indexed by u at x, an integer mod e; for
+    matrices this is tr(u^t x)."""
+    return sum(a * b for a, b in zip(u, x)) % e
+
+
 class WordGroup:
     """Z_e^n: words of length n over residues mod e, added entrywise.
 
@@ -68,15 +79,12 @@ class WordGroup:
     def add(self, x: Word, y: Word) -> Word:
         self._check(x)
         self._check(y)
-        e = self.e
-        return tuple((a + b) % e for a, b in zip(x, y))
+        return word_add(x, y, self.e)
 
     def dot(self, u: Word, x: Word) -> int:
-        """Exponent of the character indexed by u at x, an integer mod e; for
-        matrices this is tr(u^t x)."""
         self._check(u)
         self._check(x)
-        return sum(a * b for a, b in zip(u, x)) % self.e
+        return word_dot(u, x, self.e)
 
     def support(self, x: Word) -> tuple[int, ...]:
         """1-based positions of the nonzero entries."""
