@@ -1,5 +1,9 @@
 """Cayley graphs of finite abelian groups: character eigenvalues, spectra,
-and exact adjacency verification of the character eigenbasis."""
+and exact adjacency verification of the character eigenbasis.
+
+`cyclotomic` is imported by the functions that compute in Q(w), so building
+a graph or a product table never loads it.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, from_exponent_counts, root_power, root_reduction_matrix
 from .groups import word_add, word_dot
 
 SUM_CHUNK_BYTES = 2**20  # bytes of rows per numpy step of sum_positions, spectrum and the check
 DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of int32
+
+
+class RepeatedRowError(ValueError):
+    """row_finder was given a row that it holds twice."""
 
 
 @dataclass
@@ -51,8 +58,9 @@ class CayleyGraph:
         return len(self.connection)
 
 
-def eigenvalue_of_character(graph: CayleyGraph, u) -> Cyclotomic:
-    """chi_u(S) = sum over s in S of chi_u(s), computed exactly."""
+def eigenvalue_of_character(graph: CayleyGraph, u):
+    """chi_u(S) = sum over s in S of chi_u(s), computed exactly in Q(w)."""
+    from .cyclotomic import from_exponent_counts
     e = graph.modulus
     u = np.asarray(u).tolist()
     counts = [0] * e
@@ -74,6 +82,7 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     eigenvalues of every shipped family are rational integers; this is
     asserted by the exact downcast.
     """
+    from .cyclotomic import from_exponent_counts
     e = graph.modulus
     chars, conn = graph.characters, graph.connection
     tally: dict[bytes, int] = {}
@@ -95,6 +104,7 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
 def verify_eigenvector(graph: CayleyGraph, u) -> bool:
     """Materialize chi_u, apply the adjacency operator by neighbor summation,
     and compare with eigenvalue * chi_u at every vertex, exactly."""
+    from .cyclotomic import from_exponent_counts, root_power
     e = graph.modulus
     u = np.asarray(u).tolist()
     theta = eigenvalue_of_character(graph, u)
@@ -151,7 +161,8 @@ def _reduced_sum(a: np.ndarray, b: np.ndarray, modulus: int, out=None,
 def row_finder(rows: np.ndarray, modulus: int):
     """The lookup among distinct rows with entries in 0..modulus-1: a function
     taking query rows of the same width, entries in the same range, to their
-    positions among rows, or -1 where no row matches.  Duplicate rows raise.
+    positions among rows, or -1 where no row matches.  Duplicate rows raise
+    RepeatedRowError.
 
     A row is read as a bit-field code of bits(modulus - 1) bits per entry.
     When the codes fit in DENSE_CODE_BITS bits, a dense int32 array maps each
@@ -175,7 +186,7 @@ def row_finder(rows: np.ndarray, modulus: int):
     index = np.full(1 << (width * bits), -1, dtype=np.int32)
     index[keys] = np.arange(count, dtype=np.int32)
     if (index[keys] != np.arange(count)).any():
-        raise ValueError("row_finder needs distinct rows")
+        raise RepeatedRowError("row_finder needs distinct rows")
     return lambda queries: index[codes(queries)]
 
 
@@ -185,7 +196,7 @@ def _byte_key_finder(rows: np.ndarray):
     order = np.argsort(keys)
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
-        raise ValueError("row_finder needs distinct rows")
+        raise RepeatedRowError("row_finder needs distinct rows")
 
     def find(queries: np.ndarray) -> np.ndarray:
         found = row_keys(queries.astype(rows.dtype, copy=False))
@@ -199,7 +210,7 @@ def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
     """Row-sum lookup as a dim x dim int32 array: entry (a, b) is the position
     among rows of canonical((rows[a] + rows[b]) mod modulus), or -1 when no
     row matches (row_finder).  Rows must be distinct, with entries in
-    0..modulus-1."""
+    0..modulus-1; duplicate rows raise RepeatedRowError."""
     dim, width = rows.shape
     rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
     find = row_finder(rows, modulus)
@@ -240,6 +251,7 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     breaks the identity somewhere is not the character u and fails the check.
     Exponent rows are computed per chunk of characters, so no |X| x |X| array
     is built."""
+    from .cyclotomic import root_reduction_matrix
     e = graph.modulus
     verts, chars = graph.vertices, graph.characters
     nbr = _neighbor_index(graph, verts)

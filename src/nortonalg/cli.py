@@ -5,8 +5,20 @@ isomorphism checks, with deterministic machine-readable output.
 Exit codes: 0 verified/success, 1 a claim check failed, 2 usage error,
 3 budget exceeded, 4 internal error (one line on stderr, no traceback).
 
-`autos`, `norton` and `trees` are imported by the subcommands that run them,
-so `table` and `spectrum` never load them.
+`main(argv)` is the in-process API: it returns the exit code.  `run()` is the
+process entry (`python -m nortonalg.cli` and the `nortonalg` script): it
+calls `main()`, flushes stdout and stderr and ends the process with
+`os._exit`, skipping interpreter teardown, which has nothing to release: the
+only file opened is closed by `_write`, and no thread or exit handler runs.
+
+Every subcommand loads `cayley`, `families`, `groups` and `linalg`; the
+others are imported where they are used:
+
+- `spectrum` adds `cyclotomic`, which computes each eigenvalue in Q(w);
+- `table` adds `norton` and `cyclotomic` only with `--verify-oracle`;
+- `nonassoc` adds `trees`, and `autocheck` adds `autos`;
+- `idempotents`, `oracle-verify` and `isocheck` add `norton` and
+  `cyclotomic`.
 """
 
 from __future__ import annotations
@@ -529,5 +541,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """Process entry: main() on sys.argv, then exit without interpreter
+    teardown.  The exit code is main()'s, or argparse's (0 for --help, 2 for
+    a usage error); output that cannot be flushed is an internal error."""
+    try:
+        code = main()
+    except SystemExit as exc:  # raised by argparse, always with an int code
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

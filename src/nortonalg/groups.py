@@ -2,7 +2,9 @@
 
 Group elements are plain tuples of residues (matrices flattened row-major).
 Characters are indexed by group elements: the character indexed by u takes
-x to w^(u.x) where u.x is the entrywise dot product mod the modulus.
+x to w^(u.x) where u.x is the entrywise dot product mod the modulus.  Their
+values are computed in Q(w), so `cyclotomic` is imported by the functions
+that compute them, not by this module.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .cyclotomic import Cyclotomic, root_power
 from .errors import BudgetExceededError
 
 Word = tuple[int, ...]
@@ -109,7 +110,8 @@ class WordGroup:
                 f"group order {self.order} exceeds enumeration budget {limit}")
         return _word_elements(self.n, self.e)
 
-    def character_value(self, u: Word, x: Word) -> Cyclotomic:
+    def character_value(self, u: Word, x: Word):
+        from .cyclotomic import root_power
         return root_power(self.e, self.dot(u, x))
 
     def __eq__(self, other) -> bool:
@@ -132,14 +134,16 @@ def _word_elements(n: int, e: int) -> list[Word]:
     return out
 
 
-def character_table(group: WordGroup, u: Word, domain: Sequence[Word] | None = None) -> list[Cyclotomic]:
+def character_table(group: WordGroup, u: Word, domain: Sequence[Word] | None = None) -> list:
     """Values of the character indexed by u over the given domain (default: all of G)."""
     xs = group.elements() if domain is None else domain
     return [group.character_value(u, x) for x in xs]
 
 
-def inner_product(phi: Sequence[Cyclotomic], psi: Sequence[Cyclotomic]) -> Cyclotomic:
-    """Hermitian inner product (1/|G|) sum of phi(g) * conj(psi(g)) over the domain."""
+def inner_product(phi: Sequence, psi: Sequence):
+    """Hermitian inner product (1/|G|) sum of phi(g) * conj(psi(g)) over the
+    domain, for tables of Q(w) values."""
+    from .cyclotomic import Cyclotomic
     if len(phi) != len(psi):
         raise ValueError(f"table length mismatch: {len(phi)} vs {len(psi)}")
     if not phi:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cayley import character_exponents, row_keys, sum_positions
+from .cayley import RepeatedRowError, character_exponents, sum_positions
 from .cyclotomic import Cyclotomic, root_power
 from .errors import BudgetExceededError
 from .families import FamilySpec, carries_table, make_family
@@ -171,16 +171,20 @@ def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     onto V_i gives the basis character with that value row, with coefficient
     1, and a row that matches no basis character certifies a zero product.
     The lookup runs on value rows over X, never on index labels or their
-    canonical forms (a set and its complement give the same row on X).
+    canonical forms (a set and its complement give the same row on X).  Two
+    basis characters with one value row fail the check: the lookup among the
+    rows, which sorts or indexes them once, rejects the repeated row.
     """
     # the vertex budget is checked before basis_array, because the bilinear
     # basis enumerates the vertices under the larger default budget
     verts = family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
     e = family.modulus
     exps = character_exponents(family.basis_array(i), verts, e)
-    if len(np.unique(row_keys(exps))) < len(exps):
+    try:
+        oracle = sum_positions(exps, e)
+    except RepeatedRowError:
         return False
-    return bool((sum_positions(exps, e) == family.product_table(i)).all())
+    return bool((oracle == family.product_table(i)).all())
 
 
 def verify_oracle_family(family: FamilySpec) -> dict[int, bool]:

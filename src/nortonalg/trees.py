@@ -244,9 +244,19 @@ def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
 
 
 def _distinct_rows(sets: np.ndarray) -> np.ndarray:
+    """The distinct rows of sets in the order np.unique gives them."""
     if sets.shape[1] == 1:  # plain integers: faster still
-        return np.unique(sets[:, 0])[:, None]
-    return np.unique(row_keys(sets)).view(sets.dtype).reshape(-1, sets.shape[1])
+        return _sorted_distinct(sets[:, 0])[:, None]
+    return _sorted_distinct(row_keys(sets)).view(sets.dtype).reshape(-1, sets.shape[1])
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for a 1-d array, by one sort and a mask of the
+    entries that differ from their predecessor."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]  # void keys compare by operator only
+    return values[first]
 
 
 def _tuple_patterns(table: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -319,6 +329,24 @@ def _refine(labels: np.ndarray, prints: np.ndarray, tuples: int) -> tuple[np.nda
     return refined, int(refined.max()) + 1
 
 
+def _randrange_block(rng: random.Random, dim: int, count: int) -> np.ndarray:
+    """[rng.randrange(dim) for _ in range(count)] as an int64 array, leaving
+    rng in the same state.  randrange(dim) takes the top dim.bit_length() bits
+    of one 32-bit word and draws again while they are >= dim, so the words are
+    drawn in blocks, as many as values are still missing: none is drawn that
+    randrange would not consume."""
+    bits = dim.bit_length()
+    assert bits <= 32, "each draw must fit in one 32-bit word"
+    parts = [np.zeros(0, dtype=np.uint32)]
+    while count:
+        words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        values = np.frombuffer(words, dtype="<u4") >> (32 - bits)  # in generation order
+        values = values[values < dim]
+        parts.append(values)
+        count -= len(values)
+    return np.concatenate(parts).astype(np.int64)
+
+
 def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
                           attempts: int = DEFAULT_WITNESS_ATTEMPTS) -> SpectrumReport:
     """Distinguish tree pairs by seeded random basis tuples.  If every pair is
@@ -339,7 +367,7 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
     cap = max(64, 8 * CHUNK_BYTES // len(masks))
     while used < attempts and classes < len(masks):
         count = min(chunk, cap, attempts - used)
-        draws = np.array([rng.randrange(dim) for _ in range(count * (m + 1))], dtype=np.int64)
+        draws = _randrange_block(rng, dim, count * (m + 1))
         prints = _fingerprints(masks, _tuple_patterns(table, draws.reshape(count, m + 1)))
         refined, classes = _refine(labels, prints, count)
         if classes == len(masks):  # find the first tuple that separates all trees

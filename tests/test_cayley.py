@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nortonalg import cayley
+from nortonalg import cayley, cyclotomic
 from nortonalg.cayley import (
     CayleyGraph,
     character_exponents,
@@ -115,8 +115,8 @@ def test_spectrum_verify_evaluates_each_character_once(monkeypatch):
     # so never more often than there are characters; the verification reads
     # theta_u from integer counts and converts nothing
     calls = []
-    real = cayley.from_exponent_counts
-    monkeypatch.setattr(cayley, "from_exponent_counts",
+    real = cyclotomic.from_exponent_counts  # spectrum imports it from there when called
+    monkeypatch.setattr(cyclotomic, "from_exponent_counts",
                         lambda e, counts: calls.append(tuple(counts)) or real(e, counts))
     g = make_family("hamming", n=2, e=5).cayley_graph()
     spectrum(g)

@@ -418,15 +418,110 @@ def test_format_a_subcommand_cannot_write_exits_2(capsys, argv, supported):
         assert [f for f in ("json", "csv", "text") if f in named] == supported
 
 
+IMPORT_PROBE = """
+import contextlib, io, sys
+def loaded(*names):
+    return sorted(m for m in names if m in sys.modules)
+import nortonalg.cli
+print(loaded("nortonalg.autos", "nortonalg.norton", "nortonalg.trees",
+             "nortonalg.cyclotomic"))
+for argv in (["table", "--family", "hypercube", "--n", "6", "--i", "3"],
+             ["nonassoc", "--family", "hamming", "--n", "1", "--e", "3", "--max-m", "6",
+              "--mode", "exact"],
+             ["autocheck", "--family", "hamming", "--n", "3", "--e", "4", "--i", "2",
+              "--samples", "2"],
+             ["oracle-verify", "--family", "halved-cube", "--n", "8"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert nortonalg.cli.main(argv) == 0
+    print(loaded("nortonalg.cyclotomic", "fractions", "numpy.ma"))
+"""
+
+
 def test_cli_import_leaves_the_other_layers_unloaded():
+    # the layers load per subcommand: Q(w) (cyclotomic and fractions) only
+    # where it is computed, and numpy.ma nowhere
     src = os.path.dirname(os.path.dirname(nortonalg.__file__))
-    code = ("import sys, nortonalg.cli; "
-            "print(sorted(m for m in ('autos', 'norton', 'trees') "
-            "if 'nortonalg.' + m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out == "[]\n"
+    assert out.splitlines() == [
+        "[]",  # after import nortonalg.cli
+        "[]", "[]", "[]",  # after table, exact nonassoc and autocheck
+        "['fractions', 'nortonalg.cyclotomic']",  # after oracle-verify
+    ]
+
+
+_FAMILY_23 = ["--family", "hamming", "--n", "2", "--e", "3"]
+PROCESS_CASES = (
+    [["spectrum", *_FAMILY_23, "--verify", "--format", f] for f in ("json", "csv", "text")]
+    + [["table", "--family", "hypercube", "--n", "11", "--i", "5"]]  # about 2 MB
+    + [["table", *_FAMILY_23, "--i", "1", "--format", f] for f in ("csv", "text")]
+    + [["nonassoc", "--family", "hamming", "--n", "1", "--e", "3", "--max-m", "5",
+        "--format", f] for f in ("json", "csv", "text")]
+    + [["idempotents", "--e", "4", "--format", f] for f in ("json", "text")]
+    + [["autocheck", *_FAMILY_23, "--samples", "2"],
+       ["oracle-verify", *_FAMILY_23],
+       ["isocheck"],
+       ["--help"],  # exits 0
+       ["nonassoc", *_FAMILY_23, "--max-m", "0"],  # exits 2
+       ["spectrum", "--family", "hamming", "--n", "30", "--e", "3"]]  # exits 3
+)
+
+
+def _process_env() -> dict:
+    """The environment of a `python -m nortonalg.cli` child: stdout block
+    buffered, as it is by default, and help text 80 columns wide."""
+    src = os.path.dirname(os.path.dirname(nortonalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _spawn(argv: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "nortonalg.cli", *argv], env=_process_env(),
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+def test_process_entry_matches_main(capsys, monkeypatch, tmp_path):
+    # the process entry exits without interpreter teardown; every exit code,
+    # stdout byte and stderr line is still main()'s, and written files are whole
+    from concurrent.futures import ThreadPoolExecutor
+
+    table = str(tmp_path / "table.json")
+    export = str(tmp_path / "idempotents.json")
+    extra = {"output": [*PROCESS_CASES[3], "--output", table],
+             "export": ["idempotents", "--e", "4", "--export", export]}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        spawned = [pool.submit(_spawn, argv) for argv in PROCESS_CASES]
+        spawned_extra = {key: pool.submit(_spawn, argv) for key, argv in extra.items()}
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = []
+        for argv in PROCESS_CASES:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse
+                code = exc.code
+            captured = capsys.readouterr()
+            expected.append((code, captured.out.encode(), captured.err))
+        for argv, future, (code, out, err) in zip(PROCESS_CASES, spawned, expected):
+            proc = future.result()
+            assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out, err), argv
+        assert [code for code, _, _ in expected[-3:]] == [0, 2, 3]
+        for key in extra:
+            proc = spawned_extra[key].result()
+            assert proc.returncode == 0 and proc.stderr == b"", key
+    with open(table, "rb") as fh:
+        assert fh.read() == expected[3][1]
+    with open(export, "rb") as fh:
+        assert fh.read() == expected[PROCESS_CASES.index(["idempotents", "--e", "4",
+                                                         "--format", "json"])][1]
+    assert len(expected[3][1]) > 2_000_000
+    if os.path.exists("/dev/full"):  # output that cannot be written exits 4, one line
+        with open("/dev/full", "wb") as full:
+            proc = _spawn(["isocheck"], stdout=full)
+        assert proc.returncode == 4
+        err = proc.stderr.decode()
+        assert err.startswith("internal error: OSError: ") and err.count("\n") == 1, err
 
 
 def test_package_names_resolve_on_first_access():

@@ -9,7 +9,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from nortonalg import norton
+from nortonalg import cayley, norton
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import HammingFamily, make_family
@@ -128,6 +128,12 @@ def test_verify_oracle_rejects_coinciding_basis_rows(monkeypatch):
     fam = HammingFamily(2, 3)
     monkeypatch.setattr(fam, "vertices", lambda budget=None: np.zeros((1, 2), np.uint8))
     assert not verify_oracle_space(fam, 1)
+    # on 12 vertices with last entry 0, chi_11 = chi_12 in V_2: value rows of 24 bits
+    # are looked up by byte key, not by the dense code index
+    rows = np.array([(a, 0) for a in range(3)] * 4, np.uint8)
+    assert rows.shape[0] * 2 > cayley.DENSE_CODE_BITS
+    monkeypatch.setattr(fam, "vertices", lambda budget=None: rows)
+    assert not verify_oracle_space(fam, 2)
 
 
 def test_eta_examples():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nortonalg import trees
+from nortonalg.cayley import row_keys
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import make_family
 from nortonalg.norton import AlgebraVector, closed_form_product
@@ -349,3 +350,31 @@ def test_counters_reject_a_table_not_determined_by_sums(monkeypatch):
         exact_partition(fam, 1, 2)
     with pytest.raises(AssertionError, match="not determined by the sum"):
         count_classes_witness(fam, 1, 2, seed=0)
+
+
+def test_block_draws_equal_randrange():
+    # the same values and the same generator state as one randrange(dim) per
+    # value; random() afterwards pins CPython's randrange algorithm
+    for dim in (1, 2, 3, 5, 8, 27, 100, 1000):
+        for seed in range(3):
+            for n in (1, 2, 7, 64, 500):
+                block, loop = random.Random(seed), random.Random(seed)
+                draws = trees._randrange_block(block, dim, n)
+                assert draws.dtype == np.int64
+                assert draws.tolist() == [loop.randrange(dim) for _ in range(n)], (dim, seed, n)
+                assert block.random() == loop.random(), (dim, seed, n)
+
+
+def test_distinct_rows_equal_np_unique():
+    # the rows and the order of np.unique, which they replace: over the
+    # integers of one column, and over the row keys of wider rows
+    rng = np.random.default_rng(5)
+    for width in (1, 2, 3):
+        for count in (1, 2, 300):
+            sets = rng.choice(np.array([0, 1, 2**40, 2**63 + 5], dtype=np.uint64),
+                              size=(count, width))
+            if width == 1:
+                expected = np.unique(sets[:, 0])[:, None]
+            else:
+                expected = np.unique(row_keys(sets)).view(sets.dtype).reshape(-1, width)
+            assert trees._distinct_rows(sets).tolist() == expected.tolist(), (width, count)
