@@ -551,7 +551,7 @@ def run() -> None:
         code = exc.code
     try:
         sys.stdout.flush()
-    except Exception as exc:
+    except OSError as exc:  # such as a full disk
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_INTERNAL
     sys.stderr.flush()

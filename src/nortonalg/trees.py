@@ -337,7 +337,7 @@ def _randrange_block(rng: random.Random, dim: int, count: int) -> np.ndarray:
     randrange would not consume."""
     bits = dim.bit_length()
     assert bits <= 32, "each draw must fit in one 32-bit word"
-    parts = [np.zeros(0, dtype=np.uint32)]
+    parts = []
     while count:
         words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
         values = np.frombuffer(words, dtype="<u4") >> (32 - bits)  # in generation order

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -485,8 +486,6 @@ def _spawn(argv: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProce
 def test_process_entry_matches_main(capsys, monkeypatch, tmp_path):
     # the process entry exits without interpreter teardown; every exit code,
     # stdout byte and stderr line is still main()'s, and written files are whole
-    from concurrent.futures import ThreadPoolExecutor
-
     table = str(tmp_path / "table.json")
     export = str(tmp_path / "idempotents.json")
     extra = {"output": [*PROCESS_CASES[3], "--output", table],
