@@ -26,7 +26,6 @@ _MODULE_OF = {
     "eta": "norton",
     "find_identity": "norton",
     "make_family": "families",
-    "oracle_product": "norton",
     "root_power": "cyclotomic",
     "verify_isomorphism": "norton",
     "verify_oracle_space": "norton",

@@ -18,9 +18,9 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .cayley import row_finder
+from .cayley import character_exponents, row_finder
 from .errors import BudgetExceededError
-from .families import (BilinearFamily, CubeFamily, FamilySpec, HammingFamily,
+from .families import (BilinearFamily, CubeFamily, FamilySpec, HammingFamily, _words,
                        carries_table, fq_reduce)
 from .groups import Word
 
@@ -128,8 +128,8 @@ def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
     if e**n * len(units) ** n * factorial(n) > 10**5:
         raise BudgetExceededError("kernel enumeration too large")
     rows = family.basis_array(i)
-    words = np.array(list(product(range(e), repeat=n)))
-    trivial = words[(rows @ words.T % e == 0).all(axis=0)].tolist()
+    words = _words(e, n)
+    trivial = words[(character_exponents(rows, words, e) == 0).all(axis=0)].tolist()
     fixing = [(b, sigma) for b in product(units, repeat=n) for sigma in permutations(range(n))
               if np.array_equal(rows[:, list(sigma)] * np.array(b) % e, rows)]
     kernel = [(tuple(a), b, sigma) for a in trivial for b, sigma in fixing]
@@ -288,7 +288,7 @@ def bilinear_candidate(auto: BilinearAuto, family: BilinearFamily, i: int) -> Ca
     rows = family.basis_array(i)
     dim = len(rows)
     if auto.kind == "translate":
-        x = np.array(family.group.flatten(auto.matrix))
+        x = np.array([v % q for row in auto.matrix for v in row])
         if len(x) != family.length:
             raise ValueError("translation requires a d x e matrix")
         return np.column_stack((np.arange(dim), rows @ x % q))

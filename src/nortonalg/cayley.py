@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import word_add, word_dot
-
 SUM_CHUNK_BYTES = 2**20  # bytes of rows per numpy step of sum_positions, spectrum and the check
 DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of int32
 
@@ -58,22 +56,6 @@ class CayleyGraph:
         return len(self.connection)
 
 
-def eigenvalue_of_character(graph: CayleyGraph, u):
-    """chi_u(S) = sum over s in S of chi_u(s), computed exactly in Q(w)."""
-    from .cyclotomic import from_exponent_counts
-    e = graph.modulus
-    u = np.asarray(u).tolist()
-    counts = [0] * e
-    for s in graph.connection.tolist():
-        counts[word_dot(u, s, e)] += 1
-    return from_exponent_counts(e, counts)
-
-
-def integer_eigenvalue(graph: CayleyGraph, u) -> int:
-    """Eigenvalue downcast to an integer; raises if it is not a rational integer."""
-    return eigenvalue_of_character(graph, u).as_int()
-
-
 def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     """(eigenvalue, multiplicity) pairs over all characters, descending eigenvalue.
 
@@ -99,27 +81,6 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     if sum(counts.values()) != len(graph.vertices):
         raise AssertionError("spectrum multiplicities do not sum to the vertex count")
     return sorted(counts.items(), key=lambda p: -p[0])
-
-
-def verify_eigenvector(graph: CayleyGraph, u) -> bool:
-    """Materialize chi_u, apply the adjacency operator by neighbor summation,
-    and compare with eigenvalue * chi_u at every vertex, exactly."""
-    from .cyclotomic import from_exponent_counts, root_power
-    e = graph.modulus
-    u = np.asarray(u).tolist()
-    theta = eigenvalue_of_character(graph, u)
-    xs = [tuple(x) for x in graph.vertices.tolist()]
-    index = {x: k for k, x in enumerate(xs)}
-    exps = [word_dot(u, x, e) for x in xs]
-    for k, x in enumerate(xs):
-        counts = [0] * e
-        for s in graph.connection.tolist():
-            counts[exps[index[word_add(x, s, e)]]] += 1
-        lhs = from_exponent_counts(e, counts)
-        rhs = theta * root_power(e, exps[k])
-        if lhs != rhs:
-            return False
-    return True
 
 
 def _chunks(count: int, row_bytes: int):

@@ -1,22 +1,25 @@
 """The six graph families: vertex sets, connection sets, eigenspace bases,
 closed-form Norton product rules, and predicted spectra.
 
-Basis labels are plain hashable values: words (tuples of residues) for the
-Hamming family, sorted tuples of 1-based positions for the cube variants, and
-flattened matrices for the bilinear forms family.
+A basis is an array of index rows, one per basis character, in the dtype of
+the vertex rows: it is what the graph, the product table, the oracle and the
+automorphism candidates read.  Its labels are a rendering of those rows, made
+only where a label is printed or keys a vector: words (tuples of residues)
+for the Hamming family, sorted tuples of 1-based positions for the cube
+variants, and flattened matrices for the bilinear forms family.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
 
 from .cayley import CayleyGraph, sum_positions
 from .errors import BudgetExceededError
-from .groups import Word, WordGroup, is_prime, word_text
+from .groups import Word, is_prime, word_add, word_text
 from .linalg import row_reduce
 
 Subset = tuple[int, ...]
@@ -77,13 +80,6 @@ def ranks_fq(mats: np.ndarray, q: int) -> np.ndarray:
     return ranks
 
 
-def symmetric_difference_feasible(n: int, i: int, j: int) -> bool:
-    """Whether i-subsets S, T of [n] with |S symdiff T| = j exist."""
-    if not 0 <= i <= n:
-        raise ValueError(f"subset size {i} out of range 0..{n}")
-    return j % 2 == 0 and 0 <= j <= min(2 * i, 2 * (n - i))
-
-
 def _read_only(rows: np.ndarray) -> np.ndarray:
     rows.flags.writeable = False  # one array is shared by every caller
     return rows
@@ -93,7 +89,13 @@ def _words(modulus: int, length: int) -> np.ndarray:
     """Every word of Z_modulus^length as a row, in lexicographic order, in the
     smallest unsigned dtype that holds modulus - 1."""
     grid = np.indices((modulus,) * length, dtype=np.min_scalar_type(modulus - 1))
-    return np.ascontiguousarray(grid.reshape(length, -1).T)
+    return np.ascontiguousarray(grid.reshape(length, modulus**length).T)
+
+
+def _subsets(n: int, size: int, low: int = 0) -> np.ndarray:
+    """The size-subsets of low..n-1 as rows of positions, in combinations order."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(low, n), size)), dtype=np.intp)
+    return flat.reshape(comb(n - low, size), size)
 
 
 def carries_table(perm: np.ndarray, dom: np.ndarray, cod: np.ndarray) -> bool:
@@ -111,7 +113,7 @@ class FamilySpec:
     def __init__(self) -> None:
         self._vertices: np.ndarray | None = None
         self._connection: np.ndarray | None = None
-        self._bases: dict[int, list] = {}
+        self._bases: dict[int, list] = {}  # the labels, rendered only on request
         self._basis_pos: dict[int, dict] = {}
         self._basis_rows: dict[int, np.ndarray] = {}
         self._tables: dict[int, np.ndarray] = {}
@@ -141,18 +143,15 @@ class FamilySpec:
         """Which vertex rows are connection elements."""
         raise NotImplementedError
 
-    def _make_basis(self, i: int) -> list:
+    def _make_basis(self, i: int) -> np.ndarray:
+        """The index rows of the V_i basis characters, in the row dtype: the
+        one basis rule of a family."""
         raise NotImplementedError
 
-    def _index_rows(self, labels: list) -> np.ndarray:
-        """Exponent-index rows of the characters with the given basis labels,
-        in the row dtype: the labels themselves, unless the family indexes
-        characters otherwise.  The one label-to-row rule of a family."""
-        return np.array(labels, dtype=self.row_dtype).reshape(len(labels), self.length)
-
-    def index_vector(self, label) -> Word:
-        """Exponent-index vector of the character with the given basis label."""
-        return tuple(self._index_rows([label])[0].tolist())
+    def _labels(self, rows: np.ndarray) -> list:
+        """The labels of the given basis rows, as tuples of ints: the rows
+        themselves, unless the family labels characters otherwise."""
+        return list(map(tuple, rows.tolist()))
 
     def predicted_eigenvalue(self, i: int) -> int:
         raise NotImplementedError
@@ -220,14 +219,10 @@ class FamilySpec:
         return self._connection
 
     def basis(self, i: int) -> list:
-        self._check_space(i)
+        """The V_i basis labels in basis order, rendered from basis_array(i)
+        once and cached."""
         if i not in self._bases:
-            basis = self._make_basis(i)
-            if len(basis) != self.predicted_dimension(i):
-                raise AssertionError(
-                    f"basis size {len(basis)} != predicted dimension "
-                    f"{self.predicted_dimension(i)} for {self.describe()} i={i}")
-            self._bases[i] = basis
+            self._bases[i] = self._labels(self.basis_array(i))
         return self._bases[i]
 
     def basis_position(self, i: int) -> dict:
@@ -273,8 +268,14 @@ class FamilySpec:
 
     def basis_array(self, i: int) -> np.ndarray:
         """Index rows of the V_i basis (dim x length), a cached read-only array."""
+        self._check_space(i)
         if i not in self._basis_rows:
-            self._basis_rows[i] = _read_only(self._index_rows(self.basis(i)))
+            rows = self._make_basis(i)
+            if len(rows) != self.predicted_dimension(i):
+                raise AssertionError(
+                    f"basis size {len(rows)} != predicted dimension "
+                    f"{self.predicted_dimension(i)} for {self.describe()} i={i}")
+            self._basis_rows[i] = _read_only(rows)
         return self._basis_rows[i]
 
     def describe(self) -> str:
@@ -297,7 +298,6 @@ class HammingFamily(FamilySpec):
             raise ValueError(f"hamming requires e >= 2, got {e}")
         self.n = n
         self.e = e
-        self.group = WordGroup(n, e)
 
     @property
     def modulus(self) -> int:
@@ -321,16 +321,17 @@ class HammingFamily(FamilySpec):
     def _connection_mask(self, vertices: np.ndarray) -> np.ndarray:
         return np.count_nonzero(vertices, axis=1) == 1
 
-    def _make_basis(self, i: int) -> list[Word]:
-        out = []
-        for positions in combinations(range(self.n), i):
-            for values in product(range(1, self.e), repeat=i):
-                word = [0] * self.n
-                for p, v in zip(positions, values):
-                    word[p] = v
-                out.append(tuple(word))
-        out.sort()
-        return out
+    def _make_basis(self, i: int) -> np.ndarray:
+        """The words of weight i in lexicographic order: every grid of nonzero
+        values scattered into every support, then sorted."""
+        support = _subsets(self.n, i)
+        values = _words(self.e - 1, i).astype(self.row_dtype)
+        values += 1  # in the row dtype, which holds e - 1
+        rows = np.zeros((len(support), len(values), self.n), dtype=self.row_dtype)
+        rows[np.arange(len(support))[:, None, None], np.arange(len(values))[:, None],
+             support[:, None, :]] = values
+        rows = rows.reshape(-1, self.n)
+        return rows[np.lexsort(rows.T[::-1])]
 
     def predicted_eigenvalue(self, i: int) -> int:
         self._check_space(i)
@@ -342,13 +343,13 @@ class HammingFamily(FamilySpec):
 
     def in_basis(self, i: int, label) -> bool:
         return (isinstance(label, tuple) and len(label) == self.n
-                and all(0 <= a < self.e for a in label) and self.group.weight(label) == i)
+                and all(0 <= a < self.e for a in label) and sum(1 for a in label if a) == i)
 
     def closed_product(self, i: int, a: Word, b: Word):
         self._require_basis(i, a)
         self._require_basis(i, b)
-        w = self.group.add(a, b)
-        return w if self.group.weight(w) == i else None
+        w = word_add(a, b, self.e)
+        return w if sum(1 for c in w if c) == i else None
 
     def label_text(self, label: Word) -> str:
         return word_text(label, self.e)
@@ -392,7 +393,6 @@ class CubeFamily(FamilySpec):
         self.n = n
         self.halved = halved
         self.folded = folded
-        self.group = WordGroup(n, 2)
 
     @property
     def modulus(self) -> int:
@@ -432,17 +432,21 @@ class CubeFamily(FamilySpec):
         character."""
         return self.halved and 2 * s >= self.n
 
-    def _make_basis(self, i: int) -> list[Subset]:
+    def _make_basis(self, i: int) -> np.ndarray:
+        """The indicator rows of the size-s sets in combinations order, or of
+        the sets containing 1 (_with_one), set by one scatter."""
         s = self._size(i)
-        if self._with_one(s):
-            return [(1,) + rest for rest in combinations(range(2, self.n + 1), s - 1)]
-        return list(combinations(range(1, self.n + 1), s))
-
-    def _index_rows(self, labels: list[Subset]) -> np.ndarray:
-        """The indicator rows of the subsets, set by one scatter."""
-        rows = np.zeros((len(labels), self.n), dtype=self.row_dtype)
-        rows[np.arange(len(labels))[:, None], np.array(labels, dtype=np.intp) - 1] = 1
+        first = int(self._with_one(s))  # position 0 is in every set, the rest vary
+        rest = _subsets(self.n, s - first, first)
+        rows = np.zeros((len(rest), self.n), dtype=self.row_dtype)
+        rows[:, :first] = 1
+        rows[np.arange(len(rest))[:, None], rest] = 1
         return rows
+
+    def _labels(self, rows: np.ndarray) -> list[Subset]:
+        """The 1-based positions of the ones of each row; the basis rows of a
+        space all have one weight."""
+        return list(map(tuple, (np.nonzero(rows)[1].reshape(len(rows), -1) + 1).tolist()))
 
     def predicted_eigenvalue(self, i: int) -> int:
         self._check_space(i)
@@ -519,7 +523,6 @@ class BilinearFamily(FamilySpec):
         self.q = q
         self.d = d
         self.cols = e
-        self.group = WordGroup(d * e, q, shape=(d, e))
         self._ranks: np.ndarray | None = None
 
     @property
@@ -541,8 +544,12 @@ class BilinearFamily(FamilySpec):
     def vertex_count(self) -> int:
         return self.q ** (self.d * self.cols)
 
+    def _matrix(self, flat: Word) -> tuple[Word, ...]:
+        """The d x e matrix of a row-major flattened label, as row tuples."""
+        return tuple(flat[r * self.cols:(r + 1) * self.cols] for r in range(self.d))
+
     def rank(self, flat: Word) -> int:
-        return rank_fq(self.group.as_matrix(flat), self.q)
+        return rank_fq(self._matrix(flat), self.q)
 
     def _vertex_ranks(self) -> np.ndarray:
         """The rank of every vertex, by one batched elimination (ranks_fq), cached."""
@@ -553,9 +560,9 @@ class BilinearFamily(FamilySpec):
     def _connection_mask(self, vertices: np.ndarray) -> np.ndarray:
         return self._vertex_ranks() == 1
 
-    def _make_basis(self, i: int) -> list[Word]:
+    def _make_basis(self, i: int) -> np.ndarray:
         """The vertices of rank i, in vertex order."""
-        return list(map(tuple, self.vertices()[self._vertex_ranks() == i].tolist()))
+        return self.vertices()[self._vertex_ranks() == i]
 
     def predicted_eigenvalue(self, i: int) -> int:
         self._check_space(i)
@@ -580,15 +587,15 @@ class BilinearFamily(FamilySpec):
     def closed_product(self, i: int, a: Word, b: Word):
         self._require_basis(i, a)
         self._require_basis(i, b)
-        w = self.group.add(a, b)
+        w = word_add(a, b, self.q)
         return w if self.rank(w) == i else None
 
     def label_text(self, label: Word) -> str:
-        rows = self.group.as_matrix(label)
+        rows = self._matrix(label)
         return "[" + ";".join(word_text(r, self.q) for r in rows) + "]"
 
     def label_json(self, label: Word):
-        return [list(r) for r in self.group.as_matrix(label)]
+        return [list(r) for r in self._matrix(label)]
 
     def describe(self) -> str:
         return f"bilinear({self.q},{self.d},{self.cols})"

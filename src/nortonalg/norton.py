@@ -21,7 +21,6 @@ from .cayley import RepeatedRowError, character_exponents, sum_positions
 from .cyclotomic import Cyclotomic, root_power
 from .errors import BudgetExceededError
 from .families import FamilySpec, carries_table, make_family
-from .groups import inner_product
 from .linalg import row_reduce
 
 DEFAULT_ORACLE_VERTEX_BUDGET = 4096
@@ -94,19 +93,6 @@ class AlgebraVector:
         return hash((self.family.key, self.i,
                      tuple(sorted((label, c.coeffs) for label, c in self.coeffs.items()))))
 
-    def value_table(self, budget: int | None = None) -> list[Cyclotomic]:
-        """Values over the vertex set, materialized exactly."""
-        fam = self.family
-        e = fam.modulus
-        xs = fam.vertices(budget).tolist()
-        dot = fam.group.dot
-        out = [Cyclotomic.zero(e) for _ in xs]
-        for label, c in self.coeffs.items():
-            vec = fam.index_vector(label)
-            for k, x in enumerate(xs):
-                out[k] = out[k] + c * root_power(e, dot(vec, x))
-        return out
-
     def to_json(self) -> dict:
         fam = self.family
         return {
@@ -141,27 +127,6 @@ def closed_form_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
     return AlgebraVector(fam, i, out)
 
 
-def oracle_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
-    """Entrywise product of value tables projected back onto V_i via character
-    inner products, exactly.  Independent of the closed-form rule."""
-    v._check_space(w)
-    fam, i = v.family, v.i
-    e = fam.modulus
-    xs = fam.vertices(DEFAULT_ORACLE_VERTEX_BUDGET).tolist()
-    dot = fam.group.dot
-    tv = v.value_table(DEFAULT_ORACLE_VERTEX_BUDGET)
-    tw = w.value_table(DEFAULT_ORACLE_VERTEX_BUDGET)
-    prod = [a * b for a, b in zip(tv, tw)]
-    out: dict = {}
-    for label in fam.basis(i):
-        vec = fam.index_vector(label)
-        chi = [root_power(e, dot(vec, x)) for x in xs]
-        coeff = inner_product(prod, chi)
-        if not coeff.is_zero():
-            out[label] = coeff
-    return AlgebraVector(fam, i, out)
-
-
 def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     """Projection-oracle check of the product table on every V_i basis pair.
 
@@ -185,10 +150,6 @@ def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     except RepeatedRowError:
         return False
     return bool((oracle == family.product_table(i)).all())
-
-
-def verify_oracle_family(family: FamilySpec) -> dict[int, bool]:
-    return {i: verify_oracle_space(family, i) for i in family.eigenspaces()}
 
 
 # ---------------------------------------------------------------------------
@@ -489,32 +450,3 @@ def shipped_isomorphism_checks() -> list[tuple[str, dict, BasisAlgebra, BasisAlg
                (1, 2): (1, (1,)), (2, 1): (1, (2,))}
     checks.append(("V_2(hamming(2,3)) = V_1(H(1,3)) x V_1(H(1,3))", mapping, dom, cod))
     return checks
-
-
-def vector_map_preserves_products(images: dict, family: FamilySpec, i: int) -> bool:
-    """Whether the linear map sending each basis character to the given vector
-    is an algebra automorphism: invertible and product-preserving on basis pairs."""
-    labels = family.basis(i)
-    if set(images) != set(labels):
-        raise ValueError("images must be given on the full basis")
-    matrix = [[images[b].coeffs.get(a, Cyclotomic.zero(family.modulus))
-               for b in labels] for a in labels]
-    if len(row_reduce(matrix, Cyclotomic.inv)[1]) != len(labels):
-        return False
-
-    def apply(vec: AlgebraVector) -> AlgebraVector:
-        out = AlgebraVector.zero(family, i)
-        for label, c in vec.coeffs.items():
-            out = out + c * images[label]
-        return out
-
-    for a in labels:
-        for b in labels:
-            chi_a = AlgebraVector.basis_vector(family, i, a)
-            chi_b = AlgebraVector.basis_vector(family, i, b)
-            lhs = apply(closed_form_product(chi_a, chi_b))
-            rhs = closed_form_product(apply(chi_a), apply(chi_b))
-            if lhs != rhs:
-                return False
-    return True
-

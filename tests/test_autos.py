@@ -34,6 +34,7 @@ from nortonalg.autos import (
     random_signed_perm,
     signed_perm_candidate,
 )
+from reference import as_matrix, flatten, support, weight, word_dot
 
 
 def identity_candidate(fam, i):
@@ -113,8 +114,8 @@ def test_support_preserved():
         for u in fam.basis(2):
             _, img = image(fam, 2, candidate, u)
             moved = sorted(j + 1 for j in range(3) if u[phi.sigma[j]])
-            assert moved == list(fam.group.support(img))
-            assert fam.group.weight(img) == fam.group.weight(u)
+            assert moved == list(support(img))
+            assert weight(img) == weight(u)
 
 
 def test_invalid_hamming_auto():
@@ -267,7 +268,7 @@ def test_conjugation_identity():
     rng = random.Random(7)
     xs = fam.vertices().tolist()
     for x_flat in xs[:6]:
-        x = fam.group.as_matrix(x_flat)
+        x = as_matrix(x_flat, fam.cols)
         for _ in range(4):
             a = random_gl(rng, 2, 2)
             b = random_gl(rng, 2, 2)
@@ -334,14 +335,14 @@ def signed_image(f, fam):
 
 
 def bilinear_image(auto, fam):
-    grp, q = fam.group, fam.q
+    q = fam.q
 
     def image_of(u):
         if auto.kind == "translate":
-            return grp.dot(grp.flatten(auto.matrix), u), u
+            return word_dot(flatten(auto.matrix, q), u, q), u
         if auto.kind == "left":
-            return 0, grp.flatten(mat_mul(auto.matrix, grp.as_matrix(u), q))
-        return 0, grp.flatten(mat_mul(grp.as_matrix(u), auto.inverse, q))
+            return 0, flatten(mat_mul(auto.matrix, as_matrix(u, fam.cols), q), q)
+        return 0, flatten(mat_mul(as_matrix(u, fam.cols), auto.inverse, q), q)
     return image_of
 
 

@@ -11,15 +11,13 @@ from nortonalg import cayley, cyclotomic
 from nortonalg.cayley import (
     CayleyGraph,
     character_exponents,
-    eigenvalue_of_character,
-    integer_eigenvalue,
     spectrum,
     sum_positions,
     verify_all_eigenvectors,
-    verify_eigenvector,
 )
 from nortonalg.cyclotomic import Cyclotomic
 from nortonalg.families import make_family
+from reference import eigenvalue_of_character, integer_eigenvalue, verify_eigenvector
 
 
 def _rows(*words):

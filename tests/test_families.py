@@ -8,12 +8,29 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from nortonalg.autos import (
+    SignedPermutation,
+    hamming_candidate,
+    identity_auto,
+    is_algebra_automorphism,
+    signed_perm_candidate,
+)
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import (
+    CubeFamily,
+    HammingFamily,
     make_family,
     qbinom,
     rank_fq,
     ranks_fq,
+)
+from nortonalg.norton import verify_oracle_space
+from nortonalg.trees import count_classes_exact
+from reference import (
+    as_matrix,
+    reference_basis,
+    reference_index,
+    support,
     symmetric_difference_feasible,
 )
 
@@ -131,13 +148,12 @@ def test_closed_product_membership_errors():
 def test_hamming_support_locality():
     # products inside a fixed-support block stay in the block (or vanish)
     fam = make_family("hamming", n=3, e=4)
-    grp = fam.group
     for i in fam.eigenspaces():
         for a in fam.basis(i):
             for b in fam.basis(i):
-                if grp.support(a) == grp.support(b):
+                if support(a) == support(b):
                     c = fam.closed_product(i, a, b)
-                    assert c is None or grp.support(c) == grp.support(a)
+                    assert c is None or support(c) == support(a)
 
 
 def test_hypercube_zero_product_regimes():
@@ -224,7 +240,7 @@ def test_halved_cube_character_collision():
         tables = {}
         for mask in range(2**n):
             s = tuple(j + 1 for j in range(n) if mask >> j & 1)
-            vec = fam.index_vector(s)
+            vec = reference_index(fam, s)
             table = tuple(sum(v * x[j] for j, v in enumerate(vec)) % 2 for x in xs)
             tables.setdefault(table, []).append(frozenset(s))
         assert len(tables) == 2 ** (n - 1)
@@ -258,7 +274,7 @@ def test_batched_ranks_equal_rank_fq(q, d, e):
     fam = make_family("bilinear", q=q, d=d, e=e)
     vertices = [tuple(x) for x in fam.vertices().tolist()]
     mats = np.array(vertices, dtype=np.uint8).reshape(-1, d, e)
-    ranks = [rank_fq(fam.group.as_matrix(x), q) for x in vertices]
+    ranks = [rank_fq(as_matrix(x, e), q) for x in vertices]
     assert ranks_fq(mats, q).tolist() == ranks
     for i in fam.eigenspaces():
         assert fam.basis(i) == [x for x, r in zip(vertices, ranks) if r == i]
@@ -332,14 +348,6 @@ def _reference_sets(fam):
     return xs, [x for x in xs if sum(x) in weights]
 
 
-def _reference_index(fam, label):
-    """The index vector of a basis label, written out here: the indicator of
-    the subset for the cubes, the label itself otherwise."""
-    if fam.kind in ("hamming", "bilinear"):
-        return list(label)
-    return [int(j in label) for j in range(1, fam.n + 1)]
-
-
 # the families of criterion 1, then one of each larger shape
 _ARRAY_CASES = (
     [("hamming", {"n": n, "e": e}) for n in range(1, 5) for e in range(2, 6)]
@@ -363,11 +371,45 @@ def test_sets_are_arrays_equal_to_the_reference_enumeration(kind, opts):
     chars = fam.cayley_graph().characters
     assert chars.dtype == dtype
     labels = [lbl for i in fam.eigenspaces() for lbl in fam.basis(i)]
-    assert chars.tolist() == [_reference_index(fam, lbl) for lbl in labels]
-    assert [list(fam.index_vector(lbl)) for lbl in labels] == chars.tolist()
+    assert chars.tolist() == [reference_index(fam, lbl) for lbl in labels]
     for i in fam.eigenspaces():
         rows = fam.basis_array(i)
         assert rows is fam.basis_array(i) and rows.dtype == dtype and not rows.flags.writeable
+
+
+# every space of the array cases, then spaces of instances whose 3^30 and 2^30
+# vertices are out of reach: a basis never enumerates Z_e^n
+_BASIS_CASES = ([(kind, opts, None) for kind, opts in _ARRAY_CASES]
+                + [("hamming", {"n": 30, "e": 3}, (0, 1)), ("hypercube", {"n": 30}, (1,))])
+
+
+@pytest.mark.parametrize("kind, opts, spaces", _BASIS_CASES)
+def test_bases_equal_the_label_enumeration(kind, opts, spaces):
+    # the rows are built first and the labels rendered from them; both must be
+    # what the per-label enumeration gave, in the same order
+    fam = make_family(kind, **opts)
+    for i in fam.eigenspaces() if spaces is None else spaces:
+        labels = reference_basis(fam, i)
+        assert fam.basis_array(i).tolist() == [reference_index(fam, lbl) for lbl in labels], i
+        assert fam.basis(i) == labels, i
+        assert all(type(a) is int for lbl in fam.basis(i) for a in lbl), i
+
+
+def test_row_paths_render_no_labels():
+    # the graph, the table, the oracle, an automorphism check and the exact
+    # associative spectrum read the basis rows only
+    for fam, i in ((CubeFamily("hypercube", 6), 2), (HammingFamily(3, 3), 2)):
+        fam.cayley_graph()
+        fam.product_table(i)
+        assert verify_oracle_space(fam, i)
+        if fam.kind == "hamming":
+            candidate = hamming_candidate(identity_auto(fam.n, fam.e), fam, i)
+        else:
+            candidate = signed_perm_candidate(SignedPermutation((1, 0, 2, 3, 4, 5), (1,) * 6),
+                                              fam, i)
+        assert is_algebra_automorphism(candidate, fam, i)
+        assert count_classes_exact(fam, i, 3).class_count >= 1
+        assert fam._bases == {}, fam.describe()
 
 
 def test_label_text():
