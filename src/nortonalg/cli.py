@@ -5,6 +5,10 @@ isomorphism checks, with deterministic machine-readable output.
 Exit codes: 0 verified/success, 1 a claim check failed, 2 usage error,
 3 budget exceeded, 4 internal error (one line on stderr, no traceback).
 
+`table` computes the table, basis, labels and oracle verdict before it writes
+anything, then writes the rows in blocks of TABLE_BLOCK_CELLS cells, so it
+peaks at about the int32 table plus one block, not at copies of the output.
+
 `main(argv)` is the in-process API: it returns the exit code.  `run()` is the
 process entry (`python -m nortonalg.cli` and the `nortonalg` script): it
 calls `main()`, flushes stdout and stderr and ends the process with
@@ -28,6 +32,8 @@ import json
 import os
 import random
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 import numpy as np
 
@@ -100,10 +106,10 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, pieces: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise _usage_error(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -113,31 +119,32 @@ def _json_text(payload: dict) -> str:
 
 
 TABLE_SLOT = "<table>"  # stands for the table in the payload until it is rendered
+TABLE_BLOCK_CELLS = 2**16  # table cells per write of `table`: about 1 MB of json text
 
 
-def _joined_rows(table: np.ndarray, cells: list[str], sep: str) -> list[str]:
-    """Each table row as its cells joined by sep, where entry v reads cells[v],
-    so a zero product (-1) reads the last cell."""
+def _row_blocks(table: np.ndarray, cells: list[str], sep: str, heads: list[str],
+                end: str) -> Iterable[str]:
+    """The table as text, TABLE_BLOCK_CELLS cells of whole rows per piece.  Row
+    r reads heads[r], its entries joined by sep, then end, where entry v reads
+    cells[v], so a zero product (-1) reads the last cell."""
     lookup = np.array(cells, dtype=object)
-    return [sep.join(lookup[row].tolist()) for row in table]
+    step = max(1, TABLE_BLOCK_CELLS // len(table))
+    for start in range(0, len(table), step):
+        stop = start + step
+        yield "".join(head + sep.join(lookup[row].tolist()) + end
+                      for head, row in zip(heads[start:stop], table[start:stop]))
 
 
-def _json_table(table: np.ndarray, numbers: list[str]) -> str:
-    """The text json.dumps gives a nonempty integer table at a top-level key of
-    an indent=2 payload, one row at a time; numbers[v] is the text of v."""
-    rows = _joined_rows(table, numbers, ",\n      ")
-    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
-
-
-def _emit(args, text: str) -> None:
+def _emit(args, pieces: Iterable[str]) -> None:
+    """Write the output to --output or stdout, one write per piece."""
     if args.output:
-        _write(args.output, text)
+        _write(args.output, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, _json_text(payload))
+    _emit(args, [_json_text(payload)])
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +167,11 @@ def cmd_spectrum(args) -> int:
     if args.format == "csv":
         lines = ["eigenvalue,multiplicity"]
         lines += [f"{ev},{mult}" for ev, mult in computed]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     elif args.format == "text":
         lines = [f"# spectrum of {fam.describe()} [{status}]"]
         lines += [f"{ev:>8}  x{mult}" for ev, mult in computed]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     else:
         payload = {
             "command": "spectrum",
@@ -195,19 +202,16 @@ def cmd_table(args) -> int:
     texts = [fam.label_text(lbl) for lbl in labels]
     numbers = [str(v) for v in range(len(texts))] + ["-1"]  # -1, a zero product, reads last
     status = "ok" if oracle_ok in (None, True) else "mismatch"
+    # all that can fail is done: the rest renders and writes
     if args.format == "csv":
-        lines = ["*," + ",".join(texts)]
-        lines += [text + "," + row for text, row in zip(texts, _joined_rows(table, numbers, ","))]
-        _emit(args, "\n".join(lines) + "\n")
+        head, tail = "*," + ",".join(texts) + "\n", ""
+        rows = _row_blocks(table, numbers, ",", [t + "," for t in texts], "\n")
     elif args.format == "text":
         width = max(len(t) for t in texts) + 1
         cells = [t.rjust(width) for t in texts] + ["0".rjust(width)]
-        lines = [f"# {fam.describe()} V_{args.i} products", " " * width + " ".join(cells[:-1])]
-        lines += [text.ljust(width) + row
-                  for text, row in zip(texts, _joined_rows(table, cells, " "))]
-        if oracle_ok is not None:
-            lines.append(f"# oracle verified: {oracle_ok}")
-        _emit(args, "\n".join(lines) + "\n")
+        head = f"# {fam.describe()} V_{args.i} products\n{' ' * width}{' '.join(cells[:-1])}\n"
+        tail = "" if oracle_ok is None else f"# oracle verified: {oracle_ok}\n"
+        rows = _row_blocks(table, cells, " ", [t.ljust(width) for t in texts], "\n")
     else:
         payload = {
             "command": "table",
@@ -218,8 +222,12 @@ def cmd_table(args) -> int:
             "oracle_verified": oracle_ok,
             "status": status,
         }
-        text = _json_text(payload)
-        _emit(args, text.replace(json.dumps(TABLE_SLOT), _json_table(table, numbers), 1))
+        # json.dumps with indent=2 puts each row and each entry on its own line
+        head, tail = _json_text(payload).split(json.dumps(TABLE_SLOT), 1)
+        head, tail = head + "[\n", "\n  ]" + tail
+        heads = ["    [\n      "] + [",\n    [\n      "] * (len(texts) - 1)
+        rows = _row_blocks(table, numbers, ",\n      ", heads, "\n    ]")
+    _emit(args, chain([head], rows, [tail]))
     return EXIT_OK if status == "ok" else EXIT_CHECK_FAILED
 
 
@@ -276,12 +284,12 @@ def cmd_nonassoc(args) -> int:
         lines = ["m,catalan,class_count,mode,a000975,matches"]
         lines += [f"{r['m']},{r['catalan']},{r['class_count']},{r['mode']},"
                   f"{r['a000975']},{r['matches']}" for r in reports]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     elif args.format == "text":
         lines = [f"# associative spectrum of {fam.describe()} V_{i} (seed={seed})"]
         lines += [f"m={r['m']}: {r['class_count']} classes of {r['catalan']} "
                   f"({r['mode']}, matches {r['matches']})" for r in reports]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     else:
         _emit_json(args, payload)
     return EXIT_OK
@@ -319,16 +327,17 @@ def cmd_idempotents(args) -> int:
         "primitivity_facts": primitivity,
         "status": "ok" if relations and primitivity in (None, True) else "failed",
     }
+    text = _json_text(payload) if args.export or args.format == "json" else ""
     if args.export:
-        _write(args.export, _json_text(payload))
+        _write(args.export, [text])
     if args.format == "text":
         lines = [f"# {len(idems)} nonzero idempotents of V_1(H(1,{args.e}))"]
         for idem in idems:
             lines.append(f"support {sorted(idem.support)}: {idem.vector!r}")
         lines.append(f"eta relations: {relations}; primitivity: {primitivity}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     else:
-        _emit_json(args, payload)
+        _emit(args, [text])
     return EXIT_OK if payload["status"] == "ok" else EXIT_CHECK_FAILED
 
 
@@ -544,7 +553,8 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Process entry: main() on sys.argv, then exit without interpreter
     teardown.  The exit code is main()'s, or argparse's (0 for --help, 2 for
-    a usage error); output that cannot be flushed is an internal error."""
+    a usage error); output that cannot be written is an internal error,
+    reported once."""
     try:
         code = main()
     except SystemExit as exc:  # raised by argparse, always with an int code
@@ -552,8 +562,9 @@ def run() -> None:
     try:
         sys.stdout.flush()
     except OSError as exc:  # such as a full disk
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        code = EXIT_INTERNAL
+        if code != EXIT_INTERNAL:  # else main() reported the write that left these bytes
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = EXIT_INTERNAL
     sys.stderr.flush()
     os._exit(code)
 

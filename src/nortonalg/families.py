@@ -25,7 +25,7 @@ from .linalg import row_reduce
 Subset = tuple[int, ...]
 
 DEFAULT_VERTEX_BUDGET = 2**20
-MAX_TABLE_ENTRIES = 2**26  # 256 MB of int32
+MAX_TABLE_ENTRIES = 2**26  # 256 MB of int32, about the peak of `table`: it streams its rows
 
 
 def qbinom(d: int, i: int, q: int) -> int:

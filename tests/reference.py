@@ -1,5 +1,6 @@
-"""Test-only references: per-element paths in exact Q(w) arithmetic and the
-label enumerations that the package's numpy rows replace.
+"""Test-only references: per-element paths in exact Q(w) arithmetic, the
+label enumerations that the package's numpy rows replace, and the `table`
+output rendered as one string.
 
 Each function computes its answer one group element or one label at a time,
 straight from the definitions, so the row paths of the package are checked
@@ -9,6 +10,7 @@ module.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, product
 from typing import Sequence
 
@@ -222,3 +224,48 @@ def vector_map_preserves_products(images: dict, family, i: int) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The `table` subcommand's output, rendered as one string
+# ---------------------------------------------------------------------------
+
+
+def _joined_rows(table: np.ndarray, cells: list[str], sep: str) -> list[str]:
+    """Each table row as its cells joined by sep, where entry v reads cells[v],
+    so a zero product (-1) reads the last cell."""
+    lookup = np.array(cells, dtype=object)
+    return [sep.join(lookup[row].tolist()) for row in table]
+
+
+def table_output(fam, i: int, fmt: str, oracle_ok: bool | None = None) -> str:
+    """The whole stdout of `table` on V_i of fam in format fmt, where oracle_ok
+    is the --verify-oracle verdict or None without it: json by json.dumps of
+    the payload, csv and text by the one-string renderers that the streamed
+    row blocks replaced."""
+    table = fam.product_table(i)
+    labels = fam.basis(i)
+    if fmt == "json":
+        payload = {
+            "command": "table",
+            "family": fam.describe(),
+            "i": i,
+            "basis": [fam.label_json(lbl) for lbl in labels],
+            "table": table.tolist(),
+            "oracle_verified": oracle_ok,
+            "status": "ok" if oracle_ok in (None, True) else "mismatch",
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    texts = [fam.label_text(lbl) for lbl in labels]
+    if fmt == "csv":
+        numbers = [str(v) for v in range(len(texts))] + ["-1"]
+        lines = ["*," + ",".join(texts)]
+        lines += [text + "," + row for text, row in zip(texts, _joined_rows(table, numbers, ","))]
+        return "\n".join(lines) + "\n"
+    width = max(len(t) for t in texts) + 1
+    cells = [t.rjust(width) for t in texts] + ["0".rjust(width)]
+    lines = [f"# {fam.describe()} V_{i} products", " " * width + " ".join(cells[:-1])]
+    lines += [text.ljust(width) + row for text, row in zip(texts, _joined_rows(table, cells, " "))]
+    if oracle_ok is not None:
+        lines.append(f"# oracle verified: {oracle_ok}")
+    return "\n".join(lines) + "\n"
