@@ -401,8 +401,7 @@ def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, para
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_table_peak_memory_is_the_table_and_a_block(monkeypatch, fmt):
-    # fresh families, so the table is built under the trace; it used to peak at
-    # 30.7 MB in json and 46.5 MB in text, against a 3.4 MB table
+    # a fresh family, so the table is built under the trace too
     monkeypatch.setattr(cli, "make_family",
                         lambda kind, **params: families.CubeFamily(kind, params["n"]))
     dim = families.CubeFamily("hypercube", 12).predicted_dimension(6)
@@ -592,7 +591,7 @@ def test_process_entry_matches_main(capsys, monkeypatch, tmp_path):
                 proc = _spawn(argv, stdout=full)
             assert proc.returncode == 4, argv
             err = proc.stderr.decode()
-            assert err.startswith("internal error: OSError: ") and err.count("\n") == 1, argv
+            assert err.startswith("internal error: OSError: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_package_names_resolve_on_first_access():
