@@ -256,7 +256,9 @@ def cmd_nonassoc(args) -> int:
         else:
             rep = trees.count_classes_witness(fam, i, m, seed=seed, attempts=attempts)
         a975 = trees.a000975(m)
-        if rep.class_count == 1:
+        if rep.mode != "exact":  # a lower bound matches no count
+            matches = None
+        elif rep.class_count == 1:
             matches = "one"
         elif rep.class_count == cm:
             matches = "catalan"
@@ -283,12 +285,12 @@ def cmd_nonassoc(args) -> int:
     if args.format == "csv":
         lines = ["m,catalan,class_count,mode,a000975,matches"]
         lines += [f"{r['m']},{r['catalan']},{r['class_count']},{r['mode']},"
-                  f"{r['a000975']},{r['matches']}" for r in reports]
+                  f"{r['a000975']},{r['matches'] or ''}" for r in reports]
         _emit(args, ["\n".join(lines) + "\n"])
     elif args.format == "text":
         lines = [f"# associative spectrum of {fam.describe()} V_{i} (seed={seed})"]
-        lines += [f"m={r['m']}: {r['class_count']} classes of {r['catalan']} "
-                  f"({r['mode']}, matches {r['matches']})" for r in reports]
+        lines += [f"m={r['m']}: {r['class_count']} classes of {r['catalan']} ({r['mode']}"
+                  + (f", matches {r['matches']})" if r["matches"] else ")") for r in reports]
         _emit(args, ["\n".join(lines) + "\n"])
     else:
         _emit_json(args, payload)

@@ -12,6 +12,10 @@ by their interval sets, as bitmasks, against the live-interval patterns of
 input tuples, and check that premise on every tuple they see: the exact
 counter on all basis tuples, the witness counter on seeded random tuples,
 reporting a lower bound when pairs stay undistinguished.
+
+The exact counter holds no array much larger than CHUNK_BYTES: it takes the
+tuples in blocks that fix their leading inputs and the trees in blocks, and
+keeps one fingerprint key per class, not a Catalan(m) x patterns matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .families import FamilySpec
 
 DEFAULT_MAX_M = 12
 DEFAULT_WITNESS_ATTEMPTS = 10_000
-CHUNK_BYTES = 1 << 20  # working-array size of the vectorized tree classification
+CHUNK_BYTES = 1 << 20  # bound on each working array of the tree counters
 
 
 class BinaryTree:
@@ -163,9 +167,10 @@ def _words(m: int) -> int:
 
 
 def _set_bit(sets: np.ndarray, a: int, b: int, where) -> None:
-    """Add [a, b) to the rows of sets (shape (rows, words)) selected by where."""
+    """Add [a, b) to the sets (shape (..., words)) selected by where, which
+    broadcasts against the leading axes."""
     k = (b - 1) * (b - 2) // 2 + a
-    sets[:, k // 64] |= np.asarray(where, dtype=np.uint64) << np.uint64(k % 64)
+    sets[..., k // 64] |= np.asarray(where, dtype=np.uint64) << np.uint64(k % 64)
 
 
 def tree_masks(m: int) -> np.ndarray:
@@ -197,8 +202,9 @@ def _live_table(products: np.ndarray) -> np.ndarray:
     return table
 
 
-def _join(table: np.ndarray, halves) -> np.ndarray:
-    """Values of one interval from the values of the two halves of each split.
+def _join(table: np.ndarray, entries) -> np.ndarray:
+    """Values of one interval from the table entries of its splits: for each
+    split, the entries at the values of its two halves.
 
     Every split whose halves are live must give the same entry, one position
     or zero throughout; this is the case when products are determined by the
@@ -207,8 +213,7 @@ def _join(table: np.ndarray, halves) -> np.ndarray:
     """
     skip = len(table)
     value = None
-    for left, right in halves:
-        entry = table[left, right].reshape(-1)
+    for entry in entries:
         if value is None:
             value = entry
             continue
@@ -219,28 +224,60 @@ def _join(table: np.ndarray, halves) -> np.ndarray:
     return np.minimum(value, skip - 1)
 
 
+def _outer(table: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """table[left[:, None], right[None, :]] flattened, gathering the lines of
+    the shorter side first: several times faster than 2-d fancy indexing."""
+    if len(left) < len(right):
+        return np.take(table[left], right, axis=1).reshape(-1)
+    return np.take(table[:, right], left, axis=0).reshape(-1)
+
+
+def _fixed_inputs(dim: int, m: int) -> int:
+    """How many leading inputs each block of the tuple grid fixes: the fewest
+    that leave at most CHUNK_BYTES of interval sets to a block."""
+    rows = max(1, CHUNK_BYTES // (8 * _words(m)))
+    return m + 1 - max(free for free in range(m + 2) if dim ** free <= rows)
+
+
 def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
-    """Distinct live-interval sets of all basis tuples of length m+1.  The value
-    of an interval depends only on its own inputs, so it is computed once per
-    length on the dim^length grid and looked up over the full grid in slices."""
+    """Distinct live-interval sets of all basis tuples of length m+1.
+
+    The tuples come in blocks that fix their first `fixed` inputs.  The value
+    of an interval depends only on its own inputs: inside the free inputs it
+    is the same grid for each length and in every block, so it is joined once
+    per length and its bits are set once in a base block; an interval that
+    starts inside the fixed inputs gets, per block, a grid over its free
+    inputs joined from the block's prefix.  Each live grid is broadcast in
+    place across the block's other inputs, so no array outgrows a block."""
     dim = len(table) - 1
-    values = {1: np.arange(dim, dtype=table.dtype)}
-    for length in range(2, m + 2):
-        values[length] = _join(table, ((values[k][:, None], values[length - k][None, :])
-                                       for k in range(1, length)))
-    total = dim ** (m + 1)
     words = _words(m)
-    step = max(1, CHUNK_BYTES // (8 * words))
-    found = []
-    for start in range(0, total, step):
-        index = np.arange(start, min(start + step, total))
-        sets = np.zeros((len(index), words), dtype=np.uint64)
-        for b in range(2, m + 2):
-            prefix = index // dim ** (m + 1 - b)  # the first b inputs
-            for a in range(b - 1):
-                _set_bit(sets, a, b, values[b - a][prefix % dim ** (b - a)] < dim)
-        found.append(_distinct_rows(sets))
-    return _distinct_rows(np.concatenate(found))
+    fixed = _fixed_inputs(dim, m)
+    values = {(fixed, fixed + 1): np.arange(dim, dtype=table.dtype)}
+
+    def grid(a: int, b: int) -> np.ndarray:  # over the inputs max(a, fixed)..b-1
+        return values[(a, b) if a < fixed else (fixed, fixed + b - a)]
+
+    def add(sets: np.ndarray, a: int, b: int) -> None:
+        if a <= fixed:  # per block, or once per length inside the free inputs
+            values[a, b] = _join(table, (_outer(table, grid(a, s), grid(s, b))
+                                         for s in range(a + 1, b)))
+        lo, hi = max(a, fixed), max(b, fixed)
+        _set_bit(sets.reshape(dim ** (lo - fixed), dim ** (hi - lo), -1, words), a, b,
+                 (grid(a, b) < dim)[:, None])
+
+    base = np.zeros((dim ** (m + 1 - fixed), words), dtype=np.uint64)
+    for a, b in _intervals(m):
+        if a >= fixed:
+            add(base, a, b)
+    patterns = base[:0]
+    for prefix in np.ndindex(*(dim,) * fixed):
+        values.update(((a, a + 1), np.array([p], dtype=table.dtype)) for a, p in enumerate(prefix))
+        sets = base.copy()
+        for a, b in _intervals(m):
+            if a < fixed:
+                add(sets, a, b)
+        patterns = _distinct_rows(np.concatenate([patterns, _distinct_rows(sets)]))
+    return patterns
 
 
 def _distinct_rows(sets: np.ndarray) -> np.ndarray:
@@ -266,34 +303,31 @@ def _tuple_patterns(table: np.ndarray, tuples: np.ndarray) -> np.ndarray:
     values = {(a, a + 1): tuples[:, a] for a in range(leaves)}
     sets = np.zeros((count, _words(leaves - 1)), dtype=np.uint64)
     for a, b in _intervals(leaves - 1):
-        values[a, b] = _join(table, ((values[a, s], values[s, b]) for s in range(a + 1, b)))
+        values[a, b] = _join(table, (table[values[a, s], values[s, b]] for s in range(a + 1, b)))
         _set_bit(sets, a, b, values[a, b] < dim)
     return sets
 
 
-def _fingerprints(masks: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """Bit p of row t is set when tree t is nonzero under pattern p, that is,
-    when its interval set lies inside the pattern; 8 patterns to a byte."""
-    outside = ~patterns
+def _fingerprints(masks: np.ndarray, patterns: np.ndarray):
+    """Blocks of rows in tree order: bit p of row t is set when tree t is
+    nonzero under pattern p, that is, when its interval set lies inside the
+    pattern; 8 patterns to a byte."""
+    outside = np.ascontiguousarray(~patterns.T)  # one contiguous row per word
     rows = max(1, CHUNK_BYTES // (8 * len(patterns)))
-    out = np.empty((len(masks), (len(patterns) + 7) // 8), dtype=np.uint8)
     for start in range(0, len(masks), rows):
         block = masks[start:start + rows]
         inside = np.ones((len(block), len(patterns)), dtype=bool)
         for w in range(masks.shape[1]):
-            inside &= (block[:, w, None] & outside[None, :, w]) == 0
-        out[start:start + rows] = np.packbits(inside, axis=1)
-    return out
+            inside &= (block[:, w, None] & outside[w]) == 0
+        yield np.packbits(inside, axis=1)
 
 
-def exact_partition(family: FamilySpec, i: int, m: int,
-                    budget: int = DEFAULT_EVAL_BUDGET) -> list[list[int]]:
-    """Partition of the trees of size m into classes with equal multilinear maps.
-
-    On a basis tuple the nonzero trees share one value, so two trees agree
-    there exactly when both or neither of their interval sets lie inside the
-    tuple's live pattern; the distinct patterns of all dim^(m+1) tuples decide
-    equality by multilinearity."""
+def _tree_keys(family: FamilySpec, i: int, m: int, budget: int):
+    """The fingerprint of each tree over the distinct live patterns of all
+    dim^(m+1) basis tuples, as bytes, in enumerate_trees order.  On a basis
+    tuple the nonzero trees share one value, so two trees agree there exactly
+    when both or neither of their interval sets lie inside the tuple's live
+    pattern; by multilinearity equal keys are equal multilinear maps."""
     _check_tree_size(m)
     dim = family.predicted_dimension(i)
     cost = (dim ** (m + 1)) * catalan(m)
@@ -301,9 +335,16 @@ def exact_partition(family: FamilySpec, i: int, m: int,
         raise BudgetExceededError(
             f"exact mode needs {cost} evaluations (budget {budget}); use witness mode")
     patterns = _grid_patterns(_live_table(family.product_table(i)), m)
+    for block in _fingerprints(tree_masks(m), patterns):
+        yield from row_keys(block).tolist()  # bytes objects
+
+
+def exact_partition(family: FamilySpec, i: int, m: int,
+                    budget: int = DEFAULT_EVAL_BUDGET) -> list[list[int]]:
+    """Partition of the trees of size m into classes with equal multilinear maps."""
     groups: dict[bytes, list[int]] = {}
-    for idx, key in enumerate(_fingerprints(tree_masks(m), patterns)):
-        groups.setdefault(key.tobytes(), []).append(idx)
+    for idx, key in enumerate(_tree_keys(family, i, m, budget)):
+        groups.setdefault(key, []).append(idx)
     return sorted(groups.values())
 
 
@@ -313,8 +354,8 @@ def count_classes_exact(family: FamilySpec, i: int, m: int,
     tuples (complete by multilinearity); budget_used counts dim^(m+1) tuples
     for each of the Catalan(m) trees."""
     dim = family.predicted_dimension(i)
-    parts = exact_partition(family, i, m, budget)
-    return SpectrumReport(m=m, class_count=len(parts), mode="exact",
+    classes = len(set(_tree_keys(family, i, m, budget)))
+    return SpectrumReport(m=m, class_count=classes, mode="exact",
                           budget_used=(dim ** (m + 1)) * catalan(m))
 
 
@@ -368,7 +409,8 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
     while used < attempts and classes < len(masks):
         count = min(chunk, cap, attempts - used)
         draws = _randrange_block(rng, dim, count * (m + 1))
-        prints = _fingerprints(masks, _tuple_patterns(table, draws.reshape(count, m + 1)))
+        patterns = _tuple_patterns(table, draws.reshape(count, m + 1))
+        prints = np.concatenate(list(_fingerprints(masks, patterns)))
         refined, classes = _refine(labels, prints, count)
         if classes == len(masks):  # find the first tuple that separates all trees
             low = 1

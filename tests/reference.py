@@ -1,6 +1,7 @@
 """Test-only references: per-element paths in exact Q(w) arithmetic, the
-label enumerations that the package's numpy rows replace, and the `table`
-output rendered as one string.
+label enumerations that the package's numpy rows replace, the `table`
+output rendered as one string, and the live-interval patterns of the whole
+tuple grid by index arithmetic.
 
 Each function computes its answer one group element or one label at a time,
 straight from the definitions, so the row paths of the package are checked
@@ -16,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from nortonalg import trees
 from nortonalg.cyclotomic import Cyclotomic, from_exponent_counts, root_power
 from nortonalg.groups import Word, word_add
 from nortonalg.linalg import row_reduce
@@ -269,3 +271,33 @@ def table_output(fam, i: int, fmt: str, oracle_ok: bool | None = None) -> str:
     if oracle_ok is not None:
         lines.append(f"# oracle verified: {oracle_ok}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Live-interval patterns of the whole tuple grid, by index arithmetic
+# ---------------------------------------------------------------------------
+
+
+def grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
+    """Distinct live-interval sets of all basis tuples of length m+1, from the
+    value grid of each interval length over the full dim^length grid, looked
+    up for each slice of tuple indices by index // dim**k % dim**j.  This is
+    the grid that the blocked one of `trees._grid_patterns` replaced."""
+    dim = len(table) - 1
+    values = {1: np.arange(dim, dtype=table.dtype)}
+    for length in range(2, m + 2):
+        values[length] = trees._join(table, (table[values[k][:, None], values[length - k][None, :]]
+                                             .reshape(-1) for k in range(1, length)))
+    total = dim ** (m + 1)
+    words = trees._words(m)
+    step = max(1, trees.CHUNK_BYTES // (8 * words))
+    found = []
+    for start in range(0, total, step):
+        index = np.arange(start, min(start + step, total))
+        sets = np.zeros((len(index), words), dtype=np.uint64)
+        for b in range(2, m + 2):
+            prefix = index // dim ** (m + 1 - b)  # the first b inputs
+            for a in range(b - 1):
+                trees._set_bit(sets, a, b, values[b - a][prefix % dim ** (b - a)] < dim)
+        found.append(trees._distinct_rows(sets))
+    return trees._distinct_rows(np.concatenate(found))

@@ -107,6 +107,29 @@ def test_nonassoc_witness_mode(capsys):
     assert payload["reports"][-1]["matches"] == "catalan"
 
 
+def test_nonassoc_labels_no_lower_bound(capsys):
+    # hamming(4,3) V_4 counts 10, 21, 42, 85 exactly at m = 4..7; auto mode
+    # takes witness there and may only report lower bounds, matching nothing
+    argv = ["nonassoc", "--family", "hamming", "--n", "4", "--e", "3", "--i", "4",
+            "--max-m", "7"]
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    rows = payload["reports"]
+    assert [r["mode"] for r in rows] == ["exact"] * 3 + ["witness-lower-bound"] * 4
+    assert [r["matches"] for r in rows] == ["one", "catalan", "catalan"] + [None] * 4
+    assert [r["class_count"] for r in rows[3:]] == [3, 1, 1, 1]
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "2,2,2,exact,2,catalan"
+    assert lines[5:] == ["5,42,1,witness-lower-bound,21,", "6,132,1,witness-lower-bound,42,",
+                         "7,429,1,witness-lower-bound,85,"]
+    assert main(argv + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "m=3: 5 classes of 5 (exact, matches catalan)"
+    assert lines[5] == "m=5: 1 classes of 42 (witness-lower-bound)"
+    assert not any("matches" in line for line in lines[4:])
+
+
 def test_idempotents_e4(capsys):
     code, payload = run_json(capsys, "idempotents", "--e", "4")
     assert code == 0

@@ -21,7 +21,11 @@ and the full exponent-matrix adjacency check, before the neighbour-count
 histogram and the edge identity replaced them.  The six cube cases
 (`{1,10}` labels at n >= 10, a second folded-half-cube split class) were
 recorded from the four separate cube classes before one `CubeFamily`
-replaced them.  An
+replaced them.  Two
+`nonassoc` witness digests were rewritten when `witness-lower-bound` rows
+stopped naming a sequence in `matches` (json `null`, an empty csv field):
+`hamming(2,3)` V_1 in csv and the zero product on `hypercube(4)` V_3; no
+`exact` row changed.  An
 intended output change must say so where it rewrites the digests.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -28,6 +29,7 @@ from nortonalg.trees import (
     ominus_partition,
     tree_masks,
 )
+from reference import grid_patterns
 
 
 def _criterion1_spaces():
@@ -350,6 +352,47 @@ def test_counters_reject_a_table_not_determined_by_sums(monkeypatch):
         exact_partition(fam, 1, 2)
     with pytest.raises(AssertionError, match="not determined by the sum"):
         count_classes_witness(fam, 1, 2, seed=0)
+    # blocks of 4 tuples fix the first input, so [0, 3), the only interval
+    # with two splits, is joined per block from the block's prefix
+    monkeypatch.setattr(trees, "CHUNK_BYTES", 32)
+    assert trees._fixed_inputs(2, 2) == 1
+    with pytest.raises(AssertionError, match="not determined by the sum"):
+        exact_partition(fam, 1, 2)
+
+
+def test_grid_patterns_equal_the_index_reference():
+    # every criterion-1 space for m <= 6 while dim^(m+1) <= 2e5, and one
+    # space at m = 7, at the default CHUNK_BYTES: blocks fix 0, 1 or 2 inputs
+    fixed = set()
+    cases = [(fam, i, m) for fam, i in _criterion1_spaces() for m in range(1, 7)
+             if fam.predicted_dimension(i) ** (m + 1) <= 2 * 10**5]
+    for fam, i, m in cases + [(make_family("hypercube", n=4), 2, 7)]:
+        table = trees._live_table(fam.product_table(i))
+        fixed.add(trees._fixed_inputs(len(table) - 1, m))
+        assert np.array_equal(trees._grid_patterns(table, m), grid_patterns(table, m)), (
+            fam.describe(), i, m)
+    assert fixed == {0, 1, 2}
+
+
+def _traced_peak(compute) -> int:
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_counters_work_in_a_bounded_set():
+    # fresh families, so the tables are built under the trace too; a whole
+    # fingerprint matrix (15 MB here) or value grid (1.7 M entries) breaks it
+    mib = 1 << 20
+    peak = _traced_peak(lambda: count_classes_exact(make_family("hamming", n=1, e=3), 1, 11,
+                                                    budget=10**9))
+    assert peak < 8 * mib, peak
+    peak = _traced_peak(lambda: exact_partition(make_family("hypercube", n=4), 2, 7,
+                                                budget=10**9))
+    assert peak < 3 * mib, peak
 
 
 def test_block_draws_equal_randrange():
