@@ -25,7 +25,10 @@ replaced them.  Two
 `nonassoc` witness digests were rewritten when `witness-lower-bound` rows
 stopped naming a sequence in `matches` (json `null`, an empty csv field):
 `hamming(2,3)` V_1 in csv and the zero product on `hypercube(4)` V_3; no
-`exact` row changed.  An
+`exact` row changed.  The three
+`idempotents` cases `--e 9`, `--e 10` and `--e 7 --format text` were
+recorded from the `Fraction`-dict vectors before integer arrays over basis
+positions replaced them.  An
 intended output change must say so where it rewrites the digests.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -79,8 +82,9 @@ OTHER_CASES = [
     "nonassoc --family hypercube --n 4 --i 3 --max-m 4 --mode witness --attempts 50",
     "nonassoc --family hypercube --n 4 --i 2 --max-m 5 --budget 100000",
     "nonassoc --family hamming --n 1 --e 3 --max-m 9 --mode exact --format text",
-] + [f"idempotents --e {e}" for e in range(3, 9)] + [
+] + [f"idempotents --e {e}" for e in range(3, 11)] + [
     "idempotents --e 6 --format text",
+    "idempotents --e 7 --format text",
 ]
 
 SPECTRUM_CASES = [f"spectrum {fam_args} --verify" for fam_args in FAMILY_ARGS] + [
