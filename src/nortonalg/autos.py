@@ -73,25 +73,6 @@ def identity_auto(n: int, e: int) -> HammingAuto:
     return HammingAuto((0,) * n, (1,) * n, tuple(range(n)), e)
 
 
-def _permuted(sigma: tuple[int, ...], word: Word) -> Word:
-    return tuple(word[j] for j in sigma)
-
-
-def compose_hamming(phi: HammingAuto, psi: HammingAuto) -> HammingAuto:
-    """Wreath-product composition (a + b^-1.sigma(a'), b.sigma(b'), sigma sigma'),
-    so that applying the composite equals applying phi after psi."""
-    if phi.e != psi.e or len(phi.a) != len(psi.a):
-        raise ValueError("cannot compose automorphisms of different groups")
-    e = phi.e
-    b_inv = tuple(pow(v, -1, e) for v in phi.b)
-    a2 = _permuted(phi.sigma, psi.a)
-    b2 = _permuted(phi.sigma, psi.b)
-    new_a = tuple((av + iv * cv) % e for av, iv, cv in zip(phi.a, b_inv, a2))
-    new_b = tuple((bv * cv) % e for bv, cv in zip(phi.b, b2))
-    new_sigma = tuple(psi.sigma[j] for j in phi.sigma)
-    return HammingAuto(new_a, new_b, new_sigma, e)
-
-
 def random_hamming_auto(rng: random.Random, n: int, e: int) -> HammingAuto:
     units = [v for v in range(1, e) if gcd(v, e) == 1]
     a = tuple(rng.randrange(e) for _ in range(n))
@@ -168,16 +149,6 @@ class SignedPermutation:
         return sign == 1
 
 
-def compose_signed(f: SignedPermutation, g: SignedPermutation) -> SignedPermutation:
-    """Composite acting as f after g."""
-    sigma = tuple(f.sigma[g.sigma[j]] for j in range(len(f.sigma)))
-    f_inv = [0] * len(f.sigma)
-    for j, img in enumerate(f.sigma):
-        f_inv[img] = j
-    eps = tuple(f.eps[j] * g.eps[f_inv[j]] for j in range(len(f.sigma)))
-    return SignedPermutation(sigma, eps)
-
-
 def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
                           check_type_d: bool = True) -> Candidate:
     """chi_S goes to eps(sigma(S)) chi_sigma(S), with sigma(S) canonicalized
@@ -196,15 +167,6 @@ def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
     # before the complement on the halved cube, summed in int64, not the row dtype
     signs = images @ (np.array(f.eps) < 0).astype(np.int64)
     return _candidate(rows, family._canonical_rows(images), signs, 2)
-
-
-def all_signed_perms(n: int, type_d: bool = False):
-    for sigma in permutations(range(n)):
-        for eps in product((1, -1), repeat=n):
-            f = SignedPermutation(sigma, eps)
-            if type_d and not f.is_type_d():
-                continue
-            yield f
 
 
 def random_signed_perm(rng: random.Random, n: int, type_d: bool = False) -> SignedPermutation:

@@ -299,25 +299,28 @@ def cmd_nonassoc(args) -> int:
 
 def cmd_idempotents(args) -> int:
     from . import norton
-    if args.e is None or args.e < 3:
+    from .cyclotomic import field_degree
+    e = args.e
+    if e is None or e < 3:
         raise _usage_error("idempotents requires --e >= 3")
-    # each nonempty subset of 1..e-1, the nilpotent ones too, sums up to e-1
-    # eta vectors of e-1 coefficients
-    subsets = 2 ** (args.e - 1) - 1
-    cost = subsets * (args.e - 1) ** 2
+    # each nonempty subset of 1..e-1, the nilpotent ones too, gets e-1
+    # coordinates of phi(e) integer coefficients; past the budget's bit length
+    # the subsets alone are over it, and the cost is not written out
     budget = _resolve_budget(args)
-    if cost > budget:
-        raise BudgetExceededError(f"idempotents --e {args.e} enumerates {subsets} subsets, "
-                                  f"{cost} coefficient steps (budget {budget})")
-    idems = norton.classified_idempotents(args.e)
-    relations = norton.eta_relations_check(args.e)
+    cost = (2 ** (e - 1) - 1) * (e - 1) * field_degree(e) if e <= budget.bit_length() + 1 else None
+    if cost is None or cost > budget:
+        count = "more than the budget" if cost is None else cost
+        raise BudgetExceededError(f"idempotents --e {e} builds (2^{e - 1} - 1) * {e - 1} * "
+                                  f"phi({e}) coefficients, {count} (budget {budget})")
+    idems = norton.classified_idempotents(e)
+    relations = norton.eta_relations_check(e)
     primitivity = None
-    if args.e <= norton.PRIMITIVITY_MAX_E:
-        primitivity = norton.primitivity_facts_check(args.e)
-    nilpotents = norton.nilpotents_order2_classified(args.e)
+    if e <= norton.PRIMITIVITY_MAX_E:
+        primitivity = norton.primitivity_facts_check(e)
+    nilpotents = norton.nilpotents_order2_classified(e)
     payload = {
         "command": "idempotents",
-        "e": args.e,
+        "e": e,
         "count": len(idems),
         "idempotents": [
             {"support": sorted(idem.support), "vector": idem.vector.to_json()}
@@ -333,7 +336,7 @@ def cmd_idempotents(args) -> int:
     if args.export:
         _write(args.export, [text])
     if args.format == "text":
-        lines = [f"# {len(idems)} nonzero idempotents of V_1(H(1,{args.e}))"]
+        lines = [f"# {len(idems)} nonzero idempotents of V_1(H(1,{e}))"]
         for idem in idems:
             lines.append(f"support {sorted(idem.support)}: {idem.vector!r}")
         lines.append(f"eta relations: {relations}; primitivity: {primitivity}")

@@ -1,10 +1,10 @@
 """The six graph families: vertex sets, connection sets, eigenspace bases,
-closed-form Norton product rules, and predicted spectra.
+Norton product tables, and predicted spectra.
 
 A basis is an array of index rows, one per basis character, in the dtype of
-the vertex rows: it is what the graph, the product table, the oracle and the
-automorphism candidates read.  Its labels are a rendering of those rows, made
-only where a label is printed or keys a vector: words (tuples of residues)
+the vertex rows: it is what the graph, the product table, the oracle, the
+automorphism candidates and the algebra vectors read.  Its labels are a
+rendering of those rows, made only where a label is printed: words (tuples of residues)
 for the Hamming family, sorted tuples of 1-based positions for the cube
 variants, and flattened matrices for the bilinear forms family.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .cayley import CayleyGraph, sum_positions
 from .errors import BudgetExceededError
-from .groups import Word, is_prime, word_add, word_text
+from .groups import Word, is_prime, word_text
 from .linalg import row_reduce
 
 Subset = tuple[int, ...]
@@ -47,11 +47,6 @@ def fq_reduce(matrix, q: int) -> tuple[list[list[int]], list[int]]:
     if not is_prime(q):
         raise ValueError(f"row reduction over F_q requires a prime q, got {q}")
     return row_reduce(matrix, lambda v: pow(v, -1, q), lambda row: [v % q for v in row])
-
-
-def rank_fq(matrix, q: int) -> int:
-    """Rank of a matrix over F_q (prime q)."""
-    return len(fq_reduce(matrix, q)[1])
 
 
 def ranks_fq(mats: np.ndarray, q: int) -> np.ndarray:
@@ -114,7 +109,6 @@ class FamilySpec:
         self._vertices: np.ndarray | None = None
         self._connection: np.ndarray | None = None
         self._bases: dict[int, list] = {}  # the labels, rendered only on request
-        self._basis_pos: dict[int, dict] = {}
         self._basis_rows: dict[int, np.ndarray] = {}
         self._tables: dict[int, np.ndarray] = {}
 
@@ -159,19 +153,9 @@ class FamilySpec:
     def predicted_dimension(self, i: int) -> int:
         raise NotImplementedError
 
-    def in_basis(self, i: int, label) -> bool:
-        """Whether label is a V_i basis label, by the family's own predicate,
-        without enumerating the basis; i must be in range."""
-        raise NotImplementedError
-
     def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
         """Canonical index rows of the characters the given rows index."""
         return rows
-
-    def closed_product(self, i: int, a, b):
-        """Closed-form Norton product of two basis characters of V_i: a basis
-        label (unit coefficient) or None for the zero product."""
-        raise NotImplementedError
 
     def label_text(self, label) -> str:
         raise NotImplementedError
@@ -224,19 +208,6 @@ class FamilySpec:
         if i not in self._bases:
             self._bases[i] = self._labels(self.basis_array(i))
         return self._bases[i]
-
-    def basis_position(self, i: int) -> dict:
-        if i not in self._basis_pos:
-            self._basis_pos[i] = {lbl: k for k, lbl in enumerate(self.basis(i))}
-        return self._basis_pos[i]
-
-    def _require_basis(self, i: int, label) -> None:
-        """Raise unless label is a V_i basis label; a basis already enumerated
-        answers by lookup, any other by the family's predicate."""
-        self._check_space(i)
-        known = label in self.basis_position(i) if i in self._bases else self.in_basis(i, label)
-        if not known:
-            raise ValueError(f"label {self.label_text(label)} is not in the V_{i} basis")
 
     def product_table(self, i: int) -> np.ndarray:
         """The V_i basis products as a read-only dim x dim int32 array, cached:
@@ -340,16 +311,6 @@ class HammingFamily(FamilySpec):
     def predicted_dimension(self, i: int) -> int:
         self._check_space(i)
         return comb(self.n, i) * (self.e - 1) ** i
-
-    def in_basis(self, i: int, label) -> bool:
-        return (isinstance(label, tuple) and len(label) == self.n
-                and all(0 <= a < self.e for a in label) and sum(1 for a in label if a) == i)
-
-    def closed_product(self, i: int, a: Word, b: Word):
-        self._require_basis(i, a)
-        self._require_basis(i, b)
-        w = word_add(a, b, self.e)
-        return w if sum(1 for c in w if c) == i else None
 
     def label_text(self, label: Word) -> str:
         return word_text(label, self.e)
@@ -459,41 +420,16 @@ class CubeFamily(FamilySpec):
         full = comb(self.n, s)
         return full // 2 if self._with_one(s) else full
 
-    def in_basis(self, i: int, label) -> bool:
-        s = self._size(i)
-        return (isinstance(label, tuple) and len(label) == s
-                and all(a < b for a, b in zip((0,) + label, label + (self.n + 1,)))
-                and (not self._with_one(s) or label[:1] == (1,)))
-
-    def canonical_label(self, subset) -> Subset:
-        """Representative of the character class of the set: folded, an even
-        set (toggling position n); halved, the smaller of it and its
-        complement, or on ties the one containing 1."""
-        keep = frozenset(subset)
-        if self.folded and len(keep) % 2:
-            keep ^= {self.n}
-        size = 2 * len(keep)
-        if self.halved and (size > self.n or size == self.n and 1 not in keep):
-            keep = frozenset(range(1, self.n + 1)) - keep
-        return tuple(sorted(keep))
-
     def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
-        # canonical_label on 0/1 index rows; folded, the rows are sums of even
-        # basis sets and so even already, so only the halved complement acts
+        # the representative of a set's character class: folded, the even one
+        # of the set and its toggle at position n, and the rows are sums of
+        # even basis sets, so even already; halved, the smaller of the set and
+        # its complement, or on ties the one containing position 1
         if self.halved:
             weight = 2 * rows.sum(axis=1, dtype=np.int64)
             flip = (weight > self.n) | ((weight == self.n) & (rows[:, 0] == 0))
             rows ^= flip[:, None]
         return rows
-
-    def closed_product(self, i: int, a: Subset, b: Subset):
-        self._require_basis(i, a)
-        self._require_basis(i, b)
-        d = frozenset(a) ^ frozenset(b)
-        s = self._size(i)
-        if len(d) != s and not (self.halved and len(d) == self.n - s):
-            return None
-        return self.canonical_label(d)
 
     def label_text(self, label: Subset) -> str:
         if not label:
@@ -548,9 +484,6 @@ class BilinearFamily(FamilySpec):
         """The d x e matrix of a row-major flattened label, as row tuples."""
         return tuple(flat[r * self.cols:(r + 1) * self.cols] for r in range(self.d))
 
-    def rank(self, flat: Word) -> int:
-        return rank_fq(self._matrix(flat), self.q)
-
     def _vertex_ranks(self) -> np.ndarray:
         """The rank of every vertex, by one batched elimination (ranks_fq), cached."""
         if self._ranks is None:
@@ -579,16 +512,6 @@ class BilinearFamily(FamilySpec):
         for k in range(i):
             out *= q**e - q**k
         return out
-
-    def in_basis(self, i: int, label) -> bool:
-        return (isinstance(label, tuple) and len(label) == self.length
-                and all(0 <= a < self.q for a in label) and self.rank(label) == i)
-
-    def closed_product(self, i: int, a: Word, b: Word):
-        self._require_basis(i, a)
-        self._require_basis(i, b)
-        w = word_add(a, b, self.q)
-        return w if self.rank(w) == i else None
 
     def label_text(self, label: Word) -> str:
         rows = self._matrix(label)

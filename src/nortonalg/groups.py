@@ -1,14 +1,13 @@
-"""Primality, the group law of Z_e^n on single labels, and their text form.
+"""Primality and the text form of single labels.
 
-A label is a plain tuple of residues (a matrix flattened row-major).  The
-character indexed by u takes x to w^(u.x), where u.x is the entrywise dot
-product mod the modulus; whole sets of them are integer row arrays, which
-`cayley` and `families` compute on.
+A label is a plain tuple of residues (a matrix flattened row-major), a
+rendering of one index row.  The character indexed by u takes x to
+w^(u.x), where u.x is the entrywise dot product mod the modulus; the group
+law and the characters act on whole integer row arrays, which `cayley` and
+`families` compute on.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 Word = tuple[int, ...]
 
@@ -22,11 +21,6 @@ def is_prime(m: int) -> bool:
             return False
         k += 1
     return True
-
-
-def word_add(x: Sequence[int], y: Sequence[int], e: int) -> Word:
-    """The group law of Z_e^n: entrywise sum mod e."""
-    return tuple((a + b) % e for a, b in zip(x, y))
 
 
 def word_text(x: Word, modulus: int) -> str:

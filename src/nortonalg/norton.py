@@ -2,6 +2,10 @@
 oracle, the closed-form product, idempotent and nilpotent machinery, identity
 detection, and isomorphism verification.
 
+A vector is an exact integer array over basis positions with one
+denominator; its product reads the family's product table, and labels are
+rendered only when a vector is printed.
+
 The projection oracle multiplies characters as value rows over the vertex set
 and projects back by character orthogonality; it never looks at the
 index-level product rule, so agreement with the closed form is a genuine
@@ -14,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 
 import numpy as np
 
 from .cayley import RepeatedRowError, character_exponents, sum_positions
-from .cyclotomic import Cyclotomic, root_power
+from .cyclotomic import Cyclotomic, _power_rows, field_degree, root_reduction_matrix
 from .errors import BudgetExceededError
 from .families import FamilySpec, carries_table, make_family
 from .linalg import row_reduce
@@ -29,30 +34,38 @@ PRIMITIVITY_MAX_E = 7  # the largest e whose idempotent pairs primitivity_facts_
 
 
 class AlgebraVector:
-    """Sparse vector in one eigenspace V_i, with exact cyclotomic coefficients."""
+    """Vector in one eigenspace V_i with exact cyclotomic coefficients.
 
-    __slots__ = ("family", "i", "coeffs")
+    Row k of the numerator array (dim x phi(e)) holds the power-basis
+    coefficients of the chi_k coordinate, k a basis position; all rows share
+    one positive denominator, in lowest terms, so equal vectors have equal
+    arrays.  The numerators are Python ints in an object array: no sum or
+    product can wrap.  Labels appear only where a vector is rendered
+    (to_json, repr, coeffs)."""
 
-    def __init__(self, family: FamilySpec, i: int, coeffs: dict) -> None:
+    __slots__ = ("family", "i", "num", "den")
+
+    def __init__(self, family: FamilySpec, i: int, num, den: int = 1) -> None:
         family._check_space(i)
-        clean = {}
-        for label, c in coeffs.items():
-            family._require_basis(i, label)
-            if not isinstance(c, Cyclotomic):
-                c = Cyclotomic.from_rational(family.modulus, c)
-            if not c.is_zero():
-                clean[label] = c
-        self.family = family
-        self.i = i
-        self.coeffs = clean
+        num = np.array(num, dtype=object).reshape(family.predicted_dimension(i),
+                                                  field_degree(family.modulus))
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(den, *num.ravel().tolist())
+        self.family, self.i, self.num, self.den = family, i, num // g, den // g
+        self.num.flags.writeable = False
 
     @classmethod
     def zero(cls, family: FamilySpec, i: int) -> "AlgebraVector":
-        return cls(family, i, {})
+        return cls(family, i, [0] * family.predicted_dimension(i) * field_degree(family.modulus))
 
     @classmethod
-    def basis_vector(cls, family: FamilySpec, i: int, label) -> "AlgebraVector":
-        return cls(family, i, {label: Cyclotomic.one(family.modulus)})
+    def unit(cls, family: FamilySpec, i: int, k: int) -> "AlgebraVector":
+        """The basis character at position k."""
+        size, deg = family.predicted_dimension(i), field_degree(family.modulus)
+        return cls(family, i, [int(j == k * deg) for j in range(size * deg)])
 
     def _check_space(self, other: "AlgebraVector") -> None:
         if self.family.key != other.family.key or self.i != other.i:
@@ -60,47 +73,71 @@ class AlgebraVector:
                 f"eigenspace mismatch: {self.family.describe()} V_{self.i} vs "
                 f"{other.family.describe()} V_{other.i}")
 
+    def _support(self) -> np.ndarray:
+        """The basis positions of the nonzero coordinates."""
+        return np.flatnonzero(self.num.any(axis=1))
+
     def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
+        if not isinstance(other, AlgebraVector):
+            return NotImplemented
         self._check_space(other)
-        out = dict(self.coeffs)
-        for label, c in other.coeffs.items():
-            out[label] = out.get(label, Cyclotomic.zero(self.family.modulus)) + c
-        return AlgebraVector(self.family, self.i, out)
+        return AlgebraVector(self.family, self.i, self.num * other.den + other.num * self.den,
+                             self.den * other.den)
 
     def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraVector":
-        return AlgebraVector(self.family, self.i,
-                             {label: -c for label, c in self.coeffs.items()})
+        return AlgebraVector(self.family, self.i, -self.num, self.den)
 
     def __mul__(self, scalar) -> "AlgebraVector":
-        return AlgebraVector(self.family, self.i,
-                             {label: c * scalar for label, c in self.coeffs.items()})
+        """Multiplication by an int, a Fraction or a Cyclotomic of order e."""
+        if isinstance(scalar, Cyclotomic):
+            e = self.family.modulus
+            if scalar.order != e:
+                raise ValueError(f"cyclotomic order mismatch: {scalar.order} vs {e}")
+            den = lcm(*(c.denominator for c in scalar.coeffs))
+            row = np.array([c.numerator * (den // c.denominator) for c in scalar.coeffs], object)
+            num = _polynomial_products(self.num, row) @ _reduction(e)
+            return AlgebraVector(self.family, self.i, num, self.den * den)
+        if isinstance(scalar, (int, Fraction)):
+            scalar = Fraction(scalar)
+            return AlgebraVector(self.family, self.i, self.num * scalar.numerator,
+                                 self.den * scalar.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraVector):
             return NotImplemented
         return (self.family.key == other.family.key and self.i == other.i
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and bool((self.num == other.num).all()))
 
     def __hash__(self) -> int:
-        return hash((self.family.key, self.i,
-                     tuple(sorted((label, c.coeffs) for label, c in self.coeffs.items()))))
+        return hash((self.family.key, self.i, self.den, tuple(self.num.ravel().tolist())))
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coordinates as basis label -> Cyclotomic, in basis order."""
+        labels, e = self.family.basis(self.i), self.family.modulus
+        return {labels[k]: Cyclotomic(e, [Fraction(c, self.den) for c in self.num[k]])
+                for k in self._support().tolist()}
 
     def to_json(self) -> dict:
-        fam = self.family
-        return {
-            "family": fam.describe(),
-            "i": self.i,
-            "coeffs": {fam.label_text(label): c.to_json()
-                       for label, c in sorted(self.coeffs.items())},
-        }
+        """The nonzero coordinates by label text, each coefficient a
+        [numerator, denominator] pair of decimal strings in lowest terms."""
+        fam, support = self.family, self._support()
+        num = self.num[support]
+        g = np.gcd(num, self.den)
+        pairs = np.stack((num // g, self.den // g), axis=-1).astype(str).tolist()
+        labels = [fam.basis(self.i)[k] for k in support]
+        return {"family": fam.describe(), "i": self.i,
+                "coeffs": {fam.label_text(label): {"e": fam.modulus, "coeffs": cells}
+                           for label, cells in sorted(zip(labels, pairs))}}
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -110,21 +147,41 @@ class AlgebraVector:
         return " + ".join(parts)
 
 
+@lru_cache(maxsize=None)
+def _reduction(e: int) -> np.ndarray:
+    """The canonical forms of w^0 .. w^(2 phi(e) - 2) (_power_rows) as an object
+    matrix: a product of two power-basis rows, multiplied out as integer
+    polynomials (_polynomial_products), times this matrix is in canonical form."""
+    rows = np.array(_power_rows(e)[:2 * field_degree(e) - 1], dtype=object)
+    rows.flags.writeable = False
+    return rows
+
+
+def _polynomial_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products of the integer polynomials in the rows of a (count x deg)
+    and b (count x deg, or one row), low degree first, as count x (2 deg - 1)."""
+    count, deg = a.shape
+    out = np.zeros((count, 2 * deg - 1), dtype=object)
+    for k in range(deg):
+        out[:, k:k + deg] += a[:, k:k + 1] * b
+    return out
+
+
 def closed_form_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
-    """Bilinear extension of the family's product table; no vertex enumeration."""
+    """Bilinear extension of the family's product table; no vertex enumeration.
+
+    Each pair of basis positions with a nonzero product adds the product of
+    their coefficient polynomials to its target row; the rows are reduced to
+    canonical form once, at the end."""
     v._check_space(w)
     fam, i = v.family, v.i
-    e = fam.modulus
-    labels, pos, table = fam.basis(i), fam.basis_position(i), fam.product_table(i)
-    out: dict = {}
-    for a, ca in v.coeffs.items():
-        row = table[pos[a]]
-        for b, cb in w.coeffs.items():
-            c = row[pos[b]]
-            if c >= 0:
-                label = labels[c]
-                out[label] = out.get(label, Cyclotomic.zero(e)) + ca * cb
-    return AlgebraVector(fam, i, out)
+    a, b = v._support(), w._support()
+    target = fam.product_table(i)[np.ix_(a, b)]
+    pa, pb = np.nonzero(target >= 0)
+    deg = v.num.shape[1]
+    sums = np.zeros((len(v.num), 2 * deg - 1), dtype=object)
+    np.add.at(sums, target[pa, pb], _polynomial_products(v.num[a[pa]], w.num[b[pb]]))
+    return AlgebraVector(fam, i, sums @ _reduction(fam.modulus), v.den * w.den)
 
 
 def verify_oracle_space(family: FamilySpec, i: int) -> bool:
@@ -174,9 +231,8 @@ def eta(e: int, j: int) -> Idempotent:
         raise ValueError(f"eta requires e >= 3 (division by e-2), got {e}")
     if not 0 <= j < e:
         raise ValueError(f"eta index {j} out of range 0..{e - 1}")
-    fam = _v1_family(e)
-    coeffs = {(k,): root_power(e, j * k) / (e - 2) for k in range(1, e)}
-    vec = AlgebraVector(fam, 1, coeffs)
+    rows = _power_rows(e)
+    vec = AlgebraVector(_v1_family(e), 1, [rows[j * k % e] for k in range(1, e)], e - 2)
     if closed_form_product(vec, vec) != vec:
         raise AssertionError(f"eta({e},{j}) failed the idempotency check")
     support = frozenset({j}) if j else frozenset(range(1, e))
@@ -190,10 +246,24 @@ def _require_eta_frame(e: int) -> None:
         raise AssertionError(f"eta relations fail for e={e}; the eta frame is not certified")
 
 
-def _certified_etas(e: int) -> dict[int, AlgebraVector]:
-    """eta_1..eta_(e-1), a basis of V_1(H(1,e)), in a certified eta frame."""
-    _require_eta_frame(e)
-    return {j: eta(e, j).vector for j in range(1, e)}
+def _eta_sums(e: int, size: int, den: int) -> list[AlgebraVector]:
+    """One vector per size-subset S of {1,...,e-1}, in combinations order:
+    (e-2)/den times the sum of eta_j over S, whose chi_k coordinate is
+    sum_{j in S} w^(jk) / den.  The numerators of all of them are one integer
+    matmul: the histogram of the residues jk mod e times
+    root_reduction_matrix(e)."""
+    subsets = np.array(list(combinations(range(1, e), size)), dtype=np.int64)
+    count = len(subsets)
+    residues = subsets[:, None, :] * np.arange(1, e)[None, :, None] % e
+    cells = np.arange(count * (e - 1)).reshape(count, e - 1, 1) * e
+    hist = np.bincount((cells + residues).ravel(), minlength=count * (e - 1) * e)
+    reduction = np.array(root_reduction_matrix(e), dtype=np.int64)
+    # an entry is a sum of size histogram counts, each times an entry of reduction
+    if size * int(np.abs(reduction).max()) >= 2**63:
+        raise OverflowError(f"eta sums of e={e} exceed int64")
+    num = hist.reshape(count, e - 1, e) @ reduction.T
+    fam = _v1_family(e)
+    return [AlgebraVector(fam, 1, rows, den) for rows in num]
 
 
 def _eta_coords(e: int, support, scale=1) -> tuple[Fraction, ...]:
@@ -234,43 +304,30 @@ def _classified_supports(e: int):
 
 
 def classified_idempotents(e: int) -> list[Idempotent]:
-    """All nonzero idempotents of V_1(H(1,e)) (_classified_supports), built
-    in Q(w) from the certified eta vectors."""
+    """All nonzero idempotents of V_1(H(1,e)) (_classified_supports), each the
+    scaled sum of eta_j over its support: _eta_sums with denominator e - 2l
+    for supports of size l."""
     if e < 3:
         raise ValueError(f"idempotent classification requires e >= 3, got {e}")
-    etas = _certified_etas(e)
-    out: list[Idempotent] = []
-    seen = set()
-    for subset, scale, _ in _classified_supports(e):
-        vec = etas[subset[0]]
-        for j in subset[1:]:
-            vec = vec + etas[j]
-        vec = scale * vec
-        if vec.is_zero():
-            raise AssertionError(
-                f"classified idempotent with support {subset} failed verification")
-        key = tuple(sorted((label, c.coeffs) for label, c in vec.coeffs.items()))
-        if key in seen:
-            raise AssertionError("classified idempotents are not distinct")
-        seen.add(key)
-        out.append(Idempotent(vec, frozenset(subset)))
-    return out
+    _require_eta_frame(e)
+    supports = [frozenset(subset) for subset, _, _ in _classified_supports(e)]
+    vectors = [vec for size in range(1, e) if 2 * size != e
+               for vec in _eta_sums(e, size, e - 2 * size)]
+    if any(vec.is_zero() for vec in vectors) or len(set(vectors)) != len(vectors):
+        raise AssertionError("classified idempotents are not nonzero and distinct")
+    return [Idempotent(vec, support) for support, vec in zip(supports, vectors, strict=True)]
 
 
 def nilpotents_order2_classified(e: int) -> list[AlgebraVector]:
     """One square-zero representative per (e/2)-subset of {1,...,e-1} (even e),
-    each verified in eta coordinates."""
+    the sum of eta_j over it (_eta_sums), each verified in eta coordinates."""
     if e < 3:
         raise ValueError(f"nilpotent classification requires e >= 3, got {e}")
     if e % 2:
         return []
-    etas = _certified_etas(e)
-    fam = _v1_family(e)
+    _require_eta_frame(e)
     out = []
-    for subset in combinations(range(1, e), e // 2):
-        vec = AlgebraVector.zero(fam, 1)
-        for j in subset:
-            vec = vec + etas[j]
+    for subset, vec in zip(combinations(range(1, e), e // 2), _eta_sums(e, e // 2, e - 2)):
         x = _eta_coords(e, subset)
         if vec.is_zero() or any(_eta_product(e, x, x)):
             raise AssertionError(
@@ -284,16 +341,13 @@ def eta_relations_check(e: int) -> bool:
     """eta_j * eta_j = eta_j, eta_j * eta_k = -(eta_j + eta_k)/(e-2) for j != k,
     and the eta_j sum to zero; all exact."""
     etas = [eta(e, j).vector for j in range(e)]
-    fam = _v1_family(e)
-    total = AlgebraVector.zero(fam, 1)
     for j, vj in enumerate(etas):
-        total = total + vj
         for k, vk in enumerate(etas):
             prod = closed_form_product(vj, vk)
             expected = vj if j == k else (vj + vk) * Fraction(-1, e - 2)
             if prod != expected:
                 return False
-    return total.is_zero()
+    return sum(etas, AlgebraVector.zero(_v1_family(e), 1)).is_zero()
 
 
 def primitivity_facts_check(e: int) -> bool:
@@ -340,7 +394,6 @@ def find_identity(family: FamilySpec, i: int):
     if dim > DEFAULT_IDENTITY_DIM_BUDGET:
         raise BudgetExceededError(
             f"identity solve over dimension {dim} > {DEFAULT_IDENTITY_DIM_BUDGET}")
-    labels = family.basis(i)
     # one equation per (v, w): the coefficients c_u with chi_u * chi_v = chi_w
     # sum to 1 when w = v and to 0 otherwise; many (v, w) give the same
     # equation, and each distinct one is solved once
@@ -365,11 +418,11 @@ def find_identity(family: FamilySpec, i: int):
     sol = [zero] * dim
     for row, col in zip(reduced, pivots):
         sol[col] = row[dim]
-    candidate = AlgebraVector(family, i,
-                              {labels[k]: sol[k] for k in range(dim) if sol[k]})
-    for v in labels:
-        chi_v = AlgebraVector.basis_vector(family, i, v)
-        if closed_form_product(candidate, chi_v) != chi_v:
+    candidate = sum((c * AlgebraVector.unit(family, i, k) for k, c in enumerate(sol) if c),
+                    AlgebraVector.zero(family, i))
+    for k in range(dim):
+        chi_k = AlgebraVector.unit(family, i, k)
+        if closed_form_product(candidate, chi_k) != chi_k:
             raise AssertionError("linear solve produced a non-identity solution")
     return candidate
 

@@ -1,6 +1,5 @@
 """Full binary trees as parenthesizations: enumeration, depth sequences,
-evaluation under a bilinear product, associative-spectrum counting, and the
-double-minus reference operation.
+associative-spectrum counting, and the double-minus reference operation.
 
 Equality of two parenthesizations of a bilinear product is equality of
 multilinear maps, which is decidable on tuples of basis vectors.  In every
@@ -100,21 +99,6 @@ def enumerate_trees(m: int) -> tuple[BinaryTree, ...]:
     if len(out) != catalan(m):
         raise AssertionError("tree enumeration does not match the Catalan count")
     return tuple(out)
-
-
-def evaluate(t: BinaryTree, product, inputs: list):
-    """Evaluate the parenthesization encoded by t over the given leaf inputs."""
-    if len(inputs) != t.leaf_count:
-        raise ValueError(f"expected {t.leaf_count} inputs, got {len(inputs)}")
-
-    def walk(node: BinaryTree, offset: int):
-        if node.is_leaf:
-            return inputs[offset]
-        left = walk(node.left, offset)
-        right = walk(node.right, offset + node.left.leaf_count)
-        return product(left, right)
-
-    return walk(t, 0)
 
 
 def ominus_class(t: BinaryTree) -> tuple[int, ...]:

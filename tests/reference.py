@@ -1,7 +1,9 @@
 """Test-only references: per-element paths in exact Q(w) arithmetic, the
-label enumerations that the package's numpy rows replace, the `table`
-output rendered as one string, and the live-interval patterns of the whole
-tuple grid by index arithmetic.
+paper's product rule on single labels, vectors keyed by label, the label
+enumerations that the package's numpy rows replace, tree evaluation and
+automorphism composition one element at a time, the `table` output rendered
+as one string, and the live-interval patterns of the whole tuple grid by
+index arithmetic.
 
 Each function computes its answer one group element or one label at a time,
 straight from the definitions, so the row paths of the package are checked
@@ -12,20 +14,27 @@ module.
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 import numpy as np
 
 from nortonalg import trees
+from nortonalg.autos import HammingAuto, SignedPermutation
 from nortonalg.cyclotomic import Cyclotomic, from_exponent_counts, root_power
-from nortonalg.groups import Word, word_add
+from nortonalg.families import fq_reduce
+from nortonalg.groups import Word
 from nortonalg.linalg import row_reduce
 from nortonalg.norton import DEFAULT_ORACLE_VERTEX_BUDGET, AlgebraVector, closed_form_product
 
 # ---------------------------------------------------------------------------
 # Group elements and characters, one at a time
 # ---------------------------------------------------------------------------
+
+
+def word_add(x: Sequence[int], y: Sequence[int], e: int) -> Word:
+    """The group law of Z_e^n: entrywise sum mod e."""
+    return tuple((a + b) % e for a, b in zip(x, y))
 
 
 def word_dot(u: Sequence[int], x: Sequence[int], e: int) -> int:
@@ -147,7 +156,7 @@ def reference_basis(fam, i: int) -> list:
         out.sort()
         return out
     if fam.kind == "bilinear":
-        return [x for x in elements(fam.length, fam.q) if fam.rank(x) == i]
+        return [x for x in elements(fam.length, fam.q) if rank(fam, x) == i]
     s = fam._size(i)
     if fam._with_one(s):
         return [(1,) + rest for rest in combinations(range(2, fam.n + 1), s - 1)]
@@ -160,6 +169,142 @@ def reference_index(fam, label) -> list[int]:
     if fam.kind in ("hamming", "bilinear"):
         return list(label)
     return [int(j in label) for j in range(1, fam.n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# The product rule on single labels
+# ---------------------------------------------------------------------------
+
+
+def rank_fq(matrix, q: int) -> int:
+    """Rank of a matrix over F_q (prime q)."""
+    return len(fq_reduce(matrix, q)[1])
+
+
+def rank(fam, flat: Word) -> int:
+    """The rank over F_q of a bilinear label, a flattened d x e matrix."""
+    return rank_fq(as_matrix(flat, fam.cols), fam.q)
+
+
+def positions(fam, i: int) -> dict:
+    """Basis label -> basis position in V_i."""
+    return {label: k for k, label in enumerate(fam.basis(i))}
+
+
+def in_basis(fam, i: int, label) -> bool:
+    """Whether label is a V_i basis label, by the family's predicate (weight,
+    subset size, rank), without enumerating the basis; i must be in range."""
+    if fam.kind in ("hamming", "bilinear"):
+        return (isinstance(label, tuple) and len(label) == fam.length
+                and all(0 <= a < fam.modulus for a in label)
+                and (weight(label) if fam.kind == "hamming" else rank(fam, label)) == i)
+    s = fam._size(i)
+    return (isinstance(label, tuple) and len(label) == s
+            and all(a < b for a, b in zip((0,) + label, label + (fam.n + 1,)))
+            and (not fam._with_one(s) or label[:1] == (1,)))
+
+
+def require_basis(fam, i: int, label) -> None:
+    """Raise ValueError unless i is in range and label is a V_i basis label."""
+    fam._check_space(i)
+    if not in_basis(fam, i, label):
+        raise ValueError(f"label {fam.label_text(label)} is not in the V_{i} basis")
+
+
+def canonical_label(fam, subset) -> tuple[int, ...]:
+    """Representative of the character class of a set of cube positions:
+    folded, an even set (toggling position n); halved, the smaller of it and
+    its complement, or on ties the one containing 1."""
+    keep = frozenset(subset)
+    if fam.folded and len(keep) % 2:
+        keep ^= {fam.n}
+    size = 2 * len(keep)
+    if fam.halved and (size > fam.n or size == fam.n and 1 not in keep):
+        keep = frozenset(range(1, fam.n + 1)) - keep
+    return tuple(sorted(keep))
+
+
+def closed_product(fam, i: int, a, b):
+    """The paper's closed-form Norton product of two basis characters of V_i:
+    a basis label (unit coefficient) or None for the zero product.  Words
+    add entrywise and stay when the sum is in the basis; cube sets take their
+    symmetric difference, kept at size s, or n - s when halved."""
+    require_basis(fam, i, a)
+    require_basis(fam, i, b)
+    if fam.kind in ("hamming", "bilinear"):
+        w = word_add(a, b, fam.modulus)
+        return w if in_basis(fam, i, w) else None
+    d = frozenset(a) ^ frozenset(b)
+    s = fam._size(i)
+    if len(d) != s and not (fam.halved and len(d) == fam.n - s):
+        return None
+    return canonical_label(fam, d)
+
+
+# ---------------------------------------------------------------------------
+# Vectors keyed by label
+# ---------------------------------------------------------------------------
+
+
+class LabelVector:
+    """The vector format that AlgebraVector replaced: a dict from basis label
+    to nonzero Cyclotomic, with its arithmetic one label at a time."""
+
+    def __init__(self, family, i: int, coeffs: dict) -> None:
+        clean = {}
+        for label, c in coeffs.items():
+            require_basis(family, i, label)
+            if not isinstance(c, Cyclotomic):
+                c = Cyclotomic.from_rational(family.modulus, c)
+            if not c.is_zero():
+                clean[label] = c
+        self.family = family
+        self.i = i
+        self.coeffs = clean
+
+    def __add__(self, other: "LabelVector") -> "LabelVector":
+        out = dict(self.coeffs)
+        for label, c in other.coeffs.items():
+            out[label] = out.get(label, Cyclotomic.zero(self.family.modulus)) + c
+        return LabelVector(self.family, self.i, out)
+
+    def __mul__(self, scalar) -> "LabelVector":
+        return LabelVector(self.family, self.i,
+                           {label: c * scalar for label, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (self.family.key, self.i, self.coeffs) == (other.family.key, other.i, other.coeffs)
+
+    def array(self) -> AlgebraVector:
+        """The same vector as an AlgebraVector."""
+        fam, i = self.family, self.i
+        where = positions(fam, i)
+        return sum((c * AlgebraVector.unit(fam, i, where[label])
+                    for label, c in self.coeffs.items()), AlgebraVector.zero(fam, i))
+
+
+def label_product(v: LabelVector, w: LabelVector) -> LabelVector:
+    """The bilinear extension of closed_product, one label pair at a time."""
+    out: dict = {}
+    for a, ca in v.coeffs.items():
+        for b, cb in w.coeffs.items():
+            c = closed_product(v.family, v.i, a, b)
+            if c is not None:
+                out[c] = out.get(c, Cyclotomic.zero(v.family.modulus)) + ca * cb
+    return LabelVector(v.family, v.i, out)
+
+
+def vector(fam, i: int, coeffs: dict) -> AlgebraVector:
+    """The AlgebraVector with the given label -> coefficient (int, Fraction
+    or Cyclotomic) coordinates."""
+    return LabelVector(fam, i, coeffs).array()
+
+
+def basis_vector(fam, i: int, label) -> AlgebraVector:
+    """The basis character with the given label."""
+    return vector(fam, i, {label: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +342,7 @@ def oracle_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
         coeff = inner_product(prod, chi)
         if not coeff.is_zero():
             out[label] = coeff
-    return AlgebraVector(fam, i, out)
+    return vector(fam, i, out)
 
 
 def vector_map_preserves_products(images: dict, family, i: int) -> bool:
@@ -219,13 +364,69 @@ def vector_map_preserves_products(images: dict, family, i: int) -> bool:
 
     for a in labels:
         for b in labels:
-            chi_a = AlgebraVector.basis_vector(family, i, a)
-            chi_b = AlgebraVector.basis_vector(family, i, b)
+            chi_a = basis_vector(family, i, a)
+            chi_b = basis_vector(family, i, b)
             lhs = apply(closed_form_product(chi_a, chi_b))
             rhs = closed_form_product(apply(chi_a), apply(chi_b))
             if lhs != rhs:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Trees evaluated and automorphisms composed one element at a time
+# ---------------------------------------------------------------------------
+
+
+def evaluate(t, product, inputs: list):
+    """Evaluate the parenthesization encoded by the tree t over the given leaf
+    inputs, one product per internal node."""
+    if len(inputs) != t.leaf_count:
+        raise ValueError(f"expected {t.leaf_count} inputs, got {len(inputs)}")
+
+    def walk(node, offset: int):
+        if node.is_leaf:
+            return inputs[offset]
+        left = walk(node.left, offset)
+        right = walk(node.right, offset + node.left.leaf_count)
+        return product(left, right)
+
+    return walk(t, 0)
+
+
+def compose_hamming(phi: HammingAuto, psi: HammingAuto) -> HammingAuto:
+    """Wreath-product composition (a + b^-1.sigma(a'), b.sigma(b'), sigma sigma'),
+    so that applying the composite equals applying phi after psi."""
+    if phi.e != psi.e or len(phi.a) != len(psi.a):
+        raise ValueError("cannot compose automorphisms of different groups")
+    e = phi.e
+    b_inv = tuple(pow(v, -1, e) for v in phi.b)
+    a2 = tuple(psi.a[j] for j in phi.sigma)
+    b2 = tuple(psi.b[j] for j in phi.sigma)
+    new_a = tuple((av + iv * cv) % e for av, iv, cv in zip(phi.a, b_inv, a2))
+    new_b = tuple((bv * cv) % e for bv, cv in zip(phi.b, b2))
+    new_sigma = tuple(psi.sigma[j] for j in phi.sigma)
+    return HammingAuto(new_a, new_b, new_sigma, e)
+
+
+def all_signed_perms(n: int, type_d: bool = False):
+    """Every signed permutation of n points, or every type-D one."""
+    for sigma in permutations(range(n)):
+        for eps in product((1, -1), repeat=n):
+            f = SignedPermutation(sigma, eps)
+            if type_d and not f.is_type_d():
+                continue
+            yield f
+
+
+def compose_signed(f: SignedPermutation, g: SignedPermutation) -> SignedPermutation:
+    """Composite acting as f after g."""
+    sigma = tuple(f.sigma[g.sigma[j]] for j in range(len(f.sigma)))
+    f_inv = [0] * len(f.sigma)
+    for j, img in enumerate(f.sigma):
+        f_inv[img] = j
+    eps = tuple(f.eps[j] * g.eps[f_inv[j]] for j in range(len(f.sigma)))
+    return SignedPermutation(sigma, eps)
 
 
 # ---------------------------------------------------------------------------

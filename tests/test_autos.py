@@ -16,11 +16,8 @@ from nortonalg.autos import (
     BilinearAuto,
     HammingAuto,
     SignedPermutation,
-    all_signed_perms,
     bilinear_candidate,
     compose_candidates,
-    compose_hamming,
-    compose_signed,
     conjugation_identity_check,
     hamming_candidate,
     identity_auto,
@@ -34,7 +31,19 @@ from nortonalg.autos import (
     random_signed_perm,
     signed_perm_candidate,
 )
-from reference import as_matrix, flatten, support, weight, word_dot
+from reference import (
+    all_signed_perms,
+    as_matrix,
+    canonical_label,
+    closed_product,
+    compose_hamming,
+    compose_signed,
+    flatten,
+    positions,
+    support,
+    weight,
+    word_dot,
+)
 
 
 def identity_candidate(fam, i):
@@ -43,7 +52,7 @@ def identity_candidate(fam, i):
 
 def image(fam, i, candidate, label):
     """(exponent, image label) of one basis label under a candidate."""
-    pos, exp = candidate[fam.basis_position(i)[label]]
+    pos, exp = candidate[positions(fam, i)[label]]
     return int(exp), fam.basis(i)[pos]
 
 
@@ -316,7 +325,7 @@ def test_is_algebra_automorphism_detects_bad_coefficient():
 
 def per_label_candidate(fam, i, image_of):
     """Candidate array from a map label -> (exponent, image label)."""
-    pos = fam.basis_position(i)
+    pos = positions(fam, i)
     return np.array([[pos.get(img, -1), exp] for exp, img in map(image_of, fam.basis(i))])
 
 
@@ -330,7 +339,7 @@ def hamming_image(phi):
 def signed_image(f, fam):
     def image_of(subset):
         img = frozenset(f.sigma[j - 1] + 1 for j in subset)
-        return sum(f.eps[k - 1] == -1 for k in img) % 2, fam.canonical_label(img)
+        return sum(f.eps[k - 1] == -1 for k in img) % 2, canonical_label(fam, img)
     return image_of
 
 
@@ -389,13 +398,13 @@ def preserves_products(candidate, fam, i):
     if sorted(pos) != list(range(len(labels))):
         return False
     for a, b in product(range(len(labels)), repeat=2):
-        w = fam.closed_product(i, labels[a], labels[b])
-        img = fam.closed_product(i, labels[pos[a]], labels[pos[b]])
+        w = closed_product(fam, i, labels[a], labels[b])
+        img = closed_product(fam, i, labels[pos[a]], labels[pos[b]])
         if w is None or img is None:
             if w != img:
                 return False
             continue
-        k = fam.basis_position(i)[w]
+        k = positions(fam, i)[w]
         if img != labels[pos[k]] or (exp[a] + exp[b] - exp[k]) % fam.modulus:
             return False
     return True

@@ -277,13 +277,31 @@ def test_idempotents_budget_checked_before_enumerating(capsys, monkeypatch):
 
     monkeypatch.setattr("nortonalg.norton.classified_idempotents", no_enumeration)
     assert main(["idempotents", "--e", "40"]) == 3
-    # 2^7 - 1 subsets (the 35 nilpotent ones too) of 7^2 steps each
-    assert main(["idempotents", "--e", "8", "--budget", str(127 * 49 - 1)]) == 3
+    # 2^7 - 1 subsets (the 35 nilpotent ones too) of 7 coordinates of phi(8) = 4
+    # coefficients each
+    assert main(["idempotents", "--e", "8", "--budget", str(127 * 7 * 4 - 1)]) == 3
     monkeypatch.undo()
-    assert main(["idempotents", "--e", "4", "--budget", str(7 * 9)]) == 0
+    assert main(["idempotents", "--e", "4", "--budget", str(7 * 3 * 2)]) == 0
     monkeypatch.setenv("NORTON_BUDGET", "100")
     assert main(["idempotents", "--e", "5"]) == 3
     assert capsys.readouterr().err.count("budget exceeded") == 3
+
+
+def test_idempotents_budget_boundary_and_huge_e(capsys, monkeypatch):
+    # at the default budget of 10^7: (2^15 - 1) * 15 * phi(16) = 3,932,040 fits and
+    # (2^16 - 1) * 16 * phi(17) = 16,776,960 does not
+    def no_enumeration(e):
+        raise AssertionError(f"subsets enumerated at e={e}")
+
+    monkeypatch.setattr("nortonalg.norton.classified_idempotents", no_enumeration)
+    assert main(["idempotents", "--e", "16"]) == 4  # past the budget check
+    assert "subsets enumerated at e=16" in capsys.readouterr().err
+    assert main(["idempotents", "--e", "17"]) == 3
+    # a cost of some 30,000 digits is refused, not written out
+    assert main(["idempotents", "--e", "100000"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("budget exceeded") == 2 and "more than the budget" in err
+    assert len(err) < 400
 
 
 def test_isocheck(capsys):

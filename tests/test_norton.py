@@ -26,11 +26,19 @@ from nortonalg.norton import (
     verify_isomorphism,
     verify_oracle_space,
 )
-from reference import oracle_product, value_table, vector_map_preserves_products
+from reference import (
+    LabelVector,
+    basis_vector,
+    label_product,
+    oracle_product,
+    value_table,
+    vector,
+    vector_map_preserves_products,
+)
 
 
 def _basis_vec(fam, i, label):
-    return AlgebraVector.basis_vector(fam, i, label)
+    return basis_vector(fam, i, label)
 
 
 def test_oracle_product_examples():
@@ -59,7 +67,7 @@ def test_products_random_bilinear_commutative():
     basis = fam.basis(1)
 
     def rand_vec():
-        return AlgebraVector(fam, 1, {
+        return vector(fam, 1, {
             lbl: Fraction(rng.randint(-2, 2)) for lbl in rng.sample(basis, 3)})
 
     for _ in range(25):
@@ -360,13 +368,13 @@ def test_v2_q3_idempotents_by_brute_force():
     grid = (Fraction(-1), -half, Fraction(0), half, Fraction(1))
     found = []
     for signs in product(grid, repeat=3):
-        vec = AlgebraVector(fam, 2, dict(zip(basis, signs)))
+        vec = vector(fam, 2, dict(zip(basis, signs)))
         if not vec.is_zero() and closed_form_product(vec, vec) == vec:
             found.append(signs)
     assert sorted(found) == sorted([
         (half, half, half), (half, -half, -half),
         (-half, half, -half), (-half, -half, half)])
-    ones = AlgebraVector(fam, 2, {lbl: 1 for lbl in basis})
+    ones = vector(fam, 2, {lbl: 1 for lbl in basis})
     assert closed_form_product(ones, ones) == 2 * ones
 
 
@@ -376,3 +384,105 @@ def test_value_table_and_json_roundtrip():
     payload = v.to_json()
     assert payload["family"] == "hamming(1,5)"
     assert set(payload["coeffs"]) == {"1", "2", "3", "4"}
+
+
+# ---------------------------------------------------------------------------
+# The integer-array vectors against the label-keyed Q(w) reference
+# ---------------------------------------------------------------------------
+
+ARRAY_SPACES = ([(make_family("hamming", n=1, e=e), 1) for e in range(2, 6)]
+                + [(make_family("halved_cube", n=6), 2),
+                   (make_family("bilinear", q=2, d=2, e=2), 1)])
+
+
+def _random_label_vector(rng, fam, i, bits):
+    """A LabelVector on a random part of the V_i basis with random rational
+    power-basis coefficients of up to bits-bit numerators."""
+    basis = fam.basis(i)
+    deg = len(Cyclotomic.zero(fam.modulus).coeffs)
+    coeffs = {}
+    for label in rng.sample(basis, rng.randint(1, len(basis))):
+        coeffs[label] = Cyclotomic(fam.modulus, [
+            Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**(bits // 2) + 1))
+            for _ in range(deg)])
+    return LabelVector(fam, i, coeffs)
+
+
+@pytest.mark.parametrize("fam, i", ARRAY_SPACES, ids=lambda v: getattr(v, "describe", str)())
+@pytest.mark.parametrize("bits", [3, 70])
+def test_array_product_equals_the_label_reference(fam, i, bits):
+    # at 70 bits the numerators and denominators pass 2^64, and stay exact
+    rng = random.Random(bits * 31 + i)
+    widest = 0
+    for _ in range(6):
+        u, v = (_random_label_vector(rng, fam, i, bits) for _ in range(2))
+        a, b = u.array(), v.array()
+        assert a.coeffs == u.coeffs and b.coeffs == v.coeffs
+        prod = closed_form_product(a, b)
+        assert prod.coeffs == label_product(u, v).coeffs
+        assert (a + b).coeffs == (u + v).coeffs
+        c = Cyclotomic(fam.modulus, [Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 9))
+                                     for _ in range(len(Cyclotomic.zero(fam.modulus).coeffs))])
+        assert (c * a - b).coeffs == (c * u + Fraction(-1) * v).coeffs
+        for vec in (prod, a + b, c * a - b):
+            widest = max([widest, vec.den] + [abs(x) for x in vec.num.ravel().tolist()])
+    assert (widest > 2**64) == (bits == 70)
+
+
+def test_array_json_equals_the_fraction_rendering():
+    rng = random.Random(3)
+    for fam, i in ARRAY_SPACES:
+        for bits in (3, 70):
+            u = _random_label_vector(rng, fam, i, bits)
+            want = {fam.label_text(label): c.to_json() for label, c in sorted(u.coeffs.items())}
+            assert u.array().to_json()["coeffs"] == want
+
+
+def test_equal_vectors_have_equal_arrays():
+    fam = make_family("hamming", n=1, e=5)
+    chi = basis_vector(fam, 1, (1,))
+    half = Fraction(1, 2) * chi
+    assert 2 * (half + half) == chi + chi and hash(2 * (half + half)) == hash(chi + chi)
+    assert (half - half).is_zero() and (half - half) == AlgebraVector.zero(fam, 1)
+    assert (half - half).den == 1 and half.den == 2
+    assert Fraction(-3, 4) * chi == AlgebraVector(fam, 1, -3 * chi.num, 4)
+    assert not half.num.flags.writeable
+    with pytest.raises(ValueError):
+        root_power(7, 1) * chi
+
+
+def _reference_eta(fam, e, j):
+    """eta_j = (1/(e-2)) sum_k w^(jk) chi_k, by Q(w) division, keyed by label."""
+    return LabelVector(fam, 1, {(k,): root_power(e, j * k) / (e - 2) for k in range(1, e)})
+
+
+def test_eta_sums_equal_the_label_sums():
+    # the one-matmul idempotents and nilpotents are the scaled eta sums
+    for e in range(3, 10):
+        fam = make_family("hamming", n=1, e=e)
+        etas = {j: _reference_eta(fam, e, j) for j in range(1, e)}
+
+        def eta_sum(subset, scale):
+            out = LabelVector(fam, 1, {})
+            for j in subset:
+                out = out + etas[j]
+            return Fraction(scale) * out
+
+        for idem in classified_idempotents(e):
+            scale = Fraction(e - 2, e - 2 * len(idem.support))
+            assert idem.vector.coeffs == eta_sum(sorted(idem.support), scale).coeffs
+        nilpotents = nilpotents_order2_classified(e)
+        subsets = list(combinations(range(1, e), e // 2)) if e % 2 == 0 else []
+        assert [vec.coeffs for vec in nilpotents] == [eta_sum(s, 1).coeffs for s in subsets]
+        if e <= 6:
+            for idem in classified_idempotents(e):
+                lv = LabelVector(fam, 1, idem.vector.coeffs)
+                assert label_product(lv, lv) == lv
+
+
+def test_eta_sums_raise_before_an_int64_product_could_wrap(monkeypatch):
+    # an entry is at most size * max|reduction|: at 2^62 and size 2 that is 2^63
+    monkeypatch.setattr(norton, "root_reduction_matrix", lambda e: ((2**62,) * e,) * 4)
+    with pytest.raises(OverflowError):
+        norton._eta_sums(5, 2, 1)
+    assert len(norton._eta_sums(5, 1, 1)) == 4

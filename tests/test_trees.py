@@ -13,7 +13,7 @@ from nortonalg import trees
 from nortonalg.cayley import row_keys
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import make_family
-from nortonalg.norton import AlgebraVector, closed_form_product
+from nortonalg.norton import closed_form_product
 from nortonalg.trees import (
     BinaryTree,
     a000975,
@@ -22,14 +22,13 @@ from nortonalg.trees import (
     count_classes_witness,
     double_minus_form,
     enumerate_trees,
-    evaluate,
     exact_partition,
     ominus_class,
     ominus_equivalence_check,
     ominus_partition,
     tree_masks,
 )
-from reference import grid_patterns
+from reference import basis_vector, evaluate, grid_patterns
 
 
 def _criterion1_spaces():
@@ -145,8 +144,8 @@ def test_tree_invariants():
 def test_evaluate_comb_examples():
     # ((chi_u * chi_u) * chi_-u) = chi_u but chi_u * (chi_u * chi_-u) = 0
     fam = make_family("hamming", n=1, e=3)
-    chi1 = AlgebraVector.basis_vector(fam, 1, (1,))
-    chi2 = AlgebraVector.basis_vector(fam, 1, (2,))
+    chi1 = basis_vector(fam, 1, (1,))
+    chi2 = basis_vector(fam, 1, (2,))
     left_comb, right_comb = enumerate_trees(2)[1], enumerate_trees(2)[0]
     assert left_comb.depths == (2, 2, 1)
     assert right_comb.depths == (1, 2, 2)
@@ -157,14 +156,14 @@ def test_evaluate_comb_examples():
 
 def test_evaluate_constant_space():
     fam = make_family("hamming", n=2, e=3)
-    one = AlgebraVector.basis_vector(fam, 0, (0, 0))
+    one = basis_vector(fam, 0, (0, 0))
     for t in enumerate_trees(3):
         assert evaluate(t, closed_form_product, [one] * 4) == one
 
 
 def test_evaluate_length_mismatch():
     fam = make_family("hamming", n=1, e=3)
-    chi1 = AlgebraVector.basis_vector(fam, 1, (1,))
+    chi1 = basis_vector(fam, 1, (1,))
     with pytest.raises(ValueError):
         evaluate(enumerate_trees(2)[0], closed_form_product, [chi1])
 
