@@ -4,9 +4,9 @@ Norton product tables, and predicted spectra.
 A basis is an array of index rows, one per basis character, in the dtype of
 the vertex rows: it is what the graph, the product table, the oracle, the
 automorphism candidates and the algebra vectors read.  Its labels are a
-rendering of those rows, made only where a label is printed: words (tuples of residues)
-for the Hamming family, sorted tuples of 1-based positions for the cube
-variants, and flattened matrices for the bilinear forms family.
+rendering of those rows, made only where a label is printed: words (tuples
+of residues) for the Hamming family, sorted tuples of 1-based positions for
+the cube variants, and flattened matrices for the bilinear forms family.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ module.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Sequence
 
@@ -186,8 +187,9 @@ def rank(fam, flat: Word) -> int:
     return rank_fq(as_matrix(flat, fam.cols), fam.q)
 
 
+@lru_cache(maxsize=None)
 def positions(fam, i: int) -> dict:
-    """Basis label -> basis position in V_i."""
+    """Basis label -> basis position in V_i, cached per family instance."""
     return {label: k for k, label in enumerate(fam.basis(i))}
 
 
@@ -205,9 +207,10 @@ def in_basis(fam, i: int, label) -> bool:
 
 
 def require_basis(fam, i: int, label) -> None:
-    """Raise ValueError unless i is in range and label is a V_i basis label."""
+    """Raise ValueError unless i is in range and label is a V_i basis label; a
+    basis already rendered answers by lookup, any other by in_basis."""
     fam._check_space(i)
-    if not in_basis(fam, i, label):
+    if not (label in positions(fam, i) if i in fam._bases else in_basis(fam, i, label)):
         raise ValueError(f"label {fam.label_text(label)} is not in the V_{i} basis")
 
 
