@@ -60,27 +60,38 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     """(eigenvalue, multiplicity) pairs over all characters, descending eigenvalue.
 
     chi_u(S) is read from the histogram of the exponents u.s over the
-    connection set; each distinct histogram is converted to Q(w) once.  The
-    eigenvalues of every shipped family are rational integers; this is
-    asserted by the exact downcast.
+    connection set; the distinct histograms of each chunk of characters are
+    read as integers together (_integer_root_sums).  The eigenvalues of every
+    shipped family are rational integers; any other sum raises ValueError.
     """
-    from .cyclotomic import from_exponent_counts
     e = graph.modulus
     chars, conn = graph.characters, graph.connection
-    tally: dict[bytes, int] = {}
+    counts: dict[int, int] = {}
     for start, stop in _chunks(len(chars), (len(conn) + e) * 8):
         hist = _exponent_histograms(character_exponents(chars[start:stop], conn, e), e)
         keys, mult = np.unique(row_keys(hist), return_counts=True)
-        for key, m in zip(keys.tolist(), mult.tolist()):
-            tally[key] = tally.get(key, 0) + m
-    counts: dict[int, int] = {}
-    for key, m in tally.items():
-        row = np.frombuffer(key, dtype=np.int64).tolist()  # bincount counts are int64
-        ev = from_exponent_counts(e, row).as_int()
-        counts[ev] = counts.get(ev, 0) + m
+        values = _integer_root_sums(keys.view(hist.dtype).reshape(len(keys), e), e)
+        if values is None:
+            raise ValueError("a character sum over the connection set is not a rational integer")
+        for ev, m in zip(values.tolist(), mult.tolist()):
+            counts[ev] = counts.get(ev, 0) + m
     if sum(counts.values()) != len(graph.vertices):
         raise AssertionError("spectrum multiplicities do not sum to the vertex count")
     return sorted(counts.items(), key=lambda p: -p[0])
+
+
+def _integer_root_sums(hists: np.ndarray, e: int) -> np.ndarray | None:
+    """The sums sum_r hists[k, r] w^r of the int64 residue histograms hists
+    (rows x e) as int64, or None when one is not a rational integer: one
+    integer matmul by root_reduction_matrix(e), after a bound check that
+    raises OverflowError before any entry could pass 2^63."""
+    from .cyclotomic import root_reduction_matrix
+    red = np.array(root_reduction_matrix(e), dtype=np.int64)
+    # an entry is a sum of e counts, each times an entry of red
+    if int(hists.max(initial=0)) * e * int(np.abs(red).max()) >= 2**63:
+        raise OverflowError(f"root sums of e={e} exceed int64")
+    forms = hists @ red.T
+    return None if forms[:, 1:].any() else forms[:, 0]
 
 
 def _chunks(count: int, row_bytes: int):
@@ -212,12 +223,10 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     breaks the identity somewhere is not the character u and fails the check.
     Exponent rows are computed per chunk of characters, so no |X| x |X| array
     is built."""
-    from .cyclotomic import root_reduction_matrix
     e = graph.modulus
     verts, chars = graph.vertices, graph.characters
     nbr = _neighbor_index(graph, verts)
     origin = np.flatnonzero(~verts.any(axis=1))[0]  # the identity vertex
-    red = np.array(root_reduction_matrix(e), dtype=np.int64)
     wide = np.min_scalar_type(2 * e - 2)  # holds E[u, x] + E[u, s]
     for start, stop in _chunks(len(chars), len(verts) * wide.itemsize):
         # vertices x characters, so that x -> x + s gathers whole rows
@@ -232,7 +241,7 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
         if not held.all():
             return False
         theta = _exponent_histograms(exps[nbr[origin]].T, e)
-        if (red[1:] @ theta.T).any():  # some theta_u is not a rational integer
+        if _integer_root_sums(theta, e) is None:  # some theta_u is not a rational integer
             return False
     return True
 

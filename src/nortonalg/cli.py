@@ -18,7 +18,7 @@ only file opened is closed by `_write`, and no thread or exit handler runs.
 Every subcommand loads `cayley`, `families`, `groups` and `linalg`; the
 others are imported where they are used:
 
-- `spectrum` adds `cyclotomic`, which computes each eigenvalue in Q(w);
+- `spectrum` adds `cyclotomic`, whose reduction matrix gives the eigenvalues;
 - `table` adds `norton` and `cyclotomic` only with `--verify-oracle`;
 - `nonassoc` adds `trees`, and `autocheck` adds `autos`;
 - `idempotents`, `oracle-verify` and `isocheck` add `norton` and
@@ -33,7 +33,7 @@ import os
 import random
 import sys
 from collections.abc import Iterable
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -114,8 +114,16 @@ def _write(path: str, pieces: Iterable[str]) -> None:
         raise _usage_error(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+JSON_BLOCK_PIECES = 2**16  # json encoder pieces per write
+
+
+def _json_blocks(payload: dict) -> Iterable[str]:
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline, in blocks
+    of JSON_BLOCK_PIECES encoder pieces, so the whole text is never held."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while block := list(islice(pieces, JSON_BLOCK_PIECES)):
+        yield "".join(block)
+    yield "\n"
 
 
 TABLE_SLOT = "<table>"  # stands for the table in the payload until it is rendered
@@ -144,7 +152,7 @@ def _emit(args, pieces: Iterable[str]) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, [_json_text(payload)])
+    _emit(args, _json_blocks(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +231,7 @@ def cmd_table(args) -> int:
             "status": status,
         }
         # json.dumps with indent=2 puts each row and each entry on its own line
-        head, tail = _json_text(payload).split(json.dumps(TABLE_SLOT), 1)
+        head, tail = "".join(_json_blocks(payload)).split(json.dumps(TABLE_SLOT), 1)
         head, tail = head + "[\n", "\n  ]" + tail
         heads = ["    [\n      "] + [",\n    [\n      "] * (len(texts) - 1)
         rows = _row_blocks(table, numbers, ",\n      ", heads, "\n    ]")
@@ -243,14 +251,12 @@ def cmd_nonassoc(args) -> int:
         raise BudgetExceededError(
             f"tree enumeration capped at m={trees.DEFAULT_MAX_M}, got --max-m {args.max_m}")
     attempts = trees.DEFAULT_WITNESS_ATTEMPTS if args.attempts is None else args.attempts
-    dim = fam.predicted_dimension(i)
     reports = []
     for m in range(1, args.max_m + 1):
         cm = trees.catalan(m)
         mode = args.mode
         if mode == "auto":
-            exact_cost = (dim ** (m + 1)) * cm
-            mode = "exact" if exact_cost <= budget else "witness"
+            mode = "exact" if trees.exact_price(fam, i, m) <= budget else "witness"
         if mode == "exact":
             rep = trees.count_classes_exact(fam, i, m, budget=budget)
         else:
@@ -314,9 +320,7 @@ def cmd_idempotents(args) -> int:
                                   f"phi({e}) coefficients, {count} (budget {budget})")
     idems = norton.classified_idempotents(e)
     relations = norton.eta_relations_check(e)
-    primitivity = None
-    if e <= norton.PRIMITIVITY_MAX_E:
-        primitivity = norton.primitivity_facts_check(e)
+    primitivity = norton.primitivity_facts_check(e)
     nilpotents = norton.nilpotents_order2_classified(e)
     payload = {
         "command": "idempotents",
@@ -330,11 +334,10 @@ def cmd_idempotents(args) -> int:
         "nilpotents": [vec.to_json() for vec in nilpotents],
         "eta_relations": relations,
         "primitivity_facts": primitivity,
-        "status": "ok" if relations and primitivity in (None, True) else "failed",
+        "status": "ok" if relations and primitivity else "failed",
     }
-    text = _json_text(payload) if args.export or args.format == "json" else ""
     if args.export:
-        _write(args.export, [text])
+        _write(args.export, _json_blocks(payload))
     if args.format == "text":
         lines = [f"# {len(idems)} nonzero idempotents of V_1(H(1,{e}))"]
         for idem in idems:
@@ -342,7 +345,7 @@ def cmd_idempotents(args) -> int:
         lines.append(f"eta relations: {relations}; primitivity: {primitivity}")
         _emit(args, ["\n".join(lines) + "\n"])
     else:
-        _emit(args, [text])
+        _emit_json(args, payload)
     return EXIT_OK if payload["status"] == "ok" else EXIT_CHECK_FAILED
 
 

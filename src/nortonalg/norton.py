@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 import numpy as np
@@ -30,7 +30,6 @@ from .linalg import row_reduce
 
 DEFAULT_ORACLE_VERTEX_BUDGET = 4096
 DEFAULT_IDENTITY_DIM_BUDGET = 256
-PRIMITIVITY_MAX_E = 7  # the largest e whose idempotent pairs primitivity_facts_check covers
 
 
 class AlgebraVector:
@@ -239,13 +238,6 @@ def eta(e: int, j: int) -> Idempotent:
     return Idempotent(vec, support)
 
 
-def _require_eta_frame(e: int) -> None:
-    """Raise unless eta_relations_check has certified in Q(w) the rational
-    structure constants that _eta_product uses."""
-    if not eta_relations_check(e):
-        raise AssertionError(f"eta relations fail for e={e}; the eta frame is not certified")
-
-
 def _eta_sums(e: int, size: int, den: int) -> list[AlgebraVector]:
     """One vector per size-subset S of {1,...,e-1}, in combinations order:
     (e-2)/den times the sum of eta_j over S, whose chi_k coordinate is
@@ -273,7 +265,8 @@ def _eta_coords(e: int, support, scale=1) -> tuple[Fraction, ...]:
 
 def _eta_product(e: int, x, y) -> tuple[Fraction, ...]:
     """The Norton product in eta coordinates: by the certified relations,
-    (x*y)_j = (e x_j y_j - x_j sum(y) - y_j sum(x)) / (e-2)."""
+    (x*y)_j = (e x_j y_j - x_j sum(y) - y_j sum(x)) / (e-2), which commutes
+    with every permutation of the coordinates."""
     sx, sy = sum(x), sum(y)
     return tuple((e * a * b - a * sy - b * sx) / (e - 2) for a, b in zip(x, y))
 
@@ -286,54 +279,48 @@ def _square_ratio(e: int, x) -> Fraction | None:
     return c if all(b == c * a for a, b in zip(x, sq)) else None
 
 
-def _classified_supports(e: int):
-    """(support, scale, eta coordinates) of each classified idempotent of
-    V_1(H(1,e)), in output order: one per nonempty subset of {1,...,e-1} of
-    size l != e/2, scaled by (e-2)/(e-2l), each checked to be idempotent in
-    eta coordinates."""
-    for size in range(1, e):
-        if 2 * size == e:
-            continue
-        scale = Fraction(e - 2, e - 2 * size)
-        for subset in combinations(range(1, e), size):
-            x = _eta_coords(e, subset, scale)
-            if _eta_product(e, x, x) != x:
-                raise AssertionError(
-                    f"classified idempotent with support {subset} failed verification")
-            yield subset, scale, x
+def _size_ratios(e: int) -> dict[int, Fraction]:
+    """Support size l -> c_l = (e-2l)/(e-2), l = 1..e-1, each checked on the
+    representative {1..l}: its eta sum x has x*x = c_l x.  _eta_product
+    commutes with permuting the coordinates, so the eta sum over every
+    l-subset does too.  Raises unless eta_relations_check has certified in
+    Q(w) the rational structure constants that _eta_product uses."""
+    if not eta_relations_check(e):
+        raise AssertionError(f"eta relations fail for e={e}; the eta frame is not certified")
+    ratios = {size: Fraction(e - 2 * size, e - 2) for size in range(1, e)}
+    for size, c in ratios.items():
+        if _square_ratio(e, _eta_coords(e, range(1, size + 1))) != c:
+            raise AssertionError(f"the eta sums over {size}-subsets failed x*x = {c} x")
+    return ratios
 
 
 def classified_idempotents(e: int) -> list[Idempotent]:
-    """All nonzero idempotents of V_1(H(1,e)) (_classified_supports), each the
-    scaled sum of eta_j over its support: _eta_sums with denominator e - 2l
-    for supports of size l."""
+    """All nonzero idempotents of V_1(H(1,e)): one per nonempty subset S of
+    {1,...,e-1} of size l != e/2, the sum of eta_j over S scaled by
+    1/c_l = (e-2)/(e-2l) (_size_ratios), in size then combinations order:
+    _eta_sums with denominator e - 2l."""
     if e < 3:
         raise ValueError(f"idempotent classification requires e >= 3, got {e}")
-    _require_eta_frame(e)
-    supports = [frozenset(subset) for subset, _, _ in _classified_supports(e)]
-    vectors = [vec for size in range(1, e) if 2 * size != e
-               for vec in _eta_sums(e, size, e - 2 * size)]
-    if any(vec.is_zero() for vec in vectors) or len(set(vectors)) != len(vectors):
+    idems = [Idempotent(vec, frozenset(subset))
+             for size, c in _size_ratios(e).items() if c
+             for subset, vec in zip(combinations(range(1, e), size),
+                                    _eta_sums(e, size, e - 2 * size), strict=True)]
+    vectors = {idem.vector for idem in idems}
+    if len(vectors) != len(idems) or any(vec.is_zero() for vec in vectors):
         raise AssertionError("classified idempotents are not nonzero and distinct")
-    return [Idempotent(vec, support) for support, vec in zip(supports, vectors, strict=True)]
+    return idems
 
 
 def nilpotents_order2_classified(e: int) -> list[AlgebraVector]:
     """One square-zero representative per (e/2)-subset of {1,...,e-1} (even e),
-    the sum of eta_j over it (_eta_sums), each verified in eta coordinates."""
+    the sum of eta_j over it (_eta_sums): the sizes whose c_l is 0 (_size_ratios)."""
     if e < 3:
         raise ValueError(f"nilpotent classification requires e >= 3, got {e}")
-    if e % 2:
-        return []
-    _require_eta_frame(e)
-    out = []
-    for subset, vec in zip(combinations(range(1, e), e // 2), _eta_sums(e, e // 2, e - 2)):
-        x = _eta_coords(e, subset)
-        if vec.is_zero() or any(_eta_product(e, x, x)):
-            raise AssertionError(
-                f"nilpotent representative with support {subset} failed verification")
-        out.append(vec)
-    return out
+    vectors = [vec for size, c in _size_ratios(e).items() if not c
+               for vec in _eta_sums(e, size, e - 2)]
+    if any(vec.is_zero() for vec in vectors):
+        raise AssertionError("a nilpotent representative is zero")
+    return vectors
 
 
 @lru_cache(maxsize=None)
@@ -357,23 +344,26 @@ def primitivity_facts_check(e: int) -> bool:
     c = (3e-4l)/(e-2l) for nested supports of sizes (e-l, l), l the larger one:
     (x+y)/c is then an idempotent, and exactly the degenerate denominators of
     1/c give c = 0, a square-zero sum.  For every other pair no c != 0 exists,
-    so no multiple of x+y is a nonzero idempotent."""
+    so no multiple of x+y is a nonzero idempotent.
+
+    _eta_product commutes with the coordinate permutations, which carry any
+    pair of supports A, B to every pair with the same (|A|, |B|, |A & B|), so
+    one representative pair of each such type decides all pairs."""
     if e < 3:
         raise ValueError(f"primitivity check requires e >= 3, got {e}")
-    if e > PRIMITIVITY_MAX_E:
-        raise BudgetExceededError(f"primitivity check bound is {PRIMITIVITY_MAX_E}, got e={e}")
-    _require_eta_frame(e)
-    idems = [(frozenset(subset), x) for subset, _, x in _classified_supports(e)]
-    for p, (a_sup, x) in enumerate(idems):
-        for b_sup, y in idems[p + 1:]:
+    sizes = {size: 1 / c for size, c in _size_ratios(e).items() if c}
+    for la, lb in combinations_with_replacement(sizes, 2):
+        for k in range(max(0, la + lb - (e - 1)), la + 1):
+            if la == lb == k:  # one idempotent, not a pair
+                continue
+            x = _eta_coords(e, range(1, la + 1), sizes[la])
+            y = _eta_coords(e, range(la - k + 1, la - k + lb + 1), sizes[lb])
             if not any(_eta_product(e, x, y)):
                 return False
-            la, lb = len(a_sup), len(b_sup)
-            big = max(la, lb)
-            if not (a_sup & b_sup) and la == lb:
+            if k == 0 and la == lb:
                 expected = Fraction(e - 4 * la, e - 2 * la)
-            elif (a_sup <= b_sup or b_sup <= a_sup) and la + lb == e:
-                expected = Fraction(3 * e - 4 * big, e - 2 * big)
+            elif k == la and la + lb == e:  # A inside B, as la <= lb
+                expected = Fraction(3 * e - 4 * lb, e - 2 * lb)
             else:
                 expected = None
             c = _square_ratio(e, tuple(a + b for a, b in zip(x, y)))

@@ -77,6 +77,11 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
+def exact_price(family: FamilySpec, i: int, m: int) -> int:
+    """Exact mode's evaluations on V_i: dim^(m+1) basis tuples for each of the Catalan(m) trees."""
+    return family.predicted_dimension(i) ** (m + 1) * catalan(m)
+
+
 def _check_tree_size(m: int) -> None:
     if m < 0:
         raise ValueError(f"tree size must be >= 0, got {m}")
@@ -313,8 +318,7 @@ def _tree_keys(family: FamilySpec, i: int, m: int, budget: int):
     when both or neither of their interval sets lie inside the tuple's live
     pattern; by multilinearity equal keys are equal multilinear maps."""
     _check_tree_size(m)
-    dim = family.predicted_dimension(i)
-    cost = (dim ** (m + 1)) * catalan(m)
+    cost = exact_price(family, i, m)
     if cost > budget:
         raise BudgetExceededError(
             f"exact mode needs {cost} evaluations (budget {budget}); use witness mode")
@@ -335,12 +339,10 @@ def exact_partition(family: FamilySpec, i: int, m: int,
 def count_classes_exact(family: FamilySpec, i: int, m: int,
                         budget: int = DEFAULT_EVAL_BUDGET) -> SpectrumReport:
     """Exact associative-spectrum count from the live patterns of all basis
-    tuples (complete by multilinearity); budget_used counts dim^(m+1) tuples
-    for each of the Catalan(m) trees."""
-    dim = family.predicted_dimension(i)
+    tuples (complete by multilinearity); budget_used is the exact_price."""
     classes = len(set(_tree_keys(family, i, m, budget)))
     return SpectrumReport(m=m, class_count=classes, mode="exact",
-                          budget_used=(dim ** (m + 1)) * catalan(m))
+                          budget_used=exact_price(family, i, m))
 
 
 def _refine(labels: np.ndarray, prints: np.ndarray, tuples: int) -> tuple[np.ndarray, int]:

@@ -2,8 +2,9 @@
 paper's product rule on single labels, vectors keyed by label, the label
 enumerations that the package's numpy rows replace, tree evaluation and
 automorphism composition one element at a time, the `table` output rendered
-as one string, and the live-interval patterns of the whole tuple grid by
-index arithmetic.
+as one string, the live-interval patterns of the whole tuple grid by index
+arithmetic, and the idempotent suite of V_1(H(1,e)) checked on every support
+and every pair of supports.
 
 Each function computes its answer one group element or one label at a time,
 straight from the definitions, so the row paths of the package are checked
@@ -14,6 +15,7 @@ module.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Sequence
@@ -505,3 +507,78 @@ def grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
                 trees._set_bit(sets, a, b, values[b - a][prefix % dim ** (b - a)] < dim)
         found.append(trees._distinct_rows(sets))
     return trees._distinct_rows(np.concatenate(found))
+
+
+# ---------------------------------------------------------------------------
+# The idempotent suite of V_1(H(1,e)) on every support and every pair
+# ---------------------------------------------------------------------------
+
+
+def eta_product(e: int, x, y) -> tuple[Fraction, ...]:
+    """The Norton product on coordinates over eta_1..eta_(e-1), expanded one
+    term x_j y_k eta_j eta_k at a time by eta_j^2 = eta_j and
+    eta_j eta_k = -(eta_j + eta_k)/(e-2) for j != k."""
+    out = [Fraction(0)] * len(x)
+    for j, a in enumerate(x):
+        for k, b in enumerate(y):
+            if j == k:
+                out[j] += a * b
+            else:
+                out[j] -= Fraction(a * b, e - 2)
+                out[k] -= Fraction(a * b, e - 2)
+    return tuple(out)
+
+
+def _eta_sum(e: int, subset, scale=1) -> tuple[Fraction, ...]:
+    return tuple(Fraction(scale) if j in subset else Fraction(0) for j in range(1, e))
+
+
+def _square_ratio(e: int, x) -> Fraction | None:
+    """The c with x*x = c*x for nonzero x, or None if there is none."""
+    sq = eta_product(e, x, x)
+    k = next(k for k, a in enumerate(x) if a)
+    c = sq[k] / x[k]
+    return c if all(b == c * a for a, b in zip(x, sq)) else None
+
+
+def _subsets(e: int):
+    """The nonempty subsets of {1,...,e-1}, by size, then in combinations order."""
+    return [s for size in range(1, e) for s in combinations(range(1, e), size)]
+
+
+def idempotent_supports(e: int) -> list[tuple[int, ...]]:
+    """Every nonempty subset S of {1,...,e-1} some multiple of whose eta sum
+    is a nonzero idempotent: x*x = c x with c != 0, so x/c is one."""
+    return [s for s in _subsets(e) if _square_ratio(e, _eta_sum(e, s))]
+
+
+def nilpotent_supports(e: int) -> list[tuple[int, ...]]:
+    """Every nonempty subset S of {1,...,e-1} whose eta sum squares to zero."""
+    sums = ((s, _eta_sum(e, s)) for s in _subsets(e))
+    return [s for s, x in sums if not any(eta_product(e, x, x))]
+
+
+def primitivity_on_every_pair(e: int) -> bool:
+    """The primitivity facts of `norton.primitivity_facts_check`, checked on
+    every pair of classified idempotents: each pair is nonorthogonal, and
+    (x+y)^2 = c(x+y) with c = (e-4l)/(e-2l) for disjoint supports of equal
+    size l, with c = (3e-4l)/(e-2l) for nested supports of sizes (e-l, l),
+    l the larger one, and with no c != 0 for every other pair."""
+    idems = [(frozenset(s), _eta_sum(e, s, Fraction(e - 2, e - 2 * len(s))))
+             for s in _subsets(e) if 2 * len(s) != e]
+    for p, (a_sup, x) in enumerate(idems):
+        for b_sup, y in idems[p + 1:]:
+            if not any(eta_product(e, x, y)):
+                return False
+            la, lb = len(a_sup), len(b_sup)
+            big = max(la, lb)
+            if not (a_sup & b_sup) and la == lb:
+                expected = Fraction(e - 4 * la, e - 2 * la)
+            elif (a_sup <= b_sup or b_sup <= a_sup) and la + lb == e:
+                expected = Fraction(3 * e - 4 * big, e - 2 * big)
+            else:
+                expected = None
+            c = _square_ratio(e, tuple(a + b for a, b in zip(x, y)))
+            if (c != expected) if expected is not None else c:
+                return False
+    return True

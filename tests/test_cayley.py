@@ -109,19 +109,44 @@ def test_integer_eigenvalue_downcast_rejects_nonintegral():
 
 
 def test_spectrum_verify_evaluates_each_character_once(monkeypatch):
-    # spectrum converts each distinct neighbour-count histogram to Q(w) once,
-    # so never more often than there are characters; the verification reads
-    # theta_u from integer counts and converts nothing
+    # spectrum reads each distinct neighbour-count histogram of a chunk of
+    # characters once, so never more rows than there are characters; the
+    # verification reads theta_u once per character; both through the one
+    # integer helper
     calls = []
-    real = cyclotomic.from_exponent_counts  # spectrum imports it from there when called
-    monkeypatch.setattr(cyclotomic, "from_exponent_counts",
-                        lambda e, counts: calls.append(tuple(counts)) or real(e, counts))
+    real = cayley._integer_root_sums
+    monkeypatch.setattr(cayley, "_integer_root_sums",
+                        lambda hists, e: calls.append(hists.tolist()) or real(hists, e))
     g = make_family("hamming", n=2, e=5).cayley_graph()
     spectrum(g)
-    assert len(calls) == len(set(calls)) <= len(g.characters)
+    assert all(len({tuple(row) for row in hists}) == len(hists) for hists in calls)
+    assert 0 < sum(len(hists) for hists in calls) <= len(g.characters)
     calls.clear()
     assert verify_all_eigenvectors(g)
-    assert calls == []
+    assert sum(len(hists) for hists in calls) == len(g.characters)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 9, 12])
+def test_integer_root_sums_equal_the_exact_sums(e):
+    rng = np.random.default_rng(e)
+    hists = rng.integers(0, 5, size=(40, e))
+    hists[:20] = hists[:20, 1:2]  # c (w^0 + ... + w^(e-1)) = 0, plus d w^0 = d
+    hists[:20, 0] += np.arange(20)
+    hists[20:25] = 0
+    exact = [cyclotomic.from_exponent_counts(e, row) for row in hists.tolist()]
+    values = cayley._integer_root_sums(hists[:25], e)
+    assert values.tolist() == [x.as_int() for x in exact[:25]]
+    if all(x.is_rational() for x in exact):
+        assert cayley._integer_root_sums(hists, e).tolist() == [x.as_int() for x in exact]
+    else:
+        assert cayley._integer_root_sums(hists, e) is None
+
+
+def test_integer_root_sums_raise_before_an_int64_product_could_wrap():
+    big = np.array([[2**62, 0, 0]], dtype=np.int64)  # 3 counts of 2^62 times |R| <= 1
+    with pytest.raises(OverflowError):
+        cayley._integer_root_sums(big, 3)
+    assert cayley._integer_root_sums(big // 2, 3).tolist() == [2**61]
 
 
 def _forge_character_row(monkeypatch, u, forged):

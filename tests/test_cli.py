@@ -141,6 +141,15 @@ def test_idempotents_e4(capsys):
     assert supports == [(1,), (1, 2, 3), (2,), (3,)]
 
 
+def test_idempotents_primitivity_is_a_verdict_past_e7(capsys):
+    for e in (8, 9):
+        code, payload = run_json(capsys, "idempotents", "--e", str(e))
+        assert code == 0 and payload["status"] == "ok"
+        assert payload["primitivity_facts"] is True
+    code, out = run(capsys, "idempotents", "--e", "8", "--format", "text")
+    assert code == 0 and out.endswith("eta relations: True; primitivity: True\n")
+
+
 def test_idempotents_export(tmp_path, capsys):
     path = tmp_path / "idems.json"
     code, payload = run_json(capsys, "idempotents", "--e", "3", "--export", str(path))
@@ -438,6 +447,22 @@ def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, para
     path = tmp_path / "table.out"
     assert main([*argv, "--output", str(path)]) == 0
     assert path.read_bytes() == expected.encode()
+
+
+def test_json_payload_streams_in_blocks(monkeypatch, tmp_path, capsys):
+    # the blocks join to json.dumps of the payload, on stdout and in --export
+    code, expected = run(capsys, "idempotents", "--e", "7")
+    assert code == 0
+    assert expected == json.dumps(json.loads(expected), indent=2, sort_keys=True) + "\n"
+    monkeypatch.setattr(cli, "JSON_BLOCK_PIECES", 64)
+    out = _Pieces()
+    monkeypatch.setattr(sys, "stdout", out)
+    path = tmp_path / "idems.json"
+    assert main(["idempotents", "--e", "7", "--export", str(path)]) == 0
+    assert out.getvalue() == expected
+    assert path.read_text() == expected
+    # the last write is the closing newline
+    assert len(out.pieces) > 100 and out.pieces[-1] == "\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -28,7 +28,10 @@ stopped naming a sequence in `matches` (json `null`, an empty csv field):
 `exact` row changed.  The three
 `idempotents` cases `--e 9`, `--e 10` and `--e 7 --format text` were
 recorded from the `Fraction`-dict vectors before integer arrays over basis
-positions replaced them.  An
+positions replaced them.  The digests of `idempotents --e 8`, `--e 9` and
+`--e 10` were rewritten when the primitivity check, taken once per pair type
+`(|A|, |B|, |A & B|)`, stopped stopping at e = 7: their one changed line is
+`"primitivity_facts": null` -> `"primitivity_facts": true`.  An
 intended output change must say so where it rewrites the digests.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py

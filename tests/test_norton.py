@@ -8,6 +8,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nortonalg import cayley, norton
 from nortonalg.cyclotomic import Cyclotomic, root_power
@@ -29,8 +31,12 @@ from nortonalg.norton import (
 from reference import (
     LabelVector,
     basis_vector,
+    eta_product,
+    idempotent_supports,
     label_product,
+    nilpotent_supports,
     oracle_product,
+    primitivity_on_every_pair,
     value_table,
     vector,
     vector_map_preserves_products,
@@ -245,10 +251,56 @@ def test_suite_refuses_an_uncertified_eta_frame(monkeypatch, suite):
 
 
 def test_primitivity_facts():
-    for e in (3, 4, 5, 6, 7):
-        assert primitivity_facts_check(e)
-    with pytest.raises(BudgetExceededError):
-        primitivity_facts_check(9)
+    for e in range(3, 17):
+        assert primitivity_facts_check(e) is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.integers(min_value=3, max_value=12), data=st.data())
+def test_eta_product_commutes_with_coordinate_permutations(e, data):
+    # the premise of checking one support per size and one pair per
+    # (|A|, |B|, |A & B|): permuting the coordinates permutes the product
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    x, y = (data.draw(st.lists(coord, min_size=e - 1, max_size=e - 1)) for _ in range(2))
+    perm = data.draw(st.permutations(range(e - 1)))
+
+    def moved(v):
+        return tuple(v[k] for k in perm)
+
+    product = norton._eta_product(e, x, y)
+    assert norton._eta_product(e, moved(x), moved(y)) == moved(product)
+    assert product == eta_product(e, x, y)
+
+
+@pytest.mark.parametrize("e", range(3, 10))
+def test_primitivity_check_covers_every_pair_type(monkeypatch, e):
+    # each (|A|, |B|, |A & B|) of two distinct classified supports, |A| <= |B|,
+    # is the type of one pair whose product the check takes
+    seen = []
+    real = norton._eta_product
+
+    def spy(e, x, y):
+        if x is not y:  # not a square
+            a, b = ({j for j, v in enumerate(z) if v} for z in (x, y))
+            seen.append((len(a), len(b), len(a & b)))
+        return real(e, x, y)
+
+    monkeypatch.setattr(norton, "_eta_product", spy)
+    assert primitivity_facts_check(e)
+    supports = [set(s) for s in idempotent_supports(e)]
+    types = {(*sorted((len(a), len(b))), len(a & b)) for a, b in combinations(supports, 2)}
+    assert sorted(seen) == sorted(types)
+
+
+@pytest.mark.parametrize("e", range(3, 8))
+def test_per_type_suite_equals_every_support_and_pair(e):
+    idems = classified_idempotents(e)
+    assert [tuple(sorted(idem.support)) for idem in idems] == idempotent_supports(e)
+    etas = {j: eta(e, j).vector for j in range(1, e)}
+    assert nilpotents_order2_classified(e) == [
+        sum((etas[j] for j in support), AlgebraVector.zero(etas[1].family, 1))
+        for support in nilpotent_supports(e)]
+    assert primitivity_facts_check(e) is primitivity_on_every_pair(e) is True
 
 
 def test_find_identity_examples():
