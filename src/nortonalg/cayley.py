@@ -82,15 +82,10 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
 
 def _integer_root_sums(hists: np.ndarray, e: int) -> np.ndarray | None:
     """The sums sum_r hists[k, r] w^r of the int64 residue histograms hists
-    (rows x e) as int64, or None when one is not a rational integer: one
-    integer matmul by root_reduction_matrix(e), after a bound check that
-    raises OverflowError before any entry could pass 2^63."""
-    from .cyclotomic import root_reduction_matrix
-    red = np.array(root_reduction_matrix(e), dtype=np.int64)
-    # an entry is a sum of e counts, each times an entry of red
-    if int(hists.max(initial=0)) * e * int(np.abs(red).max()) >= 2**63:
-        raise OverflowError(f"root sums of e={e} exceed int64")
-    forms = hists @ red.T
+    (rows x e) as int64, or None when one is not a rational integer
+    (cyclotomic.root_sums)."""
+    from .cyclotomic import root_sums
+    forms = root_sums(hists, e, int(hists.max(initial=0)) * e)  # a row adds up e counts
     return None if forms[:, 1:].any() else forms[:, 0]
 
 
@@ -182,17 +177,42 @@ def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
     """Row-sum lookup as a dim x dim int32 array: entry (a, b) is the position
     among rows of canonical((rows[a] + rows[b]) mod modulus), or -1 when no
     row matches (row_finder).  Rows must be distinct, with entries in
-    0..modulus-1; duplicate rows raise RepeatedRowError."""
-    dim, width = rows.shape
+    0..modulus-1; duplicate rows raise RepeatedRowError.
+
+    Modulo 2 a sum is a XOR: the rows are bit-packed (np.packbits), each sum
+    is one bitwise_xor of packed rows, canonical receives the packed sums,
+    and row_finder reads them as rows of bytes.  Every other modulus sums
+    residues (residue_positions)."""
+    if modulus != 2:
+        return residue_positions(rows, modulus, canonical)
+    if rows.size and (rows.min() < 0 or rows.max() > 1):  # packbits reads any nonzero as 1
+        raise ValueError("row entries must be in 0..1")
+    packed = np.packbits(rows, axis=1)
+    return _lookup_sums(packed, row_finder(packed, 256), canonical, len(rows) * rows.shape[1],
+                        1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
+
+
+def residue_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
+    """sum_positions by residue sums (_reduced_sum) for any modulus; canonical
+    receives index rows.  Modulo 2 it is the reference of the XOR path."""
     rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
-    find = row_finder(rows, modulus)
+    return _lookup_sums(rows, row_finder(rows, modulus), canonical, rows.nbytes,
+                        2, lambda a, b, out, wrap: _reduced_sum(a, b, modulus, out=out, wrap=wrap))
+
+
+def _lookup_sums(rows: np.ndarray, find, canonical, row_bytes: int, buffers: int,
+                 add) -> np.ndarray:
+    """The sum_positions loop over chunks of SUM_CHUNK_BYTES // row_bytes rows
+    a: add(rows[a], rows[b], *scratch) sums them with all rows b into the
+    first of `buffers` chunk-sized scratch arrays, allocated once, and find
+    looks the sums up."""
+    dim, width = rows.shape
     out = np.empty((dim, dim), dtype=np.int32)
-    chunks = list(_chunks(dim, rows.nbytes))  # one row's sums take rows.nbytes
-    # the sums and their wrapped differences, allocated once and reused by every chunk
-    sums, wrap = (np.empty((chunks[0][1], dim, width), rows.dtype) for _ in range(2))
+    chunks = list(_chunks(dim, row_bytes))
+    scratch = np.empty((buffers, chunks[0][1], dim, width), rows.dtype)
     for start, stop in chunks:
-        part = _reduced_sum(rows[start:stop, None, :], rows[None, :, :], modulus,
-                            out=sums[:stop - start], wrap=wrap[:stop - start]).reshape(-1, width)
+        part = add(rows[start:stop, None, :], rows[None, :, :], *scratch[:, :stop - start])
+        part = part.reshape(-1, width)
         out[start:stop] = find(part if canonical is None else canonical(part)).reshape(-1, dim)
     return out
 

@@ -472,79 +472,95 @@ def cmd_isocheck(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("spectrum", "table", "nonassoc", "idempotents", "autocheck", "oracle-verify",
+            "isocheck")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with the subparser of the given command only, or of every
+    command when it is None.  A one-command parser names all of them as its
+    subcommand metavar, so its usage line is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="nortonalg",
         description="Exact Norton algebras of Hamming-type graph families.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", "-o", default=None, help="write output to a file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: NORTON_SEED or 0)")
-    common.add_argument("--budget", type=nonnegative_int, default=None,
-                        help="evaluation budget (default: NORTON_BUDGET or 10^7)")
-    common.add_argument("--threads", type=int, default=0,
-                        help="ignored; every computation runs on one thread")
-
-    fam_args = argparse.ArgumentParser(add_help=False)
-    fam_args.add_argument("--family", choices=FAMILY_CHOICES, required=True)
-    fam_args.add_argument("--n", type=int, default=None)
-    fam_args.add_argument("--e", type=int, default=None)
-    fam_args.add_argument("--q", type=int, default=None)
-    fam_args.add_argument("--d", type=int, default=None)
-
-    def add(name: str, parents: list, formats: tuple, **kwargs) -> argparse.ArgumentParser:
-        """A subcommand that writes the given output formats."""
-        p = sub.add_parser(name, parents=parents, **kwargs)
+    def add(name: str, family: bool, formats: tuple, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand with the common and, if family, the family options,
+        that writes the given output formats."""
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("--output", "-o", default=None, help="write output to a file")
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed (default: NORTON_SEED or 0)")
+        p.add_argument("--budget", type=nonnegative_int, default=None,
+                       help="evaluation budget (default: NORTON_BUDGET or 10^7)")
+        p.add_argument("--threads", type=int, default=0,
+                       help="ignored; every computation runs on one thread")
+        if family:
+            p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
+            for opt in ("--n", "--e", "--q", "--d"):
+                p.add_argument(opt, type=int, default=None)
         p.add_argument("--format", "-f", choices=formats, default="json")
         return p
 
+    def wanted(name: str) -> bool:
+        return command is None or command == name
+
     every_format = ("json", "csv", "text")
-    p = add("spectrum", [common, fam_args], every_format,
-            help="eigenvalues and multiplicities vs the closed formulas")
-    p.add_argument("--verify", action="store_true",
-                   help="also verify every character by adjacency application")
-    p.set_defaults(func=cmd_spectrum)
+    if wanted("spectrum"):
+        p = add("spectrum", True, every_format,
+                help="eigenvalues and multiplicities vs the closed formulas")
+        p.add_argument("--verify", action="store_true",
+                       help="also verify every character by adjacency application")
+        p.set_defaults(func=cmd_spectrum)
 
-    p = add("table", [common, fam_args], every_format, help="V_i basis multiplication table")
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--verify-oracle", action="store_true",
-                   help="re-derive every entry via the projection oracle")
-    p.set_defaults(func=cmd_table)
+    if wanted("table"):
+        p = add("table", True, every_format, help="V_i basis multiplication table")
+        p.add_argument("--i", type=int, default=None)
+        p.add_argument("--verify-oracle", action="store_true",
+                       help="re-derive every entry via the projection oracle")
+        p.set_defaults(func=cmd_table)
 
-    p = add("nonassoc", [common, fam_args], every_format,
-            help="associative spectrum counts C_*(m)")
-    p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
-    p.add_argument("--max-m", type=positive_int, default=6)
-    p.add_argument("--mode", choices=["auto", "exact", "witness"], default="auto")
-    p.add_argument("--attempts", type=nonnegative_int, default=None)
-    p.set_defaults(func=cmd_nonassoc)
+    if wanted("nonassoc"):
+        p = add("nonassoc", True, every_format, help="associative spectrum counts C_*(m)")
+        p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
+        p.add_argument("--max-m", type=positive_int, default=6)
+        p.add_argument("--mode", choices=["auto", "exact", "witness"], default="auto")
+        p.add_argument("--attempts", type=nonnegative_int, default=None)
+        p.set_defaults(func=cmd_nonassoc)
 
-    p = add("idempotents", [common], ("json", "text"),
-            help="classified idempotents of V_1(H(1,e))")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--export", default=None, help="also write the JSON payload here")
-    p.set_defaults(func=cmd_idempotents)
+    if wanted("idempotents"):
+        p = add("idempotents", False, ("json", "text"),
+                help="classified idempotents of V_1(H(1,e))")
+        p.add_argument("--e", type=int, required=True)
+        p.add_argument("--export", default=None, help="also write the JSON payload here")
+        p.set_defaults(func=cmd_idempotents)
 
-    p = add("autocheck", [common, fam_args], ("json",),
-            help="sampled automorphism actions pass product preservation")
-    p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
-    p.add_argument("--samples", type=nonnegative_int, default=100)
-    p.set_defaults(func=cmd_autocheck)
+    if wanted("autocheck"):
+        p = add("autocheck", True, ("json",),
+                help="sampled automorphism actions pass product preservation")
+        p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
+        p.add_argument("--samples", type=nonnegative_int, default=100)
+        p.set_defaults(func=cmd_autocheck)
 
-    p = add("oracle-verify", [common, fam_args], ("json",),
-            help="closed-form products equal the projection oracle")
-    p.add_argument("--i", type=int, default=None, help="one eigenspace (default: all)")
-    p.set_defaults(func=cmd_oracle_verify)
+    if wanted("oracle-verify"):
+        p = add("oracle-verify", True, ("json",),
+                help="closed-form products equal the projection oracle")
+        p.add_argument("--i", type=int, default=None, help="one eigenspace (default: all)")
+        p.set_defaults(func=cmd_oracle_verify)
 
-    p = add("isocheck", [common], ("json",), help="verify the shipped algebra isomorphisms")
-    p.set_defaults(func=cmd_isocheck)
+    if wanted("isocheck"):
+        p = add("isocheck", False, ("json",), help="verify the shipped algebra isomorphisms")
+        p.set_defaults(func=cmd_isocheck)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named command's subparser; --help, a missing or an unknown
+    # command get the full parser, whose help and errors list every command
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+import numpy as np
+
 from .linalg import row_reduce
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
@@ -89,12 +91,34 @@ def _power_terms(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in _power_rows(e))
 
 
-def root_reduction_matrix(e: int) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix R with R[r][k] = coefficient of w^r in the canonical form
-    of w^k, for k = 0 .. e-1.  Shape phi(e) x e."""
-    rows = _power_rows(e)
-    deg = field_degree(e)
-    return tuple(tuple(rows[k][r] for k in range(e)) for r in range(deg))
+@lru_cache(maxsize=None)
+def root_reduction_matrix(e: int) -> np.ndarray:
+    """Read-only int64 matrix R of shape phi(e) x e: R[r, k] is the coefficient
+    of w^r in the canonical form of w^k, for k = 0 .. e-1.  Column k is
+    column k-1 times x, with x^deg replaced by -(Phi_e - x^deg)."""
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    top = -np.array(phi[:deg], dtype=np.int64)
+    red = np.zeros((deg, e), dtype=np.int64)
+    for k in range(e):
+        if k < deg:
+            red[k, k] = 1
+        else:
+            red[1:, k] = red[:-1, k - 1]
+            red[:, k] += red[-1, k - 1] * top
+    red.flags.writeable = False
+    return red
+
+
+def root_sums(hists: np.ndarray, e: int, total: int) -> np.ndarray:
+    """The canonical forms of sum_r hists[..., r] w^r for int64 residue
+    histograms hists (... x e) whose rows each add up to at most total:
+    hists times root_reduction_matrix(e) transposed.  Raises OverflowError
+    before any entry could pass 2^63, which total * max|R| bounds."""
+    red = root_reduction_matrix(e)
+    if total * int(np.abs(red).max()) >= 2**63:
+        raise OverflowError(f"root sums of e={e} exceed int64")
+    return hists @ red.T
 
 
 _ZERO = Fraction(0)

@@ -424,11 +424,15 @@ class CubeFamily(FamilySpec):
         # the representative of a set's character class: folded, the even one
         # of the set and its toggle at position n, and the rows are sums of
         # even basis sets, so even already; halved, the smaller of the set and
-        # its complement, or on ties the one containing position 1
+        # its complement, or on ties the one containing position 1.  The rows
+        # are index rows, or the narrower bit-packed rows that sum_positions
+        # hands over modulo 2, where position 1 is the top bit of byte 0.
         if self.halved:
-            weight = 2 * rows.sum(axis=1, dtype=np.int64)
-            flip = (weight > self.n) | ((weight == self.n) & (rows[:, 0] == 0))
-            rows ^= flip[:, None]
+            packed = rows.shape[1] < self.n
+            ones = np.ones(self.n, rows.dtype)
+            weight = 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+            flip = (weight > self.n) | ((weight == self.n) & (rows[:, 0] < (0x80 if packed else 1)))
+            rows ^= flip[:, None] * (np.packbits(ones) if packed else ones)
         return rows
 
     def label_text(self, label: Subset) -> str:

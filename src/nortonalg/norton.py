@@ -23,7 +23,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .cayley import RepeatedRowError, character_exponents, sum_positions
-from .cyclotomic import Cyclotomic, _power_rows, field_degree, root_reduction_matrix
+from .cyclotomic import Cyclotomic, _power_rows, field_degree, root_sums
 from .errors import BudgetExceededError
 from .families import FamilySpec, carries_table, make_family
 from .linalg import row_reduce
@@ -243,17 +243,13 @@ def _eta_sums(e: int, size: int, den: int) -> list[AlgebraVector]:
     (e-2)/den times the sum of eta_j over S, whose chi_k coordinate is
     sum_{j in S} w^(jk) / den.  The numerators of all of them are one integer
     matmul: the histogram of the residues jk mod e times
-    root_reduction_matrix(e)."""
+    root_reduction_matrix(e) (cyclotomic.root_sums)."""
     subsets = np.array(list(combinations(range(1, e), size)), dtype=np.int64)
     count = len(subsets)
     residues = subsets[:, None, :] * np.arange(1, e)[None, :, None] % e
     cells = np.arange(count * (e - 1)).reshape(count, e - 1, 1) * e
     hist = np.bincount((cells + residues).ravel(), minlength=count * (e - 1) * e)
-    reduction = np.array(root_reduction_matrix(e), dtype=np.int64)
-    # an entry is a sum of size histogram counts, each times an entry of reduction
-    if size * int(np.abs(reduction).max()) >= 2**63:
-        raise OverflowError(f"eta sums of e={e} exceed int64")
-    num = hist.reshape(count, e - 1, e) @ reduction.T
+    num = root_sums(hist.reshape(count, e - 1, e), e, size)  # a row adds up size counts
     fam = _v1_family(e)
     return [AlgebraVector(fam, 1, rows, den) for rows in num]
 

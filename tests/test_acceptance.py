@@ -128,7 +128,8 @@ def test_criterion_02_example_tables():
 
 def test_product_table_matches_closed_product(monkeypatch):
     # the numpy table builder against the paper's single-pair rule, every entry,
-    # and its dense code index against the byte-key lookup it replaces
+    # and its dense code index against the byte-key lookup it replaces, on the
+    # XOR path of the modulus-2 families and on the residue path of all
     spaces = 0
     for fam in _criterion1_instances():
         for i in fam.eigenspaces():
@@ -142,9 +143,31 @@ def test_product_table_matches_closed_product(monkeypatch):
                 patch.setattr(cayley, "DENSE_CODE_BITS", 0)
                 by_bytes = cayley.sum_positions(fam.basis_array(i), fam.modulus,
                                                 fam._canonical_rows)
+                by_residues = cayley.residue_positions(fam.basis_array(i), fam.modulus,
+                                                       fam._canonical_rows)
             assert (by_bytes == table).all(), (fam.describe(), i)
+            assert (by_residues == table).all(), (fam.describe(), i)
             spaces += 1
     assert spaces == 155
+
+
+def test_packed_sums_equal_residue_sums():
+    # the XOR path of sum_positions against the residue path it bypasses
+    # modulo 2, on the basis index rows with their canonical rule and on the
+    # oracle's value rows over the vertices
+    spaces = packed = 0
+    for fam in _criterion1_instances():
+        verts = fam.vertices()
+        for i in fam.eigenspaces():
+            rows = fam.basis_array(i)
+            exps = cayley.character_exponents(rows, verts, fam.modulus)
+            for sums, canonical in ((rows, fam._canonical_rows), (exps, None)):
+                want = cayley.residue_positions(sums, fam.modulus, canonical)
+                got = cayley.sum_positions(sums, fam.modulus, canonical)
+                assert got.dtype == np.int32 and (got == want).all(), (fam.describe(), i)
+            spaces += 1
+            packed += fam.modulus == 2
+    assert (spaces, packed) == (155, 110)
 
 
 def test_criterion_03_oracle_equivalence():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -226,11 +227,67 @@ def test_sum_positions_independent_of_chunk_size(monkeypatch):
         rows = fam.basis_array(i)
         whole = sum_positions(rows, fam.modulus, fam._canonical_rows)
         assert (whole == fam.product_table(i)).all()
-        # three basis rows of sums per step, then the same by byte keys only
+        # three basis rows of sums per step, then the same by byte keys only,
+        # on the XOR path of the halved cube and on the residue path of both
         for name, value in (("SUM_CHUNK_BYTES", 3 * rows.size), ("DENSE_CODE_BITS", 0)):
             monkeypatch.setattr(cayley, name, value)
-            assert (sum_positions(rows, fam.modulus, fam._canonical_rows) == whole).all()
+            for path in (sum_positions, cayley.residue_positions):
+                assert (path(rows, fam.modulus, fam._canonical_rows) == whole).all()
         monkeypatch.undo()
+
+
+def _packed_and_residue_agree(rows, canonical=None):
+    want = cayley.residue_positions(rows, 2, canonical)
+    got = sum_positions(rows, 2, canonical)
+    assert got.dtype == np.int32 and got.tolist() == want.tolist(), rows.shape
+    return got
+
+
+def test_xor_sums_equal_residue_sums_on_random_rows():
+    # widths on both sides of the 16 dense-code columns and off multiples of 8,
+    # with the all-zero row, whose sums with a row are that row
+    rng = np.random.default_rng(2)
+    for width in range(1, 71):
+        rows = np.unique(rng.integers(0, 2, (min(60, 2**width), width), dtype=np.uint8), axis=0)
+        rows = np.concatenate((np.zeros((1, width), np.uint8), rows[rows.any(axis=1)]))
+        rows = rows[rng.permutation(len(rows))]
+        table = _packed_and_residue_agree(rows)
+        zero = int(np.flatnonzero(~rows.any(axis=1))[0])
+        assert (table[zero] == np.arange(len(rows))).all()
+        assert (np.diagonal(table) == zero).all()  # x + x = 0 modulo 2
+
+
+def test_halved_rule_equal_on_packed_and_index_rows():
+    # every row of n entries, so the ties at weight n/2 on both sides of position 1
+    for n in range(2, 13):
+        fam = make_family("halved_cube", n=n)
+        rows = np.array(list(product((0, 1), repeat=n)), dtype=np.uint8)
+        want = fam._canonical_rows(rows.copy())
+        assert (2 * want.sum(axis=1) <= n).all()
+        ties = 2 * rows.sum(axis=1) == n
+        assert (want[ties, 0] == 1).all() and ties.any() == (n % 2 == 0)
+        got = fam._canonical_rows(np.packbits(rows, axis=1))
+        assert (got == np.packbits(want, axis=1)).all(), n
+        # the flip leaves the padding bits of the last byte zero
+        assert (np.unpackbits(got, axis=1)[:, n:] == 0).all()
+        for i in fam.eigenspaces():
+            _packed_and_residue_agree(fam.basis_array(i), fam._canonical_rows)
+        if n <= 8:  # the sums of every pair of canonical rows, not only of one space's
+            _packed_and_residue_agree(np.unique(want, axis=0), fam._canonical_rows)
+
+
+def test_xor_path_rejects_repeated_rows_and_entries_out_of_range():
+    for width in (3, 40):  # dense codes and byte keys
+        rows = np.eye(width, dtype=np.uint8)
+        with pytest.raises(cayley.RepeatedRowError):
+            sum_positions(np.concatenate((rows, rows[:1])), 2)
+        # packbits would read 2 as 1, and the rows would look distinct and valid
+        bad = rows.copy()
+        bad[0, 1] = 2
+        with pytest.raises(ValueError, match="0..1"):
+            sum_positions(bad, 2)
+        with pytest.raises(ValueError, match="0..1"):
+            sum_positions(-rows.astype(np.int8), 2)
 
 
 def test_reduced_sum_equals_remainder():

@@ -669,3 +669,34 @@ def test_package_names_resolve_on_first_access():
     assert set(nortonalg.__all__) <= set(dir(nortonalg))
     with pytest.raises(AttributeError):
         nortonalg.no_such_name
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_command_parser_speaks_as_the_full_parser(command, capsys, monkeypatch):
+    # main builds the named command's subparser only; its help, its errors and
+    # the top-level error for arguments it leaves over are the full parser's
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda name=None: built.append(name) or real(name))
+    for argv in ([command, "--format", "xml"], ["--help"], [command[:3]]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == [command, None, None]
+    assert list(real(command)._subparsers._group_actions[0].choices) == [command]
+
+    def parse(parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    # with its required options, the subparser leaves --bogus to the top level
+    given = {"idempotents": ["--e", "3"], "isocheck": []}.get(command, ["--family", "hamming"])
+    for argv in ([command, "--help"], [command, "--bogus"], [command, "--format", "xml"],
+                 [command, "--budget", "-1"], [command, *given, "--bogus"],
+                 [command, *given, "extra"]):
+        full = parse(real(), argv)
+        assert parse(real(command), argv) == full, argv
+        assert full[0] == (0 if argv[1] == "--help" else 2) and full[1:] != ("", ""), argv

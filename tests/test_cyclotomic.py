@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nortonalg.cyclotomic import (
     Cyclotomic,
+    _power_rows,
     cyclotomic_polynomial,
     field_degree,
     from_exponent_counts,
@@ -163,13 +165,17 @@ def test_from_exponent_counts():
 
 
 def test_root_reduction_matrix_agrees_with_root_power():
-    for e in range(1, 10):
+    for e in range(1, 258):
         mat = root_reduction_matrix(e)
         deg = field_degree(e)
-        assert len(mat) == deg
-        for k in range(e):
-            col = tuple(Fraction(mat[r][k]) for r in range(deg))
-            assert Cyclotomic(e, col) == root_power(e, k)
+        assert mat.shape == (deg, e) and mat.dtype == np.int64, e
+        assert not mat.flags.writeable and root_reduction_matrix(e) is mat
+        # the exact Python-int rows that root_power reads, for every k <= e - 1
+        assert mat.T.tolist() == [list(row) for row in _power_rows(e)[:e]], e
+        if e <= 9:
+            for k in range(e):
+                col = tuple(Fraction(c) for c in mat[:, k].tolist())
+                assert Cyclotomic(e, col) == root_power(e, k)
 
 
 def test_rational_helpers():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nortonalg import cayley, norton
+from nortonalg import cayley, cyclotomic, norton
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import HammingFamily, make_family
@@ -146,6 +147,22 @@ def test_verify_oracle_rejects_coinciding_basis_rows(monkeypatch):
     assert rows.shape[0] * 2 > cayley.DENSE_CODE_BITS
     monkeypatch.setattr(fam, "vertices", lambda budget=None: rows)
     assert not verify_oracle_space(fam, 2)
+
+
+def test_oracle_works_in_a_bounded_set():
+    # modulo 2 the oracle XORs bit-packed value rows, 64 bytes over the 512
+    # vertices of halved-cube(10); residue sums of the 512-byte rows, with
+    # their wrap buffer and byte keys, peaked at 3.3 MiB
+    fam = make_family("halved_cube", n=10)
+    for i in fam.eigenspaces():
+        fam.product_table(i)  # the family's cached tables, built before the trace
+    tracemalloc.start()
+    try:
+        assert all(verify_oracle_space(fam, i) for i in fam.eigenspaces())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_eta_examples():
@@ -534,7 +551,8 @@ def test_eta_sums_equal_the_label_sums():
 
 def test_eta_sums_raise_before_an_int64_product_could_wrap(monkeypatch):
     # an entry is at most size * max|reduction|: at 2^62 and size 2 that is 2^63
-    monkeypatch.setattr(norton, "root_reduction_matrix", lambda e: ((2**62,) * e,) * 4)
+    monkeypatch.setattr(cyclotomic, "root_reduction_matrix",
+                        lambda e: np.full((4, e), 2**62, dtype=np.int64))
     with pytest.raises(OverflowError):
         norton._eta_sums(5, 2, 1)
     assert len(norton._eta_sums(5, 1, 1)) == 4
