@@ -193,8 +193,8 @@ def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
 
 
 def residue_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
-    """sum_positions by residue sums (_reduced_sum) for any modulus; canonical
-    receives index rows.  Modulo 2 it is the reference of the XOR path."""
+    """sum_positions by residue sums (_reduced_sum), for any modulus; modulo
+    2 it is the reference of the XOR path."""
     rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
     return _lookup_sums(rows, row_finder(rows, modulus), canonical, rows.nbytes,
                         2, lambda a, b, out, wrap: _reduced_sum(a, b, modulus, out=out, wrap=wrap))
@@ -203,9 +203,8 @@ def residue_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndar
 def _lookup_sums(rows: np.ndarray, find, canonical, row_bytes: int, buffers: int,
                  add) -> np.ndarray:
     """The sum_positions loop over chunks of SUM_CHUNK_BYTES // row_bytes rows
-    a: add(rows[a], rows[b], *scratch) sums them with all rows b into the
-    first of `buffers` chunk-sized scratch arrays, allocated once, and find
-    looks the sums up."""
+    a: add sums them with every row b into chunk-sized scratch buffers
+    allocated once, and find looks the sums up."""
     dim, width = rows.shape
     out = np.empty((dim, dim), dtype=np.int32)
     chunks = list(_chunks(dim, row_bytes))

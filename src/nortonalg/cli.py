@@ -477,9 +477,8 @@ COMMANDS = ("spectrum", "table", "nonassoc", "idempotents", "autocheck", "oracle
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser, with the subparser of the given command only, or of every
-    command when it is None.  A one-command parser names all of them as its
-    subcommand metavar, so its usage line is the full parser's."""
+    """The parser with the given command's subparser, or every one when
+    command is None; a one-command parser's usage line names all of them."""
     parser = argparse.ArgumentParser(
         prog="nortonalg",
         description="Exact Norton algebras of Hamming-type graph families.")
@@ -558,8 +557,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # only the named command's subparser; --help, a missing or an unknown
-    # command get the full parser, whose help and errors list every command
+    # --help, a missing or an unknown command get the full parser
     parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:

@@ -424,15 +424,16 @@ class CubeFamily(FamilySpec):
         # the representative of a set's character class: folded, the even one
         # of the set and its toggle at position n, and the rows are sums of
         # even basis sets, so even already; halved, the smaller of the set and
-        # its complement, or on ties the one containing position 1.  The rows
-        # are index rows, or the narrower bit-packed rows that sum_positions
-        # hands over modulo 2, where position 1 is the top bit of byte 0.
+        # its complement, or on ties the one containing position 1
         if self.halved:
-            packed = rows.shape[1] < self.n
-            ones = np.ones(self.n, rows.dtype)
+            # the all-ones row and the row of {1}, in the form of rows: index
+            # rows, or the narrower bit-packed rows of sum_positions modulo 2
+            marks = np.zeros((2, self.n), rows.dtype)
+            marks[0], marks[1, 0] = 1, 1
+            ones, first = np.packbits(marks, axis=1) if rows.shape[1] < self.n else marks
             weight = 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-            flip = (weight > self.n) | ((weight == self.n) & (rows[:, 0] < (0x80 if packed else 1)))
-            rows ^= flip[:, None] * (np.packbits(ones) if packed else ones)
+            flip = (weight > self.n) | ((weight == self.n) & (rows[:, 0] & first[0] == 0))
+            rows ^= flip[:, None] * ones
         return rows
 
     def label_text(self, label: Subset) -> str:

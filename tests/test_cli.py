@@ -685,6 +685,7 @@ def test_one_command_parser_speaks_as_the_full_parser(command, capsys, monkeypat
     capsys.readouterr()
     assert built == [command, None, None]
     assert list(real(command)._subparsers._group_actions[0].choices) == [command]
+    assert list(real()._subparsers._group_actions[0].choices) == list(cli.COMMANDS)
 
     def parse(parser, argv):
         with pytest.raises(SystemExit) as exc:
