@@ -188,7 +188,8 @@ def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
     if rows.size and (rows.min() < 0 or rows.max() > 1):  # packbits reads any nonzero as 1
         raise ValueError("row entries must be in 0..1")
     packed = np.packbits(rows, axis=1)
-    return _lookup_sums(packed, row_finder(packed, 256), canonical, len(rows) * rows.shape[1],
+    # chunks of as many rows as unpacked sums of one byte an entry would take
+    return _lookup_sums(packed, row_finder(packed, 256), canonical, rows.size,
                         1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
 
 
