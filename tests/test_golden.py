@@ -31,7 +31,12 @@ recorded from the `Fraction`-dict vectors before integer arrays over basis
 positions replaced them.  The digests of `idempotents --e 8`, `--e 9` and
 `--e 10` were rewritten when the primitivity check, taken once per pair type
 `(|A|, |B|, |A & B|)`, stopped stopping at e = 7: their one changed line is
-`"primitivity_facts": null` -> `"primitivity_facts": true`.  An
+`"primitivity_facts": null` -> `"primitivity_facts": true`.  Three cases
+(`autocheck` on the odd `halved-cube(7)` V_3, `table` of the tie space
+`halved-cube(12)` V_6, whose bit-packed rows take 2 bytes, and exact
+`nonassoc` on `folded-half-cube(8)` V_2) were recorded from the basis rows
+that held each halved-cube character by its label set, before the rows held
+the representative without position n.  An
 intended output change must say so where it rewrites the digests.  To rewrite them from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -73,6 +78,7 @@ OTHER_CASES = [
     "autocheck --family hamming --n 3 --e 4 --i 1 --samples 3 --seed 6",
     "autocheck --family hamming --n 4 --e 3 --i 2 --samples 3 --seed 7",
     "autocheck --family halved-cube --n 8 --i 4 --samples 4 --seed 8",
+    "autocheck --family halved-cube --n 7 --i 3 --samples 5 --seed 3",
     "nonassoc --family hamming --n 1 --e 3 --max-m 6 --mode exact",
     "nonassoc --family hamming --n 2 --e 3 --i 2 --max-m 5 --mode exact --format csv",
     "nonassoc --family hypercube --n 4 --i 2 --max-m 5 --mode exact --format text",
@@ -85,6 +91,7 @@ OTHER_CASES = [
     "nonassoc --family hypercube --n 4 --i 3 --max-m 4 --mode witness --attempts 50",
     "nonassoc --family hypercube --n 4 --i 2 --max-m 5 --budget 100000",
     "nonassoc --family hamming --n 1 --e 3 --max-m 9 --mode exact --format text",
+    "nonassoc --family folded-half-cube --n 8 --i 2 --max-m 3 --mode exact",
 ] + [f"idempotents --e {e}" for e in range(3, 11)] + [
     "idempotents --e 6 --format text",
     "idempotents --e 7 --format text",
@@ -104,6 +111,7 @@ CUBE_CASES = [
     "table --family halved-cube --n 10 --i 5 --format csv",
     "table --family folded-cube --n 10 --i 1 --format text",
     "table --family folded-half-cube --n 12 --i 3 --format csv",
+    "table --family halved-cube --n 12 --i 6 --format text",
     "spectrum --family folded-half-cube --n 10 --verify",
     "oracle-verify --family folded-half-cube --n 10",
 ]
