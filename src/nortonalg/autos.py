@@ -151,9 +151,10 @@ class SignedPermutation:
 
 def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
                           check_type_d: bool = True) -> Candidate:
-    """chi_S goes to eps(sigma(S)) chi_sigma(S), with sigma(S) canonicalized
-    on the halved cube.  Halved-cube targets require a type-D signed
-    permutation, for which the sign is class-invariant."""
+    """chi_S goes to eps(sigma(S)) chi_sigma(S) for the label S of each basis
+    character, with sigma(S) put in label form on the halved cube.
+    Halved-cube targets require a type-D signed permutation, for which the
+    sign is class-invariant."""
     if not isinstance(family, CubeFamily) or family.folded:
         raise ValueError(f"signed permutations act on hypercube or halved_cube, "
                          f"not {family.kind}")
@@ -161,12 +162,12 @@ def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
         raise ValueError("halved-cube action requires a type-D signed permutation")
     if len(f.sigma) != family.n:
         raise ValueError("automorphism parameters do not match the family")
-    rows = family.basis_array(i)
-    images = np.empty_like(rows)
-    images[:, list(f.sigma)] = rows
-    # before the complement on the halved cube, summed in int64, not the row dtype
+    labels = family._label_rows(family.basis_array(i))
+    images = np.empty_like(labels)
+    images[:, list(f.sigma)] = labels
+    # before the label rule on the halved cube, summed in int64, not the row dtype
     signs = images @ (np.array(f.eps) < 0).astype(np.int64)
-    return _candidate(rows, family._canonical_rows(images), signs, 2)
+    return _candidate(labels, family._label_rows(images), signs, 2)
 
 
 def random_signed_perm(rng: random.Random, n: int, type_d: bool = False) -> SignedPermutation:

@@ -173,36 +173,34 @@ def _byte_key_finder(rows: np.ndarray):
     return find
 
 
-def sum_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
+def sum_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
     """Row-sum lookup as a dim x dim int32 array: entry (a, b) is the position
-    among rows of canonical((rows[a] + rows[b]) mod modulus), or -1 when no
-    row matches (row_finder).  Rows must be distinct, with entries in
-    0..modulus-1; duplicate rows raise RepeatedRowError.
+    among rows of (rows[a] + rows[b]) mod modulus, or -1 when no row matches
+    (row_finder).  Rows must be distinct, with entries in 0..modulus-1;
+    duplicate rows raise RepeatedRowError.
 
     Modulo 2 a sum is a XOR: the rows are bit-packed (np.packbits), each sum
-    is one bitwise_xor of packed rows, canonical receives the packed sums,
-    and row_finder reads them as rows of bytes.  Every other modulus sums
-    residues (residue_positions)."""
+    is one bitwise_xor of packed rows, and row_finder reads the sums as rows
+    of bytes.  Every other modulus sums residues (residue_positions)."""
     if modulus != 2:
-        return residue_positions(rows, modulus, canonical)
+        return residue_positions(rows, modulus)
     if rows.size and (rows.min() < 0 or rows.max() > 1):  # packbits reads any nonzero as 1
         raise ValueError("row entries must be in 0..1")
     packed = np.packbits(rows, axis=1)
     # chunks of as many rows as unpacked sums of one byte an entry would take
-    return _lookup_sums(packed, row_finder(packed, 256), canonical, rows.size,
+    return _lookup_sums(packed, row_finder(packed, 256), rows.size,
                         1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
 
 
-def residue_positions(rows: np.ndarray, modulus: int, canonical=None) -> np.ndarray:
+def residue_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
     """sum_positions by residue sums (_reduced_sum), for any modulus; modulo
     2 it is the reference of the XOR path."""
     rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
-    return _lookup_sums(rows, row_finder(rows, modulus), canonical, rows.nbytes,
+    return _lookup_sums(rows, row_finder(rows, modulus), rows.nbytes,
                         2, lambda a, b, out, wrap: _reduced_sum(a, b, modulus, out=out, wrap=wrap))
 
 
-def _lookup_sums(rows: np.ndarray, find, canonical, row_bytes: int, buffers: int,
-                 add) -> np.ndarray:
+def _lookup_sums(rows: np.ndarray, find, row_bytes: int, buffers: int, add) -> np.ndarray:
     """The sum_positions loop over chunks of SUM_CHUNK_BYTES // row_bytes rows
     a: add sums them with every row b into chunk-sized scratch buffers
     allocated once, and find looks the sums up."""
@@ -212,8 +210,7 @@ def _lookup_sums(rows: np.ndarray, find, canonical, row_bytes: int, buffers: int
     scratch = np.empty((buffers, chunks[0][1], dim, width), rows.dtype)
     for start, stop in chunks:
         part = add(rows[start:stop, None, :], rows[None, :, :], *scratch[:, :stop - start])
-        part = part.reshape(-1, width)
-        out[start:stop] = find(part if canonical is None else canonical(part)).reshape(-1, dim)
+        out[start:stop] = find(part.reshape(-1, width)).reshape(-1, dim)
     return out
 
 
@@ -251,6 +248,9 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     for start, stop in _chunks(len(chars), len(verts) * wide.itemsize):
         # vertices x characters, so that x -> x + s gathers whole rows
         exps = np.ascontiguousarray(character_exponents(chars[start:stop], verts, e).T, dtype=wide)
+        # before total and image exist, so its int64 intermediates do not
+        # add to theirs
+        theta = _exponent_histograms(exps[nbr[origin]].T, e)
         held = np.ones(exps.shape[1], dtype=bool)
         # written in place at every s: a fresh array of this size per step
         # costs more in page faults than the arithmetic
@@ -260,7 +260,6 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
             held &= (total == np.take(exps, col, axis=0, out=image)).all(axis=0)
         if not held.all():
             return False
-        theta = _exponent_histograms(exps[nbr[origin]].T, e)
         if _integer_root_sums(theta, e) is None:  # some theta_u is not a rational integer
             return False
     return True

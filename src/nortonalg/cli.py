@@ -106,6 +106,13 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
+def _space_index(fam: FamilySpec, i: int) -> int:
+    """i, once it is checked to name an eigenspace of fam."""
+    if not 0 <= i <= fam.diameter:
+        raise _usage_error(f"--i must be in 0..{fam.diameter}")
+    return i
+
+
 def _write(path: str, pieces: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -197,8 +204,7 @@ def cmd_table(args) -> int:
     fam = _family_from_args(args)
     if args.i is None:
         raise _usage_error("table requires --i")
-    if not 0 <= args.i <= fam.diameter:
-        raise _usage_error(f"--i must be in 0..{fam.diameter}")
+    _space_index(fam, args.i)
     if args.verify_oracle:  # the oracle's vertex budget, before the table and the basis
         from . import norton
         fam.vertices(norton.DEFAULT_ORACLE_VERTEX_BUDGET)
@@ -242,9 +248,7 @@ def cmd_table(args) -> int:
 def cmd_nonassoc(args) -> int:
     from . import trees
     fam = _family_from_args(args)
-    i = 1 if args.i is None else args.i
-    if not 0 <= i <= fam.diameter:
-        raise _usage_error(f"--i must be in 0..{fam.diameter}")
+    i = _space_index(fam, 1 if args.i is None else args.i)
     seed = _resolve_seed(args)
     budget = _resolve_budget(args)
     if args.max_m > trees.DEFAULT_MAX_M:
@@ -392,9 +396,7 @@ def _autocheck_results(fam: FamilySpec, i: int, samples: int, seed: int) -> list
 def cmd_autocheck(args) -> int:
     from . import autos
     fam = _family_from_args(args)
-    i = 1 if args.i is None else args.i
-    if not 0 <= i <= fam.diameter:
-        raise _usage_error(f"--i must be in 0..{fam.diameter}")
+    i = _space_index(fam, 1 if args.i is None else args.i)
     seed = _resolve_seed(args)
     results = _autocheck_results(fam, i, args.samples, seed)
     kernel = None
@@ -435,12 +437,10 @@ def cmd_autocheck(args) -> int:
 def cmd_oracle_verify(args) -> int:
     from . import norton
     fam = _family_from_args(args)
-    spaces = fam.eigenspaces() if args.i is None else [args.i]
+    spaces = fam.eigenspaces() if args.i is None else [_space_index(fam, args.i)]
     rows = []
     all_ok = True
     for i in spaces:
-        if not 0 <= i <= fam.diameter:
-            raise _usage_error(f"--i must be in 0..{fam.diameter}")
         dim = fam.predicted_dimension(i)
         ok = norton.verify_oracle_space(fam, i)
         all_ok &= ok

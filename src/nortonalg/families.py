@@ -153,10 +153,6 @@ class FamilySpec:
     def predicted_dimension(self, i: int) -> int:
         raise NotImplementedError
 
-    def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Canonical index rows of the characters the given rows index."""
-        return rows
-
     def label_text(self, label) -> str:
         raise NotImplementedError
 
@@ -215,17 +211,17 @@ class FamilySpec:
         zero.  Over MAX_TABLE_ENTRIES entries it raises BudgetExceededError
         before building the basis.
 
-        The index sums (B[a] + B[b]) mod q are put in canonical form and
-        looked up among the basis rows (cayley.sum_positions); a sum that is
-        not a basis row is a zero product."""
+        Each character has one index row, so the index sum (B[a] + B[b]) mod
+        q is the row of chi_a * chi_b as it stands, and it is looked up among
+        the basis rows (cayley.sum_positions); a sum that is not a basis row
+        is a zero product."""
         if i not in self._tables:
             dim = self.predicted_dimension(i)
             if dim * dim > MAX_TABLE_ENTRIES:
                 raise BudgetExceededError(
                     f"product table of {self.describe()} V_{i} has {dim * dim} entries"
                     f", over {MAX_TABLE_ENTRIES}")
-            self._tables[i] = _read_only(
-                sum_positions(self.basis_array(i), self.modulus, self._canonical_rows))
+            self._tables[i] = _read_only(sum_positions(self.basis_array(i), self.modulus))
         return self._tables[i]
 
     def eigenspaces(self) -> range:
@@ -338,10 +334,15 @@ class CubeFamily(FamilySpec):
     modulo the all-ones word, stored with last coordinate 0, and adds the
     connections of weight n - w.
 
-    Labels are sorted tuples of 1-based positions; the character indexed by a
-    subset S sends a vertex x to (-1) raised to the sum of x over S.  Halved,
-    S and its complement index one character; folded, only even S index one.
-    V_i is indexed by the sets of size s = i, or 2i when folded.
+    The character indexed by a subset S of the positions sends a vertex x to
+    (-1) raised to the sum of x over S.  Folded, only even S index one: each
+    basis row is even, and so is a sum of two.  Halved, S and its complement
+    index one character, so the characters are Z_2^(n-1): each basis row is
+    the one of the two without position n, and so is a sum of two.
+
+    Labels are sorted tuples of 1-based positions.  V_i is labelled by the
+    sets of size s = i, or 2i when folded; halved, by the smaller of S and
+    its complement, or on ties the one containing 1 (_label_rows).
     """
 
     def __init__(self, kind: str, n: int) -> None:
@@ -395,18 +396,31 @@ class CubeFamily(FamilySpec):
 
     def _make_basis(self, i: int) -> np.ndarray:
         """The indicator rows of the size-s sets in combinations order, or of
-        the sets containing 1 (_with_one), set by one scatter."""
+        the sets containing 1 (_with_one), set by one scatter; halved, each
+        row that holds position n is then complemented."""
         s = self._size(i)
         first = int(self._with_one(s))  # position 0 is in every set, the rest vary
         rest = _subsets(self.n, s - first, first)
         rows = np.zeros((len(rest), self.n), dtype=self.row_dtype)
         rows[:, :first] = 1
         rows[np.arange(len(rest))[:, None], rest] = 1
+        if self.halved:
+            rows ^= rows[:, -1:]
         return rows
 
+    def _label_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The label indicator rows of the characters the given index rows
+        index: halved, the smaller of a set and its complement, or on ties
+        the one containing position 1; otherwise the rows themselves."""
+        if not self.halved:
+            return rows
+        weight = 2 * rows.sum(axis=1, dtype=np.int64)
+        return rows ^ ((weight > self.n) | ((weight == self.n) & (rows[:, 0] == 0)))[:, None]
+
     def _labels(self, rows: np.ndarray) -> list[Subset]:
-        """The 1-based positions of the ones of each row; the basis rows of a
-        space all have one weight."""
+        """The 1-based positions of the ones of each label row; the label rows
+        of a space all have one weight."""
+        rows = self._label_rows(rows)
         return list(map(tuple, (np.nonzero(rows)[1].reshape(len(rows), -1) + 1).tolist()))
 
     def predicted_eigenvalue(self, i: int) -> int:
@@ -419,22 +433,6 @@ class CubeFamily(FamilySpec):
         s = self._size(i)
         full = comb(self.n, s)
         return full // 2 if self._with_one(s) else full
-
-    def _canonical_rows(self, rows: np.ndarray) -> np.ndarray:
-        # the representative of a set's character class: folded, the even one
-        # of the set and its toggle at position n, and the rows are sums of
-        # even basis sets, so even already; halved, the smaller of the set and
-        # its complement, or on ties the one containing position 1
-        if self.halved:
-            # the all-ones row and the row of {1}, in the form of rows: index
-            # rows, or the narrower bit-packed rows of sum_positions modulo 2
-            marks = np.zeros((2, self.n), rows.dtype)
-            marks[0], marks[1, 0] = 1, 1
-            ones, first = np.packbits(marks, axis=1) if rows.shape[1] < self.n else marks
-            weight = 2 * np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-            flip = (weight > self.n) | ((weight == self.n) & (rows[:, 0] & first[0] == 0))
-            rows ^= flip[:, None] * ones
-        return rows
 
     def label_text(self, label: Subset) -> str:
         if not label:

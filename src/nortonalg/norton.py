@@ -191,8 +191,8 @@ def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     so once the V_i basis characters are distinct on X, projecting the product
     onto V_i gives the basis character with that value row, with coefficient
     1, and a row that matches no basis character certifies a zero product.
-    The lookup runs on value rows over X, never on index labels or their
-    canonical forms (a set and its complement give the same row on X).  Two
+    The lookup runs on value rows over X, never on index rows or labels (a
+    set and its complement give the same row on X).  Two
     basis characters with one value row fail the check: the lookup among the
     rows, which sorts or indexes them once, rejects the repeated row.
     """

@@ -167,11 +167,13 @@ def reference_basis(fam, i: int) -> list:
 
 
 def reference_index(fam, label) -> list[int]:
-    """The index vector of a basis label, written out here: the indicator of
-    the subset for the cubes, the label itself otherwise."""
+    """The index vector of a basis label, written out here: the label itself
+    for words and matrices; for the cubes the indicator of the subset, or on
+    the halved cubes of its complement when the subset holds position n."""
     if fam.kind in ("hamming", "bilinear"):
         return list(label)
-    return [int(j in label) for j in range(1, fam.n + 1)]
+    flip = fam.halved and fam.n in label
+    return [int((j in label) != flip) for j in range(1, fam.n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,8 @@ def test_product_table_matches_closed_product(monkeypatch):
             assert table.dtype == np.int32 and table.tolist() == want, (fam.describe(), i)
             with monkeypatch.context() as patch:
                 patch.setattr(cayley, "DENSE_CODE_BITS", 0)
-                by_bytes = cayley.sum_positions(fam.basis_array(i), fam.modulus,
-                                                fam._canonical_rows)
-                by_residues = cayley.residue_positions(fam.basis_array(i), fam.modulus,
-                                                       fam._canonical_rows)
+                by_bytes = cayley.sum_positions(fam.basis_array(i), fam.modulus)
+                by_residues = cayley.residue_positions(fam.basis_array(i), fam.modulus)
             assert (by_bytes == table).all(), (fam.describe(), i)
             assert (by_residues == table).all(), (fam.describe(), i)
             spaces += 1
@@ -153,17 +151,17 @@ def test_product_table_matches_closed_product(monkeypatch):
 
 def test_packed_sums_equal_residue_sums():
     # the XOR path of sum_positions against the residue path it bypasses
-    # modulo 2, on the basis index rows with their canonical rule and on the
-    # oracle's value rows over the vertices
+    # modulo 2, on the basis index rows and on the oracle's value rows over
+    # the vertices
     spaces = packed = 0
     for fam in _criterion1_instances():
         verts = fam.vertices()
         for i in fam.eigenspaces():
             rows = fam.basis_array(i)
             exps = cayley.character_exponents(rows, verts, fam.modulus)
-            for sums, canonical in ((rows, fam._canonical_rows), (exps, None)):
-                want = cayley.residue_positions(sums, fam.modulus, canonical)
-                got = cayley.sum_positions(sums, fam.modulus, canonical)
+            for sums in (rows, exps):
+                want = cayley.residue_positions(sums, fam.modulus)
+                got = cayley.sum_positions(sums, fam.modulus)
                 assert got.dtype == np.int32 and (got == want).all(), (fam.describe(), i)
             spaces += 1
             packed += fam.modulus == 2
@@ -324,7 +322,7 @@ def test_criterion_10_combinatorial_lemmas():
             tables: dict[tuple, list] = {}
             for mask in range(2**n):
                 s = tuple(j + 1 for j in range(n) if mask >> j & 1)
-                vec = reference_index(fam, s)
+                vec = [mask >> j & 1 for j in range(n)]
                 table = tuple(sum(v * x[j] for j, v in enumerate(vec)) % 2 for x in xs)
                 tables.setdefault(table, []).append(frozenset(s))
             assert len(tables) == 2 ** (n - 1)

@@ -175,6 +175,13 @@ def test_autocheck_rejects_folded_families(capsys):
         " families, not folded_half_cube\n")
 
 
+@pytest.mark.parametrize("command", ["table", "nonassoc", "autocheck", "oracle-verify"])
+def test_space_index_out_of_range(capsys, command):
+    for i in ("3", "-1"):  # hamming(2,3) has the spaces 0..2
+        assert main([command, *_FAMILY_23, "--i", i]) == 2
+        assert capsys.readouterr().err == "error: --i must be in 0..2\n"
+
+
 def test_autocheck_bilinear(capsys):
     code, payload = run_json(capsys, "autocheck", "--family", "bilinear",
                              "--q", "2", "--d", "2", "--e", "2", "--i", "1",

@@ -244,7 +244,7 @@ def test_halved_cube_character_collision():
         tables = {}
         for mask in range(2**n):
             s = tuple(j + 1 for j in range(n) if mask >> j & 1)
-            vec = reference_index(fam, s)
+            vec = [mask >> j & 1 for j in range(n)]
             table = tuple(sum(v * x[j] for j, v in enumerate(vec)) % 2 for x in xs)
             tables.setdefault(table, []).append(frozenset(s))
         assert len(tables) == 2 ** (n - 1)
