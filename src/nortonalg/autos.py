@@ -152,9 +152,8 @@ class SignedPermutation:
 def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
                           check_type_d: bool = True) -> Candidate:
     """chi_S goes to eps(sigma(S)) chi_sigma(S) for the label S of each basis
-    character, with sigma(S) put in label form on the halved cube.
-    Halved-cube targets require a type-D signed permutation, for which the
-    sign is class-invariant."""
+    character (_label_rows).  Halved-cube targets require a type-D signed
+    permutation, for which the sign is class-invariant."""
     if not isinstance(family, CubeFamily) or family.folded:
         raise ValueError(f"signed permutations act on hypercube or halved_cube, "
                          f"not {family.kind}")
