@@ -229,38 +229,68 @@ def _exponent_histograms(exps: np.ndarray, e: int) -> np.ndarray:
     return np.bincount((slots + exps).ravel(), minlength=len(exps) * e).reshape(-1, e)
 
 
+def _generating_columns(nbr: np.ndarray, origin: int) -> list[int]:
+    """Columns j of the neighbour index nbr whose elements s_j = nbr[origin, j]
+    generate the subgroup that all of them generate.  The columns are walked
+    in order, and s_j joins when it lies outside the subgroup H that the
+    earlier ones generate; H then takes in the cosets H - k s_j, one boolean
+    gather along column j each, until k s_j lies in H."""
+    inside = np.zeros(len(nbr), dtype=bool)
+    inside[origin] = True
+    chosen = []
+    for j, s in enumerate(nbr[origin]):
+        if inside[s]:
+            continue
+        chosen.append(j)
+        coset = inside[nbr[:, j]]  # x is in H - s_j where x + s_j is in H
+        while not coset[origin]:
+            inside |= coset
+            coset = coset[nbr[:, j]]
+    return chosen
+
+
 def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     """Adjacency verification of every character (exact integer arithmetic).
 
-    Each character's exponent row E[u] over X is checked against the edge
-    identity E[u, x+s] = E[u, x] + E[u, s] (mod e) at every vertex x and
-    connection element s.  Where it holds, (A chi_u)(x) = chi_u(x) * theta_u
-    with theta_u = sum over s of w^E[u, s], the neighbor counts at the
-    identity vertex, which must reduce to a rational integer.  A row that
-    breaks the identity somewhere is not the character u and fails the check.
-    Exponent rows are computed per chunk of characters, so no |X| x |X| array
-    is built."""
+    Each character's exponent row f = E[u] over X is checked against the
+    edge identity f(x+g) = f(x) + f(g) (mod e) at every vertex x, for g in
+    a generating set G of the subgroup <S> (_generating_columns): rank-many
+    elements, not all of S.  That certifies the identity for every s in S:
+    x = 0 gives f(0) = 0, and if it holds for g and h at every x then
+    f(x+g+h) = f(x+g) + f(h) = f(x) + f(g) + f(h) and f(g+h) = f(g) + f(h),
+    so it holds for g + h, hence on all of <G>, which holds S.  Where it
+    holds, (A chi_u)(x) = chi_u(x) * theta_u with theta_u = sum over s in S
+    of w^E[u, s], the neighbour counts at the identity vertex, which must
+    reduce to a rational integer.  A row that breaks the identity somewhere
+    is not the character u, and the check fails at the first generator
+    where one does.
+
+    Exponent rows are computed per chunk of characters, so no |X| x |X|
+    array is built; a chunk holds SUM_CHUNK_BYTES over every array alive at
+    once: the exponents, their sums and the gathered rows (|X| entries each
+    per character), and the int64 histogram keys, their copy and counts
+    (2|S| + e per character)."""
     e = graph.modulus
     verts, chars = graph.vertices, graph.characters
     nbr = _neighbor_index(graph, verts)
     origin = np.flatnonzero(~verts.any(axis=1))[0]  # the identity vertex
+    gens = nbr[:, _generating_columns(nbr, origin)]
     wide = np.min_scalar_type(2 * e - 2)  # holds E[u, x] + E[u, s]
-    for start, stop in _chunks(len(chars), len(verts) * wide.itemsize):
-        # vertices x characters, so that x -> x + s gathers whole rows
+    row_bytes = 3 * len(verts) * wide.itemsize + 8 * (2 * graph.degree + e)
+    for start, stop in _chunks(len(chars), row_bytes):
+        # vertices x characters, so that x -> x + g gathers whole rows
         exps = np.ascontiguousarray(character_exponents(chars[start:stop], verts, e).T, dtype=wide)
         # before total and image exist, so its int64 intermediates do not
         # add to theirs
         theta = _exponent_histograms(exps[nbr[origin]].T, e)
-        held = np.ones(exps.shape[1], dtype=bool)
-        # written in place at every s: a fresh array of this size per step
+        # written in place at every g: a fresh array of this size per step
         # costs more in page faults than the arithmetic
         total, image = np.empty_like(exps), np.empty_like(exps)
-        for col, s in zip(nbr.T, nbr[origin]):
-            _reduced_sum(exps, exps[s], e, out=total, wrap=image)
-            held &= (total == np.take(exps, col, axis=0, out=image)).all(axis=0)
-        if not held.all():
-            return False
+        for col in gens.T:
+            _reduced_sum(exps, exps[col[origin]], e, out=total, wrap=image)
+            np.take(exps, col, axis=0, out=image)
+            if np.subtract(total, image, out=total).any():  # nonzero where they differ
+                return False
         if _integer_root_sums(theta, e) is None:  # some theta_u is not a rational integer
             return False
     return True
-

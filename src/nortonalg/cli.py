@@ -6,8 +6,8 @@ Exit codes: 0 verified/success, 1 a claim check failed, 2 usage error,
 3 budget exceeded, 4 internal error (one line on stderr, no traceback).
 
 `table` computes the table, basis, labels and oracle verdict before it writes
-anything, then writes the rows in blocks of TABLE_BLOCK_CELLS cells, so it
-peaks at about the int32 table plus one block, not at copies of the output.
+anything, then writes the rows one at a time, so it peaks at about the int32
+table plus one row of text, not at copies of the output.
 
 `main(argv)` is the in-process API: it returns the exit code.  `run()` is the
 process entry (`python -m nortonalg.cli` and the `nortonalg` script): it
@@ -134,20 +134,16 @@ def _json_blocks(payload: dict) -> Iterable[str]:
 
 
 TABLE_SLOT = "<table>"  # stands for the table in the payload until it is rendered
-TABLE_BLOCK_CELLS = 2**16  # table cells per write of `table`: about 1 MB of json text
 
 
 def _row_blocks(table: np.ndarray, cells: list[str], sep: str, heads: list[str],
                 end: str) -> Iterable[str]:
-    """The table as text, TABLE_BLOCK_CELLS cells of whole rows per piece.  Row
-    r reads heads[r], its entries joined by sep, then end, where entry v reads
-    cells[v], so a zero product (-1) reads the last cell."""
+    """The table as text, one piece per row: row r reads heads[r], its
+    entries joined by sep, then end, where entry v reads cells[v], so a zero
+    product (-1) reads the last cell."""
     lookup = np.array(cells, dtype=object)
-    step = max(1, TABLE_BLOCK_CELLS // len(table))
-    for start in range(0, len(table), step):
-        stop = start + step
-        yield "".join(head + sep.join(lookup[row].tolist()) + end
-                      for head, row in zip(heads[start:stop], table[start:stop]))
+    for head, row in zip(heads, table):
+        yield head + sep.join(lookup[row].tolist()) + end
 
 
 def _emit(args, pieces: Iterable[str]) -> None:

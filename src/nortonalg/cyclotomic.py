@@ -116,7 +116,7 @@ def root_sums(hists: np.ndarray, e: int, total: int) -> np.ndarray:
     hists times root_reduction_matrix(e) transposed.  Raises OverflowError
     before any entry could pass 2^63, which total * max|R| bounds."""
     red = root_reduction_matrix(e)
-    if total * int(np.abs(red).max()) >= 2**63:
+    if total * max(int(red.max()), -int(red.min())) >= 2**63:  # max|R|, with no |R| copy
         raise OverflowError(f"root sums of e={e} exceed int64")
     return hists @ red.T
 

@@ -1,7 +1,8 @@
 """Test-only references: per-element paths in exact Q(w) arithmetic, the
 paper's product rule on single labels, vectors keyed by label, the label
 enumerations that the package's numpy rows replace, tree evaluation and
-automorphism composition one element at a time, the `table` output rendered
+automorphism composition one element at a time, the edge-identity check of
+the eigenvectors at every connection element, the `table` output rendered
 as one string, the live-interval patterns of the whole tuple grid by index
 arithmetic, and the idempotent suite of V_1(H(1,e)) checked on every support
 and every pair of supports.
@@ -22,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from nortonalg import trees
+from nortonalg import cayley, trees
 from nortonalg.autos import HammingAuto, SignedPermutation
 from nortonalg.cyclotomic import Cyclotomic, from_exponent_counts, root_power
-from nortonalg.families import fq_reduce
+from nortonalg.families import fq_reduce, make_family
 from nortonalg.groups import Word
 from nortonalg.linalg import row_reduce
 from nortonalg.norton import DEFAULT_ORACLE_VERTEX_BUDGET, AlgebraVector, closed_form_product
@@ -131,6 +132,44 @@ def verify_eigenvector(graph, u) -> bool:
     return True
 
 
+def verify_at_every_connection_element(graph) -> bool:
+    """verify_all_eigenvectors with the edge identity checked at every
+    connection element s, not only along a generating set: |S| steps per
+    chunk of characters, where the package takes rank-many.  It reads the
+    exponent rows through cayley.character_exponents, so a row patched there
+    is seen by both checks."""
+    e = graph.modulus
+    verts, chars = graph.vertices, graph.characters
+    nbr = cayley._neighbor_index(graph, verts)
+    origin = np.flatnonzero(~verts.any(axis=1))[0]
+    wide = np.min_scalar_type(2 * e - 2)
+    for start, stop in cayley._chunks(len(chars), len(verts) * wide.itemsize):
+        exps = np.ascontiguousarray(
+            cayley.character_exponents(chars[start:stop], verts, e).T, dtype=wide)
+        theta = cayley._exponent_histograms(exps[nbr[origin]].T, e)
+        held = np.ones(exps.shape[1], dtype=bool)
+        for col, s in zip(nbr.T, nbr[origin]):
+            held &= (cayley._reduced_sum(exps, exps[s], e) == exps[col]).all(axis=0)
+        if not held.all() or cayley._integer_root_sums(theta, e) is None:
+            return False
+    return True
+
+
+def generated_subgroup(rows: np.ndarray, modulus: int) -> set[tuple[int, ...]]:
+    """The subgroup of Z_modulus^n that the index rows generate, as tuples,
+    by closing {0} under adding each row, one element at a time."""
+    zero = (0,) * rows.shape[1]
+    group, frontier = {zero}, [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in rows.tolist():
+            y = word_add(x, g, modulus)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
+
+
 # ---------------------------------------------------------------------------
 # Families: bases as label lists, and the label-to-row rule
 # ---------------------------------------------------------------------------
@@ -164,6 +203,25 @@ def reference_basis(fam, i: int) -> list:
     if fam._with_one(s):
         return [(1,) + rest for rest in combinations(range(2, fam.n + 1), s - 1)]
     return list(combinations(range(1, fam.n + 1), s))
+
+
+def check_halved_character_collisions(n: int) -> None:
+    """On halved-cube(n), chi_S and chi_{S^c} agree on the even-weight
+    subgroup, and nothing else collides: the value rows over the vertices of
+    all 2^n indicator rows fall into 2^(n-1) classes, each a set and its
+    complement.  Each set's indicator row is written out directly."""
+    fam = make_family("halved_cube", n=n)
+    xs = fam.vertices()
+    tables: dict[tuple, list] = {}
+    for mask in range(2**n):
+        s = tuple(j + 1 for j in range(n) if mask >> j & 1)
+        vec = [mask >> j & 1 for j in range(n)]
+        table = tuple(sum(v * x[j] for j, v in enumerate(vec)) % 2 for x in xs)
+        tables.setdefault(table, []).append(frozenset(s))
+    assert len(tables) == 2 ** (n - 1), n
+    full = frozenset(range(1, n + 1))
+    for sets in tables.values():
+        assert len(sets) == 2 and sets[0] ^ sets[1] == full, (n, sets)
 
 
 def reference_index(fam, label) -> list[int]:

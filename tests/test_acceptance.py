@@ -41,6 +41,7 @@ from reference import (
     all_signed_perms,
     as_matrix,
     basis_vector,
+    check_halved_character_collisions,
     closed_product,
     integer_eigenvalue,
     positions,
@@ -317,15 +318,4 @@ def test_criterion_10_combinatorial_lemmas():
                     assert symmetric_difference_feasible(n, i, j) == (j in achieved), (n, i, j)
 
         for n in range(2, 9):
-            fam = make_family("halved_cube", n=n)
-            xs = fam.vertices()
-            tables: dict[tuple, list] = {}
-            for mask in range(2**n):
-                s = tuple(j + 1 for j in range(n) if mask >> j & 1)
-                vec = [mask >> j & 1 for j in range(n)]
-                table = tuple(sum(v * x[j] for j, v in enumerate(vec)) % 2 for x in xs)
-                tables.setdefault(table, []).append(frozenset(s))
-            assert len(tables) == 2 ** (n - 1)
-            full = frozenset(range(1, n + 1))
-            for sets in tables.values():
-                assert len(sets) == 2 and sets[0] ^ sets[1] == full
+            check_halved_character_collisions(n)

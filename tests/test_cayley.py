@@ -19,7 +19,8 @@ from nortonalg.cayley import (
 )
 from nortonalg.cyclotomic import Cyclotomic
 from nortonalg.families import make_family
-from reference import (canonical_label, eigenvalue_of_character, integer_eigenvalue,
+from reference import (canonical_label, eigenvalue_of_character, generated_subgroup,
+                       integer_eigenvalue, verify_at_every_connection_element,
                        verify_eigenvector)
 
 
@@ -198,30 +199,115 @@ def test_spectrum_and_verdict_independent_of_chunk_size(monkeypatch):
 
 
 def test_eigenvector_check_works_in_a_bounded_set():
-    # all 729 characters of bilinear(3,2,3) in one chunk; with the identity
-    # neighbour histograms built while the two scratch arrays were alive the
-    # peak was 3.05 MiB, and it is 2.34 MiB with them built first
-    g = make_family("bilinear", q=3, d=2, e=3).cayley_graph()
-    assert verify_all_eigenvectors(g)  # the root-sum matrix is cached before the trace
-    tracemalloc.start()
-    try:
-        assert verify_all_eigenvectors(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.6 * (1 << 20), peak
+    # a chunk is sized by every array it holds at once (1.44 and 1.25 MiB
+    # here); sized by one |X|-wide array and checked at every connection
+    # element, the two peaked at 2.34 and 1.65 MiB
+    for kind, opts, bound in (("bilinear", {"q": 3, "d": 2, "e": 3}, 1.6),
+                              ("hamming", {"n": 1, "e": 257}, 1.4)):
+        g = make_family(kind, **opts).cayley_graph()
+        assert verify_all_eigenvectors(g)  # the root-sum matrix is cached before the trace
+        tracemalloc.start()
+        try:
+            assert verify_all_eigenvectors(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * (1 << 20), (kind, peak)
+
+
+def _generating_rows(g):
+    """The connection rows at the columns that _generating_columns picks."""
+    nbr = cayley._neighbor_index(g, g.vertices)
+    origin = int(np.flatnonzero(~g.vertices.any(axis=1))[0])
+    return g.connection[cayley._generating_columns(nbr, origin)]
+
+
+def test_generating_columns_generate_the_connection_set():
+    # on every criterion-1 graph the chosen elements generate a subgroup that
+    # holds S, and each lies outside the subgroup of the ones before it
+    for kind, opts in CRITERION_1:
+        g = make_family(kind, **opts).cayley_graph()
+        gens = _generating_rows(g)
+        group = generated_subgroup(gens, g.modulus)
+        assert {tuple(s) for s in g.connection.tolist()} <= group, (kind, opts)
+        for k in range(len(gens)):
+            assert tuple(gens[k].tolist()) not in generated_subgroup(gens[:k], g.modulus)
+
+
+RANK_MANY = [  # (family, parameters, generators, |S|)
+    *((("hypercube", {"n": n}, n, n)) for n in (1, 5, 12)),
+    *((("halved_cube", {"n": n}, n - 1, n * (n - 1) // 2)) for n in (2, 5, 12)),
+    ("folded_cube", {"n": 9}, 8, 9),
+    ("folded_half_cube", {"n": 8}, 6, 28),
+    ("hamming", {"n": 4, "e": 5}, 4, 16),
+    ("hamming", {"n": 1, "e": 257}, 1, 256),
+    ("bilinear", {"q": 3, "d": 2, "e": 3}, 6, 104),
+    ("bilinear", {"q": 2, "d": 3, "e": 4}, 12, 105),
+]
+
+
+@pytest.mark.parametrize("kind, opts, count, degree", RANK_MANY, ids=[
+    f"{kind}({','.join(map(str, opts.values()))})" for kind, opts, _, _ in RANK_MANY])
+def test_generating_columns_are_rank_many(kind, opts, count, degree):
+    g = make_family(kind, **opts).cayley_graph()
+    assert (len(_generating_rows(g)), g.degree) == (count, degree)
+
+
+def test_generating_set_verdict_equals_the_every_element_check(monkeypatch):
+    for kind, opts in CRITERION_1:
+        g = make_family(kind, **opts).cayley_graph()
+        assert verify_all_eigenvectors(g) and verify_at_every_connection_element(g), (kind, opts)
+    # theta_(1) = w + w^4 is no rational integer at e = 5
+    g = CayleyGraph(5, _rows((0,), (1,), (2,), (3,), (4,)), _rows((1,), (4,)))
+    assert not verify_all_eigenvectors(g) and not verify_at_every_connection_element(g)
+    # the forged rows of the edge-identity tests
+    for (kind, opts), u, forged in (
+            (("hamming", {"n": 1, "e": 4}), (1,), (0, 0, 2, 2)),
+            (("hamming", {"n": 1, "e": 4}), (1,), (0, 0, 0, 2)),
+            (("hamming", {"n": 2, "e": 4}), (1, 0), (0, 1, 3, 0))):
+        g = make_family(kind, **opts).cayley_graph()
+        _forge_character_row(monkeypatch, u, forged)
+        assert not verify_all_eigenvectors(g) and not verify_at_every_connection_element(g)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind, opts", [
+    ("hamming", {"n": 2, "e": 3}), ("hypercube", {"n": 3}), ("halved_cube", {"n": 5}),
+    ("folded_cube", {"n": 5}), ("bilinear", {"q": 2, "d": 2, "e": 2})],
+    ids=["hamming(2,3)", "hypercube(3)", "halved_cube(5)", "folded_cube(5)", "bilinear(2,2,2)"])
+def test_one_vertex_corruption_is_rejected(monkeypatch, kind, opts):
+    # E[u, x0] + 1 at a single vertex x0, the identity vertex included, is no
+    # character any more on a group of more than two elements
+    g = make_family(kind, **opts).cayley_graph()
+    real = cayley.character_exponents
+    for u in (g.characters[0], g.characters[-1]):
+        for x0 in g.vertices:
+            def patched(u_arr, x_arr, e, u=u, x0=x0):
+                out = real(u_arr, x_arr, e)
+                at = np.ix_((u_arr == u).all(axis=1), (x_arr == x0).all(axis=1))
+                out[at] = (out[at] + 1) % e
+                return out
+
+            monkeypatch.setattr(cayley, "character_exponents", patched)
+            assert not verify_all_eigenvectors(g), (u, x0)
+            assert not verify_at_every_connection_element(g), (u, x0)
+    monkeypatch.undo()
+    assert verify_all_eigenvectors(g)
+
+
+# the 41 families of criterion 1 and of the golden cases
+CRITERION_1 = (
+    [("hamming", {"n": n, "e": e}) for n in range(1, 5) for e in range(2, 6)]
+    + [("hypercube", {"n": n}) for n in range(1, 9)]
+    + [("halved_cube", {"n": n}) for n in range(2, 9)]
+    + [("folded_cube", {"n": n}) for n in range(3, 9)]
+    + [("folded_half_cube", {"n": n}) for n in (6, 8)]
+    + [("bilinear", {"q": q, "d": 2, "e": 2}) for q in (2, 3)]
+)
 
 
 def test_batched_spectrum_equals_per_character_eigenvalues():
-    # the 41 families of the golden cases
-    families = (
-        [("hamming", {"n": n, "e": e}) for n in range(1, 5) for e in range(2, 6)]
-        + [("hypercube", {"n": n}) for n in range(1, 9)]
-        + [("halved_cube", {"n": n}) for n in range(2, 9)]
-        + [("folded_cube", {"n": n}) for n in range(3, 9)]
-        + [("folded_half_cube", {"n": n}) for n in (6, 8)]
-        + [("bilinear", {"q": q, "d": 2, "e": 2}) for q in (2, 3)]
-    )
+    families = CRITERION_1
     assert len(families) == 41
     for kind, opts in families:
         g = make_family(kind, **opts).cayley_graph()

@@ -425,22 +425,20 @@ class _Pieces(io.StringIO):
         return super().write(text)
 
 
-# (family, parameters, i, blocks of TABLE_BLOCK_CELLS cells of rows)
+# (family, parameters, i)
 TABLE_SHAPES = [
-    ("halved-cube", {"n": 12}, 6, 4),  # dim 462: 141 rows a block, the last 39
-    ("hamming", {"n": 9, "e": 3}, 9, 4),  # dim 512: exactly 4 blocks of 128 rows
-    ("hamming", {"n": 2, "e": 3}, 0, 1),  # one row, with the oracle line in text
+    ("halved-cube", {"n": 12}, 6),  # dim 462
+    ("hamming", {"n": 9, "e": 3}, 9),  # dim 512
+    ("hamming", {"n": 2, "e": 3}, 0),  # one row, with the oracle line in text
 ]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("kind, params, i, blocks", TABLE_SHAPES,
+@pytest.mark.parametrize("kind, params, i", TABLE_SHAPES,
                          ids=["partial-last-block", "whole-blocks", "one-row"])
-def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, params, i, blocks):
+def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, params, i):
     fam = make_family(kind, **params)
     dim = fam.predicted_dimension(i)
-    step = max(1, cli.TABLE_BLOCK_CELLS // dim)
-    assert -(-dim // step) == blocks
     oracle = ["--verify-oracle"] if dim == 1 else []
     argv = ["table", "--family", kind, *(f"--{k}={v}" for k, v in params.items()),
             "--i", str(i), "--format", fmt, *oracle]
@@ -449,8 +447,8 @@ def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, para
     monkeypatch.setattr(sys, "stdout", out)
     assert main(argv) == 0
     assert out.getvalue() == expected
-    # a write per block of rows, after the head and before the tail
-    assert len(out.pieces) == blocks + 2
+    # a write per row, after the head and before the tail
+    assert len(out.pieces) == dim + 2
     path = tmp_path / "table.out"
     assert main([*argv, "--output", str(path)]) == 0
     assert path.read_bytes() == expected.encode()

@@ -28,6 +28,7 @@ from nortonalg.trees import count_classes_exact
 from reference import (
     as_matrix,
     canonical_label,
+    check_halved_character_collisions,
     closed_product,
     in_basis,
     rank,
@@ -239,18 +240,7 @@ def test_symmetric_difference_feasible_brute_force():
 def test_halved_cube_character_collision():
     # chi_S and chi_{S^c} agree on the even-weight subgroup, and nothing else collides
     for n in range(2, 9):
-        fam = make_family("halved_cube", n=n)
-        xs = fam.vertices()
-        tables = {}
-        for mask in range(2**n):
-            s = tuple(j + 1 for j in range(n) if mask >> j & 1)
-            vec = [mask >> j & 1 for j in range(n)]
-            table = tuple(sum(v * x[j] for j, v in enumerate(vec)) % 2 for x in xs)
-            tables.setdefault(table, []).append(frozenset(s))
-        assert len(tables) == 2 ** (n - 1)
-        full = frozenset(range(1, n + 1))
-        for sets in tables.values():
-            assert len(sets) == 2 and sets[0] ^ sets[1] == full
+        check_halved_character_collisions(n)
 
 
 def test_qbinom():
