@@ -24,6 +24,17 @@ from reference import (canonical_label, eigenvalue_of_character, generated_subgr
                        verify_eigenvector)
 
 
+# the 41 families of criterion 1 and of the golden cases
+CRITERION_1 = (
+    [("hamming", {"n": n, "e": e}) for n in range(1, 5) for e in range(2, 6)]
+    + [("hypercube", {"n": n}) for n in range(1, 9)]
+    + [("halved_cube", {"n": n}) for n in range(2, 9)]
+    + [("folded_cube", {"n": n}) for n in range(3, 9)]
+    + [("folded_half_cube", {"n": n}) for n in (6, 8)]
+    + [("bilinear", {"q": q, "d": 2, "e": 2}) for q in (2, 3)]
+)
+
+
 def _rows(*words):
     """Words as the uint8 rows a CayleyGraph holds."""
     return np.array(words, dtype=np.uint8).reshape(len(words), -1)
@@ -295,21 +306,9 @@ def test_one_vertex_corruption_is_rejected(monkeypatch, kind, opts):
     assert verify_all_eigenvectors(g)
 
 
-# the 41 families of criterion 1 and of the golden cases
-CRITERION_1 = (
-    [("hamming", {"n": n, "e": e}) for n in range(1, 5) for e in range(2, 6)]
-    + [("hypercube", {"n": n}) for n in range(1, 9)]
-    + [("halved_cube", {"n": n}) for n in range(2, 9)]
-    + [("folded_cube", {"n": n}) for n in range(3, 9)]
-    + [("folded_half_cube", {"n": n}) for n in (6, 8)]
-    + [("bilinear", {"q": q, "d": 2, "e": 2}) for q in (2, 3)]
-)
-
-
 def test_batched_spectrum_equals_per_character_eigenvalues():
-    families = CRITERION_1
-    assert len(families) == 41
-    for kind, opts in families:
+    assert len(CRITERION_1) == 41
+    for kind, opts in CRITERION_1:
         g = make_family(kind, **opts).cayley_graph()
         per_character = Counter(integer_eigenvalue(g, u) for u in g.characters)
         assert spectrum(g) == sorted(per_character.items(), key=lambda p: -p[0]), (kind, opts)
