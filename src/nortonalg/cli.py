@@ -39,7 +39,7 @@ import numpy as np
 
 from .cayley import spectrum, verify_all_eigenvectors
 from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
-from .families import FamilySpec, make_family
+from .families import KINDS, FamilySpec, make_family
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,8 +47,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-FAMILY_CHOICES = ["hamming", "hypercube", "halved-cube", "folded-cube",
-                  "folded-half-cube", "bilinear"]
+FAMILY_CHOICES = [kind.replace("_", "-") for kind in KINDS]
+# the parameters of every kind, in first-appearance order: the family options
+FAMILY_PARAMETERS = list(dict.fromkeys(name for _, names in KINDS.values() for name in names))
 
 
 def _env_int(name: str) -> int | None:
@@ -96,7 +97,7 @@ def _resolve_budget(args) -> int:
 
 def _family_from_args(args) -> FamilySpec:
     try:
-        return make_family(args.family, n=args.n, e=args.e, q=args.q, d=args.d)
+        return make_family(args.family, **{name: getattr(args, name) for name in FAMILY_PARAMETERS})
     except ValueError as exc:
         raise _usage_error(str(exc))
 
@@ -494,8 +495,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="ignored; every computation runs on one thread")
         if family:
             p.add_argument("--family", choices=FAMILY_CHOICES, required=True)
-            for opt in ("--n", "--e", "--q", "--d"):
-                p.add_argument(opt, type=int, default=None)
+            for name in FAMILY_PARAMETERS:
+                p.add_argument(f"--{name}", type=int, default=None)
         p.add_argument("--format", "-f", choices=formats, default="json")
         return p
 

@@ -66,32 +66,6 @@ def field_degree(e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_rows(e: int) -> tuple[tuple[int, ...], ...]:
-    """Integer coefficient rows of x^k mod Phi_e for k = 0 .. max(e-1, 2*deg-2)."""
-    phi = cyclotomic_polynomial(e)
-    deg = field_degree(e)
-    top = max(e - 1, 2 * deg - 2, deg - 1)
-    rows: list[list[int]] = [[0] * deg for _ in range(top + 1)]
-    for k in range(min(deg, top + 1)):
-        rows[k][k] = 1
-    for k in range(deg, top + 1):
-        prev = rows[k - 1]
-        shifted = [0] + prev[:-1]
-        lead = prev[-1]
-        if lead:
-            for j in range(deg):
-                shifted[j] -= lead * phi[j]
-        rows[k] = shifted
-    return tuple(tuple(r) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def _power_terms(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero (position, coefficient) terms of each row of _power_rows."""
-    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in _power_rows(e))
-
-
-@lru_cache(maxsize=None)
 def root_reduction_matrix(e: int) -> np.ndarray:
     """Read-only int64 matrix R of shape phi(e) x e: R[r, k] is the coefficient
     of w^r in the canonical form of w^k, for k = 0 .. e-1.  Column k is
@@ -108,6 +82,19 @@ def root_reduction_matrix(e: int) -> np.ndarray:
             red[:, k] += red[-1, k - 1] * top
     red.flags.writeable = False
     return red
+
+
+@lru_cache(maxsize=None)
+def _power_rows(e: int) -> tuple[tuple[int, ...], ...]:
+    """The columns of root_reduction_matrix(e) as rows of Python ints: row k
+    is the canonical form of w^k, for k = 0 .. e-1, so w^k reads row k % e."""
+    return tuple(map(tuple, root_reduction_matrix(e).T.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _power_terms(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (position, coefficient) terms of each row of _power_rows."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in _power_rows(e))
 
 
 def root_sums(hists: np.ndarray, e: int, total: int) -> np.ndarray:
@@ -205,7 +192,7 @@ class Cyclotomic:
         for k in range(deg, len(conv)):
             c = conv[k]
             if c:
-                row = rows[k]
+                row = rows[k % self.order]
                 for j in range(deg):
                     if row[j]:
                         out[j] += c * row[j]

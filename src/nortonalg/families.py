@@ -101,11 +101,16 @@ def carries_table(perm: np.ndarray, dom: np.ndarray, cod: np.ndarray) -> bool:
 
 
 class FamilySpec:
-    """One graph family instance; subclasses fill in the family-specific rules."""
+    """One graph family instance, held as its key (kind, *parameters), which
+    names it in the cache and describes it, on the vertex group
+    Z_modulus^length; subclasses fill in the family-specific rules."""
 
-    kind: str = ""
-
-    def __init__(self) -> None:
+    def __init__(self, key: tuple, modulus: int, length: int, diameter: int) -> None:
+        self.key = key
+        self.kind = key[0]
+        self.modulus = modulus
+        self.length = length
+        self.diameter = diameter
         self._vertices: np.ndarray | None = None
         self._connection: np.ndarray | None = None
         self._bases: dict[int, list] = {}  # the labels, rendered only on request
@@ -114,20 +119,8 @@ class FamilySpec:
 
     # family-specific interface -------------------------------------------------
 
-    @property
-    def modulus(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def length(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def diameter(self) -> int:
-        raise NotImplementedError
-
     def vertex_count(self) -> int:
-        raise NotImplementedError
+        return self.modulus**self.length
 
     def _make_vertices(self) -> np.ndarray:
         """The vertex rows in lexicographic order; by default all of Z_q^length."""
@@ -157,10 +150,6 @@ class FamilySpec:
         raise NotImplementedError
 
     def label_json(self, label):
-        raise NotImplementedError
-
-    @property
-    def key(self) -> tuple:
         raise NotImplementedError
 
     # shared machinery ------------------------------------------------------------
@@ -246,7 +235,7 @@ class FamilySpec:
         return self._basis_rows[i]
 
     def describe(self) -> str:
-        raise NotImplementedError
+        return f"{self.kind}({','.join(map(str, self.key[1:]))})"
 
     def __repr__(self) -> str:
         return f"<FamilySpec {self.describe()}>"
@@ -255,35 +244,14 @@ class FamilySpec:
 class HammingFamily(FamilySpec):
     """Hamming graph H(n,e): Cayley graph of Z_e^n with weight-1 connection set."""
 
-    kind = "hamming"
-
     def __init__(self, n: int, e: int) -> None:
-        super().__init__()
         if n < 1:
             raise ValueError(f"hamming requires n >= 1, got {n}")
         if e < 2:
             raise ValueError(f"hamming requires e >= 2, got {e}")
+        super().__init__(("hamming", n, e), e, n, n)
         self.n = n
         self.e = e
-
-    @property
-    def modulus(self) -> int:
-        return self.e
-
-    @property
-    def length(self) -> int:
-        return self.n
-
-    @property
-    def diameter(self) -> int:
-        return self.n
-
-    @property
-    def key(self) -> tuple:
-        return ("hamming", self.n, self.e)
-
-    def vertex_count(self) -> int:
-        return self.e**self.n
 
     def _connection_mask(self, vertices: np.ndarray) -> np.ndarray:
         return np.count_nonzero(vertices, axis=1) == 1
@@ -314,9 +282,6 @@ class HammingFamily(FamilySpec):
     def label_json(self, label: Word):
         return self.label_text(label)
 
-    def describe(self) -> str:
-        return f"hamming({self.n},{self.e})"
-
 
 # kind: (halved, folded, least n).  Folding needs the connection weights w
 # and n - w apart, and on the halved cube an all-ones word of even weight.
@@ -346,31 +311,14 @@ class CubeFamily(FamilySpec):
     """
 
     def __init__(self, kind: str, n: int) -> None:
-        super().__init__()
         halved, folded, least = _CUBE_KINDS[kind]
         even = halved and folded
         if n < least or (even and n % 2):
             raise ValueError(f"{kind} requires {'even ' if even else ''}n >= {least}, got {n}")
-        self.kind = kind
+        super().__init__((kind, n), 2, n, n >> (halved + folded))
         self.n = n
         self.halved = halved
         self.folded = folded
-
-    @property
-    def modulus(self) -> int:
-        return 2
-
-    @property
-    def length(self) -> int:
-        return self.n
-
-    @property
-    def diameter(self) -> int:
-        return self.n >> (self.halved + self.folded)
-
-    @property
-    def key(self) -> tuple:
-        return (self.kind, self.n)
 
     def vertex_count(self) -> int:
         return 2 ** (self.n - self.halved - self.folded)
@@ -444,44 +392,20 @@ class CubeFamily(FamilySpec):
     def label_json(self, label: Subset):
         return list(label)
 
-    def describe(self) -> str:
-        return f"{self.kind}({self.n})"
-
 
 class BilinearFamily(FamilySpec):
     """Bilinear forms graph H_q(d,e): d x e matrices over F_q, rank-1 connections."""
 
-    kind = "bilinear"
-
     def __init__(self, q: int, d: int, e: int) -> None:
-        super().__init__()
         if not is_prime(q):
             raise ValueError(f"bilinear requires a prime q, got {q}")
         if not 1 <= d <= e:
             raise ValueError(f"bilinear requires 1 <= d <= e, got d={d}, e={e}")
+        super().__init__(("bilinear", q, d, e), q, d * e, d)
         self.q = q
         self.d = d
         self.cols = e
         self._ranks: np.ndarray | None = None
-
-    @property
-    def modulus(self) -> int:
-        return self.q
-
-    @property
-    def length(self) -> int:
-        return self.d * self.cols
-
-    @property
-    def diameter(self) -> int:
-        return self.d
-
-    @property
-    def key(self) -> tuple:
-        return ("bilinear", self.q, self.d, self.cols)
-
-    def vertex_count(self) -> int:
-        return self.q ** (self.d * self.cols)
 
     def _matrix(self, flat: Word) -> tuple[Word, ...]:
         """The d x e matrix of a row-major flattened label, as row tuples."""
@@ -523,38 +447,32 @@ class BilinearFamily(FamilySpec):
     def label_json(self, label: Word):
         return [list(r) for r in self._matrix(label)]
 
-    def describe(self) -> str:
-        return f"bilinear({self.q},{self.d},{self.cols})"
 
-
-_KINDS = {
-    "hamming": HammingFamily,
-    **{kind: partial(CubeFamily, kind) for kind in _CUBE_KINDS},
-    "bilinear": BilinearFamily,
+# kind: (constructor, parameter names in key order); a family's key is (kind, *parameters)
+KINDS = {
+    "hamming": (HammingFamily, ("n", "e")),
+    **{kind: (partial(CubeFamily, kind), ("n",)) for kind in _CUBE_KINDS},
+    "bilinear": (BilinearFamily, ("q", "d", "e")),
 }
 
 
 @lru_cache(maxsize=None)
 def _cached_family(key: tuple) -> FamilySpec:
-    kind = key[0]
-    return _KINDS[kind](*key[1:])
+    return KINDS[key[0]][0](*key[1:])
 
 
 def make_family(kind: str, *, n: int | None = None, e: int | None = None,
                 q: int | None = None, d: int | None = None) -> FamilySpec:
-    """Build a family instance.  Instances are cached, so basis and vertex
-    enumerations are shared across callers."""
+    """The cached instance whose key is kind (dashes read as underscores)
+    and its KINDS parameters in order, so basis and vertex enumerations are
+    shared across callers; ValueError on an unknown kind or a missing one."""
     kind = kind.replace("-", "_")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown family kind {kind!r}; expected one of {sorted(_KINDS)}")
-    if kind == "hamming":
-        if n is None or e is None:
-            raise ValueError("hamming requires --n and --e")
-        return _cached_family(("hamming", n, e))
-    if kind == "bilinear":
-        if q is None or d is None or e is None:
-            raise ValueError("bilinear requires --q, --d and --e")
-        return _cached_family(("bilinear", q, d, e))
-    if n is None:
-        raise ValueError(f"{kind} requires --n")
-    return _cached_family((kind, n))
+    if kind not in KINDS:
+        raise ValueError(f"unknown family kind {kind!r}; expected one of {sorted(KINDS)}")
+    names = KINDS[kind][1]
+    values = [{"n": n, "e": e, "q": q, "d": d}[name] for name in names]
+    if None in values:
+        *rest, last = [f"--{name}" for name in names]
+        need = f"{', '.join(rest)} and {last}" if rest else last
+        raise ValueError(f"{kind} requires {need}")
+    return _cached_family((kind, *values))

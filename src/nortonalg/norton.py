@@ -148,10 +148,10 @@ class AlgebraVector:
 
 @lru_cache(maxsize=None)
 def _reduction(e: int) -> np.ndarray:
-    """The canonical forms of w^0 .. w^(2 phi(e) - 2) (_power_rows) as an object
-    matrix: a product of two power-basis rows, multiplied out as integer
-    polynomials (_polynomial_products), times this matrix is in canonical form."""
-    rows = np.array(_power_rows(e)[:2 * field_degree(e) - 1], dtype=object)
+    """The canonical forms of w^0 .. w^(2 phi(e) - 2), rows k % e of _power_rows,
+    as an object matrix: a product of two power-basis rows, multiplied out as
+    integer polynomials (_polynomial_products), times it is in canonical form."""
+    rows = np.array([_power_rows(e)[k % e] for k in range(2 * field_degree(e) - 1)], object)
     rows.flags.writeable = False
     return rows
 

@@ -1,5 +1,6 @@
 """Test-only references: per-element paths in exact Q(w) arithmetic, the
-paper's product rule on single labels, vectors keyed by label, the label
+canonical forms of w^k by polynomial long division, the paper's product
+rule on single labels, vectors keyed by label, the label
 enumerations that the package's numpy rows replace, tree evaluation and
 automorphism composition one element at a time, the edge-identity check of
 the eigenvectors at every connection element, the `table` output rendered
@@ -25,7 +26,8 @@ import numpy as np
 
 from nortonalg import cayley, trees
 from nortonalg.autos import HammingAuto, SignedPermutation
-from nortonalg.cyclotomic import Cyclotomic, from_exponent_counts, root_power
+from nortonalg.cyclotomic import (Cyclotomic, cyclotomic_polynomial, from_exponent_counts,
+                                  root_power)
 from nortonalg.families import fq_reduce, make_family
 from nortonalg.groups import Word
 from nortonalg.linalg import row_reduce
@@ -90,6 +92,20 @@ def inner_product(phi: Sequence, psi: Sequence):
     for a, b in zip(phi, psi):
         total = total + a * b.conj()
     return total / len(phi)
+
+
+def power_remainders(e: int, count: int) -> list[list[int]]:
+    """x^k mod Phi_e for k = 0 .. count-1, low degree first, by polynomial
+    long division: from degree count-1 down to phi(e), the coefficient c of
+    x^j takes off c x^(j - phi(e)) Phi_e.  Row k starts as x^k, and the
+    divisions of all k run side by side; int64 holds every coefficient of
+    the orders the tests divide by (|c| <= 2 for e <= 257)."""
+    phi = np.array(cyclotomic_polynomial(e), dtype=np.int64)
+    deg = len(phi) - 1
+    num = np.eye(count, max(count, deg + 1), dtype=np.int64)
+    for j in range(count - 1, deg - 1, -1):
+        num[j:, j - deg:j + 1] -= num[j:, j:j + 1] * phi  # rows k < j hold no x^j
+    return num[:, :deg].tolist()
 
 
 # ---------------------------------------------------------------------------

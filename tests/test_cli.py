@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -352,6 +353,33 @@ def test_usage_errors_exit_2(capsys):
     assert main(["spectrum", "--family", "hamming"]) == 2  # missing --n/--e
     assert main(["table", "--family", "hamming", "--n", "2", "--e", "3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "hamming", "--n", "2"], "hamming requires --n and --e"),
+    (["--family", "bilinear", "--q", "2", "--e", "3"], "bilinear requires --q, --d and --e"),
+    (["--family", "folded-half-cube", "--e", "3"], "folded_half_cube requires --n"),
+], ids=["hamming", "bilinear", "cube"])
+def test_missing_family_parameters_exit_2(argv, message, capsys):
+    assert main(["spectrum", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# sha256 of the help texts 80 columns wide, recorded from literal lists of the
+# kinds and family options: the lists read from families.KINDS must give them
+HELP_SHA256 = {
+    "": "c8bdcdbd69251ecc7d49669df67079d2dcad44ac07631163b47ec599187bb7a4",
+    "spectrum": "dee5078ebeae781787fe5bfab2d4b635cedacd8b4f635ce7e848dcd3b761a52d",
+}
+
+
+def test_help_reads_the_kinds_table_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_SHA256.items():
+        with pytest.raises(SystemExit) as info:
+            main([*command.split(), "--help"])
+        assert info.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, command
 
 
 def test_budget_exit_3(capsys):

@@ -19,6 +19,7 @@ from nortonalg.cyclotomic import (
     root_power,
     root_reduction_matrix,
 )
+from reference import power_remainders
 
 
 def test_cyclotomic_polynomial_small():
@@ -170,8 +171,12 @@ def test_root_reduction_matrix_agrees_with_root_power():
         deg = field_degree(e)
         assert mat.shape == (deg, e) and mat.dtype == np.int64, e
         assert not mat.flags.writeable and root_reduction_matrix(e) is mat
-        # the exact Python-int rows that root_power reads, for every k <= e - 1
-        assert mat.T.tolist() == [list(row) for row in _power_rows(e)[:e]], e
+        # x^k mod Phi_e by long division, for every k <= e - 1 and every
+        # degree up to 2 phi(e) - 2 of a product of two canonical forms
+        want = power_remainders(e, max(e, 2 * deg - 1))
+        assert mat.T.tolist() == want[:e], e
+        rows = _power_rows(e)  # the exact Python-int rows, read at k % e
+        assert [list(rows[k % e]) for k in range(len(want))] == want, e
         if e <= 9:
             for k in range(e):
                 col = tuple(Fraction(c) for c in mat[:, k].tolist())

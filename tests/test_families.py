@@ -19,6 +19,7 @@ from nortonalg.errors import BudgetExceededError
 from nortonalg.families import (
     CubeFamily,
     HammingFamily,
+    _cached_family,
     make_family,
     qbinom,
     ranks_fq,
@@ -305,6 +306,41 @@ def test_invalid_parameters():
         assert str(info.value) == message
     with pytest.raises(ValueError):
         make_family("no_such_family", n=2)
+
+
+# one instance of each kind: its parameters, key, description and
+# (modulus, length, diameter, vertex count)
+_KEY_CASES = [
+    ("hamming", {"n": 3, "e": 4}, ("hamming", 3, 4), "hamming(3,4)", (4, 3, 3, 64)),
+    ("hypercube", {"n": 5}, ("hypercube", 5), "hypercube(5)", (2, 5, 5, 32)),
+    ("halved-cube", {"n": 10}, ("halved_cube", 10), "halved_cube(10)", (2, 10, 5, 512)),
+    ("folded-cube", {"n": 7}, ("folded_cube", 7), "folded_cube(7)", (2, 7, 3, 64)),
+    ("folded-half-cube", {"n": 12}, ("folded_half_cube", 12), "folded_half_cube(12)",
+     (2, 12, 3, 1024)),
+    ("bilinear", {"q": 2, "d": 2, "e": 3}, ("bilinear", 2, 2, 3), "bilinear(2,2,3)",
+     (2, 6, 2, 64)),
+]
+
+
+@pytest.mark.parametrize("kind, params, key, text, shape", _KEY_CASES,
+                         ids=[case[0] for case in _KEY_CASES])
+def test_a_family_is_its_key(kind, params, key, text, shape):
+    fam = make_family(kind, **params)
+    assert fam.key == key and fam.kind == key[0]
+    assert fam.describe() == text and repr(fam) == f"<FamilySpec {text}>"
+    assert (fam.modulus, fam.length, fam.diameter, fam.vertex_count()) == shape
+    # the key names the one cached instance, under either spelling of the kind
+    assert _cached_family(fam.key) is fam
+    assert make_family(key[0], **params) is fam
+    assert make_family(key[0].replace("_", "-"), **params) is fam
+
+
+def test_unknown_kind_names_every_kind():
+    with pytest.raises(ValueError) as info:
+        make_family("no-such-family", n=2)
+    assert str(info.value) == (
+        "unknown family kind 'no_such_family'; expected one of ['bilinear', 'folded_cube', "
+        "'folded_half_cube', 'halved_cube', 'hamming', 'hypercube']")
 
 
 def test_vertex_budget():
