@@ -1,5 +1,6 @@
-"""Constructed automorphism actions on the Norton algebra bases, and an
-exhaustive checker that a basis-level candidate map preserves products.
+"""Constructed automorphism actions on the Norton algebra bases, an
+exhaustive checker that a basis-level candidate map preserves products, and
+the seeded suite that samples and checks the actions of a family (autocheck).
 
 All constructed actions are monomial: a basis character maps to a root of
 unity times a basis character.  A candidate on V_i is an int array of shape
@@ -68,6 +69,16 @@ class HammingAuto:
             if gcd(v, self.e) != 1:
                 raise ValueError(f"b entry {v} is not a unit mod {self.e}")
 
+    def __str__(self) -> str:
+        return f"(a={self.a}, b={self.b}, sigma={self.sigma})"
+
+    @classmethod
+    def draw(cls, rng: random.Random, family: HammingFamily, k: int) -> "HammingAuto":
+        return random_hamming_auto(rng, family.n, family.e)
+
+    def candidate(self, family: HammingFamily, i: int) -> Candidate:
+        return hamming_candidate(self, family, i)
+
 
 def identity_auto(n: int, e: int) -> HammingAuto:
     return HammingAuto((0,) * n, (1,) * n, tuple(range(n)), e)
@@ -101,8 +112,7 @@ def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
     row u and a.u = 0 mod e on them, so the kernel is the product of those
     pairs and those words."""
     n, e = family.n, family.e
-    covered = (e >= 3 and i >= 1) or (e == 2 and 1 <= i < n)
-    if not covered:
+    if not ((e >= 3 and i >= 1) or (e == 2 and 1 <= i < n)):
         raise ValueError(f"kernel description covers e>=3,i>=1 or e=2,1<=i<n; "
                          f"got e={e}, i={i}, n={n}")
     units = [v for v in range(1, e) if gcd(v, e) == 1]
@@ -114,15 +124,11 @@ def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
     fixing = [(b, sigma) for b in product(units, repeat=n) for sigma in permutations(range(n))
               if np.array_equal(rows[:, list(sigma)] * np.array(b) % e, rows)]
     kernel = [(tuple(a), b, sigma) for a in trivial for b, sigma in fixing]
-    ident = identity_auto(n, e)
-    expected = [(ident.a, ident.b, ident.sigma)]
+    expected = [((0,) * n, (1,) * n, tuple(range(n)))]  # identity_auto
     if e == 2 and i % 2 == 0:
         expected.append(((1,) * n, (1,) * n, tuple(range(n))))
-    return {
-        "kernel": sorted(kernel),
-        "expected": sorted(expected),
-        "ok": sorted(kernel) == sorted(expected),
-    }
+    kernel, expected = sorted(kernel), sorted(expected)
+    return {"kernel": kernel, "expected": expected, "ok": kernel == expected}
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +149,17 @@ class SignedPermutation:
             raise ValueError("eps must assign +-1 per position")
 
     def is_type_d(self) -> bool:
-        sign = 1
-        for s in self.eps:
-            sign *= s
-        return sign == 1
+        return self.eps.count(-1) % 2 == 0
+
+    def __str__(self) -> str:
+        return f"(sigma={self.sigma}, eps={self.eps})"
+
+    @classmethod
+    def draw(cls, rng: random.Random, family: CubeFamily, k: int) -> "SignedPermutation":
+        return random_signed_perm(rng, family.n, type_d=family.halved)  # type D when halved
+
+    def candidate(self, family: CubeFamily, i: int) -> Candidate:
+        return signed_perm_candidate(self, family, i)
 
 
 def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
@@ -186,14 +199,9 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0])
-    if len(a[0]) != inner:
+    if len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch")
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(inner)) % q for c in range(cols))
-        for r in range(rows))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)) for row in a)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -213,9 +221,14 @@ def mat_inv(a: Matrix, q: int) -> Matrix | None:
     return tuple(tuple(row[n:]) for row in reduced)
 
 
+def random_matrix(rng: random.Random, rows: int, cols: int, q: int) -> Matrix:
+    """A uniform rows x cols matrix over F_q, drawn row by row."""
+    return tuple(tuple(rng.randrange(q) for _ in range(cols)) for _ in range(rows))
+
+
 def random_gl(rng: random.Random, n: int, q: int) -> Matrix:
     while True:
-        m = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+        m = random_matrix(rng, n, n, q)
         if mat_inv(m, q) is not None:
             return m
 
@@ -241,6 +254,22 @@ class BilinearAuto:
             if inverse is None:
                 raise ValueError(f"{self.kind} action requires an invertible matrix")
         object.__setattr__(self, "inverse", inverse)
+
+    def __str__(self) -> str:
+        return f"({self.kind}, {self.matrix})"
+
+    @classmethod
+    def draw(cls, rng: random.Random, family: BilinearFamily, k: int) -> "BilinearAuto":
+        """Sample k translates, multiplies left or right, as k % 3 is 0, 1 or 2."""
+        kind = ("translate", "left", "right")[k % 3]
+        if kind == "translate":
+            mat = random_matrix(rng, family.d, family.cols, family.q)
+        else:
+            mat = random_gl(rng, family.d if kind == "left" else family.cols, family.q)
+        return cls(kind, mat, family.q)
+
+    def candidate(self, family: BilinearFamily, i: int) -> Candidate:
+        return bilinear_candidate(self, family, i)
 
 
 def bilinear_candidate(auto: BilinearAuto, family: BilinearFamily, i: int) -> Candidate:
@@ -317,3 +346,46 @@ def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int) ->
         return False
     u, v = np.nonzero(table >= 0)
     return bool(((exp[u] + exp[v] - exp[table[u, v]]) % family.modulus == 0).all())
+
+
+# ---------------------------------------------------------------------------
+# The seeded autocheck suite
+# ---------------------------------------------------------------------------
+
+# kind: the class of its actions, whose draw(rng, family, k) gives the k-th sample
+ACTIONS = {"hamming": HammingAuto, "hypercube": SignedPermutation,
+           "halved_cube": SignedPermutation, "bilinear": BilinearAuto}
+
+
+def autocheck(family: FamilySpec, i: int, samples: int, seed: int) -> dict:
+    """Check samples actions of an ACTIONS kind on V_i, drawn by
+    random.Random(seed); the Hamming kernel, None where it is not covered or
+    over its budget; and on a bilinear family the conjugation identity on
+    samples triples drawn by random.Random(seed + 1)."""
+    action = ACTIONS[family.kind]
+    if samples:  # before any candidate builds the basis
+        require_pair_budget(family.predicted_dimension(i))
+    rng = random.Random(seed)
+    results = []
+    for k in range(samples):
+        auto = action.draw(rng, family, k)
+        results.append({"sample": k, "auto": str(auto),
+                        "ok": is_algebra_automorphism(auto.candidate(family, i), family, i)})
+    kernel = None
+    if isinstance(family, HammingFamily):
+        try:
+            found = kernel_check_hamming(family, i)
+            kernel = {key: [repr(k) for k in found[key]] for key in ("kernel", "expected")}
+            kernel["ok"] = found["ok"]
+        except (ValueError, BudgetExceededError):
+            pass
+    conjugation = None
+    if isinstance(family, BilinearFamily) and samples:
+        rng, q, d, e = random.Random(seed + 1), family.q, family.d, family.cols
+        conjugation = all(conjugation_identity_check(
+            family, random_matrix(rng, d, e, q), random_gl(rng, d, q), random_gl(rng, e, q))
+            for _ in range(samples))
+    all_ok = (all(r["ok"] for r in results) and (kernel is None or kernel["ok"])
+              and conjugation in (None, True))
+    return {"results": results, "kernel": kernel, "conjugation_identity": conjugation,
+            "all_ok": all_ok}

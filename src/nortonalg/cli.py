@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from collections.abc import Iterable
 from itertools import chain, islice
@@ -39,7 +38,7 @@ import numpy as np
 
 from .cayley import spectrum, verify_all_eigenvectors
 from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
-from .families import KINDS, FamilySpec, make_family
+from .families import KINDS, FamilySpec, listed, make_family
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -263,16 +262,9 @@ def cmd_nonassoc(args) -> int:
         else:
             rep = trees.count_classes_witness(fam, i, m, seed=seed, attempts=attempts)
         a975 = trees.a000975(m)
-        if rep.mode != "exact":  # a lower bound matches no count
-            matches = None
-        elif rep.class_count == 1:
-            matches = "one"
-        elif rep.class_count == cm:
-            matches = "catalan"
-        elif rep.class_count == a975:
-            matches = "a000975"
-        else:
-            matches = "other"
+        # a lower bound matches no count; where counts coincide the later key wins
+        matches = ({a975: "a000975", cm: "catalan", 1: "one"}.get(rep.class_count, "other")
+                   if rep.mode == "exact" else None)
         reports.append({
             "m": m,
             "catalan": cm,
@@ -350,85 +342,24 @@ def cmd_idempotents(args) -> int:
     return EXIT_OK if payload["status"] == "ok" else EXIT_CHECK_FAILED
 
 
-def _random_matrix(rng: random.Random, fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
-    """A uniform d x e matrix over F_q, a vertex of a bilinear family."""
-    return tuple(tuple(rng.randrange(fam.q) for _ in range(fam.cols)) for _ in range(fam.d))
-
-
-def _random_auto(fam: FamilySpec, i: int, rng: random.Random, k: int):
-    """The k-th sampled automorphism of fam as (description, candidate on V_i)."""
-    from . import autos
-    if fam.kind == "hamming":
-        phi = autos.random_hamming_auto(rng, fam.n, fam.e)
-        return (f"(a={phi.a}, b={phi.b}, sigma={phi.sigma})",
-                autos.hamming_candidate(phi, fam, i))
-    if fam.kind in ("hypercube", "halved_cube"):
-        f = autos.random_signed_perm(rng, fam.n, type_d=fam.kind == "halved_cube")
-        return f"(sigma={f.sigma}, eps={f.eps})", autos.signed_perm_candidate(f, fam, i)
-    kind = ("translate", "left", "right")[k % 3]
-    if kind == "translate":
-        mat = _random_matrix(rng, fam)
-    else:
-        mat = autos.random_gl(rng, fam.d if kind == "left" else fam.cols, fam.q)
-    auto = autos.BilinearAuto(kind, mat, fam.q)
-    return f"({kind}, {mat})", autos.bilinear_candidate(auto, fam, i)
-
-
-def _autocheck_results(fam: FamilySpec, i: int, samples: int, seed: int) -> list[dict]:
-    from . import autos
-    if fam.kind not in ("hamming", "hypercube", "halved_cube", "bilinear"):
-        raise _usage_error(f"autocheck supports hamming, hypercube, halved-cube and "
-                           f"bilinear families, not {fam.kind}")
-    if samples:  # before any candidate builds the basis
-        autos.require_pair_budget(fam.predicted_dimension(i))
-    rng = random.Random(seed)
-    results = []
-    for k in range(samples):
-        text, candidate = _random_auto(fam, i, rng, k)
-        results.append({"sample": k, "auto": text,
-                        "ok": autos.is_algebra_automorphism(candidate, fam, i)})
-    return results
-
-
 def cmd_autocheck(args) -> int:
     from . import autos
     fam = _family_from_args(args)
     i = _space_index(fam, 1 if args.i is None else args.i)
     seed = _resolve_seed(args)
-    results = _autocheck_results(fam, i, args.samples, seed)
-    kernel = None
-    if fam.kind == "hamming":
-        try:
-            kernel = autos.kernel_check_hamming(fam, i)
-            kernel = {"kernel": [repr(k) for k in kernel["kernel"]],
-                      "expected": [repr(k) for k in kernel["expected"]],
-                      "ok": kernel["ok"]}
-        except (ValueError, BudgetExceededError):
-            kernel = None
-    conjugation = None
-    if fam.kind == "bilinear" and args.samples:
-        rng = random.Random(seed + 1)
-        conjugation = all(
-            autos.conjugation_identity_check(
-                fam, _random_matrix(rng, fam), autos.random_gl(rng, fam.d, fam.q),
-                autos.random_gl(rng, fam.cols, fam.q))
-            for _ in range(args.samples))
-    all_ok = (all(r["ok"] for r in results)
-              and (kernel is None or kernel["ok"])
-              and conjugation in (None, True))
+    if fam.kind not in autos.ACTIONS:
+        kinds = [kind.replace("_", "-") for kind in autos.ACTIONS]
+        raise _usage_error(f"autocheck supports {listed(kinds)} families, not {fam.kind}")
     payload = {
         "command": "autocheck",
         "family": fam.describe(),
         "i": i,
         "seed": seed,
         "samples": args.samples,
-        "results": results,
-        "kernel": kernel,
-        "conjugation_identity": conjugation,
-        "all_ok": all_ok,
+        **autos.autocheck(fam, i, args.samples, seed),
     }
     _emit_json(args, payload)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if payload["all_ok"] else EXIT_CHECK_FAILED
 
 
 def cmd_oracle_verify(args) -> int:

@@ -19,18 +19,6 @@ from .linalg import row_reduce
 Scalar = Union[int, Fraction, "Cyclotomic"]
 
 
-def _divisors(e: int) -> list[int]:
-    small, large = [], []
-    k = 1
-    while k * k <= e:
-        if e % k == 0:
-            small.append(k)
-            if k != e // k:
-                large.append(e // k)
-        k += 1
-    return small + large[::-1]
-
-
 def _div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Quotient of integer polynomials, denominator monic, remainder must vanish."""
     num = list(num)
@@ -54,7 +42,7 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     if e < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {e}")
     num = [-1] + [0] * (e - 1) + [1]
-    for d in _divisors(e)[:-1]:
+    for d in [d for d in range(1, e) if e % d == 0]:  # the proper divisors
         num = _div_exact(num, cyclotomic_polynomial(d))
     return tuple(num)
 
@@ -91,10 +79,17 @@ def _power_rows(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, root_reduction_matrix(e).T.tolist()))
 
 
-@lru_cache(maxsize=None)
-def _power_terms(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero (position, coefficient) terms of each row of _power_rows."""
-    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in _power_rows(e))
+def _reduced(e: int, coeffs) -> list:
+    """The canonical coefficients of sum_k coeffs[k] w^k: those of w^k below
+    phi(e) stand as they are, and each later w^k adds row k % e of _power_rows."""
+    deg, rows = field_degree(e), _power_rows(e)
+    out = list(coeffs[:deg])
+    for k in range(deg, len(coeffs)):
+        if c := coeffs[k]:
+            for j, v in enumerate(rows[k % e]):
+                if v:
+                    out[j] += c * v
+    return out
 
 
 def root_sums(hists: np.ndarray, e: int, total: int) -> np.ndarray:
@@ -187,16 +182,7 @@ class Cyclotomic:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         conv[k + j] += a * b
-        out = conv[:deg]
-        rows = _power_rows(self.order)
-        for k in range(deg, len(conv)):
-            c = conv[k]
-            if c:
-                row = rows[k % self.order]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(self.order, out)
+        return Cyclotomic(self.order, _reduced(self.order, conv))
 
     __rmul__ = __mul__
 
@@ -316,11 +302,5 @@ def from_exponent_counts(e: int, counts) -> Cyclotomic:
     """
     if len(counts) != e:
         raise ValueError(f"expected {e} counts, got {len(counts)}")
-    terms = _power_terms(e)
-    out = [0] * field_degree(e)
-    for r, c in enumerate(counts):
-        if c:
-            for j, v in terms[r]:
-                out[j] += c * v
-    return Cyclotomic(e, out)
+    return Cyclotomic(e, _reduced(e, counts))
 

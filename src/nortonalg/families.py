@@ -461,18 +461,23 @@ def _cached_family(key: tuple) -> FamilySpec:
     return KINDS[key[0]][0](*key[1:])
 
 
-def make_family(kind: str, *, n: int | None = None, e: int | None = None,
-                q: int | None = None, d: int | None = None) -> FamilySpec:
+def listed(words: list[str]) -> str:
+    """The words joined as in "a", "a and b" or "a, b and c"."""
+    return f"{', '.join(words[:-1])} and {words[-1]}" if len(words) > 1 else words[0]
+
+
+def make_family(kind: str, **params: int | None) -> FamilySpec:
     """The cached instance whose key is kind (dashes read as underscores)
-    and its KINDS parameters in order, so basis and vertex enumerations are
-    shared across callers; ValueError on an unknown kind or a missing one."""
+    and its KINDS parameters in order, so enumerations are shared across
+    callers; a parameter given as None is not given.  ValueError on an unknown
+    kind, then on a missing parameter, then on one the kind does not take."""
     kind = kind.replace("-", "_")
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {sorted(KINDS)}")
     names = KINDS[kind][1]
-    values = [{"n": n, "e": e, "q": q, "d": d}[name] for name in names]
-    if None in values:
-        *rest, last = [f"--{name}" for name in names]
-        need = f"{', '.join(rest)} and {last}" if rest else last
-        raise ValueError(f"{kind} requires {need}")
-    return _cached_family((kind, *values))
+    given = {name: value for name, value in params.items() if value is not None}
+    if not given.keys() >= set(names):
+        raise ValueError(f"{kind} requires {listed([f'--{name}' for name in names])}")
+    if extra := [f"--{name}" for name in given if name not in names]:
+        raise ValueError(f"{kind} does not take {listed(extra)}")
+    return _cached_family((kind, *(given[name] for name in names)))

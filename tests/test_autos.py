@@ -13,6 +13,7 @@ import pytest
 
 from nortonalg.families import make_family
 from nortonalg.autos import (
+    ACTIONS,
     BilinearAuto,
     HammingAuto,
     SignedPermutation,
@@ -356,21 +357,17 @@ def bilinear_image(auto, fam):
 
 
 def seeded_autos(fam, rng, count):
-    """(candidate builder, per-label image map) pairs of random automorphisms."""
+    """(candidate builder, per-label image map) pairs of the random
+    automorphisms autocheck draws."""
     out = []
     for k in range(count):
-        if fam.kind == "hamming":
-            phi = random_hamming_auto(rng, fam.n, fam.e)
-            out.append((lambda i, phi=phi: hamming_candidate(phi, fam, i), hamming_image(phi)))
-        elif fam.kind in ("hypercube", "halved_cube"):
-            f = random_signed_perm(rng, fam.n, type_d=fam.kind == "halved_cube")
-            out.append((lambda i, f=f: signed_perm_candidate(f, fam, i), signed_image(f, fam)))
+        auto = ACTIONS[fam.kind].draw(rng, fam, k)
+        if isinstance(auto, HammingAuto):
+            out.append((lambda i, phi=auto: hamming_candidate(phi, fam, i), hamming_image(auto)))
+        elif isinstance(auto, SignedPermutation):
+            out.append((lambda i, f=auto: signed_perm_candidate(f, fam, i),
+                        signed_image(auto, fam)))
         else:
-            kind = ("translate", "left", "right")[k % 3]
-            mat = (tuple(tuple(rng.randrange(fam.q) for _ in range(fam.cols))
-                         for _ in range(fam.d)) if kind == "translate"
-                   else random_gl(rng, fam.d if kind == "left" else fam.cols, fam.q))
-            auto = BilinearAuto(kind, mat, fam.q)
             out.append((lambda i, auto=auto: bilinear_candidate(auto, fam, i),
                         bilinear_image(auto, fam)))
     return out

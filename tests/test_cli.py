@@ -176,6 +176,15 @@ def test_autocheck_rejects_folded_families(capsys):
         " families, not folded_half_cube\n")
 
 
+@pytest.mark.parametrize("kind", ["folded-cube", "folded-half-cube"])
+def test_autocheck_usage_names_the_kinds_with_actions(capsys, kind):
+    # the list is read from autos.ACTIONS; the family is named by its kind
+    assert main(["autocheck", "--family", kind, "--n", "8", "--samples", "1"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: autocheck supports hamming, hypercube, halved-cube and bilinear"
+        f" families, not {kind.replace('-', '_')}\n"))
+
+
 @pytest.mark.parametrize("command", ["table", "nonassoc", "autocheck", "oracle-verify"])
 def test_space_index_out_of_range(capsys, command):
     for i in ("3", "-1"):  # hamming(2,3) has the spaces 0..2
@@ -362,6 +371,18 @@ def test_usage_errors_exit_2(capsys):
 ], ids=["hamming", "bilinear", "cube"])
 def test_missing_family_parameters_exit_2(argv, message, capsys):
     assert main(["spectrum", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--family", "hamming", "--n", "2", "--e", "3", "--q", "5", "--d", "7"],
+     "hamming does not take --q and --d"),
+    (["table", "--family", "hypercube", "--n", "3", "--e", "9", "--i", "1"],
+     "hypercube does not take --e"),
+], ids=["hamming", "hypercube"])
+def test_unused_family_parameters_exit_2(argv, message, capsys):
+    # an option the kind does not take is bad input, not ignored
+    assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

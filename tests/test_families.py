@@ -335,6 +335,21 @@ def test_a_family_is_its_key(kind, params, key, text, shape):
     assert make_family(key[0].replace("_", "-"), **params) is fam
 
 
+def test_make_family_takes_exactly_its_kind_parameters():
+    # None counts as not given: the CLI passes it for every unused option
+    assert make_family("hamming", n=2, e=3, q=None, d=None) is make_family("hamming", n=2, e=3)
+    for kind, params, message in [
+            ("hamming", {"n": 2, "e": 3, "q": 5, "d": 7}, "hamming does not take --q and --d"),
+            ("hypercube", {"n": 3, "e": 9}, "hypercube does not take --e"),
+            ("bilinear", {"q": 2, "d": 2, "e": 3, "n": 4}, "bilinear does not take --n"),
+            # a missing parameter is reported first
+            ("folded-half-cube", {"e": 3}, "folded_half_cube requires --n"),
+            ("hamming", {"n": 2, "q": 5}, "hamming requires --n and --e")]:
+        with pytest.raises(ValueError) as info:
+            make_family(kind, **params)
+        assert str(info.value) == message
+
+
 def test_unknown_kind_names_every_kind():
     with pytest.raises(ValueError) as info:
         make_family("no-such-family", n=2)

@@ -37,7 +37,10 @@ positions replaced them.  The digests of `idempotents --e 8`, `--e 9` and
 `nonassoc` on `folded-half-cube(8)` V_2) were recorded from the basis rows
 that held each halved-cube character by its label set, before the rows held
 the representative without position n.  An
-intended output change must say so where it rewrites the digests.  To rewrite them from the code on the path:
+intended output change must say so where it rewrites the digests.  On the
+`autocheck` cases, `autos.autocheck` must also give the CLI payload less its
+`command`, `family`, `i`, `seed` and `samples`.  To rewrite the digests from
+the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -51,6 +54,9 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from nortonalg import autos
 from nortonalg.cli import main
 from nortonalg.families import make_family
 
@@ -151,6 +157,21 @@ def test_cli_outputs_match_recorded_digests():
     assert sorted(recorded) == sorted(cases())
     changed = [case for case in cases() if digest(case) != recorded[case]]
     assert not changed, changed
+
+
+@pytest.mark.parametrize("case", [case for case in OTHER_CASES if case.startswith("autocheck")])
+def test_autocheck_api_equals_the_cli_payload(case):
+    opts = dict(zip(case.split()[1::2], case.split()[2::2]))
+    kind = opts.pop("--family")
+    i, samples, seed = (int(opts.pop(f"--{name}")) for name in ("i", "samples", "seed"))
+    fam = make_family(kind, **{name[2:]: int(value) for name, value in opts.items()})
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(case.split()) == 0
+    payload = json.loads(buf.getvalue())
+    for key in ("command", "family", "i", "seed", "samples"):
+        del payload[key]
+    assert autos.autocheck(fam, i, samples, seed) == payload
 
 
 if __name__ == "__main__":
