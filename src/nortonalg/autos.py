@@ -2,12 +2,13 @@
 exhaustive checker that a basis-level candidate map preserves products, and
 the seeded suite that samples and checks the actions of a family (autocheck).
 
-All constructed actions are monomial: a basis character maps to a root of
-unity times a basis character.  A candidate on V_i is an int array of shape
-dim x 2 over family.basis(i): row k holds the basis position of the image of
-the k-th basis character (-1 if the image is not a basis character) and the
-exponent of its coefficient w^exp, where w has order family.modulus; on the
-cubes a sign -1 is the exponent 1 mod 2.
+Each action is a map of the index group and a translation, given by its
+linear_map(family) as int64 arrays (M, t): the character with label row u
+(family._label_rows) goes to w^(u.t), with w of order family.modulus, times
+the character with label row uM.  Its candidate on V_i (the one builder) is
+an int array of shape dim x 2 over family.basis(i): row k holds the basis
+position of the image of the k-th basis character (-1 off the basis) and
+the exponent of its coefficient; on the cubes a sign -1 is the exponent 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .cayley import character_exponents, row_finder
+from .cayley import row_finder
 from .errors import BudgetExceededError
 from .families import (BilinearFamily, CubeFamily, FamilySpec, HammingFamily, _words,
                        carries_table, fq_reduce)
@@ -30,11 +31,13 @@ DEFAULT_PAIR_BUDGET = 10**6
 Candidate = np.ndarray
 
 
-def _candidate(rows: np.ndarray, images: np.ndarray, exps: np.ndarray,
-               modulus: int) -> Candidate:
-    """The candidate sending basis index rows to image index rows (in
-    canonical form) with the given coefficient exponents."""
-    return np.column_stack((row_finder(rows, modulus)(images), exps % modulus))
+def candidate(auto, family: FamilySpec, i: int) -> Candidate:
+    """The candidate of an action on V_i, from (M, t) = auto.linear_map(family)."""
+    m, t = auto.linear_map(family)
+    e = family.modulus
+    rows = family._label_rows(family.basis_array(i)).astype(np.int64)
+    images = family._label_rows(rows @ m % e)
+    return np.column_stack((row_finder(rows, e)(images), rows @ t % e))
 
 
 def compose_candidates(outer: Candidate, inner: Candidate, modulus: int) -> Candidate:
@@ -74,33 +77,24 @@ class HammingAuto:
 
     @classmethod
     def draw(cls, rng: random.Random, family: HammingFamily, k: int) -> "HammingAuto":
-        return random_hamming_auto(rng, family.n, family.e)
+        n, e = family.n, family.e
+        units = [v for v in range(1, e) if gcd(v, e) == 1]
+        a = tuple(rng.randrange(e) for _ in range(n))
+        b = tuple(rng.choice(units) for _ in range(n))
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        return cls(a, b, tuple(sigma), e)
 
-    def candidate(self, family: HammingFamily, i: int) -> Candidate:
-        return hamming_candidate(self, family, i)
+    def linear_map(self, family: HammingFamily) -> tuple[np.ndarray, np.ndarray]:
+        """M[sigma[j], j] = b[j], so uM = b.sigma(u), and t = M a."""
+        if not isinstance(family, HammingFamily) or (family.n, family.e) != (len(self.a), self.e):
+            raise ValueError("automorphism parameters do not match the family")
+        m = np.eye(family.n, dtype=np.int64)[:, list(self.sigma)] * np.array(self.b)
+        return m, m @ np.array(self.a)
 
 
 def identity_auto(n: int, e: int) -> HammingAuto:
     return HammingAuto((0,) * n, (1,) * n, tuple(range(n)), e)
-
-
-def random_hamming_auto(rng: random.Random, n: int, e: int) -> HammingAuto:
-    units = [v for v in range(1, e) if gcd(v, e) == 1]
-    a = tuple(rng.randrange(e) for _ in range(n))
-    b = tuple(rng.choice(units) for _ in range(n))
-    sigma = list(range(n))
-    rng.shuffle(sigma)
-    return HammingAuto(a, b, tuple(sigma), e)
-
-
-def hamming_candidate(phi: HammingAuto, family: HammingFamily, i: int) -> Candidate:
-    """chi_u goes to chi_a(u') chi_u' with u' = b.sigma(u), which has the
-    support of u moved by sigma."""
-    if not isinstance(family, HammingFamily) or (family.n, family.e) != (len(phi.a), phi.e):
-        raise ValueError("automorphism parameters do not match the family")
-    rows = family.basis_array(i)
-    images = rows[:, list(phi.sigma)] * np.array(phi.b) % phi.e
-    return _candidate(rows, images, images @ np.array(phi.a), phi.e)
 
 
 def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
@@ -110,20 +104,23 @@ def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
 
     (a, b, sigma) fixes every chi_u exactly when (b, sigma) fixes every index
     row u and a.u = 0 mod e on them, so the kernel is the product of those
-    pairs and those words."""
+    pairs and those words.  Column j of b.sigma(u) is b_j u_sigma(j), so for
+    each sigma the fixing b_j are found one column at a time."""
     n, e = family.n, family.e
     if not ((e >= 3 and i >= 1) or (e == 2 and 1 <= i < n)):
         raise ValueError(f"kernel description covers e>=3,i>=1 or e=2,1<=i<n; "
                          f"got e={e}, i={i}, n={n}")
     units = [v for v in range(1, e) if gcd(v, e) == 1]
-    if e**n * len(units) ** n * factorial(n) > 10**5:
+    if e**n + factorial(n) * n * len(units) > 10**5:
         raise BudgetExceededError("kernel enumeration too large")
-    rows = family.basis_array(i)
-    words = _words(e, n)
-    trivial = words[(character_exponents(rows, words, e) == 0).all(axis=0)].tolist()
-    fixing = [(b, sigma) for b in product(units, repeat=n) for sigma in permutations(range(n))
-              if np.array_equal(rows[:, list(sigma)] * np.array(b) % e, rows)]
-    kernel = [(tuple(a), b, sigma) for a in trivial for b, sigma in fixing]
+    rows = family.basis_array(i).astype(np.int64)  # b_j u_sigma(j) overflows the row dtype
+    trivial = _words(e, n)
+    for u in rows:  # row by row: the rows x words matrix of hamming(7,4) V_5 is 669 MB
+        trivial = trivial[trivial @ u % e == 0]
+    fixing = [(b, sigma) for sigma in permutations(range(n))
+              for b in product(*([v for v in units if (v * rows[:, s] % e == rows[:, j]).all()]
+                                 for j, s in enumerate(sigma)))]
+    kernel = [(tuple(a), b, sigma) for a in trivial.tolist() for b, sigma in fixing]
     expected = [((0,) * n, (1,) * n, tuple(range(n)))]  # identity_auto
     if e == 2 and i % 2 == 0:
         expected.append(((1,) * n, (1,) * n, tuple(range(n))))
@@ -156,39 +153,26 @@ class SignedPermutation:
 
     @classmethod
     def draw(cls, rng: random.Random, family: CubeFamily, k: int) -> "SignedPermutation":
-        return random_signed_perm(rng, family.n, type_d=family.halved)  # type D when halved
+        n = family.n
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        eps = [rng.choice((1, -1)) for _ in range(n)]
+        if family.halved and eps.count(-1) % 2:  # type D on the halved cube
+            eps[rng.randrange(n)] *= -1
+        return cls(tuple(sigma), tuple(eps))
 
-    def candidate(self, family: CubeFamily, i: int) -> Candidate:
-        return signed_perm_candidate(self, family, i)
-
-
-def signed_perm_candidate(f: SignedPermutation, family: FamilySpec, i: int,
-                          check_type_d: bool = True) -> Candidate:
-    """chi_S goes to eps(sigma(S)) chi_sigma(S) for the label S of each basis
-    character (_label_rows).  Halved-cube targets require a type-D signed
-    permutation, for which the sign is class-invariant."""
-    if not isinstance(family, CubeFamily) or family.folded:
-        raise ValueError(f"signed permutations act on hypercube or halved_cube, "
-                         f"not {family.kind}")
-    if family.halved and check_type_d and not f.is_type_d():
-        raise ValueError("halved-cube action requires a type-D signed permutation")
-    if len(f.sigma) != family.n:
-        raise ValueError("automorphism parameters do not match the family")
-    labels = family._label_rows(family.basis_array(i))
-    images = np.empty_like(labels)
-    images[:, list(f.sigma)] = labels
-    # before the label rule on the halved cube, summed in int64, not the row dtype
-    signs = images @ (np.array(f.eps) < 0).astype(np.int64)
-    return _candidate(labels, family._label_rows(images), signs, 2)
-
-
-def random_signed_perm(rng: random.Random, n: int, type_d: bool = False) -> SignedPermutation:
-    sigma = list(range(n))
-    rng.shuffle(sigma)
-    eps = [rng.choice((1, -1)) for _ in range(n)]
-    if type_d and eps.count(-1) % 2:
-        eps[rng.randrange(n)] *= -1
-    return SignedPermutation(tuple(sigma), tuple(eps))
+    def linear_map(self, family: CubeFamily) -> tuple[np.ndarray, np.ndarray]:
+        """M[j, sigma[j]] = 1 and t = M [eps == -1].  Halved-cube targets
+        require a type D map, for which the sign is class-invariant."""
+        if not isinstance(family, CubeFamily) or family.folded:
+            raise ValueError(f"signed permutations act on hypercube or halved_cube, "
+                             f"not {family.kind}")
+        if family.halved and not self.is_type_d():
+            raise ValueError("halved-cube action requires a type-D signed permutation")
+        if len(self.sigma) != family.n:
+            raise ValueError("automorphism parameters do not match the family")
+        m = np.eye(family.n, dtype=np.int64)[list(self.sigma)]
+        return m, m @ (np.array(self.eps) < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +252,23 @@ class BilinearAuto:
             mat = random_gl(rng, family.d if kind == "left" else family.cols, family.q)
         return cls(kind, mat, family.q)
 
-    def candidate(self, family: BilinearFamily, i: int) -> Candidate:
-        return bilinear_candidate(self, family, i)
-
-
-def bilinear_candidate(auto: BilinearAuto, family: BilinearFamily, i: int) -> Candidate:
-    if not isinstance(family, BilinearFamily) or auto.q != family.q:
-        raise ValueError("automorphism parameters do not match the family")
-    q = family.q
-    rows = family.basis_array(i)
-    dim = len(rows)
-    if auto.kind == "translate":
-        x = np.array([v % q for row in auto.matrix for v in row])
-        if len(x) != family.length:
-            raise ValueError("translation requires a d x e matrix")
-        return np.column_stack((np.arange(dim), rows @ x % q))
-    mats = rows.reshape(dim, family.d, family.cols)
-    if auto.kind == "left":
-        if len(auto.matrix) != family.d:
-            raise ValueError("left action requires a d x d matrix")
-        images = np.array(auto.matrix) @ mats % q
-    else:
-        if len(auto.matrix) != family.cols:
-            raise ValueError("right action requires an e x e matrix")
-        images = mats @ np.array(auto.inverse) % q
-    return _candidate(rows, images.reshape(dim, -1), np.zeros(dim, dtype=np.int64), q)
+    def linear_map(self, family: BilinearFamily) -> tuple[np.ndarray, np.ndarray]:
+        """On row-major flattened d x e matrices: (I, x) translates, (kron(a^t,
+        I_e), 0) multiplies by a on the left and (kron(I_d, b^-1), 0) by b^-1 on the right."""
+        if not isinstance(family, BilinearFamily) or self.q != family.q:
+            raise ValueError("automorphism parameters do not match the family")
+        d, e = family.d, family.cols
+        if self.kind == "translate":
+            x = [v % self.q for row in self.matrix for v in row]
+            if len(x) != family.length:
+                raise ValueError("translation requires a d x e matrix")
+            return np.eye(family.length, dtype=np.int64), np.array(x, dtype=np.int64)
+        size, shape = (d, "a d x d") if self.kind == "left" else (e, "an e x e")
+        if len(self.matrix) != size:
+            raise ValueError(f"{self.kind} action requires {shape} matrix")
+        m = (np.kron(np.array(self.matrix).T, np.eye(e, dtype=np.int64)) if self.kind == "left"
+             else np.kron(np.eye(d, dtype=np.int64), np.array(self.inverse)))
+        return m, np.zeros(family.length, dtype=np.int64)
 
 
 def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,
@@ -307,10 +283,10 @@ def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,
     target = mat_mul(mat_mul(mat_transpose(a), x, q), mat_transpose(right.inverse), q)
     rhs_auto = BilinearAuto("translate", target, q)
     for i in range(1, family.diameter + 1):
-        composite = bilinear_candidate(chain[0], family, i)
+        composite = candidate(chain[0], family, i)
         for auto in chain[1:]:
-            composite = compose_candidates(bilinear_candidate(auto, family, i), composite, q)
-        if not np.array_equal(composite, bilinear_candidate(rhs_auto, family, i)):
+            composite = compose_candidates(candidate(auto, family, i), composite, q)
+        if not np.array_equal(composite, candidate(rhs_auto, family, i)):
             return False
     return True
 
@@ -370,7 +346,7 @@ def autocheck(family: FamilySpec, i: int, samples: int, seed: int) -> dict:
     for k in range(samples):
         auto = action.draw(rng, family, k)
         results.append({"sample": k, "auto": str(auto),
-                        "ok": is_algebra_automorphism(auto.candidate(family, i), family, i)})
+                        "ok": is_algebra_automorphism(candidate(auto, family, i), family, i)})
     kernel = None
     if isinstance(family, HammingFamily):
         try:

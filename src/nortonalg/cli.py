@@ -413,15 +413,16 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def add(name: str, family: bool, formats: tuple, **kwargs) -> argparse.ArgumentParser:
-        """A subcommand with the common and, if family, the family options,
-        that writes the given output formats."""
+    read = {"seed": (int, "RNG seed (default: NORTON_SEED or 0)"),
+            "budget": (nonnegative_int, "evaluation budget (default: NORTON_BUDGET or 10^7)")}
+
+    def add(name: str, family: bool, formats: tuple, reads=(), **kwargs) -> argparse.ArgumentParser:
+        """A subcommand with the common options, the read options named in reads
+        and, if family, the family options, that writes the given output formats."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--output", "-o", default=None, help="write output to a file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: NORTON_SEED or 0)")
-        p.add_argument("--budget", type=nonnegative_int, default=None,
-                       help="evaluation budget (default: NORTON_BUDGET or 10^7)")
+        for option in reads:
+            p.add_argument(f"--{option}", type=read[option][0], default=None, help=read[option][1])
         p.add_argument("--threads", type=int, default=0,
                        help="ignored; every computation runs on one thread")
         if family:
@@ -450,7 +451,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_table)
 
     if wanted("nonassoc"):
-        p = add("nonassoc", True, every_format, help="associative spectrum counts C_*(m)")
+        p = add("nonassoc", True, every_format, ("seed", "budget"),
+                help="associative spectrum counts C_*(m)")
         p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
         p.add_argument("--max-m", type=positive_int, default=6)
         p.add_argument("--mode", choices=["auto", "exact", "witness"], default="auto")
@@ -458,14 +460,14 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_nonassoc)
 
     if wanted("idempotents"):
-        p = add("idempotents", False, ("json", "text"),
+        p = add("idempotents", False, ("json", "text"), ("budget",),
                 help="classified idempotents of V_1(H(1,e))")
         p.add_argument("--e", type=int, required=True)
         p.add_argument("--export", default=None, help="also write the JSON payload here")
         p.set_defaults(func=cmd_idempotents)
 
     if wanted("autocheck"):
-        p = add("autocheck", True, ("json",),
+        p = add("autocheck", True, ("json",), ("seed",),
                 help="sampled automorphism actions pass product preservation")
         p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
         p.add_argument("--samples", type=nonnegative_int, default=100)

@@ -140,6 +140,10 @@ class FamilySpec:
         themselves, unless the family labels characters otherwise."""
         return list(map(tuple, rows.tolist()))
 
+    def _label_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The label rows of the characters the given index rows index: the rows themselves."""
+        return rows
+
     def predicted_eigenvalue(self, i: int) -> int:
         raise NotImplementedError
 

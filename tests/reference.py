@@ -2,11 +2,11 @@
 canonical forms of w^k by polynomial long division, the paper's product
 rule on single labels, vectors keyed by label, the label
 enumerations that the package's numpy rows replace, tree evaluation and
-automorphism composition one element at a time, the edge-identity check of
-the eigenvectors at every connection element, the `table` output rendered
-as one string, the live-interval patterns of the whole tuple grid by index
-arithmetic, and the idempotent suite of V_1(H(1,e)) checked on every support
-and every pair of supports.
+automorphism composition and candidates one element at a time, the
+edge-identity check of the eigenvectors at every connection element, the
+`table` output rendered as one string, the live-interval patterns of the
+whole tuple grid by index arithmetic, and the idempotent suite of
+V_1(H(1,e)) checked on every support and every pair of supports.
 
 Each function computes its answer one group element or one label at a time,
 straight from the definitions, so the row paths of the package are checked
@@ -513,6 +513,21 @@ def compose_signed(f: SignedPermutation, g: SignedPermutation) -> SignedPermutat
 # ---------------------------------------------------------------------------
 # The `table` subcommand's output, rendered as one string
 # ---------------------------------------------------------------------------
+
+
+def per_label_candidate(fam, i: int, image_of) -> np.ndarray:
+    """Candidate array from a map label -> (exponent, image label)."""
+    pos = positions(fam, i)
+    return np.array([[pos.get(img, -1), exp] for exp, img in map(image_of, fam.basis(i))])
+
+
+def signed_image(f: SignedPermutation, fam):
+    """The per-label image map of a signed permutation on a cube family:
+    chi_S goes to eps(sigma(S)) chi_sigma(S), type D or not."""
+    def image_of(subset):
+        img = frozenset(f.sigma[j - 1] + 1 for j in subset)
+        return sum(f.eps[k - 1] == -1 for k in img) % 2, canonical_label(fam, img)
+    return image_of
 
 
 def _joined_rows(table: np.ndarray, cells: list[str], sep: str) -> list[str]:

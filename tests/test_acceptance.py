@@ -44,8 +44,10 @@ from reference import (
     check_halved_character_collisions,
     closed_product,
     integer_eigenvalue,
+    per_label_candidate,
     positions,
     reference_index,
+    signed_image,
     symmetric_difference_feasible,
 )
 
@@ -265,19 +267,19 @@ def test_criterion_08_automorphism_suite():
                 fam = make_family("hamming", n=n, e=e)
                 rng = random.Random(0)
                 for _ in range(100):
-                    phi = autos.random_hamming_auto(rng, n, e)
+                    phi = autos.HammingAuto.draw(rng, fam, 0)
                     for i in fam.eigenspaces():
                         assert autos.is_algebra_automorphism(
-                            autos.hamming_candidate(phi, fam, i), fam, i), (n, e, i)
+                            autos.candidate(phi, fam, i), fam, i), (n, e, i)
 
         half5 = make_family("halved_cube", n=5)
         for f in all_signed_perms(5, type_d=True):
             assert autos.is_algebra_automorphism(
-                autos.signed_perm_candidate(f, half5, 1), half5, 1)
+                autos.candidate(f, half5, 1), half5, 1)
 
         half6 = make_family("halved_cube", n=6)
         bad = autos.SignedPermutation((0, 1, 2, 3, 4, 5), (-1, 1, 1, 1, 1, 1))
-        candidate = autos.signed_perm_candidate(bad, half6, 2, check_type_d=False)
+        candidate = per_label_candidate(half6, 2, signed_image(bad, half6))
         assert not autos.is_algebra_automorphism(candidate, half6, 2)
 
         q3 = make_family("hamming", n=3, e=2)

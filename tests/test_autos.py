@@ -6,6 +6,7 @@ the coefficient w^exp with w of order family.modulus."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -17,10 +18,9 @@ from nortonalg.autos import (
     BilinearAuto,
     HammingAuto,
     SignedPermutation,
-    bilinear_candidate,
+    candidate as candidate_of,
     compose_candidates,
     conjugation_identity_check,
-    hamming_candidate,
     identity_auto,
     is_algebra_automorphism,
     kernel_check_hamming,
@@ -28,19 +28,17 @@ from nortonalg.autos import (
     mat_inv,
     mat_mul,
     random_gl,
-    random_hamming_auto,
-    random_signed_perm,
-    signed_perm_candidate,
 )
 from reference import (
     all_signed_perms,
     as_matrix,
-    canonical_label,
     closed_product,
     compose_hamming,
     compose_signed,
     flatten,
+    per_label_candidate,
     positions,
+    signed_image,
     support,
     weight,
     word_dot,
@@ -60,20 +58,20 @@ def image(fam, i, candidate, label):
 def test_identity_action():
     fam = make_family("hamming", n=2, e=3)
     ident = identity_auto(2, 3)
-    assert np.array_equal(hamming_candidate(ident, fam, 1), identity_candidate(fam, 1))
+    assert np.array_equal(candidate_of(ident, fam, 1), identity_candidate(fam, 1))
 
 
 def test_translation_action_e3():
     fam = make_family("hamming", n=1, e=3)
     phi = HammingAuto((1,), (1,), (0,), 3)
     assert fam.basis(1) == [(1,), (2,)]
-    assert hamming_candidate(phi, fam, 1).tolist() == [[0, 1], [1, 2]]
+    assert candidate_of(phi, fam, 1).tolist() == [[0, 1], [1, 2]]
 
 
 def test_all_ones_translation_trivial_on_even_weight():
     fam = make_family("hamming", n=4, e=2)
     phi = HammingAuto((1, 1, 1, 1), (1, 1, 1, 1), (0, 1, 2, 3), 2)
-    assert np.array_equal(hamming_candidate(phi, fam, 2), identity_candidate(fam, 2))
+    assert np.array_equal(candidate_of(phi, fam, 2), identity_candidate(fam, 2))
 
 
 def test_compose_examples():
@@ -96,13 +94,13 @@ def test_action_homomorphism_seeded():
         fam = make_family("hamming", n=n, e=e)
         rng = random.Random(0)
         for _ in range(100):
-            phi = random_hamming_auto(rng, n, e)
-            psi = random_hamming_auto(rng, n, e)
+            phi = HammingAuto.draw(rng, fam, 0)
+            psi = HammingAuto.draw(rng, fam, 0)
             comp = compose_hamming(phi, psi)
             for i in spaces:
-                composed = compose_candidates(hamming_candidate(phi, fam, i),
-                                              hamming_candidate(psi, fam, i), e)
-                assert np.array_equal(hamming_candidate(comp, fam, i), composed)
+                composed = compose_candidates(candidate_of(phi, fam, i),
+                                              candidate_of(psi, fam, i), e)
+                assert np.array_equal(candidate_of(comp, fam, i), composed)
 
 
 def test_hamming_autos_preserve_products():
@@ -110,17 +108,17 @@ def test_hamming_autos_preserve_products():
     for (n, e) in ((2, 3), (3, 3), (2, 4)):
         fam = make_family("hamming", n=n, e=e)
         for _ in range(20):
-            phi = random_hamming_auto(rng, n, e)
+            phi = HammingAuto.draw(rng, fam, 0)
             for i in fam.eigenspaces():
-                assert is_algebra_automorphism(hamming_candidate(phi, fam, i), fam, i)
+                assert is_algebra_automorphism(candidate_of(phi, fam, i), fam, i)
 
 
 def test_support_preserved():
     fam = make_family("hamming", n=3, e=4)
     rng = random.Random(2)
     for _ in range(20):
-        phi = random_hamming_auto(rng, 3, 4)
-        candidate = hamming_candidate(phi, fam, 2)
+        phi = HammingAuto.draw(rng, fam, 0)
+        candidate = candidate_of(phi, fam, 2)
         for u in fam.basis(2):
             _, img = image(fam, 2, candidate, u)
             moved = sorted(j + 1 for j in range(3) if u[phi.sigma[j]])
@@ -151,7 +149,7 @@ def test_kernel_checks():
 def test_factored_kernel_equals_enumerated():
     # every (a, b, sigma) whose candidate is the identity, one at a time
     for n, e, i in ((3, 2, 1), (3, 2, 2), (4, 2, 2), (2, 3, 1), (2, 3, 2), (3, 3, 1),
-                    (2, 4, 1), (2, 4, 2), (2, 5, 1)):
+                    (2, 4, 1), (2, 4, 2), (2, 5, 1), (3, 4, 1)):
         fam = make_family("hamming", n=n, e=e)
         ident = identity_candidate(fam, i)
         units = [v for v in range(1, e) if np.gcd(v, e) == 1]
@@ -159,39 +157,52 @@ def test_factored_kernel_equals_enumerated():
             (a, b, sigma)
             for a in product(range(e), repeat=n) for b in product(units, repeat=n)
             for sigma in permutations(range(n))
-            if np.array_equal(hamming_candidate(HammingAuto(a, b, sigma, e), fam, i), ident))
+            if np.array_equal(candidate_of(HammingAuto(a, b, sigma, e), fam, i), ident))
         assert kernel_check_hamming(fam, i)["kernel"] == enumerated, (n, e, i)
+
+
+def test_kernel_check_holds_one_word_list():
+    # hamming(6,4) V_4: 1215 rows by 4096 words would be 40 MB as one int64 matrix
+    fam = make_family("hamming", n=6, e=4)
+    fam.basis_array(4)
+    tracemalloc.start()
+    try:
+        assert kernel_check_hamming(fam, 4)["ok"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_signed_perm_action_examples():
     cube = make_family("hypercube", n=3)
     ident = SignedPermutation((0, 1, 2), (1, 1, 1))
-    assert np.array_equal(signed_perm_candidate(ident, cube, 2), identity_candidate(cube, 2))
+    assert np.array_equal(candidate_of(ident, cube, 2), identity_candidate(cube, 2))
     swap12 = SignedPermutation((1, 0, 2), (1, 1, 1))
-    assert image(cube, 2, signed_perm_candidate(swap12, cube, 2), (1, 3)) == (0, (2, 3))
+    assert image(cube, 2, candidate_of(swap12, cube, 2), (1, 3)) == (0, (2, 3))
     negate3 = SignedPermutation((0, 1, 2), (1, 1, -1))
-    assert image(cube, 2, signed_perm_candidate(negate3, cube, 2), (1, 3)) == (1, (1, 3))
+    assert image(cube, 2, candidate_of(negate3, cube, 2), (1, 3)) == (1, (1, 3))
 
 
 def test_signed_perm_composition_is_action():
     cube = make_family("hypercube", n=4)
     rng = random.Random(3)
     for _ in range(100):
-        f = random_signed_perm(rng, 4)
-        g = random_signed_perm(rng, 4)
+        f = SignedPermutation.draw(rng, cube, 0)
+        g = SignedPermutation.draw(rng, cube, 0)
         comp = compose_signed(f, g)
-        composed = compose_candidates(signed_perm_candidate(f, cube, 2),
-                                      signed_perm_candidate(g, cube, 2), 2)
-        assert np.array_equal(signed_perm_candidate(comp, cube, 2), composed)
+        composed = compose_candidates(candidate_of(f, cube, 2),
+                                      candidate_of(g, cube, 2), 2)
+        assert np.array_equal(candidate_of(comp, cube, 2), composed)
 
 
 def test_signed_perms_on_hypercube_are_automorphisms():
     cube = make_family("hypercube", n=4)
     rng = random.Random(4)
     for _ in range(25):
-        f = random_signed_perm(rng, 4)
+        f = SignedPermutation.draw(rng, cube, 0)
         for i in cube.eigenspaces():
-            assert is_algebra_automorphism(signed_perm_candidate(f, cube, i), cube, i)
+            assert is_algebra_automorphism(candidate_of(f, cube, i), cube, i)
 
 
 def test_type_d_on_halved_cube():
@@ -199,7 +210,7 @@ def test_type_d_on_halved_cube():
     count = 0
     for f in all_signed_perms(5, type_d=True):
         count += 1
-        assert is_algebra_automorphism(signed_perm_candidate(f, half, 1), half, 1)
+        assert is_algebra_automorphism(candidate_of(f, half, 1), half, 1)
     assert count == 2**4 * 120
 
 
@@ -208,8 +219,8 @@ def test_non_type_d_rejected_and_fails():
     f = SignedPermutation((0, 1, 2, 3, 4, 5), (-1, 1, 1, 1, 1, 1))
     assert not f.is_type_d()
     with pytest.raises(ValueError):
-        signed_perm_candidate(f, half, 2)
-    candidate = signed_perm_candidate(f, half, 2, check_type_d=False)
+        candidate_of(f, half, 2)
+    candidate = per_label_candidate(half, 2, signed_image(f, half))
     # f fixes chi_56 = chi_12 * chi_34 but negates chi_12, so preservation fails
     assert image(half, 2, candidate, (5, 6)) == (0, (5, 6))
     assert image(half, 2, candidate, (1, 2)) == (1, (1, 2))
@@ -220,9 +231,9 @@ def test_signed_perm_rejects_other_families():
     for fam in (make_family("folded_cube", n=4), make_family("folded_half_cube", n=8)):
         f = SignedPermutation(tuple(range(fam.n)), (1,) * fam.n)
         with pytest.raises(ValueError):
-            signed_perm_candidate(f, fam, 1)
+            candidate_of(f, fam, 1)
     with pytest.raises(ValueError):  # a signed permutation of 3 positions on Q_4
-        signed_perm_candidate(SignedPermutation((0, 1, 2), (1, 1, 1)),
+        candidate_of(SignedPermutation((0, 1, 2), (1, 1, 1)),
                               make_family("hypercube", n=4), 1)
 
 
@@ -237,10 +248,10 @@ def test_bilinear_action_examples():
     fam = make_family("bilinear", q=2, d=2, e=2)
     zero_translate = BilinearAuto("translate", ((0, 0), (0, 0)), 2)
     left_id = BilinearAuto("left", mat_identity(2), 2)
-    assert np.array_equal(bilinear_candidate(zero_translate, fam, 1), identity_candidate(fam, 1))
-    assert np.array_equal(bilinear_candidate(left_id, fam, 1), identity_candidate(fam, 1))
+    assert np.array_equal(candidate_of(zero_translate, fam, 1), identity_candidate(fam, 1))
+    assert np.array_equal(candidate_of(left_id, fam, 1), identity_candidate(fam, 1))
     tr = BilinearAuto("translate", ((1, 0), (0, 0)), 2)
-    candidate = bilinear_candidate(tr, fam, 1)
+    candidate = candidate_of(tr, fam, 1)
     for u in fam.basis(1):
         assert image(fam, 1, candidate, u) == (u[0], u)  # the sign (-1)^u[0]
 
@@ -258,7 +269,7 @@ def test_bilinear_actions_are_automorphisms():
             ]
             for auto in autos:
                 for i in (1, 2):
-                    assert is_algebra_automorphism(bilinear_candidate(auto, fam, i), fam, i)
+                    assert is_algebra_automorphism(candidate_of(auto, fam, i), fam, i)
 
 
 def test_left_right_actions_commute():
@@ -269,7 +280,7 @@ def test_left_right_actions_commute():
         b = random_gl(rng, 2, 3)
         left = BilinearAuto("left", a, 3)
         right = BilinearAuto("right", b, 3)
-        lc, rc = bilinear_candidate(left, fam, 1), bilinear_candidate(right, fam, 1)
+        lc, rc = candidate_of(left, fam, 1), candidate_of(right, fam, 1)
         assert np.array_equal(compose_candidates(rc, lc, 3), compose_candidates(lc, rc, 3))
 
 
@@ -293,9 +304,9 @@ def test_singular_matrices_rejected():
     with pytest.raises(ValueError):
         BilinearAuto("right", singular, 2)
     with pytest.raises(ValueError):  # built over F_3, applied over F_2
-        bilinear_candidate(BilinearAuto("left", mat_identity(2), 3), fam, 1)
+        candidate_of(BilinearAuto("left", mat_identity(2), 3), fam, 1)
     with pytest.raises(ValueError):  # a right action needs an e x e matrix
-        bilinear_candidate(BilinearAuto("right", mat_identity(3), 2), fam, 1)
+        candidate_of(BilinearAuto("right", mat_identity(3), 2), fam, 1)
     with pytest.raises(ValueError):
         conjugation_identity_check(fam, mat_identity(2), singular, mat_identity(2))
 
@@ -324,23 +335,10 @@ def test_is_algebra_automorphism_detects_bad_coefficient():
 # The array candidates against per-label formulas and a pair-by-pair check
 # ---------------------------------------------------------------------------
 
-def per_label_candidate(fam, i, image_of):
-    """Candidate array from a map label -> (exponent, image label)."""
-    pos = positions(fam, i)
-    return np.array([[pos.get(img, -1), exp] for exp, img in map(image_of, fam.basis(i))])
-
-
 def hamming_image(phi):
     def image_of(u):
         img = tuple(phi.b[j] * u[phi.sigma[j]] % phi.e for j in range(len(u)))
         return sum(a * v for a, v in zip(phi.a, img)) % phi.e, img
-    return image_of
-
-
-def signed_image(f, fam):
-    def image_of(subset):
-        img = frozenset(f.sigma[j - 1] + 1 for j in subset)
-        return sum(f.eps[k - 1] == -1 for k in img) % 2, canonical_label(fam, img)
     return image_of
 
 
@@ -363,21 +361,21 @@ def seeded_autos(fam, rng, count):
     for k in range(count):
         auto = ACTIONS[fam.kind].draw(rng, fam, k)
         if isinstance(auto, HammingAuto):
-            out.append((lambda i, phi=auto: hamming_candidate(phi, fam, i), hamming_image(auto)))
+            image_of = hamming_image(auto)
         elif isinstance(auto, SignedPermutation):
-            out.append((lambda i, f=auto: signed_perm_candidate(f, fam, i),
-                        signed_image(auto, fam)))
+            image_of = signed_image(auto, fam)
         else:
-            out.append((lambda i, auto=auto: bilinear_candidate(auto, fam, i),
-                        bilinear_image(auto, fam)))
+            image_of = bilinear_image(auto, fam)
+        out.append((lambda i, auto=auto: candidate_of(auto, fam, i), image_of))
     return out
 
 
 FAMILIES = [
     make_family("hamming", n=3, e=4), make_family("hamming", n=3, e=2),
-    make_family("hypercube", n=5), make_family("halved_cube", n=6),
-    make_family("halved_cube", n=5), make_family("bilinear", q=3, d=2, e=2),
-    make_family("bilinear", q=2, d=2, e=3),
+    make_family("hamming", n=2, e=5), make_family("hypercube", n=5),
+    make_family("halved_cube", n=6), make_family("halved_cube", n=5),
+    make_family("halved_cube", n=8), make_family("bilinear", q=3, d=2, e=2),
+    make_family("bilinear", q=2, d=2, e=3), make_family("bilinear", q=2, d=3, e=3),
 ]
 
 

@@ -169,6 +169,15 @@ def test_autocheck_hamming(capsys):
     assert payload["kernel"]["ok"] is True
 
 
+def test_autocheck_kernel_past_the_old_enumeration_bound(capsys):
+    # the old bound e^n phi(e)^n n! = 933,120 is over 10^5; e^n + n! n phi(e) = 1443 is not
+    code, payload = run_json(capsys, "autocheck", "--family", "hamming", "--n", "5", "--e", "3",
+                             "--i", "1", "--samples", "2")
+    assert code == 0
+    assert payload["kernel"]["ok"] is True
+    assert payload["kernel"]["kernel"] == ["((0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (0, 1, 2, 3, 4))"]
+
+
 def test_autocheck_rejects_folded_families(capsys):
     assert main(["autocheck", "--family", "folded-half-cube", "--n", "8"]) == 2
     assert capsys.readouterr().err == (
@@ -386,11 +395,24 @@ def test_unused_family_parameters_exit_2(argv, message, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "hamming", "--n", "2", "--e", "3", "--seed", "1"],
+    ["oracle-verify", "--family", "hamming", "--n", "2", "--e", "3", "--budget", "5"],
+], ids=["spectrum-seed", "oracle-verify-budget"])
+def test_options_the_command_does_not_read_exit_2(argv, capsys):
+    # --seed and --budget are given only to the commands that read them
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 # sha256 of the help texts 80 columns wide, recorded from literal lists of the
 # kinds and family options: the lists read from families.KINDS must give them
 HELP_SHA256 = {
     "": "c8bdcdbd69251ecc7d49669df67079d2dcad44ac07631163b47ec599187bb7a4",
-    "spectrum": "dee5078ebeae781787fe5bfab2d4b635cedacd8b4f635ce7e848dcd3b761a52d",
+    "spectrum": "9497d894f98400437ed29c15119a7ce80f1a1f385990a970684cdaa55600ee18",
 }
 
 

@@ -10,10 +10,9 @@ import pytest
 
 from nortonalg.autos import (
     SignedPermutation,
-    hamming_candidate,
+    candidate as candidate_of,
     identity_auto,
     is_algebra_automorphism,
-    signed_perm_candidate,
 )
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import (
@@ -448,10 +447,9 @@ def test_row_paths_render_no_labels():
         fam.product_table(i)
         assert verify_oracle_space(fam, i)
         if fam.kind == "hamming":
-            candidate = hamming_candidate(identity_auto(fam.n, fam.e), fam, i)
+            candidate = candidate_of(identity_auto(fam.n, fam.e), fam, i)
         else:
-            candidate = signed_perm_candidate(SignedPermutation((1, 0, 2, 3, 4, 5), (1,) * 6),
-                                              fam, i)
+            candidate = candidate_of(SignedPermutation((1, 0, 2, 3, 4, 5), (1,) * 6), fam, i)
         assert is_algebra_automorphism(candidate, fam, i)
         assert count_classes_exact(fam, i, 3).class_count >= 1
         assert fam._bases == {}, fam.describe()
