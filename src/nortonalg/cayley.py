@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SUM_CHUNK_BYTES = 2**20  # bytes of rows per numpy step of sum_positions, spectrum and the check
+SUM_CHUNK_BYTES = 2**18  # bytes a step of sum_positions, spectrum or the eigenvector check works in
 DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of int32
 
 
@@ -89,24 +89,12 @@ def _integer_root_sums(hists: np.ndarray, e: int) -> np.ndarray | None:
     return None if forms[:, 1:].any() else forms[:, 0]
 
 
-def _chunks(count: int, row_bytes: int):
-    """(start, stop) steps over count rows, SUM_CHUNK_BYTES of row_bytes rows each."""
-    step = max(1, SUM_CHUNK_BYTES // max(1, row_bytes))
+def _chunks(count: int, row_bytes: int, budget: int | None = None):
+    """(start, stop) steps over count rows, budget // row_bytes rows each (and
+    at least one); budget is SUM_CHUNK_BYTES unless given."""
+    step = max(1, (SUM_CHUNK_BYTES if budget is None else budget) // max(1, row_bytes))
     for start in range(0, count, step):
         yield start, min(start + step, count)
-
-
-def _neighbor_index(graph: CayleyGraph, verts: np.ndarray) -> np.ndarray:
-    """|X| x |S| int32 positions of x + s among the vertex rows verts."""
-    e = graph.modulus
-    find = row_finder(verts, e)
-    wide = verts.astype(np.min_scalar_type(2 * e - 2))
-    nbr = np.empty((len(verts), graph.degree), dtype=np.int32)
-    for j, s in enumerate(graph.connection.astype(wide.dtype)):
-        nbr[:, j] = find(_reduced_sum(wide, s, e))
-    if (nbr < 0).any():
-        raise ValueError("the vertex set is not closed under adding a connection element")
-    return nbr
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -216,81 +204,106 @@ def _lookup_sums(rows: np.ndarray, find, row_bytes: int, buffers: int, add) -> n
 
 def character_exponents(u_arr: np.ndarray, x_arr: np.ndarray, e: int) -> np.ndarray:
     """Exponents u.x mod e for index rows u and vertex rows x (entries in
-    0..e-1), in the smallest unsigned dtype that holds e - 1.  The dot products
-    are summed in a dtype that holds every one of them."""
-    acc = np.result_type(u_arr, x_arr, np.min_scalar_type(u_arr.shape[1] * (e - 1) ** 2))
-    dots = u_arr.astype(acc, copy=False) @ x_arr.T.astype(acc, copy=False)
-    return (dots % e).astype(np.min_scalar_type(e - 1))
+    0..e-1), in the smallest unsigned dtype that holds e - 1.  The dot
+    products are summed as lanes of a dtype that holds each (_dot_dtype) in
+    uint64 words, several vertices to a word with no carry between them,
+    and reduced as dots - e * (dots // e), much faster than numpy's %."""
+    acc = _dot_dtype(u_arr, x_arr, e)
+    count, lanes = len(x_arr), 8 // acc.itemsize
+    packed = np.zeros((x_arr.shape[1], -(-count // lanes) * lanes), dtype=acc)
+    packed[:, :count] = x_arr.T
+    words, coeffs = packed.view(np.uint64), u_arr.astype(np.uint64)
+    dots, part = np.zeros((2, len(u_arr), words.shape[1]), dtype=np.uint64)
+    for k, word in enumerate(words):
+        np.add(dots, np.multiply(coeffs[:, k, None], word, out=part), out=dots)
+    dots, rem = dots.view(acc)[:, :count], part.view(acc)[:, :count]
+    np.multiply(np.floor_divide(dots, e, out=rem), e, out=rem)
+    return np.subtract(dots, rem, out=rem).astype(np.min_scalar_type(e - 1), copy=False)
+
+
+def _dot_dtype(u_arr: np.ndarray, x_arr: np.ndarray, e: int) -> np.dtype:
+    """The dtype of character_exponents' sums: it holds each dot product."""
+    return np.result_type(u_arr, x_arr, np.min_scalar_type(u_arr.shape[1] * (e - 1) ** 2))
 
 
 def _exponent_histograms(exps: np.ndarray, e: int) -> np.ndarray:
-    """Per row of exponents, the int64 count of each residue 0..e-1 (rows x e)."""
-    slots = np.arange(len(exps))[:, None] * e
-    return np.bincount((slots + exps).ravel(), minlength=len(exps) * e).reshape(-1, e)
+    """Per row of exponents, the int64 count of each residue 0..e-1 (rows x e),
+    by one bincount of intp keys row * e + exponent, which it reads uncopied."""
+    keys = np.add(np.arange(0, len(exps) * e, e)[:, None], exps, order="C")
+    return np.bincount(keys.ravel(), minlength=len(exps) * e).reshape(-1, e)
 
 
-def _generating_columns(nbr: np.ndarray, origin: int) -> list[int]:
-    """Columns j of the neighbour index nbr whose elements s_j = nbr[origin, j]
-    generate the subgroup that all of them generate.  The columns are walked
-    in order, and s_j joins when it lies outside the subgroup H that the
-    earlier ones generate; H then takes in the cosets H - k s_j, one boolean
-    gather along column j each, until k s_j lies in H."""
-    inside = np.zeros(len(nbr), dtype=bool)
+def _generating_columns(graph: CayleyGraph, find, at_s, origin) -> list[np.ndarray]:
+    """The columns find(X + s_j), find the row_finder of the vertices X, of
+    connection elements s_j that generate <S> (at_s = find(S)): s_j joins
+    when it lies outside the subgroup H of the earlier ones, and H takes in
+    the cosets H - k s_j until k s_j is in H.  X + s_j inside X for each gives
+    X + <S> inside X, so a set not closed under S raises ValueError."""
+    e, verts = graph.modulus, graph.vertices
+    wide = verts.astype(np.min_scalar_type(2 * e - 2))
+    inside = np.zeros(len(verts), dtype=bool)
     inside[origin] = True
-    chosen = []
-    for j, s in enumerate(nbr[origin]):
-        if inside[s]:
+    columns = []
+    for s, at in zip(graph.connection.astype(wide.dtype), at_s):
+        if at >= 0 and inside[at]:
             continue
-        chosen.append(j)
-        coset = inside[nbr[:, j]]  # x is in H - s_j where x + s_j is in H
+        col = find(_reduced_sum(wide, s, e))
+        if (col < 0).any():
+            raise ValueError("the vertex set is not closed under adding a connection element")
+        columns.append(col)
+        coset = inside[col]  # x is in H - s_j where x + s_j is in H
         while not coset[origin]:
             inside |= coset
-            coset = coset[nbr[:, j]]
-    return chosen
+            coset = coset[col]
+    return columns
 
 
 def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     """Adjacency verification of every character (exact integer arithmetic).
 
     Each character's exponent row f = E[u] over X is checked against the
-    edge identity f(x+g) = f(x) + f(g) (mod e) at every vertex x, for g in
-    a generating set G of the subgroup <S> (_generating_columns): rank-many
-    elements, not all of S.  That certifies the identity for every s in S:
-    x = 0 gives f(0) = 0, and if it holds for g and h at every x then
-    f(x+g+h) = f(x+g) + f(h) = f(x) + f(g) + f(h) and f(g+h) = f(g) + f(h),
-    so it holds for g + h, hence on all of <G>, which holds S.  Where it
-    holds, (A chi_u)(x) = chi_u(x) * theta_u with theta_u = sum over s in S
-    of w^E[u, s], the neighbour counts at the identity vertex, which must
-    reduce to a rational integer.  A row that breaks the identity somewhere
-    is not the character u, and the check fails at the first generator
-    where one does.
+    edge identity f(x+g) = f(x) + f(g) (mod e) at every vertex x, for g in a
+    generating set G of <S> (_generating_columns), not all of S.  That
+    certifies it for every s in S: x = 0 gives f(0) = 0, and if it holds for
+    g and h at every x then f(x+g+h) = f(x+g) + f(h) = f(x) + f(g) + f(h)
+    and f(g+h) = f(g) + f(h), so it holds on all of <G>, which holds S.
+    Then (A chi_u)(x) = chi_u(x) * theta_u with theta_u = sum over s in S of
+    w^E[u, s], which must reduce to a rational integer.  A row that breaks
+    the identity somewhere is not the character u, and the check fails.
 
-    Exponent rows are computed per chunk of characters, so no |X| x |X|
-    array is built; a chunk holds SUM_CHUNK_BYTES over every array alive at
-    once: the exponents, their sums and the gathered rows (|X| entries each
-    per character), and the int64 histogram keys, their copy and counts
-    (2|S| + e per character)."""
-    e = graph.modulus
-    verts, chars = graph.vertices, graph.characters
-    nbr = _neighbor_index(graph, verts)
+    What a chunk of characters holds at once fits in SUM_CHUNK_BYTES.  Half
+    holds its exponents over X, vertex-major so that x -> x + g gathers whole
+    rows, and the theta histogram (gathered rows, int64 keys and counts);
+    vertex blocks take the rest, for character_exponents' packed rows, sums
+    and quotients, then for the check's image and wrap.  The differences
+    f(x+g) - f(x) over a block must all equal f(g), in contiguous steps."""
+    e, verts, chars = graph.modulus, graph.vertices, graph.characters
+    find = row_finder(verts, e)
+    at_s = find(graph.connection)
     origin = np.flatnonzero(~verts.any(axis=1))[0]  # the identity vertex
-    gens = nbr[:, _generating_columns(nbr, origin)]
-    wide = np.min_scalar_type(2 * e - 2)  # holds E[u, x] + E[u, s]
-    row_bytes = 3 * len(verts) * wide.itemsize + 8 * (2 * graph.degree + e)
-    for start, stop in _chunks(len(chars), row_bytes):
-        # vertices x characters, so that x -> x + g gathers whole rows
-        exps = np.ascontiguousarray(character_exponents(chars[start:stop], verts, e).T, dtype=wide)
-        # before total and image exist, so its int64 intermediates do not
-        # add to theirs
-        theta = _exponent_histograms(exps[nbr[origin]].T, e)
-        # written in place at every g: a fresh array of this size per step
-        # costs more in page faults than the arithmetic
-        total, image = np.empty_like(exps), np.empty_like(exps)
-        for col in gens.T:
-            _reduced_sum(exps, exps[col[origin]], e, out=total, wrap=image)
-            np.take(exps, col, axis=0, out=image)
-            if np.subtract(total, image, out=total).any():  # nonzero where they differ
-                return False
-        if _integer_root_sums(theta, e) is None:  # some theta_u is not a rational integer
-            return False
+    gens = _generating_columns(graph, find, at_s, origin)
+    wide = np.min_scalar_type(2 * e - 2)  # so it holds E[u, x] - E[u, y] + e too
+    acc = _dot_dtype(chars, verts, e).itemsize
+    char_bytes = len(verts) * wide.itemsize + graph.degree * (wide.itemsize + 8) + 16 * e
+    for start, stop in _chunks(len(chars), 2 * char_bytes):
+        width = stop - start
+        exps = np.empty((len(verts), width), dtype=wide)
+        spare = SUM_CHUNK_BYTES - exps.nbytes
+        block_row = verts.shape[1] * acc + width * (2 * acc + wide.itemsize)
+        for lo, hi in _chunks(len(verts), block_row, spare):
+            exps[lo:hi] = character_exponents(chars[start:stop], verts[lo:hi], e).T
+        if _integer_root_sums(_exponent_histograms(exps[at_s].T, e), e) is None:
+            return False  # some theta_u is not a rational integer
+        blocks = list(_chunks(len(verts), 2 * width * wide.itemsize, spare))
+        image, wrap = np.empty((2, blocks[0][1], width), dtype=wide)
+        for lo, hi in blocks:
+            diff, held = image[:hi - lo], wrap[:hi - lo]
+            for col in gens:
+                np.take(exps, col[lo:hi], axis=0, out=diff)
+                np.subtract(diff, exps[lo:hi], out=diff)  # wraps above where negative
+                np.minimum(diff, np.add(diff, e, out=held), out=diff)  # mod e
+                # nonzero where a row differs from f(g) or from the next row
+                if (diff[0] != exps[col[origin]]).any() or \
+                        np.subtract(diff[1:], diff[:-1], out=held[1:]).any():
+                    return False
     return True

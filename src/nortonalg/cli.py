@@ -31,7 +31,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from itertools import chain, islice
 
 import numpy as np
@@ -131,6 +131,20 @@ def _json_blocks(payload: dict) -> Iterable[str]:
     while block := list(islice(pieces, JSON_BLOCK_PIECES)):
         yield "".join(block)
     yield "\n"
+
+
+class _Streamed(list):
+    """count items that the json encoder reads from items() one at a time (its
+    iterencode reads a list by len and iter), so none is held."""
+
+    def __init__(self, count: int, items: Callable[[], Iterable]):  # an empty list
+        self.count, self.items = count, items
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return iter(self.items())
 
 
 TABLE_SLOT = "<table>"  # stands for the table in the payload until it is rendered
@@ -319,12 +333,10 @@ def cmd_idempotents(args) -> int:
         "command": "idempotents",
         "e": e,
         "count": len(idems),
-        "idempotents": [
-            {"support": sorted(idem.support), "vector": idem.vector.to_json()}
-            for idem in idems
-        ],
+        "idempotents": _Streamed(len(idems), lambda: (
+            {"support": sorted(idem.support), "vector": idem.vector.to_json()} for idem in idems)),
         "nilpotent_count": len(nilpotents),
-        "nilpotents": [vec.to_json() for vec in nilpotents],
+        "nilpotents": _Streamed(len(nilpotents), lambda: (vec.to_json() for vec in nilpotents)),
         "eta_relations": relations,
         "primitivity_facts": primitivity,
         "status": "ok" if relations and primitivity else "failed",

@@ -148,6 +148,21 @@ def verify_eigenvector(graph, u) -> bool:
     return True
 
 
+def _neighbor_index(graph, verts: np.ndarray) -> np.ndarray:
+    """|X| x |S| int32 positions of x + s among the vertex rows verts, with a
+    column for every connection element s; ValueError where some x + s is
+    not among them."""
+    e = graph.modulus
+    find = cayley.row_finder(verts, e)
+    wide = verts.astype(np.min_scalar_type(2 * e - 2))
+    nbr = np.empty((len(verts), graph.degree), dtype=np.int32)
+    for j, s in enumerate(graph.connection.astype(wide.dtype)):
+        nbr[:, j] = find(cayley._reduced_sum(wide, s, e))
+    if (nbr < 0).any():
+        raise ValueError("the vertex set is not closed under adding a connection element")
+    return nbr
+
+
 def verify_at_every_connection_element(graph) -> bool:
     """verify_all_eigenvectors with the edge identity checked at every
     connection element s, not only along a generating set: |S| steps per
@@ -156,7 +171,7 @@ def verify_at_every_connection_element(graph) -> bool:
     is seen by both checks."""
     e = graph.modulus
     verts, chars = graph.vertices, graph.characters
-    nbr = cayley._neighbor_index(graph, verts)
+    nbr = _neighbor_index(graph, verts)
     origin = np.flatnonzero(~verts.any(axis=1))[0]
     wide = np.min_scalar_type(2 * e - 2)
     for start, stop in cayley._chunks(len(chars), len(verts) * wide.itemsize):

@@ -19,9 +19,9 @@ from nortonalg.cayley import (
 )
 from nortonalg.cyclotomic import Cyclotomic
 from nortonalg.families import make_family
-from reference import (canonical_label, eigenvalue_of_character, generated_subgroup,
-                       integer_eigenvalue, verify_at_every_connection_element,
-                       verify_eigenvector)
+from reference import (_neighbor_index, canonical_label, eigenvalue_of_character,
+                       generated_subgroup, integer_eigenvalue,
+                       verify_at_every_connection_element, verify_eigenvector)
 
 
 # the 41 families of criterion 1 and of the golden cases
@@ -98,6 +98,22 @@ def test_character_exponents_dtype_holds_modulus():
     g = make_family("hamming", n=2, e=3).cayley_graph()
     verts = np.array(g.vertices, dtype=np.uint8)
     assert character_exponents(verts, verts, 3).dtype == np.uint8
+
+
+def test_character_exponents_equal_the_plain_dot_products():
+    # lanes of 1, 2 and 4 bytes in each uint64 word, vertex counts on and off
+    # a whole number of words, and sums up to the top of the one-byte lane
+    rng = np.random.default_rng(5)
+    for e, width, count in ((2, 14, 64), (2, 255, 13), (3, 6, 29), (5, 6, 8), (257, 1, 257),
+                            (257, 3, 31), (7, 2000, 9)):
+        dtype = np.min_scalar_type(e - 1)
+        u = rng.integers(0, e, (11, width)).astype(dtype)
+        x = rng.integers(0, e, (count, width)).astype(dtype)
+        x[0] = e - 1
+        u[0] = e - 1
+        want = (u.astype(object) @ x.T.astype(object)) % e
+        got = character_exponents(u, x, e)
+        assert got.dtype == dtype and (got == want).all(), (e, width, count)
 
 
 def test_connection_invariants():
@@ -209,28 +225,67 @@ def test_spectrum_and_verdict_independent_of_chunk_size(monkeypatch):
     assert all(verdict for _, verdict in whole)
 
 
-def test_eigenvector_check_works_in_a_bounded_set():
-    # a chunk is sized by every array it holds at once (1.44 and 1.25 MiB
-    # here); sized by one |X|-wide array and checked at every connection
-    # element, the two peaked at 2.34 and 1.65 MiB
-    for kind, opts, bound in (("bilinear", {"q": 3, "d": 2, "e": 3}, 1.6),
-                              ("hamming", {"n": 1, "e": 257}, 1.4)):
+def _traced_peak(check) -> int:
+    """The traced peak of check(), which must hold, in bytes."""
+    tracemalloc.start()
+    try:
+        assert check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _bounded_checks():
+    """name: (check, MiB bound) of the chunked loops at the default budget;
+    the root-sum matrix is cached before a trace."""
+    checks = {}
+    # every array a chunk holds is counted in it (0.39 and 0.15 MiB here);
+    # with 1 MiB chunks that counted neither the exponents' accumulator nor
+    # a vertex block, the two peaked at 1.44 and 1.25 MiB
+    for kind, opts, bound in (("bilinear", {"q": 3, "d": 2, "e": 3}, 0.5),
+                              ("hamming", {"n": 1, "e": 257}, 0.25)):
         g = make_family(kind, **opts).cayley_graph()
-        assert verify_all_eigenvectors(g)  # the root-sum matrix is cached before the trace
-        tracemalloc.start()
-        try:
-            assert verify_all_eigenvectors(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert verify_all_eigenvectors(g)
+        checks[kind] = (lambda g=g: verify_all_eigenvectors(g), bound)
+    # the 462 x 462 int32 table alone is 0.81 MiB (1.36 MiB in all; 2.04 with
+    # 1 MiB chunks)
+    rows = make_family("hypercube", n=11).basis_array(5)
+    checks["sum_positions"] = (lambda: sum_positions(rows, 2) is not None, 1.5)
+    return checks
+
+
+def test_eigenvector_check_works_in_a_bounded_set():
+    checks = _bounded_checks()
+    for kind in ("bilinear", "hamming"):
+        check, bound = checks[kind]
+        peak = _traced_peak(check)
         assert peak < bound * (1 << 20), (kind, peak)
 
 
+def test_sum_positions_works_in_a_bounded_set():
+    check, bound = _bounded_checks()["sum_positions"]
+    peak = _traced_peak(check)
+    assert peak < bound * (1 << 20), peak
+
+
+def test_working_set_follows_the_chunk_budget(monkeypatch):
+    # a quarter of the budget takes at least a quarter of the cut off each
+    # peak, so the bounds above come from the constant, not the instances
+    checks = _bounded_checks()
+    full = {name: _traced_peak(check) for name, (check, _) in checks.items()}
+    cut = cayley.SUM_CHUNK_BYTES * 3 // 4
+    monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", cayley.SUM_CHUNK_BYTES - cut)
+    for name, (check, _) in checks.items():
+        assert _traced_peak(check) < full[name] - cut // 4, name
+
+
 def _generating_rows(g):
-    """The connection rows at the columns that _generating_columns picks."""
-    nbr = cayley._neighbor_index(g, g.vertices)
+    """The connection elements whose columns _generating_columns builds: the
+    vertex each column takes the identity vertex to."""
+    find = cayley.row_finder(g.vertices, g.modulus)
     origin = int(np.flatnonzero(~g.vertices.any(axis=1))[0])
-    return g.connection[cayley._generating_columns(nbr, origin)]
+    columns = cayley._generating_columns(g, find, find(g.connection), origin)
+    return g.vertices[[col[origin] for col in columns]]
 
 
 def test_generating_columns_generate_the_connection_set():
@@ -306,6 +361,57 @@ def test_one_vertex_corruption_is_rejected(monkeypatch, kind, opts):
     assert verify_all_eigenvectors(g)
 
 
+@pytest.mark.parametrize("kind, opts", [
+    ("hamming", {"n": 2, "e": 3}), ("hypercube", {"n": 3}), ("halved_cube", {"n": 4})],
+    ids=["hamming(2,3)", "hypercube(3)", "halved_cube(4)"])
+def test_corruption_is_rejected_at_vertex_block_boundaries(monkeypatch, kind, opts):
+    # E[u, x0] + 1 at the origin, in a middle block and in the last vertex
+    # block is rejected when the check's blocks hold 1, 2 or 3 vertex rows, as
+    # at the default budget and at 7 bytes; the last block is partial at 2 or 3
+    g = make_family(kind, **opts).cayley_graph()
+    count = len(g.vertices)
+    wide = np.min_scalar_type(2 * g.modulus - 2).itemsize
+    origin = int(np.flatnonzero(~g.vertices.any(axis=1))[0])
+    real_exponents, real_chunks = cayley.character_exponents, cayley._chunks
+    steps = []
+
+    def chunks(rows, row_bytes, budget=None):
+        out = list(real_chunks(rows, row_bytes, budget))
+        if rows == count and row_bytes == 2 * wide:  # the check's blocks at one character
+            steps.append([hi - lo for lo, hi in out])
+        return out
+
+    def verdicts(budget):
+        monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", budget)
+        out = [verify_all_eigenvectors(g)]
+        for u in (g.characters[0], g.characters[-1]):
+            for x0 in (origin, count // 2, count - 1):
+                def corrupted(u_arr, x_arr, e, u=u, x0=g.vertices[x0]):
+                    out = real_exponents(u_arr, x_arr, e)
+                    at = np.ix_((u_arr == u).all(axis=1), (x_arr == x0).all(axis=1))
+                    out[at] = (out[at] + 1) % e
+                    return out
+
+                monkeypatch.setattr(cayley, "character_exponents", corrupted)
+                out.append(verify_all_eigenvectors(g))
+                monkeypatch.setattr(cayley, "character_exponents", real_exponents)
+        return out
+
+    monkeypatch.setattr(cayley, "_chunks", chunks)
+    want = verdicts(cayley.SUM_CHUNK_BYTES)
+    assert want == [True] + [False] * 6
+    assert verdicts(7) == want
+    partial = False
+    for rows in (1, 2, 3):
+        steps.clear()
+        # one character per chunk; its exponents over X, then the blocks
+        assert verdicts(count * wide + 2 * wide * rows) == want, rows
+        assert steps and all(s[:-1] == [rows] * (len(s) - 1) and 0 < s[-1] <= rows
+                             for s in steps), (rows, steps[:1])
+        partial |= steps[0][-1] < rows
+    assert partial
+
+
 def test_batched_spectrum_equals_per_character_eigenvalues():
     assert len(CRITERION_1) == 41
     for kind, opts in CRITERION_1:
@@ -317,10 +423,24 @@ def test_batched_spectrum_equals_per_character_eigenvalues():
 def test_neighbor_index_rejects_a_vertex_set_not_closed():
     g = CayleyGraph(4, _rows((0,), (2,)), _rows((2,)))
     verts = np.array(g.vertices, dtype=np.uint8)
-    assert cayley._neighbor_index(g, verts).tolist() == [[1], [0]]
+    assert _neighbor_index(g, verts).tolist() == [[1], [0]]
     g.connection = _rows((1,), (3,))
     with pytest.raises(ValueError):
-        cayley._neighbor_index(g, verts)
+        _neighbor_index(g, verts)
+
+
+def test_check_rejects_a_vertex_set_not_closed_under_a_non_generator():
+    # in Z_8, X = {0, 1, 2, 6, 7} holds S = {1, 7, 2, 6}, and 2 = 1 + 1 is no
+    # generator; X + 2 leaves X, so the check raises as the every-element
+    # neighbour index does (a set closed under each generator would be closed
+    # under all of S, so it fails at the generator 1, where X + 1 holds 3)
+    xs = {0, 1, 2, 6, 7}
+    assert {(x + 2) % 8 for x in xs} - xs == {3, 4}
+    g = CayleyGraph(8, _rows(*((x,) for x in sorted(xs))), _rows((1,), (7,), (2,), (6,)))
+    with pytest.raises(ValueError, match="not closed under adding a connection element"):
+        verify_all_eigenvectors(g)
+    with pytest.raises(ValueError, match="not closed under adding a connection element"):
+        _neighbor_index(g, g.vertices)
 
 
 def test_sum_positions_independent_of_chunk_size(monkeypatch):
