@@ -120,9 +120,9 @@ def row_finder(rows: np.ndarray, modulus: int):
     RepeatedRowError.
 
     A row is read as a bit-field code of bits(modulus - 1) bits per entry.
-    When the codes fit in DENSE_CODE_BITS bits, a dense int32 array maps each
-    code to its position; wider rows, such as exponent rows over a vertex
-    set, are compared by exact byte key in the dtype of rows."""
+    When the codes fit in DENSE_CODE_BITS bits, an int32 array up to the
+    largest code maps each to its position (a larger one to -1); wider rows,
+    such as exponent rows over a vertex set, are compared by exact byte key."""
     count, width = rows.shape
     bits = (modulus - 1).bit_length()
     if width * bits > DENSE_CODE_BITS:
@@ -138,11 +138,11 @@ def row_finder(rows: np.ndarray, modulus: int):
         return out
 
     keys = codes(rows)
-    index = np.full(1 << (width * bits), -1, dtype=np.int32)
+    index = np.full(int(keys.max(initial=-1)) + 2, -1, dtype=np.int32)  # -1 last
     index[keys] = np.arange(count, dtype=np.int32)
     if (index[keys] != np.arange(count)).any():
         raise RepeatedRowError("row_finder needs distinct rows")
-    return lambda queries: index[codes(queries)]
+    return lambda queries: index.take(codes(queries), mode="clip")
 
 
 def _byte_key_finder(rows: np.ndarray):
@@ -174,7 +174,7 @@ def sum_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
         return residue_positions(rows, modulus)
     if rows.size and (rows.min() < 0 or rows.max() > 1):  # packbits reads any nonzero as 1
         raise ValueError("row entries must be in 0..1")
-    packed = np.packbits(rows, axis=1)
+    packed = np.packbits(rows, axis=1, bitorder="little")[:, ::-1]  # padding leads: codes < 2^n
     # chunks of as many rows as unpacked sums of one byte an entry would take
     return _lookup_sums(packed, row_finder(packed, 256), rows.size,
                         1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
@@ -212,10 +212,10 @@ def character_exponents(u_arr: np.ndarray, x_arr: np.ndarray, e: int) -> np.ndar
     count, lanes = len(x_arr), 8 // acc.itemsize
     packed = np.zeros((x_arr.shape[1], -(-count // lanes) * lanes), dtype=acc)
     packed[:, :count] = x_arr.T
-    words, coeffs = packed.view(np.uint64), u_arr.astype(np.uint64)
-    dots, part = np.zeros((2, len(u_arr), words.shape[1]), dtype=np.uint64)
-    for k, word in enumerate(words):
-        np.add(dots, np.multiply(coeffs[:, k, None], word, out=part), out=dots)
+    dots = np.zeros((len(u_arr), packed.shape[1] // lanes), dtype=np.uint64)
+    part = np.empty_like(dots)  # apart from dots: the residues returned keep it alive
+    for coeff, word in zip(u_arr.T.astype(np.uint64), packed.view(np.uint64)):
+        np.add(dots, np.multiply(coeff[:, None], word, out=part), out=dots)
     dots, rem = dots.view(acc)[:, :count], part.view(acc)[:, :count]
     np.multiply(np.floor_divide(dots, e, out=rem), e, out=rem)
     return np.subtract(dots, rem, out=rem).astype(np.min_scalar_type(e - 1), copy=False)

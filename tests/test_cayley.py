@@ -239,7 +239,7 @@ def _bounded_checks():
     """name: (check, MiB bound) of the chunked loops at the default budget;
     the root-sum matrix is cached before a trace."""
     checks = {}
-    # every array a chunk holds is counted in it (0.39 and 0.15 MiB here);
+    # every array a chunk holds is counted in it (0.41 and 0.15 MiB here);
     # with 1 MiB chunks that counted neither the exponents' accumulator nor
     # a vertex block, the two peaked at 1.44 and 1.25 MiB
     for kind, opts, bound in (("bilinear", {"q": 3, "d": 2, "e": 3}, 0.5),
@@ -247,10 +247,10 @@ def _bounded_checks():
         g = make_family(kind, **opts).cayley_graph()
         assert verify_all_eigenvectors(g)
         checks[kind] = (lambda g=g: verify_all_eigenvectors(g), bound)
-    # the 462 x 462 int32 table alone is 0.81 MiB (1.36 MiB in all; 2.04 with
-    # 1 MiB chunks)
+    # the 462 x 462 int32 table alone is 0.81 MiB (1.23 MiB in all; 2.04 with
+    # 1 MiB chunks and a dense index of 2^16 codes for 11-bit rows)
     rows = make_family("hypercube", n=11).basis_array(5)
-    checks["sum_positions"] = (lambda: sum_positions(rows, 2) is not None, 1.5)
+    checks["sum_positions"] = (lambda: sum_positions(rows, 2) is not None, 1.4)
     return checks
 
 
@@ -550,6 +550,14 @@ def test_row_finder_dense_path_rejects_entries_out_of_range():
     assert find(np.array([[2, 0], [1, 1]], dtype=np.uint8)).tolist() == [1, -1]
     with pytest.raises(ValueError, match="0..2"):
         find(np.array([[3, 0]], dtype=np.uint8))
+
+
+def test_row_finder_misses_codes_past_the_largest_row():
+    # the dense index ends at the largest row code, that of (1, 0) here, and
+    # every larger query code reads -1
+    find = cayley.row_finder(np.array([[0, 1], [1, 0]], dtype=np.uint8), 3)
+    assert find(np.array([[1, 0], [1, 1], [2, 0], [2, 2], [0, 0]], np.uint8)).tolist() == [
+        1, -1, -1, -1, -1]
 
 
 def test_spectrum_descending_and_total():
