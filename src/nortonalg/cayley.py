@@ -167,14 +167,15 @@ def sum_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
     (row_finder).  Rows must be distinct, with entries in 0..modulus-1;
     duplicate rows raise RepeatedRowError.
 
-    Modulo 2 a sum is a XOR: the rows are bit-packed (np.packbits), each sum
-    is one bitwise_xor of packed rows, and row_finder reads the sums as rows
+    Modulo 2 a sum is a XOR: the rows are bit-packed, last byte first in
+    little bit order, so the zero padding leads and n-bit rows code below
+    2^n; each sum is one bitwise_xor, and row_finder reads the sums as rows
     of bytes.  Every other modulus sums residues (residue_positions)."""
     if modulus != 2:
         return residue_positions(rows, modulus)
     if rows.size and (rows.min() < 0 or rows.max() > 1):  # packbits reads any nonzero as 1
         raise ValueError("row entries must be in 0..1")
-    packed = np.packbits(rows, axis=1, bitorder="little")[:, ::-1]  # padding leads: codes < 2^n
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1, bitorder="little")[:, ::-1])
     # chunks of as many rows as unpacked sums of one byte an entry would take
     return _lookup_sums(packed, row_finder(packed, 256), rows.size,
                         1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
@@ -241,8 +242,7 @@ def _generating_columns(graph: CayleyGraph, find, at_s, origin) -> list[np.ndarr
     X + <S> inside X, so a set not closed under S raises ValueError."""
     e, verts = graph.modulus, graph.vertices
     wide = verts.astype(np.min_scalar_type(2 * e - 2))
-    inside = np.zeros(len(verts), dtype=bool)
-    inside[origin] = True
+    inside = np.arange(len(verts)) == origin
     columns = []
     for s, at in zip(graph.connection.astype(wide.dtype), at_s):
         if at >= 0 and inside[at]:
