@@ -240,14 +240,13 @@ def _generating_columns(graph: CayleyGraph, find, at_s, origin) -> list[np.ndarr
     when it lies outside the subgroup H of the earlier ones, and H takes in
     the cosets H - k s_j until k s_j is in H.  X + s_j inside X for each gives
     X + <S> inside X, so a set not closed under S raises ValueError."""
-    e, verts = graph.modulus, graph.vertices
-    wide = verts.astype(np.min_scalar_type(2 * e - 2))
-    inside = np.arange(len(verts)) == origin
+    wide = graph.vertices.astype(np.min_scalar_type(2 * graph.modulus - 2))
+    inside = np.arange(len(wide)) == origin
     columns = []
     for s, at in zip(graph.connection.astype(wide.dtype), at_s):
         if at >= 0 and inside[at]:
             continue
-        col = find(_reduced_sum(wide, s, e))
+        col = find(_reduced_sum(wide, s, graph.modulus))
         if (col < 0).any():
             raise ValueError("the vertex set is not closed under adding a connection element")
         columns.append(col)
@@ -273,10 +272,10 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
 
     What a chunk of characters holds at once fits in SUM_CHUNK_BYTES.  Half
     holds its exponents over X, vertex-major so that x -> x + g gathers whole
-    rows, and the theta histogram (gathered rows, int64 keys and counts);
-    vertex blocks take the rest, for character_exponents' packed rows, sums
-    and quotients, then for the check's image and wrap.  The differences
-    f(x+g) - f(x) over a block must all equal f(g), in contiguous steps."""
+    rows; the rest holds in turn character_exponents on vertex blocks, the
+    theta histogram (gathered rows, int64 keys and counts), and the check's
+    image and wrap on vertex blocks, where the differences f(x+g) - f(x)
+    must all equal f(g).  Every step is contiguous numpy work."""
     e, verts, chars = graph.modulus, graph.vertices, graph.characters
     find = row_finder(verts, e)
     at_s = find(graph.connection)
@@ -284,8 +283,8 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     gens = _generating_columns(graph, find, at_s, origin)
     wide = np.min_scalar_type(2 * e - 2)  # so it holds E[u, x] - E[u, y] + e too
     acc = _dot_dtype(chars, verts, e).itemsize
-    char_bytes = len(verts) * wide.itemsize + graph.degree * (wide.itemsize + 8) + 16 * e
-    for start, stop in _chunks(len(chars), 2 * char_bytes):
+    theta_bytes = graph.degree * (wide.itemsize + 8) + 16 * e  # per character
+    for start, stop in _chunks(len(chars), 2 * max(len(verts) * wide.itemsize, theta_bytes)):
         width = stop - start
         exps = np.empty((len(verts), width), dtype=wide)
         spare = SUM_CHUNK_BYTES - exps.nbytes
@@ -306,4 +305,5 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
                 if (diff[0] != exps[col[origin]]).any() or \
                         np.subtract(diff[1:], diff[:-1], out=held[1:]).any():
                     return False
+        del image, wrap, diff, held  # before the next chunk's exponents
     return True

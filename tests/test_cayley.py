@@ -239,7 +239,7 @@ def _bounded_checks():
     """name: (check, MiB bound) of the chunked loops at the default budget;
     the root-sum matrix is cached before a trace."""
     checks = {}
-    # every array a chunk holds is counted in it (0.41 and 0.15 MiB here);
+    # every array a chunk holds is counted in it (0.37 and 0.14 MiB here);
     # with 1 MiB chunks that counted neither the exponents' accumulator nor
     # a vertex block, the two peaked at 1.44 and 1.25 MiB
     for kind, opts, bound in (("bilinear", {"q": 3, "d": 2, "e": 3}, 0.5),
