@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SUM_CHUNK_BYTES = 2**18  # bytes a step of sum_positions, spectrum or the eigenvector check works in
+SUM_CHUNK_BYTES = 2**18  # working set of a step of sum_positions, spectrum and the eigenvector check
 DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of int32
 
 
@@ -270,12 +270,12 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     w^E[u, s], which must reduce to a rational integer.  A row that breaks
     the identity somewhere is not the character u, and the check fails.
 
-    What a chunk of characters holds at once fits in SUM_CHUNK_BYTES.  Half
-    holds its exponents over X, vertex-major so that x -> x + g gathers whole
-    rows; the rest holds in turn character_exponents on vertex blocks, the
-    theta histogram (gathered rows, int64 keys and counts), and the check's
-    image and wrap on vertex blocks, where the differences f(x+g) - f(x)
-    must all equal f(g).  Every step is contiguous numpy work."""
+    What a chunk of characters holds at once fits in SUM_CHUNK_BYTES, unless
+    one character's exponents over X take more than half.  Half holds the
+    exponents, vertex-major so that x -> x + g gathers whole rows; the rest
+    holds in turn character_exponents on vertex blocks, the theta histogram
+    (gathered rows, int64 keys and counts), and the check's image and wrap
+    on vertex blocks, where the differences f(x+g) - f(x) must equal f(g)."""
     e, verts, chars = graph.modulus, graph.vertices, graph.characters
     find = row_finder(verts, e)
     at_s = find(graph.connection)
@@ -287,7 +287,7 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     for start, stop in _chunks(len(chars), 2 * max(len(verts) * wide.itemsize, theta_bytes)):
         width = stop - start
         exps = np.empty((len(verts), width), dtype=wide)
-        spare = SUM_CHUNK_BYTES - exps.nbytes
+        spare = max(SUM_CHUNK_BYTES - exps.nbytes, SUM_CHUNK_BYTES // 2)  # half, if exps is more
         block_row = verts.shape[1] * acc + width * (2 * acc + wide.itemsize)
         for lo, hi in _chunks(len(verts), block_row, spare):
             exps[lo:hi] = character_exponents(chars[start:stop], verts[lo:hi], e).T

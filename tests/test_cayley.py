@@ -404,8 +404,9 @@ def test_corruption_is_rejected_at_vertex_block_boundaries(monkeypatch, kind, op
     partial = False
     for rows in (1, 2, 3):
         steps.clear()
-        # one character per chunk; its exponents over X, then the blocks
-        assert verdicts(count * wide + 2 * wide * rows) == want, rows
+        # one character per chunk, its exponents over more than half the
+        # budget, so the check's image and wrap blocks get half of it
+        assert verdicts(4 * wide * rows) == want, rows
         assert steps and all(s[:-1] == [rows] * (len(s) - 1) and 0 < s[-1] <= rows
                              for s in steps), (rows, steps[:1])
         partial |= steps[0][-1] < rows
