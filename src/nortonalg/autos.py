@@ -20,7 +20,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .cayley import row_finder
+from .cayley import _chunks, row_finder
 from .errors import BudgetExceededError
 from .families import (BilinearFamily, CubeFamily, FamilySpec, HammingFamily, _words,
                        carries_table, fq_reduce)
@@ -308,7 +308,8 @@ def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int) ->
     The positions of the candidate must be a bijection of the basis that
     carries the product table to itself, and the exponents must satisfy
     exp[u] + exp[v] = exp[w] mod the modulus for every nonzero product
-    chi_u chi_v = chi_w.  Exact integer arithmetic throughout.
+    chi_u chi_v = chi_w.  Exact integer arithmetic throughout, on blocks of
+    table rows that fit in SUM_CHUNK_BYTES.
     """
     dim = family.predicted_dimension(i)
     if np.shape(candidate) != (dim, 2):
@@ -320,8 +321,15 @@ def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int) ->
     table = family.product_table(i)
     if not carries_table(pos, table, table):
         return False
-    u, v = np.nonzero(table >= 0)
-    return bool(((exp[u] + exp[v] - exp[table[u, v]]) % family.modulus == 0).all())
+    exp = exp.astype(np.int64)
+    # per entry of a block of rows: the int64 sums and gathered exponents, three masks
+    for lo, hi in _chunks(dim, dim * (2 * 8 + 3)):
+        block = table[lo:hi]
+        diff = np.add.outer(exp[lo:hi], exp)
+        diff -= exp[block]  # -1 gathers the last exponent: a zero product is masked
+        if (np.remainder(diff, family.modulus, out=diff).astype(bool) & (block >= 0)).any():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

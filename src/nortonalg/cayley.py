@@ -63,11 +63,18 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     connection set; the distinct histograms of each chunk of characters are
     read as integers together (_integer_root_sums).  The eigenvalues of every
     shipped family are rational integers; any other sum raises ValueError.
-    """
+
+    A chunk of characters fits in SUM_CHUNK_BYTES: per character, its
+    index row widened to uint64 words; per character and connection
+    element, character_exponents' sums and quotients and the exponent, then
+    the intp histogram key; per character and residue, the int64 count and
+    np.unique's sorted copy, its mask and its counts."""
     e = graph.modulus
     chars, conn = graph.characters, graph.connection
+    acc = _dot_dtype(chars, conn, e).itemsize
     counts: dict[int, int] = {}
-    for start, stop in _chunks(len(chars), (len(conn) + e) * 8):
+    row_bytes = 8 * chars.shape[1] + (2 * acc + 1 + 8) * len(conn) + 4 * 8 * e
+    for start, stop in _chunks(len(chars), row_bytes):
         hist = _exponent_histograms(character_exponents(chars[start:stop], conn, e), e)
         keys, mult = np.unique(row_keys(hist), return_counts=True)
         values = _integer_root_sums(keys.view(hist.dtype).reshape(len(keys), e), e)
@@ -131,7 +138,7 @@ def row_finder(rows: np.ndarray, modulus: int):
     def codes(block: np.ndarray) -> np.ndarray:
         if block.size and (block.min() < 0 or block.max() >= modulus):
             raise ValueError(f"row entries must be in 0..{modulus - 1}")
-        out = np.zeros(len(block), dtype=np.int32)
+        out = np.zeros(len(block), dtype=np.intp)  # take(mode="clip") would copy others to intp
         for col in block.T:  # column by column, so no wide copy of block is made
             out <<= bits
             out |= col
@@ -173,29 +180,62 @@ def sum_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
     of bytes.  Every other modulus sums residues (residue_positions)."""
     if modulus != 2:
         return residue_positions(rows, modulus)
+    return _xor_positions(_packed_bits(rows))
+
+
+def exponent_sum_positions(chars: np.ndarray, verts: np.ndarray, e: int) -> np.ndarray:
+    """sum_positions of the exponent rows of the characters chars over the
+    vertices verts (character_exponents); modulo 2 the lookups hold the
+    rows only bit-packed."""
+    exps = character_exponents(chars, verts, e)
+    if e != 2:
+        return residue_positions(exps, e)
+    packed = _packed_bits(exps)
+    del exps
+    return _xor_positions(packed)
+
+
+def _packed_bits(rows: np.ndarray) -> np.ndarray:
+    """Rows of 0s and 1s bit-packed as sum_positions reads them modulo 2."""
     if rows.size and (rows.min() < 0 or rows.max() > 1):  # packbits reads any nonzero as 1
         raise ValueError("row entries must be in 0..1")
-    packed = np.ascontiguousarray(np.packbits(rows, axis=1, bitorder="little")[:, ::-1])
-    # chunks of as many rows as unpacked sums of one byte an entry would take
-    return _lookup_sums(packed, row_finder(packed, 256), rows.size,
-                        1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
+    return np.ascontiguousarray(np.packbits(rows, axis=1, bitorder="little")[:, ::-1])
+
+
+def _xor_positions(packed: np.ndarray) -> np.ndarray:
+    """sum_positions modulo 2 on bit-packed rows: one XOR a sum."""
+    return _lookup_sums(packed, 256, 1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
 
 
 def residue_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
     """sum_positions by residue sums (_reduced_sum), for any modulus; modulo
     2 it is the reference of the XOR path."""
-    rows = rows.astype(np.min_scalar_type(2 * modulus - 2))
-    return _lookup_sums(rows, row_finder(rows, modulus), rows.nbytes,
-                        2, lambda a, b, out, wrap: _reduced_sum(a, b, modulus, out=out, wrap=wrap))
+    rows = rows.astype(np.min_scalar_type(2 * modulus - 2), copy=False)
+    return _lookup_sums(rows, modulus, 2,
+                        lambda a, b, out, wrap: _reduced_sum(a, b, modulus, out=out, wrap=wrap))
 
 
-def _lookup_sums(rows: np.ndarray, find, row_bytes: int, buffers: int, add) -> np.ndarray:
-    """The sum_positions loop over chunks of SUM_CHUNK_BYTES // row_bytes rows
-    a: add sums them with every row b into chunk-sized scratch buffers
-    allocated once, and find looks the sums up."""
+def _query_bytes(width: int, modulus: int) -> int:
+    """The bytes row_finder's lookup holds per query row of width entries:
+    an intp code and an int32 position when the codes are dense, else the
+    intp search positions, the keys found there and their match, and the
+    intp positions gathered and returned."""
+    if width * (modulus - 1).bit_length() <= DENSE_CODE_BITS:
+        return 12
+    return width + 1 + 3 * 8
+
+
+def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add) -> np.ndarray:
+    """The sum_positions loop over chunks of rows a: add sums them with every
+    row b into `buffers` chunk-sized scratch buffers allocated once, and
+    row_finder(rows, modulus) looks the sums up.  A chunk is sized so that
+    all it holds per sum fits in SUM_CHUNK_BYTES: the buffers' entries and
+    what the lookup holds (_query_bytes)."""
     dim, width = rows.shape
+    find = row_finder(rows, modulus)
+    sum_bytes = buffers * width * rows.itemsize + _query_bytes(width, modulus)
     out = np.empty((dim, dim), dtype=np.int32)
-    chunks = list(_chunks(dim, row_bytes))
+    chunks = list(_chunks(dim, dim * sum_bytes))
     scratch = np.empty((buffers, chunks[0][1], dim, width), rows.dtype)
     for start, stop in chunks:
         part = add(rows[start:stop, None, :], rows[None, :, :], *scratch[:, :stop - start])
@@ -230,7 +270,8 @@ def _dot_dtype(u_arr: np.ndarray, x_arr: np.ndarray, e: int) -> np.dtype:
 def _exponent_histograms(exps: np.ndarray, e: int) -> np.ndarray:
     """Per row of exponents, the int64 count of each residue 0..e-1 (rows x e),
     by one bincount of intp keys row * e + exponent, which it reads uncopied."""
-    keys = np.add(np.arange(0, len(exps) * e, e)[:, None], exps, order="C")
+    keys = exps.astype(np.intp, order="C")  # adding to a copy casts with no buffer of numpy's
+    keys += np.arange(0, len(exps) * e, e)[:, None]
     return np.bincount(keys.ravel(), minlength=len(exps) * e).reshape(-1, e)
 
 

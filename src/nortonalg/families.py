@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .cayley import CayleyGraph, sum_positions
+from .cayley import CayleyGraph, _chunks, sum_positions
 from .errors import BudgetExceededError
 from .groups import Word, is_prime, word_text
 from .linalg import row_reduce
@@ -95,9 +95,18 @@ def _subsets(n: int, size: int, low: int = 0) -> np.ndarray:
 
 def carries_table(perm: np.ndarray, dom: np.ndarray, cod: np.ndarray) -> bool:
     """Whether the basis bijection a -> perm[a] carries the product table dom
-    onto cod: cod[perm[a], perm[b]] is perm[dom[a, b]], and zero where dom is."""
-    image = np.where(dom >= 0, perm[dom], -1)
-    return bool((cod[np.ix_(perm, perm)] == image).all())
+    onto cod: cod[perm[a], perm[b]] is perm[dom[a, b]], and zero where dom is.
+
+    Checked in blocks of rows of dom, sized so that the int32 images, the
+    gathered rows of cod and the masks of a block fit in SUM_CHUNK_BYTES."""
+    perm = np.asarray(perm).astype(np.int32)  # int32 indices gather in buffered steps
+    for lo, hi in _chunks(len(dom), len(perm) * (2 * 4 + cod.itemsize + 2)):
+        block = dom[lo:hi]
+        image = perm[block]  # -1 gathers the last position: masked next
+        image[block < 0] = -1
+        if not (np.take(cod[perm[lo:hi]], perm, axis=1) == image).all():
+            return False
+    return True
 
 
 class FamilySpec:
@@ -120,7 +129,12 @@ class FamilySpec:
     # family-specific interface -------------------------------------------------
 
     def vertex_count(self) -> int:
-        return self.modulus**self.length
+        return self.modulus**self._vertex_exponent()
+
+    def _vertex_exponent(self) -> int:
+        """k with modulus^k vertices: the length, unless the family's vertex
+        set is a proper subgroup."""
+        return self.length
 
     def _make_vertices(self) -> np.ndarray:
         """The vertex rows in lexicographic order; by default all of Z_q^length."""
@@ -173,9 +187,9 @@ class FamilySpec:
         budget, so rows enumerated under a larger budget are not handed to a
         smaller one."""
         limit = DEFAULT_VERTEX_BUDGET if budget is None else budget
-        if self.vertex_count() > limit:
+        if self.vertex_count() > limit:  # as a power: past 4300 digits int refuses str
             raise BudgetExceededError(
-                f"{self.describe()} has {self.vertex_count()} vertices"
+                f"{self.describe()} has {self.modulus}^{self._vertex_exponent()} vertices"
                 f", over the budget {limit}")
         if self._vertices is None:
             rows = self._make_vertices()
@@ -324,8 +338,8 @@ class CubeFamily(FamilySpec):
         self.halved = halved
         self.folded = folded
 
-    def vertex_count(self) -> int:
-        return 2 ** (self.n - self.halved - self.folded)
+    def _vertex_exponent(self) -> int:
+        return self.n - self.halved - self.folded
 
     def _make_vertices(self) -> np.ndarray:
         rows = _words(2, self.n - self.folded)

@@ -22,7 +22,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cayley import RepeatedRowError, character_exponents, sum_positions
+from .cayley import RepeatedRowError, exponent_sum_positions
 from .cyclotomic import Cyclotomic, _power_rows, field_degree, root_sums
 from .errors import BudgetExceededError
 from .families import FamilySpec, carries_table, make_family
@@ -200,9 +200,8 @@ def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     # basis enumerates the vertices under the larger default budget
     verts = family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
     e = family.modulus
-    exps = character_exponents(family.basis_array(i), verts, e)
     try:
-        oracle = sum_positions(exps, e)
+        oracle = exponent_sum_positions(family.basis_array(i), verts, e)
     except RepeatedRowError:
         return False
     return bool((oracle == family.product_table(i)).all())

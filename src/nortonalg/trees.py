@@ -26,13 +26,13 @@ from math import comb
 
 import numpy as np
 
+from . import cayley
 from .cayley import row_keys
 from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
 from .families import FamilySpec
 
 DEFAULT_MAX_M = 12
 DEFAULT_WITNESS_ATTEMPTS = 10_000
-CHUNK_BYTES = 1 << 20  # bound on each working array of the tree counters
 
 
 class BinaryTree:
@@ -155,11 +155,18 @@ def _words(m: int) -> int:
     return max(1, (m * (m + 1) // 2 + 63) // 64)
 
 
+def _set_dtype(m: int) -> np.dtype:
+    """The dtype of the interval sets of the tuple grid: the smallest unsigned
+    one that holds the m(m+1)/2 bits in one word, else uint64 words."""
+    return np.min_scalar_type((1 << (m * (m + 1) // 2)) - 1) if _words(m) == 1 else np.dtype(np.uint64)
+
+
 def _set_bit(sets: np.ndarray, a: int, b: int, where) -> None:
     """Add [a, b) to the sets (shape (..., words)) selected by where, which
     broadcasts against the leading axes."""
     k = (b - 1) * (b - 2) // 2 + a
-    sets[..., k // 64] |= np.asarray(where, dtype=np.uint64) << np.uint64(k % 64)
+    bits = 8 * sets.itemsize
+    sets[..., k // bits] |= np.multiply(where, sets.dtype.type(1 << (k % bits)), dtype=sets.dtype)
 
 
 def tree_masks(m: int) -> np.ndarray:
@@ -204,82 +211,148 @@ def _join(table: np.ndarray, entries) -> np.ndarray:
     value = None
     for entry in entries:
         if value is None:
-            value = entry
+            value = entry  # a fresh array, so the joins below write to it
             continue
-        if ((entry != value) & (np.maximum(entry, value) < skip)).any():
+        top = np.maximum(entry, value)
+        np.minimum(value, entry, out=value)
+        del entry  # so a join holds three arrays of entries, or two and two masks
+        # two live entries differ where the smaller is below the larger and
+        # the larger is live
+        clash = np.less(value, top)
+        clash &= np.less(top, skip)
+        if clash.any():
             raise AssertionError("the product is not determined by the sum of its "
                                  "inputs: two splits of one interval disagree")
-        value = np.minimum(value, entry)
-    return np.minimum(value, skip - 1)
+        del top, clash
+    return np.minimum(value, skip - 1, out=value)
 
 
 def _outer(table: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """table[left[:, None], right[None, :]] flattened, gathering the lines of
-    the shorter side first: several times faster than 2-d fancy indexing."""
-    if len(left) < len(right):
-        return np.take(table[left], right, axis=1).reshape(-1)
-    return np.take(table[:, right], left, axis=0).reshape(-1)
+    """table[left[:, None], right[None, :]] flattened: several times faster
+    than 2-d fancy indexing.  Entries are gathered one by one, rows whole:
+    with more left values than table rows, the entries of the columns at
+    right first and then whole rows of them at left; else the rows at left
+    and then their entries at right."""
+    if len(left) > len(table):
+        return np.take(table[:, right], left, axis=0).reshape(-1)
+    return np.take(table[left], right, axis=1).reshape(-1)
 
 
-def _fixed_inputs(dim: int, m: int) -> int:
-    """How many leading inputs each block of the tuple grid fixes: the fewest
-    that leave at most CHUNK_BYTES of interval sets to a block."""
-    rows = max(1, CHUNK_BYTES // (8 * _words(m)))
-    return m + 1 - max(free for free in range(m + 2) if dim ** free <= rows)
+def _grid_layout(dim: int, m: int, itemsize: int) -> tuple[int, int, int]:
+    """(fixed, group, longest) of the blocks of the tuple grid (see
+    _grid_patterns): the most free inputs and then the largest group whose
+    block fits in SUM_CHUNK_BYTES next to what is held throughout.
+
+    Held throughout: the base block and the grids of each length up to
+    longest, the free count or more while a grid takes at most a quarter of
+    the budget.  Per tuple a block holds its interval set and either a
+    join's value, entry, maximum and three masks or a live mask and its bit
+    word; per value of the group, the grids joined per block."""
+    set_bytes = _words(m) * _set_dtype(m).itemsize
+    temps = max(3 * itemsize + 1, 1 + set_bytes)
+    budget = cayley.SUM_CHUNK_BYTES
+    quarter = max(n for n in range(1, m + 2) if n == 1 or 4 * dim ** n * itemsize <= budget)
+    for free in range(m + 1, -1, -1):
+        fixed = m + 1 - free
+        longest = max(free, quarter)
+        held = sum(dim ** n for n in range(1, longest + 1)) * itemsize + dim ** free * set_bytes
+        joined = sum(dim ** (b - fixed) for a in range(fixed)
+                     for b in range(max(a + longest + 1, fixed), m + 2))
+        group = (budget - held) // (dim ** free * (set_bytes + temps) + joined * itemsize)
+        if group >= 1 or free == 0:
+            return fixed, min(max(1, group), dim if fixed else 1), longest
+    raise AssertionError("unreachable")
+
+
+def _length_grids(table: np.ndarray, longest: int) -> dict[int, np.ndarray]:
+    """The value of an interval of each length up to longest over all its
+    inputs, in lexicographic order, joined from the shorter lengths in steps
+    of the first input's values whose joins fit in SUM_CHUNK_BYTES."""
+    dim = len(table) - 1
+    grids = {1: np.arange(dim, dtype=table.dtype)}
+    for length in range(2, longest + 1):
+        part = dim ** (length - 1)  # the entries that share a first input
+        grid = np.empty(dim * part, dtype=table.dtype)
+        for lo, hi in cayley._chunks(dim, part * (3 * table.itemsize + 3)):
+            grid[lo * part:hi * part] = _join(table, (
+                _outer(table, grids[k][lo * dim ** (k - 1):hi * dim ** (k - 1)], grids[length - k])
+                for k in range(1, length)))
+        grids[length] = grid
+    return grids
 
 
 def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
     """Distinct live-interval sets of all basis tuples of length m+1.
 
-    The tuples come in blocks that fix their first `fixed` inputs.  The value
-    of an interval depends only on its own inputs: inside the free inputs it
-    is the same grid for each length and in every block, so it is joined once
-    per length and its bits are set once in a base block; an interval that
-    starts inside the fixed inputs gets, per block, a grid over its free
-    inputs joined from the block's prefix.  Each live grid is broadcast in
-    place across the block's other inputs, so no array outgrows a block."""
+    The tuples come in blocks that fix their first `fixed` inputs: each of
+    the first fixed - 1 to one value, the last to a group of consecutive
+    values (_grid_layout).  The value of an interval depends only on its own
+    inputs, so the grid of each length up to longest is joined once
+    (_length_grids), and each interval inside the free inputs sets its bits
+    once in a base block.  In a block, an interval that starts in the fixed
+    inputs reads its grid over the group's values and the free inputs it
+    spans as one contiguous slice of the grid of its length; only the longer
+    ones are joined per block.  Each live grid sets its bit across the
+    block's other inputs, so no array outgrows a block."""
     dim = len(table) - 1
     words = _words(m)
-    fixed = _fixed_inputs(dim, m)
-    values = {(fixed, fixed + 1): np.arange(dim, dtype=table.dtype)}
+    fixed, group, longest = _grid_layout(dim, m, table.itemsize)
+    free = m + 1 - fixed
+    lengths = _length_grids(table, longest)
+    values = {}  # per block, the grids of the intervals that start in the fixed inputs
 
-    def grid(a: int, b: int) -> np.ndarray:  # over the inputs max(a, fixed)..b-1
-        return values[(a, b) if a < fixed else (fixed, fixed + b - a)]
+    def grid(a: int, b: int) -> np.ndarray:  # over its inputs from fixed - 1 on
+        return values[a, b] if a < fixed else lengths[b - a]
 
     def add(sets: np.ndarray, a: int, b: int) -> None:
-        if a <= fixed:  # per block, or once per length inside the free inputs
+        if b - a > longest:
             values[a, b] = _join(table, (_outer(table, grid(a, s), grid(s, b))
                                          for s in range(a + 1, b)))
-        lo, hi = max(a, fixed), max(b, fixed)
-        _set_bit(sets.reshape(dim ** (lo - fixed), dim ** (hi - lo), -1, words), a, b,
-                 (grid(a, b) < dim)[:, None])
+        live = grid(a, b) < dim
+        _set_bit(sets.reshape(-1, len(live), dim ** (m + 1 - max(b, fixed)), words), a, b,
+                 live[:, None])
 
-    base = np.zeros((dim ** (m + 1 - fixed), words), dtype=np.uint64)
+    base = np.zeros((dim ** free, words), dtype=_set_dtype(m))
     for a, b in _intervals(m):
         if a >= fixed:
             add(base, a, b)
+    if not fixed:
+        return _distinct_rows(base)
+    block = np.empty((group, dim ** free, words), dtype=base.dtype)
     patterns = base[:0]
-    for prefix in np.ndindex(*(dim,) * fixed):
-        values.update(((a, a + 1), np.array([p], dtype=table.dtype)) for a, p in enumerate(prefix))
-        sets = base.copy()
-        for a, b in _intervals(m):
-            if a < fixed:
-                add(sets, a, b)
-        patterns = _distinct_rows(np.concatenate([patterns, _distinct_rows(sets)]))
+    for prefix in np.ndindex(*(dim,) * (fixed - 1)):
+        for first in range(0, dim, group):
+            count = min(group, dim - first)
+            digits = prefix + (first,)
+            for a in range(fixed):
+                code = 0
+                for b in range(a + 1, min(a + longest, m + 1) + 1):
+                    if b <= fixed:
+                        code = code * dim + digits[b - 1]
+                    span = dim ** max(b - fixed, 0)
+                    values[a, b] = lengths[b - a][code * span:(code + (count if b >= fixed else 1)) * span]
+            sets = block[:count]
+            sets[:] = base
+            for a, b in _intervals(m):
+                if a < fixed:
+                    add(sets, a, b)
+            patterns = _distinct_rows(np.concatenate(
+                [patterns, _distinct_rows(sets.reshape(-1, words))]))
     return patterns
 
 
 def _distinct_rows(sets: np.ndarray) -> np.ndarray:
-    """The distinct rows of sets in the order np.unique gives them."""
+    """The distinct rows of sets in the order np.unique gives them; sets is
+    sorted in place."""
     if sets.shape[1] == 1:  # plain integers: faster still
         return _sorted_distinct(sets[:, 0])[:, None]
     return _sorted_distinct(row_keys(sets)).view(sets.dtype).reshape(-1, sets.shape[1])
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values) for a 1-d array, by one sort and a mask of the
-    entries that differ from their predecessor."""
-    values = np.sort(values)
+    """np.unique(values) for a 1-d array, by one sort in place and a mask of
+    the entries that differ from their predecessor."""
+    values.sort()
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]  # void keys compare by operator only
     return values[first]
@@ -300,15 +373,24 @@ def _tuple_patterns(table: np.ndarray, tuples: np.ndarray) -> np.ndarray:
 def _fingerprints(masks: np.ndarray, patterns: np.ndarray):
     """Blocks of rows in tree order: bit p of row t is set when tree t is
     nonzero under pattern p, that is, when its interval set lies inside the
-    pattern; 8 patterns to a byte."""
+    pattern; 8 patterns to a byte.  A block fits in SUM_CHUNK_BYTES: per
+    tree and pattern it holds the AND of their words, in one buffer that
+    every block and word reuses, two masks and a packed bit."""
     outside = np.ascontiguousarray(~patterns.T)  # one contiguous row per word
-    rows = max(1, CHUNK_BYTES // (8 * len(patterns)))
+    masks = masks.astype(patterns.dtype, copy=False)  # the interval bits fit in either
+    rows = max(1, 8 * cayley.SUM_CHUNK_BYTES // (len(patterns) * (8 * patterns.itemsize + 17)))
+    both = np.empty((min(rows, len(masks)), len(patterns)), dtype=patterns.dtype)
+    inside = np.empty(both.shape, dtype=bool)
     for start in range(0, len(masks), rows):
         block = masks[start:start + rows]
-        inside = np.ones((len(block), len(patterns)), dtype=bool)
+        held, found = both[:len(block)], inside[:len(block)]
         for w in range(masks.shape[1]):
-            inside &= (block[:, w, None] & outside[w]) == 0
-        yield np.packbits(inside, axis=1)
+            np.bitwise_and(block[:, w, None], outside[w], out=held)
+            if w:
+                found &= held == 0
+            else:
+                np.equal(held, 0, out=found)
+        yield np.packbits(found, axis=1)
 
 
 def _tree_keys(family: FamilySpec, i: int, m: int, budget: int):
@@ -380,9 +462,11 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
     separated the count equals Catalan(m) and the mode is exact; otherwise the
     refined partition size is reported as a lower bound.
 
-    Tuples are drawn in chunks that double from 64 (while the tree-by-tuple
-    bits stay near CHUNK_BYTES), and budget_used counts the tuples up to the
-    first that separates all trees, as if they were drawn one at a time."""
+    Tuples are drawn in chunks that double from 64 while a chunk fits in
+    SUM_CHUNK_BYTES: per tuple its int64 draws, interval set and interval
+    values, and per tree its fingerprint bit in prints and in _refine's
+    copy, keys and sort.  budget_used counts the tuples up to the first that
+    separates all trees, as if they were drawn one at a time."""
     masks = tree_masks(m)
     table = _live_table(family.product_table(i))  # the table checks its size before the basis is built
     dim = len(table) - 1
@@ -391,12 +475,17 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
     classes = 1
     used = 0
     chunk = 64
-    cap = max(64, 8 * CHUNK_BYTES // len(masks))
+    per_tuple = 8 * (m + 1 + _words(m)) + len(_intervals(m)) * table.itemsize + len(masks) // 2
+    cap = max(64, cayley.SUM_CHUNK_BYTES // per_tuple)
     while used < attempts and classes < len(masks):
         count = min(chunk, cap, attempts - used)
         draws = _randrange_block(rng, dim, count * (m + 1))
         patterns = _tuple_patterns(table, draws.reshape(count, m + 1))
-        prints = np.concatenate(list(_fingerprints(masks, patterns)))
+        prints = np.empty((len(masks), -(-count // 8)), dtype=np.uint8)
+        done = 0
+        for block in _fingerprints(masks, patterns):
+            prints[done:done + len(block)] = block
+            done += len(block)
         refined, classes = _refine(labels, prints, count)
         if classes == len(masks):  # find the first tuple that separates all trees
             low = 1

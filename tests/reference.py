@@ -602,7 +602,7 @@ def grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
                                              .reshape(-1) for k in range(1, length)))
     total = dim ** (m + 1)
     words = trees._words(m)
-    step = max(1, trees.CHUNK_BYTES // (8 * words))
+    step = max(1, cayley.SUM_CHUNK_BYTES // (8 * words))
     found = []
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total))

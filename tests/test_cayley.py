@@ -268,6 +268,23 @@ def test_sum_positions_works_in_a_bounded_set():
     assert peak < bound * (1 << 20), peak
 
 
+def test_spectrum_works_in_a_bounded_set():
+    # a chunk counts every array it holds (0.14, 0.25 and 0.25 MiB here); at
+    # (|S| + e) * 8 bytes a character, with the exponent sums, intp keys and
+    # np.unique's copies left out, all three peaked at 0.41 MiB
+    for kind, opts in (("hamming", {"n": 1, "e": 257}), ("bilinear", {"q": 3, "d": 2, "e": 3}),
+                       ("halved_cube", {"n": 14})):
+        g = make_family(kind, **opts).cayley_graph()
+        want = spectrum(g)  # caches the root-sum matrix
+        tracemalloc.start()
+        try:
+            assert spectrum(g) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * (1 << 20), (kind, peak)
+
+
 def test_working_set_follows_the_chunk_budget(monkeypatch):
     # a quarter of the budget takes at least a quarter of the cut off each
     # peak, so the bounds above come from the constant, not the instances
@@ -411,6 +428,36 @@ def test_corruption_is_rejected_at_vertex_block_boundaries(monkeypatch, kind, op
                              for s in steps), (rows, steps[:1])
         partial |= steps[0][-1] < rows
     assert partial
+
+
+def test_corruption_seen_only_in_the_last_vertex_block_is_rejected(monkeypatch):
+    # E[u, y] + 1 at y = (4, 4) of H(2,5) breaks f(x + g) = f(x) + f(g) only
+    # at x = y and x = y - g for the generators g = (0, 1), (1, 0): vertices
+    # 24, 23 and 19, all in the last of the check's blocks [0, 17), [17, 25)
+    # at a 60-byte budget; y is no connection element, so theta holds
+    g = make_family("hamming", n=2, e=5).cayley_graph()
+    assert _generating_rows(g).tolist() == [[0, 1], [1, 0]]
+    real_exponents, real_chunks = cayley.character_exponents, cayley._chunks
+    steps = []
+
+    def chunks(rows, row_bytes, budget=None):
+        out = list(real_chunks(rows, row_bytes, budget))
+        if rows == len(g.vertices) and row_bytes == 2:  # the check's blocks at one character
+            steps.append(out)
+        return out
+
+    def corrupted(u_arr, x_arr, e):
+        out = real_exponents(u_arr, x_arr, e)
+        at = np.ix_((u_arr == (1, 1)).all(axis=1), (x_arr == (4, 4)).all(axis=1))
+        out[at] = (out[at] + 1) % e
+        return out
+
+    monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 60)
+    monkeypatch.setattr(cayley, "_chunks", chunks)
+    assert verify_all_eigenvectors(g)
+    assert steps and all(s == [(0, 17), (17, 25)] for s in steps)
+    monkeypatch.setattr(cayley, "character_exponents", corrupted)
+    assert not verify_all_eigenvectors(g)
 
 
 def test_batched_spectrum_equals_per_character_eigenvalues():

@@ -258,6 +258,19 @@ def test_budgets_checked_before_the_basis(capsys, monkeypatch):
     assert capsys.readouterr().err.count("budget exceeded") == 2
 
 
+def test_vertex_counts_past_4300_digits_exit_3(capsys):
+    # 2^20000 has 6021 decimal digits, more than int converts to str by
+    # default, so the count is compared as an int and printed as a power
+    for argv in (["spectrum", "--family", "hypercube", "--n", "20000"],
+                 ["spectrum", "--family", "hamming", "--n", "20000", "--e", "2"],
+                 ["oracle-verify", "--family", "hypercube", "--n", "20000", "--i", "1"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "", argv
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1, err
+        assert " has 2^20000 vertices, over the budget " in err, err
+
+
 def test_autocheck_pair_budget_checked_before_the_basis(capsys, monkeypatch):
     def no_basis(self, i):
         raise AssertionError("basis enumerated before the pair budget check")

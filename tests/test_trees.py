@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nortonalg import trees
+from nortonalg import cayley, trees
 from nortonalg.cayley import row_keys
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import make_family
@@ -332,7 +332,7 @@ def test_small_chunks_give_the_same_classes(monkeypatch):
              (make_family("hamming", n=1, e=4), 1, 5)]
     before = [(exact_partition(fam, i, m), count_classes_witness(fam, i, m + 1, seed=2))
               for fam, i, m in cases]
-    monkeypatch.setattr(trees, "CHUNK_BYTES", 64)
+    monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 64)
     after = [(exact_partition(fam, i, m), count_classes_witness(fam, i, m + 1, seed=2))
              for fam, i, m in cases]
     assert after == before
@@ -351,26 +351,40 @@ def test_counters_reject_a_table_not_determined_by_sums(monkeypatch):
         exact_partition(fam, 1, 2)
     with pytest.raises(AssertionError, match="not determined by the sum"):
         count_classes_witness(fam, 1, 2, seed=0)
-    # blocks of 4 tuples fix the first input, so [0, 3), the only interval
-    # with two splits, is joined per block from the block's prefix
-    monkeypatch.setattr(trees, "CHUNK_BYTES", 32)
-    assert trees._fixed_inputs(2, 2) == 1
+    # blocks of 2 tuples fix the first two inputs and the grids are held up
+    # to length 2, so [0, 3), the only interval with two splits, is joined
+    # per block from the block's prefix
+    monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 24)
+    assert trees._grid_layout(2, 2, 1) == (2, 1, 2)
     with pytest.raises(AssertionError, match="not determined by the sum"):
         exact_partition(fam, 1, 2)
 
 
-def test_grid_patterns_equal_the_index_reference():
+def test_grid_patterns_equal_the_index_reference(monkeypatch):
     # every criterion-1 space for m <= 6 while dim^(m+1) <= 2e5, and one
-    # space at m = 7, at the default CHUNK_BYTES: blocks fix 0, 1 or 2 inputs
-    fixed = set()
-    cases = [(fam, i, m) for fam, i in _criterion1_spaces() for m in range(1, 7)
+    # space at m = 6 and 7, at the default budget: blocks fix 0, 1, 2 or 3
+    # inputs, the last to a group of its values that is partial at the end
+    # of some prefixes; then spaces whose blocks fix 2 or 3 inputs and end
+    # with a partial group, at 4 and 16 KiB
+    layouts = set()
+    cases = [(fam, i, m, None) for fam, i in _criterion1_spaces() for m in range(1, 7)
              if fam.predicted_dimension(i) ** (m + 1) <= 2 * 10**5]
-    for fam, i, m in cases + [(make_family("hypercube", n=4), 2, 7)]:
+    cases += [(make_family("hypercube", n=4), 2, m, None) for m in (6, 7)]
+    cases += [(make_family("hamming", n=2, e=5), 1, 4, 2**12),
+              (make_family("hypercube", n=5), 2, 4, 2**12),
+              (make_family("hamming", n=2, e=4), 2, 4, 2**14),
+              (make_family("halved_cube", n=6), 2, 3, 2**14)]
+    for fam, i, m, budget in cases:
+        if budget:
+            monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", budget)
         table = trees._live_table(fam.product_table(i))
-        fixed.add(trees._fixed_inputs(len(table) - 1, m))
+        dim = len(table) - 1
+        fixed, group, _ = trees._grid_layout(dim, m, table.itemsize)
+        layouts.add((fixed, bool(fixed) and dim % group != 0))
         assert np.array_equal(trees._grid_patterns(table, m), grid_patterns(table, m)), (
             fam.describe(), i, m)
-    assert fixed == {0, 1, 2}
+    assert {fixed for fixed, _ in layouts} == {0, 1, 2, 3}
+    assert {(1, True), (2, True), (3, True)} <= layouts
 
 
 def _traced_peak(compute) -> int:
@@ -384,14 +398,16 @@ def _traced_peak(compute) -> int:
 
 def test_exact_counters_work_in_a_bounded_set():
     # fresh families, so the tables are built under the trace too; a whole
-    # fingerprint matrix (15 MB here) or value grid (1.7 M entries) breaks it
+    # fingerprint matrix (15 MB here) or value grid (1.7 M entries) breaks
+    # it.  At m = 11 the tree masks and their memo, outside the budget, take
+    # 2.7 of the 2.72 MiB; the 1.68 M tuples of m = 7 take 0.40 MiB
     mib = 1 << 20
     peak = _traced_peak(lambda: count_classes_exact(make_family("hamming", n=1, e=3), 1, 11,
                                                     budget=10**9))
-    assert peak < 8 * mib, peak
+    assert peak < 3 * mib, peak
     peak = _traced_peak(lambda: exact_partition(make_family("hypercube", n=4), 2, 7,
                                                 budget=10**9))
-    assert peak < 3 * mib, peak
+    assert peak < 0.5 * mib, peak
 
 
 def test_block_draws_equal_randrange():
