@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SUM_CHUNK_BYTES = 2**18  # working set of a step of sum_positions, spectrum and the eigenvector check
+SUM_CHUNK_BYTES = 2**18  # a step's working set: tables, spectra, eigenvector, automorphism, trees
 DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of int32
 
 
@@ -138,7 +138,7 @@ def row_finder(rows: np.ndarray, modulus: int):
     def codes(block: np.ndarray) -> np.ndarray:
         if block.size and (block.min() < 0 or block.max() >= modulus):
             raise ValueError(f"row entries must be in 0..{modulus - 1}")
-        out = np.zeros(len(block), dtype=np.intp)  # take(mode="clip") would copy others to intp
+        out = np.zeros(len(block), dtype=np.int32)
         for col in block.T:  # column by column, so no wide copy of block is made
             out <<= bits
             out |= col
@@ -187,23 +187,18 @@ def exponent_sum_positions(chars: np.ndarray, verts: np.ndarray, e: int) -> np.n
     """sum_positions of the exponent rows of the characters chars over the
     vertices verts (character_exponents); modulo 2 the lookups hold the
     rows only bit-packed."""
-    exps = character_exponents(chars, verts, e)
     if e != 2:
-        return residue_positions(exps, e)
-    packed = _packed_bits(exps)
-    del exps
-    return _xor_positions(packed)
+        return residue_positions(character_exponents(chars, verts, e), e)
+    return _xor_positions(_packed_bits(character_exponents(chars, verts, e)))
 
 
 def _packed_bits(rows: np.ndarray) -> np.ndarray:
-    """Rows of 0s and 1s bit-packed as sum_positions reads them modulo 2."""
     if rows.size and (rows.min() < 0 or rows.max() > 1):  # packbits reads any nonzero as 1
         raise ValueError("row entries must be in 0..1")
     return np.ascontiguousarray(np.packbits(rows, axis=1, bitorder="little")[:, ::-1])
 
 
 def _xor_positions(packed: np.ndarray) -> np.ndarray:
-    """sum_positions modulo 2 on bit-packed rows: one XOR a sum."""
     return _lookup_sums(packed, 256, 1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
 
 
@@ -215,31 +210,28 @@ def residue_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
                         lambda a, b, out, wrap: _reduced_sum(a, b, modulus, out=out, wrap=wrap))
 
 
-def _query_bytes(width: int, modulus: int) -> int:
-    """The bytes row_finder's lookup holds per query row of width entries:
-    an intp code and an int32 position when the codes are dense, else the
-    intp search positions, the keys found there and their match, and the
-    intp positions gathered and returned."""
-    if width * (modulus - 1).bit_length() <= DENSE_CODE_BITS:
-        return 12
-    return width + 1 + 3 * 8
-
-
 def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add) -> np.ndarray:
     """The sum_positions loop over chunks of rows a: add sums them with every
-    row b into `buffers` chunk-sized scratch buffers allocated once, and
-    row_finder(rows, modulus) looks the sums up.  A chunk is sized so that
-    all it holds per sum fits in SUM_CHUNK_BYTES: the buffers' entries and
-    what the lookup holds (_query_bytes)."""
+    row b, column by column, into `buffers` chunk-sized scratch buffers
+    allocated once, and row_finder(rows, modulus) looks the sums up from
+    their contiguous columns.  A chunk is sized so that all it holds per sum
+    fits in SUM_CHUNK_BYTES: the buffers' entries and what the lookup holds,
+    an int32 code, the intp copy that take makes of it and an int32 position
+    when the codes are dense, else the contiguous sum, the intp search
+    positions, the keys found and their match, and the intp positions
+    gathered and returned."""
     dim, width = rows.shape
+    dense = width * (modulus - 1).bit_length() <= DENSE_CODE_BITS
+    sum_bytes = buffers * width * rows.itemsize + (16 if dense else 2 * width + 1 + 3 * 8)
     find = row_finder(rows, modulus)
-    sum_bytes = buffers * width * rows.itemsize + _query_bytes(width, modulus)
     out = np.empty((dim, dim), dtype=np.int32)
     chunks = list(_chunks(dim, dim * sum_bytes))
-    scratch = np.empty((buffers, chunks[0][1], dim, width), rows.dtype)
+    scratch = np.empty((buffers, width * chunks[0][1] * dim), rows.dtype)
+    cols = rows.T
     for start, stop in chunks:
-        part = add(rows[start:stop, None, :], rows[None, :, :], *scratch[:, :stop - start])
-        out[start:stop] = find(part.reshape(-1, width)).reshape(-1, dim)
+        held = scratch[:, :width * (stop - start) * dim].reshape(buffers, width, -1, dim)
+        part = add(cols[:, start:stop, None], cols[:, None, :], *held)
+        out[start:stop] = find(part.reshape(width, -1).T).reshape(-1, dim)
     return out
 
 

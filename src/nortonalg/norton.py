@@ -199,9 +199,8 @@ def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     # the vertex budget is checked before basis_array, because the bilinear
     # basis enumerates the vertices under the larger default budget
     verts = family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
-    e = family.modulus
     try:
-        oracle = exponent_sum_positions(family.basis_array(i), verts, e)
+        oracle = exponent_sum_positions(family.basis_array(i), verts, family.modulus)
     except RepeatedRowError:
         return False
     return bool((oracle == family.product_table(i)).all())

@@ -12,9 +12,14 @@ input tuples, and check that premise on every tuple they see: the exact
 counter on all basis tuples, the witness counter on seeded random tuples,
 reporting a lower bound when pairs stay undistinguished.
 
-The exact counter holds no array much larger than CHUNK_BYTES: it takes the
-tuples in blocks that fix their leading inputs and the trees in blocks, and
-keeps one fingerprint key per class, not a Catalan(m) x patterns matrix.
+Both counters work in steps of cayley.SUM_CHUNK_BYTES (256 KiB), the budget
+the product table and the automorphism check share, each step sized by the
+arrays it holds: the exact counter takes the tuples in blocks that fix their
+leading inputs and the trees in blocks, and keeps one fingerprint key per
+class, not a Catalan(m) x patterns matrix; the witness counter draws tuples
+in chunks.  Outside the budget lie the distinct live patterns and the keys,
+and tree_masks with its sub-interval memo: a traced 0.4, 2.7 and 9.4 MiB
+at m = 10, 11 and 12.
 """
 
 from __future__ import annotations
@@ -155,12 +160,6 @@ def _words(m: int) -> int:
     return max(1, (m * (m + 1) // 2 + 63) // 64)
 
 
-def _set_dtype(m: int) -> np.dtype:
-    """The dtype of the interval sets of the tuple grid: the smallest unsigned
-    one that holds the m(m+1)/2 bits in one word, else uint64 words."""
-    return np.min_scalar_type((1 << (m * (m + 1) // 2)) - 1) if _words(m) == 1 else np.dtype(np.uint64)
-
-
 def _set_bit(sets: np.ndarray, a: int, b: int, where) -> None:
     """Add [a, b) to the sets (shape (..., words)) selected by where, which
     broadcasts against the leading axes."""
@@ -215,7 +214,7 @@ def _join(table: np.ndarray, entries) -> np.ndarray:
             continue
         top = np.maximum(entry, value)
         np.minimum(value, entry, out=value)
-        del entry  # so a join holds three arrays of entries, or two and two masks
+        del entry  # so a join holds three arrays of entries and a mask
         # two live entries differ where the smaller is below the larger and
         # the larger is live
         clash = np.less(value, top)
@@ -238,47 +237,37 @@ def _outer(table: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray
     return np.take(table[left], right, axis=1).reshape(-1)
 
 
-def _grid_layout(dim: int, m: int, itemsize: int) -> tuple[int, int, int]:
-    """(fixed, group, longest) of the blocks of the tuple grid (see
+def _grid_layout(dim: int, m: int, itemsize: int) -> tuple[int, int, int, np.dtype]:
+    """(fixed, group, longest, dtype) of the blocks of the tuple grid (see
     _grid_patterns): the most free inputs and then the largest group whose
-    block fits in SUM_CHUNK_BYTES next to what is held throughout.
+    block fits in SUM_CHUNK_BYTES next to what is held throughout.  The
+    interval sets are uint64 words, as the tree masks are, when the whole
+    grid is one block; else words of 16 or 32 bits where the m(m+1)/2 bits
+    fit in one, so a block holds more tuples.
 
     Held throughout: the base block and the grids of each length up to
-    longest, the free count or more while a grid takes at most a quarter of
-    the budget.  Per tuple a block holds its interval set and either a
-    join's value, entry, maximum and three masks or a live mask and its bit
-    word; per value of the group, the grids joined per block."""
-    set_bytes = _words(m) * _set_dtype(m).itemsize
-    temps = max(3 * itemsize + 1, 1 + set_bytes)
+    longest, the free count or more while a grid and the join that makes it
+    take at most the budget.  Per tuple a block holds its interval set and
+    either a join's three arrays of entries and a mask (_join) or a live
+    mask and its bit word; per value of the group, the grids joined per
+    block."""
     budget = cayley.SUM_CHUNK_BYTES
+    bits = m * (m + 1) // 2
+    small = np.dtype(np.uint16 if bits <= 16 else np.uint32 if bits <= 32 else np.uint64)
     quarter = max(n for n in range(1, m + 2) if n == 1 or 4 * dim ** n * itemsize <= budget)
     for free in range(m + 1, -1, -1):
         fixed = m + 1 - free
+        dtype = small if fixed else np.dtype(np.uint64)
+        set_bytes = _words(m) * dtype.itemsize
         longest = max(free, quarter)
         held = sum(dim ** n for n in range(1, longest + 1)) * itemsize + dim ** free * set_bytes
         joined = sum(dim ** (b - fixed) for a in range(fixed)
                      for b in range(max(a + longest + 1, fixed), m + 2))
-        group = (budget - held) // (dim ** free * (set_bytes + temps) + joined * itemsize)
+        tuple_bytes = set_bytes + max(3 * itemsize + 1, 1 + set_bytes)
+        group = (budget - held) // (dim ** free * tuple_bytes + joined * itemsize)
         if group >= 1 or free == 0:
-            return fixed, min(max(1, group), dim if fixed else 1), longest
+            return fixed, min(max(1, group), dim if fixed else 1), longest, dtype
     raise AssertionError("unreachable")
-
-
-def _length_grids(table: np.ndarray, longest: int) -> dict[int, np.ndarray]:
-    """The value of an interval of each length up to longest over all its
-    inputs, in lexicographic order, joined from the shorter lengths in steps
-    of the first input's values whose joins fit in SUM_CHUNK_BYTES."""
-    dim = len(table) - 1
-    grids = {1: np.arange(dim, dtype=table.dtype)}
-    for length in range(2, longest + 1):
-        part = dim ** (length - 1)  # the entries that share a first input
-        grid = np.empty(dim * part, dtype=table.dtype)
-        for lo, hi in cayley._chunks(dim, part * (3 * table.itemsize + 3)):
-            grid[lo * part:hi * part] = _join(table, (
-                _outer(table, grids[k][lo * dim ** (k - 1):hi * dim ** (k - 1)], grids[length - k])
-                for k in range(1, length)))
-        grids[length] = grid
-    return grids
 
 
 def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
@@ -287,8 +276,8 @@ def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
     The tuples come in blocks that fix their first `fixed` inputs: each of
     the first fixed - 1 to one value, the last to a group of consecutive
     values (_grid_layout).  The value of an interval depends only on its own
-    inputs, so the grid of each length up to longest is joined once
-    (_length_grids), and each interval inside the free inputs sets its bits
+    inputs, so the grid of each length up to longest is joined once, from
+    the shorter lengths, and each interval inside the free inputs sets its bits
     once in a base block.  In a block, an interval that starts in the fixed
     inputs reads its grid over the group's values and the free inputs it
     spans as one contiguous slice of the grid of its length; only the longer
@@ -296,9 +285,11 @@ def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
     block's other inputs, so no array outgrows a block."""
     dim = len(table) - 1
     words = _words(m)
-    fixed, group, longest = _grid_layout(dim, m, table.itemsize)
+    fixed, group, longest, dtype = _grid_layout(dim, m, table.itemsize)
     free = m + 1 - fixed
-    lengths = _length_grids(table, longest)
+    lengths = {1: np.arange(dim, dtype=table.dtype)}  # the grid of each length
+    for n in range(2, longest + 1):
+        lengths[n] = _join(table, (_outer(table, lengths[k], lengths[n - k]) for k in range(1, n)))
     values = {}  # per block, the grids of the intervals that start in the fixed inputs
 
     def grid(a: int, b: int) -> np.ndarray:  # over its inputs from fixed - 1 on
@@ -312,7 +303,7 @@ def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
         _set_bit(sets.reshape(-1, len(live), dim ** (m + 1 - max(b, fixed)), words), a, b,
                  live[:, None])
 
-    base = np.zeros((dim ** free, words), dtype=_set_dtype(m))
+    base = np.zeros((dim ** free, words), dtype=dtype)
     for a, b in _intervals(m):
         if a >= fixed:
             add(base, a, b)
@@ -330,7 +321,8 @@ def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
                     if b <= fixed:
                         code = code * dim + digits[b - 1]
                     span = dim ** max(b - fixed, 0)
-                    values[a, b] = lengths[b - a][code * span:(code + (count if b >= fixed else 1)) * span]
+                    width = count if b >= fixed else 1  # the group's values, if [a, b) holds them
+                    values[a, b] = lengths[b - a][code * span:(code + width) * span]
             sets = block[:count]
             sets[:] = base
             for a, b in _intervals(m):
@@ -384,12 +376,9 @@ def _fingerprints(masks: np.ndarray, patterns: np.ndarray):
     for start in range(0, len(masks), rows):
         block = masks[start:start + rows]
         held, found = both[:len(block)], inside[:len(block)]
-        for w in range(masks.shape[1]):
-            np.bitwise_and(block[:, w, None], outside[w], out=held)
-            if w:
-                found &= held == 0
-            else:
-                np.equal(held, 0, out=found)
+        np.equal(np.bitwise_and(block[:, 0, None], outside[0], out=held), 0, out=found)
+        for w in range(1, masks.shape[1]):
+            found &= np.bitwise_and(block[:, w, None], outside[w], out=held) == 0
         yield np.packbits(found, axis=1)
 
 
@@ -464,9 +453,9 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
 
     Tuples are drawn in chunks that double from 64 while a chunk fits in
     SUM_CHUNK_BYTES: per tuple its int64 draws, interval set and interval
-    values, and per tree its fingerprint bit in prints and in _refine's
-    copy, keys and sort.  budget_used counts the tuples up to the first that
-    separates all trees, as if they were drawn one at a time."""
+    values, and per tree its fingerprint bit in the blocks, in prints and in
+    _refine's copy, keys and sort.  budget_used counts the tuples up to the
+    first that separates all trees, as if they were drawn one at a time."""
     masks = tree_masks(m)
     table = _live_table(family.product_table(i))  # the table checks its size before the basis is built
     dim = len(table) - 1
@@ -475,17 +464,13 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
     classes = 1
     used = 0
     chunk = 64
-    per_tuple = 8 * (m + 1 + _words(m)) + len(_intervals(m)) * table.itemsize + len(masks) // 2
+    per_tuple = 8 * (m + 1 + _words(m)) + len(_intervals(m)) * table.itemsize + len(masks) * 5 // 8
     cap = max(64, cayley.SUM_CHUNK_BYTES // per_tuple)
     while used < attempts and classes < len(masks):
         count = min(chunk, cap, attempts - used)
         draws = _randrange_block(rng, dim, count * (m + 1))
         patterns = _tuple_patterns(table, draws.reshape(count, m + 1))
-        prints = np.empty((len(masks), -(-count // 8)), dtype=np.uint8)
-        done = 0
-        for block in _fingerprints(masks, patterns):
-            prints[done:done + len(block)] = block
-            done += len(block)
+        prints = np.concatenate(list(_fingerprints(masks, patterns)))
         refined, classes = _refine(labels, prints, count)
         if classes == len(masks):  # find the first tuple that separates all trees
             low = 1

@@ -355,7 +355,7 @@ def test_counters_reject_a_table_not_determined_by_sums(monkeypatch):
     # to length 2, so [0, 3), the only interval with two splits, is joined
     # per block from the block's prefix
     monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 24)
-    assert trees._grid_layout(2, 2, 1) == (2, 1, 2)
+    assert trees._grid_layout(2, 2, 1)[:3] == (2, 1, 2)
     with pytest.raises(AssertionError, match="not determined by the sum"):
         exact_partition(fam, 1, 2)
 
@@ -379,7 +379,7 @@ def test_grid_patterns_equal_the_index_reference(monkeypatch):
             monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", budget)
         table = trees._live_table(fam.product_table(i))
         dim = len(table) - 1
-        fixed, group, _ = trees._grid_layout(dim, m, table.itemsize)
+        fixed, group = trees._grid_layout(dim, m, table.itemsize)[:2]
         layouts.add((fixed, bool(fixed) and dim % group != 0))
         assert np.array_equal(trees._grid_patterns(table, m), grid_patterns(table, m)), (
             fam.describe(), i, m)
