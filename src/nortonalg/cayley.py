@@ -212,26 +212,32 @@ def residue_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
 
 def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add) -> np.ndarray:
     """The sum_positions loop over chunks of rows a: add sums them with every
-    row b, column by column, into `buffers` chunk-sized scratch buffers
-    allocated once, and row_finder(rows, modulus) looks the sums up from
-    their contiguous columns.  A chunk is sized so that all it holds per sum
-    fits in SUM_CHUNK_BYTES: the buffers' entries and what the lookup holds,
-    an int32 code, the intp copy that take makes of it and an int32 position
-    when the codes are dense, else the contiguous sum, the intp search
-    positions, the keys found and their match, and the intp positions
-    gathered and returned."""
+    row b into `buffers` chunk-sized scratch buffers allocated once, and
+    row_finder(rows, modulus) looks the sums up: column by column when their
+    codes are dense, so the codes read contiguous columns, else whole rows,
+    so their byte keys are views.  A chunk is sized so that all it holds per
+    sum fits in SUM_CHUNK_BYTES: the buffers' entries and what the lookup
+    holds, an int32 code, the intp copy that take makes of it and an int32
+    position when the codes are dense, else the intp search positions, the
+    keys found and their match, and the intp positions gathered and
+    returned."""
     dim, width = rows.shape
     dense = width * (modulus - 1).bit_length() <= DENSE_CODE_BITS
-    sum_bytes = buffers * width * rows.itemsize + (16 if dense else 2 * width + 1 + 3 * 8)
+    sum_bytes = buffers * width * rows.itemsize + (16 if dense else width + 1 + 3 * 8)
     find = row_finder(rows, modulus)
     out = np.empty((dim, dim), dtype=np.int32)
     chunks = list(_chunks(dim, dim * sum_bytes))
     scratch = np.empty((buffers, width * chunks[0][1] * dim), rows.dtype)
-    cols = rows.T
     for start, stop in chunks:
-        held = scratch[:, :width * (stop - start) * dim].reshape(buffers, width, -1, dim)
-        part = add(cols[:, start:stop, None], cols[:, None, :], *held)
-        out[start:stop] = find(part.reshape(width, -1).T).reshape(-1, dim)
+        held = scratch[:, :width * (stop - start) * dim]
+        if dense:
+            cols = rows.T
+            part = add(cols[:, start:stop, None], cols[:, None, :],
+                       *held.reshape(buffers, width, -1, dim)).reshape(width, -1).T
+        else:
+            part = add(rows[start:stop, None, :], rows[None, :, :],
+                       *held.reshape(buffers, -1, dim, width)).reshape(-1, width)
+        out[start:stop] = find(part).reshape(-1, dim)
     return out
 
 

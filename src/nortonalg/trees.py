@@ -277,12 +277,12 @@ def _grid_patterns(table: np.ndarray, m: int) -> np.ndarray:
     the first fixed - 1 to one value, the last to a group of consecutive
     values (_grid_layout).  The value of an interval depends only on its own
     inputs, so the grid of each length up to longest is joined once, from
-    the shorter lengths, and each interval inside the free inputs sets its bits
-    once in a base block.  In a block, an interval that starts in the fixed
-    inputs reads its grid over the group's values and the free inputs it
-    spans as one contiguous slice of the grid of its length; only the longer
-    ones are joined per block.  Each live grid sets its bit across the
-    block's other inputs, so no array outgrows a block."""
+    the shorter lengths, and each interval inside the free inputs sets its
+    bits once in a base block.  In a block, an interval that starts in the
+    fixed inputs reads its grid over the group's values and the free inputs
+    it spans as one contiguous slice of the grid of its length; only the
+    longer ones are joined per block.  Each live grid sets its bit across
+    the block's other inputs, so no array outgrows a block."""
     dim = len(table) - 1
     words = _words(m)
     fixed, group, longest, dtype = _grid_layout(dim, m, table.itemsize)
