@@ -228,10 +228,10 @@ def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add) -> np.ndarra
     out = np.empty((dim, dim), dtype=np.int32)
     chunks = list(_chunks(dim, dim * sum_bytes))
     scratch = np.empty((buffers, width * chunks[0][1] * dim), rows.dtype)
+    cols = rows.T
     for start, stop in chunks:
         held = scratch[:, :width * (stop - start) * dim]
         if dense:
-            cols = rows.T
             part = add(cols[:, start:stop, None], cols[:, None, :],
                        *held.reshape(buffers, width, -1, dim)).reshape(width, -1).T
         else:

@@ -151,9 +151,11 @@ def test_verify_oracle_rejects_coinciding_basis_rows(monkeypatch):
 
 def test_oracle_works_in_a_bounded_set():
     # modulo 2 the oracle XORs bit-packed value rows, 64 bytes over the 512
-    # vertices of halved-cube(10), in 256 KiB steps (0.36 MiB; 0.55 in 1 MiB
-    # steps); residue sums of the 512-byte rows, with their wrap buffer and
-    # byte keys, peaked at 3.3 MiB
+    # vertices of halved-cube(10), in 256 KiB steps that count the byte-key
+    # lookup and hold the rows only packed (0.42 MiB; 0.36 when a step
+    # counted unpacked sums alone, 0.55 in 1 MiB steps, 0.52 with the
+    # lookup counted and the unpacked rows held); residue sums of the
+    # 512-byte rows, with their wrap buffer and byte keys, peaked at 3.3 MiB
     fam = make_family("halved_cube", n=10)
     for i in fam.eigenspaces():
         fam.product_table(i)  # the family's cached tables, built before the trace
