@@ -21,14 +21,14 @@ _MODULE_OF = {
     "closed_form_product": "norton",
     "count_classes_exact": "trees",
     "count_classes_witness": "trees",
-    "cyclotomic_polynomial": "cyclotomic",
+    "cyclotomic_polynomial": "roots",
     "enumerate_trees": "trees",
     "eta": "norton",
     "find_identity": "norton",
     "make_family": "families",
     "root_power": "cyclotomic",
     "verify_isomorphism": "norton",
-    "verify_oracle_space": "norton",
+    "verify_oracle_space": "families",
 }
 
 __all__ = sorted(_MODULE_OF)

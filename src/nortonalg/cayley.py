@@ -1,8 +1,15 @@
 """Cayley graphs of finite abelian groups: character eigenvalues, spectra,
-and exact adjacency verification of the character eigenbasis.
+exact adjacency verification of the character eigenbasis, and the row-sum
+lookup that builds product tables and the projection oracle.
 
-`cyclotomic` is imported by the functions that compute in Q(w), so building
-a graph or a product table never loads it.
+The row-sum lookup is one loop that yields its rows in blocks
+(sum_blocks), so a caller can write or compare a table without holding
+it; sum_positions fills the whole table from the same blocks.
+
+The eigenvalues are integer sums of roots of unity, reduced by `roots`,
+which the functions that read them import; nothing here loads the exact
+Q(w) arithmetic of `cyclotomic`, so building a graph, a product table or
+the oracle's lookup never loads `fractions`.
 """
 
 from __future__ import annotations
@@ -90,8 +97,8 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
 def _integer_root_sums(hists: np.ndarray, e: int) -> np.ndarray | None:
     """The sums sum_r hists[k, r] w^r of the int64 residue histograms hists
     (rows x e) as int64, or None when one is not a rational integer
-    (cyclotomic.root_sums)."""
-    from .cyclotomic import root_sums
+    (roots.root_sums)."""
+    from .roots import root_sums
     forms = root_sums(hists, e, int(hists.max(initial=0)) * e)  # a row adds up e counts
     return None if forms[:, 1:].any() else forms[:, 0]
 
@@ -172,24 +179,61 @@ def sum_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
     """Row-sum lookup as a dim x dim int32 array: entry (a, b) is the position
     among rows of (rows[a] + rows[b]) mod modulus, or -1 when no row matches
     (row_finder).  Rows must be distinct, with entries in 0..modulus-1;
-    duplicate rows raise RepeatedRowError.
+    duplicate rows raise RepeatedRowError.  The array is filled from
+    sum_blocks."""
+    return _filled(len(rows), sum_blocks(rows, modulus))
+
+
+def sum_blocks(rows: np.ndarray, modulus: int):
+    """The rows of sum_positions(rows, modulus) as (start, stop, block)
+    triples in order, block the int32 or intp positions of rows start..stop-1
+    (_lookup_sums).  The checks and the lookup are made before the first
+    block is asked for, so a repeated row raises here.
 
     Modulo 2 a sum is a XOR: the rows are bit-packed, last byte first in
     little bit order, so the zero padding leads and n-bit rows code below
     2^n; each sum is one bitwise_xor, and row_finder reads the sums as rows
     of bytes.  Every other modulus sums residues (residue_positions)."""
     if modulus != 2:
-        return residue_positions(rows, modulus)
-    return _xor_positions(_packed_bits(rows))
+        return _residue_blocks(rows, modulus)
+    return _xor_blocks(_packed_bits(rows))
 
 
-def exponent_sum_positions(chars: np.ndarray, verts: np.ndarray, e: int) -> np.ndarray:
-    """sum_positions of the exponent rows of the characters chars over the
-    vertices verts (character_exponents); modulo 2 the lookups hold the
-    rows only bit-packed."""
-    if e != 2:
-        return residue_positions(character_exponents(chars, verts, e), e)
-    return _xor_positions(_packed_bits(character_exponents(chars, verts, e)))
+def _filled(dim: int, blocks) -> np.ndarray:
+    out = np.empty((dim, dim), dtype=np.int32)
+    for start, stop, block in blocks:
+        out[start:stop] = block
+    return out
+
+
+def exponent_sum_blocks(chars: np.ndarray, verts: np.ndarray, e: int):
+    """sum_blocks of the exponent rows of the characters chars over the
+    vertices verts (character_exponents), which are computed in vertex blocks
+    within SUM_CHUNK_BYTES and, modulo 2, bit-packed block by block, so the
+    dot products and the unpacked rows are never held for all vertices.
+
+    A block holds, per vertex, its row widened to the dot products' dtype
+    and, per character and vertex, the sums and quotients of
+    character_exponents, their residue and a byte for its packed bit; it
+    is a multiple of 8 vertices, so the packed blocks are whole bytes of
+    the packed rows.  Other moduli hold the rows in the dtype of the residue
+    sums, which the lookup then reads uncopied."""
+    acc = _dot_dtype(chars, verts, e).itemsize
+    count = len(verts)
+    if e == 2:
+        rows = np.empty((len(chars), -(-count // 8)), dtype=np.uint8)
+    else:
+        rows = np.empty((len(chars), count), dtype=np.min_scalar_type(2 * e - 2))
+    residue = np.min_scalar_type(e - 1).itemsize
+    vertex_bytes = verts.shape[1] * acc + len(chars) * (2 * acc + residue + 1)
+    for lo, hi in _chunks(-(-count // 8), 8 * vertex_bytes):
+        exps = character_exponents(chars, verts[8 * lo:8 * hi], e)
+        if e == 2:  # bytes lo..hi-1 of the packed rows, which run last byte first
+            rows[:, rows.shape[1] - hi:rows.shape[1] - lo] = \
+                np.packbits(exps, axis=1, bitorder="little")[:, ::-1]
+        else:
+            rows[:, 8 * lo:8 * hi] = exps
+    return _xor_blocks(rows) if e == 2 else _residue_blocks(rows, e)
 
 
 def _packed_bits(rows: np.ndarray) -> np.ndarray:
@@ -198,24 +242,31 @@ def _packed_bits(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.packbits(rows, axis=1, bitorder="little")[:, ::-1])
 
 
-def _xor_positions(packed: np.ndarray) -> np.ndarray:
+def _xor_blocks(packed: np.ndarray):
     return _lookup_sums(packed, 256, 1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
 
 
 def residue_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
     """sum_positions by residue sums (_reduced_sum), for any modulus; modulo
     2 it is the reference of the XOR path."""
+    return _filled(len(rows), _residue_blocks(rows, modulus))
+
+
+def _residue_blocks(rows: np.ndarray, modulus: int):
     rows = rows.astype(np.min_scalar_type(2 * modulus - 2), copy=False)
     return _lookup_sums(rows, modulus, 2,
                         lambda a, b, out, wrap: _reduced_sum(a, b, modulus, out=out, wrap=wrap))
 
 
-def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add) -> np.ndarray:
-    """The sum_positions loop over chunks of rows a: add sums them with every
-    row b into `buffers` chunk-sized scratch buffers allocated once, and
-    row_finder(rows, modulus) looks the sums up: column by column when their
-    codes are dense, so the codes read contiguous columns, else whole rows,
-    so their byte keys are views.  A chunk is sized so that all it holds per
+def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add):
+    """The one row-sum lookup loop, as a generator of (start, stop, block)
+    over chunks of rows a, built with its lookup and buffers before it is
+    returned: add sums the rows a with every row b into `buffers`
+    chunk-sized scratch buffers allocated once, and row_finder(rows,
+    modulus) looks the sums up, giving block, the positions of the sums of
+    rows start..stop-1.  It reads them column by column when their codes
+    are dense, so the codes read contiguous columns, else whole rows, so
+    their byte keys are views.  A chunk is sized so that all it holds per
     sum fits in SUM_CHUNK_BYTES: the buffers' entries and what the lookup
     holds, an int32 code, the intp copy that take makes of it and an int32
     position when the codes are dense, else the intp search positions, the
@@ -225,20 +276,22 @@ def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add) -> np.ndarra
     dense = width * (modulus - 1).bit_length() <= DENSE_CODE_BITS
     sum_bytes = buffers * width * rows.itemsize + (16 if dense else width + 1 + 3 * 8)
     find = row_finder(rows, modulus)
-    out = np.empty((dim, dim), dtype=np.int32)
     chunks = list(_chunks(dim, dim * sum_bytes))
     scratch = np.empty((buffers, width * chunks[0][1] * dim), rows.dtype)
     cols = rows.T
-    for start, stop in chunks:
-        held = scratch[:, :width * (stop - start) * dim]
-        if dense:
-            part = add(cols[:, start:stop, None], cols[:, None, :],
-                       *held.reshape(buffers, width, -1, dim)).reshape(width, -1).T
-        else:
-            part = add(rows[start:stop, None, :], rows[None, :, :],
-                       *held.reshape(buffers, -1, dim, width)).reshape(-1, width)
-        out[start:stop] = find(part).reshape(-1, dim)
-    return out
+
+    def blocks():
+        for start, stop in chunks:
+            held = scratch[:, :width * (stop - start) * dim]
+            if dense:
+                part = add(cols[:, start:stop, None], cols[:, None, :],
+                           *held.reshape(buffers, width, -1, dim)).reshape(width, -1).T
+            else:
+                part = add(rows[start:stop, None, :], rows[None, :, :],
+                           *held.reshape(buffers, -1, dim, width)).reshape(-1, width)
+            yield start, stop, find(part).reshape(-1, dim)
+
+    return blocks()
 
 
 def character_exponents(u_arr: np.ndarray, x_arr: np.ndarray, e: int) -> np.ndarray:

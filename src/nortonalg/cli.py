@@ -5,9 +5,12 @@ isomorphism checks, with deterministic machine-readable output.
 Exit codes: 0 verified/success, 1 a claim check failed, 2 usage error,
 3 budget exceeded, 4 internal error (one line on stderr, no traceback).
 
-`table` computes the table, basis, labels and oracle verdict before it writes
-anything, then writes the rows one at a time, so it peaks at about the int32
-table plus one row of text, not at copies of the output.
+`table` checks the table's size, then builds the basis, its labels and the
+row lookup before it writes anything, and writes each row as the lookup
+gives it, one write per row: it peaks at about the basis and its labels,
+one 256 KiB lookup step and a row of text, not at the dim x dim int32
+table.  With `--verify-oracle` the verdict sorts before the table in json,
+so the table is built and held first.
 
 `main(argv)` is the in-process API: it returns the exit code.  `run()` is the
 process entry (`python -m nortonalg.cli` and the `nortonalg` script): it
@@ -15,14 +18,15 @@ calls `main()`, flushes stdout and stderr and ends the process with
 `os._exit`, skipping interpreter teardown, which has nothing to release: the
 only file opened is closed by `_write`, and no thread or exit handler runs.
 
-Every subcommand loads `cayley`, `families`, `groups` and `linalg`; the
-others are imported where they are used:
+Every subcommand loads `cayley`, `families`, `groups` and `linalg`, which
+hold the product table and the projection oracle; the others are imported
+where they are used:
 
-- `spectrum` adds `cyclotomic`, whose reduction matrix gives the eigenvalues;
-- `table` adds `norton` and `cyclotomic` only with `--verify-oracle`;
+- `spectrum` adds `roots`, whose integer reduction gives the eigenvalues;
+- `table`, with or without `--verify-oracle`, and `oracle-verify` add none;
 - `nonassoc` adds `trees`, and `autocheck` adds `autos`;
-- `idempotents`, `oracle-verify` and `isocheck` add `norton` and
-  `cyclotomic`.
+- `idempotents` and `isocheck` add `norton`, `cyclotomic` and `roots`, the
+  exact Q(w) arithmetic, with `fractions`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ import numpy as np
 
 from .cayley import spectrum, verify_all_eigenvectors
 from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
-from .families import KINDS, FamilySpec, listed, make_family
+from .families import (DEFAULT_ORACLE_VERTEX_BUDGET, KINDS, FamilySpec, listed, make_family,
+                       verify_oracle_space)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -150,14 +155,16 @@ class _Streamed(list):
 TABLE_SLOT = "<table>"  # stands for the table in the payload until it is rendered
 
 
-def _row_blocks(table: np.ndarray, cells: list[str], sep: str, heads: list[str],
+def _row_blocks(blocks: Iterable, cells: list[str], sep: str, heads: list[str],
                 end: str) -> Iterable[str]:
-    """The table as text, one piece per row: row r reads heads[r], its
-    entries joined by sep, then end, where entry v reads cells[v], so a zero
-    product (-1) reads the last cell."""
+    """The table as text, one piece per row, from its (start, stop, block)
+    row blocks: row r reads heads[r], its entries joined by sep, then end,
+    where entry v reads cells[v], so a zero product (-1) reads the last
+    cell."""
     lookup = np.array(cells, dtype=object)
-    for head, row in zip(heads, table):
-        yield head + sep.join(lookup[row].tolist()) + end
+    for start, _, block in blocks:
+        for r, row in enumerate(block, start):
+            yield heads[r] + sep.join(lookup[row].tolist()) + end
 
 
 def _emit(args, pieces: Iterable[str]) -> None:
@@ -215,27 +222,29 @@ def cmd_table(args) -> int:
     if args.i is None:
         raise _usage_error("table requires --i")
     _space_index(fam, args.i)
-    if args.verify_oracle:  # the oracle's vertex budget, before the table and the basis
-        from . import norton
-        fam.vertices(norton.DEFAULT_ORACLE_VERTEX_BUDGET)
-    table = fam.product_table(args.i)  # checks its size before the basis is built
-    labels = fam.basis(args.i)
     oracle_ok = None
     if args.verify_oracle:
-        oracle_ok = norton.verify_oracle_space(fam, args.i)
+        # the oracle's vertex budget comes before the table and the basis, and
+        # its verdict sorts before the table in json, so the table is held
+        fam.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
+        fam.product_table(args.i)
+    rows = fam.product_rows(args.i)  # checks its size before the basis is built
+    labels = fam.basis(args.i)
+    if args.verify_oracle:
+        oracle_ok = verify_oracle_space(fam, args.i)
     texts = [fam.label_text(lbl) for lbl in labels]
     numbers = [str(v) for v in range(len(texts))] + ["-1"]  # -1, a zero product, reads last
     status = "ok" if oracle_ok in (None, True) else "mismatch"
-    # all that can fail is done: the rest renders and writes
+    # all that can fail is done: the rest looks the rows up, renders and writes
     if args.format == "csv":
         head, tail = "*," + ",".join(texts) + "\n", ""
-        rows = _row_blocks(table, numbers, ",", [t + "," for t in texts], "\n")
+        lines = _row_blocks(rows, numbers, ",", [t + "," for t in texts], "\n")
     elif args.format == "text":
         width = max(len(t) for t in texts) + 1
         cells = [t.rjust(width) for t in texts] + ["0".rjust(width)]
         head = f"# {fam.describe()} V_{args.i} products\n{' ' * width}{' '.join(cells[:-1])}\n"
         tail = "" if oracle_ok is None else f"# oracle verified: {oracle_ok}\n"
-        rows = _row_blocks(table, cells, " ", [t.ljust(width) for t in texts], "\n")
+        lines = _row_blocks(rows, cells, " ", [t.ljust(width) for t in texts], "\n")
     else:
         payload = {
             "command": "table",
@@ -250,8 +259,8 @@ def cmd_table(args) -> int:
         head, tail = "".join(_json_blocks(payload)).split(json.dumps(TABLE_SLOT), 1)
         head, tail = head + "[\n", "\n  ]" + tail
         heads = ["    [\n      "] + [",\n    [\n      "] * (len(texts) - 1)
-        rows = _row_blocks(table, numbers, ",\n      ", heads, "\n    ]")
-    _emit(args, chain([head], rows, [tail]))
+        lines = _row_blocks(rows, numbers, ",\n      ", heads, "\n    ]")
+    _emit(args, chain([head], lines, [tail]))
     return EXIT_OK if status == "ok" else EXIT_CHECK_FAILED
 
 
@@ -312,7 +321,7 @@ def cmd_nonassoc(args) -> int:
 
 def cmd_idempotents(args) -> int:
     from . import norton
-    from .cyclotomic import field_degree
+    from .roots import field_degree
     e = args.e
     if e is None or e < 3:
         raise _usage_error("idempotents requires --e >= 3")
@@ -375,14 +384,13 @@ def cmd_autocheck(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    from . import norton
     fam = _family_from_args(args)
     spaces = fam.eigenspaces() if args.i is None else [_space_index(fam, args.i)]
     rows = []
     all_ok = True
     for i in spaces:
         dim = fam.predicted_dimension(i)
-        ok = norton.verify_oracle_space(fam, i)
+        ok = verify_oracle_space(fam, i)
         all_ok &= ok
         rows.append({"i": i, "dim": dim, "pairs": dim * dim, "ok": ok})
     payload = {

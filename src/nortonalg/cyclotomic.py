@@ -3,7 +3,8 @@
 Elements live in Q[x]/(Phi_e(x)) and are stored in the power basis
 1, w, ..., w^(phi(e)-1) with arbitrary-precision rational coefficients, so
 two field elements are equal exactly when their coefficient vectors are.
-No floating point is used anywhere.
+No floating point is used anywhere.  Phi_e, phi(e) and the canonical forms
+of the powers of w come from `roots`, which computes in integers only.
 """
 
 from __future__ import annotations
@@ -15,59 +16,17 @@ from typing import Union
 import numpy as np
 
 from .linalg import row_reduce
+from .roots import cyclotomic_polynomial, field_degree, root_tail  # Phi_e re-exported
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
 
 
-def _div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient of integer polynomials, denominator monic, remainder must vanish."""
-    num = list(num)
-    dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + dd]
-        quot[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("inexact cyclotomic polynomial division")
-    return quot
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
-    """Coefficients of Phi_e (low degree first), by exact division of x^e - 1
-    by the product of Phi_d over proper divisors d of e."""
-    if e < 1:
-        raise ValueError(f"cyclotomic order must be >= 1, got {e}")
-    num = [-1] + [0] * (e - 1) + [1]
-    for d in [d for d in range(1, e) if e % d == 0]:  # the proper divisors
-        num = _div_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
-
-
-@lru_cache(maxsize=None)
-def field_degree(e: int) -> int:
-    """Degree of Q(w) over Q, i.e. phi(e)."""
-    return len(cyclotomic_polynomial(e)) - 1
-
-
 @lru_cache(maxsize=None)
 def root_reduction_matrix(e: int) -> np.ndarray:
-    """Read-only int64 matrix R of shape phi(e) x e: R[r, k] is the coefficient
-    of w^r in the canonical form of w^k, for k = 0 .. e-1.  Column k is
-    column k-1 times x, with x^deg replaced by -(Phi_e - x^deg)."""
-    phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    top = -np.array(phi[:deg], dtype=np.int64)
-    red = np.zeros((deg, e), dtype=np.int64)
-    for k in range(e):
-        if k < deg:
-            red[k, k] = 1
-        else:
-            red[1:, k] = red[:-1, k - 1]
-            red[:, k] += red[-1, k - 1] * top
+    """Read-only int64 matrix R = [I | T] of shape phi(e) x e: R[r, k] is the
+    coefficient of w^r in the canonical form of w^k, for k = 0 .. e-1; the
+    powers below phi(e) stand as they are, and T is roots.root_tail(e)."""
+    red = np.concatenate((np.eye(field_degree(e), dtype=np.int64), root_tail(e)), axis=1)
     red.flags.writeable = False
     return red
 
@@ -90,17 +49,6 @@ def _reduced(e: int, coeffs) -> list:
                 if v:
                     out[j] += c * v
     return out
-
-
-def root_sums(hists: np.ndarray, e: int, total: int) -> np.ndarray:
-    """The canonical forms of sum_r hists[..., r] w^r for int64 residue
-    histograms hists (... x e) whose rows each add up to at most total:
-    hists times root_reduction_matrix(e) transposed.  Raises OverflowError
-    before any entry could pass 2^63, which total * max|R| bounds."""
-    red = root_reduction_matrix(e)
-    if total * max(int(red.max()), -int(red.min())) >= 2**63:  # max|R|, with no |R| copy
-        raise OverflowError(f"root sums of e={e} exceed int64")
-    return hists @ red.T
 
 
 _ZERO = Fraction(0)

@@ -1,5 +1,6 @@
 """The six graph families: vertex sets, connection sets, eigenspace bases,
-Norton product tables, and predicted spectra.
+Norton product tables, the projection oracle that checks them, and
+predicted spectra.
 
 A basis is an array of index rows, one per basis character, in the dtype of
 the vertex rows: it is what the graph, the product table, the oracle, the
@@ -17,7 +18,8 @@ from math import comb
 
 import numpy as np
 
-from .cayley import CayleyGraph, _chunks, sum_positions
+from .cayley import (CayleyGraph, RepeatedRowError, _chunks, exponent_sum_blocks, sum_blocks,
+                     sum_positions)
 from .errors import BudgetExceededError
 from .groups import Word, is_prime, word_text
 from .linalg import row_reduce
@@ -25,7 +27,8 @@ from .linalg import row_reduce
 Subset = tuple[int, ...]
 
 DEFAULT_VERTEX_BUDGET = 2**20
-MAX_TABLE_ENTRIES = 2**26  # 256 MB of int32, about the peak of `table`: it streams its rows
+DEFAULT_ORACLE_VERTEX_BUDGET = 4096
+MAX_TABLE_ENTRIES = 2**26  # 256 MB of int32, the peak of a held table
 
 
 def qbinom(d: int, i: int, q: int) -> int:
@@ -107,6 +110,32 @@ def carries_table(perm: np.ndarray, dom: np.ndarray, cod: np.ndarray) -> bool:
         if not (np.take(cod[perm[lo:hi]], perm, axis=1) == image).all():
             return False
     return True
+
+
+def verify_oracle_space(family: FamilySpec, i: int) -> bool:
+    """Projection-oracle check of the product table on every V_i basis pair.
+
+    On the vertex group X, chi_u . chi_v is the character of X whose exponent
+    row is the sum of theirs mod e.  Distinct characters of X are orthogonal,
+    so once the V_i basis characters are distinct on X, projecting the product
+    onto V_i gives the basis character with that value row, with coefficient
+    1, and a row that matches no basis character certifies a zero product.
+    The lookup runs on value rows over X, never on index rows or labels (a
+    set and its complement give the same row on X).  Two
+    basis characters with one value row fail the check: the lookup among the
+    rows, which sorts or indexes them once, rejects the repeated row.  The
+    table is built first, so its lookup is done before the oracle's starts,
+    and the oracle's blocks are compared with it as they come.
+    """
+    # the vertex budget is checked before basis_array, because the bilinear
+    # basis enumerates the vertices under the larger default budget
+    verts = family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
+    table = family.product_table(i)
+    try:
+        blocks = exponent_sum_blocks(family.basis_array(i), verts, family.modulus)
+    except RepeatedRowError:
+        return False
+    return all((block == table[start:stop]).all() for start, stop, block in blocks)
 
 
 class FamilySpec:
@@ -223,13 +252,28 @@ class FamilySpec:
         the basis rows (cayley.sum_positions); a sum that is not a basis row
         is a zero product."""
         if i not in self._tables:
-            dim = self.predicted_dimension(i)
-            if dim * dim > MAX_TABLE_ENTRIES:
-                raise BudgetExceededError(
-                    f"product table of {self.describe()} V_{i} has {dim * dim} entries"
-                    f", over {MAX_TABLE_ENTRIES}")
+            self._check_table_size(i)
             self._tables[i] = _read_only(sum_positions(self.basis_array(i), self.modulus))
         return self._tables[i]
+
+    def product_rows(self, i: int):
+        """The rows of product_table(i) as (start, stop, block) triples in
+        order, block the entries of rows start..stop-1, without holding the
+        table: from the cached table in one block, else from the row-sum
+        lookup in SUM_CHUNK_BYTES steps (cayley.sum_blocks).  The size check
+        and the lookup, which refuses repeated rows, are made before this
+        returns."""
+        if i in self._tables:
+            return iter([(0, len(self._tables[i]), self._tables[i])])
+        self._check_table_size(i)
+        return sum_blocks(self.basis_array(i), self.modulus)
+
+    def _check_table_size(self, i: int) -> None:
+        dim = self.predicted_dimension(i)
+        if dim * dim > MAX_TABLE_ENTRIES:
+            raise BudgetExceededError(
+                f"product table of {self.describe()} V_{i} has {dim * dim} entries"
+                f", over {MAX_TABLE_ENTRIES}")
 
     def eigenspaces(self) -> range:
         return range(self.diameter + 1)

@@ -1,15 +1,15 @@
-"""Norton algebra vectors on family eigenspaces: the independent projection
-oracle, the closed-form product, idempotent and nilpotent machinery, identity
-detection, and isomorphism verification.
+"""Norton algebra vectors on family eigenspaces: the closed-form product,
+idempotent and nilpotent machinery, identity detection, and isomorphism
+verification.
 
 A vector is an exact integer array over basis positions with one
 denominator; its product reads the family's product table, and labels are
 rendered only when a vector is printed.
 
-The projection oracle multiplies characters as value rows over the vertex set
-and projects back by character orthogonality; it never looks at the
-index-level product rule, so agreement with the closed form is a genuine
-cross-check.
+The projection oracle, which checks the product table from value rows over
+the vertex set, lives beside the table in `families`
+(`families.verify_oracle_space`), so that checking it loads no `Q(w)`
+arithmetic; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cayley import RepeatedRowError, exponent_sum_positions
-from .cyclotomic import Cyclotomic, _power_rows, field_degree, root_sums
+from .cyclotomic import Cyclotomic, _power_rows
 from .errors import BudgetExceededError
-from .families import FamilySpec, carries_table, make_family
+from .families import (DEFAULT_ORACLE_VERTEX_BUDGET, FamilySpec,  # the oracle, re-exported
+                       carries_table, make_family, verify_oracle_space)
 from .linalg import row_reduce
+from .roots import field_degree, root_sums
 
-DEFAULT_ORACLE_VERTEX_BUDGET = 4096
 DEFAULT_IDENTITY_DIM_BUDGET = 256
 
 
@@ -183,29 +183,6 @@ def closed_form_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
     return AlgebraVector(fam, i, sums @ _reduction(fam.modulus), v.den * w.den)
 
 
-def verify_oracle_space(family: FamilySpec, i: int) -> bool:
-    """Projection-oracle check of the product table on every V_i basis pair.
-
-    On the vertex group X, chi_u . chi_v is the character of X whose exponent
-    row is the sum of theirs mod e.  Distinct characters of X are orthogonal,
-    so once the V_i basis characters are distinct on X, projecting the product
-    onto V_i gives the basis character with that value row, with coefficient
-    1, and a row that matches no basis character certifies a zero product.
-    The lookup runs on value rows over X, never on index rows or labels (a
-    set and its complement give the same row on X).  Two
-    basis characters with one value row fail the check: the lookup among the
-    rows, which sorts or indexes them once, rejects the repeated row.
-    """
-    # the vertex budget is checked before basis_array, because the bilinear
-    # basis enumerates the vertices under the larger default budget
-    verts = family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
-    try:
-        oracle = exponent_sum_positions(family.basis_array(i), verts, family.modulus)
-    except RepeatedRowError:
-        return False
-    return bool((oracle == family.product_table(i)).all())
-
-
 # ---------------------------------------------------------------------------
 # Idempotents of V_1(H(1,e))
 # ---------------------------------------------------------------------------
@@ -240,8 +217,8 @@ def _eta_sums(e: int, size: int, den: int) -> list[AlgebraVector]:
     """One vector per size-subset S of {1,...,e-1}, in combinations order:
     (e-2)/den times the sum of eta_j over S, whose chi_k coordinate is
     sum_{j in S} w^(jk) / den.  The numerators of all of them are one integer
-    matmul: the histogram of the residues jk mod e times
-    root_reduction_matrix(e) (cyclotomic.root_sums)."""
+    matmul: the histogram of the residues jk mod e reduced to canonical form
+    (roots.root_sums)."""
     subsets = np.array(list(combinations(range(1, e), size)), dtype=np.int64)
     count = len(subsets)
     residues = subsets[:, None, :] * np.arange(1, e)[None, :, None] % e

@@ -171,6 +171,36 @@ def test_packed_sums_equal_residue_sums():
     assert (spaces, packed) == (155, 110)
 
 
+def test_oracle_rows_in_vertex_blocks_equal_the_whole_rows(monkeypatch):
+    # the oracle computes its exponent rows in blocks of 8 vertices here (and
+    # packs them block by block modulo 2); its lookup equals that of the
+    # rows computed at once, and its verdict holds, on every space
+    real = cayley.character_exponents
+    widths = []
+
+    def recorded(u_arr, x_arr, e):
+        widths.append(len(x_arr))
+        return real(u_arr, x_arr, e)
+
+    spaces = 0
+    for fam in _criterion1_instances():
+        verts = fam.vertices()
+        for i in fam.eigenspaces():
+            rows = fam.basis_array(i)
+            want = cayley.sum_positions(real(rows, verts, fam.modulus), fam.modulus)
+            with monkeypatch.context() as patch:
+                patch.setattr(cayley, "SUM_CHUNK_BYTES", 1)
+                patch.setattr(cayley, "character_exponents", recorded)
+                widths.clear()
+                lookup = cayley.exponent_sum_blocks(rows, verts, fam.modulus)
+                assert widths[:-1] == [8] * (len(widths) - 1) and sum(widths) == len(verts)
+                got = cayley._filled(len(rows), lookup)
+                assert verify_oracle_space(fam, i), (fam.describe(), i)
+            assert (got == want).all(), (fam.describe(), i)
+            spaces += 1
+    assert spaces == 155
+
+
 def test_criterion_03_oracle_equivalence():
     with criterion(3, "closed form equals projection oracle on all basis pairs"):
         for fam in _criterion1_instances():

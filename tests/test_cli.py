@@ -16,7 +16,7 @@ import pytest
 
 import nortonalg
 
-from nortonalg import autos, cli, families, norton, trees
+from nortonalg import autos, cayley, cli, families, norton, trees
 from nortonalg.cli import main
 from nortonalg.families import BilinearFamily, CubeFamily, make_family
 from reference import table_output
@@ -509,32 +509,52 @@ class _Pieces(io.StringIO):
         return super().write(text)
 
 
-# (family, parameters, i)
+# (family, parameters, i, cayley.SUM_CHUNK_BYTES): the lookup's row blocks
+# at that budget, 18 bytes a sum of packed 12-bit rows and 34 of 9 residues
 TABLE_SHAPES = [
-    ("halved-cube", {"n": 12}, 6),  # dim 462
-    ("hamming", {"n": 9, "e": 3}, 9),  # dim 512
-    ("hamming", {"n": 2, "e": 3}, 0),  # one row, with the oracle line in text
+    ("halved-cube", {"n": 12}, 6, 2**18),  # dim 462: 14 blocks of 31 rows, then 28
+    ("hamming", {"n": 9, "e": 3}, 9, 2**18 + 2**14),  # dim 512: 32 blocks of 16 rows
+    ("hamming", {"n": 2, "e": 3}, 0, 2**18),  # one row, with the oracle line in text
 ]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-@pytest.mark.parametrize("kind, params, i", TABLE_SHAPES,
+@pytest.mark.parametrize("kind, params, i, budget", TABLE_SHAPES,
                          ids=["partial-last-block", "whole-blocks", "one-row"])
-def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, params, i):
+def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, params, i, budget):
+    families._cached_family.cache_clear()  # so no held table gives the rows
+    monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", budget)
+    steps = []
+    real_rows = families.FamilySpec.product_rows
+
+    def product_rows(fam, i):
+        for start, stop, block in real_rows(fam, i):
+            steps.append((start, stop))
+            yield start, stop, block
+
+    monkeypatch.setattr(families.FamilySpec, "product_rows", product_rows)
     fam = make_family(kind, **params)
     dim = fam.predicted_dimension(i)
     oracle = ["--verify-oracle"] if dim == 1 else []
     argv = ["table", "--family", kind, *(f"--{k}={v}" for k, v in params.items()),
             "--i", str(i), "--format", fmt, *oracle]
-    expected = table_output(fam, i, fmt, True if oracle else None)
     out = _Pieces()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(argv) == 0
-    assert out.getvalue() == expected
     # a write per row, after the head and before the tail
     assert len(out.pieces) == dim + 2
+    # the rows came in blocks of one size, in order, the last one whole or partial
+    sizes = [stop - start for start, stop in steps]
+    assert [start for start, _ in steps] == [sum(sizes[:k]) for k in range(len(steps))]
+    assert sum(sizes) == dim and len(set(sizes[:-1])) <= 1
+    if dim == 1:
+        assert steps == [(0, 1)]
+    else:
+        assert len(steps) > 1 and (sizes[-1] < sizes[0]) == (kind == "halved-cube"), sizes
     path = tmp_path / "table.out"
     assert main([*argv, "--output", str(path)]) == 0
+    expected = table_output(fam, i, fmt, True if oracle else None)  # holds the table
+    assert out.getvalue() == expected
     assert path.read_bytes() == expected.encode()
 
 
@@ -603,7 +623,7 @@ def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("oracle exploded")
 
-    monkeypatch.setattr(norton, "verify_oracle_space", broken)
+    monkeypatch.setattr(cli, "verify_oracle_space", broken)
     assert main(["oracle-verify", "--family", "hamming", "--n", "2", "--e", "3"]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: oracle exploded\n"
@@ -651,16 +671,21 @@ for argv in (["table", "--family", "hypercube", "--n", "6", "--i", "3"],
               "--mode", "exact"],
              ["autocheck", "--family", "hamming", "--n", "3", "--e", "4", "--i", "2",
               "--samples", "2"],
-             ["oracle-verify", "--family", "halved-cube", "--n", "8"]):
+             ["oracle-verify", "--family", "halved-cube", "--n", "8"],
+             ["table", "--family", "hamming", "--n", "3", "--e", "3", "--i", "2",
+              "--verify-oracle"],
+             ["spectrum", "--family", "hamming", "--n", "2", "--e", "5", "--verify"],
+             ["idempotents", "--e", "4"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert nortonalg.cli.main(argv) == 0
-    print(loaded("nortonalg.cyclotomic", "fractions", "numpy.ma"))
+    print(loaded("nortonalg.norton", "nortonalg.cyclotomic", "fractions", "numpy.ma"))
 """
 
 
 def test_cli_import_leaves_the_other_layers_unloaded():
-    # the layers load per subcommand: Q(w) (cyclotomic and fractions) only
-    # where it is computed, and numpy.ma nowhere
+    # the layers load per subcommand: Q(w) (norton, cyclotomic and fractions)
+    # only where it is computed, so not by the oracle or the eigenvalues, and
+    # numpy.ma nowhere
     src = os.path.dirname(os.path.dirname(nortonalg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
@@ -668,7 +693,8 @@ def test_cli_import_leaves_the_other_layers_unloaded():
     assert out.splitlines() == [
         "[]",  # after import nortonalg.cli
         "[]", "[]", "[]",  # after table, exact nonassoc and autocheck
-        "['fractions', 'nortonalg.cyclotomic']",  # after oracle-verify
+        "[]", "[]", "[]",  # after oracle-verify, table --verify-oracle and spectrum --verify
+        "['fractions', 'nortonalg.cyclotomic', 'nortonalg.norton']",  # after idempotents
     ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from nortonalg.cyclotomic import (
     root_power,
     root_reduction_matrix,
 )
+from nortonalg.roots import root_sums, root_tail
 from reference import power_remainders
 
 
@@ -181,6 +183,43 @@ def test_root_reduction_matrix_agrees_with_root_power():
             for k in range(e):
                 col = tuple(Fraction(c) for c in mat[:, k].tolist())
                 assert Cyclotomic(e, col) == root_power(e, k)
+
+
+def test_root_sums_reduce_the_tail_powers_alone():
+    # the powers below phi(e) stand as they are, so the tail's product equals
+    # that of the whole reduction matrix [I | T]
+    rng = np.random.default_rng(7)
+    for e in [*range(1, 65), 257]:
+        deg = field_degree(e)
+        tail = root_tail(e)
+        assert tail.shape == (deg, e - deg) and tail.dtype == np.int64, e
+        assert not tail.flags.writeable and root_tail(e) is tail
+        assert (root_reduction_matrix(e)[:, deg:] == tail).all(), e
+        hists = rng.integers(0, 40, (3, 5, e), dtype=np.int64)
+        got = root_sums(hists, e, 40 * e)
+        assert got.dtype == np.int64 and got.shape == (3, 5, deg), e
+        assert (got == hists @ root_reduction_matrix(e).T).all(), e
+
+
+def test_tail_of_a_large_prime_order_is_linear_in_e():
+    # Phi_65537 has degree e - 1, so the tail is the one column of w^(e-1) =
+    # -(1 + w + ... + w^(e-2)); the whole matrix would take phi(e) * e * 8
+    # bytes, 32 GiB (about 40 bytes a residue here, with Phi_e's Python ints)
+    e = 65537
+    tracemalloc.start()
+    try:
+        tail = root_tail.__wrapped__(e)  # built under the trace, not read from the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tail.shape == (e - 1, 1) and (tail == -1).all()
+    assert peak < 64 * e, peak
+    # the e-th roots of unity sum to 0, and w^(e-1) is the tail's column
+    hists = np.zeros((2, e), dtype=np.int64)
+    hists[0] = 1
+    hists[1, e - 1] = 3
+    sums = root_sums(hists, e, e)
+    assert not sums[0].any() and (sums[1] == -3).all()
 
 
 def test_rational_helpers():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nortonalg import cayley, cyclotomic, norton
+from nortonalg import cayley, norton, roots
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import HammingFamily, make_family
@@ -152,10 +152,13 @@ def test_verify_oracle_rejects_coinciding_basis_rows(monkeypatch):
 def test_oracle_works_in_a_bounded_set():
     # modulo 2 the oracle XORs bit-packed value rows, 64 bytes over the 512
     # vertices of halved-cube(10), in 256 KiB steps that count the byte-key
-    # lookup and hold the rows only packed (0.42 MiB; 0.36 when a step
-    # counted unpacked sums alone, 0.55 in 1 MiB steps, 0.52 with the
-    # lookup counted and the unpacked rows held); residue sums of the
-    # 512-byte rows, with their wrap buffer and byte keys, peaked at 3.3 MiB
+    # lookup, with the rows computed and packed in vertex blocks and each
+    # step's rows compared with the table as they come (0.29 MiB; 0.42 with
+    # the exponents computed on all vertices at once and the oracle's table
+    # held, 0.36 when a step counted unpacked sums alone, 0.55 in 1 MiB
+    # steps, 0.52 with the lookup counted and the unpacked rows held);
+    # residue sums of the 512-byte rows, with their wrap buffer and byte
+    # keys, peaked at 3.3 MiB
     fam = make_family("halved_cube", n=10)
     for i in fam.eigenspaces():
         fam.product_table(i)  # the family's cached tables, built before the trace
@@ -165,7 +168,7 @@ def test_oracle_works_in_a_bounded_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * (1 << 20), peak
+    assert peak < 0.35 * (1 << 20), peak
 
 
 def test_eta_examples():
@@ -553,9 +556,9 @@ def test_eta_sums_equal_the_label_sums():
 
 
 def test_eta_sums_raise_before_an_int64_product_could_wrap(monkeypatch):
-    # an entry is at most size * max|reduction|: at 2^62 and size 2 that is 2^63
-    monkeypatch.setattr(cyclotomic, "root_reduction_matrix",
-                        lambda e: np.full((4, e), 2**62, dtype=np.int64))
+    # an entry is at most size * max(1, max|tail|): at 2^62 and size 2 that is 2^63
+    monkeypatch.setattr(roots, "root_tail",
+                        lambda e: np.full((4, e - 4), 2**62, dtype=np.int64))
     with pytest.raises(OverflowError):
         norton._eta_sums(5, 2, 1)
     assert len(norton._eta_sums(5, 1, 1)) == 4

@@ -1,14 +1,15 @@
 """The benchmark's scripts against the package: the traced run imports every
 layer module the tracer names and hooks functions by name, and the
 `find_identity` operation reads a vector's `coeffs` and `Cyclotomic.to_json`;
-each of them must exist.  The `field-assoc` operations of `ops.py` must each
-work in a bounded set."""
+each of them must exist.  The `field-assoc` and `certify-tables` operations
+of `ops.py` must each work in a bounded set."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import json
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -71,4 +72,30 @@ def test_field_assoc_operations_work_in_a_bounded_set(monkeypatch, capsys):
         assert code == 0, op.args
     assert len(peaks) == 16
     over = {args: peak for args, peak in peaks.items() if peak > 1.25 * (1 << 20)}
+    assert not over, over
+
+
+def test_certify_tables_operations_work_in_a_bounded_set(monkeypatch):
+    # each CLI operation of the workload, with fresh families and its output
+    # written to the null device: `table` writes its rows as the lookup gives
+    # them, the oracle compares its lookup's blocks with the table, and the
+    # eigenvalues reduce only the powers past phi(e) (the highest reads about
+    # 0.61 MiB); with the table held whole, the oracle's table beside it and
+    # the phi(e) x e reduction matrix, the dim-462 tables read 1.10 to
+    # 1.24 MiB and `spectrum` on hamming(1,257) 0.67
+    ops = _script("ops", monkeypatch)
+    peaks = {}
+    with open(os.devnull, "w") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        for op in ops.WORKLOADS["certify-tables"]:
+            families._cached_family.cache_clear()
+            tracemalloc.start()
+            try:
+                code = cli.main(op.args.split())
+                peaks[op.args] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, op.args
+    assert len(peaks) == 17
+    over = {args: peak for args, peak in peaks.items() if peak > 0.65 * (1 << 20)}
     assert not over, over
