@@ -53,6 +53,8 @@ class CayleyGraph:
         find = row_finder(conn, e)  # raises on a repeated connection element
         if (find((-conn.astype(np.int64)) % e) < 0).any():
             raise ValueError("connection set not symmetric")
+        if self.vertices.any(axis=1).all():
+            raise ValueError("vertex set does not contain the identity")
         if (row_finder(self.vertices, e)(conn) < 0).any():
             raise ValueError("connection element outside the vertex set")
         if len(self.characters) != len(self.vertices):
@@ -67,9 +69,9 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     """(eigenvalue, multiplicity) pairs over all characters, descending eigenvalue.
 
     chi_u(S) is read from the histogram of the exponents u.s over the
-    connection set; the distinct histograms of each chunk of characters are
-    read as integers together (_integer_root_sums).  The eigenvalues of every
-    shipped family are rational integers; any other sum raises ValueError.
+    connection set; each distinct histogram is read as an integer once a call,
+    the new ones of a chunk together (_integer_root_sums).  The eigenvalues
+    of every shipped family are rational integers; others raise ValueError.
 
     A chunk of characters fits in SUM_CHUNK_BYTES: per character, its
     index row widened to uint64 words; per character and connection
@@ -79,16 +81,20 @@ def spectrum(graph: CayleyGraph) -> list[tuple[int, int]]:
     e = graph.modulus
     chars, conn = graph.characters, graph.connection
     acc = _dot_dtype(chars, conn, e).itemsize
+    values: dict[bytes, int] = {}  # histogram bytes -> eigenvalue, across chunks
     counts: dict[int, int] = {}
     row_bytes = 8 * chars.shape[1] + (2 * acc + 1 + 8) * len(conn) + 4 * 8 * e
     for start, stop in _chunks(len(chars), row_bytes):
         hist = _exponent_histograms(character_exponents(chars[start:stop], conn, e), e)
         keys, mult = np.unique(row_keys(hist), return_counts=True)
-        values = _integer_root_sums(keys.view(hist.dtype).reshape(len(keys), e), e)
-        if values is None:
-            raise ValueError("a character sum over the connection set is not a rational integer")
-        for ev, m in zip(values.tolist(), mult.tolist()):
-            counts[ev] = counts.get(ev, 0) + m
+        unseen = keys[[key not in values for key in keys.tolist()]]
+        if len(unseen):
+            found = _integer_root_sums(unseen.view(hist.dtype).reshape(-1, e), e)
+            if found is None:
+                raise ValueError("a character sum over the connection set is not a rational integer")
+            values.update(zip(unseen.tolist(), found.tolist()))
+        for key, m in zip(keys.tolist(), mult.tolist()):
+            counts[values[key]] = counts.get(values[key], 0) + m
     if sum(counts.values()) != len(graph.vertices):
         raise AssertionError("spectrum multiplicities do not sum to the vertex count")
     return sorted(counts.items(), key=lambda p: -p[0])

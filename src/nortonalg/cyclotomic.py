@@ -3,52 +3,23 @@
 Elements live in Q[x]/(Phi_e(x)) and are stored in the power basis
 1, w, ..., w^(phi(e)-1) with arbitrary-precision rational coefficients, so
 two field elements are equal exactly when their coefficient vectors are.
-No floating point is used anywhere.  Phi_e, phi(e) and the canonical forms
-of the powers of w come from `roots`, which computes in integers only.
+No floating point is used anywhere.  Phi_e and phi(e) come from `roots`,
+and so does every canonical form: `roots.root_sums` reduces exact rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Union
 
 import numpy as np
 
 from .linalg import row_reduce
-from .roots import cyclotomic_polynomial, field_degree, root_tail  # Phi_e re-exported
+from .roots import cyclotomic_polynomial, field_degree, root_sums  # Phi_e re-exported
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
-
-
-@lru_cache(maxsize=None)
-def root_reduction_matrix(e: int) -> np.ndarray:
-    """Read-only int64 matrix R = [I | T] of shape phi(e) x e: R[r, k] is the
-    coefficient of w^r in the canonical form of w^k, for k = 0 .. e-1; the
-    powers below phi(e) stand as they are, and T is roots.root_tail(e)."""
-    red = np.concatenate((np.eye(field_degree(e), dtype=np.int64), root_tail(e)), axis=1)
-    red.flags.writeable = False
-    return red
-
-
-@lru_cache(maxsize=None)
-def _power_rows(e: int) -> tuple[tuple[int, ...], ...]:
-    """The columns of root_reduction_matrix(e) as rows of Python ints: row k
-    is the canonical form of w^k, for k = 0 .. e-1, so w^k reads row k % e."""
-    return tuple(map(tuple, root_reduction_matrix(e).T.tolist()))
-
-
-def _reduced(e: int, coeffs) -> list:
-    """The canonical coefficients of sum_k coeffs[k] w^k: those of w^k below
-    phi(e) stand as they are, and each later w^k adds row k % e of _power_rows."""
-    deg, rows = field_degree(e), _power_rows(e)
-    out = list(coeffs[:deg])
-    for k in range(deg, len(coeffs)):
-        if c := coeffs[k]:
-            for j, v in enumerate(rows[k % e]):
-                if v:
-                    out[j] += c * v
-    return out
 
 
 _ZERO = Fraction(0)
@@ -123,14 +94,13 @@ class Cyclotomic:
                 return Cyclotomic.zero(self.order)
             return Cyclotomic(self.order, tuple(a * other for a in self.coeffs))
         o = self._coerce(other)
-        deg = field_degree(self.order)
-        conv = [_ZERO] * (2 * deg - 1)
+        conv = [_ZERO] * (2 * len(self.coeffs) - 1)
         for k, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(o.coeffs):
                     if b:
                         conv[k + j] += a * b
-        return Cyclotomic(self.order, _reduced(self.order, conv))
+        return from_exponent_counts(self.order, conv)
 
     __rmul__ = __mul__
 
@@ -143,12 +113,11 @@ class Cyclotomic:
         return self * self._coerce(other).inv()
 
     def conj(self) -> "Cyclotomic":
-        """Complex conjugation, the automorphism w -> w^(e-1)."""
-        e = self.order
-        counts = [_ZERO] * e
-        for k, c in enumerate(self.coeffs):
-            counts[-k % e] = c
-        return from_exponent_counts(e, counts)
+        """Complex conjugation, the automorphism w -> w^(e-1), which fixes Q."""
+        if self.is_rational():
+            return self
+        cs = self.coeffs  # c_k moves to w^(e-k), and c_0 stays
+        return from_exponent_counts(self.order, [cs[0], *[0] * (self.order - len(cs)), *cs[:0:-1]])
 
     def inv(self) -> "Cyclotomic":
         """Multiplicative inverse: the solution y of x*y = 1, by exact elimination
@@ -238,17 +207,16 @@ def root_power(e: int, k: int = 0) -> Cyclotomic:
     """w^(k mod e), reduced mod Phi_e."""
     if e < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {e}")
-    row = _power_rows(e)[k % e]
-    return Cyclotomic(e, row)
+    return from_exponent_counts(e, [0] * (k % e) + [1])
 
 
 def from_exponent_counts(e: int, counts) -> Cyclotomic:
-    """Sum of counts[r] * w^r over r = 0..e-1, reduced to canonical form.
-
-    counts may be any rational sequence of length e; with integer counts this
-    is the exact value of a sum of roots of unity given as a residue histogram.
-    """
-    if len(counts) != e:
-        raise ValueError(f"expected {e} counts, got {len(counts)}")
-    return Cyclotomic(e, _reduced(e, counts))
+    """Sum of counts[k] * w^k in canonical form, for 1 to 2e - 1 rational counts
+    (a residue histogram, or the product of two canonical forms), reduced by
+    roots.root_sums as integers over the counts' least common denominator."""
+    if not 0 < len(counts) < 2 * e:
+        raise ValueError(f"expected 1 to {2 * e - 1} counts, got {len(counts)}")
+    den = lcm(*(c.denominator for c in counts))
+    nums = np.array([c.numerator * (den // c.denominator) for c in counts], dtype=object)
+    return Cyclotomic(e, [Fraction(c, den) for c in root_sums(nums, e).tolist()])
 

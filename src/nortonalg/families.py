@@ -121,16 +121,19 @@ def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     onto V_i gives the basis character with that value row, with coefficient
     1, and a row that matches no basis character certifies a zero product.
     The lookup runs on value rows over X, never on index rows or labels (a
-    set and its complement give the same row on X).  Two
-    basis characters with one value row fail the check: the lookup among the
-    rows, which sorts or indexes them once, rejects the repeated row.  The
-    table is built first, so its lookup is done before the oracle's starts,
-    and the oracle's blocks are compared with it as they come.
+    set and its complement give the same row on X).  Two basis characters
+    with one value row fail the check: the lookup among the rows, which
+    sorts or indexes them once, rejects the repeated row.  The table is the
+    family's cached one, which `table --verify-oracle` prints, or one built
+    uncached for this check; the oracle's blocks are compared as they come.
     """
     # the vertex budget is checked before basis_array, because the bilinear
     # basis enumerates the vertices under the larger default budget
     verts = family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
-    table = family.product_table(i)
+    table = family._tables.get(i)
+    if table is None:
+        family._check_table_size(i)
+        table = sum_positions(family.basis_array(i), family.modulus)
     try:
         blocks = exponent_sum_blocks(family.basis_array(i), verts, family.modulus)
     except RepeatedRowError:

@@ -3,8 +3,8 @@ idempotent and nilpotent machinery, identity detection, and isomorphism
 verification.
 
 A vector is an exact integer array over basis positions with one
-denominator; its product reads the family's product table, and labels are
-rendered only when a vector is printed.
+denominator; its product reads the family's product table and is reduced by
+`roots.root_sums`, and labels are rendered only when a vector is printed.
 
 The projection oracle, which checks the product table from value rows over
 the vertex set, lives beside the table in `families`
@@ -22,7 +22,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _power_rows
+from .cyclotomic import Cyclotomic
 from .errors import BudgetExceededError
 from .families import (DEFAULT_ORACLE_VERTEX_BUDGET, FamilySpec,  # the oracle, re-exported
                        carries_table, make_family, verify_oracle_space)
@@ -97,7 +97,7 @@ class AlgebraVector:
                 raise ValueError(f"cyclotomic order mismatch: {scalar.order} vs {e}")
             den = lcm(*(c.denominator for c in scalar.coeffs))
             row = np.array([c.numerator * (den // c.denominator) for c in scalar.coeffs], object)
-            num = _polynomial_products(self.num, row) @ _reduction(e)
+            num = root_sums(_polynomial_products(self.num, row), e)
             return AlgebraVector(self.family, self.i, num, self.den * den)
         if isinstance(scalar, (int, Fraction)):
             scalar = Fraction(scalar)
@@ -146,16 +146,6 @@ class AlgebraVector:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
-def _reduction(e: int) -> np.ndarray:
-    """The canonical forms of w^0 .. w^(2 phi(e) - 2), rows k % e of _power_rows,
-    as an object matrix: a product of two power-basis rows, multiplied out as
-    integer polynomials (_polynomial_products), times it is in canonical form."""
-    rows = np.array([_power_rows(e)[k % e] for k in range(2 * field_degree(e) - 1)], object)
-    rows.flags.writeable = False
-    return rows
-
-
 def _polynomial_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The products of the integer polynomials in the rows of a (count x deg)
     and b (count x deg, or one row), low degree first, as count x (2 deg - 1)."""
@@ -180,7 +170,7 @@ def closed_form_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
     deg = v.num.shape[1]
     sums = np.zeros((len(v.num), 2 * deg - 1), dtype=object)
     np.add.at(sums, target[pa, pb], _polynomial_products(v.num[a[pa]], w.num[b[pb]]))
-    return AlgebraVector(fam, i, sums @ _reduction(fam.modulus), v.den * w.den)
+    return AlgebraVector(fam, i, root_sums(sums, fam.modulus), v.den * w.den)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +195,8 @@ def eta(e: int, j: int) -> Idempotent:
         raise ValueError(f"eta requires e >= 3 (division by e-2), got {e}")
     if not 0 <= j < e:
         raise ValueError(f"eta index {j} out of range 0..{e - 1}")
-    rows = _power_rows(e)
-    vec = AlgebraVector(_v1_family(e), 1, [rows[j * k % e] for k in range(1, e)], e - 2)
+    powers = np.eye(e, dtype=np.int64)[j * np.arange(1, e) % e]  # w^(jk) for k = 1..e-1
+    vec = AlgebraVector(_v1_family(e), 1, root_sums(powers, e, 1), e - 2)
     if closed_form_product(vec, vec) != vec:
         raise AssertionError(f"eta({e},{j}) failed the idempotency check")
     support = frozenset({j}) if j else frozenset(range(1, e))
@@ -225,8 +215,7 @@ def _eta_sums(e: int, size: int, den: int) -> list[AlgebraVector]:
     cells = np.arange(count * (e - 1)).reshape(count, e - 1, 1) * e
     hist = np.bincount((cells + residues).ravel(), minlength=count * (e - 1) * e)
     num = root_sums(hist.reshape(count, e - 1, e), e, size)  # a row adds up size counts
-    fam = _v1_family(e)
-    return [AlgebraVector(fam, 1, rows, den) for rows in num]
+    return [AlgebraVector(_v1_family(e), 1, rows, den) for rows in num]
 
 
 def _eta_coords(e: int, support, scale=1) -> tuple[Fraction, ...]:

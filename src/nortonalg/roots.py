@@ -1,11 +1,9 @@
-"""Sums of e-th roots of unity in integers: the cyclotomic polynomial Phi_e,
-the degree phi(e) of Q(w), w = exp(2*pi*i/e), and the reduction of a
-residue histogram sum_r h_r w^r to the power basis 1, w, ..., w^(phi(e)-1).
-
-Only the powers w^k with k >= phi(e) change under reduction mod Phi_e, so
-only their canonical forms are built (root_tail).  Everything here is
-integer arithmetic, so the eigenvalue path (`cayley.spectrum`) reads it
-without loading `fractions` or the exact field arithmetic of `cyclotomic`.
+"""Sums of e-th roots of unity: the cyclotomic polynomial Phi_e, the degree
+phi(e) of Q(w), w = exp(2*pi*i/e), and root_sums, the one reduction mod Phi_e
+to the power basis 1, w, ..., w^(phi(e)-1), from which every canonical form
+in Q(w) comes.  Only the powers w^k with k >= phi(e) change under it, so only
+their canonical forms are built (root_tail).  Nothing here loads `fractions`,
+so the eigenvalue path (`cayley.spectrum`) loads no exact field arithmetic.
 """
 
 from __future__ import annotations
@@ -71,15 +69,21 @@ def root_tail(e: int) -> np.ndarray:
     return tail
 
 
-def root_sums(hists: np.ndarray, e: int, total: int) -> np.ndarray:
-    """The canonical forms of sum_r hists[..., r] w^r for int64 residue
-    histograms hists (... x e) whose rows each add up to at most total:
-    the counts of w^r below phi(e) as they stand, plus the rest times the
-    tail T = root_tail(e) transposed.  Raises OverflowError before any
-    entry could pass 2^63, which total * max(1, max|T|) bounds."""
-    tail = root_tail(e)
-    deg = field_degree(e)
-    most = max(1, int(tail.max(initial=0)), -int(tail.min(initial=0)))  # with no |T| copy
-    if total * most >= 2**63:
-        raise OverflowError(f"root sums of e={e} exceed int64")
-    return hists[..., :deg] + hists[..., deg:] @ tail.T
+def root_sums(rows: np.ndarray, e: int, total: int | None = None) -> np.ndarray:
+    """The canonical forms of sum_k rows[..., k] w^k, rows of any width below
+    2e: w^e = 1 folds w^k onto w^(k - e), and the w^k from phi(e) on add their
+    coefficients times the tail T = root_tail(e) transposed.  Given a total,
+    rows are int64, each adding up to at most total, and OverflowError is raised
+    before an entry could pass 2^63, which total * max(1, max|T|) bounds;
+    without one, they are exact objects (Python ints or Fractions)."""
+    tail, deg, width = root_tail(e), field_degree(e), rows.shape[-1]
+    if total is not None:
+        most = max(1, int(tail.max(initial=0)), -int(tail.min(initial=0)))  # with no |T| copy
+        if total * most >= 2**63:
+            raise OverflowError(f"root sums of e={e} exceed int64")
+    if width > e:  # w^e = 1
+        rows = np.concatenate((rows[..., :width - e] + rows[..., e:], rows[..., width - e:e]), -1)
+        width = e
+    if width <= deg:  # canonical already; the missing powers count zero
+        return np.concatenate((rows, np.zeros((*rows.shape[:-1], deg - width), rows.dtype)), -1)
+    return rows[..., :deg] + rows[..., deg:] @ tail[:, :width - deg].T

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nortonalg import cayley, cyclotomic
+from nortonalg import cayley
 from nortonalg.cayley import (
     CayleyGraph,
     character_exponents,
@@ -20,7 +20,7 @@ from nortonalg.cayley import (
 from nortonalg.cyclotomic import Cyclotomic
 from nortonalg.families import make_family
 from reference import (_neighbor_index, canonical_label, eigenvalue_of_character,
-                       generated_subgroup, integer_eigenvalue,
+                       generated_subgroup, integer_eigenvalue, power_remainders,
                        verify_at_every_connection_element, verify_eigenvector)
 
 
@@ -128,6 +128,8 @@ def test_connection_invariants():
         CayleyGraph(3, xs, _rows((1,), (2,)))  # rows of another width
     with pytest.raises(ValueError, match="outside the vertex set"):
         CayleyGraph(4, _rows((0,), (2,)), _rows((1,), (3,)))
+    with pytest.raises(ValueError, match="identity"):
+        CayleyGraph(4, _rows((1,), (2,), (3,)), _rows((2,)))
 
 
 def test_integer_eigenvalue_downcast_rejects_nonintegral():
@@ -157,6 +159,21 @@ def test_spectrum_verify_evaluates_each_character_once(monkeypatch):
     assert sum(len(hists) for hists in calls) == len(g.characters)
 
 
+def test_spectrum_reduces_each_distinct_histogram_once(monkeypatch):
+    # one character a chunk or two at e = 2048: the histograms repeat across
+    # chunks, and each of the 12 divisor classes of the characters (u with
+    # gcd(u, 2048) = d) gives one histogram, reduced once per call
+    calls = []
+    real = cayley._integer_root_sums
+    monkeypatch.setattr(cayley, "_integer_root_sums",
+                        lambda hists, e: calls.append(len(hists)) or real(hists, e))
+    fam = make_family("hamming", n=1, e=2048)
+    assert spectrum(fam.cayley_graph()) == sorted(
+        ((fam.predicted_eigenvalue(i), fam.predicted_dimension(i)) for i in fam.eigenspaces()),
+        reverse=True)
+    assert len(calls) > 1 and sum(calls) == 12
+
+
 @pytest.mark.parametrize("e", [2, 3, 4, 5, 6, 9, 12])
 def test_integer_root_sums_equal_the_exact_sums(e):
     rng = np.random.default_rng(e)
@@ -164,11 +181,11 @@ def test_integer_root_sums_equal_the_exact_sums(e):
     hists[:20] = hists[:20, 1:2]  # c (w^0 + ... + w^(e-1)) = 0, plus d w^0 = d
     hists[:20, 0] += np.arange(20)
     hists[20:25] = 0
-    exact = [cyclotomic.from_exponent_counts(e, row) for row in hists.tolist()]
+    exact = hists @ np.array(power_remainders(e, e))  # canonical forms by long division
     values = cayley._integer_root_sums(hists[:25], e)
-    assert values.tolist() == [x.as_int() for x in exact[:25]]
-    if all(x.is_rational() for x in exact):
-        assert cayley._integer_root_sums(hists, e).tolist() == [x.as_int() for x in exact]
+    assert not exact[:25, 1:].any() and values.tolist() == exact[:25, 0].tolist()
+    if not exact[:, 1:].any():
+        assert cayley._integer_root_sums(hists, e).tolist() == exact[:, 0].tolist()
     else:
         assert cayley._integer_root_sums(hists, e) is None
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -237,6 +238,16 @@ def test_oracle_verify_folded_half_cube(capsys):
     assert code == 0
     assert payload["all_ok"] is True
     assert [row["i"] for row in payload["spaces"]] == [0, 1]
+
+
+def test_oracle_verify_holds_no_table(capsys, monkeypatch):
+    # the oracle builds each space's table for its check alone; a fresh
+    # family cache makes the family the command reads the one inspected here
+    monkeypatch.setattr(families, "_cached_family",
+                        functools.lru_cache(maxsize=None)(families._cached_family.__wrapped__))
+    code, payload = run_json(capsys, "oracle-verify", "--family", "hypercube", "--n", "5")
+    assert code == 0 and payload["all_ok"] and len(payload["spaces"]) == 6
+    assert make_family("hypercube", n=5)._tables == {}
 
 
 def test_oracle_verify_beyond_float_packing(capsys):

@@ -5,20 +5,20 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nortonalg
 from nortonalg.cyclotomic import (
     Cyclotomic,
-    _power_rows,
     cyclotomic_polynomial,
     field_degree,
     from_exponent_counts,
     root_power,
-    root_reduction_matrix,
 )
 from nortonalg.roots import root_sums, root_tail
 from reference import power_remainders
@@ -169,36 +169,58 @@ def test_from_exponent_counts():
 
 def test_root_reduction_matrix_agrees_with_root_power():
     for e in range(1, 258):
-        mat = root_reduction_matrix(e)
         deg = field_degree(e)
-        assert mat.shape == (deg, e) and mat.dtype == np.int64, e
-        assert not mat.flags.writeable and root_reduction_matrix(e) is mat
         # x^k mod Phi_e by long division, for every k <= e - 1 and every
         # degree up to 2 phi(e) - 2 of a product of two canonical forms
         want = power_remainders(e, max(e, 2 * deg - 1))
-        assert mat.T.tolist() == want[:e], e
-        rows = _power_rows(e)  # the exact Python-int rows, read at k % e
-        assert [list(rows[k % e]) for k in range(len(want))] == want, e
+        got = root_sums(np.eye(len(want), dtype=np.int64), e, 1)
+        assert got.dtype == np.int64 and got.tolist() == want, e
         if e <= 9:
-            for k in range(e):
-                col = tuple(Fraction(c) for c in mat[:, k].tolist())
-                assert Cyclotomic(e, col) == root_power(e, k)
+            for k in range(2 * e):
+                assert root_power(e, k).coeffs == tuple(map(Fraction, want[k % e])), (e, k)
 
 
 def test_root_sums_reduce_the_tail_powers_alone():
     # the powers below phi(e) stand as they are, so the tail's product equals
-    # that of the whole reduction matrix [I | T]
+    # that of the whole reduction by long division
     rng = np.random.default_rng(7)
     for e in [*range(1, 65), 257]:
         deg = field_degree(e)
         tail = root_tail(e)
         assert tail.shape == (deg, e - deg) and tail.dtype == np.int64, e
         assert not tail.flags.writeable and root_tail(e) is tail
-        assert (root_reduction_matrix(e)[:, deg:] == tail).all(), e
         hists = rng.integers(0, 40, (3, 5, e), dtype=np.int64)
         got = root_sums(hists, e, 40 * e)
         assert got.dtype == np.int64 and got.shape == (3, 5, deg), e
-        assert (got == hists @ root_reduction_matrix(e).T).all(), e
+        assert (got == hists @ np.array(power_remainders(e, e))).all(), e
+
+
+def test_root_sums_fold_and_reduce_rows_of_every_width():
+    # rows of every width 1 .. 2e - 1, int64 under a total and exact objects
+    # without one (Python ints past int64, and Fractions): w^e = 1 folds the
+    # powers from e on, and a row narrower than phi(e) is padded with zeros
+    rng = np.random.default_rng(11)
+    for e in [*range(1, 65), 257]:
+        deg = field_degree(e)
+        powers = np.array(power_remainders(e, 2 * e - 1), dtype=np.int64).reshape(-1, deg)
+        for width in range(1, 2 * e):
+            rows = rng.integers(-9, 10, (2, width), dtype=np.int64)
+            want = rows @ powers[:width]
+            got = root_sums(rows, e, 9 * width)
+            assert got.dtype == np.int64 and (got == want).all(), (e, width)
+            exact = root_sums(rows.astype(object) << 64, e)
+            assert exact.dtype == object and (exact == want.astype(object) << 64).all()
+            if e <= 9:
+                thirds = root_sums(rows.astype(object) * Fraction(1, 3), e)
+                assert (thirds == want.astype(object) * Fraction(1, 3)).all(), (e, width)
+
+
+def test_only_roots_reads_the_tail():
+    # root_sums is the one reduction mod Phi_e: no other module reads the tail
+    package = Path(nortonalg.__file__).parent
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if "root_tail" in path.read_text()]
+    assert readers == ["roots.py"]
 
 
 def test_tail_of_a_large_prime_order_is_linear_in_e():
