@@ -116,8 +116,11 @@ class Cyclotomic:
         """Complex conjugation, the automorphism w -> w^(e-1), which fixes Q."""
         if self.is_rational():
             return self
-        cs = self.coeffs  # c_k moves to w^(e-k), and c_0 stays
-        return from_exponent_counts(self.order, [cs[0], *[0] * (self.order - len(cs)), *cs[:0:-1]])
+        e = self.order
+        counts = [_ZERO] * e
+        for k, c in enumerate(self.coeffs):
+            counts[-k % e] = c
+        return from_exponent_counts(e, counts)
 
     def inv(self) -> "Cyclotomic":
         """Multiplicative inverse: the solution y of x*y = 1, by exact elimination

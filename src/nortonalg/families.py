@@ -130,10 +130,7 @@ def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     # the vertex budget is checked before basis_array, because the bilinear
     # basis enumerates the vertices under the larger default budget
     verts = family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
-    table = family._tables.get(i)
-    if table is None:
-        family._check_table_size(i)
-        table = sum_positions(family.basis_array(i), family.modulus)
+    table = family._table(i)
     try:
         blocks = exponent_sum_blocks(family.basis_array(i), verts, family.modulus)
     except RepeatedRowError:
@@ -255,9 +252,16 @@ class FamilySpec:
         the basis rows (cayley.sum_positions); a sum that is not a basis row
         is a zero product."""
         if i not in self._tables:
-            self._check_table_size(i)
-            self._tables[i] = _read_only(sum_positions(self.basis_array(i), self.modulus))
+            self._tables[i] = _read_only(self._table(i))
         return self._tables[i]
+
+    def _table(self, i: int) -> np.ndarray:
+        """product_table(i) when it is cached, else one built for the caller
+        alone, after the size check."""
+        if i in self._tables:
+            return self._tables[i]
+        self._check_table_size(i)
+        return sum_positions(self.basis_array(i), self.modulus)
 
     def product_rows(self, i: int):
         """The rows of product_table(i) as (start, stop, block) triples in

@@ -215,7 +215,8 @@ def _eta_sums(e: int, size: int, den: int) -> list[AlgebraVector]:
     cells = np.arange(count * (e - 1)).reshape(count, e - 1, 1) * e
     hist = np.bincount((cells + residues).ravel(), minlength=count * (e - 1) * e)
     num = root_sums(hist.reshape(count, e - 1, e), e, size)  # a row adds up size counts
-    return [AlgebraVector(_v1_family(e), 1, rows, den) for rows in num]
+    fam = _v1_family(e)
+    return [AlgebraVector(fam, 1, rows, den) for rows in num]
 
 
 def _eta_coords(e: int, support, scale=1) -> tuple[Fraction, ...]:
