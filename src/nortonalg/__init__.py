@@ -14,7 +14,6 @@ import importlib
 
 _MODULE_OF = {
     "AlgebraVector": "norton",
-    "BasisAlgebra": "norton",
     "BudgetExceededError": "errors",
     "Cyclotomic": "cyclotomic",
     "classified_idempotents": "norton",

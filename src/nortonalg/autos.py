@@ -5,10 +5,10 @@ the seeded suite that samples and checks the actions of a family (autocheck).
 Each action is a map of the index group and a translation, given by its
 linear_map(family) as int64 arrays (M, t): the character with label row u
 (family._label_rows) goes to w^(u.t), with w of order family.modulus, times
-the character with label row uM.  Its candidate on V_i (the one builder) is
-an int array of shape dim x 2 over family.basis(i): row k holds the basis
-position of the image of the k-th basis character (-1 off the basis) and
-the exponent of its coefficient; on the cubes a sign -1 is the exponent 1.
+the character with label row uM.  Its candidate on a Space (the one builder)
+is an int array of shape dim x 2 over the space's basis: row k holds the
+basis position of the image of the k-th basis character (-1 off the basis)
+and the exponent of its coefficient; on the cubes a sign -1 is the exponent 1.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .cayley import _chunks, row_finder
 from .errors import BudgetExceededError
-from .families import (BilinearFamily, CubeFamily, FamilySpec, HammingFamily, _words,
+from .families import (BilinearFamily, CubeFamily, FamilySpec, HammingFamily, Space, _words,
                        carries_table, fq_reduce)
 from .groups import Word
 
@@ -31,11 +31,11 @@ DEFAULT_PAIR_BUDGET = 10**6
 Candidate = np.ndarray
 
 
-def candidate(auto, family: FamilySpec, i: int) -> Candidate:
-    """The candidate of an action on V_i, from (M, t) = auto.linear_map(family)."""
+def candidate(auto, space: Space) -> Candidate:
+    """The candidate of an action on a space, from (M, t) = auto.linear_map(space.family)."""
+    family, e = space.family, space.modulus
     m, t = auto.linear_map(family)
-    e = family.modulus
-    rows = family._label_rows(family.basis_array(i)).astype(np.int64)
+    rows = family._label_rows(space.rows).astype(np.int64)
     images = family._label_rows(rows @ m % e)
     return np.column_stack((row_finder(rows, e)(images), rows @ t % e))
 
@@ -97,7 +97,7 @@ def identity_auto(n: int, e: int) -> HammingAuto:
     return HammingAuto((0,) * n, (1,) * n, tuple(range(n)), e)
 
 
-def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
+def kernel_check_hamming(space: Space) -> dict:
     """Find all (a, b, sigma) acting as the identity on the V_i basis and
     compare with the predicted kernel: trivial for e >= 3, i >= 1, and
     {identity, (all-ones, 1, id)} for e = 2 with 1 <= i < n even.
@@ -106,14 +106,14 @@ def kernel_check_hamming(family: HammingFamily, i: int) -> dict:
     row u and a.u = 0 mod e on them, so the kernel is the product of those
     pairs and those words.  Column j of b.sigma(u) is b_j u_sigma(j), so for
     each sigma the fixing b_j are found one column at a time."""
-    n, e = family.n, family.e
+    n, e, i = space.family.n, space.modulus, space.i
     if not ((e >= 3 and i >= 1) or (e == 2 and 1 <= i < n)):
         raise ValueError(f"kernel description covers e>=3,i>=1 or e=2,1<=i<n; "
                          f"got e={e}, i={i}, n={n}")
     units = [v for v in range(1, e) if gcd(v, e) == 1]
     if e**n + factorial(n) * n * len(units) > 10**5:
         raise BudgetExceededError("kernel enumeration too large")
-    rows = family.basis_array(i).astype(np.int64)  # b_j u_sigma(j) overflows the row dtype
+    rows = space.rows.astype(np.int64)  # b_j u_sigma(j) overflows the row dtype
     trivial = _words(e, n)
     for u in rows:  # row by row: the rows x words matrix of hamming(7,4) V_5 is 669 MB
         trivial = trivial[trivial @ u % e == 0]
@@ -282,11 +282,11 @@ def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,
              BilinearAuto("left", left.inverse, q), BilinearAuto("right", right.inverse, q)]
     target = mat_mul(mat_mul(mat_transpose(a), x, q), mat_transpose(right.inverse), q)
     rhs_auto = BilinearAuto("translate", target, q)
-    for i in range(1, family.diameter + 1):
-        composite = candidate(chain[0], family, i)
+    for space in map(family.space, range(1, family.diameter + 1)):
+        composite = candidate(chain[0], space)
         for auto in chain[1:]:
-            composite = compose_candidates(candidate(auto, family, i), composite, q)
-        if not np.array_equal(composite, candidate(rhs_auto, family, i)):
+            composite = compose_candidates(candidate(auto, space), composite, q)
+        if not np.array_equal(composite, candidate(rhs_auto, space)):
             return False
     return True
 
@@ -302,7 +302,7 @@ def require_pair_budget(dim: int) -> None:
             f"automorphism check needs {dim**2} pairs, over budget {DEFAULT_PAIR_BUDGET}")
 
 
-def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int) -> bool:
+def is_algebra_automorphism(candidate: Candidate, space: Space) -> bool:
     """Exhaustively check that a monomial basis map preserves all basis products.
 
     The positions of the candidate must be a bijection of the basis that
@@ -311,14 +311,14 @@ def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int) ->
     chi_u chi_v = chi_w.  Exact integer arithmetic throughout, on blocks of
     table rows that fit in SUM_CHUNK_BYTES.
     """
-    dim = family.predicted_dimension(i)
+    dim = space.dim
     if np.shape(candidate) != (dim, 2):
         raise ValueError("candidate must be defined on the full basis")
     pos, exp = candidate[:, 0], candidate[:, 1]
     if not np.array_equal(np.sort(pos), np.arange(dim)):
         return False
     require_pair_budget(dim)
-    table = family.product_table(i)
+    table = space.table
     if not carries_table(pos, table, table):
         return False
     exp = exp.astype(np.int64)
@@ -327,7 +327,7 @@ def is_algebra_automorphism(candidate: Candidate, family: FamilySpec, i: int) ->
         block = table[lo:hi]
         diff = np.add.outer(exp[lo:hi], exp)
         diff -= exp[block]  # -1 gathers the last exponent: a zero product is masked
-        if (np.remainder(diff, family.modulus, out=diff).astype(bool) & (block >= 0)).any():
+        if (np.remainder(diff, space.modulus, out=diff).astype(bool) & (block >= 0)).any():
             return False
     return True
 
@@ -346,19 +346,19 @@ def autocheck(family: FamilySpec, i: int, samples: int, seed: int) -> dict:
     random.Random(seed); the Hamming kernel, None where it is not covered or
     over its budget; and on a bilinear family the conjugation identity on
     samples triples drawn by random.Random(seed + 1)."""
-    action = ACTIONS[family.kind]
+    action, space = ACTIONS[family.kind], family.space(i)
     if samples:  # before any candidate builds the basis
-        require_pair_budget(family.predicted_dimension(i))
+        require_pair_budget(space.dim)
     rng = random.Random(seed)
     results = []
     for k in range(samples):
         auto = action.draw(rng, family, k)
         results.append({"sample": k, "auto": str(auto),
-                        "ok": is_algebra_automorphism(candidate(auto, family, i), family, i)})
+                        "ok": is_algebra_automorphism(candidate(auto, space), space)})
     kernel = None
     if isinstance(family, HammingFamily):
         try:
-            found = kernel_check_hamming(family, i)
+            found = kernel_check_hamming(space)
             kernel = {key: [repr(k) for k in found[key]] for key in ("kernel", "expected")}
             kernel["ok"] = found["ok"]
         except (ValueError, BudgetExceededError):

@@ -221,17 +221,17 @@ def cmd_table(args) -> int:
     fam = _family_from_args(args)
     if args.i is None:
         raise _usage_error("table requires --i")
-    _space_index(fam, args.i)
+    space = fam.space(_space_index(fam, args.i))
     oracle_ok = None
     if args.verify_oracle:
         # the oracle's vertex budget comes before the table and the basis, and
         # its verdict sorts before the table in json, so the table is held
         fam.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
-        fam.product_table(args.i)
-    rows = fam.product_rows(args.i)  # checks its size before the basis is built
-    labels = fam.basis(args.i)
+        space.table
+    rows = space.blocks()  # checks the table's size before the basis is built
+    labels = space.labels
     if args.verify_oracle:
-        oracle_ok = verify_oracle_space(fam, args.i)
+        oracle_ok = verify_oracle_space(space)
     texts = [fam.label_text(lbl) for lbl in labels]
     numbers = [str(v) for v in range(len(texts))] + ["-1"]  # -1, a zero product, reads last
     status = "ok" if oracle_ok in (None, True) else "mismatch"
@@ -267,7 +267,7 @@ def cmd_table(args) -> int:
 def cmd_nonassoc(args) -> int:
     from . import trees
     fam = _family_from_args(args)
-    i = _space_index(fam, 1 if args.i is None else args.i)
+    space = fam.space(_space_index(fam, 1 if args.i is None else args.i))
     seed = _resolve_seed(args)
     budget = _resolve_budget(args)
     if args.max_m > trees.DEFAULT_MAX_M:
@@ -279,11 +279,11 @@ def cmd_nonassoc(args) -> int:
         cm = trees.catalan(m)
         mode = args.mode
         if mode == "auto":
-            mode = "exact" if trees.exact_price(fam, i, m) <= budget else "witness"
+            mode = "exact" if trees.exact_price(space, m) <= budget else "witness"
         if mode == "exact":
-            rep = trees.count_classes_exact(fam, i, m, budget=budget)
+            rep = trees.count_classes_exact(space, m, budget=budget)
         else:
-            rep = trees.count_classes_witness(fam, i, m, seed=seed, attempts=attempts)
+            rep = trees.count_classes_witness(space, m, seed=seed, attempts=attempts)
         a975 = trees.a000975(m)
         # a lower bound matches no count; where counts coincide the later key wins
         matches = ({a975: "a000975", cm: "catalan", 1: "one"}.get(rep.class_count, "other")
@@ -300,7 +300,7 @@ def cmd_nonassoc(args) -> int:
     payload = {
         "command": "nonassoc",
         "family": fam.describe(),
-        "i": i,
+        "i": space.i,
         "seed": seed,
         "reports": reports,
     }
@@ -310,7 +310,7 @@ def cmd_nonassoc(args) -> int:
                   f"{r['a000975']},{r['matches'] or ''}" for r in reports]
         _emit(args, ["\n".join(lines) + "\n"])
     elif args.format == "text":
-        lines = [f"# associative spectrum of {fam.describe()} V_{i} (seed={seed})"]
+        lines = [f"# associative spectrum of {space.name} (seed={seed})"]
         lines += [f"m={r['m']}: {r['class_count']} classes of {r['catalan']} ({r['mode']}"
                   + (f", matches {r['matches']})" if r["matches"] else ")") for r in reports]
         _emit(args, ["\n".join(lines) + "\n"])
@@ -389,10 +389,10 @@ def cmd_oracle_verify(args) -> int:
     rows = []
     all_ok = True
     for i in spaces:
-        dim = fam.predicted_dimension(i)
-        ok = verify_oracle_space(fam, i)
+        space = fam.space(i)
+        ok = verify_oracle_space(space)
         all_ok &= ok
-        rows.append({"i": i, "dim": dim, "pairs": dim * dim, "ok": ok})
+        rows.append({"i": i, "dim": space.dim, "pairs": space.dim**2, "ok": ok})
     payload = {
         "command": "oracle-verify",
         "family": fam.describe(),
@@ -407,8 +407,8 @@ def cmd_isocheck(args) -> int:
     from . import norton
     rows = []
     all_ok = True
-    for name, mapping, dom, cod in norton.shipped_isomorphism_checks():
-        ok = norton.verify_isomorphism(mapping, dom, cod)
+    for name, perm, dom, cod in norton.shipped_isomorphism_checks():
+        ok = norton.verify_isomorphism(perm, dom, cod)
         all_ok &= ok
         rows.append({"name": name, "ok": ok})
     payload = {"command": "isocheck", "checks": rows, "all_ok": all_ok}

@@ -93,14 +93,14 @@ class Cyclotomic:
             if other == 0:
                 return Cyclotomic.zero(self.order)
             return Cyclotomic(self.order, tuple(a * other for a in self.coeffs))
-        o = self._coerce(other)
-        conv = [_ZERO] * (2 * len(self.coeffs) - 1)
-        for k, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[k + j] += a * b
-        return from_exponent_counts(self.order, conv)
+        # int numerators over one denominator each: no Fraction gcd per term
+        (a, da), (b, db) = over_lcm(self.coeffs), over_lcm(self._coerce(other).coeffs)
+        conv = [0] * (2 * len(a) - 1)
+        for k, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[k + j] += x * y
+        return from_exponent_counts(self.order, conv, da * db)
 
     __rmul__ = __mul__
 
@@ -213,13 +213,20 @@ def root_power(e: int, k: int = 0) -> Cyclotomic:
     return from_exponent_counts(e, [0] * (k % e) + [1])
 
 
-def from_exponent_counts(e: int, counts) -> Cyclotomic:
-    """Sum of counts[k] * w^k in canonical form, for 1 to 2e - 1 rational counts
-    (a residue histogram, or the product of two canonical forms), reduced by
-    roots.root_sums as integers over the counts' least common denominator."""
+def over_lcm(coeffs) -> tuple[list[int], int]:
+    """The numerators of rational coeffs over their least common denominator, and it."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def from_exponent_counts(e: int, counts, den: int = 1) -> Cyclotomic:
+    """Sum of counts[k] * w^k / den in canonical form, for 1 to 2e - 1 rational
+    counts (a residue histogram, or the product of two canonical forms),
+    reduced by roots.root_sums as integers over the counts' least common
+    denominator."""
     if not 0 < len(counts) < 2 * e:
         raise ValueError(f"expected 1 to {2 * e - 1} counts, got {len(counts)}")
-    den = lcm(*(c.denominator for c in counts))
-    nums = np.array([c.numerator * (den // c.denominator) for c in counts], dtype=object)
-    return Cyclotomic(e, [Fraction(c, den) for c in root_sums(nums, e).tolist()])
+    nums, lcd = over_lcm(counts)
+    sums = root_sums(np.array(nums, dtype=object), e)
+    return Cyclotomic(e, [Fraction(c, lcd * den) for c in sums.tolist()])
 

@@ -1,6 +1,6 @@
-"""The six graph families: vertex sets, connection sets, eigenspace bases,
-Norton product tables, the projection oracle that checks them, and
-predicted spectra.
+"""The six graph families: vertex sets, connection sets, eigenspaces as
+Space objects (a basis and its Norton product table), the projection oracle
+that checks a table, and predicted spectra.
 
 A basis is an array of index rows, one per basis character, in the dtype of
 the vertex rows: it is what the graph, the product table, the oracle, the
@@ -12,7 +12,7 @@ the cube variants, and flattened matrices for the bilinear forms family.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations
 from math import comb
 
@@ -112,7 +112,7 @@ def carries_table(perm: np.ndarray, dom: np.ndarray, cod: np.ndarray) -> bool:
     return True
 
 
-def verify_oracle_space(family: FamilySpec, i: int) -> bool:
+def verify_oracle_space(space: Space) -> bool:
     """Projection-oracle check of the product table on every V_i basis pair.
 
     On the vertex group X, chi_u . chi_v is the character of X whose exponent
@@ -124,18 +124,73 @@ def verify_oracle_space(family: FamilySpec, i: int) -> bool:
     set and its complement give the same row on X).  Two basis characters
     with one value row fail the check: the lookup among the rows, which
     sorts or indexes them once, rejects the repeated row.  The table is the
-    family's cached one, which `table --verify-oracle` prints, or one built
-    uncached for this check; the oracle's blocks are compared as they come.
+    space's kept one, which `table --verify-oracle` prints, or one built for
+    this check alone; the oracle's blocks are compared as they come.
     """
-    # the vertex budget is checked before basis_array, because the bilinear
+    # the vertex budget is checked before the rows, because the bilinear
     # basis enumerates the vertices under the larger default budget
-    verts = family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
-    table = family._table(i)
+    verts = space.family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
+    table = space._table()
     try:
-        blocks = exponent_sum_blocks(family.basis_array(i), verts, family.modulus)
+        blocks = exponent_sum_blocks(space.rows, verts, space.modulus)
     except RepeatedRowError:
         return False
     return all((block == table[start:stop]).all() for start, stop, block in blocks)
+
+
+class Space:
+    """The eigenspace V_i of a family as one multiplicity-free algebra.  Its
+    basis index rows (dim x length), their labels and the product table are
+    each built on first read and kept, read-only; blocks() streams the table.
+
+    Table entry (a, b) is the basis position of chi_a * chi_b, or -1 for a
+    zero product: the index sum (B[a] + B[b]) mod q is the row of chi_a *
+    chi_b, looked up among the basis rows (cayley.sum_positions).  Over
+    MAX_TABLE_ENTRIES entries the table raises BudgetExceededError before
+    the rows are built."""
+
+    def __init__(self, family: FamilySpec, i: int) -> None:
+        self.dim = family.predicted_dimension(i)  # checks i
+        self.family, self.i, self.modulus = family, i, family.modulus
+        self.key = (family.key, i)
+        self.name = f"{family.describe()} V_{i}"
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        rows = self.family._make_basis(self.i)
+        if len(rows) != self.dim:
+            raise AssertionError(f"{self.name} has {len(rows)} basis rows, not {self.dim}")
+        return _read_only(rows)
+
+    @cached_property
+    def labels(self) -> list:
+        return self.family._labels(self.rows)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return _read_only(self._table())
+
+    def _table(self) -> np.ndarray:
+        """table when it is kept, else one built for the caller alone."""
+        if "table" in vars(self):
+            return self.table
+        return sum_positions(self._sized_rows(), self.modulus)
+
+    def blocks(self):
+        """The table's rows as (start, stop, block) triples in order, block the
+        entries of rows start..stop-1: the kept table in one block, else the
+        row-sum lookup's SUM_CHUNK_BYTES steps (cayley.sum_blocks).  The size
+        check and the lookup, which refuses repeated rows, come first."""
+        if "table" in vars(self):
+            return iter([(0, self.dim, self.table)])
+        return sum_blocks(self._sized_rows(), self.modulus)
+
+    def _sized_rows(self) -> np.ndarray:
+        """rows, once the table is checked to fit MAX_TABLE_ENTRIES."""
+        if self.dim * self.dim > MAX_TABLE_ENTRIES:
+            raise BudgetExceededError(f"product table of {self.name} has {self.dim * self.dim}"
+                                      f" entries, over {MAX_TABLE_ENTRIES}")
+        return self.rows
 
 
 class FamilySpec:
@@ -151,9 +206,7 @@ class FamilySpec:
         self.diameter = diameter
         self._vertices: np.ndarray | None = None
         self._connection: np.ndarray | None = None
-        self._bases: dict[int, list] = {}  # the labels, rendered only on request
-        self._basis_rows: dict[int, np.ndarray] = {}
-        self._tables: dict[int, np.ndarray] = {}
+        self._spaces: dict[int, Space] = {}
 
     # family-specific interface -------------------------------------------------
 
@@ -234,53 +287,11 @@ class FamilySpec:
             self._connection = _read_only(vertices[self._connection_mask(vertices)])
         return self._connection
 
-    def basis(self, i: int) -> list:
-        """The V_i basis labels in basis order, rendered from basis_array(i)
-        once and cached."""
-        if i not in self._bases:
-            self._bases[i] = self._labels(self.basis_array(i))
-        return self._bases[i]
-
-    def product_table(self, i: int) -> np.ndarray:
-        """The V_i basis products as a read-only dim x dim int32 array, cached:
-        entry (a, b) is the basis position of chi_a * chi_b, or -1 when it is
-        zero.  Over MAX_TABLE_ENTRIES entries it raises BudgetExceededError
-        before building the basis.
-
-        Each character has one index row, so the index sum (B[a] + B[b]) mod
-        q is the row of chi_a * chi_b as it stands, and it is looked up among
-        the basis rows (cayley.sum_positions); a sum that is not a basis row
-        is a zero product."""
-        if i not in self._tables:
-            self._tables[i] = _read_only(self._table(i))
-        return self._tables[i]
-
-    def _table(self, i: int) -> np.ndarray:
-        """product_table(i) when it is cached, else one built for the caller
-        alone, after the size check."""
-        if i in self._tables:
-            return self._tables[i]
-        self._check_table_size(i)
-        return sum_positions(self.basis_array(i), self.modulus)
-
-    def product_rows(self, i: int):
-        """The rows of product_table(i) as (start, stop, block) triples in
-        order, block the entries of rows start..stop-1, without holding the
-        table: from the cached table in one block, else from the row-sum
-        lookup in SUM_CHUNK_BYTES steps (cayley.sum_blocks).  The size check
-        and the lookup, which refuses repeated rows, are made before this
-        returns."""
-        if i in self._tables:
-            return iter([(0, len(self._tables[i]), self._tables[i])])
-        self._check_table_size(i)
-        return sum_blocks(self.basis_array(i), self.modulus)
-
-    def _check_table_size(self, i: int) -> None:
-        dim = self.predicted_dimension(i)
-        if dim * dim > MAX_TABLE_ENTRIES:
-            raise BudgetExceededError(
-                f"product table of {self.describe()} V_{i} has {dim * dim} entries"
-                f", over {MAX_TABLE_ENTRIES}")
+    def space(self, i: int) -> Space:
+        """V_i as a Space, cached."""
+        if i not in self._spaces:
+            self._spaces[i] = Space(self, i)
+        return self._spaces[i]
 
     def eigenspaces(self) -> range:
         return range(self.diameter + 1)
@@ -288,20 +299,8 @@ class FamilySpec:
     def cayley_graph(self) -> CayleyGraph:
         """The graph with the basis characters of V_0, ..., V_d in order."""
         vertices = self.vertices()  # the budget check precedes any enumeration
-        chars = np.concatenate([self.basis_array(i) for i in self.eigenspaces()])
+        chars = np.concatenate([self.space(i).rows for i in self.eigenspaces()])
         return CayleyGraph(self.modulus, vertices, self.connection(), chars)
-
-    def basis_array(self, i: int) -> np.ndarray:
-        """Index rows of the V_i basis (dim x length), a cached read-only array."""
-        self._check_space(i)
-        if i not in self._basis_rows:
-            rows = self._make_basis(i)
-            if len(rows) != self.predicted_dimension(i):
-                raise AssertionError(
-                    f"basis size {len(rows)} != predicted dimension "
-                    f"{self.predicted_dimension(i)} for {self.describe()} i={i}")
-            self._basis_rows[i] = _read_only(rows)
-        return self._basis_rows[i]
 
     def describe(self) -> str:
         return f"{self.kind}({','.join(map(str, self.key[1:]))})"

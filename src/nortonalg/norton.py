@@ -1,15 +1,16 @@
 """Norton algebra vectors on family eigenspaces: the closed-form product,
 idempotent and nilpotent machinery, identity detection, and isomorphism
-verification.
+verification of product tables.
 
-A vector is an exact integer array over basis positions with one
-denominator; its product reads the family's product table and is reduced by
-`roots.root_sums`, and labels are rendered only when a vector is printed.
+A vector is an exact integer array over the basis positions of one
+`families.Space` with one denominator; its product reads the space's
+product table and is reduced by `roots.root_sums`, and labels are rendered
+only when a vector is printed.
 
-The projection oracle, which checks the product table from value rows over
+The projection oracle, which checks a space's table from value rows over
 the vertex set, lives beside the table in `families`
-(`families.verify_oracle_space`), so that checking it loads no `Q(w)`
-arithmetic; it is re-exported here.
+(`families.verify_oracle_space(space)`), so that checking it loads no
+`Q(w)` arithmetic; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, over_lcm
 from .errors import BudgetExceededError
 from .families import (DEFAULT_ORACLE_VERTEX_BUDGET, FamilySpec,  # the oracle, re-exported
-                       carries_table, make_family, verify_oracle_space)
+                       Space, carries_table, make_family, verify_oracle_space)
 from .linalg import row_reduce
 from .roots import field_degree, root_sums
 
@@ -33,44 +34,41 @@ DEFAULT_IDENTITY_DIM_BUDGET = 256
 
 
 class AlgebraVector:
-    """Vector in one eigenspace V_i with exact cyclotomic coefficients.
+    """Vector in one eigenspace, a Space, with exact cyclotomic coefficients.
 
     Row k of the numerator array (dim x phi(e)) holds the power-basis
     coefficients of the chi_k coordinate, k a basis position; all rows share
     one positive denominator, in lowest terms, so equal vectors have equal
     arrays.  The numerators are Python ints in an object array: no sum or
-    product can wrap.  Labels appear only where a vector is rendered
+    product can wrap.  Vectors of spaces with one key, the family's and i,
+    are of one space.  Labels appear only where a vector is rendered
     (to_json, repr, coeffs)."""
 
-    __slots__ = ("family", "i", "num", "den")
+    __slots__ = ("space", "num", "den")
 
-    def __init__(self, family: FamilySpec, i: int, num, den: int = 1) -> None:
-        family._check_space(i)
-        num = np.array(num, dtype=object).reshape(family.predicted_dimension(i),
-                                                  field_degree(family.modulus))
+    def __init__(self, space: Space, num, den: int = 1) -> None:
+        num = np.array(num, dtype=object).reshape(space.dim, field_degree(space.modulus))
         if not den:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             num, den = -num, -den
         g = gcd(den, *num.ravel().tolist())
-        self.family, self.i, self.num, self.den = family, i, num // g, den // g
+        self.space, self.num, self.den = space, num // g, den // g
         self.num.flags.writeable = False
 
     @classmethod
-    def zero(cls, family: FamilySpec, i: int) -> "AlgebraVector":
-        return cls(family, i, [0] * family.predicted_dimension(i) * field_degree(family.modulus))
+    def zero(cls, space: Space) -> "AlgebraVector":
+        return cls(space, [0] * space.dim * field_degree(space.modulus))
 
     @classmethod
-    def unit(cls, family: FamilySpec, i: int, k: int) -> "AlgebraVector":
+    def unit(cls, space: Space, k: int) -> "AlgebraVector":
         """The basis character at position k."""
-        size, deg = family.predicted_dimension(i), field_degree(family.modulus)
-        return cls(family, i, [int(j == k * deg) for j in range(size * deg)])
+        size, deg = space.dim, field_degree(space.modulus)
+        return cls(space, [int(j == k * deg) for j in range(size * deg)])
 
     def _check_space(self, other: "AlgebraVector") -> None:
-        if self.family.key != other.family.key or self.i != other.i:
-            raise ValueError(
-                f"eigenspace mismatch: {self.family.describe()} V_{self.i} vs "
-                f"{other.family.describe()} V_{other.i}")
+        if self.space.key != other.space.key:
+            raise ValueError(f"eigenspace mismatch: {self.space.name} vs {other.space.name}")
 
     def _support(self) -> np.ndarray:
         """The basis positions of the nonzero coordinates."""
@@ -80,28 +78,27 @@ class AlgebraVector:
         if not isinstance(other, AlgebraVector):
             return NotImplemented
         self._check_space(other)
-        return AlgebraVector(self.family, self.i, self.num * other.den + other.num * self.den,
+        return AlgebraVector(self.space, self.num * other.den + other.num * self.den,
                              self.den * other.den)
 
     def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraVector":
-        return AlgebraVector(self.family, self.i, -self.num, self.den)
+        return AlgebraVector(self.space, -self.num, self.den)
 
     def __mul__(self, scalar) -> "AlgebraVector":
         """Multiplication by an int, a Fraction or a Cyclotomic of order e."""
         if isinstance(scalar, Cyclotomic):
-            e = self.family.modulus
+            e = self.space.modulus
             if scalar.order != e:
                 raise ValueError(f"cyclotomic order mismatch: {scalar.order} vs {e}")
-            den = lcm(*(c.denominator for c in scalar.coeffs))
-            row = np.array([c.numerator * (den // c.denominator) for c in scalar.coeffs], object)
-            num = root_sums(_polynomial_products(self.num, row), e)
-            return AlgebraVector(self.family, self.i, num, self.den * den)
+            row, den = over_lcm(scalar.coeffs)
+            num = root_sums(_polynomial_products(self.num, np.array(row, object)), e)
+            return AlgebraVector(self.space, num, self.den * den)
         if isinstance(scalar, (int, Fraction)):
             scalar = Fraction(scalar)
-            return AlgebraVector(self.family, self.i, self.num * scalar.numerator,
+            return AlgebraVector(self.space, self.num * scalar.numerator,
                                  self.den * scalar.denominator)
         return NotImplemented
 
@@ -113,35 +110,35 @@ class AlgebraVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraVector):
             return NotImplemented
-        return (self.family.key == other.family.key and self.i == other.i
-                and self.den == other.den and bool((self.num == other.num).all()))
+        return (self.space.key == other.space.key and self.den == other.den
+                and bool((self.num == other.num).all()))
 
     def __hash__(self) -> int:
-        return hash((self.family.key, self.i, self.den, tuple(self.num.ravel().tolist())))
+        return hash((self.space.key, self.den, tuple(self.num.ravel().tolist())))
 
     @property
     def coeffs(self) -> dict:
         """The nonzero coordinates as basis label -> Cyclotomic, in basis order."""
-        labels, e = self.family.basis(self.i), self.family.modulus
+        labels, e = self.space.labels, self.space.modulus
         return {labels[k]: Cyclotomic(e, [Fraction(c, self.den) for c in self.num[k]])
                 for k in self._support().tolist()}
 
     def to_json(self) -> dict:
         """The nonzero coordinates by label text, each coefficient a
         [numerator, denominator] pair of decimal strings in lowest terms."""
-        fam, support = self.family, self._support()
+        fam, support = self.space.family, self._support()
         num = self.num[support]
         g = np.gcd(num, self.den)
         pairs = np.stack((num // g, self.den // g), axis=-1).astype(str).tolist()
-        labels = [fam.basis(self.i)[k] for k in support]
-        return {"family": fam.describe(), "i": self.i,
+        labels = [self.space.labels[k] for k in support]
+        return {"family": fam.describe(), "i": self.space.i,
                 "coeffs": {fam.label_text(label): {"e": fam.modulus, "coeffs": cells}
                            for label, cells in sorted(zip(labels, pairs))}}
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "AlgebraVector(0)"
-        parts = [f"({c})*chi_{self.family.label_text(label)}"
+        parts = [f"({c})*chi_{self.space.family.label_text(label)}"
                  for label, c in sorted(self.coeffs.items())]
         return " + ".join(parts)
 
@@ -157,20 +154,19 @@ def _polynomial_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def closed_form_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
-    """Bilinear extension of the family's product table; no vertex enumeration.
+    """Bilinear extension of the space's product table; no vertex enumeration.
 
     Each pair of basis positions with a nonzero product adds the product of
     their coefficient polynomials to its target row; the rows are reduced to
     canonical form once, at the end."""
     v._check_space(w)
-    fam, i = v.family, v.i
     a, b = v._support(), w._support()
-    target = fam.product_table(i)[np.ix_(a, b)]
+    target = v.space.table[np.ix_(a, b)]
     pa, pb = np.nonzero(target >= 0)
     deg = v.num.shape[1]
     sums = np.zeros((len(v.num), 2 * deg - 1), dtype=object)
     np.add.at(sums, target[pa, pb], _polynomial_products(v.num[a[pa]], w.num[b[pb]]))
-    return AlgebraVector(fam, i, root_sums(sums, fam.modulus), v.den * w.den)
+    return AlgebraVector(v.space, root_sums(sums, v.space.modulus), v.den * w.den)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +181,8 @@ class Idempotent:
     support: frozenset[int]
 
 
-def _v1_family(e: int) -> FamilySpec:
-    return make_family("hamming", n=1, e=e)
+def _v1(e: int) -> Space:
+    return make_family("hamming", n=1, e=e).space(1)
 
 
 def eta(e: int, j: int) -> Idempotent:
@@ -196,7 +192,7 @@ def eta(e: int, j: int) -> Idempotent:
     if not 0 <= j < e:
         raise ValueError(f"eta index {j} out of range 0..{e - 1}")
     powers = np.eye(e, dtype=np.int64)[j * np.arange(1, e) % e]  # w^(jk) for k = 1..e-1
-    vec = AlgebraVector(_v1_family(e), 1, root_sums(powers, e, 1), e - 2)
+    vec = AlgebraVector(_v1(e), root_sums(powers, e, 1), e - 2)
     if closed_form_product(vec, vec) != vec:
         raise AssertionError(f"eta({e},{j}) failed the idempotency check")
     support = frozenset({j}) if j else frozenset(range(1, e))
@@ -215,8 +211,8 @@ def _eta_sums(e: int, size: int, den: int) -> list[AlgebraVector]:
     cells = np.arange(count * (e - 1)).reshape(count, e - 1, 1) * e
     hist = np.bincount((cells + residues).ravel(), minlength=count * (e - 1) * e)
     num = root_sums(hist.reshape(count, e - 1, e), e, size)  # a row adds up size counts
-    fam = _v1_family(e)
-    return [AlgebraVector(fam, 1, rows, den) for rows in num]
+    space = _v1(e)
+    return [AlgebraVector(space, rows, den) for rows in num]
 
 
 def _eta_coords(e: int, support, scale=1) -> tuple[Fraction, ...]:
@@ -295,7 +291,7 @@ def eta_relations_check(e: int) -> bool:
             expected = vj if j == k else (vj + vk) * Fraction(-1, e - 2)
             if prod != expected:
                 return False
-    return sum(etas, AlgebraVector.zero(_v1_family(e), 1)).is_zero()
+    return sum(etas, AlgebraVector.zero(_v1(e))).is_zero()
 
 
 def primitivity_facts_check(e: int) -> bool:
@@ -341,7 +337,8 @@ def find_identity(family: FamilySpec, i: int):
     """Solve sum_u c_u (chi_u * chi_v) = chi_v for all basis v exactly; returns
     the identity element of V_i or None.  The dimension is checked before the
     basis is built."""
-    dim = family.predicted_dimension(i)
+    space = family.space(i)
+    dim = space.dim
     if dim > DEFAULT_IDENTITY_DIM_BUDGET:
         raise BudgetExceededError(
             f"identity solve over dimension {dim} > {DEFAULT_IDENTITY_DIM_BUDGET}")
@@ -349,7 +346,7 @@ def find_identity(family: FamilySpec, i: int):
     # sum to 1 when w = v and to 0 otherwise; many (v, w) give the same
     # equation, and each distinct one is solved once
     equations: set[tuple[tuple[int, ...], int]] = set()
-    for v_idx, column in enumerate(family.product_table(i).T.tolist()):
+    for v_idx, column in enumerate(space.table.T.tolist()):
         by_target: dict[int, list[int]] = {v_idx: []}
         for u_idx, w_idx in enumerate(column):
             if w_idx >= 0:
@@ -369,10 +366,10 @@ def find_identity(family: FamilySpec, i: int):
     sol = [zero] * dim
     for row, col in zip(reduced, pivots):
         sol[col] = row[dim]
-    candidate = sum((c * AlgebraVector.unit(family, i, k) for k, c in enumerate(sol) if c),
-                    AlgebraVector.zero(family, i))
+    candidate = sum((c * AlgebraVector.unit(space, k) for k, c in enumerate(sol) if c),
+                    AlgebraVector.zero(space))
     for k in range(dim):
-        chi_k = AlgebraVector.unit(family, i, k)
+        chi_k = AlgebraVector.unit(space, k)
         if closed_form_product(candidate, chi_k) != chi_k:
             raise AssertionError("linear solve produced a non-identity solution")
     return candidate
@@ -382,75 +379,50 @@ def find_identity(family: FamilySpec, i: int):
 # Isomorphism verification
 # ---------------------------------------------------------------------------
 
-class BasisAlgebra:
-    """A finite basis with a multiplicity-free product, given by its product
-    table: entry (a, b) is the position of the basis product a*b (with unit
-    coefficient), or -1 when it is zero."""
-
-    def __init__(self, labels: list, table: np.ndarray, name: str) -> None:
-        self.labels = list(labels)
-        self.table = table
-        self.name = name
-
-    @classmethod
-    def from_eigenspace(cls, family: FamilySpec, i: int) -> "BasisAlgebra":
-        return cls(family.basis(i), family.product_table(i), f"{family.describe()}[V_{i}]")
-
-    @classmethod
-    def direct_product(cls, parts: list["BasisAlgebra"]) -> "BasisAlgebra":
-        """Labels (k, label) of the parts in order, with a block-diagonal table."""
-        labels = [(k, lbl) for k, part in enumerate(parts) for lbl in part.labels]
-        table = np.full((len(labels), len(labels)), -1, dtype=np.int32)
-        start = 0
-        for part in parts:
-            stop = start + len(part.labels)
-            table[start:stop, start:stop] = np.where(part.table >= 0, part.table + start, -1)
-            start = stop
-        return cls(labels, table, " x ".join(p.name for p in parts))
+def direct_sum(tables: list[np.ndarray]) -> np.ndarray:
+    """The product table of the direct sum of the given algebras, their bases
+    in order: block-diagonal, each block's positions shifted to its place."""
+    dim = sum(map(len, tables))
+    out = np.full((dim, dim), -1, dtype=np.int32)
+    start = 0
+    for table in tables:
+        stop = start + len(table)
+        out[start:stop, start:stop] = np.where(table >= 0, table + start, -1)
+        start = stop
+    return out
 
 
-def verify_isomorphism(mapping: dict, dom: BasisAlgebra, cod: BasisAlgebra) -> bool:
-    """Whether the basis bijection respects products: map(a*b) = map(a)*map(b)
+def verify_isomorphism(perm, dom: np.ndarray, cod: np.ndarray) -> bool:
+    """Whether the basis bijection a -> perm[a] between the algebras with
+    product tables dom and cod respects products: perm(a*b) = perm(a)*perm(b)
     for all basis pairs, with zero mapping to zero."""
-    if set(mapping) != set(dom.labels):
-        raise ValueError("mapping does not cover the domain basis")
-    values = set(mapping.values())
-    if len(values) != len(mapping) or values != set(cod.labels):
-        raise ValueError("mapping is not a bijection onto the codomain basis")
-    where = {label: k for k, label in enumerate(cod.labels)}
-    perm = np.array([where[mapping[a]] for a in dom.labels])
-    return carries_table(perm, dom.table, cod.table)
+    perm = np.asarray(perm)
+    if len(perm) != len(dom) or not np.array_equal(np.sort(perm), np.arange(len(cod))):
+        raise ValueError("perm is not a bijection of the domain basis onto the codomain basis")
+    return carries_table(perm, dom, cod)
 
 
-def shipped_isomorphism_checks() -> list[tuple[str, dict, BasisAlgebra, BasisAlgebra]]:
-    """The named algebra isomorphisms this artifact certifies, as
-    (name, basis bijection, domain, codomain) tuples."""
+def shipped_isomorphism_checks() -> list[tuple[str, list[int], np.ndarray, np.ndarray]]:
+    """The named algebra isomorphisms this artifact certifies, as (name,
+    position permutation, domain table, codomain table) tuples; each map is
+    written on labels, a label that it does not name mapping to itself."""
     checks = []
-    dom = BasisAlgebra.from_eigenspace(make_family("folded_cube", n=4), 1)
-    cod = BasisAlgebra.from_eigenspace(make_family("hypercube", n=4), 2)
-    checks.append(("V_1(folded_cube(4)) = V_2(hypercube(4))",
-                   {lbl: lbl for lbl in dom.labels}, dom, cod))
-
-    dom = BasisAlgebra.from_eigenspace(make_family("halved_cube", n=4), 2)
-    cod = BasisAlgebra.from_eigenspace(make_family("hypercube", n=3), 2)
-    checks.append(("V_2(halved_cube(4)) = V_2(hypercube(3))",
-                   {(1, 2): (1, 2), (1, 3): (1, 3), (1, 4): (2, 3)}, dom, cod))
-
-    for (i, n) in ((1, 4), (1, 5), (2, 7)):
-        dom = BasisAlgebra.from_eigenspace(make_family("halved_cube", n=n), i)
-        cod = BasisAlgebra.from_eigenspace(make_family("hypercube", n=n), i)
-        checks.append((f"V_{i}(halved_cube({n})) = V_{i}(hypercube({n}))",
-                       {lbl: lbl for lbl in dom.labels}, dom, cod))
-
-    dom = BasisAlgebra.from_eigenspace(make_family("folded_half_cube", n=8), 1)
-    cod = BasisAlgebra.from_eigenspace(make_family("halved_cube", n=8), 2)
-    checks.append(("V_1(folded_half_cube(8)) = V_2(halved_cube(8))",
-                   {lbl: lbl for lbl in dom.labels}, dom, cod))
-
-    dom = BasisAlgebra.from_eigenspace(make_family("hamming", n=2, e=3), 2)
-    line = BasisAlgebra.from_eigenspace(make_family("hamming", n=1, e=3), 1)
-    cod = BasisAlgebra.direct_product([line, line])
-    mapping = {(1, 1): (0, (1,)), (2, 2): (0, (2,)),
-               (1, 2): (1, (1,)), (2, 1): (1, (2,))}
-    checks.append(("V_2(hamming(2,3)) = V_1(H(1,3)) x V_1(H(1,3))", mapping, dom, cod))
+    for (dom_kind, dom_n, i), (cod_kind, cod_n, j), mapping in (
+            (("folded_cube", 4, 1), ("hypercube", 4, 2), {}),
+            (("halved_cube", 4, 2), ("hypercube", 3, 2), {(1, 4): (2, 3)}),
+            (("halved_cube", 4, 1), ("hypercube", 4, 1), {}),
+            (("halved_cube", 5, 1), ("hypercube", 5, 1), {}),
+            (("halved_cube", 7, 2), ("hypercube", 7, 2), {}),
+            (("folded_half_cube", 8, 1), ("halved_cube", 8, 2), {})):
+        dom, cod = make_family(dom_kind, n=dom_n).space(i), make_family(cod_kind, n=cod_n).space(j)
+        perm = [cod.labels.index(mapping.get(a, a)) for a in dom.labels]
+        checks.append((f"V_{i}({dom.family.describe()}) = V_{j}({cod.family.describe()})",
+                       perm, dom.table, cod.table))
+    dom = make_family("hamming", n=2, e=3).space(2)
+    line = make_family("hamming", n=1, e=3).space(1)
+    mapping = {(1, 1): (0, (1,)), (2, 2): (0, (2,)), (1, 2): (1, (1,)), (2, 1): (1, (2,))}
+    labels = [(k, label) for k in range(2) for label in line.labels]
+    checks.append(("V_2(hamming(2,3)) = V_1(H(1,3)) x V_1(H(1,3))",
+                   [labels.index(mapping[a]) for a in dom.labels], dom.table,
+                   direct_sum([line.table, line.table])))
     return checks

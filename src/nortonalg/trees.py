@@ -34,7 +34,7 @@ import numpy as np
 from . import cayley
 from .cayley import row_keys
 from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
-from .families import FamilySpec
+from .families import Space
 
 DEFAULT_MAX_M = 12
 DEFAULT_WITNESS_ATTEMPTS = 10_000
@@ -82,9 +82,9 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-def exact_price(family: FamilySpec, i: int, m: int) -> int:
-    """Exact mode's evaluations on V_i: dim^(m+1) basis tuples for each of the Catalan(m) trees."""
-    return family.predicted_dimension(i) ** (m + 1) * catalan(m)
+def exact_price(space: Space, m: int) -> int:
+    """Exact mode's evaluations: dim^(m+1) basis tuples for each of the Catalan(m) trees."""
+    return space.dim ** (m + 1) * catalan(m)
 
 
 def _check_tree_size(m: int) -> None:
@@ -382,38 +382,35 @@ def _fingerprints(masks: np.ndarray, patterns: np.ndarray):
         yield np.packbits(found, axis=1)
 
 
-def _tree_keys(family: FamilySpec, i: int, m: int, budget: int):
+def _tree_keys(space: Space, m: int, budget: int):
     """The fingerprint of each tree over the distinct live patterns of all
     dim^(m+1) basis tuples, as bytes, in enumerate_trees order.  On a basis
     tuple the nonzero trees share one value, so two trees agree there exactly
     when both or neither of their interval sets lie inside the tuple's live
     pattern; by multilinearity equal keys are equal multilinear maps."""
     _check_tree_size(m)
-    cost = exact_price(family, i, m)
+    cost = exact_price(space, m)
     if cost > budget:
         raise BudgetExceededError(
             f"exact mode needs {cost} evaluations (budget {budget}); use witness mode")
-    patterns = _grid_patterns(_live_table(family.product_table(i)), m)
+    patterns = _grid_patterns(_live_table(space.table), m)
     for block in _fingerprints(tree_masks(m), patterns):
         yield from row_keys(block).tolist()  # bytes objects
 
 
-def exact_partition(family: FamilySpec, i: int, m: int,
-                    budget: int = DEFAULT_EVAL_BUDGET) -> list[list[int]]:
+def exact_partition(space: Space, m: int, budget: int = DEFAULT_EVAL_BUDGET) -> list[list[int]]:
     """Partition of the trees of size m into classes with equal multilinear maps."""
     groups: dict[bytes, list[int]] = {}
-    for idx, key in enumerate(_tree_keys(family, i, m, budget)):
+    for idx, key in enumerate(_tree_keys(space, m, budget)):
         groups.setdefault(key, []).append(idx)
     return sorted(groups.values())
 
 
-def count_classes_exact(family: FamilySpec, i: int, m: int,
-                        budget: int = DEFAULT_EVAL_BUDGET) -> SpectrumReport:
+def count_classes_exact(space: Space, m: int, budget: int = DEFAULT_EVAL_BUDGET) -> SpectrumReport:
     """Exact associative-spectrum count from the live patterns of all basis
     tuples (complete by multilinearity); budget_used is the exact_price."""
-    classes = len(set(_tree_keys(family, i, m, budget)))
-    return SpectrumReport(m=m, class_count=classes, mode="exact",
-                          budget_used=exact_price(family, i, m))
+    classes = len(set(_tree_keys(space, m, budget)))
+    return SpectrumReport(m=m, class_count=classes, mode="exact", budget_used=exact_price(space, m))
 
 
 def _refine(labels: np.ndarray, prints: np.ndarray, tuples: int) -> tuple[np.ndarray, int]:
@@ -445,7 +442,7 @@ def _randrange_block(rng: random.Random, dim: int, count: int) -> np.ndarray:
     return np.concatenate(parts).astype(np.int64)
 
 
-def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
+def count_classes_witness(space: Space, m: int, seed: int = 0,
                           attempts: int = DEFAULT_WITNESS_ATTEMPTS) -> SpectrumReport:
     """Distinguish tree pairs by seeded random basis tuples.  If every pair is
     separated the count equals Catalan(m) and the mode is exact; otherwise the
@@ -457,7 +454,7 @@ def count_classes_witness(family: FamilySpec, i: int, m: int, seed: int = 0,
     _refine's copy, keys and sort.  budget_used counts the tuples up to the
     first that separates all trees, as if they were drawn one at a time."""
     masks = tree_masks(m)
-    table = _live_table(family.product_table(i))  # the table checks its size before the basis is built
+    table = _live_table(space.table)  # the table checks its size before the basis is built
     dim = len(table) - 1
     rng = random.Random(seed)
     labels = np.zeros(len(masks), dtype=np.int64)
@@ -497,8 +494,7 @@ def ominus_partition(m: int) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def ominus_equivalence_check(family: FamilySpec, i: int, m: int,
-                             budget: int = DEFAULT_EVAL_BUDGET) -> bool:
+def ominus_equivalence_check(space: Space, m: int, budget: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Whether the exact product partition coincides with the depth-parity
     partition (the product is then equally nonassociative as double minus at m)."""
-    return exact_partition(family, i, m, budget) == ominus_partition(m)
+    return exact_partition(space, m, budget) == ominus_partition(m)

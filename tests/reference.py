@@ -283,7 +283,7 @@ def rank(fam, flat: Word) -> int:
 @lru_cache(maxsize=None)
 def positions(fam, i: int) -> dict:
     """Basis label -> basis position in V_i, cached per family instance."""
-    return {label: k for k, label in enumerate(fam.basis(i))}
+    return {label: k for k, label in enumerate(fam.space(i).labels)}
 
 
 def in_basis(fam, i: int, label) -> bool:
@@ -302,8 +302,8 @@ def in_basis(fam, i: int, label) -> bool:
 def require_basis(fam, i: int, label) -> None:
     """Raise ValueError unless i is in range and label is a V_i basis label; a
     basis already rendered answers by lookup, any other by in_basis."""
-    fam._check_space(i)
-    if not (label in positions(fam, i) if i in fam._bases else in_basis(fam, i, label)):
+    rendered = "labels" in vars(fam.space(i))  # the space checks i
+    if not (label in positions(fam, i) if rendered else in_basis(fam, i, label)):
         raise ValueError(f"label {fam.label_text(label)} is not in the V_{i} basis")
 
 
@@ -375,10 +375,9 @@ class LabelVector:
 
     def array(self) -> AlgebraVector:
         """The same vector as an AlgebraVector."""
-        fam, i = self.family, self.i
-        where = positions(fam, i)
-        return sum((c * AlgebraVector.unit(fam, i, where[label])
-                    for label, c in self.coeffs.items()), AlgebraVector.zero(fam, i))
+        space, where = self.family.space(self.i), positions(self.family, self.i)
+        return sum((c * AlgebraVector.unit(space, where[label])
+                    for label, c in self.coeffs.items()), AlgebraVector.zero(space))
 
 
 def label_product(v: LabelVector, w: LabelVector) -> LabelVector:
@@ -410,7 +409,7 @@ def basis_vector(fam, i: int, label) -> AlgebraVector:
 
 def value_table(vec: AlgebraVector, budget: int | None = None) -> list[Cyclotomic]:
     """Values of an algebra vector over the vertex set, materialized exactly."""
-    fam = vec.family
+    fam = vec.space.family
     e = fam.modulus
     xs = fam.vertices(budget).tolist()
     out = [Cyclotomic.zero(e) for _ in xs]
@@ -425,14 +424,14 @@ def oracle_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
     """Entrywise product of value tables projected back onto V_i via character
     inner products, exactly.  Independent of the closed-form rule."""
     v._check_space(w)
-    fam, i = v.family, v.i
+    fam, i = v.space.family, v.space.i
     e = fam.modulus
     xs = fam.vertices(DEFAULT_ORACLE_VERTEX_BUDGET).tolist()
     tv = value_table(v, DEFAULT_ORACLE_VERTEX_BUDGET)
     tw = value_table(w, DEFAULT_ORACLE_VERTEX_BUDGET)
     prod = [a * b for a, b in zip(tv, tw)]
     out: dict = {}
-    for label in fam.basis(i):
+    for label in v.space.labels:
         u = reference_index(fam, label)
         chi = [root_power(e, word_dot(u, x, e)) for x in xs]
         coeff = inner_product(prod, chi)
@@ -444,7 +443,7 @@ def oracle_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
 def vector_map_preserves_products(images: dict, family, i: int) -> bool:
     """Whether the linear map sending each basis character to the given vector
     is an algebra automorphism: invertible and product-preserving on basis pairs."""
-    labels = family.basis(i)
+    labels = family.space(i).labels
     if set(images) != set(labels):
         raise ValueError("images must be given on the full basis")
     matrix = [[images[b].coeffs.get(a, Cyclotomic.zero(family.modulus))
@@ -453,7 +452,7 @@ def vector_map_preserves_products(images: dict, family, i: int) -> bool:
         return False
 
     def apply(vec: AlgebraVector) -> AlgebraVector:
-        out = AlgebraVector.zero(family, i)
+        out = AlgebraVector.zero(family.space(i))
         for label, c in vec.coeffs.items():
             out = out + c * images[label]
         return out
@@ -533,7 +532,7 @@ def compose_signed(f: SignedPermutation, g: SignedPermutation) -> SignedPermutat
 def per_label_candidate(fam, i: int, image_of) -> np.ndarray:
     """Candidate array from a map label -> (exponent, image label)."""
     pos = positions(fam, i)
-    return np.array([[pos.get(img, -1), exp] for exp, img in map(image_of, fam.basis(i))])
+    return np.array([[pos.get(img, -1), exp] for exp, img in map(image_of, fam.space(i).labels)])
 
 
 def signed_image(f: SignedPermutation, fam):
@@ -557,8 +556,7 @@ def table_output(fam, i: int, fmt: str, oracle_ok: bool | None = None) -> str:
     is the --verify-oracle verdict or None without it: json by json.dumps of
     the payload, csv and text by the one-string renderers that the streamed
     row blocks replaced."""
-    table = fam.product_table(i)
-    labels = fam.basis(i)
+    table, labels = fam.space(i).table, fam.space(i).labels
     if fmt == "json":
         payload = {
             "command": "table",

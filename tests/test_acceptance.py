@@ -86,7 +86,7 @@ def test_criterion_01_spectrum_reproduction():
             graph = fam.cayley_graph()
             for i in fam.eigenspaces():
                 theta = fam.predicted_eigenvalue(i)
-                for u in fam.basis(i):
+                for u in fam.space(i).labels:
                     assert integer_eigenvalue(graph, reference_index(fam, u)) == theta, (
                         fam.describe(), i)
             predicted = sorted(
@@ -97,7 +97,7 @@ def test_criterion_01_spectrum_reproduction():
 
 
 def _table(fam, i):
-    labels = fam.basis(i)
+    labels = fam.space(i).labels
     return {(a, b): closed_product(fam, i, a, b) for a in labels for b in labels}
 
 
@@ -138,14 +138,14 @@ def test_product_table_matches_closed_product(monkeypatch):
         for i in fam.eigenspaces():
             pos = positions(fam, i)
             want = [[-1 if c is None else pos[c] for c in row]
-                    for row in ([closed_product(fam, i, a, b) for b in fam.basis(i)]
-                                for a in fam.basis(i))]
-            table = fam.product_table(i)
+                    for row in ([closed_product(fam, i, a, b) for b in fam.space(i).labels]
+                                for a in fam.space(i).labels)]
+            table = fam.space(i).table
             assert table.dtype == np.int32 and table.tolist() == want, (fam.describe(), i)
             with monkeypatch.context() as patch:
                 patch.setattr(cayley, "DENSE_CODE_BITS", 0)
-                by_bytes = cayley.sum_positions(fam.basis_array(i), fam.modulus)
-                by_residues = cayley.residue_positions(fam.basis_array(i), fam.modulus)
+                by_bytes = cayley.sum_positions(fam.space(i).rows, fam.modulus)
+                by_residues = cayley.residue_positions(fam.space(i).rows, fam.modulus)
             assert (by_bytes == table).all(), (fam.describe(), i)
             assert (by_residues == table).all(), (fam.describe(), i)
             spaces += 1
@@ -160,7 +160,7 @@ def test_packed_sums_equal_residue_sums():
     for fam in _criterion1_instances():
         verts = fam.vertices()
         for i in fam.eigenspaces():
-            rows = fam.basis_array(i)
+            rows = fam.space(i).rows
             exps = cayley.character_exponents(rows, verts, fam.modulus)
             for sums in (rows, exps):
                 want = cayley.residue_positions(sums, fam.modulus)
@@ -186,7 +186,7 @@ def test_oracle_rows_in_vertex_blocks_equal_the_whole_rows(monkeypatch):
     for fam in _criterion1_instances():
         verts = fam.vertices()
         for i in fam.eigenspaces():
-            rows = fam.basis_array(i)
+            rows = fam.space(i).rows
             want = cayley.sum_positions(real(rows, verts, fam.modulus), fam.modulus)
             with monkeypatch.context() as patch:
                 patch.setattr(cayley, "SUM_CHUNK_BYTES", 1)
@@ -195,7 +195,7 @@ def test_oracle_rows_in_vertex_blocks_equal_the_whole_rows(monkeypatch):
                 lookup = cayley.exponent_sum_blocks(rows, verts, fam.modulus)
                 assert widths[:-1] == [8] * (len(widths) - 1) and sum(widths) == len(verts)
                 got = cayley._filled(len(rows), lookup)
-                assert verify_oracle_space(fam, i), (fam.describe(), i)
+                assert verify_oracle_space(fam.space(i)), (fam.describe(), i)
             assert (got == want).all(), (fam.describe(), i)
             spaces += 1
     assert spaces == 155
@@ -205,7 +205,7 @@ def test_criterion_03_oracle_equivalence():
     with criterion(3, "closed form equals projection oracle on all basis pairs"):
         for fam in _criterion1_instances():
             for i in fam.eigenspaces():
-                assert verify_oracle_space(fam, i), (fam.describe(), i)
+                assert verify_oracle_space(fam.space(i)), (fam.describe(), i)
 
 
 def test_criterion_04_idempotent_suite():
@@ -263,28 +263,28 @@ def test_criterion_06_associative_spectrum_exact():
         for fam, i in ((make_family("hamming", n=1, e=3), 1),
                        (make_family("hamming", n=2, e=3), 2)):
             for m in range(1, 7):
-                rep = count_classes_exact(fam, i, m)
+                rep = count_classes_exact(fam.space(i), m)
                 assert rep.class_count == a000975(m), (fam.describe(), m)
-                assert ominus_equivalence_check(fam, i, m), (fam.describe(), m)
+                assert ominus_equivalence_check(fam.space(i), m), (fam.describe(), m)
         for fam, i in ((make_family("hypercube", n=3), 2),
                        (make_family("hypercube", n=4), 2),
                        (make_family("hamming", n=1, e=4), 1)):
             for m in range(1, 6):
-                rep = count_classes_exact(fam, i, m)
+                rep = count_classes_exact(fam.space(i), m)
                 assert rep.mode == "exact"
                 assert rep.class_count == catalan(m), (fam.describe(), m)
         for fam, i in ((make_family("hypercube", n=4), 3),
                        (make_family("hypercube", n=3), 1),
                        (make_family("hypercube", n=4), 1)):
             for m in range(1, 7):
-                assert count_classes_exact(fam, i, m).class_count == 1
+                assert count_classes_exact(fam.space(i), m).class_count == 1
 
 
 def test_criterion_07_witness_total_nonassociativity():
     with criterion(7, "witness mode separates all tree pairs at m = 6"):
         for fam, i in ((make_family("hamming", n=3, e=3), 2),
                        (make_family("hamming", n=2, e=4), 1)):
-            report = count_classes_witness(fam, i, 6, seed=0)
+            report = count_classes_witness(fam.space(i), 6, seed=0)
             assert report.mode == "exact", fam.describe()
             assert report.class_count == catalan(6) == 132
             assert report.budget_used <= 10_000
@@ -300,23 +300,23 @@ def test_criterion_08_automorphism_suite():
                     phi = autos.HammingAuto.draw(rng, fam, 0)
                     for i in fam.eigenspaces():
                         assert autos.is_algebra_automorphism(
-                            autos.candidate(phi, fam, i), fam, i), (n, e, i)
+                            autos.candidate(phi, fam.space(i)), fam.space(i)), (n, e, i)
 
         half5 = make_family("halved_cube", n=5)
         for f in all_signed_perms(5, type_d=True):
             assert autos.is_algebra_automorphism(
-                autos.candidate(f, half5, 1), half5, 1)
+                autos.candidate(f, half5.space(1)), half5.space(1))
 
         half6 = make_family("halved_cube", n=6)
         bad = autos.SignedPermutation((0, 1, 2, 3, 4, 5), (-1, 1, 1, 1, 1, 1))
         candidate = per_label_candidate(half6, 2, signed_image(bad, half6))
-        assert not autos.is_algebra_automorphism(candidate, half6, 2)
+        assert not autos.is_algebra_automorphism(candidate, half6.space(2))
 
         q3 = make_family("hamming", n=3, e=2)
-        assert autos.kernel_check_hamming(q3, 1)["ok"]
-        report = autos.kernel_check_hamming(q3, 2)
+        assert autos.kernel_check_hamming(q3.space(1))["ok"]
+        report = autos.kernel_check_hamming(q3.space(2))
         assert report["ok"] and len(report["kernel"]) == 2
-        assert autos.kernel_check_hamming(make_family("hamming", n=2, e=3), 1)["ok"]
+        assert autos.kernel_check_hamming(make_family("hamming", n=2, e=3).space(1))["ok"]
 
         bil = make_family("bilinear", q=2, d=2, e=2)
         rng = random.Random(0)
@@ -332,8 +332,8 @@ def test_criterion_09_isomorphism_suite():
     with criterion(9, "shipped algebra isomorphisms verified on all basis pairs"):
         checks = shipped_isomorphism_checks()
         assert len(checks) == 7
-        for name, mapping, dom, cod in checks:
-            assert verify_isomorphism(mapping, dom, cod), name
+        for name, perm, dom, cod in checks:
+            assert verify_isomorphism(perm, dom, cod), name
 
 
 def test_criterion_10_combinatorial_lemmas():

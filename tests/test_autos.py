@@ -46,32 +46,33 @@ from reference import (
 
 
 def identity_candidate(fam, i):
-    return np.column_stack((np.arange(len(fam.basis(i))), np.zeros(len(fam.basis(i)), int)))
+    dim = fam.space(i).dim
+    return np.column_stack((np.arange(dim), np.zeros(dim, int)))
 
 
 def image(fam, i, candidate, label):
     """(exponent, image label) of one basis label under a candidate."""
     pos, exp = candidate[positions(fam, i)[label]]
-    return int(exp), fam.basis(i)[pos]
+    return int(exp), fam.space(i).labels[pos]
 
 
 def test_identity_action():
     fam = make_family("hamming", n=2, e=3)
     ident = identity_auto(2, 3)
-    assert np.array_equal(candidate_of(ident, fam, 1), identity_candidate(fam, 1))
+    assert np.array_equal(candidate_of(ident, fam.space(1)), identity_candidate(fam, 1))
 
 
 def test_translation_action_e3():
     fam = make_family("hamming", n=1, e=3)
     phi = HammingAuto((1,), (1,), (0,), 3)
-    assert fam.basis(1) == [(1,), (2,)]
-    assert candidate_of(phi, fam, 1).tolist() == [[0, 1], [1, 2]]
+    assert fam.space(1).labels == [(1,), (2,)]
+    assert candidate_of(phi, fam.space(1)).tolist() == [[0, 1], [1, 2]]
 
 
 def test_all_ones_translation_trivial_on_even_weight():
     fam = make_family("hamming", n=4, e=2)
     phi = HammingAuto((1, 1, 1, 1), (1, 1, 1, 1), (0, 1, 2, 3), 2)
-    assert np.array_equal(candidate_of(phi, fam, 2), identity_candidate(fam, 2))
+    assert np.array_equal(candidate_of(phi, fam.space(2)), identity_candidate(fam, 2))
 
 
 def test_compose_examples():
@@ -98,9 +99,9 @@ def test_action_homomorphism_seeded():
             psi = HammingAuto.draw(rng, fam, 0)
             comp = compose_hamming(phi, psi)
             for i in spaces:
-                composed = compose_candidates(candidate_of(phi, fam, i),
-                                              candidate_of(psi, fam, i), e)
-                assert np.array_equal(candidate_of(comp, fam, i), composed)
+                composed = compose_candidates(candidate_of(phi, fam.space(i)),
+                                              candidate_of(psi, fam.space(i)), e)
+                assert np.array_equal(candidate_of(comp, fam.space(i)), composed)
 
 
 def test_hamming_autos_preserve_products():
@@ -110,7 +111,7 @@ def test_hamming_autos_preserve_products():
         for _ in range(20):
             phi = HammingAuto.draw(rng, fam, 0)
             for i in fam.eigenspaces():
-                assert is_algebra_automorphism(candidate_of(phi, fam, i), fam, i)
+                assert is_algebra_automorphism(candidate_of(phi, fam.space(i)), fam.space(i))
 
 
 def test_support_preserved():
@@ -118,8 +119,8 @@ def test_support_preserved():
     rng = random.Random(2)
     for _ in range(20):
         phi = HammingAuto.draw(rng, fam, 0)
-        candidate = candidate_of(phi, fam, 2)
-        for u in fam.basis(2):
+        candidate = candidate_of(phi, fam.space(2))
+        for u in fam.space(2).labels:
             _, img = image(fam, 2, candidate, u)
             moved = sorted(j + 1 for j in range(3) if u[phi.sigma[j]])
             assert moved == list(support(img))
@@ -135,15 +136,15 @@ def test_invalid_hamming_auto():
 
 def test_kernel_checks():
     q3 = make_family("hamming", n=3, e=2)
-    r1 = kernel_check_hamming(q3, 1)
+    r1 = kernel_check_hamming(q3.space(1))
     assert r1["ok"] and len(r1["kernel"]) == 1
-    r2 = kernel_check_hamming(q3, 2)
+    r2 = kernel_check_hamming(q3.space(2))
     assert r2["ok"] and len(r2["kernel"]) == 2
     h23 = make_family("hamming", n=2, e=3)
-    r3 = kernel_check_hamming(h23, 1)
+    r3 = kernel_check_hamming(h23.space(1))
     assert r3["ok"] and r3["kernel"] == [((0, 0), (1, 1), (0, 1))]
     with pytest.raises(ValueError):
-        kernel_check_hamming(h23, 0)
+        kernel_check_hamming(h23.space(0))
 
 
 def test_factored_kernel_equals_enumerated():
@@ -157,17 +158,17 @@ def test_factored_kernel_equals_enumerated():
             (a, b, sigma)
             for a in product(range(e), repeat=n) for b in product(units, repeat=n)
             for sigma in permutations(range(n))
-            if np.array_equal(candidate_of(HammingAuto(a, b, sigma, e), fam, i), ident))
-        assert kernel_check_hamming(fam, i)["kernel"] == enumerated, (n, e, i)
+            if np.array_equal(candidate_of(HammingAuto(a, b, sigma, e), fam.space(i)), ident))
+        assert kernel_check_hamming(fam.space(i))["kernel"] == enumerated, (n, e, i)
 
 
 def test_kernel_check_holds_one_word_list():
     # hamming(6,4) V_4: 1215 rows by 4096 words would be 40 MB as one int64 matrix
     fam = make_family("hamming", n=6, e=4)
-    fam.basis_array(4)
+    fam.space(4).rows  # built before the trace
     tracemalloc.start()
     try:
-        assert kernel_check_hamming(fam, 4)["ok"]
+        assert kernel_check_hamming(fam.space(4))["ok"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,11 +178,11 @@ def test_kernel_check_holds_one_word_list():
 def test_signed_perm_action_examples():
     cube = make_family("hypercube", n=3)
     ident = SignedPermutation((0, 1, 2), (1, 1, 1))
-    assert np.array_equal(candidate_of(ident, cube, 2), identity_candidate(cube, 2))
+    assert np.array_equal(candidate_of(ident, cube.space(2)), identity_candidate(cube, 2))
     swap12 = SignedPermutation((1, 0, 2), (1, 1, 1))
-    assert image(cube, 2, candidate_of(swap12, cube, 2), (1, 3)) == (0, (2, 3))
+    assert image(cube, 2, candidate_of(swap12, cube.space(2)), (1, 3)) == (0, (2, 3))
     negate3 = SignedPermutation((0, 1, 2), (1, 1, -1))
-    assert image(cube, 2, candidate_of(negate3, cube, 2), (1, 3)) == (1, (1, 3))
+    assert image(cube, 2, candidate_of(negate3, cube.space(2)), (1, 3)) == (1, (1, 3))
 
 
 def test_signed_perm_composition_is_action():
@@ -191,9 +192,9 @@ def test_signed_perm_composition_is_action():
         f = SignedPermutation.draw(rng, cube, 0)
         g = SignedPermutation.draw(rng, cube, 0)
         comp = compose_signed(f, g)
-        composed = compose_candidates(candidate_of(f, cube, 2),
-                                      candidate_of(g, cube, 2), 2)
-        assert np.array_equal(candidate_of(comp, cube, 2), composed)
+        composed = compose_candidates(candidate_of(f, cube.space(2)),
+                                      candidate_of(g, cube.space(2)), 2)
+        assert np.array_equal(candidate_of(comp, cube.space(2)), composed)
 
 
 def test_signed_perms_on_hypercube_are_automorphisms():
@@ -202,7 +203,7 @@ def test_signed_perms_on_hypercube_are_automorphisms():
     for _ in range(25):
         f = SignedPermutation.draw(rng, cube, 0)
         for i in cube.eigenspaces():
-            assert is_algebra_automorphism(candidate_of(f, cube, i), cube, i)
+            assert is_algebra_automorphism(candidate_of(f, cube.space(i)), cube.space(i))
 
 
 def test_type_d_on_halved_cube():
@@ -210,7 +211,7 @@ def test_type_d_on_halved_cube():
     count = 0
     for f in all_signed_perms(5, type_d=True):
         count += 1
-        assert is_algebra_automorphism(candidate_of(f, half, 1), half, 1)
+        assert is_algebra_automorphism(candidate_of(f, half.space(1)), half.space(1))
     assert count == 2**4 * 120
 
 
@@ -219,22 +220,22 @@ def test_non_type_d_rejected_and_fails():
     f = SignedPermutation((0, 1, 2, 3, 4, 5), (-1, 1, 1, 1, 1, 1))
     assert not f.is_type_d()
     with pytest.raises(ValueError):
-        candidate_of(f, half, 2)
+        candidate_of(f, half.space(2))
     candidate = per_label_candidate(half, 2, signed_image(f, half))
     # f fixes chi_56 = chi_12 * chi_34 but negates chi_12, so preservation fails
     assert image(half, 2, candidate, (5, 6)) == (0, (5, 6))
     assert image(half, 2, candidate, (1, 2)) == (1, (1, 2))
-    assert not is_algebra_automorphism(candidate, half, 2)
+    assert not is_algebra_automorphism(candidate, half.space(2))
 
 
 def test_signed_perm_rejects_other_families():
     for fam in (make_family("folded_cube", n=4), make_family("folded_half_cube", n=8)):
         f = SignedPermutation(tuple(range(fam.n)), (1,) * fam.n)
         with pytest.raises(ValueError):
-            candidate_of(f, fam, 1)
+            candidate_of(f, fam.space(1))
     with pytest.raises(ValueError):  # a signed permutation of 3 positions on Q_4
         candidate_of(SignedPermutation((0, 1, 2), (1, 1, 1)),
-                              make_family("hypercube", n=4), 1)
+                              make_family("hypercube", n=4).space(1))
 
 
 def test_matrix_helpers():
@@ -248,11 +249,11 @@ def test_bilinear_action_examples():
     fam = make_family("bilinear", q=2, d=2, e=2)
     zero_translate = BilinearAuto("translate", ((0, 0), (0, 0)), 2)
     left_id = BilinearAuto("left", mat_identity(2), 2)
-    assert np.array_equal(candidate_of(zero_translate, fam, 1), identity_candidate(fam, 1))
-    assert np.array_equal(candidate_of(left_id, fam, 1), identity_candidate(fam, 1))
+    assert np.array_equal(candidate_of(zero_translate, fam.space(1)), identity_candidate(fam, 1))
+    assert np.array_equal(candidate_of(left_id, fam.space(1)), identity_candidate(fam, 1))
     tr = BilinearAuto("translate", ((1, 0), (0, 0)), 2)
-    candidate = candidate_of(tr, fam, 1)
-    for u in fam.basis(1):
+    candidate = candidate_of(tr, fam.space(1))
+    for u in fam.space(1).labels:
         assert image(fam, 1, candidate, u) == (u[0], u)  # the sign (-1)^u[0]
 
 
@@ -269,7 +270,7 @@ def test_bilinear_actions_are_automorphisms():
             ]
             for auto in autos:
                 for i in (1, 2):
-                    assert is_algebra_automorphism(candidate_of(auto, fam, i), fam, i)
+                    assert is_algebra_automorphism(candidate_of(auto, fam.space(i)), fam.space(i))
 
 
 def test_left_right_actions_commute():
@@ -280,7 +281,7 @@ def test_left_right_actions_commute():
         b = random_gl(rng, 2, 3)
         left = BilinearAuto("left", a, 3)
         right = BilinearAuto("right", b, 3)
-        lc, rc = candidate_of(left, fam, 1), candidate_of(right, fam, 1)
+        lc, rc = candidate_of(left, fam.space(1)), candidate_of(right, fam.space(1))
         assert np.array_equal(compose_candidates(rc, lc, 3), compose_candidates(lc, rc, 3))
 
 
@@ -304,31 +305,31 @@ def test_singular_matrices_rejected():
     with pytest.raises(ValueError):
         BilinearAuto("right", singular, 2)
     with pytest.raises(ValueError):  # built over F_3, applied over F_2
-        candidate_of(BilinearAuto("left", mat_identity(2), 3), fam, 1)
+        candidate_of(BilinearAuto("left", mat_identity(2), 3), fam.space(1))
     with pytest.raises(ValueError):  # a right action needs an e x e matrix
-        candidate_of(BilinearAuto("right", mat_identity(3), 2), fam, 1)
+        candidate_of(BilinearAuto("right", mat_identity(3), 2), fam.space(1))
     with pytest.raises(ValueError):
         conjugation_identity_check(fam, mat_identity(2), singular, mat_identity(2))
 
 
 def test_is_algebra_automorphism_rejects_non_bijection():
     fam = make_family("hamming", n=2, e=3)
-    candidate = np.zeros((len(fam.basis(1)), 2), dtype=int)  # every image is basis[0]
-    assert not is_algebra_automorphism(candidate, fam, 1)
+    candidate = np.zeros((len(fam.space(1).labels), 2), dtype=int)  # every image is basis[0]
+    assert not is_algebra_automorphism(candidate, fam.space(1))
     with pytest.raises(ValueError):
-        is_algebra_automorphism(candidate[:-1], fam, 1)
+        is_algebra_automorphism(candidate[:-1], fam.space(1))
     # every map carries the all-zero table of this space; only bijections pass
     half = make_family("halved_cube", n=6)
-    assert (half.product_table(3) == -1).all()
-    assert is_algebra_automorphism(identity_candidate(half, 3), half, 3)
-    assert not is_algebra_automorphism(np.zeros((10, 2), dtype=int), half, 3)
+    assert (half.space(3).table == -1).all()
+    assert is_algebra_automorphism(identity_candidate(half, 3), half.space(3))
+    assert not is_algebra_automorphism(np.zeros((10, 2), dtype=int), half.space(3))
 
 
 def test_is_algebra_automorphism_detects_bad_coefficient():
     fam = make_family("hamming", n=1, e=3)
     # chi_1 * chi_1 = chi_2 forces coeff(chi_2) = coeff(chi_1)^2 = w^2, not 1
-    assert not is_algebra_automorphism(np.array([[0, 1], [1, 0]]), fam, 1)
-    assert is_algebra_automorphism(np.array([[0, 1], [1, 2]]), fam, 1)
+    assert not is_algebra_automorphism(np.array([[0, 1], [1, 0]]), fam.space(1))
+    assert is_algebra_automorphism(np.array([[0, 1], [1, 2]]), fam.space(1))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +367,7 @@ def seeded_autos(fam, rng, count):
             image_of = signed_image(auto, fam)
         else:
             image_of = bilinear_image(auto, fam)
-        out.append((lambda i, auto=auto: candidate_of(auto, fam, i), image_of))
+        out.append((lambda i, auto=auto: candidate_of(auto, fam.space(i)), image_of))
     return out
 
 
@@ -388,7 +389,7 @@ def test_candidates_equal_per_label_formulas(fam):
 
 def preserves_products(candidate, fam, i):
     """Pair-by-pair reference of is_algebra_automorphism, from closed_product."""
-    labels = fam.basis(i)
+    labels = fam.space(i).labels
     pos, exp = candidate[:, 0].tolist(), candidate[:, 1].tolist()
     if sorted(pos) != list(range(len(labels))):
         return False
@@ -413,28 +414,28 @@ def preserves_products(candidate, fam, i):
                                     (make_family("bilinear", q=2, d=2, e=2), 1)],
                          ids=lambda v: v.describe() if hasattr(v, "describe") else str(v))
 def test_one_change_is_rejected(fam, i):
-    table = fam.product_table(i)
+    table = fam.space(i).table
     dim = len(table)
     for build, _ in seeded_autos(fam, random.Random(12), 3):
         valid = build(i)
-        assert is_algebra_automorphism(valid, fam, i) and preserves_products(valid, fam, i)
+        assert is_algebra_automorphism(valid, fam.space(i)) and preserves_products(valid, fam, i)
 
         off_basis = valid.copy()
         off_basis[dim // 2, 0] = -1
-        assert not is_algebra_automorphism(off_basis, fam, i)
+        assert not is_algebra_automorphism(off_basis, fam.space(i))
 
         # a factor u of some chi_u chi_v = chi_w with u not in {v, w}
         u = next(u for u, v in zip(*np.nonzero(table >= 0)) if table[u, v] not in (u, v))
         bumped = valid.copy()
         bumped[u, 1] = (bumped[u, 1] + 1) % fam.modulus
-        assert not is_algebra_automorphism(bumped, fam, i)
+        assert not is_algebra_automorphism(bumped, fam.space(i))
 
         # some swaps give another automorphism; the reference decides which
         rejected = 0
         for b in range(1, dim):
             swapped = valid.copy()
             swapped[[0, b], 0] = swapped[[b, 0], 0]
-            ok = is_algebra_automorphism(swapped, fam, i)
+            ok = is_algebra_automorphism(swapped, fam.space(i))
             assert ok == preserves_products(swapped, fam, i), b
             rejected += not ok
         assert rejected

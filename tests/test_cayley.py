@@ -266,7 +266,7 @@ def _bounded_checks():
         checks[kind] = (lambda g=g: verify_all_eigenvectors(g), bound)
     # the 462 x 462 int32 table alone is 0.81 MiB (1.23 MiB in all; 2.04 with
     # 1 MiB chunks and a dense index of 2^16 codes for 11-bit rows)
-    rows = make_family("hypercube", n=11).basis_array(5)
+    rows = make_family("hypercube", n=11).space(5).rows
     checks["sum_positions"] = (lambda: sum_positions(rows, 2) is not None, 1.4)
     return checks
 
@@ -511,9 +511,9 @@ def test_check_rejects_a_vertex_set_not_closed_under_a_non_generator():
 def test_sum_positions_independent_of_chunk_size(monkeypatch):
     for kind, opts, i in (("halved_cube", {"n": 6}, 3), ("hamming", {"n": 3, "e": 3}, 2)):
         fam = make_family(kind, **opts)
-        rows = fam.basis_array(i)
+        rows = fam.space(i).rows
         whole = sum_positions(rows, fam.modulus)
-        assert (whole == fam.product_table(i)).all()
+        assert (whole == fam.space(i).table).all()
         # three basis rows of sums per step, then the same by byte keys only,
         # on the XOR path of the halved cube and on the residue path of both
         for name, value in (("SUM_CHUNK_BYTES", 3 * rows.size), ("DENSE_CODE_BITS", 0)):
@@ -555,7 +555,7 @@ def test_halved_representatives_map_back_to_the_labels():
         want = [canonical_label(fam, np.flatnonzero(row) + 1) for row in rows]
         assert got == want, n
         for i in fam.eigenspaces():
-            _packed_and_residue_agree(fam.basis_array(i))
+            _packed_and_residue_agree(fam.space(i).rows)
         if n <= 8:  # the sums of every pair of representatives, not only of one space's
             _packed_and_residue_agree(np.unique(reps, axis=0))
 

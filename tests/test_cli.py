@@ -247,7 +247,8 @@ def test_oracle_verify_holds_no_table(capsys, monkeypatch):
                         functools.lru_cache(maxsize=None)(families._cached_family.__wrapped__))
     code, payload = run_json(capsys, "oracle-verify", "--family", "hypercube", "--n", "5")
     assert code == 0 and payload["all_ok"] and len(payload["spaces"]) == 6
-    assert make_family("hypercube", n=5)._tables == {}
+    spaces = make_family("hypercube", n=5)._spaces
+    assert len(spaces) == 6 and not any("table" in vars(space) for space in spaces.values())
 
 
 def test_oracle_verify_beyond_float_packing(capsys):
@@ -536,14 +537,14 @@ def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, para
     families._cached_family.cache_clear()  # so no held table gives the rows
     monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", budget)
     steps = []
-    real_rows = families.FamilySpec.product_rows
+    real_blocks = families.Space.blocks
 
-    def product_rows(fam, i):
-        for start, stop, block in real_rows(fam, i):
+    def blocks(space):
+        for start, stop, block in real_blocks(space):
             steps.append((start, stop))
             yield start, stop, block
 
-    monkeypatch.setattr(families.FamilySpec, "product_rows", product_rows)
+    monkeypatch.setattr(families.Space, "blocks", blocks)
     fam = make_family(kind, **params)
     dim = fam.predicted_dimension(i)
     oracle = ["--verify-oracle"] if dim == 1 else []

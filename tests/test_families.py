@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nortonalg import norton, trees
 from nortonalg.autos import (
     SignedPermutation,
     candidate as candidate_of,
@@ -16,6 +18,7 @@ from nortonalg.autos import (
 )
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import (
+    MAX_TABLE_ENTRIES,
     CubeFamily,
     HammingFamily,
     _cached_family,
@@ -60,13 +63,13 @@ def test_predicted_dimensions():
 
 def test_basis_orders_and_counts():
     fam = make_family("hamming", n=2, e=3)
-    assert fam.basis(1) == [(0, 1), (0, 2), (1, 0), (2, 0)]
-    assert fam.basis(2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert fam.space(1).labels == [(0, 1), (0, 2), (1, 0), (2, 0)]
+    assert fam.space(2).labels == [(1, 1), (1, 2), (2, 1), (2, 2)]
     half = make_family("halved_cube", n=4)
-    assert half.basis(2) == [(1, 2), (1, 3), (1, 4)]
+    assert half.space(2).labels == [(1, 2), (1, 3), (1, 4)]
     fhc = make_family("folded_half_cube", n=8)
-    assert all(2 in s or 1 in s for s in fhc.basis(2))
-    assert len(fhc.basis(2)) == 35
+    assert all(2 in s or 1 in s for s in fhc.space(2).labels)
+    assert len(fhc.space(2).labels) == 35
 
 
 def test_dimension_sums_match_vertex_count():
@@ -76,7 +79,7 @@ def test_dimension_sums_match_vertex_count():
     for fam in fams:
         assert sum(fam.predicted_dimension(i) for i in fam.eigenspaces()) == fam.vertex_count()
         for i in fam.eigenspaces():
-            assert len(fam.basis(i)) == fam.predicted_dimension(i)
+            assert len(fam.space(i).labels) == fam.predicted_dimension(i)
 
 
 def test_closed_product_hamming_example32():
@@ -136,7 +139,7 @@ def test_closed_product_commutative_random():
             make_family("bilinear", q=2, d=2, e=2)]
     for fam in fams:
         for i in fam.eigenspaces():
-            basis = fam.basis(i)
+            basis = fam.space(i).labels
             for _ in range(30):
                 a, b = rng.choice(basis), rng.choice(basis)
                 assert closed_product(fam, i, a, b) == closed_product(fam, i, b, a)
@@ -154,8 +157,8 @@ def test_hamming_support_locality():
     # products inside a fixed-support block stay in the block (or vanish)
     fam = make_family("hamming", n=3, e=4)
     for i in fam.eigenspaces():
-        for a in fam.basis(i):
-            for b in fam.basis(i):
+        for a in fam.space(i).labels:
+            for b in fam.space(i).labels:
                 if support(a) == support(b):
                     c = closed_product(fam, i, a, b)
                     assert c is None or support(c) == support(a)
@@ -168,7 +171,7 @@ def test_hypercube_zero_product_regimes():
         for i in fam.eigenspaces():
             all_zero = all(
                 closed_product(fam, i, a, b) is None
-                for a in fam.basis(i) for b in fam.basis(i))
+                for a in fam.space(i).labels for b in fam.space(i).labels)
             expected_zero = (i % 2 == 1) or (i > (2 * n) // 3)
             if i == 0:
                 assert not all_zero
@@ -184,12 +187,12 @@ def test_in_basis_matches_enumerated_basis():
             make_family("folded_cube", n=6), make_family("folded_half_cube", n=8),
             make_family("bilinear", q=3, d=2, e=2)]
     for fam in fams:
-        candidates = {lbl for i in fam.eigenspaces() for lbl in fam.basis(i)}
+        candidates = {lbl for i in fam.eigenspaces() for lbl in fam.space(i).labels}
         if fam.kind not in ("hamming", "bilinear"):
             cube = make_family("hypercube", n=fam.n)
-            candidates |= {lbl for i in cube.eigenspaces() for lbl in cube.basis(i)}
+            candidates |= {lbl for i in cube.eigenspaces() for lbl in cube.space(i).labels}
         for i in fam.eigenspaces():
-            basis = set(fam.basis(i))
+            basis = set(fam.space(i).labels)
             for lbl in candidates:
                 assert in_basis(fam, i, lbl) == (lbl in basis), (fam.describe(), i, lbl)
     cube = make_family("hypercube", n=4)
@@ -202,21 +205,53 @@ def test_closed_product_checks_labels_without_enumerating():
     fam = make_family("hamming", n=30, e=2)
     u = tuple([1] * 15 + [0] * 15)
     assert closed_product(fam, 15, u, u) is None
-    assert 15 not in fam._bases  # C(30, 15) labels were never built
+    assert "labels" not in vars(fam.space(15))  # C(30, 15) labels were never built
     with pytest.raises(ValueError):
         closed_product(fam, 15, u, tuple([1] * 14 + [0] * 16))
 
 
 def test_product_table_layout():
     fam = make_family("hamming", n=2, e=3)
-    table = fam.product_table(1)
+    table = fam.space(1).table
     assert table.dtype == np.int32
     assert table.tolist() == [[1, -1, -1, -1], [-1, 0, -1, -1],
                               [-1, -1, 3, -1], [-1, -1, -1, 2]]
-    assert fam.product_table(1) is table  # cached per family and space
+    assert fam.space(1).table is table  # kept by the space, which the family caches
     assert not table.flags.writeable
     with pytest.raises(ValueError):
-        fam.product_table(3)
+        fam.space(3).table
+
+
+def test_one_space_per_eigenspace():
+    # an eigenspace is one cached Space; the per-i accessors and caches of
+    # FamilySpec, norton's second algebra class and the trees' family
+    # arguments that it replaced stay gone
+    fam = HammingFamily(2, 3)
+    for name in ("basis", "basis_array", "product_table", "_table", "product_rows",
+                 "_check_table_size", "_bases", "_basis_rows", "_tables"):
+        assert not hasattr(fam, name), name
+    assert not hasattr(norton, "BasisAlgebra")
+    assert "FamilySpec" not in Path(trees.__file__).read_text()
+    assert fam.space(1) is fam.space(1) and fam.space(1) is not fam.space(2)
+    assert (fam.space(1).dim, fam.space(1).modulus, fam.space(1).name) == (4, 3, "hamming(2,3) V_1")
+
+
+def test_table_size_is_checked_before_the_basis(monkeypatch):
+    # hypercube(30) V_15 has C(30, 15) = 155117520 characters: its table is
+    # refused before _make_basis runs, whether it is read or streamed
+    fam = CubeFamily("hypercube", 30)
+
+    def no_basis(i):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(fam, "_make_basis", no_basis)
+    space = fam.space(15)
+    assert space.dim**2 > MAX_TABLE_ENTRIES
+    with pytest.raises(BudgetExceededError, match="product table of hypercube.30. V_15"):
+        space.table
+    with pytest.raises(BudgetExceededError):
+        space.blocks()
+    assert not {"rows", "labels", "table"} & set(vars(space))
 
 
 def test_symmetric_difference_feasible_examples():
@@ -271,7 +306,7 @@ def test_batched_ranks_equal_rank_fq(q, d, e):
     ranks = [rank_fq(as_matrix(x, e), q) for x in vertices]
     assert ranks_fq(mats, q).tolist() == ranks
     for i in fam.eigenspaces():
-        assert fam.basis(i) == [x for x, r in zip(vertices, ranks) if r == i]
+        assert fam.space(i).labels == [x for x, r in zip(vertices, ranks) if r == i]
     assert fam.connection().tolist() == [list(x) for x, r in zip(vertices, ranks) if r == 1]
     with pytest.raises(ValueError):
         ranks_fq(mats, 4)
@@ -414,11 +449,11 @@ def test_sets_are_arrays_equal_to_the_reference_enumeration(kind, opts):
         assert rows.tolist() == [list(x) for x in want]
     chars = fam.cayley_graph().characters
     assert chars.dtype == dtype
-    labels = [lbl for i in fam.eigenspaces() for lbl in fam.basis(i)]
+    labels = [lbl for i in fam.eigenspaces() for lbl in fam.space(i).labels]
     assert chars.tolist() == [reference_index(fam, lbl) for lbl in labels]
     for i in fam.eigenspaces():
-        rows = fam.basis_array(i)
-        assert rows is fam.basis_array(i) and rows.dtype == dtype and not rows.flags.writeable
+        rows = fam.space(i).rows
+        assert rows is fam.space(i).rows and rows.dtype == dtype and not rows.flags.writeable
 
 
 # every space of the array cases, then spaces of instances whose 3^30 and 2^30
@@ -434,9 +469,9 @@ def test_bases_equal_the_label_enumeration(kind, opts, spaces):
     fam = make_family(kind, **opts)
     for i in fam.eigenspaces() if spaces is None else spaces:
         labels = reference_basis(fam, i)
-        assert fam.basis_array(i).tolist() == [reference_index(fam, lbl) for lbl in labels], i
-        assert fam.basis(i) == labels, i
-        assert all(type(a) is int for lbl in fam.basis(i) for a in lbl), i
+        assert fam.space(i).rows.tolist() == [reference_index(fam, lbl) for lbl in labels], i
+        assert fam.space(i).labels == labels, i
+        assert all(type(a) is int for lbl in fam.space(i).labels for a in lbl), i
 
 
 def test_row_paths_render_no_labels():
@@ -444,15 +479,16 @@ def test_row_paths_render_no_labels():
     # associative spectrum read the basis rows only
     for fam, i in ((CubeFamily("hypercube", 6), 2), (HammingFamily(3, 3), 2)):
         fam.cayley_graph()
-        fam.product_table(i)
-        assert verify_oracle_space(fam, i)
+        space = fam.space(i)
+        space.table
+        assert verify_oracle_space(space)
         if fam.kind == "hamming":
-            candidate = candidate_of(identity_auto(fam.n, fam.e), fam, i)
+            candidate = candidate_of(identity_auto(fam.n, fam.e), space)
         else:
-            candidate = candidate_of(SignedPermutation((1, 0, 2, 3, 4, 5), (1,) * 6), fam, i)
-        assert is_algebra_automorphism(candidate, fam, i)
-        assert count_classes_exact(fam, i, 3).class_count >= 1
-        assert fam._bases == {}, fam.describe()
+            candidate = candidate_of(SignedPermutation((1, 0, 2, 3, 4, 5), (1,) * 6), space)
+        assert is_algebra_automorphism(candidate, space)
+        assert count_classes_exact(space, 3).class_count >= 1
+        assert not any("labels" in vars(s) for s in fam._spaces.values()), fam.describe()
 
 
 def test_label_text():

@@ -18,9 +18,9 @@ from nortonalg.errors import BudgetExceededError
 from nortonalg.families import HammingFamily, make_family
 from nortonalg.norton import (
     AlgebraVector,
-    BasisAlgebra,
     classified_idempotents,
     closed_form_product,
+    direct_sum,
     eta,
     eta_relations_check,
     find_identity,
@@ -65,13 +65,13 @@ def test_closed_form_matches_oracle_and_bilinearity():
     fam = make_family("hamming", n=2, e=3)
     v = _basis_vec(fam, 1, (0, 1))
     assert closed_form_product(2 * v, 3 * v) == 6 * _basis_vec(fam, 1, (0, 2))
-    assert closed_form_product(AlgebraVector.zero(fam, 1), v).is_zero()
+    assert closed_form_product(AlgebraVector.zero(fam.space(1)), v).is_zero()
 
 
 def test_products_random_bilinear_commutative():
     rng = random.Random(11)
     fam = make_family("hamming", n=2, e=4)
-    basis = fam.basis(1)
+    basis = fam.space(1).labels
 
     def rand_vec():
         return vector(fam, 1, {
@@ -100,15 +100,15 @@ def test_verify_oracle_space_small_instances():
             make_family("halved_cube", n=4), make_family("folded_cube", n=4),
             make_family("bilinear", q=2, d=2, e=2)]
     for fam in fams:
-        result = {i: verify_oracle_space(fam, i) for i in fam.eigenspaces()}
+        result = {i: verify_oracle_space(fam.space(i)) for i in fam.eigenspaces()}
         assert all(result.values()), fam.describe()
 
 
 def test_verify_oracle_matches_pairwise_oracle():
     fam = make_family("halved_cube", n=4)
     for i in fam.eigenspaces():
-        for a in fam.basis(i):
-            for b in fam.basis(i):
+        for a in fam.space(i).labels:
+            for b in fam.space(i).labels:
                 got = oracle_product(_basis_vec(fam, i, a), _basis_vec(fam, i, b))
                 want = closed_form_product(_basis_vec(fam, i, a), _basis_vec(fam, i, b))
                 assert got == want
@@ -117,12 +117,12 @@ def test_verify_oracle_matches_pairwise_oracle():
 def test_verify_oracle_budget():
     fam = make_family("hypercube", n=13)
     with pytest.raises(BudgetExceededError):
-        verify_oracle_space(fam, 1)
+        verify_oracle_space(fam.space(1))
 
 
 def test_verify_oracle_rejects_one_changed_entry():
-    fam = HammingFamily(2, 3)  # a private instance: its cached table is replaced
-    good = fam.product_table(2)
+    space = HammingFamily(2, 3).space(2)  # a private instance: its kept table is replaced
+    good = space.table
     (a, b), (c, d) = np.argwhere(good >= 0)[0], np.argwhere(good < 0)[0]
     changes = [((a, b), (good[a, b] + 1) % len(good)),  # position -> other position
                ((a, b), -1),                            # position -> zero
@@ -130,23 +130,23 @@ def test_verify_oracle_rejects_one_changed_entry():
     for (r, s), value in changes:
         table = good.copy()
         table[r, s] = value
-        fam._tables[2] = table
-        assert not verify_oracle_space(fam, 2), ((r, s), value)
-    fam._tables[2] = good
-    assert verify_oracle_space(fam, 2)
+        space.table = table
+        assert not verify_oracle_space(space), ((r, s), value)
+    space.table = good
+    assert verify_oracle_space(space)
 
 
 def test_verify_oracle_rejects_coinciding_basis_rows(monkeypatch):
     # on the one-vertex set {0} every character takes the value 1
     fam = HammingFamily(2, 3)
     monkeypatch.setattr(fam, "vertices", lambda budget=None: np.zeros((1, 2), np.uint8))
-    assert not verify_oracle_space(fam, 1)
+    assert not verify_oracle_space(fam.space(1))
     # on 12 vertices with last entry 0, chi_11 = chi_12 in V_2: value rows of 24 bits
     # are looked up by byte key, not by the dense code index
     rows = np.array([(a, 0) for a in range(3)] * 4, np.uint8)
     assert rows.shape[0] * 2 > cayley.DENSE_CODE_BITS
     monkeypatch.setattr(fam, "vertices", lambda budget=None: rows)
-    assert not verify_oracle_space(fam, 2)
+    assert not verify_oracle_space(fam.space(2))
 
 
 def test_oracle_works_in_a_bounded_set():
@@ -161,10 +161,10 @@ def test_oracle_works_in_a_bounded_set():
     # keys, peaked at 3.3 MiB
     fam = make_family("halved_cube", n=10)
     for i in fam.eigenspaces():
-        fam.product_table(i)  # the family's cached tables, built before the trace
+        fam.space(i).table  # the spaces' kept tables, built before the trace
     tracemalloc.start()
     try:
-        assert all(verify_oracle_space(fam, i) for i in fam.eigenspaces())
+        assert all(verify_oracle_space(fam.space(i)) for i in fam.eigenspaces())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -254,7 +254,7 @@ def test_eta_coordinate_product_matches_closed_form():
         etas = [eta(e, j).vector for j in range(1, e)]
 
         def chi(coords):
-            out = AlgebraVector.zero(etas[0].family, 1)
+            out = AlgebraVector.zero(etas[0].space)
             for c, vec in zip(coords, etas):
                 out = out + c * vec
             return out
@@ -321,7 +321,7 @@ def test_per_type_suite_equals_every_support_and_pair(e):
     assert [tuple(sorted(idem.support)) for idem in idems] == idempotent_supports(e)
     etas = {j: eta(e, j).vector for j in range(1, e)}
     assert nilpotents_order2_classified(e) == [
-        sum((etas[j] for j in support), AlgebraVector.zero(etas[1].family, 1))
+        sum((etas[j] for j in support), AlgebraVector.zero(etas[1].space))
         for support in nilpotent_supports(e)]
     assert primitivity_facts_check(e) is primitivity_on_every_pair(e) is True
 
@@ -358,50 +358,46 @@ def test_find_identity_only_at_i0():
 
 
 def test_verify_isomorphism_identity():
-    fam = make_family("hamming", n=2, e=3)
-    alg = BasisAlgebra.from_eigenspace(fam, 1)
-    assert verify_isomorphism({lbl: lbl for lbl in alg.labels}, alg, alg)
+    table = make_family("hamming", n=2, e=3).space(1).table
+    assert verify_isomorphism(np.arange(len(table)), table, table)
 
 
 def test_verify_isomorphism_folded_to_hypercube():
-    dom = BasisAlgebra.from_eigenspace(make_family("folded_cube", n=4), 1)
-    cod = BasisAlgebra.from_eigenspace(make_family("hypercube", n=4), 2)
-    assert verify_isomorphism({lbl: lbl for lbl in dom.labels}, dom, cod)
+    dom = make_family("folded_cube", n=4).space(1)
+    cod = make_family("hypercube", n=4).space(2)
+    assert dom.labels == cod.labels
+    assert verify_isomorphism(np.arange(dom.dim), dom.table, cod.table)
 
 
 def test_verify_isomorphism_pairing_decomposition():
-    # V_2(H(2,3)) splits into the spans of {chi_11, chi_22} and {chi_12, chi_21}600
-    dom = BasisAlgebra.from_eigenspace(make_family("hamming", n=2, e=3), 2)
-    line = BasisAlgebra.from_eigenspace(make_family("hamming", n=1, e=3), 1)
-    cod = BasisAlgebra.direct_product([line, line])
-    mapping = {(1, 1): (0, (1,)), (2, 2): (0, (2,)),
-               (1, 2): (1, (1,)), (2, 1): (1, (2,))}
-    assert verify_isomorphism(mapping, dom, cod)
+    # V_2(H(2,3)) splits into the spans of {chi_11, chi_22} and {chi_12, chi_21}
+    dom = make_family("hamming", n=2, e=3).space(2)
+    line = make_family("hamming", n=1, e=3).space(1).table
+    assert dom.labels == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    # chi_11, chi_12, chi_21, chi_22 -> (0, chi_1), (1, chi_1), (1, chi_2), (0, chi_2)
+    assert verify_isomorphism([0, 2, 3, 1], dom.table, direct_sum([line, line]))
 
 
 def test_direct_product_table_is_block_diagonal():
-    line = BasisAlgebra.from_eigenspace(make_family("hamming", n=1, e=3), 1)
-    assert line.table.tolist() == [[1, -1], [-1, 0]]
-    both = BasisAlgebra.direct_product([line, line])
-    assert both.labels == [(0, (1,)), (0, (2,)), (1, (1,)), (1, (2,))]
-    assert both.table.tolist() == [[1, -1, -1, -1], [-1, 0, -1, -1],
-                                   [-1, -1, 3, -1], [-1, -1, -1, 2]]
+    line = make_family("hamming", n=1, e=3).space(1).table
+    assert line.tolist() == [[1, -1], [-1, 0]]
+    assert direct_sum([line, line]).tolist() == [[1, -1, -1, -1], [-1, 0, -1, -1],
+                                                 [-1, -1, 3, -1], [-1, -1, -1, 2]]
 
 
 def test_verify_isomorphism_rejects_non_bijection():
-    fam = make_family("hamming", n=2, e=3)
-    alg = BasisAlgebra.from_eigenspace(fam, 1)
-    bad = {lbl: alg.labels[0] for lbl in alg.labels}
+    table = make_family("hamming", n=2, e=3).space(1).table
     with pytest.raises(ValueError):
-        verify_isomorphism(bad, alg, alg)
+        verify_isomorphism(np.zeros(len(table), dtype=int), table, table)
+    with pytest.raises(ValueError):  # too short, though injective
+        verify_isomorphism(np.arange(len(table) - 1), table, table)
 
 
 def test_verify_isomorphism_detects_broken_map():
     # swapping chi_01 with chi_10 breaks the squares of V_1(H(2,3))
-    fam = make_family("hamming", n=2, e=3)
-    alg = BasisAlgebra.from_eigenspace(fam, 1)
-    mapping = {(0, 1): (1, 0), (1, 0): (0, 1), (0, 2): (0, 2), (2, 0): (2, 0)}
-    assert not verify_isomorphism(mapping, alg, alg)
+    space = make_family("hamming", n=2, e=3).space(1)
+    assert space.labels == [(0, 1), (0, 2), (1, 0), (2, 0)]
+    assert not verify_isomorphism([2, 1, 0, 3], space.table, space.table)
 
 
 def _eta_permutation_images(e: int, perm: tuple[int, ...]) -> dict:
@@ -410,7 +406,7 @@ def _eta_permutation_images(e: int, perm: tuple[int, ...]) -> dict:
     eta_vecs = [eta(e, j).vector for j in range(e)]
     images = {}
     for k in range(1, e):
-        out = AlgebraVector.zero(fam, 1)
+        out = AlgebraVector.zero(fam.space(1))
         for j in range(e):
             out = out + root_power(e, (-j * k) % e) * eta_vecs[perm[j]]
         images[(k,)] = Fraction(e - 2, e) * out
@@ -438,7 +434,7 @@ def test_v2_q3_idempotents_by_brute_force():
     # vector with all coefficients +-1 squares to twice itself; the nonzero
     # idempotents carry +-1/2 coefficients with an even number of minus signs.
     fam = make_family("hypercube", n=3)
-    basis = fam.basis(2)
+    basis = fam.space(2).labels
     half = Fraction(1, 2)
     grid = (Fraction(-1), -half, Fraction(0), half, Fraction(1))
     found = []
@@ -473,7 +469,7 @@ ARRAY_SPACES = ([(make_family("hamming", n=1, e=e), 1) for e in range(2, 6)]
 def _random_label_vector(rng, fam, i, bits):
     """A LabelVector on a random part of the V_i basis with random rational
     power-basis coefficients of up to bits-bit numerators."""
-    basis = fam.basis(i)
+    basis = fam.space(i).labels
     deg = len(Cyclotomic.zero(fam.modulus).coeffs)
     coeffs = {}
     for label in rng.sample(basis, rng.randint(1, len(basis))):
@@ -518,9 +514,16 @@ def test_equal_vectors_have_equal_arrays():
     chi = basis_vector(fam, 1, (1,))
     half = Fraction(1, 2) * chi
     assert 2 * (half + half) == chi + chi and hash(2 * (half + half)) == hash(chi + chi)
-    assert (half - half).is_zero() and (half - half) == AlgebraVector.zero(fam, 1)
+    assert (half - half).is_zero() and (half - half) == AlgebraVector.zero(fam.space(1))
     assert (half - half).den == 1 and half.den == 2
-    assert Fraction(-3, 4) * chi == AlgebraVector(fam, 1, -3 * chi.num, 4)
+    assert Fraction(-3, 4) * chi == AlgebraVector(fam.space(1), -3 * chi.num, 4)
+    # a vector is of the space with its family's key and i, whichever instance
+    twin = AlgebraVector(HammingFamily(1, 5).space(1), chi.num)
+    assert twin == chi and hash(twin) == hash(chi)
+    other = AlgebraVector.unit(make_family("hamming", n=1, e=4).space(1), 0)
+    assert twin != other
+    with pytest.raises(ValueError, match=r"hamming\(1,5\) V_1 vs hamming\(1,4\) V_1"):
+        chi + other
     assert not half.num.flags.writeable
     with pytest.raises(ValueError):
         root_power(7, 1) * chi

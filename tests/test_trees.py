@@ -78,7 +78,7 @@ def _run_postfix(prog: list[int], tup: tuple[int, ...], table: list[list[int]]) 
 
 def reference_partition(fam, i, m):
     """Trees grouped by their values on every basis tuple."""
-    table = fam.product_table(i).tolist()
+    table = fam.space(i).table.tolist()
     tuples = list(product(range(len(table)), repeat=m + 1))
     groups = {}
     for idx, t in enumerate(enumerate_trees(m)):
@@ -89,7 +89,7 @@ def reference_partition(fam, i, m):
 
 def reference_witness(fam, i, m, seed, attempts):
     """(class_count, mode, budget_used) of the tuple-at-a-time witness loop."""
-    table = fam.product_table(i).tolist()
+    table = fam.space(i).table.tolist()
     progs = [_postfix(t) for t in enumerate_trees(m)]
     rng = random.Random(seed)
     classes = [list(range(len(progs)))]
@@ -196,24 +196,24 @@ def test_count_classes_exact_examples():
     # associative at e = 2: V_1(H(1,2)) has the zero product
     fam2 = make_family("hamming", n=1, e=2)
     for m in range(1, 7):
-        assert count_classes_exact(fam2, 1, m).class_count == 1
+        assert count_classes_exact(fam2.space(1), m).class_count == 1
     # double-minus-like at e = 3
     fam3 = make_family("hamming", n=1, e=3)
-    assert count_classes_exact(fam3, 1, 4).class_count == 10
+    assert count_classes_exact(fam3.space(1), 4).class_count == 10
     # totally nonassociative on V_2(Q_3) at m = 3
     cube = make_family("hypercube", n=3)
-    assert count_classes_exact(cube, 2, 3).class_count == 5
+    assert count_classes_exact(cube.space(2), 3).class_count == 5
 
 
 def test_exact_budget_error_mentions_witness():
     fam = make_family("hamming", n=3, e=3)
     with pytest.raises(BudgetExceededError, match="witness"):
-        count_classes_exact(fam, 2, 6)
+        count_classes_exact(fam.space(2), 6)
 
 
 def test_count_classes_witness_seeded_example():
     fam = make_family("hamming", n=3, e=3)
-    report = count_classes_witness(fam, 2, 5, seed=42)
+    report = count_classes_witness(fam.space(2), 5, seed=42)
     assert report.class_count == catalan(5) == 42
     assert report.mode == "exact"
     assert report.seed == 42
@@ -221,14 +221,14 @@ def test_count_classes_witness_seeded_example():
 
 def test_count_classes_witness_e4():
     fam = make_family("hamming", n=1, e=4)
-    report = count_classes_witness(fam, 1, 4, seed=0)
+    report = count_classes_witness(fam.space(1), 4, seed=0)
     assert report.class_count == catalan(4) == 14
     assert report.mode == "exact"
 
 
 def test_witness_zero_product_reports_one_class():
     fam = make_family("hypercube", n=4)
-    report = count_classes_witness(fam, 3, 4, seed=0, attempts=50)
+    report = count_classes_witness(fam.space(3), 4, seed=0, attempts=50)
     assert report.class_count == 1
     assert report.mode == "witness-lower-bound"
     assert report.budget_used == 50
@@ -239,8 +239,8 @@ def test_witness_never_exceeds_exact():
                    (make_family("hamming", n=1, e=4), 1),
                    (make_family("hypercube", n=3), 2)):
         for m in range(1, 6):
-            exact = count_classes_exact(fam, i, m).class_count
-            report = count_classes_witness(fam, i, m, seed=3)
+            exact = count_classes_exact(fam.space(i), m).class_count
+            report = count_classes_witness(fam.space(i), m, seed=3)
             assert report.class_count <= exact
             if report.mode == "exact":
                 assert report.class_count == exact
@@ -248,31 +248,31 @@ def test_witness_never_exceeds_exact():
 
 def test_witness_determinism():
     fam = make_family("hamming", n=2, e=4)
-    a = count_classes_witness(fam, 1, 4, seed=9)
-    b = count_classes_witness(fam, 1, 4, seed=9)
+    a = count_classes_witness(fam.space(1), 4, seed=9)
+    b = count_classes_witness(fam.space(1), 4, seed=9)
     assert a == b
 
 
 def test_ominus_equivalence():
     fam3 = make_family("hamming", n=1, e=3)
     for m in range(1, 7):
-        assert ominus_equivalence_check(fam3, 1, m)
+        assert ominus_equivalence_check(fam3.space(1), m)
     # at e = 4 the partitions are both discrete at m = 3, then split at m = 4
     fam4 = make_family("hamming", n=1, e=4)
-    assert ominus_equivalence_check(fam4, 1, 3)
-    assert not ominus_equivalence_check(fam4, 1, 4)
+    assert ominus_equivalence_check(fam4.space(1), 3)
+    assert not ominus_equivalence_check(fam4.space(1), 4)
 
 
 def test_two_word_interval_sets():
     # m = 11 has 66 intervals, over one uint64 word; V_1(H(1,3)) is double minus
     fam3 = make_family("hamming", n=1, e=3)
-    assert exact_partition(fam3, 1, 11, budget=10**9) == ominus_partition(11)
+    assert exact_partition(fam3.space(1), 11, budget=10**9) == ominus_partition(11)
 
 
 def test_partitions_are_tree_partitions():
     fam = make_family("hamming", n=1, e=3)
     for m in (2, 4):
-        parts = exact_partition(fam, 1, m)
+        parts = exact_partition(fam.space(1), m)
         flat = sorted(i for part in parts for i in part)
         assert flat == list(range(catalan(m)))
         oparts = ominus_partition(m)
@@ -311,7 +311,7 @@ def test_exact_partition_matches_the_postfix_reference():
         for m in range(1, 5):
             if dim ** (m + 1) * catalan(m) > 30_000:
                 break
-            assert exact_partition(fam, i, m) == reference_partition(fam, i, m), (
+            assert exact_partition(fam.space(i), m) == reference_partition(fam, i, m), (
                 fam.describe(), i, m)
             checked += 1
     assert checked > 300
@@ -321,7 +321,7 @@ def test_witness_matches_the_postfix_reference():
     for fam, i in _criterion1_spaces():
         for m in range(1, 5):
             for seed in (0, 1, 5):
-                report = count_classes_witness(fam, i, m, seed=seed, attempts=200)
+                report = count_classes_witness(fam.space(i), m, seed=seed, attempts=200)
                 assert ((report.class_count, report.mode, report.budget_used)
                         == reference_witness(fam, i, m, seed, 200)), (fam.describe(), i, m, seed)
 
@@ -330,10 +330,10 @@ def test_small_chunks_give_the_same_classes(monkeypatch):
     # slices of the tuple grid, tree blocks and witness chunks of a few rows
     cases = [(make_family("hamming", n=2, e=3), 2, 4), (make_family("hypercube", n=4), 2, 3),
              (make_family("hamming", n=1, e=4), 1, 5)]
-    before = [(exact_partition(fam, i, m), count_classes_witness(fam, i, m + 1, seed=2))
+    before = [(exact_partition(fam.space(i), m), count_classes_witness(fam.space(i), m + 1, seed=2))
               for fam, i, m in cases]
     monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 64)
-    after = [(exact_partition(fam, i, m), count_classes_witness(fam, i, m + 1, seed=2))
+    after = [(exact_partition(fam.space(i), m), count_classes_witness(fam.space(i), m + 1, seed=2))
              for fam, i, m in cases]
     assert after == before
 
@@ -342,22 +342,23 @@ def test_counters_reject_a_table_not_determined_by_sums(monkeypatch):
     # V_1(H(1,3)): chi_1 * chi_2 = 0; calling it chi_1 makes
     # (chi_1 chi_1) chi_2 = chi_2 * chi_2 = chi_1 but chi_1 (chi_1 chi_2) = chi_2
     fam = make_family("hamming", n=1, e=3)
-    doctored = fam.product_table(1).copy()
+    space = fam.space(1)
+    doctored = space.table.copy()
     assert doctored.tolist() == [[1, -1], [-1, 0]]
     doctored[0, 1] = 0
-    monkeypatch.setattr(fam, "product_table", lambda i: doctored)
+    monkeypatch.setattr(space, "table", doctored)
     assert len(reference_partition(fam, 1, 2)) == 2  # the tuple loop sees no fault
     with pytest.raises(AssertionError, match="not determined by the sum"):
-        exact_partition(fam, 1, 2)
+        exact_partition(space, 2)
     with pytest.raises(AssertionError, match="not determined by the sum"):
-        count_classes_witness(fam, 1, 2, seed=0)
+        count_classes_witness(space, 2, seed=0)
     # blocks of 2 tuples fix the first two inputs and the grids are held up
     # to length 2, so [0, 3), the only interval with two splits, is joined
     # per block from the block's prefix
     monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 24)
     assert trees._grid_layout(2, 2, 1)[:3] == (2, 1, 2)
     with pytest.raises(AssertionError, match="not determined by the sum"):
-        exact_partition(fam, 1, 2)
+        exact_partition(space, 2)
 
 
 def test_grid_patterns_equal_the_index_reference(monkeypatch):
@@ -377,7 +378,7 @@ def test_grid_patterns_equal_the_index_reference(monkeypatch):
     for fam, i, m, budget in cases:
         if budget:
             monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", budget)
-        table = trees._live_table(fam.product_table(i))
+        table = trees._live_table(fam.space(i).table)
         dim = len(table) - 1
         fixed, group = trees._grid_layout(dim, m, table.itemsize)[:2]
         layouts.add((fixed, bool(fixed) and dim % group != 0))
@@ -402,10 +403,10 @@ def test_exact_counters_work_in_a_bounded_set():
     # it.  At m = 11 the tree masks and their memo, outside the budget, take
     # 2.7 of the 2.72 MiB; the 1.68 M tuples of m = 7 take 0.40 MiB
     mib = 1 << 20
-    peak = _traced_peak(lambda: count_classes_exact(make_family("hamming", n=1, e=3), 1, 11,
+    peak = _traced_peak(lambda: count_classes_exact(make_family("hamming", n=1, e=3).space(1), 11,
                                                     budget=10**9))
     assert peak < 3 * mib, peak
-    peak = _traced_peak(lambda: exact_partition(make_family("hypercube", n=4), 2, 7,
+    peak = _traced_peak(lambda: exact_partition(make_family("hypercube", n=4).space(2), 7,
                                                 budget=10**9))
     assert peak < 0.5 * mib, peak
 
