@@ -1,5 +1,5 @@
-"""Cayley graphs of finite abelian groups: character eigenvalues, spectra,
-exact adjacency verification of the character eigenbasis, and the row-sum
+"""Cayley graphs of finite abelian groups: spectra from linear characters,
+their certificate by a coset walk of the vertex group, and the row-sum
 lookup that builds product tables and the projection oracle.
 
 The row-sum lookup is one loop that yields its rows in blocks
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SUM_CHUNK_BYTES = 2**18  # a step's working set: tables, spectra, eigenvector, automorphism, trees
+SUM_CHUNK_BYTES = 2**18  # a step's working set: tables, spectra, automorphism, trees
 DENSE_CODE_BITS = 22  # row_finder indexes up to 2^22 codes densely, 16 MB of int32
 
 
@@ -48,6 +48,9 @@ class CayleyGraph:
         e, conn = self.modulus, self.connection
         if len({rows.shape[1] for rows in (self.vertices, conn, self.characters)}) != 1:
             raise ValueError("vertex, connection and character rows differ in width")
+        if any(rows.size and (rows.min() < 0 or rows.max() >= e)
+               for rows in (self.vertices, conn, self.characters)):
+            raise ValueError(f"row entries must be in 0..{e - 1}")
         if not conn.any(axis=1).all():
             raise ValueError("connection set contains the identity")
         find = row_finder(conn, e)  # raises on a repeated connection element
@@ -109,10 +112,9 @@ def _integer_root_sums(hists: np.ndarray, e: int) -> np.ndarray | None:
     return None if forms[:, 1:].any() else forms[:, 0]
 
 
-def _chunks(count: int, row_bytes: int, budget: int | None = None):
-    """(start, stop) steps over count rows, budget // row_bytes rows each (and
-    at least one); budget is SUM_CHUNK_BYTES unless given."""
-    step = max(1, (SUM_CHUNK_BYTES if budget is None else budget) // max(1, row_bytes))
+def _chunks(count: int, row_bytes: int):
+    """(start, stop) steps over count rows, SUM_CHUNK_BYTES // row_bytes (at least 1) each."""
+    step = max(1, SUM_CHUNK_BYTES // max(1, row_bytes))
     for start in range(0, count, step):
         yield start, min(start + step, count)
 
@@ -159,8 +161,8 @@ def row_finder(rows: np.ndarray, modulus: int):
 
     keys = codes(rows)
     index = np.full(int(keys.max(initial=-1)) + 2, -1, dtype=np.int32)  # -1 last
-    index[keys] = np.arange(count, dtype=np.int32)
-    if (index[keys] != np.arange(count)).any():
+    index[keys] = at = np.arange(count, dtype=np.int32)
+    if (index[keys] != at).any():
         raise RepeatedRowError("row_finder needs distinct rows")
     return lambda queries: index.take(codes(queries), mode="clip")
 
@@ -332,76 +334,55 @@ def _exponent_histograms(exps: np.ndarray, e: int) -> np.ndarray:
     return np.bincount(keys.ravel(), minlength=len(exps) * e).reshape(-1, e)
 
 
-def _generating_columns(graph: CayleyGraph, find, at_s, origin) -> list[np.ndarray]:
-    """The columns find(X + s_j), find the row_finder of the vertices X, of
-    connection elements s_j that generate <S> (at_s = find(S)): s_j joins
-    when it lies outside the subgroup H of the earlier ones, and H takes in
-    the cosets H - k s_j until k s_j is in H.  X + s_j inside X for each gives
-    X + <S> inside X, so a set not closed under S raises ValueError."""
-    wide = graph.vertices.astype(np.min_scalar_type(2 * graph.modulus - 2))
-    inside = np.arange(len(wide)) == origin
-    columns = []
-    for s, at in zip(graph.connection.astype(wide.dtype), at_s):
-        if at >= 0 and inside[at]:
-            continue
-        col = find(_reduced_sum(wide, s, graph.modulus))
+def _generators(graph: CayleyGraph) -> list[int]:
+    """Positions among the vertices X of generators of X, by a coset walk:
+    the first vertex x not yet generated joins, and the subgroup H of the
+    earlier ones takes in the cosets H - k x until k x is in H, read from one
+    column, the positions of X + x.  That X + x lies in X for each generator
+    makes X a group, else ValueError.  A chunk of X + x holds per vertex its
+    sum and wrap, an int32 code, take's intp copy and the int32 position."""
+    e = graph.modulus
+    verts = graph.vertices.astype(np.min_scalar_type(2 * e - 2), copy=False)
+    find = row_finder(graph.vertices, e)
+    origin = int(np.flatnonzero(~verts.any(axis=1))[0])
+    inside = np.arange(len(verts)) == origin
+    col = np.empty(len(verts), dtype=np.int32)
+    gens = []
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        for lo, hi in _chunks(len(verts), 2 * verts[0].nbytes + 16):
+            col[lo:hi] = find(_reduced_sum(verts[lo:hi], verts[gens[-1]], e))
         if (col < 0).any():
-            raise ValueError("the vertex set is not closed under adding a connection element")
-        columns.append(col)
-        coset = inside[col]  # x is in H - s_j where x + s_j is in H
+            raise ValueError("the vertex set is not a group: it is not closed under addition")
+        coset = inside[col]  # x is in H - x_g where x + x_g is in H
         while not coset[origin]:
             inside |= coset
             coset = coset[col]
-    return columns
+    return gens
 
 
 def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
-    """Adjacency verification of every character (exact integer arithmetic).
+    """Whether the characters are an eigenbasis with rational integer
+    eigenvalues, certified from the group structure in exact integers.
 
-    Each character's exponent row f = E[u] over X is checked against the
-    edge identity f(x+g) = f(x) + f(g) (mod e) at every vertex x, for g in a
-    generating set G of <S> (_generating_columns), not all of S.  That
-    certifies it for every s in S: x = 0 gives f(0) = 0, and if it holds for
-    g and h at every x then f(x+g+h) = f(x+g) + f(h) = f(x) + f(g) + f(h)
-    and f(g+h) = f(g) + f(h), so it holds on all of <G>, which holds S.
-    Then (A chi_u)(x) = chi_u(x) * theta_u with theta_u = sum over s in S of
-    w^E[u, s], which must reduce to a rational integer.  A row that breaks
-    the identity somewhere is not the character u, and the check fails.
-
-    What a chunk of characters holds at once fits in SUM_CHUNK_BYTES, unless
-    one character's exponents over X take more than half.  Half holds the
-    exponents, vertex-major so that x -> x + g gathers whole rows; the rest
-    holds in turn character_exponents on vertex blocks, the theta histogram
-    (gathered rows, int64 keys and counts), and the check's image and wrap
-    on vertex blocks, where the differences f(x+g) - f(x) must equal f(g)."""
-    e, verts, chars = graph.modulus, graph.vertices, graph.characters
-    find = row_finder(verts, e)
-    at_s = find(graph.connection)
-    origin = np.flatnonzero(~verts.any(axis=1))[0]  # the identity vertex
-    gens = _generating_columns(graph, find, at_s, origin)
-    wide = np.min_scalar_type(2 * e - 2)  # so it holds E[u, x] - E[u, y] + e too
-    acc = _dot_dtype(chars, verts, e).itemsize
-    theta_bytes = graph.degree * (wide.itemsize + 8) + 16 * e  # per character
-    for start, stop in _chunks(len(chars), 2 * max(len(verts) * wide.itemsize, theta_bytes)):
-        width = stop - start
-        exps = np.empty((len(verts), width), dtype=wide)
-        spare = max(SUM_CHUNK_BYTES - exps.nbytes, SUM_CHUNK_BYTES // 2)  # half, if exps is more
-        block_row = verts.shape[1] * acc + width * (2 * acc + wide.itemsize)
-        for lo, hi in _chunks(len(verts), block_row, spare):
-            exps[lo:hi] = character_exponents(chars[start:stop], verts[lo:hi], e).T
-        if _integer_root_sums(_exponent_histograms(exps[at_s].T, e), e) is None:
-            return False  # some theta_u is not a rational integer
-        blocks = list(_chunks(len(verts), 2 * width * wide.itemsize, spare))
-        image, wrap = np.empty((2, blocks[0][1], width), dtype=wide)
-        for lo, hi in blocks:
-            diff, held = image[:hi - lo], wrap[:hi - lo]
-            for col in gens:
-                np.take(exps, col[lo:hi], axis=0, out=diff)
-                np.subtract(diff, exps[lo:hi], out=diff)  # wraps above where negative
-                np.minimum(diff, np.add(diff, e, out=held), out=diff)  # mod e
-                # nonzero where a row differs from f(g) or from the next row
-                if (diff[0] != exps[col[origin]]).any() or \
-                        np.subtract(diff[1:], diff[:-1], out=held[1:]).any():
-                    return False
-        del image, wrap, diff, held  # before the next chunk's exponents
+    X is a group that holds S (_generators), so the character w^(u.x) of an
+    integer row u is an eigenvector with eigenvalue theta_u = chi_u(S).  It is
+    fixed by its values at generators: |X| characters distinct there are the
+    whole dual group, an orthogonal eigenbasis.  Each theta_u must be a
+    rational integer (spectrum).  A chunk of characters holds per character
+    its row widened to uint64 words and character_exponents' sums, quotients
+    and residues at the generators, within SUM_CHUNK_BYTES."""
+    e, chars = graph.modulus, graph.characters
+    gens = graph.vertices[_generators(graph)]
+    acc = _dot_dtype(chars, gens, e).itemsize
+    exps = np.empty((len(chars), len(gens)), dtype=np.min_scalar_type(e - 1))
+    row_bytes = 8 * chars.shape[1] + (2 * acc + exps.itemsize) * (len(gens) + 8)  # whole words
+    for start, stop in _chunks(len(chars), row_bytes):
+        exps[start:stop] = character_exponents(chars[start:stop], gens, e)
+    try:
+        row_finder(exps, e)  # RepeatedRowError: two characters agree on all of X
+        del exps  # before spectrum's chunks
+        spectrum(graph)  # ValueError: some theta_u is no rational integer
+    except ValueError:
+        return False
     return True

@@ -460,7 +460,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = add("spectrum", True, every_format,
                 help="eigenvalues and multiplicities vs the closed formulas")
         p.add_argument("--verify", action="store_true",
-                       help="also verify every character by adjacency application")
+                       help="also certify the characters as an eigenbasis")
         p.set_defaults(func=cmd_spectrum)
 
     if wanted("table"):

@@ -164,11 +164,13 @@ def _neighbor_index(graph, verts: np.ndarray) -> np.ndarray:
 
 
 def verify_at_every_connection_element(graph) -> bool:
-    """verify_all_eigenvectors with the edge identity checked at every
-    connection element s, not only along a generating set: |S| steps per
-    chunk of characters, where the package takes rank-many.  It reads the
-    exponent rows through cayley.character_exponents, so a row patched there
-    is seen by both checks."""
+    """The reference of verify_all_eigenvectors: each character's exponent
+    row f over X checked against the edge identity f(x+s) = f(x) + f(s) at
+    every vertex x and connection element s, |X|^2 |S| steps, with theta_u
+    a rational integer.  It reads the exponent rows through
+    cayley.character_exponents, so a row patched there is seen by it; the
+    package's certificate reads that function only at the generators of X
+    and at S."""
     e = graph.modulus
     verts, chars = graph.vertices, graph.characters
     nbr = _neighbor_index(graph, verts)

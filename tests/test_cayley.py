@@ -130,6 +130,27 @@ def test_connection_invariants():
         CayleyGraph(4, _rows((0,), (2,)), _rows((1,), (3,)))
     with pytest.raises(ValueError, match="identity"):
         CayleyGraph(4, _rows((1,), (2,), (3,)), _rows((2,)))
+    # entries outside 0..e-1 in any of the three sets: character_exponents
+    # sizes its lanes for entries below e, so the row 255 read the exponents
+    # (0, 0, 2) on Z_3, and the rows 3 and 4 repeated the characters 0 and 1
+    z3, s3 = _rows((0,), (1,), (2,)), _rows((1,), (2,))
+    for verts, conn, chars in ((z3, s3, _rows((0,), (1,), (255,))),
+                               (z3, s3, _rows((0,), (3,), (4,))),
+                               (_rows((0,), (1,), (5,)), s3, None),
+                               (z3, _rows((1,), (2,), (4,)), None)):
+        with pytest.raises(ValueError, match="must be in 0..2"):
+            CayleyGraph(3, verts, conn, chars)
+    # rows of 12 entries at e = 3 take 24 code bits, past row_finder's dense
+    # codes, whose byte keys check no range
+    ones = np.ones((1, 12), dtype=np.uint8)
+    wide = np.concatenate([0 * ones, ones, 2 * ones])
+    assert 12 * 2 > cayley.DENSE_CODE_BITS
+    # on X = <(1, ..., 1)> the rows k e_1 index its three characters
+    assert verify_all_eigenvectors(CayleyGraph(3, wide, wide[1:], wide * (np.arange(12) == 0)))
+    for verts, conn in ((np.concatenate([wide, 7 * ones]), wide[1:]),
+                        (wide, np.concatenate([wide[1:], 7 * ones]))):
+        with pytest.raises(ValueError, match="must be in 0..2"):
+            CayleyGraph(3, verts, conn, verts)
 
 
 def test_integer_eigenvalue_downcast_rejects_nonintegral():
@@ -137,15 +158,15 @@ def test_integer_eigenvalue_downcast_rejects_nonintegral():
     # chi_1(S) = w + w^4 is a real algebraic number but not rational at e = 5
     with pytest.raises(ValueError):
         integer_eigenvalue(g, (1,))
-    # the batched check reads chi_1(S) at the identity and finds it is no integer
+    # the certificate reads theta_u through spectrum, which finds it is no integer
     assert not verify_all_eigenvectors(g)
 
 
 def test_spectrum_verify_evaluates_each_character_once(monkeypatch):
     # spectrum reads each distinct neighbour-count histogram of a chunk of
     # characters once, so never more rows than there are characters; the
-    # verification reads theta_u once per character; both through the one
-    # integer helper
+    # certificate reads theta_u through spectrum, so it reduces the same
+    # histograms and no others
     calls = []
     real = cayley._integer_root_sums
     monkeypatch.setattr(cayley, "_integer_root_sums",
@@ -154,9 +175,10 @@ def test_spectrum_verify_evaluates_each_character_once(monkeypatch):
     spectrum(g)
     assert all(len({tuple(row) for row in hists}) == len(hists) for hists in calls)
     assert 0 < sum(len(hists) for hists in calls) <= len(g.characters)
+    want = list(calls)
     calls.clear()
     assert verify_all_eigenvectors(g)
-    assert sum(len(hists) for hists in calls) == len(g.characters)
+    assert calls == want
 
 
 def test_spectrum_reduces_each_distinct_histogram_once(monkeypatch):
@@ -214,7 +236,8 @@ def _forge_character_row(monkeypatch, u, forged):
 def test_edge_identity_failure_is_rejected(monkeypatch):
     g = make_family("hamming", n=1, e=4).cayley_graph()
     # (1, 1, -1, -1) is an eigenvector of K_4 (theta = 0) but no character:
-    # the edge identity fails at x = s = 1, so it does not certify chi_(1,)
+    # the edge identity fails at x = s = 1; the certificate reads the row at
+    # the one generator 1 only, where it repeats the trivial character's 0
     _forge_character_row(monkeypatch, (1,), (0, 0, 2, 2))
     assert not verify_all_eigenvectors(g)
     # (1, 1, 1, -1) is no eigenvector
@@ -225,11 +248,13 @@ def test_edge_identity_failure_is_rejected(monkeypatch):
 def test_edge_identity_checked_at_every_connection_element(monkeypatch):
     # (1, i, -i, 1) in x_0, constant in x_1, holds the identity along the first
     # connection element (0, 1) and has a rational theta (4), but it is no
-    # eigenvector of H(2,4)
+    # eigenvector of H(2,4); the reference finds it.  The certificate reads
+    # u.x only at the generators and S, where a genuine u.x is additive, so
+    # it is not asked of a row forged away from them
     g = make_family("hamming", n=2, e=4).cayley_graph()
     assert g.connection[0].tolist() == [0, 1]
     _forge_character_row(monkeypatch, (1, 0), (0, 1, 3, 0))
-    assert not verify_all_eigenvectors(g)
+    assert not verify_at_every_connection_element(g)
 
 
 def test_spectrum_and_verdict_independent_of_chunk_size(monkeypatch):
@@ -256,11 +281,13 @@ def _bounded_checks():
     """name: (check, MiB bound) of the chunked loops at the default budget;
     the root-sum matrix is cached before a trace."""
     checks = {}
-    # every array a chunk holds is counted in it (0.37 and 0.14 MiB here);
-    # with 1 MiB chunks that counted neither the exponents' accumulator nor
-    # a vertex block, the two peaked at 1.44 and 1.25 MiB
+    # every array a chunk holds is counted in it (0.25, 0.15 and 0.36 MiB
+    # here); the every-vertex edge identity in vertex blocks peaked at 0.37,
+    # 0.14 and 0.82 MiB, its generator columns and vertex index outside the
+    # budget, and with 1 MiB chunks the first two at 1.44 and 1.25 MiB
     for kind, opts, bound in (("bilinear", {"q": 3, "d": 2, "e": 3}, 0.5),
-                              ("hamming", {"n": 1, "e": 257}, 0.25)):
+                              ("hamming", {"n": 1, "e": 257}, 0.25),
+                              ("halved_cube", {"n": 14}, 0.5)):
         g = make_family(kind, **opts).cayley_graph()
         assert verify_all_eigenvectors(g)
         checks[kind] = (lambda g=g: verify_all_eigenvectors(g), bound)
@@ -273,7 +300,7 @@ def _bounded_checks():
 
 def test_eigenvector_check_works_in_a_bounded_set():
     checks = _bounded_checks()
-    for kind in ("bilinear", "hamming"):
+    for kind in ("bilinear", "hamming", "halved_cube"):
         check, bound = checks[kind]
         peak = _traced_peak(check)
         assert peak < bound * (1 << 20), (kind, peak)
@@ -314,27 +341,25 @@ def test_working_set_follows_the_chunk_budget(monkeypatch):
 
 
 def _generating_rows(g):
-    """The connection elements whose columns _generating_columns builds: the
-    vertex each column takes the identity vertex to."""
-    find = cayley.row_finder(g.vertices, g.modulus)
-    origin = int(np.flatnonzero(~g.vertices.any(axis=1))[0])
-    columns = cayley._generating_columns(g, find, find(g.connection), origin)
-    return g.vertices[[col[origin] for col in columns]]
+    """The vertex rows of the generators that _generators walks."""
+    return g.vertices[cayley._generators(g)]
 
 
 def test_generating_columns_generate_the_connection_set():
-    # on every criterion-1 graph the chosen elements generate a subgroup that
-    # holds S, and each lies outside the subgroup of the ones before it
+    # on every criterion-1 graph the generators that the walk of X picks,
+    # one column X + x each, generate X, which holds S, and each lies
+    # outside the subgroup of the ones before it
     for kind, opts in CRITERION_1:
         g = make_family(kind, **opts).cayley_graph()
         gens = _generating_rows(g)
         group = generated_subgroup(gens, g.modulus)
+        assert group == {tuple(x) for x in g.vertices.tolist()}, (kind, opts)
         assert {tuple(s) for s in g.connection.tolist()} <= group, (kind, opts)
         for k in range(len(gens)):
             assert tuple(gens[k].tolist()) not in generated_subgroup(gens[:k], g.modulus)
 
 
-RANK_MANY = [  # (family, parameters, generators, |S|)
+RANK_MANY = [  # (family, parameters, generators of X, |S|)
     *((("hypercube", {"n": n}, n, n)) for n in (1, 5, 12)),
     *((("halved_cube", {"n": n}, n - 1, n * (n - 1) // 2)) for n in (2, 5, 12)),
     ("folded_cube", {"n": 9}, 8, 9),
@@ -360,14 +385,15 @@ def test_generating_set_verdict_equals_the_every_element_check(monkeypatch):
     # theta_(1) = w + w^4 is no rational integer at e = 5
     g = CayleyGraph(5, _rows((0,), (1,), (2,), (3,), (4,)), _rows((1,), (4,)))
     assert not verify_all_eigenvectors(g) and not verify_at_every_connection_element(g)
-    # the forged rows of the edge-identity tests
+    # the forged rows of the edge-identity tests, which the reference rejects;
+    # the certificate reads no exponent row away from the generators and S
     for (kind, opts), u, forged in (
             (("hamming", {"n": 1, "e": 4}), (1,), (0, 0, 2, 2)),
             (("hamming", {"n": 1, "e": 4}), (1,), (0, 0, 0, 2)),
             (("hamming", {"n": 2, "e": 4}), (1, 0), (0, 1, 3, 0))):
         g = make_family(kind, **opts).cayley_graph()
         _forge_character_row(monkeypatch, u, forged)
-        assert not verify_all_eigenvectors(g) and not verify_at_every_connection_element(g)
+        assert not verify_at_every_connection_element(g)
         monkeypatch.undo()
 
 
@@ -377,7 +403,9 @@ def test_generating_set_verdict_equals_the_every_element_check(monkeypatch):
     ids=["hamming(2,3)", "hypercube(3)", "halved_cube(5)", "folded_cube(5)", "bilinear(2,2,2)"])
 def test_one_vertex_corruption_is_rejected(monkeypatch, kind, opts):
     # E[u, x0] + 1 at a single vertex x0, the identity vertex included, is no
-    # character any more on a group of more than two elements
+    # character any more on a group of more than two elements; the reference
+    # rejects it (the certificate reads no exponent row away from the
+    # generators and S, so it is not asked)
     g = make_family(kind, **opts).cayley_graph()
     real = cayley.character_exponents
     for u in (g.characters[0], g.characters[-1]):
@@ -389,92 +417,9 @@ def test_one_vertex_corruption_is_rejected(monkeypatch, kind, opts):
                 return out
 
             monkeypatch.setattr(cayley, "character_exponents", patched)
-            assert not verify_all_eigenvectors(g), (u, x0)
             assert not verify_at_every_connection_element(g), (u, x0)
     monkeypatch.undo()
     assert verify_all_eigenvectors(g)
-
-
-@pytest.mark.parametrize("kind, opts", [
-    ("hamming", {"n": 2, "e": 3}), ("hypercube", {"n": 3}), ("halved_cube", {"n": 4})],
-    ids=["hamming(2,3)", "hypercube(3)", "halved_cube(4)"])
-def test_corruption_is_rejected_at_vertex_block_boundaries(monkeypatch, kind, opts):
-    # E[u, x0] + 1 at the origin, in a middle block and in the last vertex
-    # block is rejected when the check's blocks hold 1, 2 or 3 vertex rows, as
-    # at the default budget and at 7 bytes; the last block is partial at 2 or 3
-    g = make_family(kind, **opts).cayley_graph()
-    count = len(g.vertices)
-    wide = np.min_scalar_type(2 * g.modulus - 2).itemsize
-    origin = int(np.flatnonzero(~g.vertices.any(axis=1))[0])
-    real_exponents, real_chunks = cayley.character_exponents, cayley._chunks
-    steps = []
-
-    def chunks(rows, row_bytes, budget=None):
-        out = list(real_chunks(rows, row_bytes, budget))
-        if rows == count and row_bytes == 2 * wide:  # the check's blocks at one character
-            steps.append([hi - lo for lo, hi in out])
-        return out
-
-    def verdicts(budget):
-        monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", budget)
-        out = [verify_all_eigenvectors(g)]
-        for u in (g.characters[0], g.characters[-1]):
-            for x0 in (origin, count // 2, count - 1):
-                def corrupted(u_arr, x_arr, e, u=u, x0=g.vertices[x0]):
-                    out = real_exponents(u_arr, x_arr, e)
-                    at = np.ix_((u_arr == u).all(axis=1), (x_arr == x0).all(axis=1))
-                    out[at] = (out[at] + 1) % e
-                    return out
-
-                monkeypatch.setattr(cayley, "character_exponents", corrupted)
-                out.append(verify_all_eigenvectors(g))
-                monkeypatch.setattr(cayley, "character_exponents", real_exponents)
-        return out
-
-    monkeypatch.setattr(cayley, "_chunks", chunks)
-    want = verdicts(cayley.SUM_CHUNK_BYTES)
-    assert want == [True] + [False] * 6
-    assert verdicts(7) == want
-    partial = False
-    for rows in (1, 2, 3):
-        steps.clear()
-        # one character per chunk, its exponents over more than half the
-        # budget, so the check's image and wrap blocks get half of it
-        assert verdicts(4 * wide * rows) == want, rows
-        assert steps and all(s[:-1] == [rows] * (len(s) - 1) and 0 < s[-1] <= rows
-                             for s in steps), (rows, steps[:1])
-        partial |= steps[0][-1] < rows
-    assert partial
-
-
-def test_corruption_seen_only_in_the_last_vertex_block_is_rejected(monkeypatch):
-    # E[u, y] + 1 at y = (4, 4) of H(2,5) breaks f(x + g) = f(x) + f(g) only
-    # at x = y and x = y - g for the generators g = (0, 1), (1, 0): vertices
-    # 24, 23 and 19, all in the last of the check's blocks [0, 17), [17, 25)
-    # at a 60-byte budget; y is no connection element, so theta holds
-    g = make_family("hamming", n=2, e=5).cayley_graph()
-    assert _generating_rows(g).tolist() == [[0, 1], [1, 0]]
-    real_exponents, real_chunks = cayley.character_exponents, cayley._chunks
-    steps = []
-
-    def chunks(rows, row_bytes, budget=None):
-        out = list(real_chunks(rows, row_bytes, budget))
-        if rows == len(g.vertices) and row_bytes == 2:  # the check's blocks at one character
-            steps.append(out)
-        return out
-
-    def corrupted(u_arr, x_arr, e):
-        out = real_exponents(u_arr, x_arr, e)
-        at = np.ix_((u_arr == (1, 1)).all(axis=1), (x_arr == (4, 4)).all(axis=1))
-        out[at] = (out[at] + 1) % e
-        return out
-
-    monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", 60)
-    monkeypatch.setattr(cayley, "_chunks", chunks)
-    assert verify_all_eigenvectors(g)
-    assert steps and all(s == [(0, 17), (17, 25)] for s in steps)
-    monkeypatch.setattr(cayley, "character_exponents", corrupted)
-    assert not verify_all_eigenvectors(g)
 
 
 def test_batched_spectrum_equals_per_character_eigenvalues():
@@ -496,16 +441,47 @@ def test_neighbor_index_rejects_a_vertex_set_not_closed():
 
 def test_check_rejects_a_vertex_set_not_closed_under_a_non_generator():
     # in Z_8, X = {0, 1, 2, 6, 7} holds S = {1, 7, 2, 6}, and 2 = 1 + 1 is no
-    # generator; X + 2 leaves X, so the check raises as the every-element
-    # neighbour index does (a set closed under each generator would be closed
-    # under all of S, so it fails at the generator 1, where X + 1 holds 3)
+    # generator; X + 2 leaves X, so the every-element neighbour index raises,
+    # and so does the certificate, whose walk of X fails at its first
+    # generator 1, where X + 1 holds 3
     xs = {0, 1, 2, 6, 7}
     assert {(x + 2) % 8 for x in xs} - xs == {3, 4}
     g = CayleyGraph(8, _rows(*((x,) for x in sorted(xs))), _rows((1,), (7,), (2,), (6,)))
-    with pytest.raises(ValueError, match="not closed under adding a connection element"):
+    with pytest.raises(ValueError, match="the vertex set is not a group"):
         verify_all_eigenvectors(g)
     with pytest.raises(ValueError, match="not closed under adding a connection element"):
         _neighbor_index(g, g.vertices)
+
+
+def test_certificate_rejects_forged_inputs():
+    z3, s3 = _rows((0,), (1,), (2,)), _rows((1,), (2,))
+    assert verify_all_eigenvectors(CayleyGraph(3, z3, s3))
+    # repeated characters: |X| rows, but not the dual group
+    for chars in (_rows((0,), (1,), (1,)), _rows((0,), (0,), (0,))):
+        assert not verify_all_eigenvectors(CayleyGraph(3, z3, s3, chars)), chars.ravel()
+    for chars in (_rows((0,), (1,), (3,)), _rows((0,), (1,), (255,))):
+        with pytest.raises(ValueError, match="must be in 0..2"):
+            CayleyGraph(3, z3, s3, chars)
+    # X = {0, 1, 3, 4} in Z_6 is closed under S = {3} but holds no 1 + 1
+    g = CayleyGraph(6, _rows((0,), (1,), (3,), (4,)), _rows((3,)))
+    with pytest.raises(ValueError, match="the vertex set is not a group"):
+        verify_all_eigenvectors(g)
+    # theta_(1) = w + w^4 is no rational integer at e = 5
+    assert not verify_all_eigenvectors(
+        CayleyGraph(5, _rows((0,), (1,), (2,), (3,), (4,)), _rows((1,), (4,))))
+
+
+def test_certificate_work_is_linear_in_the_characters(monkeypatch):
+    # the exponent entries the check computes on hypercube(12): one per
+    # character and generator, then spectrum's one per character and
+    # connection element, where the every-vertex reference takes |U| |X|
+    g = make_family("hypercube", n=12).cayley_graph()
+    entries = []
+    real = cayley.character_exponents
+    monkeypatch.setattr(cayley, "character_exponents",
+                        lambda u, x, e: entries.append(len(u) * len(x)) or real(u, x, e))
+    assert verify_all_eigenvectors(g)
+    assert sum(entries) <= len(g.characters) * (12 + g.degree)
 
 
 def test_sum_positions_independent_of_chunk_size(monkeypatch):

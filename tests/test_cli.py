@@ -437,7 +437,7 @@ def test_options_the_command_does_not_read_exit_2(argv, capsys):
 # kinds and family options: the lists read from families.KINDS must give them
 HELP_SHA256 = {
     "": "c8bdcdbd69251ecc7d49669df67079d2dcad44ac07631163b47ec599187bb7a4",
-    "spectrum": "9497d894f98400437ed29c15119a7ce80f1a1f385990a970684cdaa55600ee18",
+    "spectrum": "ddda4ef67b8b82b3bc660e3dd555b2d62e6442864be83cbea66c605983cc81db",
 }
 
 
