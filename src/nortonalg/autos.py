@@ -3,12 +3,14 @@ exhaustive checker that a basis-level candidate map preserves products, and
 the seeded suite that samples and checks the actions of a family (autocheck).
 
 Each action is a map of the index group and a translation, given by its
-linear_map(family) as int64 arrays (M, t): the character with label row u
-(family._label_rows) goes to w^(u.t), with w of order family.modulus, times
-the character with label row uM.  Its candidate on a Space (the one builder)
-is an int array of shape dim x 2 over the space's basis: row k holds the
-basis position of the image of the k-th basis character (-1 off the basis)
-and the exponent of its coefficient; on the cubes a sign -1 is the exponent 1.
+linear_map(family) as int64 arrays (M, t): the character with index row u
+goes to w^(u.t), with w of order family.modulus, times the character with
+index row uM.  Its candidate on a Space (made by candidate alone) is an int array
+of shape dim x 2 over the space's basis: row k holds the basis position of the
+image of the k-th basis character (-1 off the basis) and the exponent of its
+coefficient; on the cubes a sign -1 is the exponent 1.  Images are put in
+basis form (family._basis_form) and looked up among the basis rows; u.t mod 2
+is unchanged by the halved cube's complement, as a type-D t has even weight.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .families import (BilinearFamily, CubeFamily, FamilySpec, HammingFamily, Sp
                        carries_table, fq_reduce)
 from .groups import Word
 
-DEFAULT_PAIR_BUDGET = 10**6
-
 Candidate = np.ndarray
 
 
@@ -35,9 +35,9 @@ def candidate(auto, space: Space) -> Candidate:
     """The candidate of an action on a space, from (M, t) = auto.linear_map(space.family)."""
     family, e = space.family, space.modulus
     m, t = auto.linear_map(family)
-    rows = family._label_rows(space.rows).astype(np.int64)
-    images = family._label_rows(rows @ m % e)
-    return np.column_stack((row_finder(rows, e)(images), rows @ t % e))
+    rows = space.rows.astype(np.int64)
+    images = family._basis_form(rows @ m % e)
+    return np.column_stack((row_finder(space.rows, e)(images), rows @ t % e))
 
 
 def compose_candidates(outer: Candidate, inner: Candidate, modulus: int) -> Candidate:
@@ -110,8 +110,8 @@ def kernel_check_hamming(space: Space) -> dict:
     if not ((e >= 3 and i >= 1) or (e == 2 and 1 <= i < n)):
         raise ValueError(f"kernel description covers e>=3,i>=1 or e=2,1<=i<n; "
                          f"got e={e}, i={i}, n={n}")
-    units = [v for v in range(1, e) if gcd(v, e) == 1]
-    if e**n + factorial(n) * n * len(units) > 10**5:
+    units = [v for v in range(1, e) if gcd(v, e) == 1] if n * (e.bit_length() - 1) < 17 else []
+    if not units or e**n + factorial(n) * n * len(units) > 10**5:  # [] when e^n >= 2^17 by bits
         raise BudgetExceededError("kernel enumeration too large")
     rows = space.rows.astype(np.int64)  # b_j u_sigma(j) overflows the row dtype
     trivial = _words(e, n)
@@ -295,13 +295,6 @@ def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,
 # Product-preservation checking
 # ---------------------------------------------------------------------------
 
-def require_pair_budget(dim: int) -> None:
-    """Raise unless checking a candidate on a basis of dim elements fits the pair budget."""
-    if dim**2 > DEFAULT_PAIR_BUDGET:
-        raise BudgetExceededError(
-            f"automorphism check needs {dim**2} pairs, over budget {DEFAULT_PAIR_BUDGET}")
-
-
 def is_algebra_automorphism(candidate: Candidate, space: Space) -> bool:
     """Exhaustively check that a monomial basis map preserves all basis products.
 
@@ -309,7 +302,7 @@ def is_algebra_automorphism(candidate: Candidate, space: Space) -> bool:
     carries the product table to itself, and the exponents must satisfy
     exp[u] + exp[v] = exp[w] mod the modulus for every nonzero product
     chi_u chi_v = chi_w.  Exact integer arithmetic throughout, on blocks of
-    table rows that fit in SUM_CHUNK_BYTES.
+    table rows that fit in SUM_CHUNK_BYTES, of a table within MAX_TABLE_ENTRIES.
     """
     dim = space.dim
     if np.shape(candidate) != (dim, 2):
@@ -317,7 +310,6 @@ def is_algebra_automorphism(candidate: Candidate, space: Space) -> bool:
     pos, exp = candidate[:, 0], candidate[:, 1]
     if not np.array_equal(np.sort(pos), np.arange(dim)):
         return False
-    require_pair_budget(dim)
     table = space.table
     if not carries_table(pos, table, table):
         return False
@@ -347,8 +339,8 @@ def autocheck(family: FamilySpec, i: int, samples: int, seed: int) -> dict:
     over its budget; and on a bilinear family the conjugation identity on
     samples triples drawn by random.Random(seed + 1)."""
     action, space = ACTIONS[family.kind], family.space(i)
-    if samples:  # before any candidate builds the basis
-        require_pair_budget(space.dim)
+    if samples:  # the table's size check, before any candidate builds the basis
+        space.table
     rng = random.Random(seed)
     results = []
     for k in range(samples):

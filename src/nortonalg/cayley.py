@@ -337,10 +337,12 @@ def _exponent_histograms(exps: np.ndarray, e: int) -> np.ndarray:
 def _generators(graph: CayleyGraph) -> list[int]:
     """Positions among the vertices X of generators of X, by a coset walk:
     the first vertex x not yet generated joins, and the subgroup H of the
-    earlier ones takes in the cosets H - k x until k x is in H, read from one
-    column, the positions of X + x.  That X + x lies in X for each generator
-    makes X a group, else ValueError.  A chunk of X + x holds per vertex its
-    sum and wrap, an int32 code, take's intp copy and the int32 position."""
+    earlier ones takes in the cosets H - k x, k below the order m of x mod
+    H, from one column, the positions of X + x: m in scalar steps from the
+    identity, then the cosets in ceil(log2 m) doublings of the column.  That
+    X + x lies in X for each generator makes X a group, else ValueError.  A
+    chunk of X + x holds per vertex its sum and wrap, an int32 code, take's
+    intp copy and the int32 position."""
     e = graph.modulus
     verts = graph.vertices.astype(np.min_scalar_type(2 * e - 2), copy=False)
     find = row_finder(graph.vertices, e)
@@ -354,16 +356,19 @@ def _generators(graph: CayleyGraph) -> list[int]:
             col[lo:hi] = find(_reduced_sum(verts[lo:hi], verts[gens[-1]], e))
         if (col < 0).any():
             raise ValueError("the vertex set is not a group: it is not closed under addition")
-        coset = inside[col]  # x is in H - x_g where x + x_g is in H
-        while not coset[origin]:
-            inside |= coset
-            coset = coset[col]
+        order, at = 1, col[origin]
+        while not inside[at]:
+            order, at = order + 1, col[at]
+        for step in range((order - 1).bit_length()):  # then inside is H - k x, k < 2^(step+1)
+            if step:  # an order-2 generator keeps its single gather
+                col = col[col]  # the positions of X + 2^step x
+            inside |= inside[col]
     return gens
 
 
-def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
-    """Whether the characters are an eigenbasis with rational integer
-    eigenvalues, certified from the group structure in exact integers.
+def verify_all_eigenvectors(graph: CayleyGraph) -> list[tuple[int, int]] | None:
+    """The spectrum, or None unless the characters are an eigenbasis with
+    rational integer eigenvalues, certified by the group structure in integers.
 
     X is a group that holds S (_generators), so the character w^(u.x) of an
     integer row u is an eigenvector with eigenvalue theta_u = chi_u(S).  It is
@@ -382,7 +387,6 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> bool:
     try:
         row_finder(exps, e)  # RepeatedRowError: two characters agree on all of X
         del exps  # before spectrum's chunks
-        spectrum(graph)  # ValueError: some theta_u is no rational integer
+        return spectrum(graph)  # ValueError: some theta_u is no rational integer
     except ValueError:
-        return False
-    return True
+        return None

@@ -186,16 +186,13 @@ def _emit_json(args, payload: dict) -> None:
 def cmd_spectrum(args) -> int:
     fam = _family_from_args(args)
     graph = fam.cayley_graph()
-    computed = spectrum(graph)
+    certified = verify_all_eigenvectors(graph) if args.verify else None  # the spectrum, or None
+    computed = certified or spectrum(graph)  # computed once when the check passes
+    verified = bool(certified) if args.verify else None
     predicted = sorted(
         ((fam.predicted_eigenvalue(i), fam.predicted_dimension(i))
          for i in fam.eigenspaces()), key=lambda p: -p[0])
-    status = "ok" if computed == predicted else "mismatch"
-    verified = None
-    if args.verify:
-        verified = verify_all_eigenvectors(graph)
-        if not verified:
-            status = "mismatch"
+    status = "ok" if computed == predicted and verified is not False else "mismatch"
     if args.format == "csv":
         lines = ["eigenvalue,multiplicity"]
         lines += [f"{ev},{mult}" for ev, mult in computed]

@@ -1,4 +1,4 @@
-"""Shared error types and the default evaluation budget."""
+"""Shared error types, the default evaluation budget and the text of a size."""
 
 from __future__ import annotations
 
@@ -7,3 +7,8 @@ DEFAULT_EVAL_BUDGET = 10**7  # of nonassoc and idempotents, unless --budget or N
 
 class BudgetExceededError(RuntimeError):
     """Raised when an enumeration or evaluation would exceed its configured budget."""
+
+
+def size_text(count: int) -> str:
+    """count in decimal, or past 2^64 as about 2^k by its bit length (str refuses 4300 digits)."""
+    return str(count) if count < 2**64 else f"about 2^{count.bit_length() - 1}"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cayley import (CayleyGraph, RepeatedRowError, _chunks, exponent_sum_blocks, sum_blocks,
                      sum_positions)
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, size_text
 from .groups import Word, is_prime, word_text
 from .linalg import row_reduce
 
@@ -188,7 +188,7 @@ class Space:
     def _sized_rows(self) -> np.ndarray:
         """rows, once the table is checked to fit MAX_TABLE_ENTRIES."""
         if self.dim * self.dim > MAX_TABLE_ENTRIES:
-            raise BudgetExceededError(f"product table of {self.name} has {self.dim * self.dim}"
+            raise BudgetExceededError(f"product table of {self.name} has {size_text(self.dim**2)}"
                                       f" entries, over {MAX_TABLE_ENTRIES}")
         return self.rows
 
@@ -236,8 +236,8 @@ class FamilySpec:
         themselves, unless the family labels characters otherwise."""
         return list(map(tuple, rows.tolist()))
 
-    def _label_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The label rows of the characters the given index rows index: the rows themselves."""
+    def _basis_form(self, rows: np.ndarray) -> np.ndarray:
+        """The basis rows of the characters the given index rows index: the rows themselves."""
         return rows
 
     def predicted_eigenvalue(self, i: int) -> int:
@@ -267,12 +267,13 @@ class FamilySpec:
     def vertices(self, budget: int | None = None) -> np.ndarray:
         """The vertex rows, a cached read-only array; every call checks the
         budget, so rows enumerated under a larger budget are not handed to a
-        smaller one."""
+        smaller one.  A bound on the count's bit length decides before the
+        count is built, which at n = 10^30 never ends."""
         limit = DEFAULT_VERTEX_BUDGET if budget is None else budget
-        if self.vertex_count() > limit:  # as a power: past 4300 digits int refuses str
+        k = self._vertex_exponent()  # the message writes the count as a power
+        if k * (self.modulus.bit_length() - 1) >= limit.bit_length() or self.vertex_count() > limit:
             raise BudgetExceededError(
-                f"{self.describe()} has {self.modulus}^{self._vertex_exponent()} vertices"
-                f", over the budget {limit}")
+                f"{self.describe()} has {self.modulus}^{k} vertices, over the budget {limit}")
         if self._vertices is None:
             rows = self._make_vertices()
             if len(rows) != self.vertex_count():
@@ -412,17 +413,18 @@ class CubeFamily(FamilySpec):
 
     def _make_basis(self, i: int) -> np.ndarray:
         """The indicator rows of the size-s sets in combinations order, or of
-        the sets containing 1 (_with_one), set by one scatter; halved, each
-        row that holds position n is then complemented."""
+        the sets containing 1 (_with_one), set by one scatter, in basis form."""
         s = self._size(i)
         first = int(self._with_one(s))  # position 0 is in every set, the rest vary
         rest = _subsets(self.n, s - first, first)
         rows = np.zeros((len(rest), self.n), dtype=self.row_dtype)
         rows[:, :first] = 1
         rows[np.arange(len(rest))[:, None], rest] = 1
-        if self.halved:
-            rows ^= rows[:, -1:]
-        return rows
+        return self._basis_form(rows)
+
+    def _basis_form(self, rows: np.ndarray) -> np.ndarray:
+        """Halved, each row holding position n complemented, as in the basis."""
+        return rows ^ rows[:, -1:] if self.halved else rows
 
     def _label_rows(self, rows: np.ndarray) -> np.ndarray:
         """The label indicator rows of the characters the given index rows

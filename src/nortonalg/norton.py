@@ -24,7 +24,7 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import Cyclotomic, over_lcm
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, size_text
 from .families import (DEFAULT_ORACLE_VERTEX_BUDGET, FamilySpec,  # the oracle, re-exported
                        Space, carries_table, make_family, verify_oracle_space)
 from .linalg import row_reduce
@@ -341,7 +341,7 @@ def find_identity(family: FamilySpec, i: int):
     dim = space.dim
     if dim > DEFAULT_IDENTITY_DIM_BUDGET:
         raise BudgetExceededError(
-            f"identity solve over dimension {dim} > {DEFAULT_IDENTITY_DIM_BUDGET}")
+            f"identity solve over dimension {size_text(dim)} > {DEFAULT_IDENTITY_DIM_BUDGET}")
     # one equation per (v, w): the coefficients c_u with chi_u * chi_v = chi_w
     # sum to 1 when w = v and to 0 otherwise; many (v, w) give the same
     # equation, and each distinct one is solved once

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import cayley
 from .cayley import row_keys
-from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
+from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError, size_text
 from .families import Space
 
 DEFAULT_MAX_M = 12
@@ -392,7 +392,7 @@ def _tree_keys(space: Space, m: int, budget: int):
     cost = exact_price(space, m)
     if cost > budget:
         raise BudgetExceededError(
-            f"exact mode needs {cost} evaluations (budget {budget}); use witness mode")
+            f"exact mode needs {size_text(cost)} evaluations (budget {budget}); use witness mode")
     patterns = _grid_patterns(_live_table(space.table), m)
     for block in _fingerprints(tree_masks(m), patterns):
         yield from row_keys(block).tolist()  # bytes objects

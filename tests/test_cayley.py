@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -9,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import nortonalg
 from nortonalg import cayley
 from nortonalg.cayley import (
     CayleyGraph,
@@ -376,6 +380,22 @@ RANK_MANY = [  # (family, parameters, generators of X, |S|)
 def test_generating_columns_are_rank_many(kind, opts, count, degree):
     g = make_family(kind, **opts).cayley_graph()
     assert (len(_generating_rows(g)), g.degree) == (count, degree)
+
+
+WALK_PROBE = """
+from nortonalg import cayley
+from nortonalg.families import make_family
+print(cayley._generators(make_family("hamming", n=1, e=65537).cayley_graph()))
+"""
+
+
+def test_walk_takes_in_a_generator_of_large_order_in_doubling_steps():
+    # Z_65537 has one generator, of order 65537: its cosets taken in one
+    # gather at a time took about 12 s, and 17 doubling steps take a few ms
+    src = os.path.dirname(os.path.dirname(nortonalg.__file__))
+    proc = subprocess.run([sys.executable, "-c", WALK_PROBE], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=3, check=True)
+    assert proc.stdout == "[1]\n"
 
 
 def test_generating_set_verdict_equals_the_every_element_check(monkeypatch):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -281,6 +282,94 @@ def test_vertex_counts_past_4300_digits_exit_3(capsys):
         assert code == 3 and out == "", argv
         assert err.startswith("budget exceeded: ") and err.count("\n") == 1, err
         assert " has 2^20000 vertices, over the budget " in err, err
+
+
+HUGE = str(10**30)
+# the budget checks of these built the number they checked, or wrote it in
+# decimal: the vertex count of the first five and the kernel's e^n and unit
+# list of the last two never ended, and the sizes of the four between, past
+# 4300 decimal digits, exited 4
+HUGE_CASES = [
+    (["spectrum", "--family", "hamming", "--n", HUGE, "--e", HUGE],
+     f"hamming({HUGE},{HUGE}) has {HUGE}^{HUGE} vertices, over the budget 1048576"),
+    (["spectrum", "--family", "folded-cube", "--n", HUGE, "--verify"],
+     f"has 2^{10**30 - 1} vertices, over the budget 1048576"),
+    (["oracle-verify", "--family", "folded-half-cube", "--n", HUGE, "--i", "2"],
+     f"has 2^{10**30 - 2} vertices, over the budget 4096"),
+    (["table", "--family", "folded-cube", "--n", HUGE, "--i", "9", "--verify-oracle"],
+     f"has 2^{10**30 - 1} vertices, over the budget 4096"),
+    (["spectrum", "--family", "hamming", "--n", HUGE, "--e", "3"],
+     f"has 3^{HUGE} vertices, over the budget 1048576"),
+    (["nonassoc", "--family", "folded-half-cube", "--n", HUGE, "--i", "64", "--max-m", "5"],
+     " V_64 has about 2^24080 entries, over 67108864"),
+    (["nonassoc", "--family", "hypercube", "--n", HUGE, "--i", "100", "--max-m", "1"],
+     " V_100 has about 2^18882 entries, over 67108864"),
+    (["nonassoc", "--family", "hypercube", "--n", HUGE, "--i", "100", "--max-m", "1",
+      "--mode", "exact"], "exact mode needs about 2^18882 evaluations (budget 10000000)"),
+    (["autocheck", "--family", "hypercube", "--n", HUGE, "--i", "100", "--samples", "1"],
+     " V_100 has about 2^18882 entries, over 67108864"),
+    (["autocheck", "--family", "hamming", "--n", HUGE, "--e", "3", "--i", "1", "--samples", "0"],
+     None),
+    (["autocheck", "--family", "hamming", "--n", "2", "--e", HUGE, "--i", "1", "--samples", "0"],
+     None),
+]
+
+HUGE_PROBE = """
+import contextlib, io, json, sys, time
+import nortonalg.cli
+for argv in json.load(sys.stdin):
+    out, err, start = io.StringIO(), io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = nortonalg.cli.main(argv)
+    print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]))
+"""
+
+
+def test_huge_parameters_exit_at_once_with_one_line():
+    # in one child with a timeout, so a command that never ends fails the test
+    proc = subprocess.run([sys.executable, "-c", HUGE_PROBE], env=_process_env(),
+                          input=json.dumps([argv for argv, _ in HUGE_CASES]),
+                          capture_output=True, text=True, timeout=30, check=True)
+    results = list(map(json.loads, proc.stdout.splitlines()))
+    assert len(results) == len(HUGE_CASES)
+    for (argv, message), (code, out, err, seconds) in zip(HUGE_CASES, results):
+        assert seconds < 5, argv
+        if message is None:  # the kernel is refused by its bit length, and not printed
+            payload = json.loads(out)
+            assert (code, err, payload["kernel"], payload["all_ok"]) == (0, "", None, True), argv
+        else:
+            assert code == 3 and out == "", argv
+            assert err.startswith("budget exceeded: ") and err.count("\n") == 1, (argv, err)
+            assert message in err, (argv, err)
+
+
+def test_autocheck_checks_past_a_million_pairs(capsys):
+    # bilinear(2,3,4) V_2 has dim 1470: 2,160,900 pairs, which a pair budget
+    # of 10^6 refused; the table, of 2^26 entries at most, bounds the check
+    code, payload = run_json(capsys, "autocheck", "--family", "bilinear", "--q", "2", "--d", "3",
+                             "--e", "4", "--i", "2", "--samples", "2")
+    assert code == 0 and payload["all_ok"] is True
+    assert [r["ok"] for r in payload["results"]] == [True, True]
+    assert payload["conjugation_identity"] is True
+
+
+def test_spectrum_verify_reduces_each_histogram_once_in_all(capsys, monkeypatch):
+    # the certificate returns the spectrum it computed, and cmd_spectrum prints
+    # it: the distinct histograms are reduced once, not once for each
+    reduced = []
+    real = cayley._integer_root_sums
+    monkeypatch.setattr(cayley, "_integer_root_sums",
+                        lambda hists, e: reduced.append(len(hists)) or real(hists, e))
+    for kind, opts in (("hamming", {"n": 2, "e": 5}), ("halved-cube", {"n": 8})):
+        argv = ["spectrum", "--family", kind, *chain(*((f"--{k}", str(v)) for k, v in opts.items()))]
+        reduced.clear()
+        plain = run_json(capsys, *argv)
+        once = sum(reduced)
+        reduced.clear()
+        code, payload = run_json(capsys, *argv, "--verify")
+        assert 0 < sum(reduced) == once, kind
+        assert code == 0 and payload["eigenvectors_verified"] is True
+        assert {**payload, "eigenvectors_verified": None} == plain[1]
 
 
 def test_autocheck_pair_budget_checked_before_the_basis(capsys, monkeypatch):
