@@ -214,36 +214,6 @@ def _filled(dim: int, blocks) -> np.ndarray:
     return out
 
 
-def exponent_sum_blocks(chars: np.ndarray, verts: np.ndarray, e: int):
-    """sum_blocks of the exponent rows of the characters chars over the
-    vertices verts (character_exponents), which are computed in vertex blocks
-    within SUM_CHUNK_BYTES and, modulo 2, bit-packed block by block, so the
-    dot products and the unpacked rows are never held for all vertices.
-
-    A block holds, per vertex, its row widened to the dot products' dtype
-    and, per character and vertex, the sums and quotients of
-    character_exponents, their residue and a byte for its packed bit; it
-    is a multiple of 8 vertices, so the packed blocks are whole bytes of
-    the packed rows.  Other moduli hold the rows in the dtype of the residue
-    sums, which the lookup then reads uncopied."""
-    acc = _dot_dtype(chars, verts, e).itemsize
-    count = len(verts)
-    if e == 2:
-        rows = np.empty((len(chars), -(-count // 8)), dtype=np.uint8)
-    else:
-        rows = np.empty((len(chars), count), dtype=np.min_scalar_type(2 * e - 2))
-    residue = np.min_scalar_type(e - 1).itemsize
-    vertex_bytes = verts.shape[1] * acc + len(chars) * (2 * acc + residue + 1)
-    for lo, hi in _chunks(-(-count // 8), 8 * vertex_bytes):
-        exps = character_exponents(chars, verts[8 * lo:8 * hi], e)
-        if e == 2:  # bytes lo..hi-1 of the packed rows, which run last byte first
-            rows[:, rows.shape[1] - hi:rows.shape[1] - lo] = \
-                np.packbits(exps, axis=1, bitorder="little")[:, ::-1]
-        else:
-            rows[:, 8 * lo:8 * hi] = exps
-    return _xor_blocks(rows) if e == 2 else _residue_blocks(rows, e)
-
-
 def _packed_bits(rows: np.ndarray) -> np.ndarray:
     if rows.size and (rows.min() < 0 or rows.max() > 1):  # packbits reads any nonzero as 1
         raise ValueError("row entries must be in 0..1")
@@ -290,10 +260,11 @@ def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add):
 
     def blocks():
         for start, stop in chunks:
-            held = scratch[:, :width * (stop - start) * dim]
-            if dense:
+            sums = (stop - start) * dim
+            held = scratch[:, :width * sums]
+            if dense:  # sizes spelled out, so rows 0 wide (X = {0} has no generators) reshape
                 part = add(cols[:, start:stop, None], cols[:, None, :],
-                           *held.reshape(buffers, width, -1, dim)).reshape(width, -1).T
+                           *held.reshape(buffers, width, stop - start, dim)).reshape(width, sums).T
             else:
                 part = add(rows[start:stop, None, :], rows[None, :, :],
                            *held.reshape(buffers, -1, dim, width)).reshape(-1, width)
@@ -334,19 +305,22 @@ def _exponent_histograms(exps: np.ndarray, e: int) -> np.ndarray:
     return np.bincount(keys.ravel(), minlength=len(exps) * e).reshape(-1, e)
 
 
-def _generators(graph: CayleyGraph) -> list[int]:
-    """Positions among the vertices X of generators of X, by a coset walk:
+def _generators(vertices: np.ndarray, modulus: int) -> list[int]:
+    """Positions among the vertex rows X of generators of X, by a coset walk:
     the first vertex x not yet generated joins, and the subgroup H of the
     earlier ones takes in the cosets H - k x, k below the order m of x mod
     H, from one column, the positions of X + x: m in scalar steps from the
     identity, then the cosets in ceil(log2 m) doublings of the column.  That
-    X + x lies in X for each generator makes X a group, else ValueError.  A
-    chunk of X + x holds per vertex its sum and wrap, an int32 code, take's
-    intp copy and the int32 position."""
-    e = graph.modulus
-    verts = graph.vertices.astype(np.min_scalar_type(2 * e - 2), copy=False)
-    find = row_finder(graph.vertices, e)
-    origin = int(np.flatnonzero(~verts.any(axis=1))[0])
+    X holds the identity, has no repeated row (RepeatedRowError) and holds
+    X + x for each generator makes X a group, else ValueError.  A chunk of
+    X + x holds per vertex its sum and wrap, an int32 code, take's intp copy
+    and the int32 position."""
+    e = modulus
+    verts = vertices.astype(np.min_scalar_type(2 * e - 2), copy=False)
+    find = row_finder(vertices, e)
+    origin = int(np.argmin(verts.any(axis=1)))  # the identity's position, if X holds it
+    if verts[origin].any():
+        raise ValueError("the vertex set is not a group: it does not hold the identity")
     inside = np.arange(len(verts)) == origin
     col = np.empty(len(verts), dtype=np.int32)
     gens = []
@@ -378,7 +352,7 @@ def verify_all_eigenvectors(graph: CayleyGraph) -> list[tuple[int, int]] | None:
     its row widened to uint64 words and character_exponents' sums, quotients
     and residues at the generators, within SUM_CHUNK_BYTES."""
     e, chars = graph.modulus, graph.characters
-    gens = graph.vertices[_generators(graph)]
+    gens = graph.vertices[_generators(graph.vertices, e)]
     acc = _dot_dtype(chars, gens, e).itemsize
     exps = np.empty((len(chars), len(gens)), dtype=np.min_scalar_type(e - 1))
     row_bytes = 8 * chars.shape[1] + (2 * acc + exps.itemsize) * (len(gens) + 8)  # whole words

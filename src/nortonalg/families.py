@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .cayley import (CayleyGraph, RepeatedRowError, _chunks, exponent_sum_blocks, sum_blocks,
+from .cayley import (CayleyGraph, _chunks, _generators, character_exponents, sum_blocks,
                      sum_positions)
 from .errors import BudgetExceededError, size_text
 from .groups import Word, is_prime, word_text
@@ -29,6 +29,7 @@ Subset = tuple[int, ...]
 DEFAULT_VERTEX_BUDGET = 2**20
 DEFAULT_ORACLE_VERTEX_BUDGET = 4096
 MAX_TABLE_ENTRIES = 2**26  # 256 MB of int32, the peak of a held table
+MAX_DIMENSION_BITS = 2**16  # past 2^(2^16) a dimension is past every budget and is not built
 
 
 def qbinom(d: int, i: int, q: int) -> int:
@@ -90,6 +91,12 @@ def _words(modulus: int, length: int) -> np.ndarray:
     return np.ascontiguousarray(grid.reshape(length, modulus**length).T)
 
 
+def _comb_bits(n: int, s: int) -> int:
+    """A k with 2^k <= comb(n, s), which is at least (n // s)^s for s <= n / 2."""
+    s = min(s, n - s)
+    return s * ((n // s).bit_length() - 1) if s else 0
+
+
 def _subsets(n: int, size: int, low: int = 0) -> np.ndarray:
     """The size-subsets of low..n-1 as rows of positions, in combinations order."""
     flat = np.fromiter(chain.from_iterable(combinations(range(low, n), size)), dtype=np.intp)
@@ -120,21 +127,22 @@ def verify_oracle_space(space: Space) -> bool:
     so once the V_i basis characters are distinct on X, projecting the product
     onto V_i gives the basis character with that value row, with coefficient
     1, and a row that matches no basis character certifies a zero product.
-    The lookup runs on value rows over X, never on index rows or labels (a
-    set and its complement give the same row on X).  Two basis characters
-    with one value row fail the check: the lookup among the rows, which
-    sorts or indexes them once, rejects the repeated row.  The table is the
-    space's kept one, which `table --verify-oracle` prints, or one built for
-    this check alone; the oracle's blocks are compared as they come.
+    A character of X is fixed by its values at generators of X
+    (FamilySpec.generators), so the lookup runs on value rows there, never
+    on index rows or labels (a set and its complement agree on X).  Vertex
+    rows that are not a group fail the check, and so do two basis characters
+    with one value row, which the lookup rejects (RepeatedRowError).  The
+    table is the space's kept one, which `table --verify-oracle` prints, or
+    one built for this check alone, compared block by block as they come.
     """
     # the vertex budget is checked before the rows, because the bilinear
     # basis enumerates the vertices under the larger default budget
-    verts = space.family.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
-    table = space._table()
     try:
-        blocks = exponent_sum_blocks(space.rows, verts, space.modulus)
-    except RepeatedRowError:
+        gens = space.family.generators(DEFAULT_ORACLE_VERTEX_BUDGET)
+        blocks = sum_blocks(character_exponents(space.rows, gens, space.modulus), space.modulus)
+    except ValueError:  # from the walk or the lookup
         return False
+    table = space._table()
     return all((block == table[start:stop]).all() for start, stop, block in blocks)
 
 
@@ -205,6 +213,7 @@ class FamilySpec:
         self.length = length
         self.diameter = diameter
         self._vertices: np.ndarray | None = None
+        self._generator_rows: np.ndarray | None = None
         self._connection: np.ndarray | None = None
         self._spaces: dict[int, Space] = {}
 
@@ -258,6 +267,15 @@ class FamilySpec:
         if not 0 <= i <= self.diameter:
             raise ValueError(f"eigenspace index {i} out of range 0..{self.diameter}")
 
+    def _check_dimension(self, i: int, bits: int) -> None:
+        """Check i, then refuse a dim V_i of at least 2^bits past
+        2^MAX_DIMENSION_BITS before its formula is built: at n = 10^30 none
+        would finish."""
+        self._check_space(i)
+        if bits > MAX_DIMENSION_BITS:
+            raise BudgetExceededError(f"{self.describe()} V_{i} has dimension at least 2^{bits},"
+                                      f" over 2^{MAX_DIMENSION_BITS}")
+
     @property
     def row_dtype(self) -> np.dtype:
         """The smallest unsigned dtype that holds modulus - 1: the dtype of
@@ -280,6 +298,15 @@ class FamilySpec:
                 raise AssertionError("vertex enumeration disagrees with the count formula")
             self._vertices = _read_only(rows)
         return self._vertices
+
+    def generators(self, budget: int | None = None) -> np.ndarray:
+        """The rows of generators of the vertex group, found by one coset walk
+        (cayley._generators, ValueError unless it is a group) and cached
+        read-only; every call checks the budget, as vertices() does."""
+        vertices = self.vertices(budget)
+        if self._generator_rows is None:
+            self._generator_rows = _read_only(vertices[_generators(vertices, self.modulus)])
+        return self._generator_rows
 
     def connection(self) -> np.ndarray:
         """The connection rows in vertex order, a cached read-only array."""
@@ -342,7 +369,7 @@ class HammingFamily(FamilySpec):
         return (self.n - i) * self.e - self.n
 
     def predicted_dimension(self, i: int) -> int:
-        self._check_space(i)
+        self._check_dimension(i, _comb_bits(self.n, i) + i * ((self.e - 1).bit_length() - 1))
         return comb(self.n, i) * (self.e - 1) ** i
 
     def label_text(self, label: Word) -> str:
@@ -447,10 +474,9 @@ class CubeFamily(FamilySpec):
         return (theta**2 - self.n) // 2 if self.halved else theta
 
     def predicted_dimension(self, i: int) -> int:
-        self._check_space(i)
         s = self._size(i)
-        full = comb(self.n, s)
-        return full // 2 if self._with_one(s) else full
+        self._check_dimension(i, _comb_bits(self.n, s) - self._with_one(s))
+        return comb(self.n, s) >> self._with_one(s)
 
     def label_text(self, label: Subset) -> str:
         if not label:
@@ -503,8 +529,8 @@ class BilinearFamily(FamilySpec):
         return num // (q - 1)
 
     def predicted_dimension(self, i: int) -> int:
-        self._check_space(i)
         q, d, e = self.q, self.d, self.cols
+        self._check_dimension(i, i * (e - 1) * (q.bit_length() - 1))  # each q^e - q^k >= q^(e-1)
         out = qbinom(d, i, q)
         for k in range(i):
             out *= q**e - q**k

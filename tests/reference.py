@@ -3,10 +3,11 @@ canonical forms of w^k by polynomial long division, the paper's product
 rule on single labels, vectors keyed by label, the label
 enumerations that the package's numpy rows replace, tree evaluation and
 automorphism composition and candidates one element at a time, the
-edge-identity check of the eigenvectors at every connection element, the
-`table` output rendered as one string, the live-interval patterns of the
-whole tuple grid by index arithmetic, and the idempotent suite of
-V_1(H(1,e)) checked on every support and every pair of supports.
+projection oracle on value rows over every vertex, the edge-identity check
+of the eigenvectors at every connection element, the `table` output
+rendered as one string, the live-interval patterns of the whole tuple grid
+by index arithmetic, and the idempotent suite of V_1(H(1,e)) checked on
+every support and every pair of supports.
 
 Each function computes its answer one group element or one label at a time,
 straight from the definitions, so the row paths of the package are checked
@@ -440,6 +441,20 @@ def oracle_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
         if not coeff.is_zero():
             out[label] = coeff
     return vector(fam, i, out)
+
+
+def vertex_row_oracle(space, vertices: np.ndarray, table: np.ndarray) -> bool:
+    """The projection oracle on value rows over every vertex row: the row-sum
+    lookup of the basis characters' exponent rows over vertices must equal
+    table, and two basis characters with one value row fail.  On a group
+    this is the verdict of families.verify_oracle_space, which reads the
+    rows at generators alone."""
+    e = space.modulus
+    try:
+        lookup = cayley.sum_positions(cayley.character_exponents(space.rows, vertices, e), e)
+    except cayley.RepeatedRowError:
+        return False
+    return bool((lookup == table).all())
 
 
 def vector_map_preserves_products(images: dict, family, i: int) -> bool:

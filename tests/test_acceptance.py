@@ -7,6 +7,7 @@ lines.  All arithmetic is exact, so every comparison is exact equality.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +17,7 @@ import numpy as np
 from nortonalg import cayley
 from nortonalg.cayley import spectrum, verify_all_eigenvectors
 from nortonalg.cyclotomic import Cyclotomic, root_power
-from nortonalg.families import make_family
+from nortonalg.families import KINDS, make_family
 from nortonalg.norton import (
     classified_idempotents,
     closed_form_product,
@@ -49,6 +50,7 @@ from reference import (
     reference_index,
     signed_image,
     symmetric_difference_feasible,
+    vertex_row_oracle,
 )
 
 
@@ -171,34 +173,36 @@ def test_packed_sums_equal_residue_sums():
     assert (spaces, packed) == (155, 110)
 
 
-def test_oracle_rows_in_vertex_blocks_equal_the_whole_rows(monkeypatch):
-    # the oracle computes its exponent rows in blocks of 8 vertices here (and
-    # packs them block by block modulo 2); its lookup equals that of the
-    # rows computed at once, and its verdict holds, on every space
-    real = cayley.character_exponents
-    widths = []
+def _mutations(table: np.ndarray):
+    """(kind, table) with one entry changed, for each kind the table allows:
+    a position to another position, a position to zero (-1), and a zero to
+    a position."""
+    live, zero = np.argwhere(table >= 0)[:1], np.argwhere(table < 0)[:1]
+    changes = [("other", at, (table[tuple(at)] + 1) % len(table)) for at in live if len(table) > 1]
+    changes += [("to zero", at, -1) for at in live] + [("from zero", at, 0) for at in zero]
+    for kind, at, value in changes:
+        mutated = table.copy()
+        mutated[tuple(at)] = value
+        yield kind, mutated
 
-    def recorded(u_arr, x_arr, e):
-        widths.append(len(x_arr))
-        return real(u_arr, x_arr, e)
 
-    spaces = 0
+def test_generator_oracle_verdict_equals_the_vertex_row_reference():
+    # the oracle reads the basis characters at generators of X; on each
+    # space, with its table and with each one-entry mutation of it, the
+    # verdict equals the reference's on value rows over all of X
+    spaces, kinds = 0, Counter()
     for fam in _criterion1_instances():
         verts = fam.vertices()
         for i in fam.eigenspaces():
-            rows = fam.space(i).rows
-            want = cayley.sum_positions(real(rows, verts, fam.modulus), fam.modulus)
-            with monkeypatch.context() as patch:
-                patch.setattr(cayley, "SUM_CHUNK_BYTES", 1)
-                patch.setattr(cayley, "character_exponents", recorded)
-                widths.clear()
-                lookup = cayley.exponent_sum_blocks(rows, verts, fam.modulus)
-                assert widths[:-1] == [8] * (len(widths) - 1) and sum(widths) == len(verts)
-                got = cayley._filled(len(rows), lookup)
-                assert verify_oracle_space(fam.space(i)), (fam.describe(), i)
-            assert (got == want).all(), (fam.describe(), i)
+            space = KINDS[fam.kind][0](*fam.key[1:]).space(i)  # private: its table is replaced
+            good = fam.space(i).table
+            for kind, table in (("none", good), *_mutations(good)):
+                space.table = table
+                want = vertex_row_oracle(space, verts, table)
+                assert verify_oracle_space(space) == want == (kind == "none"), (fam.describe(), i)
+                kinds[kind] += 1
             spaces += 1
-    assert spaces == 155
+    assert spaces == kinds["none"] == 155 and min(kinds.values()) > 50, kinds
 
 
 def test_criterion_03_oracle_equivalence():

@@ -346,7 +346,7 @@ def test_working_set_follows_the_chunk_budget(monkeypatch):
 
 def _generating_rows(g):
     """The vertex rows of the generators that _generators walks."""
-    return g.vertices[cayley._generators(g)]
+    return g.vertices[cayley._generators(g.vertices, g.modulus)]
 
 
 def test_generating_columns_generate_the_connection_set():
@@ -385,7 +385,7 @@ def test_generating_columns_are_rank_many(kind, opts, count, degree):
 WALK_PROBE = """
 from nortonalg import cayley
 from nortonalg.families import make_family
-print(cayley._generators(make_family("hamming", n=1, e=65537).cayley_graph()))
+print(cayley._generators(make_family("hamming", n=1, e=65537).vertices(), 65537))
 """
 
 

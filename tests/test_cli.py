@@ -343,6 +343,46 @@ def test_huge_parameters_exit_at_once_with_one_line():
             assert message in err, (argv, err)
 
 
+HALF = str(5 * 10**29)
+# math.comb in each cube and Hamming dimension formula raised OverflowError
+# (exit 4), and the bilinear one built q**e at e = 10^30, which never ended
+DIMENSION_CASES = [
+    *(["table", "--family", kind, "--n", HUGE, "--i", HALF, *extra] for kind, extra in (
+        ("hypercube", []), ("halved-cube", []), ("hamming", ["--e", "3"]))),
+    *([command, "--family", "hypercube", "--n", HUGE, "--i", HALF, *extra] for command, extra in (
+        ("oracle-verify", []), ("nonassoc", ["--max-m", "2"]), ("autocheck", ["--samples", "1"]))),
+    ["table", "--family", "bilinear", "--q", "2", "--d", "3", "--e", HUGE, "--i", "2"],
+]
+
+DIMENSION_PROBE = """
+import json, sys, time
+import nortonalg.cli
+start = time.perf_counter()
+code = nortonalg.cli.main(sys.argv[1:])
+print(json.dumps([code, time.perf_counter() - start]))
+"""
+
+
+def _address_space_cap() -> None:
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", DIMENSION_CASES,
+                         ids=[f"{argv[0]}-{argv[2]}" for argv in DIMENSION_CASES])
+def test_huge_dimensions_exit_3_at_once(argv):
+    # each command in a child capped at 1 GiB of address space, with a
+    # timeout, so neither a hang nor a runaway allocation holds up the suite;
+    # the bound on the dimension's bit length refuses it before it is built
+    proc = subprocess.run([sys.executable, "-c", DIMENSION_PROBE, *argv], env=_process_env(),
+                          preexec_fn=_address_space_cap, capture_output=True, text=True,
+                          timeout=10)
+    code, seconds = json.loads(proc.stdout)
+    assert (code, proc.returncode) == (3, 0) and seconds < 1, (argv, proc.stderr)
+    assert proc.stderr.startswith("budget exceeded: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert " has dimension at least 2^" in proc.stderr, proc.stderr
+
+
 def test_autocheck_checks_past_a_million_pairs(capsys):
     # bilinear(2,3,4) V_2 has dim 1470: 2,160,900 pairs, which a pair budget
     # of 10^6 refused; the table, of 2^26 entries at most, bounds the check

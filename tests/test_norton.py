@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nortonalg import cayley, norton, roots
+from nortonalg import families, norton, roots
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import HammingFamily, make_family
@@ -41,6 +41,7 @@ from reference import (
     value_table,
     vector,
     vector_map_preserves_products,
+    vertex_row_oracle,
 )
 
 
@@ -136,29 +137,53 @@ def test_verify_oracle_rejects_one_changed_entry():
     assert verify_oracle_space(space)
 
 
-def test_verify_oracle_rejects_coinciding_basis_rows(monkeypatch):
-    # on the one-vertex set {0} every character takes the value 1
+def _on_vertices(rows, i):
+    """V_i of a private hamming(2,3) whose vertex rows are the given ones."""
     fam = HammingFamily(2, 3)
-    monkeypatch.setattr(fam, "vertices", lambda budget=None: np.zeros((1, 2), np.uint8))
-    assert not verify_oracle_space(fam.space(1))
-    # on 12 vertices with last entry 0, chi_11 = chi_12 in V_2: value rows of 24 bits
-    # are looked up by byte key, not by the dense code index
-    rows = np.array([(a, 0) for a in range(3)] * 4, np.uint8)
-    assert rows.shape[0] * 2 > cayley.DENSE_CODE_BITS
-    monkeypatch.setattr(fam, "vertices", lambda budget=None: rows)
-    assert not verify_oracle_space(fam.space(2))
+    fam.vertices = lambda budget=None: np.array(rows, np.uint8).reshape(-1, 2)
+    return fam.space(i)
+
+
+def test_verify_oracle_rejects_coinciding_basis_rows():
+    # on the group {0}, with no generators, every character takes the value
+    # 1; on the proper subgroup {(a, 0)}, generated by (1, 0), chi_11 =
+    # chi_12 in V_2 and chi_01 = chi_02 in V_1: the lookup among the rows at
+    # the generators rejects the repeated row, as the reference over the
+    # vertices does; V_0, one character, passes
+    for rows in ([(0, 0)], [(a, 0) for a in range(3)]):
+        spaces = [_on_vertices(rows, i) for i in range(3)]
+        want = [vertex_row_oracle(space, space.family.vertices(), space.table) for space in spaces]
+        assert [verify_oracle_space(space) for space in spaces] == want == [True, False, False], rows
+
+
+def test_verify_oracle_rejects_a_vertex_set_that_is_no_group():
+    # not closed under addition, without the identity, and with a repeated
+    # row (the twelve rows of {(a, 0)}, each four times): the coset walk
+    # refuses each, and the oracle says False, raising nothing
+    for rows in ([(0, 0), (1, 0), (0, 1)], [(1, 0), (2, 0)], [(a, 0) for a in range(3)] * 4):
+        assert [verify_oracle_space(_on_vertices(rows, i)) for i in range(3)] == [False] * 3, rows
+
+
+def test_oracle_walks_x_once_and_reads_the_rows_at_its_generators(monkeypatch):
+    # the walk of the 27 vertices of hamming(3,3) is kept beside them, and
+    # each space's exponent rows are 3 entries wide, one per generator
+    walks, widths = [], []
+    walk, exponents = families._generators, families.character_exponents
+    monkeypatch.setattr(families, "_generators", lambda *a: walks.append(1) or walk(*a))
+    monkeypatch.setattr(families, "character_exponents",
+                        lambda u, x, e: widths.append(len(x)) or exponents(u, x, e))
+    fam = HammingFamily(3, 3)
+    assert all(verify_oracle_space(fam.space(i)) for i in fam.eigenspaces())
+    assert (len(walks), widths) == (1, [3] * 4)
 
 
 def test_oracle_works_in_a_bounded_set():
-    # modulo 2 the oracle XORs bit-packed value rows, 64 bytes over the 512
-    # vertices of halved-cube(10), in 256 KiB steps that count the byte-key
-    # lookup, with the rows computed and packed in vertex blocks and each
-    # step's rows compared with the table as they come (0.29 MiB; 0.42 with
-    # the exponents computed on all vertices at once and the oracle's table
-    # held, 0.36 when a step counted unpacked sums alone, 0.55 in 1 MiB
-    # steps, 0.52 with the lookup counted and the unpacked rows held);
-    # residue sums of the 512-byte rows, with their wrap buffer and byte
-    # keys, peaked at 3.3 MiB
+    # the oracle reads the basis characters at the 9 generators of
+    # halved-cube(10), which the walk of its 512 vertices finds once for all
+    # its spaces, and compares the lookup's 256 KiB steps with the table as
+    # they come (0.32 MiB; 0.29 when it read value rows over all 512
+    # vertices, bit-packed and computed in vertex blocks, and 3.3 with
+    # residue sums of 512-byte rows)
     fam = make_family("halved_cube", n=10)
     for i in fam.eigenspaces():
         fam.space(i).table  # the spaces' kept tables, built before the trace
