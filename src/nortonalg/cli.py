@@ -18,15 +18,19 @@ calls `main()`, flushes stdout and stderr and ends the process with
 `os._exit`, skipping interpreter teardown, which has nothing to release: the
 only file opened is closed by `_write`, and no thread or exit handler runs.
 
-Every subcommand loads `cayley`, `families`, `groups` and `linalg`, which
-hold the product table and the projection oracle; the others are imported
-where they are used:
+`import nortonalg.cli` loads the standard library and `errors`, which holds
+the family kinds and their parameter names, and nothing else: the parser,
+`--help` and every usage error that argparse or an option check finds run
+without numpy or any other layer.  Each subcommand imports the layers it runs
+when it is dispatched, and every one loads `families`, with numpy, `cayley`,
+`groups` and `linalg`, which hold the product table and the projection
+oracle; the others are imported where they are used:
 
 - `spectrum` adds `roots`, whose integer reduction gives the eigenvalues;
 - `table`, with or without `--verify-oracle`, and `oracle-verify` add none;
 - `nonassoc` adds `trees`, and `autocheck` adds `autos`;
-- `idempotents` and `isocheck` add `norton`, `cyclotomic` and `roots`, the
-  exact Q(w) arithmetic, with `fractions`.
+- `idempotents`, once `--e` is checked, and `isocheck` add `norton`,
+  `cyclotomic` and `roots`, the exact Q(w) arithmetic, with `fractions`.
 """
 
 from __future__ import annotations
@@ -37,13 +41,12 @@ import os
 import sys
 from collections.abc import Callable, Iterable
 from itertools import chain, islice
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import DEFAULT_EVAL_BUDGET, KIND_PARAMETERS, BudgetExceededError
 
-from .cayley import spectrum, verify_all_eigenvectors
-from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
-from .families import (DEFAULT_ORACLE_VERTEX_BUDGET, KINDS, FamilySpec, listed, make_family,
-                       verify_oracle_space)
+if TYPE_CHECKING:
+    from .families import FamilySpec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -51,9 +54,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-FAMILY_CHOICES = [kind.replace("_", "-") for kind in KINDS]
+FAMILY_CHOICES = [kind.replace("_", "-") for kind in KIND_PARAMETERS]
 # the parameters of every kind, in first-appearance order: the family options
-FAMILY_PARAMETERS = list(dict.fromkeys(name for _, names in KINDS.values() for name in names))
+FAMILY_PARAMETERS = list(dict.fromkeys(name for names in KIND_PARAMETERS.values()
+                                        for name in names))
 
 
 def _env_int(name: str) -> int | None:
@@ -100,6 +104,7 @@ def _resolve_budget(args) -> int:
 
 
 def _family_from_args(args) -> FamilySpec:
+    from .families import make_family
     try:
         return make_family(args.family, **{name: getattr(args, name) for name in FAMILY_PARAMETERS})
     except ValueError as exc:
@@ -161,6 +166,7 @@ def _row_blocks(blocks: Iterable, cells: list[str], sep: str, heads: list[str],
     row blocks: row r reads heads[r], its entries joined by sep, then end,
     where entry v reads cells[v], so a zero product (-1) reads the last
     cell."""
+    import numpy as np
     lookup = np.array(cells, dtype=object)
     for start, _, block in blocks:
         for r, row in enumerate(block, start):
@@ -184,6 +190,7 @@ def _emit_json(args, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    from .cayley import spectrum, verify_all_eigenvectors
     fam = _family_from_args(args)
     graph = fam.cayley_graph()
     certified = verify_all_eigenvectors(graph) if args.verify else None  # the spectrum, or None
@@ -215,6 +222,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .families import DEFAULT_ORACLE_VERTEX_BUDGET, verify_oracle_space
     fam = _family_from_args(args)
     if args.i is None:
         raise _usage_error("table requires --i")
@@ -317,11 +325,11 @@ def cmd_nonassoc(args) -> int:
 
 
 def cmd_idempotents(args) -> int:
-    from . import norton
-    from .roots import field_degree
     e = args.e
     if e is None or e < 3:
         raise _usage_error("idempotents requires --e >= 3")
+    from . import norton
+    from .roots import field_degree
     # each nonempty subset of 1..e-1, the nilpotent ones too, gets e-1
     # coordinates of phi(e) integer coefficients; past the budget's bit length
     # the subsets alone are over it, and the cost is not written out
@@ -362,6 +370,7 @@ def cmd_idempotents(args) -> int:
 
 def cmd_autocheck(args) -> int:
     from . import autos
+    from .families import listed
     fam = _family_from_args(args)
     i = _space_index(fam, 1 if args.i is None else args.i)
     seed = _resolve_seed(args)
@@ -381,6 +390,7 @@ def cmd_autocheck(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
+    from .families import verify_oracle_space
     fam = _family_from_args(args)
     spaces = fam.eigenspaces() if args.i is None else [_space_index(fam, args.i)]
     rows = []

@@ -1,8 +1,21 @@
-"""Shared error types, the default evaluation budget and the text of a size."""
+"""Shared error types, the default evaluation budget, the family kinds'
+parameter names and the text of a size: what the CLI reads before it loads
+numpy or any other layer."""
 
 from __future__ import annotations
 
 DEFAULT_EVAL_BUDGET = 10**7  # of nonassoc and idempotents, unless --budget or NORTON_BUDGET
+
+# kind: parameter names in key order; a family's key is (kind, *parameters),
+# and families.KINDS pairs each kind with its constructor
+KIND_PARAMETERS = {
+    "hamming": ("n", "e"),
+    "hypercube": ("n",),
+    "halved_cube": ("n",),
+    "folded_cube": ("n",),
+    "folded_half_cube": ("n",),
+    "bilinear": ("q", "d", "e"),
+}
 
 
 class BudgetExceededError(RuntimeError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cayley import (CayleyGraph, _chunks, _generators, character_exponents, sum_blocks,
                      sum_positions)
-from .errors import BudgetExceededError, size_text
+from .errors import KIND_PARAMETERS, BudgetExceededError, size_text
 from .groups import Word, is_prime, word_text
 from .linalg import row_reduce
 
@@ -28,7 +28,7 @@ Subset = tuple[int, ...]
 
 DEFAULT_VERTEX_BUDGET = 2**20
 DEFAULT_ORACLE_VERTEX_BUDGET = 4096
-MAX_TABLE_ENTRIES = 2**26  # 256 MB of int32, the peak of a held table
+MAX_TABLE_ENTRIES = 2**26  # of a held table (256 MB of int32) and of a space's basis rows
 MAX_DIMENSION_BITS = 2**16  # past 2^(2^16) a dimension is past every budget and is not built
 
 
@@ -154,8 +154,8 @@ class Space:
     Table entry (a, b) is the basis position of chi_a * chi_b, or -1 for a
     zero product: the index sum (B[a] + B[b]) mod q is the row of chi_a *
     chi_b, looked up among the basis rows (cayley.sum_positions).  Over
-    MAX_TABLE_ENTRIES entries the table raises BudgetExceededError before
-    the rows are built."""
+    MAX_TABLE_ENTRIES entries the table, or the rows themselves, raise
+    BudgetExceededError before the rows are built."""
 
     def __init__(self, family: FamilySpec, i: int) -> None:
         self.dim = family.predicted_dimension(i)  # checks i
@@ -165,6 +165,10 @@ class Space:
 
     @cached_property
     def rows(self) -> np.ndarray:
+        entries = self.dim * self.family.length  # of two built numbers: cheap at any size
+        if entries > MAX_TABLE_ENTRIES:
+            raise BudgetExceededError(f"basis rows of {self.name} have {size_text(entries)}"
+                                      f" entries, over {MAX_TABLE_ENTRIES}")
         rows = self.family._make_basis(self.i)
         if len(rows) != self.dim:
             raise AssertionError(f"{self.name} has {len(rows)} basis rows, not {self.dim}")
@@ -544,12 +548,11 @@ class BilinearFamily(FamilySpec):
         return [list(r) for r in self._matrix(label)]
 
 
-# kind: (constructor, parameter names in key order); a family's key is (kind, *parameters)
-KINDS = {
-    "hamming": (HammingFamily, ("n", "e")),
-    **{kind: (partial(CubeFamily, kind), ("n",)) for kind in _CUBE_KINDS},
-    "bilinear": (BilinearFamily, ("q", "d", "e")),
-}
+_CONSTRUCTORS = {"hamming": HammingFamily, "bilinear": BilinearFamily,
+                 **{kind: partial(CubeFamily, kind) for kind in _CUBE_KINDS}}
+# kind: (constructor, parameter names in key order), in the order of the
+# one kind table, errors.KIND_PARAMETERS; a family's key is (kind, *parameters)
+KINDS = {kind: (_CONSTRUCTORS[kind], names) for kind, names in KIND_PARAMETERS.items()}
 
 
 @lru_cache(maxsize=None)

@@ -368,19 +368,44 @@ def _address_space_cap() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("argv", DIMENSION_CASES,
-                         ids=[f"{argv[0]}-{argv[2]}" for argv in DIMENSION_CASES])
-def test_huge_dimensions_exit_3_at_once(argv):
-    # each command in a child capped at 1 GiB of address space, with a
-    # timeout, so neither a hang nor a runaway allocation holds up the suite;
-    # the bound on the dimension's bit length refuses it before it is built
+def _exit_3_at_once(argv: list[str]) -> str:
+    """The one stderr line of argv, run through cli.main in a child capped at
+    1 GiB of address space, with a timeout, so neither a hang nor a runaway
+    allocation holds up the suite; main must return 3 within 1 s."""
     proc = subprocess.run([sys.executable, "-c", DIMENSION_PROBE, *argv], env=_process_env(),
                           preexec_fn=_address_space_cap, capture_output=True, text=True,
                           timeout=10)
     code, seconds = json.loads(proc.stdout)
     assert (code, proc.returncode) == (3, 0) and seconds < 1, (argv, proc.stderr)
     assert proc.stderr.startswith("budget exceeded: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert " has dimension at least 2^" in proc.stderr, proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("argv", DIMENSION_CASES,
+                         ids=[f"{argv[0]}-{argv[2]}" for argv in DIMENSION_CASES])
+def test_huge_dimensions_exit_3_at_once(argv):
+    # the bound on the dimension's bit length refuses it before it is built
+    err = _exit_3_at_once(argv)
+    assert " has dimension at least 2^" in err, err
+
+
+# one basis row n = 10^30 entries wide, of V_n or of the folded cube's V_0,
+# which the index rows of _subsets could not hold (OverflowError, exit 4)
+WIDE_ROW_CASES = [
+    ["table", "--family", "hypercube", "--n", HUGE, "--i", HUGE],
+    ["table", "--family", "folded-cube", "--n", HUGE, "--i", "0"],
+    ["nonassoc", "--family", "hypercube", "--n", HUGE, "--i", HUGE, "--max-m", "2"],
+    ["autocheck", "--family", "hypercube", "--n", HUGE, "--i", HUGE],
+]
+
+
+@pytest.mark.parametrize("argv", WIDE_ROW_CASES,
+                         ids=[f"{argv[0]}-{argv[2]}" for argv in WIDE_ROW_CASES])
+def test_wide_basis_rows_exit_3_at_once(argv):
+    # the rows' entries, dim x length, are refused before the basis is built
+    err = _exit_3_at_once(argv)
+    assert err.startswith("budget exceeded: basis rows of "), err
+    assert " have about 2^99 entries, over 67108864" in err, err
 
 
 def test_autocheck_checks_past_a_million_pairs(capsys):
@@ -563,7 +588,7 @@ def test_options_the_command_does_not_read_exit_2(argv, capsys):
 
 
 # sha256 of the help texts 80 columns wide, recorded from literal lists of the
-# kinds and family options: the lists read from families.KINDS must give them
+# kinds and family options: the lists read from the kind table must give them
 HELP_SHA256 = {
     "": "c8bdcdbd69251ecc7d49669df67079d2dcad44ac07631163b47ec599187bb7a4",
     "spectrum": "ddda4ef67b8b82b3bc660e3dd555b2d62e6442864be83cbea66c605983cc81db",
@@ -577,6 +602,22 @@ def test_help_reads_the_kinds_table_unchanged(capsys, monkeypatch):
             main([*command.split(), "--help"])
         assert info.value.code == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, command
+
+
+def test_parser_family_options_are_the_kinds_table():
+    # the parser reads errors.KIND_PARAMETERS, families.KINDS the constructors:
+    # every family subcommand offers exactly the kinds and parameters of KINDS
+    kinds = [kind.replace("_", "-") for kind in families.KINDS]
+    parameters = {name for _, names in families.KINDS.values() for name in names}
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    offered = {}
+    for command, parser in sub.choices.items():
+        options = {action.dest: action for action in parser._actions}
+        if "family" in options:
+            offered[command] = (options["family"].choices, parameters <= options.keys())
+    assert offered == dict.fromkeys(
+        ["spectrum", "table", "nonassoc", "autocheck", "oracle-verify"], (kinds, True))
+    assert set(cli.FAMILY_PARAMETERS) == parameters
 
 
 def test_budget_exit_3(capsys):
@@ -718,7 +759,7 @@ def test_json_payload_streams_in_blocks(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_table_peak_memory_is_the_table_and_a_block(monkeypatch, fmt):
     # a fresh family, so the table is built under the trace too
-    monkeypatch.setattr(cli, "make_family",
+    monkeypatch.setattr(families, "make_family",
                         lambda kind, **params: families.CubeFamily(kind, params["n"]))
     dim = families.CubeFamily("hypercube", 12).predicted_dimension(6)
     with open(os.devnull, "w") as null:
@@ -764,7 +805,7 @@ def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("oracle exploded")
 
-    monkeypatch.setattr(cli, "verify_oracle_space", broken)
+    monkeypatch.setattr(families, "verify_oracle_space", broken)
     assert main(["oracle-verify", "--family", "hamming", "--n", "2", "--e", "3"]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: oracle exploded\n"
@@ -804,9 +845,20 @@ IMPORT_PROBE = """
 import contextlib, io, sys
 def loaded(*names):
     return sorted(m for m in names if m in sys.modules)
+def numeric():
+    return loaded("numpy", "nortonalg.families", "nortonalg.cayley")
 import nortonalg.cli
 print(loaded("nortonalg.autos", "nortonalg.norton", "nortonalg.trees",
              "nortonalg.cyclotomic"))
+print(numeric())
+for argv in (["--help"], ["table", "--help"], ["table", "--family", "cube", "--n", "3"],
+             ["idempotents", "--e", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = nortonalg.cli.main(argv)
+        except SystemExit as exc:  # from argparse
+            code = exc.code
+    print(code, numeric())
 for argv in (["table", "--family", "hypercube", "--n", "6", "--i", "3"],
              ["nonassoc", "--family", "hamming", "--n", "1", "--e", "3", "--max-m", "6",
               "--mode", "exact"],
@@ -824,7 +876,8 @@ for argv in (["table", "--family", "hypercube", "--n", "6", "--i", "3"],
 
 
 def test_cli_import_leaves_the_other_layers_unloaded():
-    # the layers load per subcommand: Q(w) (norton, cyclotomic and fractions)
+    # import, help and usage errors load no numpy and no layer; the layers
+    # load per subcommand: Q(w) (norton, cyclotomic and fractions)
     # only where it is computed, so not by the oracle or the eigenvalues, and
     # numpy.ma nowhere
     src = os.path.dirname(os.path.dirname(nortonalg.__file__))
@@ -833,6 +886,9 @@ def test_cli_import_leaves_the_other_layers_unloaded():
                          text=True, check=True, timeout=60).stdout
     assert out.splitlines() == [
         "[]",  # after import nortonalg.cli
+        "[]",  # nor numpy, families or cayley: the parser reads no layer
+        "0 []", "0 []",  # after --help and table --help
+        "2 []", "2 []",  # after an unknown kind (argparse) and idempotents --e 2
         "[]", "[]", "[]",  # after table, exact nonassoc and autocheck
         "[]", "[]", "[]",  # after oracle-verify, table --verify-oracle and spectrum --verify
         "['fractions', 'nortonalg.cyclotomic', 'nortonalg.norton']",  # after idempotents
