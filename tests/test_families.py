@@ -254,6 +254,19 @@ def test_table_size_is_checked_before_the_basis(monkeypatch):
     assert not {"rows", "labels", "table"} & set(vars(space))
 
 
+def test_basis_rows_are_refused_just_past_the_table_cap():
+    # hypercube(2^13) V_1 has 2^13 rows 2^13 wide, MAX_TABLE_ENTRIES entries
+    # in all, and is built; hypercube(n) V_0 is one row n wide, and at
+    # n = MAX_TABLE_ENTRIES + 1 it is refused before it is built
+    at = CubeFamily("hypercube", 2**13).space(1)
+    assert at.rows.size == MAX_TABLE_ENTRIES and (at.rows.sum(axis=1) == 1).all()
+    past = CubeFamily("hypercube", MAX_TABLE_ENTRIES + 1).space(0)
+    with pytest.raises(BudgetExceededError, match=r"^basis rows of hypercube\(67108865\) V_0"
+                                                  r" have 67108865 entries, over 67108864$"):
+        past.rows
+    assert "rows" not in vars(past)
+
+
 def test_symmetric_difference_feasible_examples():
     assert symmetric_difference_feasible(3, 2, 2)
     assert not symmetric_difference_feasible(5, 2, 3)
