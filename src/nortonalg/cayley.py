@@ -141,14 +141,12 @@ def row_finder(rows: np.ndarray, modulus: int):
     positions among rows, or -1 where no row matches.  Duplicate rows raise
     RepeatedRowError.
 
-    A row is read as a bit-field code of bits(modulus - 1) bits per entry.
-    When the codes fit in DENSE_CODE_BITS bits, an int32 array up to the
-    largest code maps each to its position (a larger one to -1); wider rows,
-    such as exponent rows over a vertex set, are compared by exact byte key."""
+    A row is a bit-field code of bits(modulus - 1) bits per entry.  When the
+    codes fit in int32 and the largest is below 2^DENSE_CODE_BITS, as packed
+    rows of up to 22 entries do, an int32 array up to it maps each code to its
+    position (a larger one to -1); else byte keys, and `find.dense` is False."""
     count, width = rows.shape
     bits = (modulus - 1).bit_length()
-    if width * bits > DENSE_CODE_BITS:
-        return _byte_key_finder(rows)
 
     def codes(block: np.ndarray) -> np.ndarray:
         if block.size and (block.min() < 0 or block.max() >= modulus):
@@ -159,12 +157,19 @@ def row_finder(rows: np.ndarray, modulus: int):
             out |= col
         return out
 
-    keys = codes(rows)
+    keys = codes(rows) if width * bits <= 31 else None
+    if keys is None or keys.max(initial=-1) >= 2**DENSE_CODE_BITS:
+        return _byte_key_finder(rows)
     index = np.full(int(keys.max(initial=-1)) + 2, -1, dtype=np.int32)  # -1 last
     index[keys] = at = np.arange(count, dtype=np.int32)
     if (index[keys] != at).any():
         raise RepeatedRowError("row_finder needs distinct rows")
-    return lambda queries: index.take(codes(queries), mode="clip")
+
+    def find(queries: np.ndarray) -> np.ndarray:
+        return index.take(codes(queries), mode="clip")
+
+    find.dense = True
+    return find
 
 
 def _byte_key_finder(rows: np.ndarray):
@@ -180,6 +185,7 @@ def _byte_key_finder(rows: np.ndarray):
         at = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
         return np.where(keys[at] == found, order[at], -1)
 
+    find.dense = False
     return find
 
 
@@ -242,18 +248,17 @@ def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add):
     returned: add sums the rows a with every row b into `buffers`
     chunk-sized scratch buffers allocated once, and row_finder(rows,
     modulus) looks the sums up, giving block, the positions of the sums of
-    rows start..stop-1.  It reads them column by column when their codes
-    are dense, so the codes read contiguous columns, else whole rows, so
-    their byte keys are views.  A chunk is sized so that all it holds per
+    rows start..stop-1.  It reads them column by column when the finder is
+    dense, so the codes read contiguous columns, else whole rows, so their
+    byte keys are views.  A chunk is sized so that all it holds per
     sum fits in SUM_CHUNK_BYTES: the buffers' entries and what the lookup
     holds, an int32 code, the intp copy that take makes of it and an int32
     position when the codes are dense, else the intp search positions, the
     keys found and their match, and the intp positions gathered and
     returned."""
     dim, width = rows.shape
-    dense = width * (modulus - 1).bit_length() <= DENSE_CODE_BITS
-    sum_bytes = buffers * width * rows.itemsize + (16 if dense else width + 1 + 3 * 8)
     find = row_finder(rows, modulus)
+    sum_bytes = buffers * width * rows.itemsize + (16 if find.dense else width + 1 + 3 * 8)
     chunks = list(_chunks(dim, dim * sum_bytes))
     scratch = np.empty((buffers, width * chunks[0][1] * dim), rows.dtype)
     cols = rows.T
@@ -262,7 +267,7 @@ def _lookup_sums(rows: np.ndarray, modulus: int, buffers: int, add):
         for start, stop in chunks:
             sums = (stop - start) * dim
             held = scratch[:, :width * sums]
-            if dense:  # sizes spelled out, so rows 0 wide (X = {0} has no generators) reshape
+            if find.dense:  # sizes spelled out, so rows 0 wide (X = {0} has no generators) reshape
                 part = add(cols[:, start:stop, None], cols[:, None, :],
                            *held.reshape(buffers, width, stop - start, dim)).reshape(width, sums).T
             else:

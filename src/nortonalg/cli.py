@@ -222,21 +222,20 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .families import DEFAULT_ORACLE_VERTEX_BUDGET, verify_oracle_space
+    from .families import verify_oracle_space
     fam = _family_from_args(args)
     if args.i is None:
         raise _usage_error("table requires --i")
     space = fam.space(_space_index(fam, args.i))
     oracle_ok = None
     if args.verify_oracle:
-        # the oracle's vertex budget comes before the table and the basis, and
-        # its verdict sorts before the table in json, so the table is held
-        fam.vertices(DEFAULT_ORACLE_VERTEX_BUDGET)
+        # the vertex budget comes before the table and the basis, and the
+        # oracle's verdict sorts before the table in json, so the table is held
+        fam.vertices()
         space.table
+        oracle_ok = verify_oracle_space(space)
     rows = space.blocks()  # checks the table's size before the basis is built
     labels = space.labels
-    if args.verify_oracle:
-        oracle_ok = verify_oracle_space(space)
     texts = [fam.label_text(lbl) for lbl in labels]
     numbers = [str(v) for v in range(len(texts))] + ["-1"]  # -1, a zero product, reads last
     status = "ok" if oracle_ok in (None, True) else "mismatch"
@@ -392,22 +391,24 @@ def cmd_autocheck(args) -> int:
 def cmd_oracle_verify(args) -> int:
     from .families import verify_oracle_space
     fam = _family_from_args(args)
-    spaces = fam.eigenspaces() if args.i is None else [_space_index(fam, args.i)]
+    # --i, then the vertex budget (which bounds the spaces), then every table's size
+    spaces = [] if args.i is None else [fam.space(_space_index(fam, args.i))]
+    fam.vertices()
+    spaces = spaces or [fam.space(i) for i in fam.eigenspaces()]
+    for space in spaces:
+        space.check_table_size()
     rows = []
-    all_ok = True
-    for i in spaces:
-        space = fam.space(i)
+    for space in spaces:
         ok = verify_oracle_space(space)
-        all_ok &= ok
-        rows.append({"i": i, "dim": space.dim, "pairs": space.dim**2, "ok": ok})
+        rows.append({"i": space.i, "dim": space.dim, "pairs": space.dim**2, "ok": ok})
     payload = {
         "command": "oracle-verify",
         "family": fam.describe(),
         "spaces": rows,
-        "all_ok": all_ok,
+        "all_ok": all(row["ok"] for row in rows),
     }
     _emit_json(args, payload)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if payload["all_ok"] else EXIT_CHECK_FAILED
 
 
 def cmd_isocheck(args) -> int:

@@ -27,7 +27,6 @@ from .linalg import row_reduce
 Subset = tuple[int, ...]
 
 DEFAULT_VERTEX_BUDGET = 2**20
-DEFAULT_ORACLE_VERTEX_BUDGET = 4096
 MAX_TABLE_ENTRIES = 2**26  # of a held table (256 MB of int32) and of a space's basis rows
 MAX_DIMENSION_BITS = 2**16  # past 2^(2^16) a dimension is past every budget and is not built
 
@@ -86,9 +85,11 @@ def _read_only(rows: np.ndarray) -> np.ndarray:
 
 def _words(modulus: int, length: int) -> np.ndarray:
     """Every word of Z_modulus^length as a row, in lexicographic order, in the
-    smallest unsigned dtype that holds modulus - 1."""
-    grid = np.indices((modulus,) * length, dtype=np.min_scalar_type(modulus - 1))
-    return np.ascontiguousarray(grid.reshape(length, modulus**length).T)
+    smallest unsigned dtype that holds modulus - 1, column by column (any length)."""
+    words = np.zeros((modulus**length, length), dtype=np.min_scalar_type(modulus - 1))
+    for j in range(length if modulus > 1 else 0):  # modulo 1 every entry is 0
+        words.reshape(modulus**j, modulus, -1, length)[..., j] = np.arange(modulus)[:, None]
+    return words
 
 
 def _comb_bits(n: int, s: int) -> int:
@@ -98,7 +99,10 @@ def _comb_bits(n: int, s: int) -> int:
 
 
 def _subsets(n: int, size: int, low: int = 0) -> np.ndarray:
-    """The size-subsets of low..n-1 as rows of positions, in combinations order."""
+    """The size-subsets of low..n-1 as rows of positions, in combinations order;
+    the one subset of size 0 or n - low directly, with no pool of Python ints."""
+    if size in (0, n - low):
+        return np.arange(low, low + size, dtype=np.intp)[None]
     flat = np.fromiter(chain.from_iterable(combinations(range(low, n), size)), dtype=np.intp)
     return flat.reshape(comb(n - low, size), size)
 
@@ -135,10 +139,8 @@ def verify_oracle_space(space: Space) -> bool:
     table is the space's kept one, which `table --verify-oracle` prints, or
     one built for this check alone, compared block by block as they come.
     """
-    # the vertex budget is checked before the rows, because the bilinear
-    # basis enumerates the vertices under the larger default budget
     try:
-        gens = space.family.generators(DEFAULT_ORACLE_VERTEX_BUDGET)
+        gens = space.family.generators()
         blocks = sum_blocks(character_exponents(space.rows, gens, space.modulus), space.modulus)
     except ValueError:  # from the walk or the lookup
         return False
@@ -186,7 +188,8 @@ class Space:
         """table when it is kept, else one built for the caller alone."""
         if "table" in vars(self):
             return self.table
-        return sum_positions(self._sized_rows(), self.modulus)
+        self.check_table_size()
+        return sum_positions(self.rows, self.modulus)
 
     def blocks(self):
         """The table's rows as (start, stop, block) triples in order, block the
@@ -195,14 +198,14 @@ class Space:
         check and the lookup, which refuses repeated rows, come first."""
         if "table" in vars(self):
             return iter([(0, self.dim, self.table)])
-        return sum_blocks(self._sized_rows(), self.modulus)
+        self.check_table_size()
+        return sum_blocks(self.rows, self.modulus)
 
-    def _sized_rows(self) -> np.ndarray:
-        """rows, once the table is checked to fit MAX_TABLE_ENTRIES."""
+    def check_table_size(self) -> None:
+        """Refuse a table past MAX_TABLE_ENTRIES entries, before any row is built."""
         if self.dim * self.dim > MAX_TABLE_ENTRIES:
             raise BudgetExceededError(f"product table of {self.name} has {size_text(self.dim**2)}"
                                       f" entries, over {MAX_TABLE_ENTRIES}")
-        return self.rows
 
 
 class FamilySpec:
@@ -286,29 +289,28 @@ class FamilySpec:
         every vertex, connection and character row."""
         return np.min_scalar_type(self.modulus - 1)
 
-    def vertices(self, budget: int | None = None) -> np.ndarray:
-        """The vertex rows, a cached read-only array; every call checks the
-        budget, so rows enumerated under a larger budget are not handed to a
-        smaller one.  A bound on the count's bit length decides before the
-        count is built, which at n = 10^30 never ends."""
-        limit = DEFAULT_VERTEX_BUDGET if budget is None else budget
+    def vertices(self) -> np.ndarray:
+        """The vertex rows, a cached read-only array, built once their count is
+        within DEFAULT_VERTEX_BUDGET: a bound on its bit length decides before
+        the count is built, which at n = 10^30 never ends."""
+        if self._vertices is not None:
+            return self._vertices
+        limit = DEFAULT_VERTEX_BUDGET
         k = self._vertex_exponent()  # the message writes the count as a power
         if k * (self.modulus.bit_length() - 1) >= limit.bit_length() or self.vertex_count() > limit:
             raise BudgetExceededError(
                 f"{self.describe()} has {self.modulus}^{k} vertices, over the budget {limit}")
-        if self._vertices is None:
-            rows = self._make_vertices()
-            if len(rows) != self.vertex_count():
-                raise AssertionError("vertex enumeration disagrees with the count formula")
-            self._vertices = _read_only(rows)
+        rows = self._make_vertices()
+        if len(rows) != self.vertex_count():
+            raise AssertionError("vertex enumeration disagrees with the count formula")
+        self._vertices = _read_only(rows)
         return self._vertices
 
-    def generators(self, budget: int | None = None) -> np.ndarray:
+    def generators(self) -> np.ndarray:
         """The rows of generators of the vertex group, found by one coset walk
-        (cayley._generators, ValueError unless it is a group) and cached
-        read-only; every call checks the budget, as vertices() does."""
-        vertices = self.vertices(budget)
+        (cayley._generators, ValueError unless it is a group), cached read-only."""
         if self._generator_rows is None:
+            vertices = self.vertices()
             self._generator_rows = _read_only(vertices[_generators(vertices, self.modulus)])
         return self._generator_rows
 
@@ -366,7 +368,7 @@ class HammingFamily(FamilySpec):
         rows[np.arange(len(support))[:, None, None], np.arange(len(values))[:, None],
              support[:, None, :]] = values
         rows = rows.reshape(-1, self.n)
-        return rows[np.lexsort(rows.T[::-1])]
+        return rows[np.lexsort(rows.T[::-1])] if len(rows) > 1 else rows
 
     def predicted_eigenvalue(self, i: int) -> int:
         self._check_space(i)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, over_lcm
 from .errors import BudgetExceededError, size_text
-from .families import (DEFAULT_ORACLE_VERTEX_BUDGET, FamilySpec,  # the oracle, re-exported
-                       Space, carries_table, make_family, verify_oracle_space)
+from .families import (FamilySpec, Space, carries_table, make_family,  # the oracle, re-exported
+                       verify_oracle_space)
 from .linalg import row_reduce
 from .roots import field_degree, root_sums
 

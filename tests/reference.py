@@ -29,10 +29,13 @@ from nortonalg import cayley, trees
 from nortonalg.autos import HammingAuto, SignedPermutation
 from nortonalg.cyclotomic import (Cyclotomic, cyclotomic_polynomial, from_exponent_counts,
                                   root_power)
+from nortonalg.errors import BudgetExceededError
 from nortonalg.families import fq_reduce, make_family
 from nortonalg.groups import Word
 from nortonalg.linalg import row_reduce
-from nortonalg.norton import DEFAULT_ORACLE_VERTEX_BUDGET, AlgebraVector, closed_form_product
+from nortonalg.norton import AlgebraVector, closed_form_product
+
+REFERENCE_VERTEX_CAP = 4096  # of the pure-Python Q(w) value tables, far below the package's
 
 # ---------------------------------------------------------------------------
 # Group elements and characters, one at a time
@@ -410,11 +413,18 @@ def basis_vector(fam, i: int, label) -> AlgebraVector:
 # ---------------------------------------------------------------------------
 
 
-def value_table(vec: AlgebraVector, budget: int | None = None) -> list[Cyclotomic]:
+def reference_vertices(fam) -> list:
+    """The vertex rows as lists, refused past REFERENCE_VERTEX_CAP vertices."""
+    if fam.vertex_count() > REFERENCE_VERTEX_CAP:
+        raise BudgetExceededError(f"{fam.describe()} has over {REFERENCE_VERTEX_CAP} vertices")
+    return fam.vertices().tolist()
+
+
+def value_table(vec: AlgebraVector) -> list[Cyclotomic]:
     """Values of an algebra vector over the vertex set, materialized exactly."""
     fam = vec.space.family
     e = fam.modulus
-    xs = fam.vertices(budget).tolist()
+    xs = reference_vertices(fam)
     out = [Cyclotomic.zero(e) for _ in xs]
     for label, c in vec.coeffs.items():
         u = reference_index(fam, label)
@@ -429,9 +439,9 @@ def oracle_product(v: AlgebraVector, w: AlgebraVector) -> AlgebraVector:
     v._check_space(w)
     fam, i = v.space.family, v.space.i
     e = fam.modulus
-    xs = fam.vertices(DEFAULT_ORACLE_VERTEX_BUDGET).tolist()
-    tv = value_table(v, DEFAULT_ORACLE_VERTEX_BUDGET)
-    tw = value_table(w, DEFAULT_ORACLE_VERTEX_BUDGET)
+    xs = reference_vertices(fam)
+    tv = value_table(v)
+    tw = value_table(w)
     prod = [a * b for a, b in zip(tv, tw)]
     out: dict = {}
     for label in v.space.labels:

@@ -606,6 +606,20 @@ def test_row_finder_dense_and_byte_key_paths_agree(monkeypatch, modulus, width, 
             path(np.concatenate((rows, rows[:1])), modulus)
 
 
+def test_packed_rows_of_three_bytes_take_the_dense_index(monkeypatch):
+    # hypercube(18) rows pack into 3 bytes, 24 code bits, but code below
+    # 2^18: the largest code, not the width, chooses the dense index
+    rows = make_family("hypercube", n=18).space(2).rows
+    want = cayley.residue_positions(rows, 2)
+    assert cayley._packed_bits(rows).shape[1] == 3 and 3 * 8 > cayley.DENSE_CODE_BITS
+
+    def no_byte_keys(rows):
+        raise AssertionError("byte keys for codes below 2^DENSE_CODE_BITS")
+
+    monkeypatch.setattr(cayley, "_byte_key_finder", no_byte_keys)
+    assert (sum_positions(rows, 2) == want).all()
+
+
 def test_row_finder_dense_path_rejects_entries_out_of_range():
     find = cayley.row_finder(np.array([[0, 1], [2, 0]], dtype=np.uint8), 3)
     assert find(np.array([[2, 0], [1, 1]], dtype=np.uint8)).tolist() == [1, -1]

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
@@ -295,9 +296,9 @@ HUGE_CASES = [
     (["spectrum", "--family", "folded-cube", "--n", HUGE, "--verify"],
      f"has 2^{10**30 - 1} vertices, over the budget 1048576"),
     (["oracle-verify", "--family", "folded-half-cube", "--n", HUGE, "--i", "2"],
-     f"has 2^{10**30 - 2} vertices, over the budget 4096"),
+     f"has 2^{10**30 - 2} vertices, over the budget 1048576"),
     (["table", "--family", "folded-cube", "--n", HUGE, "--i", "9", "--verify-oracle"],
-     f"has 2^{10**30 - 1} vertices, over the budget 4096"),
+     f"has 2^{10**30 - 1} vertices, over the budget 1048576"),
     (["spectrum", "--family", "hamming", "--n", HUGE, "--e", "3"],
      f"has 3^{HUGE} vertices, over the budget 1048576"),
     (["nonassoc", "--family", "folded-half-cube", "--n", HUGE, "--i", "64", "--max-m", "5"],
@@ -455,7 +456,8 @@ def test_table_oracle_budget_checked_before_the_basis(capsys, monkeypatch):
         raise AssertionError("basis enumerated before the oracle's budget check")
 
     monkeypatch.setattr(BilinearFamily, "_make_basis", no_basis)
-    code = main(["table", "--family", "bilinear", "--q", "2", "--d", "3", "--e", "5",
+    # 2^21 vertices, past the budget 2^20
+    code = main(["table", "--family", "bilinear", "--q", "2", "--d", "3", "--e", "7",
                  "--i", "1", "--verify-oracle"])
     assert code == 3
     assert "budget exceeded" in capsys.readouterr().err
@@ -652,13 +654,55 @@ def test_output_file(tmp_path, capsys):
     assert payload["spectrum"][0] == {"eigenvalue": 3, "multiplicity": 1}
 
 
-def test_table_oracle_checks_vertex_budget_after_basis_enumeration(capsys):
-    # the V_1 basis enumerates all 2^15 vertices under the default budget; the
-    # oracle's 4096-vertex budget must still refuse them
-    code = main(["table", "--family", "bilinear", "--q", "2", "--d", "3", "--e", "5",
-                 "--i", "1", "--verify-oracle"])
-    assert code == 3
-    assert "budget exceeded" in capsys.readouterr().err
+def test_table_oracle_reads_the_vertices_the_basis_enumerated(capsys):
+    # the V_1 basis enumerates all 2^15 vertices under the one vertex budget,
+    # and the oracle checks the table on the same vertices
+    code, payload = run_json(capsys, "table", "--family", "bilinear", "--q", "2", "--d", "3",
+                             "--e", "5", "--i", "1", "--verify-oracle")
+    assert code == 0 and payload["oracle_verified"] is True
+
+
+def test_one_vertex_budget_governs_every_reader_of_x(capsys, monkeypatch):
+    # with the budget at 4096 and a fresh family cache, every command that
+    # reads X refuses 8192 vertices and reads 4096
+    monkeypatch.setattr(families, "DEFAULT_VERTEX_BUDGET", 4096)
+    monkeypatch.setattr(families, "_cached_family",
+                        functools.lru_cache(maxsize=None)(families._cached_family.__wrapped__))
+    for n, (d, e), want in ((13, (1, 13), 3), (12, (3, 4), 0)):
+        cube = ["--family", "hypercube", "--n", str(n)]
+        for argv in (["spectrum", *cube], ["spectrum", *cube, "--verify"],
+                     ["oracle-verify", *cube], ["table", *cube, "--i", "1", "--verify-oracle"],
+                     ["table", "--family", "bilinear", "--q", "2", "--d", str(d), "--e", str(e),
+                      "--i", "1"]):
+            code = main(argv)
+            assert code == want, argv
+            assert ("over the budget 4096" in capsys.readouterr().err) == (want == 3), argv
+
+
+def test_oracle_verify_refuses_a_table_over_the_cap_before_any_check(capsys, monkeypatch):
+    # hypercube(17) is within the vertex budget, and V_6 to V_11 are past
+    # the table cap: refused before V_0 is checked
+    checked = []
+    monkeypatch.setattr(families, "verify_oracle_space",
+                        lambda space: checked.append(space.i) or True)
+    start = time.perf_counter()
+    code = main(["oracle-verify", "--family", "hypercube", "--n", "17"])
+    seconds = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out, checked) == (3, "", []) and seconds < 1
+    assert err == ("budget exceeded: product table of hypercube(17) V_6 has 153165376 entries,"
+                   " over 67108864\n")
+
+
+def test_hamming_top_space_past_64_positions(capsys):
+    # V_64 of hamming(64,2) is the one word of 64 ones; its grid of values
+    # took np.indices on 65 axes, past numpy's 64 (exit 4)
+    fam = ["--family", "hamming", "--n", "64", "--e", "2", "--i", "64"]
+    code, payload = run_json(capsys, "table", *fam)
+    assert code == 0 and payload["table"] == [[-1]] and payload["basis"] == ["1" * 64]
+    for command in ("nonassoc", "autocheck"):
+        code, payload = run_json(capsys, command, *fam)
+        assert code == 0, command
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

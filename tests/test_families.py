@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations, product
 from pathlib import Path
 
@@ -267,6 +268,24 @@ def test_basis_rows_are_refused_just_past_the_table_cap():
     assert "rows" not in vars(past)
 
 
+def test_one_row_spaces_build_under_16_bytes_per_row_entry():
+    # one row n wide: V_0 and V_n of the hypercube, V_0 of hamming(n,3) and
+    # V_n of hamming(n,2).  The pool of combinations held n Python ints, the
+    # lexsort read n keys of one row, and np.indices refused the value grid
+    # of V_n at more than 64 axes
+    n = 2**20
+    for fam, i in ((CubeFamily("hypercube", n), 0), (CubeFamily("hypercube", n), n),
+                   (HammingFamily(n, 3), 0), (HammingFamily(n, 2), n)):
+        space = fam.space(i)
+        tracemalloc.start()
+        try:
+            rows = space.rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (1, n) and peak < 16 * n, (fam.describe(), i, peak / n)
+
+
 def test_symmetric_difference_feasible_examples():
     assert symmetric_difference_feasible(3, 2, 2)
     assert not symmetric_difference_feasible(5, 2, 3)
@@ -408,7 +427,7 @@ def test_unknown_kind_names_every_kind():
 def test_vertex_budget():
     fam = make_family("hypercube", n=25)
     with pytest.raises(BudgetExceededError):
-        fam.vertices(budget=4096)
+        fam.vertices()
     # closed-form products never enumerate vertices
     big = make_family("hamming", n=30, e=2)
     u = tuple([1] + [0] * 29)

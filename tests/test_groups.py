@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from nortonalg import families
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import BilinearFamily, HammingFamily, _words, make_family
@@ -67,11 +68,12 @@ def test_enumerate_elements():
     assert _tuples(_words(5, 0)) == [()]  # the one word of length 0
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         HammingFamily(30, 2).vertices()
+    monkeypatch.setattr(families, "DEFAULT_VERTEX_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        HammingFamily(4, 3).vertices(budget=10)
+        HammingFamily(4, 3).vertices()  # a private instance: no cached rows
 
 
 def test_element_counts():
