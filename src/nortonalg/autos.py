@@ -24,8 +24,8 @@ import numpy as np
 
 from .cayley import _chunks, row_finder
 from .errors import BudgetExceededError
-from .families import (BilinearFamily, CubeFamily, FamilySpec, HammingFamily, Space, _words,
-                       carries_table, fq_reduce)
+from .families import (DEFAULT_VERTEX_BUDGET, BilinearFamily, CubeFamily, FamilySpec,
+                       HammingFamily, Space, _words, carries_table, fq_reduce)
 from .groups import Word
 
 Candidate = np.ndarray
@@ -78,6 +78,10 @@ class HammingAuto:
     @classmethod
     def draw(cls, rng: random.Random, family: HammingFamily, k: int) -> "HammingAuto":
         n, e = family.n, family.e
+        if e - 1 > DEFAULT_VERTEX_BUDGET:  # a space past V_0 is refused by its table first
+            raise BudgetExceededError(f"drawing an action of {family.describe()} lists the units"
+                                      f" among {e - 1} residues, over the budget"
+                                      f" {DEFAULT_VERTEX_BUDGET}")
         units = [v for v in range(1, e) if gcd(v, e) == 1]
         a = tuple(rng.randrange(e) for _ in range(n))
         b = tuple(rng.choice(units) for _ in range(n))

@@ -2,9 +2,10 @@
 their certificate by a coset walk of the vertex group, and the row-sum
 lookup that builds product tables and the projection oracle.
 
-The row-sum lookup is one loop that yields its rows in blocks
-(sum_blocks), so a caller can write or compare a table without holding
-it; sum_positions fills the whole table from the same blocks.
+The row-sum lookup is one loop that looks its rows up in SUM_CHUNK_BYTES
+steps and yields them one at a time (sum_rows), so a caller can write or
+compare a table without holding it; sum_positions fills the whole table
+from the same steps.  The step layout is known here alone.
 
 The eigenvalues are integer sums of roots of unity, reduced by `roots`,
 which the functions that read them import; nothing here loads the exact
@@ -193,21 +194,25 @@ def sum_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
     """Row-sum lookup as a dim x dim int32 array: entry (a, b) is the position
     among rows of (rows[a] + rows[b]) mod modulus, or -1 when no row matches
     (row_finder).  Rows must be distinct, with entries in 0..modulus-1;
-    duplicate rows raise RepeatedRowError.  The array is filled from
-    sum_blocks."""
-    return _filled(len(rows), sum_blocks(rows, modulus))
+    duplicate rows raise RepeatedRowError.  The array is filled from the
+    steps of sum_rows' lookup."""
+    return _filled(len(rows), _sum_blocks(rows, modulus))
 
 
-def sum_blocks(rows: np.ndarray, modulus: int):
-    """The rows of sum_positions(rows, modulus) as (start, stop, block)
-    triples in order, block the int32 or intp positions of rows start..stop-1
-    (_lookup_sums).  The checks and the lookup are made before the first
-    block is asked for, so a repeated row raises here.
+def sum_rows(rows: np.ndarray, modulus: int):
+    """The rows of sum_positions(rows, modulus) in order, each an int32 or
+    intp array of dim positions, looked up in the steps of _lookup_sums.
+    The checks and the lookup are made before the first row is asked for,
+    so a repeated row raises here."""
+    return (row for _, _, block in _sum_blocks(rows, modulus) for row in block)
 
-    Modulo 2 a sum is a XOR: the rows are bit-packed, last byte first in
-    little bit order, so the zero padding leads and n-bit rows code below
-    2^n; each sum is one bitwise_xor, and row_finder reads the sums as rows
-    of bytes.  Every other modulus sums residues (residue_positions)."""
+
+def _sum_blocks(rows: np.ndarray, modulus: int):
+    """The steps of the lookup (_lookup_sums).  Modulo 2 a sum is a XOR: the
+    rows are bit-packed, last byte first in little bit order, so the zero
+    padding leads and n-bit rows code below 2^n; each sum is one
+    bitwise_xor, and row_finder reads the sums as rows of bytes.  Every
+    other modulus sums residues (residue_positions)."""
     if modulus != 2:
         return _residue_blocks(rows, modulus)
     return _xor_blocks(_packed_bits(rows))

@@ -10,7 +10,8 @@ row lookup before it writes anything, and writes each row as the lookup
 gives it, one write per row: it peaks at about the basis and its labels,
 one 256 KiB lookup step and a row of text, not at the dim x dim int32
 table.  With `--verify-oracle` the verdict sorts before the table in json,
-so the table is built and held first.
+so the oracle compares the table's rows with its own as they come, and the
+writer looks the table up a second time.
 
 `main(argv)` is the in-process API: it returns the exit code.  `run()` is the
 process entry (`python -m nortonalg.cli` and the `nortonalg` script): it
@@ -160,17 +161,15 @@ class _Streamed(list):
 TABLE_SLOT = "<table>"  # stands for the table in the payload until it is rendered
 
 
-def _row_blocks(blocks: Iterable, cells: list[str], sep: str, heads: list[str],
-                end: str) -> Iterable[str]:
-    """The table as text, one piece per row, from its (start, stop, block)
-    row blocks: row r reads heads[r], its entries joined by sep, then end,
-    where entry v reads cells[v], so a zero product (-1) reads the last
-    cell."""
+def _row_texts(rows: Iterable, cells: list[str], sep: str, heads: list[str],
+               end: str) -> Iterable[str]:
+    """The table as text, one piece per row, from its rows in order: row r
+    reads heads[r], its entries joined by sep, then end, where entry v reads
+    cells[v], so a zero product (-1) reads the last cell."""
     import numpy as np
     lookup = np.array(cells, dtype=object)
-    for start, _, block in blocks:
-        for r, row in enumerate(block, start):
-            yield heads[r] + sep.join(lookup[row].tolist()) + end
+    for head, row in zip(heads, rows):
+        yield head + sep.join(lookup[row].tolist()) + end
 
 
 def _emit(args, pieces: Iterable[str]) -> None:
@@ -230,11 +229,10 @@ def cmd_table(args) -> int:
     oracle_ok = None
     if args.verify_oracle:
         # the vertex budget comes before the table and the basis, and the
-        # oracle's verdict sorts before the table in json, so the table is held
+        # oracle's verdict sorts before the table in json, so it reads a lookup of its own
         fam.vertices()
-        space.table
         oracle_ok = verify_oracle_space(space)
-    rows = space.blocks()  # checks the table's size before the basis is built
+    rows = space.table_rows()  # checks the table's size before the basis is built
     labels = space.labels
     texts = [fam.label_text(lbl) for lbl in labels]
     numbers = [str(v) for v in range(len(texts))] + ["-1"]  # -1, a zero product, reads last
@@ -242,13 +240,13 @@ def cmd_table(args) -> int:
     # all that can fail is done: the rest looks the rows up, renders and writes
     if args.format == "csv":
         head, tail = "*," + ",".join(texts) + "\n", ""
-        lines = _row_blocks(rows, numbers, ",", [t + "," for t in texts], "\n")
+        lines = _row_texts(rows, numbers, ",", [t + "," for t in texts], "\n")
     elif args.format == "text":
         width = max(len(t) for t in texts) + 1
         cells = [t.rjust(width) for t in texts] + ["0".rjust(width)]
         head = f"# {fam.describe()} V_{args.i} products\n{' ' * width}{' '.join(cells[:-1])}\n"
         tail = "" if oracle_ok is None else f"# oracle verified: {oracle_ok}\n"
-        lines = _row_blocks(rows, cells, " ", [t.ljust(width) for t in texts], "\n")
+        lines = _row_texts(rows, cells, " ", [t.ljust(width) for t in texts], "\n")
     else:
         payload = {
             "command": "table",
@@ -263,7 +261,7 @@ def cmd_table(args) -> int:
         head, tail = "".join(_json_blocks(payload)).split(json.dumps(TABLE_SLOT), 1)
         head, tail = head + "[\n", "\n  ]" + tail
         heads = ["    [\n      "] + [",\n    [\n      "] * (len(texts) - 1)
-        lines = _row_blocks(rows, numbers, ",\n      ", heads, "\n    ]")
+        lines = _row_texts(rows, numbers, ",\n      ", heads, "\n    ]")
     _emit(args, chain([head], lines, [tail]))
     return EXIT_OK if status == "ok" else EXIT_CHECK_FAILED
 

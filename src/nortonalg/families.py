@@ -1,6 +1,7 @@
 """The six graph families: vertex sets, connection sets, eigenspaces as
-Space objects (a basis and its Norton product table), the projection oracle
-that checks a table, and predicted spectra.
+Space objects (a basis and its Norton product table, kept whole or read as
+a stream of its rows), the projection oracle that checks a table row by
+row, and predicted spectra.
 
 A basis is an array of index rows, one per basis character, in the dtype of
 the vertex rows: it is what the graph, the product table, the oracle, the
@@ -18,8 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .cayley import (CayleyGraph, _chunks, _generators, character_exponents, sum_blocks,
-                     sum_positions)
+from .cayley import CayleyGraph, _chunks, _generators, character_exponents, sum_positions, sum_rows
 from .errors import KIND_PARAMETERS, BudgetExceededError, size_text
 from .groups import Word, is_prime, word_text
 from .linalg import row_reduce
@@ -136,28 +136,29 @@ def verify_oracle_space(space: Space) -> bool:
     on index rows or labels (a set and its complement agree on X).  Vertex
     rows that are not a group fail the check, and so do two basis characters
     with one value row, which the lookup rejects (RepeatedRowError).  The
-    table is the space's kept one, which `table --verify-oracle` prints, or
-    one built for this check alone, compared block by block as they come.
+    table's rows (Space.table_rows) and the oracle's are compared row by row
+    as they come, so neither is held whole.
     """
+    table = space.table_rows()  # the size check, the basis and its lookup first
     try:
         gens = space.family.generators()
-        blocks = sum_blocks(character_exponents(space.rows, gens, space.modulus), space.modulus)
+        oracle = sum_rows(character_exponents(space.rows, gens, space.modulus), space.modulus)
     except ValueError:  # from the walk or the lookup
         return False
-    table = space._table()
-    return all((block == table[start:stop]).all() for start, stop, block in blocks)
+    return all((row == mine).all() for row, mine in zip(oracle, table))
 
 
 class Space:
     """The eigenspace V_i of a family as one multiplicity-free algebra.  Its
     basis index rows (dim x length), their labels and the product table are
-    each built on first read and kept, read-only; blocks() streams the table.
+    each built on first read and kept, read-only; table_rows() streams the table.
 
     Table entry (a, b) is the basis position of chi_a * chi_b, or -1 for a
     zero product: the index sum (B[a] + B[b]) mod q is the row of chi_a *
     chi_b, looked up among the basis rows (cayley.sum_positions).  Over
     MAX_TABLE_ENTRIES entries the table, or the rows themselves, raise
-    BudgetExceededError before the rows are built."""
+    BudgetExceededError before the rows are built, and so do rows whose
+    residue sums, up to 2 * modulus - 2, do not fit in uint64."""
 
     def __init__(self, family: FamilySpec, i: int) -> None:
         self.dim = family.predicted_dimension(i)  # checks i
@@ -171,6 +172,9 @@ class Space:
         if entries > MAX_TABLE_ENTRIES:
             raise BudgetExceededError(f"basis rows of {self.name} have {size_text(entries)}"
                                       f" entries, over {MAX_TABLE_ENTRIES}")
+        if 2 * self.modulus - 2 >= 2**64:  # the lookup sums two residues in one uint64
+            raise BudgetExceededError(f"basis rows of {self.name} sum residues up to"
+                                      f" {size_text(2 * self.modulus - 2)}, over {2**64 - 1}")
         rows = self.family._make_basis(self.i)
         if len(rows) != self.dim:
             raise AssertionError(f"{self.name} has {len(rows)} basis rows, not {self.dim}")
@@ -182,24 +186,17 @@ class Space:
 
     @cached_property
     def table(self) -> np.ndarray:
-        return _read_only(self._table())
-
-    def _table(self) -> np.ndarray:
-        """table when it is kept, else one built for the caller alone."""
-        if "table" in vars(self):
-            return self.table
         self.check_table_size()
-        return sum_positions(self.rows, self.modulus)
+        return _read_only(sum_positions(self.rows, self.modulus))
 
-    def blocks(self):
-        """The table's rows as (start, stop, block) triples in order, block the
-        entries of rows start..stop-1: the kept table in one block, else the
-        row-sum lookup's SUM_CHUNK_BYTES steps (cayley.sum_blocks).  The size
-        check and the lookup, which refuses repeated rows, come first."""
+    def table_rows(self):
+        """The table's rows in order: the kept table's, else the row-sum
+        lookup's (cayley.sum_rows), which holds one SUM_CHUNK_BYTES step.  The
+        size check and the lookup, which refuses repeated rows, come first."""
         if "table" in vars(self):
-            return iter([(0, self.dim, self.table)])
+            return iter(self.table)
         self.check_table_size()
-        return sum_blocks(self.rows, self.modulus)
+        return sum_rows(self.rows, self.modulus)
 
     def check_table_size(self) -> None:
         """Refuse a table past MAX_TABLE_ENTRIES entries, before any row is built."""
@@ -499,10 +496,15 @@ class BilinearFamily(FamilySpec):
     """Bilinear forms graph H_q(d,e): d x e matrices over F_q, rank-1 connections."""
 
     def __init__(self, q: int, d: int, e: int) -> None:
-        if not is_prime(q):
+        # every space is read from the q^(de) >= q vertices, so a q past the
+        # budget is refused before is_prime, whose trial division takes sqrt(q) steps
+        if q <= DEFAULT_VERTEX_BUDGET and not is_prime(q):
             raise ValueError(f"bilinear requires a prime q, got {q}")
         if not 1 <= d <= e:
             raise ValueError(f"bilinear requires 1 <= d <= e, got d={d}, e={e}")
+        if q > DEFAULT_VERTEX_BUDGET:
+            raise BudgetExceededError(f"bilinear({q},{d},{e}) has {q}^{d * e} vertices,"
+                                      f" over the budget {DEFAULT_VERTEX_BUDGET}")
         super().__init__(("bilinear", q, d, e), q, d * e, d)
         self.q = q
         self.d = d
@@ -514,9 +516,17 @@ class BilinearFamily(FamilySpec):
         return tuple(flat[r * self.cols:(r + 1) * self.cols] for r in range(self.d))
 
     def _vertex_ranks(self) -> np.ndarray:
-        """The rank of every vertex, by one batched elimination (ranks_fq), cached."""
+        """The rank of every vertex, by batched eliminations (ranks_fq) over
+        chunks of the vertex stack, cached.  A chunk holds per matrix its
+        entries in ranks_fq's dtype and about three temporaries of that size,
+        and its int64 and intp bookkeeping, within SUM_CHUNK_BYTES."""
         if self._ranks is None:
-            self._ranks = ranks_fq(self.vertices().reshape(-1, self.d, self.cols), self.q)
+            mats = self.vertices().reshape(-1, self.d, self.cols)
+            entry = np.min_scalar_type(2 * self.q * self.q).itemsize
+            ranks = np.empty(len(mats), dtype=np.int64)
+            for lo, hi in _chunks(len(mats), 4 * entry * self.d * self.cols + 6 * 8):
+                ranks[lo:hi] = ranks_fq(mats[lo:hi], self.q)
+            self._ranks = ranks
         return self._ranks
 
     def _connection_mask(self, vertices: np.ndarray) -> np.ndarray:

@@ -253,6 +253,17 @@ def test_oracle_verify_holds_no_table(capsys, monkeypatch):
     assert len(spaces) == 6 and not any("table" in vars(space) for space in spaces.values())
 
 
+def test_table_verify_oracle_holds_no_table(capsys, monkeypatch):
+    # the oracle and the writer each look the table up as they read it; a
+    # fresh family cache makes the family the command reads the one inspected here
+    monkeypatch.setattr(families, "_cached_family",
+                        functools.lru_cache(maxsize=None)(families._cached_family.__wrapped__))
+    code, payload = run_json(capsys, "table", "--family", "hypercube", "--n", "5", "--i", "2",
+                             "--verify-oracle")
+    assert code == 0 and payload["oracle_verified"] is True and len(payload["table"]) == 10
+    assert "table" not in vars(make_family("hypercube", n=5).space(2))
+
+
 def test_oracle_verify_beyond_float_packing(capsys):
     # bits(|X|) * e > 52 here, which the packed-float64 oracle refused
     for argv in (["--n", "3", "--e", "7"], ["--n", "1", "--e", "257"]):
@@ -407,6 +418,38 @@ def test_wide_basis_rows_exit_3_at_once(argv):
     err = _exit_3_at_once(argv)
     assert err.startswith("budget exceeded: basis rows of "), err
     assert " have about 2^99 entries, over 67108864" in err, err
+
+
+SUMS_PAST_UINT64 = " V_0 sum residues up to about 2^6"
+# V_0 with residue sums past uint64 exited 4 (numpy chose object), the
+# units of 2^40 were listed for one draw (over 120 s), and is_prime divided
+# a large prime q by every k up to its root (9.8 s, and over 120 s at 2^64 + 13)
+MODULUS_CASES = [
+    *(([command, "--family", "hamming", "--n", n, "--e", e, "--i", "0"], SUMS_PAST_UINT64)
+      for n, e, commands in (("2", str(2**63 + 1), ("table", "nonassoc", "autocheck")),
+                             ("65", str(2**64), ("table", "nonassoc", "autocheck")),
+                             ("2", str(2**64 + 1), ("nonassoc", "autocheck")))
+      for command in commands),
+    (["autocheck", "--family", "hamming", "--n", "2", "--e", str(2**40), "--i", "0",
+      "--samples", "1"], f"lists the units among {2**40 - 1} residues, over the budget 1048576"),
+    *((["table", "--family", "bilinear", "--q", q, "--d", "1", "--e", "1", "--i", "0"],
+       f"bilinear({q},1,1) has {q}^1 vertices, over the budget 1048576")
+      for q in ("10000000000000061", str(2**64 + 13))),
+]
+
+
+@pytest.mark.parametrize("argv, message", MODULUS_CASES,
+                         ids=["-".join(argv[0:7:2]) for argv, _ in MODULUS_CASES])
+def test_huge_moduli_exit_3_at_once(argv, message):
+    err = _exit_3_at_once(argv)
+    assert message in err, err
+
+
+def test_v0_sums_at_the_largest_modulus_that_fits_uint64(capsys):
+    # residues below 2^63 sum below 2^64: the one-row table is looked up
+    code, payload = run_json(capsys, "table", "--family", "hamming", "--n", "2",
+                             "--e", str(2**63), "--i", "0")
+    assert code == 0 and payload["table"] == [[0]] and payload["basis"] == ["0,0"]
 
 
 def test_autocheck_checks_past_a_million_pairs(capsys):
@@ -725,30 +768,36 @@ class _Pieces(io.StringIO):
         return super().write(text)
 
 
-# (family, parameters, i, cayley.SUM_CHUNK_BYTES): the lookup's row blocks
-# at that budget, 18 bytes a sum of packed 12-bit rows and 34 of 9 residues
+# (family, parameters, i, cayley.SUM_CHUNK_BYTES): the lookup's steps at
+# that budget, 18 bytes a sum of packed 12-bit rows and 34 of 9 residues
 TABLE_SHAPES = [
-    ("halved-cube", {"n": 12}, 6, 2**18),  # dim 462: 14 blocks of 31 rows, then 28
-    ("hamming", {"n": 9, "e": 3}, 9, 2**18 + 2**14),  # dim 512: 32 blocks of 16 rows
+    ("halved-cube", {"n": 12}, 6, 2**18),  # dim 462: 14 steps of 31 rows, then 28
+    ("hamming", {"n": 9, "e": 3}, 9, 2**18 + 2**14),  # dim 512: 32 steps of 16 rows
     ("hamming", {"n": 2, "e": 3}, 0, 2**18),  # one row, with the oracle line in text
 ]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("kind, params, i, budget", TABLE_SHAPES,
-                         ids=["partial-last-block", "whole-blocks", "one-row"])
+                         ids=["xor-short-last-step", "residue-equal-steps", "one-row"])
 def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, params, i, budget):
     families._cached_family.cache_clear()  # so no held table gives the rows
     monkeypatch.setattr(cayley, "SUM_CHUNK_BYTES", budget)
-    steps = []
-    real_blocks = families.Space.blocks
+    lookups = []  # the (start, stop) steps of each row-sum lookup, in call order
+    real_lookup = cayley._lookup_sums
 
-    def blocks(space):
-        for start, stop, block in real_blocks(space):
-            steps.append((start, stop))
-            yield start, stop, block
+    def lookup_sums(*args):
+        steps = []
+        lookups.append(steps)
 
-    monkeypatch.setattr(families.Space, "blocks", blocks)
+        def recorded(blocks):
+            for start, stop, block in blocks:
+                steps.append((start, stop))
+                yield start, stop, block
+
+        return recorded(real_lookup(*args))  # built before it is returned, as the real one is
+
+    monkeypatch.setattr(cayley, "_lookup_sums", lookup_sums)
     fam = make_family(kind, **params)
     dim = fam.predicted_dimension(i)
     oracle = ["--verify-oracle"] if dim == 1 else []
@@ -759,12 +808,16 @@ def test_streamed_table_equals_one_string(monkeypatch, tmp_path, fmt, kind, para
     assert main(argv) == 0
     # a write per row, after the head and before the tail
     assert len(out.pieces) == dim + 2
-    # the rows came in blocks of one size, in order, the last one whole or partial
+    # the oracle runs two lookups, the table's and its own of the value rows,
+    # and holds neither; the writer then looks the table up again
+    assert len(lookups) == (3 if oracle else 1)
+    steps = lookups[-1]
+    # the writer's rows came in steps of one size, in order, the last one whole or short
     sizes = [stop - start for start, stop in steps]
     assert [start for start, _ in steps] == [sum(sizes[:k]) for k in range(len(steps))]
     assert sum(sizes) == dim and len(set(sizes[:-1])) <= 1
     if dim == 1:
-        assert steps == [(0, 1)]
+        assert lookups == [[(0, 1)]] * 3
     else:
         assert len(steps) > 1 and (sizes[-1] < sizes[0]) == (kind == "halved-cube"), sizes
     path = tmp_path / "table.out"

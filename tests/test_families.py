@@ -20,6 +20,7 @@ from nortonalg.autos import (
 from nortonalg.errors import BudgetExceededError
 from nortonalg.families import (
     MAX_TABLE_ENTRIES,
+    BilinearFamily,
     CubeFamily,
     HammingFamily,
     _cached_family,
@@ -251,7 +252,7 @@ def test_table_size_is_checked_before_the_basis(monkeypatch):
     with pytest.raises(BudgetExceededError, match="product table of hypercube.30. V_15"):
         space.table
     with pytest.raises(BudgetExceededError):
-        space.blocks()
+        space.table_rows()
     assert not {"rows", "labels", "table"} & set(vars(space))
 
 
@@ -342,6 +343,22 @@ def test_batched_ranks_equal_rank_fq(q, d, e):
     assert fam.connection().tolist() == [list(x) for x, r in zip(vertices, ranks) if r == 1]
     with pytest.raises(ValueError):
         ranks_fq(mats, 4)
+
+
+def test_vertex_ranks_work_in_a_bounded_set():
+    # the 65536 vertices of bilinear(2,4,4) are ranked in 256 KiB chunks,
+    # about 28 of them: the traced peak is the int64 ranks (0.5 MiB) and one
+    # chunk, 0.70 MiB (4.89 when one elimination ran on the whole stack)
+    fam = BilinearFamily(2, 4, 4)
+    mats = fam.vertices().reshape(-1, 4, 4)
+    tracemalloc.start()
+    try:
+        ranks = fam._vertex_ranks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert (ranks == ranks_fq(mats, 2)).all()
 
 
 def test_bilinear_rank_counts_match_dimensions():

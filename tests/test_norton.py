@@ -197,6 +197,22 @@ def test_oracle_works_in_a_bounded_set():
     assert peak < 0.35 * (1 << 20), peak
 
 
+def test_oracle_holds_no_table_of_a_space_that_keeps_none():
+    # hypercube(12) V_6, dim 924, keeps no table: the oracle compares the
+    # rows of the table's lookup with its own as they come, in 256 KiB steps
+    # (0.53 MiB with the vertices and their walk; 3.68 when it built the
+    # 3.3 MiB table for the check), and leaves no table behind
+    space = families.CubeFamily("hypercube", 12).space(6)
+    tracemalloc.start()
+    try:
+        assert verify_oracle_space(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert "table" not in vars(space)
+
+
 def test_eta_examples():
     fam = make_family("hamming", n=1, e=3)
     w = root_power(3, 1)
