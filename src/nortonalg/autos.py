@@ -2,21 +2,22 @@
 exhaustive checker that a basis-level candidate map preserves products, and
 the seeded suite that samples and checks the actions of a family (autocheck).
 
-Each action is a map of the index group and a translation, given by its
-linear_map(family) as int64 arrays (M, t): the character with index row u
-goes to w^(u.t), with w of order family.modulus, times the character with
-index row uM.  Its candidate on a Space (made by candidate alone) is an int array
-of shape dim x 2 over the space's basis: row k holds the basis position of the
-image of the k-th basis character (-1 off the basis) and the exponent of its
+Each action maps int64 index rows by apply(family, rows) -> (images, k): a
+gather of columns, or on bilinear rows a d x d or e x e matrix product; the
+character chi_u goes to w^k chi_image, with w of order family.modulus.  Its
+candidate on a Space (made by candidate alone) is an int array of shape
+dim x 2 over the space's basis: row k holds the basis position of the image
+of the k-th basis character (-1 off the basis) and the exponent of its
 coefficient; on the cubes a sign -1 is the exponent 1.  Images are put in
-basis form (family._basis_form) and looked up among the basis rows; u.t mod 2
-is unchanged by the halved cube's complement, as a type-D t has even weight.
+basis form (family._basis_form) and looked up among the basis rows; k mod 2
+is unchanged by the halved cube's complement, as a type-D sign has even weight.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations, product
 from math import factorial, gcd
 
@@ -32,12 +33,13 @@ Candidate = np.ndarray
 
 
 def candidate(auto, space: Space) -> Candidate:
-    """The candidate of an action on a space, from (M, t) = auto.linear_map(space.family)."""
-    family, e = space.family, space.modulus
-    m, t = auto.linear_map(family)
-    rows = space.rows.astype(np.int64)
-    images = family._basis_form(rows @ m % e)
-    return np.column_stack((row_finder(space.rows, e)(images), rows @ t % e))
+    """The candidate of an action on a space, from auto.apply on int64 steps of the basis rows."""
+    family, find = space.family, row_finder(space.rows, space.modulus)
+    out = np.empty((space.dim, 2), dtype=np.int64)
+    for lo, hi in _chunks(space.dim, 4 * 8 * family.length):  # rows, images, form, remainder
+        images, out[lo:hi, 1] = auto.apply(family, space.rows[lo:hi].astype(np.int64))
+        out[lo:hi, 0] = find(family._basis_form(images))
+    return out
 
 
 def compose_candidates(outer: Candidate, inner: Candidate, modulus: int) -> Candidate:
@@ -82,19 +84,23 @@ class HammingAuto:
             raise BudgetExceededError(f"drawing an action of {family.describe()} lists the units"
                                       f" among {e - 1} residues, over the budget"
                                       f" {DEFAULT_VERTEX_BUDGET}")
-        units = [v for v in range(1, e) if gcd(v, e) == 1]
         a = tuple(rng.randrange(e) for _ in range(n))
-        b = tuple(rng.choice(units) for _ in range(n))
+        b = tuple(rng.choice(units_mod(e)) for _ in range(n))
         sigma = list(range(n))
         rng.shuffle(sigma)
         return cls(a, b, tuple(sigma), e)
 
-    def linear_map(self, family: HammingFamily) -> tuple[np.ndarray, np.ndarray]:
-        """M[sigma[j], j] = b[j], so uM = b.sigma(u), and t = M a."""
+    def apply(self, family: HammingFamily, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows v = b.sigma(u) and the exponents a.v mod e."""
         if not isinstance(family, HammingFamily) or (family.n, family.e) != (len(self.a), self.e):
             raise ValueError("automorphism parameters do not match the family")
-        m = np.eye(family.n, dtype=np.int64)[:, list(self.sigma)] * np.array(self.b)
-        return m, m @ np.array(self.a)
+        images = rows[:, list(self.sigma)] * np.array(self.b) % self.e
+        return images, images @ np.array(self.a) % self.e
+
+
+@cache  # listed once for all the samples and the kernel check
+def units_mod(e: int) -> tuple[int, ...]:
+    return tuple(v for v in range(1, e) if gcd(v, e) == 1)
 
 
 def identity_auto(n: int, e: int) -> HammingAuto:
@@ -114,8 +120,8 @@ def kernel_check_hamming(space: Space) -> dict:
     if not ((e >= 3 and i >= 1) or (e == 2 and 1 <= i < n)):
         raise ValueError(f"kernel description covers e>=3,i>=1 or e=2,1<=i<n; "
                          f"got e={e}, i={i}, n={n}")
-    units = [v for v in range(1, e) if gcd(v, e) == 1] if n * (e.bit_length() - 1) < 17 else []
-    if not units or e**n + factorial(n) * n * len(units) > 10**5:  # [] when e^n >= 2^17 by bits
+    units = units_mod(e) if n * (e.bit_length() - 1) < 17 else ()
+    if not units or e**n + factorial(n) * n * len(units) > 10**5:  # () when e^n >= 2^17 by bits
         raise BudgetExceededError("kernel enumeration too large")
     rows = space.rows.astype(np.int64)  # b_j u_sigma(j) overflows the row dtype
     trivial = _words(e, n)
@@ -165,9 +171,9 @@ class SignedPermutation:
             eps[rng.randrange(n)] *= -1
         return cls(tuple(sigma), tuple(eps))
 
-    def linear_map(self, family: CubeFamily) -> tuple[np.ndarray, np.ndarray]:
-        """M[j, sigma[j]] = 1 and t = M [eps == -1].  Halved-cube targets
-        require a type D map, for which the sign is class-invariant."""
+    def apply(self, family: CubeFamily, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """v[sigma[j]] = u[j] and the exponent v.[eps == -1] mod 2.  Halved-cube
+        targets require a type D map, for which the sign is class-invariant."""
         if not isinstance(family, CubeFamily) or family.folded:
             raise ValueError(f"signed permutations act on hypercube or halved_cube, "
                              f"not {family.kind}")
@@ -175,8 +181,8 @@ class SignedPermutation:
             raise ValueError("halved-cube action requires a type-D signed permutation")
         if len(self.sigma) != family.n:
             raise ValueError("automorphism parameters do not match the family")
-        m = np.eye(family.n, dtype=np.int64)[list(self.sigma)]
-        return m, m @ (np.array(self.eps) < 0)
+        images = rows[:, np.argsort(self.sigma)]
+        return images, images @ (np.array(self.eps) < 0) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +262,9 @@ class BilinearAuto:
             mat = random_gl(rng, family.d if kind == "left" else family.cols, family.q)
         return cls(kind, mat, family.q)
 
-    def linear_map(self, family: BilinearFamily) -> tuple[np.ndarray, np.ndarray]:
-        """On row-major flattened d x e matrices: (I, x) translates, (kron(a^t,
-        I_e), 0) multiplies by a on the left and (kron(I_d, b^-1), 0) by b^-1 on the right."""
+    def apply(self, family: BilinearFamily, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """On row-major flattened d x e matrices: u translated by x is u with the
+        exponent u.x mod q; a left action gives a u, a right one u b^-1, each w^0."""
         if not isinstance(family, BilinearFamily) or self.q != family.q:
             raise ValueError("automorphism parameters do not match the family")
         d, e = family.d, family.cols
@@ -266,13 +272,14 @@ class BilinearAuto:
             x = [v % self.q for row in self.matrix for v in row]
             if len(x) != family.length:
                 raise ValueError("translation requires a d x e matrix")
-            return np.eye(family.length, dtype=np.int64), np.array(x, dtype=np.int64)
+            return rows, rows @ np.array(x) % self.q
         size, shape = (d, "a d x d") if self.kind == "left" else (e, "an e x e")
         if len(self.matrix) != size:
             raise ValueError(f"{self.kind} action requires {shape} matrix")
-        m = (np.kron(np.array(self.matrix).T, np.eye(e, dtype=np.int64)) if self.kind == "left"
-             else np.kron(np.eye(d, dtype=np.int64), np.array(self.inverse)))
-        return m, np.zeros(family.length, dtype=np.int64)
+        mats = rows.reshape(-1, d, e)
+        images = (np.array(self.matrix) @ mats if self.kind == "left"
+                  else mats @ np.array(self.inverse)) % self.q
+        return images.reshape(len(rows), -1), np.zeros(len(rows), dtype=np.int64)
 
 
 def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,

@@ -8,10 +8,12 @@ from __future__ import annotations
 import random
 import tracemalloc
 from itertools import permutations, product
+from math import gcd
 
 import numpy as np
 import pytest
 
+from nortonalg.cayley import _chunks
 from nortonalg.families import make_family
 from nortonalg.autos import (
     ACTIONS,
@@ -28,6 +30,7 @@ from nortonalg.autos import (
     mat_inv,
     mat_mul,
     random_gl,
+    units_mod,
 )
 from reference import (
     all_signed_perms,
@@ -160,6 +163,19 @@ def test_factored_kernel_equals_enumerated():
             for sigma in permutations(range(n))
             if np.array_equal(candidate_of(HammingAuto(a, b, sigma, e), fam.space(i)), ident))
         assert kernel_check_hamming(fam.space(i))["kernel"] == enumerated, (n, e, i)
+
+
+def test_units_are_listed_once_for_all_draws_and_the_kernel(monkeypatch):
+    # a list per draw made 100 samples of hamming(2,1048573) V_0 take 15 s
+    calls = []
+    monkeypatch.setattr("nortonalg.autos.gcd", lambda v, e: calls.append(v) or gcd(v, e))
+    units_mod.cache_clear()
+    fam = make_family("hamming", n=2, e=101)
+    rng = random.Random(0)
+    for k in range(20):
+        HammingAuto.draw(rng, fam, k)  # each checks its 2 entries of b
+    assert kernel_check_hamming(fam.space(1))["ok"]
+    assert len(calls) == 100 + 20 * 2
 
 
 def test_kernel_check_holds_one_word_list():
@@ -385,6 +401,41 @@ def test_candidates_equal_per_label_formulas(fam):
     for build, image_of in seeded_autos(fam, random.Random(11), 6):
         for i in fam.eigenspaces():
             assert np.array_equal(build(i), per_label_candidate(fam, i, image_of)), i
+
+
+WIDE = [(make_family("hypercube", n=300), 1), (make_family("halved_cube", n=300), 1),
+        (make_family("hamming", n=100, e=5), 1), (make_family("bilinear", q=2, d=3, e=4), 2)]
+
+
+@pytest.mark.parametrize("fam, i", WIDE,
+                         ids=lambda v: v.describe() if hasattr(v, "describe") else str(v))
+def test_candidates_in_several_steps_equal_per_label_formulas(fam, i, monkeypatch):
+    steps = []
+
+    def recorded(count, row_bytes):
+        steps.append(list(_chunks(count, row_bytes)))
+        return steps[-1]
+
+    monkeypatch.setattr("nortonalg.autos._chunks", recorded)
+    for build, image_of in seeded_autos(fam, random.Random(13), 3):
+        assert np.array_equal(build(i), per_label_candidate(fam, i, image_of))
+        assert len(steps.pop()) > 1
+
+
+@pytest.mark.parametrize("kind", ["hypercube", "halved_cube"])
+def test_candidate_holds_one_step_of_rows(kind):
+    # V_1 of n = 1024 has 1 MiB of uint8 rows, so one int64 copy of them would be 8 MiB
+    fam = make_family(kind, n=1024)
+    space = fam.space(1)
+    space.rows  # built before the trace
+    auto = SignedPermutation.draw(random.Random(0), fam, 0)
+    tracemalloc.start()
+    try:
+        candidate_of(auto, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def preserves_products(candidate, fam, i):

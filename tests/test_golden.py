@@ -36,7 +36,12 @@ positions replaced them.  The digests of `idempotents --e 8`, `--e 9` and
 `halved-cube(12)` V_6, whose bit-packed rows take 2 bytes, and exact
 `nonassoc` on `folded-half-cube(8)` V_2) were recorded from the basis rows
 that held each halved-cube character by its label set, before the rows held
-the representative without position n.  An
+the representative without position n.  The four wide `autocheck` cases
+after `halved-cube(7)` V_3 (`hypercube(300)` V_1, `halved-cube(300)` V_1,
+`hamming(100,5)` V_1 and `bilinear(2,3,4)` V_2), whose basis rows take
+several steps with a short last one, were recorded from the candidates that
+multiplied all the rows by an `n x n` matrix, before each action gathered
+its images step by step.  An
 intended output change must say so where it rewrites the digests.  On the
 `autocheck` cases, `autos.autocheck` must also give the CLI payload less its
 `command`, `family`, `i`, `seed` and `samples`.  To rewrite the digests from
@@ -85,6 +90,10 @@ OTHER_CASES = [
     "autocheck --family hamming --n 4 --e 3 --i 2 --samples 3 --seed 7",
     "autocheck --family halved-cube --n 8 --i 4 --samples 4 --seed 8",
     "autocheck --family halved-cube --n 7 --i 3 --samples 5 --seed 3",
+    "autocheck --family hypercube --n 300 --i 1 --samples 3 --seed 1",
+    "autocheck --family halved-cube --n 300 --i 1 --samples 3 --seed 2",
+    "autocheck --family hamming --n 100 --e 5 --i 1 --samples 3 --seed 3",
+    "autocheck --family bilinear --q 2 --d 3 --e 4 --i 2 --samples 3 --seed 4",
     "nonassoc --family hamming --n 1 --e 3 --max-m 6 --mode exact",
     "nonassoc --family hamming --n 2 --e 3 --i 2 --max-m 5 --mode exact --format csv",
     "nonassoc --family hypercube --n 4 --i 2 --max-m 5 --mode exact --format text",
