@@ -1,6 +1,8 @@
-"""Constructed automorphism actions on the Norton algebra bases, an
-exhaustive checker that a basis-level candidate map preserves products, and
-the seeded suite that samples and checks the actions of a family (autocheck).
+"""Constructed automorphism actions on the Norton algebra bases, the check
+that a basis-level candidate map is an automorphism (a bijection that
+families.carries_table accepts, the one map check that the isomorphisms
+share), and the seeded suite that samples and checks the actions of a
+family (autocheck).
 
 Each action maps int64 index rows by apply(family, rows) -> (images, k): a
 gather of columns, or on bilinear rows a d x d or e x e matrix product; the
@@ -307,32 +309,14 @@ def conjugation_identity_check(family: BilinearFamily, x: Matrix, a: Matrix,
 # ---------------------------------------------------------------------------
 
 def is_algebra_automorphism(candidate: Candidate, space: Space) -> bool:
-    """Exhaustively check that a monomial basis map preserves all basis products.
-
-    The positions of the candidate must be a bijection of the basis that
-    carries the product table to itself, and the exponents must satisfy
-    exp[u] + exp[v] = exp[w] mod the modulus for every nonzero product
-    chi_u chi_v = chi_w.  Exact integer arithmetic throughout, on blocks of
-    table rows that fit in SUM_CHUNK_BYTES, of a table within MAX_TABLE_ENTRIES.
-    """
-    dim = space.dim
-    if np.shape(candidate) != (dim, 2):
+    """Exhaustively check that a monomial basis map preserves all basis products:
+    its positions are a bijection of the basis, and one pass of
+    families.carries_table finds that it carries the table to itself, with
+    exp[u] + exp[v] = exp[w] mod the modulus on every product chi_u chi_v = chi_w."""
+    if np.shape(candidate) != (space.dim, 2):
         raise ValueError("candidate must be defined on the full basis")
-    pos, exp = candidate[:, 0], candidate[:, 1]
-    if not np.array_equal(np.sort(pos), np.arange(dim)):
-        return False
-    table = space.table
-    if not carries_table(pos, table, table):
-        return False
-    exp = exp.astype(np.int64)
-    # per entry of a block of rows: the int64 sums and gathered exponents, three masks
-    for lo, hi in _chunks(dim, dim * (2 * 8 + 3)):
-        block = table[lo:hi]
-        diff = np.add.outer(exp[lo:hi], exp)
-        diff -= exp[block]  # -1 gathers the last exponent: a zero product is masked
-        if (np.remainder(diff, space.modulus, out=diff).astype(bool) & (block >= 0)).any():
-            return False
-    return True
+    return (np.array_equal(np.sort(candidate[:, 0]), np.arange(space.dim))
+            and carries_table(candidate, space, space))
 
 
 # ---------------------------------------------------------------------------

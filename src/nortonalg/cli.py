@@ -373,7 +373,7 @@ def cmd_autocheck(args) -> int:
     seed = _resolve_seed(args)
     if fam.kind not in autos.ACTIONS:
         kinds = [kind.replace("_", "-") for kind in autos.ACTIONS]
-        raise _usage_error(f"autocheck supports {listed(kinds)} families, not {fam.kind}")
+        raise _usage_error(f"autocheck supports {listed(kinds)} families, not {args.family}")
     payload = {
         "command": "autocheck",
         "family": fam.describe(),

@@ -1,7 +1,7 @@
 """The six graph families: vertex sets, connection sets, eigenspaces as
 Space objects (a basis and its Norton product table, kept whole or read as
-a stream of its rows), the projection oracle that checks a table row by
-row, and predicted spectra.
+a stream of its rows; or a table alone), the one check of a monomial map
+between two spaces, the oracle that checks a table row by row, and spectra.
 
 A basis is an array of index rows, one per basis character, in the dtype of
 the vertex rows: it is what the graph, the product table, the oracle, the
@@ -107,18 +107,22 @@ def _subsets(n: int, size: int, low: int = 0) -> np.ndarray:
     return flat.reshape(comb(n - low, size), size)
 
 
-def carries_table(perm: np.ndarray, dom: np.ndarray, cod: np.ndarray) -> bool:
-    """Whether the basis bijection a -> perm[a] carries the product table dom
-    onto cod: cod[perm[a], perm[b]] is perm[dom[a, b]], and zero where dom is.
-
-    Checked in blocks of rows of dom, sized so that the int32 images, the
-    gathered rows of cod and the masks of a block fit in SUM_CHUNK_BYTES."""
-    perm = np.asarray(perm).astype(np.int32)  # int32 indices gather in buffered steps
-    for lo, hi in _chunks(len(dom), len(perm) * (2 * 4 + cod.itemsize + 2)):
-        block = dom[lo:hi]
-        image = perm[block]  # -1 gathers the last position: masked next
+def carries_table(candidate: np.ndarray, dom: Space, cod: Space) -> bool:
+    """Whether chi_a -> w^exp[a] chi_pos[a], candidate's rows (pos, exp), pos
+    a bijection of dom's basis onto cod's, carries dom's table onto cod's:
+    cod.table[pos[a], pos[b]] is pos[dom.table[a, b]], or zero where dom's
+    is, and exp[a] + exp[b] = exp[dom.table[a, b]] mod cod.modulus where it
+    is not.  One pass over blocks of dom's rows, each block's int32 images,
+    gathered rows of cod's table, int64 exponent sums and masks within SUM_CHUNK_BYTES."""
+    pos, exp = candidate[:, 0].astype(np.int32), candidate[:, 1].astype(np.int64)
+    for lo, hi in _chunks(dom.dim, dom.dim * (2 * 4 + cod.table.itemsize + 2 * 8 + 5)):
+        block = dom.table[lo:hi]
+        image = pos[block]  # -1 gathers the last position: masked next
         image[block < 0] = -1
-        if not (np.take(cod[perm[lo:hi]], perm, axis=1) == image).all():
+        diff = np.add.outer(exp[lo:hi], exp)
+        diff -= exp[block]  # -1 gathers the last exponent: a zero product is masked
+        if (not (np.take(cod.table[pos[lo:hi]], pos, axis=1) == image).all()
+                or (np.remainder(diff, cod.modulus, out=diff).astype(bool) & (block >= 0)).any()):
             return False
     return True
 
@@ -149,9 +153,10 @@ def verify_oracle_space(space: Space) -> bool:
 
 
 class Space:
-    """The eigenspace V_i of a family as one multiplicity-free algebra.  Its
-    basis index rows (dim x length), their labels and the product table are
-    each built on first read and kept, read-only; table_rows() streams the table.
+    """The eigenspace V_i of a family, or a table alone (of_table), as one
+    multiplicity-free algebra.  V_i's basis index rows (dim x length), their
+    labels and the product table are each built on first read and kept,
+    read-only; table_rows() streams the table.
 
     Table entry (a, b) is the basis position of chi_a * chi_b, or -1 for a
     zero product: the index sum (B[a] + B[b]) mod q is the row of chi_a *
@@ -165,6 +170,18 @@ class Space:
         self.family, self.i, self.modulus = family, i, family.modulus
         self.key = (family.key, i)
         self.name = f"{family.describe()} V_{i}"
+
+    @classmethod
+    def of_table(cls, table, modulus: int, name: str, labels: list) -> Space:
+        """The algebra with a copy of table as its product table and these basis
+        labels, over Q(w), w of order modulus, keyed by name: no family, i or rows."""
+        space, dim = cls.__new__(cls), len(labels)
+        space.table = _read_only(np.array(table, dtype=np.int32))
+        if space.table.shape != (dim, dim) or not ((space.table >= -1) & (space.table < dim)).all():
+            raise ValueError(f"{name}: a product table is dim x dim with entries in -1..dim-1")
+        space.dim, space.modulus, space.key, space.name = dim, modulus, name, name
+        space.labels = list(labels)
+        return space
 
     @cached_property
     def rows(self) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Norton algebra vectors on family eigenspaces: the closed-form product,
-idempotent and nilpotent machinery, identity detection, and isomorphism
-verification of product tables.
+idempotent and nilpotent machinery, identity detection, and isomorphisms
+between two Spaces, such as a direct sum (a table space, `Space.of_table`).
 
 A vector is an exact integer array over the basis positions of one
 `families.Space` with one denominator; its product reads the space's
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -379,50 +379,49 @@ def find_identity(family: FamilySpec, i: int):
 # Isomorphism verification
 # ---------------------------------------------------------------------------
 
-def direct_sum(tables: list[np.ndarray]) -> np.ndarray:
-    """The product table of the direct sum of the given algebras, their bases
-    in order: block-diagonal, each block's positions shifted to its place."""
-    dim = sum(map(len, tables))
-    out = np.full((dim, dim), -1, dtype=np.int32)
-    start = 0
-    for table in tables:
-        stop = start + len(table)
-        out[start:stop, start:stop] = np.where(table >= 0, table + start, -1)
-        start = stop
-    return out
+def direct_sum(spaces: list[Space], name: str) -> Space:
+    """The direct sum of the given algebras, their bases in order, as a table
+    space named name: summand k's basis labels are (k, label), and the table
+    is block-diagonal, each block's positions shifted to its place.  Its
+    field is Q(w) with w of order the moduli's lcm."""
+    starts = np.cumsum([0] + [space.dim for space in spaces])
+    out = np.full((starts[-1], starts[-1]), -1, dtype=np.int32)
+    for space, start in zip(spaces, starts):
+        block = slice(start, start + space.dim)
+        out[block, block] = np.where(space.table >= 0, space.table + start, -1)
+    labels = [(k, label) for k, space in enumerate(spaces) for label in space.labels]
+    return Space.of_table(out, lcm(*(space.modulus for space in spaces)), name, labels)
 
 
-def verify_isomorphism(perm, dom: np.ndarray, cod: np.ndarray) -> bool:
-    """Whether the basis bijection a -> perm[a] between the algebras with
-    product tables dom and cod respects products: perm(a*b) = perm(a)*perm(b)
-    for all basis pairs, with zero mapping to zero."""
+def verify_isomorphism(perm, dom: Space, cod: Space) -> bool:
+    """Whether the basis bijection a -> perm[a] from the algebra dom onto cod
+    respects products: perm(a*b) = perm(a)*perm(b) for all basis pairs, with
+    zero mapping to zero (families.carries_table, every exponent 0)."""
     perm = np.asarray(perm)
-    if len(perm) != len(dom) or not np.array_equal(np.sort(perm), np.arange(len(cod))):
+    if len(perm) != dom.dim or not np.array_equal(np.sort(perm), np.arange(cod.dim)):
         raise ValueError("perm is not a bijection of the domain basis onto the codomain basis")
-    return carries_table(perm, dom, cod)
+    return carries_table(np.column_stack((perm, np.zeros_like(perm))), dom, cod)
 
 
-def shipped_isomorphism_checks() -> list[tuple[str, list[int], np.ndarray, np.ndarray]]:
+def shipped_isomorphism_checks() -> list[tuple[str, list[int], Space, Space]]:
     """The named algebra isomorphisms this artifact certifies, as (name,
-    position permutation, domain table, codomain table) tuples; each map is
-    written on labels, a label that it does not name mapping to itself."""
+    position permutation, domain, codomain) tuples; each map is written on
+    labels, a label that it does not name mapping to itself."""
+    def named(kind: str, i: int, **params: int) -> tuple[str, Space]:
+        family = make_family(kind, **params)
+        return f"V_{i}({family.describe()})", family.space(i)
+
+    line, pair = make_family("hamming", n=1, e=3).space(1), "V_1(H(1,3)) x V_1(H(1,3))"
     checks = []
-    for (dom_kind, dom_n, i), (cod_kind, cod_n, j), mapping in (
-            (("folded_cube", 4, 1), ("hypercube", 4, 2), {}),
-            (("halved_cube", 4, 2), ("hypercube", 3, 2), {(1, 4): (2, 3)}),
-            (("halved_cube", 4, 1), ("hypercube", 4, 1), {}),
-            (("halved_cube", 5, 1), ("hypercube", 5, 1), {}),
-            (("halved_cube", 7, 2), ("hypercube", 7, 2), {}),
-            (("folded_half_cube", 8, 1), ("halved_cube", 8, 2), {})):
-        dom, cod = make_family(dom_kind, n=dom_n).space(i), make_family(cod_kind, n=cod_n).space(j)
+    for (dom_name, dom), (cod_name, cod), mapping in (
+            (named("folded_cube", 1, n=4), named("hypercube", 2, n=4), {}),
+            (named("halved_cube", 2, n=4), named("hypercube", 2, n=3), {(1, 4): (2, 3)}),
+            (named("halved_cube", 1, n=4), named("hypercube", 1, n=4), {}),
+            (named("halved_cube", 1, n=5), named("hypercube", 1, n=5), {}),
+            (named("halved_cube", 2, n=7), named("hypercube", 2, n=7), {}),
+            (named("folded_half_cube", 1, n=8), named("halved_cube", 2, n=8), {}),
+            (named("hamming", 2, n=2, e=3), (pair, direct_sum([line, line], pair)),
+             {(1, 1): (0, (1,)), (2, 2): (0, (2,)), (1, 2): (1, (1,)), (2, 1): (1, (2,))})):
         perm = [cod.labels.index(mapping.get(a, a)) for a in dom.labels]
-        checks.append((f"V_{i}({dom.family.describe()}) = V_{j}({cod.family.describe()})",
-                       perm, dom.table, cod.table))
-    dom = make_family("hamming", n=2, e=3).space(2)
-    line = make_family("hamming", n=1, e=3).space(1)
-    mapping = {(1, 1): (0, (1,)), (2, 2): (0, (2,)), (1, 2): (1, (1,)), (2, 1): (1, (2,))}
-    labels = [(k, label) for k in range(2) for label in line.labels]
-    checks.append(("V_2(hamming(2,3)) = V_1(H(1,3)) x V_1(H(1,3))",
-                   [labels.index(mapping[a]) for a in dom.labels], dom.table,
-                   direct_sum([line.table, line.table])))
+        checks.append((f"{dom_name} = {cod_name}", perm, dom, cod))
     return checks

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from nortonalg.cayley import _chunks
-from nortonalg.families import make_family
+from nortonalg.families import Space, make_family
+from nortonalg.norton import verify_isomorphism
 from nortonalg.autos import (
     ACTIONS,
     BilinearAuto,
@@ -339,6 +340,41 @@ def test_is_algebra_automorphism_rejects_non_bijection():
     assert (half.space(3).table == -1).all()
     assert is_algebra_automorphism(identity_candidate(half, 3), half.space(3))
     assert not is_algebra_automorphism(np.zeros((10, 2), dtype=int), half.space(3))
+
+
+def test_map_check_sees_a_defect_in_the_last_block(monkeypatch):
+    # bilinear(2,3,4) V_2 (dim 1470) takes many blocks of the map check, and
+    # each defect below lies in the last: a check that skipped it would accept
+    steps = []
+
+    def recorded(count, row_bytes):
+        steps.append(list(_chunks(count, row_bytes)))
+        return steps[-1]
+
+    space = make_family("bilinear", q=2, d=3, e=4).space(2)
+    space.table  # the vertex ranks and the table before the wrap, which counts map checks
+    monkeypatch.setattr("nortonalg.families._chunks", recorded)
+    identity = np.arange(space.dim)
+    assert verify_isomorphism(identity, space, space)
+    lo, hi = steps[-1][-1]
+    # a codomain changed at one entry whose row and column lie in the last block
+    table = space.table.copy()
+    table[lo, hi - 1] = -1 if table[lo, hi - 1] >= 0 else 0
+    assert not verify_isomorphism(identity, space, Space.of_table(table, 2, "one entry off",
+                                                                  space.labels))
+    # one extra nonzero product in the last block, where a translation's
+    # exponents, which add on every product of the table, do not add
+    shift = candidate_of(BilinearAuto("translate", ((1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)), 2),
+                         space)
+    assert np.array_equal(shift[:, 0], identity) and is_algebra_automorphism(shift, space)
+    exp = shift[:, 1]
+    r, c = next((r, c) for r in range(lo, hi) for c in range(lo, hi) if space.table[r, c] < 0)
+    table = space.table.copy()
+    table[r, c] = np.flatnonzero(exp != (exp[r] + exp[c]) % 2)[0]
+    extra = Space.of_table(table, 2, "one extra product", space.labels)
+    assert is_algebra_automorphism(np.column_stack((identity, 0 * identity)), extra)
+    assert not is_algebra_automorphism(shift, extra)
+    assert len(steps) == 5 and all(len(step) > 1 for step in steps)
 
 
 def test_is_algebra_automorphism_detects_bad_coefficient():

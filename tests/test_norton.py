@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nortonalg import families, norton, roots
 from nortonalg.cyclotomic import Cyclotomic, root_power
 from nortonalg.errors import BudgetExceededError
-from nortonalg.families import HammingFamily, make_family
+from nortonalg.families import HammingFamily, Space, make_family
 from nortonalg.norton import (
     AlgebraVector,
     classified_idempotents,
@@ -29,6 +29,7 @@ from nortonalg.norton import (
     verify_isomorphism,
     verify_oracle_space,
 )
+from nortonalg.trees import exact_partition
 from reference import (
     LabelVector,
     basis_vector,
@@ -400,46 +401,80 @@ def test_find_identity_only_at_i0():
 
 
 def test_verify_isomorphism_identity():
-    table = make_family("hamming", n=2, e=3).space(1).table
-    assert verify_isomorphism(np.arange(len(table)), table, table)
+    space = make_family("hamming", n=2, e=3).space(1)
+    assert verify_isomorphism(np.arange(space.dim), space, space)
 
 
 def test_verify_isomorphism_folded_to_hypercube():
     dom = make_family("folded_cube", n=4).space(1)
     cod = make_family("hypercube", n=4).space(2)
     assert dom.labels == cod.labels
-    assert verify_isomorphism(np.arange(dom.dim), dom.table, cod.table)
+    assert verify_isomorphism(np.arange(dom.dim), dom, cod)
 
 
 def test_verify_isomorphism_pairing_decomposition():
     # V_2(H(2,3)) splits into the spans of {chi_11, chi_22} and {chi_12, chi_21}
     dom = make_family("hamming", n=2, e=3).space(2)
-    line = make_family("hamming", n=1, e=3).space(1).table
+    line = make_family("hamming", n=1, e=3).space(1)
     assert dom.labels == [(1, 1), (1, 2), (2, 1), (2, 2)]
     # chi_11, chi_12, chi_21, chi_22 -> (0, chi_1), (1, chi_1), (1, chi_2), (0, chi_2)
-    assert verify_isomorphism([0, 2, 3, 1], dom.table, direct_sum([line, line]))
+    assert verify_isomorphism([0, 2, 3, 1], dom, direct_sum([line, line], "line x line"))
 
 
 def test_direct_product_table_is_block_diagonal():
-    line = make_family("hamming", n=1, e=3).space(1).table
-    assert line.tolist() == [[1, -1], [-1, 0]]
-    assert direct_sum([line, line]).tolist() == [[1, -1, -1, -1], [-1, 0, -1, -1],
-                                                 [-1, -1, 3, -1], [-1, -1, -1, 2]]
+    line = make_family("hamming", n=1, e=3).space(1)
+    assert line.table.tolist() == [[1, -1], [-1, 0]]
+    assert direct_sum([line, line], "line x line").table.tolist() == [
+        [1, -1, -1, -1], [-1, 0, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 2]]
 
 
 def test_verify_isomorphism_rejects_non_bijection():
-    table = make_family("hamming", n=2, e=3).space(1).table
+    space = make_family("hamming", n=2, e=3).space(1)
     with pytest.raises(ValueError):
-        verify_isomorphism(np.zeros(len(table), dtype=int), table, table)
+        verify_isomorphism(np.zeros(space.dim, dtype=int), space, space)
     with pytest.raises(ValueError):  # too short, though injective
-        verify_isomorphism(np.arange(len(table) - 1), table, table)
+        verify_isomorphism(np.arange(space.dim - 1), space, space)
 
 
 def test_verify_isomorphism_detects_broken_map():
     # swapping chi_01 with chi_10 breaks the squares of V_1(H(2,3))
     space = make_family("hamming", n=2, e=3).space(1)
     assert space.labels == [(0, 1), (0, 2), (1, 0), (2, 0)]
-    assert not verify_isomorphism([2, 1, 0, 3], space.table, space.table)
+    assert not verify_isomorphism([2, 1, 0, 3], space, space)
+
+
+def test_a_direct_sum_goes_through_the_table_readers():
+    # V_2(H(2,3)) is V_1(H(1,3)) x V_1(H(1,3)): the tree counters and the
+    # closed-form product read a table space as they read the eigenspace
+    line = make_family("hamming", n=1, e=3).space(1)
+    pair = direct_sum([line, line], "line x line")
+    assert (pair.dim, pair.modulus, pair.key, pair.name) == (4, 3, "line x line", "line x line")
+    assert pair.labels == [(0, (1,)), (0, (2,)), (1, (1,)), (1, (2,))]
+    assert not pair.table.flags.writeable
+    for attr in ("family", "i", "rows"):
+        assert not hasattr(pair, attr), attr
+    square = make_family("hamming", n=2, e=3).space(2)
+    counts = []
+    for m in range(1, 7):
+        classes = exact_partition(pair, m)
+        assert classes == exact_partition(square, m), m
+        counts.append(len(classes))
+    assert counts == [1, 2, 5, 10, 21, 42]
+    units = [AlgebraVector.unit(pair, k) for k in range(pair.dim)]
+    for a, b in np.ndindex(pair.dim, pair.dim):
+        target = pair.table[a, b]
+        expected = AlgebraVector.zero(pair) if target < 0 else units[target]
+        assert closed_form_product(units[a], units[b]) == expected
+
+
+def test_of_table_refuses_a_table_that_is_not_one():
+    labels = [(0,), (1,)]
+    for table in ([[0, -1]], [[0, 2], [-1, 1]], [[0, -2], [-1, 1]]):
+        with pytest.raises(ValueError):
+            Space.of_table(table, 2, "bad", labels)
+    table = np.array([[1, -1], [-1, 0]], dtype=np.int32)
+    space = Space.of_table(table, 3, "copy", labels)
+    assert table.flags.writeable and not np.shares_memory(table, space.table)
 
 
 def _eta_permutation_images(e: int, perm: tuple[int, ...]) -> dict:
