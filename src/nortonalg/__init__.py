@@ -21,7 +21,6 @@ _MODULE_OF = {
     "count_classes_exact": "trees",
     "count_classes_witness": "trees",
     "cyclotomic_polynomial": "roots",
-    "enumerate_trees": "trees",
     "eta": "norton",
     "find_identity": "norton",
     "make_family": "families",

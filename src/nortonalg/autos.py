@@ -105,10 +105,6 @@ def units_mod(e: int) -> tuple[int, ...]:
     return tuple(v for v in range(1, e) if gcd(v, e) == 1)
 
 
-def identity_auto(n: int, e: int) -> HammingAuto:
-    return HammingAuto((0,) * n, (1,) * n, tuple(range(n)), e)
-
-
 def kernel_check_hamming(space: Space) -> dict:
     """Find all (a, b, sigma) acting as the identity on the V_i basis and
     compare with the predicted kernel: trivial for e >= 3, i >= 1, and
@@ -133,7 +129,7 @@ def kernel_check_hamming(space: Space) -> dict:
               for b in product(*([v for v in units if (v * rows[:, s] % e == rows[:, j]).all()]
                                  for j, s in enumerate(sigma)))]
     kernel = [(tuple(a), b, sigma) for a in trivial.tolist() for b, sigma in fixing]
-    expected = [((0,) * n, (1,) * n, tuple(range(n)))]  # identity_auto
+    expected = [((0,) * n, (1,) * n, tuple(range(n)))]  # the identity action
     if e == 2 and i % 2 == 0:
         expected.append(((1,) * n, (1,) * n, tuple(range(n))))
     kernel, expected = sorted(kernel), sorted(expected)

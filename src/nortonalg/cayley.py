@@ -212,7 +212,7 @@ def _sum_blocks(rows: np.ndarray, modulus: int):
     rows are bit-packed, last byte first in little bit order, so the zero
     padding leads and n-bit rows code below 2^n; each sum is one
     bitwise_xor, and row_finder reads the sums as rows of bytes.  Every
-    other modulus sums residues (residue_positions)."""
+    other modulus sums residues (_residue_blocks)."""
     if modulus != 2:
         return _residue_blocks(rows, modulus)
     return _xor_blocks(_packed_bits(rows))
@@ -233,12 +233,6 @@ def _packed_bits(rows: np.ndarray) -> np.ndarray:
 
 def _xor_blocks(packed: np.ndarray):
     return _lookup_sums(packed, 256, 1, lambda a, b, out: np.bitwise_xor(a, b, out=out))
-
-
-def residue_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
-    """sum_positions by residue sums (_reduced_sum), for any modulus; modulo
-    2 it is the reference of the XOR path."""
-    return _filled(len(rows), _residue_blocks(rows, modulus))
 
 
 def _residue_blocks(rows: np.ndarray, modulus: int):

@@ -276,6 +276,12 @@ def cmd_nonassoc(args) -> int:
         raise BudgetExceededError(
             f"tree enumeration capped at m={trees.DEFAULT_MAX_M}, got --max-m {args.max_m}")
     attempts = trees.DEFAULT_WITNESS_ATTEMPTS if args.attempts is None else args.attempts
+    if args.mode == "exact":  # refuse before any count, in the order the counts check
+        for m in range(1, args.max_m + 1):
+            trees.check_exact_price(space, m, budget)
+            if m == 1:  # the first count then checks the table's size and builds its rows
+                space.check_table_size()
+                space.rows
     reports = []
     for m in range(1, args.max_m + 1):
         cm = trees.catalan(m)

@@ -24,13 +24,9 @@ from math import gcd, lcm
 import numpy as np
 
 from .cyclotomic import Cyclotomic, over_lcm
-from .errors import BudgetExceededError, size_text
 from .families import (FamilySpec, Space, carries_table, make_family,  # the oracle, re-exported
                        verify_oracle_space)
-from .linalg import row_reduce
 from .roots import field_degree, root_sums
-
-DEFAULT_IDENTITY_DIM_BUDGET = 256
 
 
 class AlgebraVector:
@@ -334,45 +330,20 @@ def primitivity_facts_check(e: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def find_identity(family: FamilySpec, i: int):
-    """Solve sum_u c_u (chi_u * chi_v) = chi_v for all basis v exactly; returns
-    the identity element of V_i or None.  The dimension is checked before the
-    basis is built."""
+    """The identity of V_i or None.  As chi_u * chi_v = chi_(u+v), each equation
+    of sum_u c_u (chi_u * chi_v) = chi_v has one unknown at most: chi_u is it if
+    table row u reads 0..dim-1, and none is if a column v has no fixed entry."""
     space = family.space(i)
-    dim = space.dim
-    if dim > DEFAULT_IDENTITY_DIM_BUDGET:
-        raise BudgetExceededError(
-            f"identity solve over dimension {size_text(dim)} > {DEFAULT_IDENTITY_DIM_BUDGET}")
-    # one equation per (v, w): the coefficients c_u with chi_u * chi_v = chi_w
-    # sum to 1 when w = v and to 0 otherwise; many (v, w) give the same
-    # equation, and each distinct one is solved once
-    equations: set[tuple[tuple[int, ...], int]] = set()
-    for v_idx, column in enumerate(space.table.T.tolist()):
-        by_target: dict[int, list[int]] = {v_idx: []}
-        for u_idx, w_idx in enumerate(column):
-            if w_idx >= 0:
-                by_target.setdefault(w_idx, []).append(u_idx)
-        equations.update((tuple(us), int(w_idx == v_idx)) for w_idx, us in by_target.items())
-    zero, one = Fraction(0), Fraction(1)
-    rows: list[list[Fraction]] = []
-    for us, constant in sorted(equations):
-        row = [zero] * (dim + 1)  # the last column is the constant
-        for u_idx in us:
-            row[u_idx] = one
-        row[dim] = Fraction(constant)
-        rows.append(row)
-    reduced, pivots = row_reduce(rows, lambda x: 1 / x)
-    if dim in pivots:
+    positions, fixed, found = np.arange(space.dim), np.zeros(space.dim, dtype=bool), None
+    for u, row in enumerate(space.table_rows()):
+        fixed |= (hit := row == positions)
+        found = AlgebraVector.unit(space, u) if hit.all() else found
+    if not fixed.all():  # the (v, v) equation of such a column v reads 0 = 1
         return None
-    sol = [zero] * dim
-    for row, col in zip(reduced, pivots):
-        sol[col] = row[dim]
-    candidate = sum((c * AlgebraVector.unit(space, k) for k, c in enumerate(sol) if c),
-                    AlgebraVector.zero(space))
-    for k in range(dim):
-        chi_k = AlgebraVector.unit(space, k)
-        if closed_form_product(candidate, chi_k) != chi_k:
-            raise AssertionError("linear solve produced a non-identity solution")
-    return candidate
+    chis = [AlgebraVector.unit(space, k) for k in range(space.dim)]
+    if found is None or any(closed_form_product(found, chi) != chi for chi in chis):
+        raise AssertionError("each column has a fixed entry, but no table row is the identity")
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Full binary trees as parenthesizations: enumeration, depth sequences,
-associative-spectrum counting, and the double-minus reference operation.
+"""Associative spectra: the full binary trees with m+1 leaves, each held as
+the interval set of its internal nodes (tree_masks, whose rows define the
+order of the trees), partitioned into classes of equal multilinear maps on
+a Space, and the double-minus class count a000975.
 
 Equality of two parenthesizations of a bilinear product is equality of
 multilinear maps, which is decidable on tuples of basis vectors.  In every
@@ -40,44 +42,6 @@ DEFAULT_MAX_M = 12
 DEFAULT_WITNESS_ATTEMPTS = 10_000
 
 
-class BinaryTree:
-    """A full binary tree; leaves are the nodes with no children."""
-
-    __slots__ = ("left", "right", "leaf_count", "depths")
-
-    def __init__(self, left: "BinaryTree | None", right: "BinaryTree | None") -> None:
-        if (left is None) != (right is None):
-            raise ValueError("a node needs both children; a leaf has neither")
-        self.left = left
-        self.right = right
-        if left is None:
-            self.leaf_count = 1
-            self.depths = (0,)
-        else:
-            self.leaf_count = left.leaf_count + right.leaf_count
-            self.depths = tuple(d + 1 for d in left.depths + right.depths)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def __repr__(self) -> str:
-        return self.parenthesization()
-
-    def parenthesization(self, names: list[str] | None = None) -> str:
-        leaves = iter(names or [f"z{k}" for k in range(self.leaf_count)])
-
-        def render(t: "BinaryTree") -> str:
-            if t.is_leaf:
-                return next(leaves)
-            return f"({render(t.left)}*{render(t.right)})"
-
-        return render(self)
-
-
-_LEAF = BinaryTree(None, None)
-
-
 def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
@@ -94,37 +58,13 @@ def _check_tree_size(m: int) -> None:
         raise BudgetExceededError(f"tree enumeration capped at m={DEFAULT_MAX_M}, got {m}")
 
 
-@lru_cache(maxsize=None)
-def enumerate_trees(m: int) -> tuple[BinaryTree, ...]:
-    """All full binary trees with m+1 leaves, in a deterministic order; subtrees
-    are shared between trees, so structural memoization can key on identity."""
+def check_exact_price(space: Space, m: int, budget: int) -> None:
+    """Refuse exact mode at m when its exact_price is over budget."""
     _check_tree_size(m)
-    if m == 0:
-        return (_LEAF,)
-    out = []
-    for k in range(m):
-        for left in enumerate_trees(k):
-            for right in enumerate_trees(m - 1 - k):
-                out.append(BinaryTree(left, right))
-    if len(out) != catalan(m):
-        raise AssertionError("tree enumeration does not match the Catalan count")
-    return tuple(out)
-
-
-def ominus_class(t: BinaryTree) -> tuple[int, ...]:
-    """Leaf-depth parities; two trees agree under the double-minus operation
-    exactly when these vectors agree."""
-    return tuple(d % 2 for d in t.depths)
-
-
-def double_minus_form(t: BinaryTree) -> tuple[int, ...]:
-    """Signed coefficients of the linear form computed by t under a - b := -a - b,
-    built structurally (not from the depth formula)."""
-    if t.is_leaf:
-        return (1,)
-    left = double_minus_form(t.left)
-    right = double_minus_form(t.right)
-    return tuple(-c for c in left + right)
+    cost = exact_price(space, m)
+    if cost > budget:
+        raise BudgetExceededError(
+            f"exact mode needs {size_text(cost)} evaluations (budget {budget}); use witness mode")
 
 
 def a000975(m: int) -> int:
@@ -169,9 +109,11 @@ def _set_bit(sets: np.ndarray, a: int, b: int, where) -> None:
 
 
 def tree_masks(m: int) -> np.ndarray:
-    """Interval sets of the trees with m+1 leaves, in enumerate_trees order: a
-    (Catalan(m), words) uint64 array whose row holds the bit of [a, b) when an
-    internal node of the tree spans the leaves a..b-1."""
+    """Interval sets of the trees with m+1 leaves: a (Catalan(m), words)
+    uint64 array whose row holds the bit of [a, b) when an internal node of
+    the tree spans the leaves a..b-1.  The rows define the tree order: by
+    the leaf count of the root's left subtree, fewest first, then by the
+    left subtree and then the right, each in this order."""
     _check_tree_size(m)
     words = _words(m)
 
@@ -184,7 +126,10 @@ def tree_masks(m: int) -> np.ndarray:
         _set_bit(out, a, b, True)
         return out
 
-    return masks(0, m + 1)
+    out = masks(0, m + 1)
+    if len(out) != catalan(m):
+        raise AssertionError("tree masks do not match the Catalan count")
+    return out
 
 
 def _live_table(products: np.ndarray) -> np.ndarray:
@@ -384,15 +329,11 @@ def _fingerprints(masks: np.ndarray, patterns: np.ndarray):
 
 def _tree_keys(space: Space, m: int, budget: int):
     """The fingerprint of each tree over the distinct live patterns of all
-    dim^(m+1) basis tuples, as bytes, in enumerate_trees order.  On a basis
+    dim^(m+1) basis tuples, as bytes, in tree_masks order.  On a basis
     tuple the nonzero trees share one value, so two trees agree there exactly
     when both or neither of their interval sets lie inside the tuple's live
     pattern; by multilinearity equal keys are equal multilinear maps."""
-    _check_tree_size(m)
-    cost = exact_price(space, m)
-    if cost > budget:
-        raise BudgetExceededError(
-            f"exact mode needs {size_text(cost)} evaluations (budget {budget}); use witness mode")
+    check_exact_price(space, m, budget)
     patterns = _grid_patterns(_live_table(space.table), m)
     for block in _fingerprints(tree_masks(m), patterns):
         yield from row_keys(block).tolist()  # bytes objects
@@ -484,17 +425,3 @@ def count_classes_witness(space: Space, m: int, seed: int = 0,
     return SpectrumReport(m=m, class_count=classes,
                           mode="exact" if separated else "witness-lower-bound",
                           budget_used=used, seed=seed)
-
-
-def ominus_partition(m: int) -> list[list[int]]:
-    """Trees of size m grouped by leaf-depth parity vector."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, t in enumerate(enumerate_trees(m)):
-        groups.setdefault(ominus_class(t), []).append(idx)
-    return sorted(groups.values())
-
-
-def ominus_equivalence_check(space: Space, m: int, budget: int = DEFAULT_EVAL_BUDGET) -> bool:
-    """Whether the exact product partition coincides with the depth-parity
-    partition (the product is then equally nonassociative as double minus at m)."""
-    return exact_partition(space, m, budget) == ominus_partition(m)

@@ -1,11 +1,14 @@
 """Test-only references: per-element paths in exact Q(w) arithmetic, the
 canonical forms of w^k by polynomial long division, the paper's product
 rule on single labels, vectors keyed by label, the label
-enumerations that the package's numpy rows replace, tree evaluation and
+enumerations that the package's numpy rows replace, the trees as objects
+and the double-minus operation on them, tree evaluation and
 automorphism composition and candidates one element at a time, the
 projection oracle on value rows over every vertex, the edge-identity check
 of the eigenvectors at every connection element, the `table` output
-rendered as one string, the live-interval patterns of the whole tuple grid
+rendered as one string, the row sums by residues that the XOR path
+bypasses, the identity solve by elimination over Q that reading the
+table's rows replaced, the live-interval patterns of the whole tuple grid
 by index arithmetic, and the idempotent suite of V_1(H(1,e)) checked on
 every support and every pair of supports.
 
@@ -29,7 +32,7 @@ from nortonalg import cayley, trees
 from nortonalg.autos import HammingAuto, SignedPermutation
 from nortonalg.cyclotomic import (Cyclotomic, cyclotomic_polynomial, from_exponent_counts,
                                   root_power)
-from nortonalg.errors import BudgetExceededError
+from nortonalg.errors import DEFAULT_EVAL_BUDGET, BudgetExceededError
 from nortonalg.families import fq_reduce, make_family
 from nortonalg.groups import Word
 from nortonalg.linalg import row_reduce
@@ -496,6 +499,97 @@ def vector_map_preserves_products(images: dict, family, i: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Trees as objects, and the double-minus operation on them
+# ---------------------------------------------------------------------------
+
+
+class BinaryTree:
+    """A full binary tree; leaves are the nodes with no children."""
+
+    __slots__ = ("left", "right", "leaf_count", "depths")
+
+    def __init__(self, left: "BinaryTree | None", right: "BinaryTree | None") -> None:
+        if (left is None) != (right is None):
+            raise ValueError("a node needs both children; a leaf has neither")
+        self.left = left
+        self.right = right
+        if left is None:
+            self.leaf_count = 1
+            self.depths = (0,)
+        else:
+            self.leaf_count = left.leaf_count + right.leaf_count
+            self.depths = tuple(d + 1 for d in left.depths + right.depths)
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+    def __repr__(self) -> str:
+        return self.parenthesization()
+
+    def parenthesization(self, names: list[str] | None = None) -> str:
+        leaves = iter(names or [f"z{k}" for k in range(self.leaf_count)])
+
+        def render(t: "BinaryTree") -> str:
+            if t.is_leaf:
+                return next(leaves)
+            return f"({render(t.left)}*{render(t.right)})"
+
+        return render(self)
+
+
+_LEAF = BinaryTree(None, None)
+
+
+@lru_cache(maxsize=None)
+def enumerate_trees(m: int) -> tuple[BinaryTree, ...]:
+    """All full binary trees with m+1 leaves, in the order of `trees.tree_masks`;
+    subtrees are shared between trees, so structural memoization can key on
+    identity."""
+    trees._check_tree_size(m)
+    if m == 0:
+        return (_LEAF,)
+    out = []
+    for k in range(m):
+        for left in enumerate_trees(k):
+            for right in enumerate_trees(m - 1 - k):
+                out.append(BinaryTree(left, right))
+    if len(out) != trees.catalan(m):
+        raise AssertionError("tree enumeration does not match the Catalan count")
+    return tuple(out)
+
+
+def ominus_class(t: BinaryTree) -> tuple[int, ...]:
+    """Leaf-depth parities; two trees agree under the double-minus operation
+    exactly when these vectors agree."""
+    return tuple(d % 2 for d in t.depths)
+
+
+def double_minus_form(t: BinaryTree) -> tuple[int, ...]:
+    """Signed coefficients of the linear form computed by t under a - b := -a - b,
+    built structurally (not from the depth formula)."""
+    if t.is_leaf:
+        return (1,)
+    left = double_minus_form(t.left)
+    right = double_minus_form(t.right)
+    return tuple(-c for c in left + right)
+
+
+def ominus_partition(m: int) -> list[list[int]]:
+    """Trees of size m grouped by leaf-depth parity vector."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for idx, t in enumerate(enumerate_trees(m)):
+        groups.setdefault(ominus_class(t), []).append(idx)
+    return sorted(groups.values())
+
+
+def ominus_equivalence_check(space, m: int, budget: int = DEFAULT_EVAL_BUDGET) -> bool:
+    """Whether the exact product partition coincides with the depth-parity
+    partition (the product is then equally nonassociative as double minus at m)."""
+    return trees.exact_partition(space, m, budget) == ominus_partition(m)
+
+
+# ---------------------------------------------------------------------------
 # Trees evaluated and automorphisms composed one element at a time
 # ---------------------------------------------------------------------------
 
@@ -514,6 +608,10 @@ def evaluate(t, product, inputs: list):
         return product(left, right)
 
     return walk(t, 0)
+
+
+def identity_auto(n: int, e: int) -> HammingAuto:
+    return HammingAuto((0,) * n, (1,) * n, tuple(range(n)), e)
 
 
 def compose_hamming(phi: HammingAuto, psi: HammingAuto) -> HammingAuto:
@@ -608,6 +706,56 @@ def table_output(fam, i: int, fmt: str, oracle_ok: bool | None = None) -> str:
     if oracle_ok is not None:
         lines.append(f"# oracle verified: {oracle_ok}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Row sums by residues, and the identity solve by elimination over Q
+# ---------------------------------------------------------------------------
+
+
+def residue_positions(rows: np.ndarray, modulus: int) -> np.ndarray:
+    """`cayley.sum_positions` by residue sums (`cayley._reduced_sum`), for any
+    modulus; modulo 2 it is the reference of the XOR path."""
+    return cayley._filled(len(rows), cayley._residue_blocks(rows, modulus))
+
+
+def find_identity_by_elimination(family, i: int):
+    """Solve sum_u c_u (chi_u * chi_v) = chi_v for all basis v exactly, by
+    Gauss-Jordan elimination over Fraction; returns the identity element of
+    V_i or None.  This is the solve that reading the table's rows replaced."""
+    space = family.space(i)
+    dim = space.dim
+    # one equation per (v, w): the coefficients c_u with chi_u * chi_v = chi_w
+    # sum to 1 when w = v and to 0 otherwise; many (v, w) give the same
+    # equation, and each distinct one is solved once
+    equations: set[tuple[tuple[int, ...], int]] = set()
+    for v_idx, column in enumerate(space.table.T.tolist()):
+        by_target: dict[int, list[int]] = {v_idx: []}
+        for u_idx, w_idx in enumerate(column):
+            if w_idx >= 0:
+                by_target.setdefault(w_idx, []).append(u_idx)
+        equations.update((tuple(us), int(w_idx == v_idx)) for w_idx, us in by_target.items())
+    zero, one = Fraction(0), Fraction(1)
+    rows: list[list[Fraction]] = []
+    for us, constant in sorted(equations):
+        row = [zero] * (dim + 1)  # the last column is the constant
+        for u_idx in us:
+            row[u_idx] = one
+        row[dim] = Fraction(constant)
+        rows.append(row)
+    reduced, pivots = row_reduce(rows, lambda x: 1 / x)
+    if dim in pivots:
+        return None
+    sol = [zero] * dim
+    for row, col in zip(reduced, pivots):
+        sol[col] = row[dim]
+    candidate = sum((c * AlgebraVector.unit(space, k) for k, c in enumerate(sol) if c),
+                    AlgebraVector.zero(space))
+    for k in range(dim):
+        chi_k = AlgebraVector.unit(space, k)
+        if closed_form_product(candidate, chi_k) != chi_k:
+            raise AssertionError("linear solve produced a non-identity solution")
+    return candidate
 
 
 # ---------------------------------------------------------------------------

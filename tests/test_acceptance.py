@@ -35,7 +35,6 @@ from nortonalg.trees import (
     catalan,
     count_classes_exact,
     count_classes_witness,
-    ominus_equivalence_check,
 )
 from nortonalg import autos
 from reference import (
@@ -44,10 +43,13 @@ from reference import (
     basis_vector,
     check_halved_character_collisions,
     closed_product,
+    find_identity_by_elimination,
     integer_eigenvalue,
+    ominus_equivalence_check,
     per_label_candidate,
     positions,
     reference_index,
+    residue_positions,
     signed_image,
     symmetric_difference_feasible,
     vertex_row_oracle,
@@ -147,7 +149,7 @@ def test_product_table_matches_closed_product(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(cayley, "DENSE_CODE_BITS", 0)
                 by_bytes = cayley.sum_positions(fam.space(i).rows, fam.modulus)
-                by_residues = cayley.residue_positions(fam.space(i).rows, fam.modulus)
+                by_residues = residue_positions(fam.space(i).rows, fam.modulus)
             assert (by_bytes == table).all(), (fam.describe(), i)
             assert (by_residues == table).all(), (fam.describe(), i)
             spaces += 1
@@ -165,7 +167,7 @@ def test_packed_sums_equal_residue_sums():
             rows = fam.space(i).rows
             exps = cayley.character_exponents(rows, verts, fam.modulus)
             for sums in (rows, exps):
-                want = cayley.residue_positions(sums, fam.modulus)
+                want = residue_positions(sums, fam.modulus)
                 got = cayley.sum_positions(sums, fam.modulus)
                 assert got.dtype == np.int32 and (got == want).all(), (fam.describe(), i)
             spaces += 1
@@ -260,6 +262,17 @@ def test_criterion_05_unitality():
                         assert ident == basis_vector(fam, 0, (0,) * n)
                     else:
                         assert ident is None, (n, e, i)
+
+
+def test_find_identity_equals_the_elimination_it_replaced():
+    # every criterion-1 space is within the 256 dimensions the elimination took
+    spaces = 0
+    for fam in _criterion1_instances():
+        for i in fam.eigenspaces():
+            assert fam.space(i).dim <= 256
+            assert find_identity(fam, i) == find_identity_by_elimination(fam, i), (fam.describe(), i)
+            spaces += 1
+    assert spaces == 155
 
 
 def test_criterion_06_associative_spectrum_exact():

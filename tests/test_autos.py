@@ -24,7 +24,6 @@ from nortonalg.autos import (
     candidate as candidate_of,
     compose_candidates,
     conjugation_identity_check,
-    identity_auto,
     is_algebra_automorphism,
     kernel_check_hamming,
     mat_identity,
@@ -40,6 +39,7 @@ from reference import (
     compose_hamming,
     compose_signed,
     flatten,
+    identity_auto,
     per_label_candidate,
     positions,
     signed_image,

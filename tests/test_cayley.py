@@ -24,7 +24,7 @@ from nortonalg.cayley import (
 from nortonalg.cyclotomic import Cyclotomic
 from nortonalg.families import make_family
 from reference import (_neighbor_index, canonical_label, eigenvalue_of_character,
-                       generated_subgroup, integer_eigenvalue, power_remainders,
+                       generated_subgroup, integer_eigenvalue, power_remainders, residue_positions,
                        verify_at_every_connection_element, verify_eigenvector)
 
 
@@ -514,13 +514,13 @@ def test_sum_positions_independent_of_chunk_size(monkeypatch):
         # on the XOR path of the halved cube and on the residue path of both
         for name, value in (("SUM_CHUNK_BYTES", 3 * rows.size), ("DENSE_CODE_BITS", 0)):
             monkeypatch.setattr(cayley, name, value)
-            for path in (sum_positions, cayley.residue_positions):
+            for path in (sum_positions, residue_positions):
                 assert (path(rows, fam.modulus) == whole).all()
         monkeypatch.undo()
 
 
 def _packed_and_residue_agree(rows):
-    want = cayley.residue_positions(rows, 2)
+    want = residue_positions(rows, 2)
     got = sum_positions(rows, 2)
     assert got.dtype == np.int32 and got.tolist() == want.tolist(), rows.shape
     return got
@@ -610,7 +610,7 @@ def test_packed_rows_of_three_bytes_take_the_dense_index(monkeypatch):
     # hypercube(18) rows pack into 3 bytes, 24 code bits, but code below
     # 2^18: the largest code, not the width, chooses the dense index
     rows = make_family("hypercube", n=18).space(2).rows
-    want = cayley.residue_positions(rows, 2)
+    want = residue_positions(rows, 2)
     assert cayley._packed_bits(rows).shape[1] == 3 and 3 * 8 > cayley.DENSE_CODE_BITS
 
     def no_byte_keys(rows):

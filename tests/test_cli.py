@@ -445,6 +445,26 @@ def test_huge_moduli_exit_3_at_once(argv, message):
     assert message in err, err
 
 
+# exact nonassoc prices every m before it counts one, and refuses as the counts
+# would have: m = 1's price, then the table's size and its rows, then each
+# later m's price; the first case counted m <= 6 before it refused m = 7
+EXACT_PRICE_CASES = [
+    (["nonassoc", "--family", "hamming", "--n", "4", "--e", "3", "--i", "4", "--max-m", "7",
+      "--mode", "exact", "--budget", "100000000000"],
+     "exact mode needs 1842540969984 evaluations (budget 100000000000); use witness mode"),
+    (["nonassoc", "--family", "hypercube", "--n", "100000000", "--i", "0", "--max-m", "4",
+      "--mode", "exact", "--budget", "1"],
+     "basis rows of hypercube(100000000) V_0 have 100000000 entries, over 67108864"),
+]
+
+
+@pytest.mark.parametrize("argv, message", EXACT_PRICE_CASES,
+                         ids=["-".join(argv[2:5:2]) for argv, _ in EXACT_PRICE_CASES])
+def test_exact_nonassoc_is_priced_before_any_count(argv, message):
+    err = _exit_3_at_once(argv)
+    assert err == f"budget exceeded: {message}\n", err
+
+
 def test_v0_sums_at_the_largest_modulus_that_fits_uint64(capsys):
     # residues below 2^63 sum below 2^64: the one-row table is looked up
     code, payload = run_json(capsys, "table", "--family", "hamming", "--n", "2",

@@ -14,7 +14,6 @@ from nortonalg import norton, trees
 from nortonalg.autos import (
     SignedPermutation,
     candidate as candidate_of,
-    identity_auto,
     is_algebra_automorphism,
 )
 from nortonalg.errors import BudgetExceededError
@@ -35,6 +34,7 @@ from reference import (
     canonical_label,
     check_halved_character_collisions,
     closed_product,
+    identity_auto,
     in_basis,
     rank,
     rank_fq,

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from reference import (
     LabelVector,
     basis_vector,
     eta_product,
+    find_identity_by_elimination,
     idempotent_supports,
     label_product,
     nilpotent_supports,
@@ -377,15 +379,65 @@ def test_find_identity_examples():
     assert find_identity(make_family("hypercube", n=3), 2) is None
 
 
-def test_find_identity_checks_the_dimension_before_the_basis(monkeypatch):
-    fam = HammingFamily(5, 4)  # V_3 has dimension 270, over the 256 of the solve
+def test_find_identity_checks_the_table_size_before_the_basis(monkeypatch):
+    fam = HammingFamily(4, 11)  # V_4 has dimension 10^4: 10^8 table entries, over the cap
 
     def no_basis(i):
-        raise AssertionError("basis enumerated before the dimension check")
+        raise AssertionError("basis enumerated before the table size check")
 
     monkeypatch.setattr(fam, "_make_basis", no_basis)
-    with pytest.raises(BudgetExceededError):
-        find_identity(fam, 3)
+    with pytest.raises(BudgetExceededError, match="product table"):
+        find_identity(fam, 4)
+
+
+@pytest.mark.parametrize("make, i", [(lambda: HammingFamily(5, 4), 3),
+                                     (lambda: families.CubeFamily("hypercube", 12), 6),
+                                     (lambda: families.BilinearFamily(2, 3, 4), 2)],
+                         ids=["hamming(5,4)", "hypercube(12)", "bilinear(2,3,4)"])
+def test_find_identity_streams_the_table_past_dimension_256(make, i):
+    # the elimination over Q refused these (dim 270, 924 and 1470); the rows
+    # of the table's lookup come in 256 KiB steps, and none is kept
+    # (0.30-0.42 MiB traced)
+    fam = make()
+    assert fam.predicted_dimension(i) > 256
+    tracemalloc.start()
+    try:
+        assert find_identity(fam, i) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert "table" not in vars(fam.space(i))
+
+
+def _table_family(table):
+    """A stand-in family whose every space is the table space of table."""
+    space = Space.of_table(table, 3, "table", list(range(len(table))))
+    return SimpleNamespace(space=lambda i: space)
+
+
+def test_find_identity_reads_the_identity_row():
+    # the group algebra of Z_3: row 0 reads 0..2
+    fam = _table_family([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    ident = find_identity(fam, 0)
+    assert ident == AlgebraVector.unit(fam.space(0), 0) == find_identity_by_elimination(fam, 0)
+
+
+def test_find_identity_of_a_broken_identity_row_is_none():
+    # chi_0 * chi_2 = 0 leaves column 2 with no fixed entry: (2, 2) reads 0 = 1
+    fam = _table_family([[0, 1, -1], [1, 2, 0], [2, 0, 1]])
+    assert find_identity(fam, 0) is None
+    assert find_identity_by_elimination(fam, 0) is None
+
+
+def test_find_identity_refuses_fixed_columns_without_an_identity_row():
+    # two orthogonal idempotents: chi_0 + chi_1 is the identity, which no one
+    # row gives, as a product is not chi_(u+v) here
+    fam = _table_family([[0, -1], [-1, 1]])
+    assert find_identity_by_elimination(fam, 0) == (AlgebraVector.unit(fam.space(0), 0)
+                                                    + AlgebraVector.unit(fam.space(0), 1))
+    with pytest.raises(AssertionError, match="no table row is the identity"):
+        find_identity(fam, 0)
 
 
 def test_find_identity_only_at_i0():

@@ -15,20 +15,24 @@ from nortonalg.errors import BudgetExceededError
 from nortonalg.families import make_family
 from nortonalg.norton import closed_form_product
 from nortonalg.trees import (
-    BinaryTree,
     a000975,
     catalan,
     count_classes_exact,
     count_classes_witness,
+    exact_partition,
+    tree_masks,
+)
+from reference import (
+    BinaryTree,
+    basis_vector,
     double_minus_form,
     enumerate_trees,
-    exact_partition,
+    evaluate,
+    grid_patterns,
     ominus_class,
     ominus_equivalence_check,
     ominus_partition,
-    tree_masks,
 )
-from reference import basis_vector, evaluate, grid_patterns
 
 
 def _criterion1_spaces():
