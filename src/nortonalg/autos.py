@@ -23,13 +23,15 @@ from functools import cache
 from itertools import permutations, product
 from math import factorial, gcd
 
-import numpy as np
-
-from .cayley import _chunks, row_finder
-from .errors import BudgetExceededError
+# the package's modules before numpy, families first: compiled from source, their
+# scratch is freed before numpy loads and reused by it (tests/test_load_order.py)
 from .families import (DEFAULT_VERTEX_BUDGET, BilinearFamily, CubeFamily, FamilySpec,
                        HammingFamily, Space, _words, carries_table, fq_reduce)
+from .cayley import _chunks, row_finder
+from .errors import DEFAULT_AUTOCHECK_BUDGET, BudgetExceededError, size_text
 from .groups import Word
+
+import numpy as np
 
 Candidate = np.ndarray
 
@@ -324,13 +326,33 @@ ACTIONS = {"hamming": HammingAuto, "hypercube": SignedPermutation,
            "halved_cube": SignedPermutation, "bilinear": BilinearAuto}
 
 
-def autocheck(family: FamilySpec, i: int, samples: int, seed: int) -> dict:
+def sample_price(space: Space, samples: int) -> int:
+    """autocheck's work on space: each sample maps the dim x length basis rows
+    and checks the dim^2 products, and on a bilinear family each conjugation
+    identity maps the basis rows of every V_i, i >= 1, six times."""
+    family = space.family
+    price = samples * (space.dim * family.length + space.dim**2)
+    if isinstance(family, BilinearFamily):
+        dims = sum(map(family.predicted_dimension, range(1, family.diameter + 1)))
+        price += samples * 6 * dims * family.length
+    return price
+
+
+def autocheck(family: FamilySpec, i: int, samples: int, seed: int,
+              budget: int = DEFAULT_AUTOCHECK_BUDGET) -> dict:
     """Check samples actions of an ACTIONS kind on V_i, drawn by
     random.Random(seed); the Hamming kernel, None where it is not covered or
     over its budget; and on a bilinear family the conjugation identity on
-    samples triples drawn by random.Random(seed + 1)."""
+    samples triples drawn by random.Random(seed + 1).  Refused before the
+    table is built or any action drawn when the sample_price is over budget."""
     action, space = ACTIONS[family.kind], family.space(i)
-    if samples:  # the table's size check, before any candidate builds the basis
+    if samples:  # the table's size and the basis rows, then the price, before any draw
+        space.check_table_size()
+        space.rows
+        price = sample_price(space, samples)
+        if price > budget:
+            raise BudgetExceededError(f"autocheck of {size_text(samples)} samples on {space.name}"
+                                      f" takes {size_text(price)} steps (budget {budget})")
         space.table
     rng = random.Random(seed)
     results = []

@@ -23,15 +23,24 @@ only file opened is closed by `_write`, and no thread or exit handler runs.
 the family kinds and their parameter names, and nothing else: the parser,
 `--help` and every usage error that argparse or an option check finds run
 without numpy or any other layer.  Each subcommand imports the layers it runs
-when it is dispatched, and every one loads `families`, with numpy, `cayley`,
-`groups` and `linalg`, which hold the product table and the projection
-oracle; the others are imported where they are used:
+when it is dispatched, in this order:
 
-- `spectrum` adds `roots`, whose integer reduction gives the eigenvalues;
-- `table`, with or without `--verify-oracle`, and `oracle-verify` add none;
-- `nonassoc` adds `trees`, and `autocheck` adds `autos`;
-- `idempotents`, once `--e` is checked, and `isocheck` add `norton`,
-  `cyclotomic` and `roots`, the exact Q(w) arithmetic, with `fractions`.
+- its layer, where it has one: `trees` for `nonassoc`, `autos` for
+  `autocheck`, and `norton` for `idempotents`, once `--e` is checked, and
+  for `isocheck`;
+- `families`, which every subcommand loads, and which holds the product
+  table and the projection oracle (`spectrum` builds its family before it
+  imports `cayley`), then `errors`, `groups`, `linalg` and `cayley`;
+- numpy, which `cayley` imports last;
+- after it, `roots` for `spectrum`, whose integer reduction gives the
+  eigenvalues, and `cyclotomic` and `roots`, the exact Q(w) arithmetic, with
+  `fractions`, for `norton`.
+
+Each module puts the package's modules above `import numpy`: run without
+cached bytecode, as a fresh checkout is, each module is compiled when it is
+first imported, and compile scratch freed before numpy loads is reused by
+numpy, where scratch needed after it raises the process's peak memory
+(tests/test_load_order.py).
 """
 
 from __future__ import annotations
@@ -44,7 +53,8 @@ from collections.abc import Callable, Iterable
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_EVAL_BUDGET, KIND_PARAMETERS, BudgetExceededError
+from .errors import (DEFAULT_AUTOCHECK_BUDGET, DEFAULT_EVAL_BUDGET, KIND_PARAMETERS,
+                     BudgetExceededError)
 
 if TYPE_CHECKING:
     from .families import FamilySpec
@@ -95,13 +105,13 @@ def _resolve_seed(args) -> int:
     return 0 if env is None else env
 
 
-def _resolve_budget(args) -> int:
+def _resolve_budget(args, default: int = DEFAULT_EVAL_BUDGET) -> int:
     if args.budget is not None:
         return args.budget
     env = _env_int("NORTON_BUDGET")
     if env is not None and env < 0:
         raise _usage_error(f"NORTON_BUDGET must be >= 0, got {env}")
-    return DEFAULT_EVAL_BUDGET if env is None else env
+    return default if env is None else env
 
 
 def _family_from_args(args) -> FamilySpec:
@@ -189,8 +199,9 @@ def _emit_json(args, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    from .cayley import spectrum, verify_all_eigenvectors
+    # the family first: families compiles cayley before numpy loads (tests/test_load_order.py)
     fam = _family_from_args(args)
+    from .cayley import spectrum, verify_all_eigenvectors
     graph = fam.cayley_graph()
     certified = verify_all_eigenvectors(graph) if args.verify else None  # the spectrum, or None
     computed = certified or spectrum(graph)  # computed once when the check passes
@@ -377,6 +388,7 @@ def cmd_autocheck(args) -> int:
     fam = _family_from_args(args)
     i = _space_index(fam, 1 if args.i is None else args.i)
     seed = _resolve_seed(args)
+    budget = _resolve_budget(args, DEFAULT_AUTOCHECK_BUDGET)
     if fam.kind not in autos.ACTIONS:
         kinds = [kind.replace("_", "-") for kind in autos.ACTIONS]
         raise _usage_error(f"autocheck supports {listed(kinds)} families, not {args.family}")
@@ -386,7 +398,7 @@ def cmd_autocheck(args) -> int:
         "i": i,
         "seed": seed,
         "samples": args.samples,
-        **autos.autocheck(fam, i, args.samples, seed),
+        **autos.autocheck(fam, i, args.samples, seed, budget),
     }
     _emit_json(args, payload)
     return EXIT_OK if payload["all_ok"] else EXIT_CHECK_FAILED
@@ -446,15 +458,18 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     read = {"seed": (int, "RNG seed (default: NORTON_SEED or 0)"),
-            "budget": (nonnegative_int, "evaluation budget (default: NORTON_BUDGET or 10^7)")}
+            "budget": (nonnegative_int, "evaluation budget (default: NORTON_BUDGET or {})")}
 
-    def add(name: str, family: bool, formats: tuple, reads=(), **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, family: bool, formats: tuple, reads=(), budget="10^7",
+            **kwargs) -> argparse.ArgumentParser:
         """A subcommand with the common options, the read options named in reads
-        and, if family, the family options, that writes the given output formats."""
+        (a budget defaulting to the given text) and, if family, the family
+        options, that writes the given output formats."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--output", "-o", default=None, help="write output to a file")
         for option in reads:
-            p.add_argument(f"--{option}", type=read[option][0], default=None, help=read[option][1])
+            p.add_argument(f"--{option}", type=read[option][0], default=None,
+                           help=read[option][1].format(budget))
         p.add_argument("--threads", type=int, default=0,
                        help="ignored; every computation runs on one thread")
         if family:
@@ -499,7 +514,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_idempotents)
 
     if wanted("autocheck"):
-        p = add("autocheck", True, ("json",), ("seed",),
+        p = add("autocheck", True, ("json",), ("seed", "budget"), budget="10^9",
                 help="sampled automorphism actions pass product preservation")
         p.add_argument("--i", type=int, default=None, help="eigenspace (default 1)")
         p.add_argument("--samples", type=nonnegative_int, default=100)

@@ -14,10 +14,12 @@ from functools import lru_cache
 from math import lcm
 from typing import Union
 
-import numpy as np
-
+# the package's modules before numpy: compiled from source, their scratch is
+# freed before numpy loads and reused by it (tests/test_load_order.py)
 from .linalg import row_reduce
 from .roots import cyclotomic_polynomial, field_degree, root_sums  # Phi_e re-exported
+
+import numpy as np
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
 

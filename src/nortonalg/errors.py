@@ -1,10 +1,11 @@
-"""Shared error types, the default evaluation budget, the family kinds'
+"""Shared error types, the default budgets, the family kinds'
 parameter names and the text of a size: what the CLI reads before it loads
 numpy or any other layer."""
 
 from __future__ import annotations
 
 DEFAULT_EVAL_BUDGET = 10**7  # of nonassoc and idempotents, unless --budget or NORTON_BUDGET
+DEFAULT_AUTOCHECK_BUDGET = 10**9  # of autocheck's samples (autos.sample_price), likewise
 
 # kind: parameter names in key order; a family's key is (kind, *parameters),
 # and families.KINDS pairs each kind with its constructor

@@ -17,12 +17,15 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations
 from math import comb
 
-import numpy as np
-
-from .cayley import CayleyGraph, _chunks, _generators, character_exponents, sum_positions, sum_rows
+# the package's modules before numpy, cayley (whose body loads numpy) last: compiled
+# from source, their scratch is freed before numpy loads and reused by it
+# (tests/test_load_order.py)
 from .errors import KIND_PARAMETERS, BudgetExceededError, size_text
 from .groups import Word, is_prime, word_text
 from .linalg import row_reduce
+from .cayley import CayleyGraph, _chunks, _generators, character_exponents, sum_positions, sum_rows
+
+import numpy as np
 
 Subset = tuple[int, ...]
 

@@ -21,12 +21,14 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
-import numpy as np
-
-from .cyclotomic import Cyclotomic, over_lcm
+# the package's modules before numpy, families first: compiled from source, their
+# scratch is freed before numpy loads and reused by it (tests/test_load_order.py)
 from .families import (FamilySpec, Space, carries_table, make_family,  # the oracle, re-exported
                        verify_oracle_space)
+from .cyclotomic import Cyclotomic, over_lcm
 from .roots import field_degree, root_sums
+
+import numpy as np
 
 
 class AlgebraVector:

@@ -1,8 +1,10 @@
 """Sums of e-th roots of unity: the cyclotomic polynomial Phi_e, the degree
 phi(e) of Q(w), w = exp(2*pi*i/e), and root_sums, the one reduction mod Phi_e
 to the power basis 1, w, ..., w^(phi(e)-1), from which every canonical form
-in Q(w) comes.  Only the powers w^k with k >= phi(e) change under it, so only
-their canonical forms are built (root_tail).  Nothing here loads `fractions`,
+in Q(w) comes.  Only the powers w^k with k >= phi(e) change under it, and as
+Phi_e(x) = Phi_r(x^s) for r = rad(e), s = e / r, their canonical forms are
+those of the powers of the r-th root w^s, shifted: only those of order r are
+built (root_tail(r)).  Nothing here loads `fractions`,
 so the eigenvalue path (`cayley.spectrum`) loads no exact field arithmetic.
 """
 
@@ -48,6 +50,19 @@ def field_degree(e: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def radical(e: int) -> int:
+    """rad(e), the product of the distinct primes dividing e >= 1."""
+    rad, rest, p = 1, e, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            rad *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return rad * rest
+
+
+@lru_cache(maxsize=None)
 def root_tail(e: int) -> np.ndarray:
     """Read-only int64 matrix T of shape phi(e) x (e - phi(e)): T[r, j] is
     the coefficient of w^r in the canonical form of w^(phi(e) + j).  Column j
@@ -71,12 +86,18 @@ def root_tail(e: int) -> np.ndarray:
 
 def root_sums(rows: np.ndarray, e: int, total: int | None = None) -> np.ndarray:
     """The canonical forms of sum_k rows[..., k] w^k, rows of any width below
-    2e: w^e = 1 folds w^k onto w^(k - e), and the w^k from phi(e) on add their
-    coefficients times the tail T = root_tail(e) transposed.  Given a total,
-    rows are int64, each adding up to at most total, and OverflowError is raised
-    before an entry could pass 2^63, which total * max(1, max|T|) bounds;
-    without one, they are exact objects (Python ints or Fractions)."""
-    tail, deg, width = root_tail(e), field_degree(e), rows.shape[-1]
+    2e: w^e = 1 folds w^k onto w^(k - e).  With r = rad(e), s = e / r and
+    k = s q + t, t < s, w^k is w^t times (w^s)^q, and w^s has order r: the w^k
+    with q >= phi(r), which are those from phi(e) = s phi(r) on, add their
+    coefficients times T[a, q - phi(r)] to that of w^(s a + t), T = root_tail(r).
+    Given a total, rows are int64, each adding up to at most total, and
+    OverflowError is raised before an entry could pass 2^63, which
+    total * max(1, max|T|) bounds; without one, they are exact objects
+    (Python ints or Fractions)."""
+    r = radical(e)
+    tail, s, width = root_tail(r), e // r, rows.shape[-1]
+    low = len(tail)  # phi(r)
+    deg = s * low  # phi(e)
     if total is not None:
         most = max(1, int(tail.max(initial=0)), -int(tail.min(initial=0)))  # with no |T| copy
         if total * most >= 2**63:
@@ -86,4 +107,13 @@ def root_sums(rows: np.ndarray, e: int, total: int | None = None) -> np.ndarray:
         width = e
     if width <= deg:  # canonical already; the missing powers count zero
         return np.concatenate((rows, np.zeros((*rows.shape[:-1], deg - width), rows.dtype)), -1)
-    return rows[..., :deg] + rows[..., deg:] @ tail[:, :width - deg].T
+    span = -(-width // s)  # the q of the highest power, plus one
+    if span * s > width:
+        pad = np.zeros((*rows.shape[:-1], span * s - width), rows.dtype)
+        rows = np.concatenate((rows, pad), -1)
+    grid = rows.reshape(*rows.shape[:-1], span, s)  # [..., q, t]: the coefficient of w^(s q + t)
+    high = np.swapaxes(grid[..., low:, :], -1, -2)  # one 2-d product, a view when s = 1
+    out = high.reshape(-1, span - low) @ tail[:, :span - low].T
+    out = np.swapaxes(out.reshape(*high.shape[:-1], low), -1, -2)
+    out += grid[..., :low, :]
+    return out.reshape(*rows.shape[:-1], deg)

@@ -31,12 +31,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
+# the package's modules before numpy, families first: compiled from source, their
+# scratch is freed before numpy loads and reused by it (tests/test_load_order.py)
+from .families import Space
 from . import cayley
 from .cayley import row_keys
 from .errors import DEFAULT_EVAL_BUDGET, BudgetExceededError, size_text
-from .families import Space
+
+import numpy as np
 
 DEFAULT_MAX_M = 12
 DEFAULT_WITNESS_ATTEMPTS = 10_000

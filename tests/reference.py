@@ -41,6 +41,37 @@ from nortonalg.norton import AlgebraVector, closed_form_product
 REFERENCE_VERTEX_CAP = 4096  # of the pure-Python Q(w) value tables, far below the package's
 
 # ---------------------------------------------------------------------------
+# The criterion-1 families: 41 instances with 155 eigenspaces in all
+# ---------------------------------------------------------------------------
+
+CRITERION1_FAMILIES = (
+    [("hamming", {"n": n, "e": e}) for n in range(1, 5) for e in range(2, 6)]
+    + [("hypercube", {"n": n}) for n in range(1, 9)]
+    + [("halved_cube", {"n": n}) for n in range(2, 9)]
+    + [("folded_cube", {"n": n}) for n in range(3, 9)]
+    + [("folded_half_cube", {"n": n}) for n in (6, 8)]
+    + [("bilinear", {"q": q, "d": 2, "e": 2}) for q in (2, 3)]
+)
+
+
+def criterion1_families() -> list:
+    """Each criterion-1 family, in CRITERION1_FAMILIES order."""
+    return [make_family(kind, **params) for kind, params in CRITERION1_FAMILIES]
+
+
+def criterion1_spaces() -> list:
+    """(family, i) for each eigenspace V_i of each criterion-1 family."""
+    return [(fam, i) for fam in criterion1_families() for i in fam.eigenspaces()]
+
+
+def criterion1_args() -> list[str]:
+    """The CLI's family options of each criterion-1 family, such as
+    '--family halved-cube --n 2'."""
+    return [" ".join([f"--family {kind.replace('_', '-')}",
+                      *(f"--{name} {value}" for name, value in params.items())])
+            for kind, params in CRITERION1_FAMILIES]
+
+# ---------------------------------------------------------------------------
 # Group elements and characters, one at a time
 # ---------------------------------------------------------------------------
 
@@ -101,17 +132,21 @@ def inner_product(phi: Sequence, psi: Sequence):
     return total / len(phi)
 
 
-def power_remainders(e: int, count: int) -> list[list[int]]:
-    """x^k mod Phi_e for k = 0 .. count-1, low degree first, by polynomial
-    long division: from degree count-1 down to phi(e), the coefficient c of
-    x^j takes off c x^(j - phi(e)) Phi_e.  Row k starts as x^k, and the
-    divisions of all k run side by side; int64 holds every coefficient of
-    the orders the tests divide by (|c| <= 2 for e <= 257)."""
+def power_remainders(e: int, count: int, ks: Sequence[int] | None = None) -> list[list[int]]:
+    """x^k mod Phi_e for k = 0 .. count-1, or for the increasing ks below
+    count, low degree first, by polynomial long division: from degree count-1
+    down to phi(e), the coefficient c of x^j takes off c x^(j - phi(e)) Phi_e.
+    Row k starts as x^k, and the divisions of all k run side by side; int64
+    holds every coefficient of the orders the tests divide by (|c| <= 2 for
+    e <= 257)."""
     phi = np.array(cyclotomic_polynomial(e), dtype=np.int64)
     deg = len(phi) - 1
-    num = np.eye(count, max(count, deg + 1), dtype=np.int64)
+    ks = np.arange(count) if ks is None else np.asarray(ks)
+    num = np.zeros((len(ks), max(count, deg + 1)), dtype=np.int64)
+    num[np.arange(len(ks)), ks] = 1
     for j in range(count - 1, deg - 1, -1):
-        num[j:, j - deg:j + 1] -= num[j:, j:j + 1] * phi  # rows k < j hold no x^j
+        first = np.searchsorted(ks, j)  # rows of k < j hold no x^j
+        num[first:, j - deg:j + 1] -= num[first:, j:j + 1] * phi
     return num[:, :deg].tolist()
 
 

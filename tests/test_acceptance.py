@@ -43,6 +43,9 @@ from reference import (
     basis_vector,
     check_halved_character_collisions,
     closed_product,
+    criterion1_args,
+    criterion1_families,
+    criterion1_spaces,
     find_identity_by_elimination,
     integer_eigenvalue,
     ominus_equivalence_check,
@@ -66,27 +69,15 @@ def criterion(number: int, title: str):
     print(f"CRITERION {number} ({title}): PASS")
 
 
-def _criterion1_instances():
-    fams = []
-    for n in range(1, 5):
-        for e in range(2, 6):
-            fams.append(make_family("hamming", n=n, e=e))
-    for n in range(1, 9):
-        fams.append(make_family("hypercube", n=n))
-    for n in range(2, 9):
-        fams.append(make_family("halved_cube", n=n))
-    for n in range(3, 9):
-        fams.append(make_family("folded_cube", n=n))
-    for n in (6, 8):
-        fams.append(make_family("folded_half_cube", n=n))
-    for q in (2, 3):
-        fams.append(make_family("bilinear", q=q, d=2, e=2))
-    return fams
+def test_criterion1_families_have_155_spaces():
+    # the one list of tests/reference.py, which the acceptance, tree and golden tests read
+    assert len(criterion1_families()) == len(criterion1_args()) == 41
+    assert len(criterion1_spaces()) == 155
 
 
 def test_criterion_01_spectrum_reproduction():
     with criterion(1, "spectra and adjacency eigen-verification"):
-        for fam in _criterion1_instances():
+        for fam in criterion1_families():
             graph = fam.cayley_graph()
             for i in fam.eigenspaces():
                 theta = fam.predicted_eigenvalue(i)
@@ -138,7 +129,7 @@ def test_product_table_matches_closed_product(monkeypatch):
     # and its dense code index against the byte-key lookup it replaces, on the
     # XOR path of the modulus-2 families and on the residue path of all
     spaces = 0
-    for fam in _criterion1_instances():
+    for fam in criterion1_families():
         for i in fam.eigenspaces():
             pos = positions(fam, i)
             want = [[-1 if c is None else pos[c] for c in row]
@@ -161,7 +152,7 @@ def test_packed_sums_equal_residue_sums():
     # modulo 2, on the basis index rows and on the oracle's value rows over
     # the vertices
     spaces = packed = 0
-    for fam in _criterion1_instances():
+    for fam in criterion1_families():
         verts = fam.vertices()
         for i in fam.eigenspaces():
             rows = fam.space(i).rows
@@ -193,7 +184,7 @@ def test_generator_oracle_verdict_equals_the_vertex_row_reference():
     # space, with its table and with each one-entry mutation of it, the
     # verdict equals the reference's on value rows over all of X
     spaces, kinds = 0, Counter()
-    for fam in _criterion1_instances():
+    for fam in criterion1_families():
         verts = fam.vertices()
         for i in fam.eigenspaces():
             space = KINDS[fam.kind][0](*fam.key[1:]).space(i)  # private: its table is replaced
@@ -209,7 +200,7 @@ def test_generator_oracle_verdict_equals_the_vertex_row_reference():
 
 def test_criterion_03_oracle_equivalence():
     with criterion(3, "closed form equals projection oracle on all basis pairs"):
-        for fam in _criterion1_instances():
+        for fam in criterion1_families():
             for i in fam.eigenspaces():
                 assert verify_oracle_space(fam.space(i)), (fam.describe(), i)
 
@@ -267,7 +258,7 @@ def test_criterion_05_unitality():
 def test_find_identity_equals_the_elimination_it_replaced():
     # every criterion-1 space is within the 256 dimensions the elimination took
     spaces = 0
-    for fam in _criterion1_instances():
+    for fam in criterion1_families():
         for i in fam.eigenspaces():
             assert fam.space(i).dim <= 256
             assert find_identity(fam, i) == find_identity_by_elimination(fam, i), (fam.describe(), i)

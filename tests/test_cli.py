@@ -465,6 +465,33 @@ def test_exact_nonassoc_is_priced_before_any_count(argv, message):
     assert err == f"budget exceeded: {message}\n", err
 
 
+def test_autocheck_is_priced_before_the_first_draw():
+    # 10^30 samples on hypercube(8) V_1 (dim 8, length 8) drew one sample after
+    # another and never ended
+    err = _exit_3_at_once(["autocheck", "--family", "hypercube", "--n", "8",
+                           "--samples", str(10**30)])
+    assert err == ("budget exceeded: autocheck of about 2^99 samples on hypercube(8) V_1"
+                   " takes about 2^106 steps (budget 1000000000)\n"), err
+
+
+def test_autocheck_budget_prices_samples_and_the_conjugation_identity(capsys, monkeypatch):
+    # bilinear(2,2,3) V_2 has dim 42 and length 6: 3 samples map 42 rows and check
+    # 42^2 products each, and each conjugation identity maps the 63 basis rows
+    # of V_1 and V_2 six times: 3 * (42 * 6 + 42^2) + 3 * 6 * 63 * 6 = 12852
+    fam = ["--family", "bilinear", "--q", "2", "--d", "2", "--e", "3", "--i", "2",
+           "--samples", "3"]
+    assert main(["autocheck", *fam, "--budget", "12851"]) == 3
+    assert capsys.readouterr().err == ("budget exceeded: autocheck of 3 samples on"
+                                       " bilinear(2,2,3) V_2 takes 12852 steps (budget 12851)\n")
+    code, payload = run_json(capsys, "autocheck", *fam, "--budget", "12852")
+    assert code == 0 and payload["all_ok"] is True
+    monkeypatch.setenv("NORTON_BUDGET", "12851")
+    assert main(["autocheck", *fam]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: autocheck of 3 samples")
+    # with no samples there is nothing to price
+    assert main(["autocheck", *fam[:-1], "0", "--budget", "0"]) == 0
+
+
 def test_v0_sums_at_the_largest_modulus_that_fits_uint64(capsys):
     # residues below 2^63 sum below 2^64: the one-row table is looked up
     code, payload = run_json(capsys, "table", "--family", "hamming", "--n", "2",
@@ -654,14 +681,15 @@ def test_options_the_command_does_not_read_exit_2(argv, capsys):
 
 # sha256 of the help texts 80 columns wide, of the top level and of every
 # subcommand with family options, recorded from literal lists of the kinds and
-# family options (the last four from the parser that read families.KINDS):
+# family options (the last four from the parser that read families.KINDS, and
+# autocheck's again when it took --budget, which adds only that option's lines):
 # the lists read from the kind table must give them
 HELP_SHA256 = {
     "": "c8bdcdbd69251ecc7d49669df67079d2dcad44ac07631163b47ec599187bb7a4",
     "spectrum": "ddda4ef67b8b82b3bc660e3dd555b2d62e6442864be83cbea66c605983cc81db",
     "table": "973def8336403be9a2b5b5ebf9f49b333fb427a73ba5440da6408108e5fc3581",
     "nonassoc": "b7c7a3af214a7721172289c0d74185620cfe9baf02a210b61a2cafdec8cc287c",
-    "autocheck": "c7dc06ba1e753894f073b3468dcf8b62a0c2339a825cc8f5fb3ddd045b57898f",
+    "autocheck": "daa7181e6c1b513ba1b3d7208cbe4b6568d17df8f78eb3ab1c7384491ea533e8",
     "oracle-verify": "e5fcda21165002f33251b9daac8d1f2adf0a71734a8efdd3d4c43dc2edd3cda7",
 }
 

@@ -20,7 +20,8 @@ from nortonalg.cyclotomic import (
     from_exponent_counts,
     root_power,
 )
-from nortonalg.roots import root_sums, root_tail
+from nortonalg import roots
+from nortonalg.roots import radical, root_sums, root_tail
 from reference import power_remainders
 
 
@@ -213,6 +214,44 @@ def test_root_sums_fold_and_reduce_rows_of_every_width():
             if e <= 9:
                 thirds = root_sums(rows.astype(object) * Fraction(1, 3), e)
                 assert (thirds == want.astype(object) * Fraction(1, 3)).all(), (e, width)
+
+
+RADICAL_ORDERS = [4, 8, 9, 12, 18, 30, 36, 60, 64, 100, 210, 256, 360, 1024, 4096]
+
+
+def test_root_sums_through_the_radical_equal_long_division():
+    # Phi_e(x) = Phi_r(x^s), r = rad(e): reduced by root_tail(r) alone, w^k
+    # is x^k mod Phi_e by long division for every k < e, int64 and exact; at
+    # e = 4096 for a sample of k, as the division side by side of all 4096
+    # would hold 128 MiB
+    rng = np.random.default_rng(17)
+    for e in RADICAL_ORDERS:
+        deg = field_degree(e)
+        ks = np.arange(e) if e <= 1024 else np.unique(
+            np.r_[0, deg - 1, deg, e - 1, rng.integers(0, e, 64)])
+        want = power_remainders(e, e, ks)
+        units = np.zeros((len(ks), e), dtype=np.int64)
+        units[np.arange(len(ks)), ks] = 1
+        got = root_sums(units, e, 1)
+        assert got.dtype == np.int64 and got.tolist() == want, e
+        exact = root_sums(units.astype(object) << 64, e)
+        assert exact.dtype == object and (exact == np.array(want, dtype=object) << 64).all(), e
+    assert [radical(e) for e in (4096, 360, 210, 1)] == [2, 30, 210, 1]
+
+
+def test_root_sums_of_a_prime_power_hold_no_tail_of_its_order():
+    # the tail of 4096 would be phi(e) * (e - phi(e)) int64s, 32 MiB; that of
+    # rad(4096) = 2 is one entry
+    rows = np.eye(8, 4096, 4088, dtype=np.int64)  # w^4088 .. w^4095
+    roots.root_tail.cache_clear()
+    tracemalloc.start()
+    try:
+        got = root_sums(rows, 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got == -np.eye(8, 2048, 2040, dtype=np.int64)).all()  # w^2048 = -1
+    assert peak < 2**20, peak
 
 
 def test_only_roots_reads_the_tail():

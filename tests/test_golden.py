@@ -64,17 +64,11 @@ import pytest
 from nortonalg import autos
 from nortonalg.cli import main
 from nortonalg.families import make_family
+from reference import criterion1_args
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
-FAMILY_ARGS = (
-    [f"--family hamming --n {n} --e {e}" for n in range(1, 5) for e in range(2, 6)]
-    + [f"--family hypercube --n {n}" for n in range(1, 9)]
-    + [f"--family halved-cube --n {n}" for n in range(2, 9)]
-    + [f"--family folded-cube --n {n}" for n in range(3, 9)]
-    + [f"--family folded-half-cube --n {n}" for n in (6, 8)]
-    + [f"--family bilinear --q {q} --d 2 --e 2" for q in (2, 3)]
-)
+FAMILY_ARGS = criterion1_args()
 
 OTHER_CASES = [
     "isocheck",

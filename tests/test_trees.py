@@ -25,6 +25,7 @@ from nortonalg.trees import (
 from reference import (
     BinaryTree,
     basis_vector,
+    criterion1_spaces,
     double_minus_form,
     enumerate_trees,
     evaluate,
@@ -33,16 +34,6 @@ from reference import (
     ominus_equivalence_check,
     ominus_partition,
 )
-
-
-def _criterion1_spaces():
-    fams = ([make_family("hamming", n=n, e=e) for n in range(1, 5) for e in range(2, 6)]
-            + [make_family("hypercube", n=n) for n in range(1, 9)]
-            + [make_family("halved_cube", n=n) for n in range(2, 9)]
-            + [make_family("folded_cube", n=n) for n in range(3, 9)]
-            + [make_family("folded_half_cube", n=n) for n in (6, 8)]
-            + [make_family("bilinear", q=q, d=2, e=2) for q in (2, 3)])
-    return [(fam, i) for fam in fams for i in fam.eigenspaces()]
 
 
 # Reference evaluator: each tree as a postfix program run on one tuple of
@@ -310,7 +301,7 @@ def test_exact_partition_matches_the_postfix_reference():
     # every criterion-1 space for m <= 4 where the reference's
     # dim^(m+1) * Catalan(m) tuple evaluations stay small
     checked = 0
-    for fam, i in _criterion1_spaces():
+    for fam, i in criterion1_spaces():
         dim = fam.predicted_dimension(i)
         for m in range(1, 5):
             if dim ** (m + 1) * catalan(m) > 30_000:
@@ -322,7 +313,7 @@ def test_exact_partition_matches_the_postfix_reference():
 
 
 def test_witness_matches_the_postfix_reference():
-    for fam, i in _criterion1_spaces():
+    for fam, i in criterion1_spaces():
         for m in range(1, 5):
             for seed in (0, 1, 5):
                 report = count_classes_witness(fam.space(i), m, seed=seed, attempts=200)
@@ -372,7 +363,7 @@ def test_grid_patterns_equal_the_index_reference(monkeypatch):
     # of some prefixes; then spaces whose blocks fix 2 or 3 inputs and end
     # with a partial group, at 4 and 16 KiB
     layouts = set()
-    cases = [(fam, i, m, None) for fam, i in _criterion1_spaces() for m in range(1, 7)
+    cases = [(fam, i, m, None) for fam, i in criterion1_spaces() for m in range(1, 7)
              if fam.predicted_dimension(i) ** (m + 1) <= 2 * 10**5]
     cases += [(make_family("hypercube", n=4), 2, m, None) for m in (6, 7)]
     cases += [(make_family("hamming", n=2, e=5), 1, 4, 2**12),
